@@ -51,13 +51,6 @@ class Certificate:
                 return v
         raise KeyError(label)
 
-    def key_scalar(self) -> float | None:
-        """First real-valued witness; the one-number summary for CSV rows."""
-        for _, v in self.witnesses:
-            if isinstance(v, (int, float, np.floating)) and not isinstance(v, bool):
-                return float(v)
-        return None
-
 
 def passed(check_name: str, narrative: str, witnesses) -> Certificate:
     return Certificate(Verdict.PASS, check_name, tuple(witnesses), narrative)

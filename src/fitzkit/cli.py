@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -23,7 +24,6 @@ from .errors import FitzkitError
 from .fitzpatrick import Finite, fitz_finite, fitz_linear, fitz_sampled
 from .harness import (
     CheckSpec,
-    ScenarioConfig,
     certificate_to_dict,
     emit_report,
     load_scenario,
@@ -77,20 +77,10 @@ def _cmd_suite(args) -> int:
     cfg = load_scenario(_resolve_scenario_path(args.scenario))
     overrides = _tolerances(args)
     if overrides or args.seed is not None:
-        tol = cfg.tolerances
-        new_tol = ToleranceConfig(
-            eq_tol=overrides.get("eq_tol", tol.eq_tol),
-            inf_threshold=overrides.get("inf_threshold", tol.inf_threshold),
-            rank_tol=tol.rank_tol,
-            budget=tol.budget,
-        )
-        cfg = ScenarioConfig(
-            cfg.dimension,
-            args.seed if args.seed is not None else cfg.seed,
-            new_tol,
-            cfg.operators,
-            cfg.grids,
-            cfg.checks,
+        cfg = replace(
+            cfg,
+            seed=args.seed if args.seed is not None else cfg.seed,
+            tolerances=replace(cfg.tolerances, **overrides),
         )
     report = run_suite(cfg, parallel=args.parallel)
     _write(emit_report(report, args.format), args.out)
@@ -157,8 +147,7 @@ def _cmd_check(args) -> int:
 def _cmd_fitz(args) -> int:
     op_obj = json.loads(args.operator)
     op = parse_operator(op_obj, "operator")
-    tol_kw = _tolerances(args)
-    tol = ToleranceConfig(**tol_kw) if tol_kw else ToleranceConfig()
+    tol = ToleranceConfig(**_tolerances(args))
     pt = pair(_parse_vector(args.x), _parse_vector(args.xstar))
     if isinstance(op, GraphOp):
         value = Finite(fitz_finite(op.graph, pt))

@@ -40,7 +40,6 @@ from .operators import (
     maximality_probe,
     membership,
     perturb,
-    relatedness_products,
     resolvent,
     unique_domain_points,
 )
@@ -171,17 +170,14 @@ def sup_quotient(
         raise ZOnDomainError("no sampled domain point is separated from z")
     diffs = z - g.primals[keep]
     quots = np.einsum("ij,ij->i", diffs, g.duals[keep]) / dists[keep]
-    kept_pairs = [p for p, k in zip(g.pairs, keep) if k]
-
-    entries: list[tuple[float, float, PairPoint]] = []
-    best = -np.inf
-    ordinal = 0
-    for q, p in zip(quots, kept_pairs):
-        if q > best:
-            ordinal += 1
-            best = float(q)
-            entries.append((float(ordinal), best, p))
-    estimate = best
+    # the running maximum over the sample, one entry per strict rise
+    rises = np.flatnonzero(quots > np.r_[-np.inf, np.maximum.accumulate(quots)[:-1]])
+    kept = np.flatnonzero(keep)
+    entries = [
+        (float(ordinal), float(quots[r]), g.pair(kept[r]))
+        for ordinal, r in enumerate(rises, start=1)
+    ]
+    estimate = entries[-1][1]
 
     # ray divergence: quotient grows along any positively-aligned exact ray
     target_q = tol.inf_threshold * _MARGIN_FACTOR
@@ -194,8 +190,7 @@ def sup_quotient(
         a, astar, val = found
         q = val / float(np.linalg.norm(z - a))
         if q > estimate:
-            ordinal += 1
-            entries.append((float(ordinal), q, pair(a, astar)))
+            entries.append((float(len(entries) + 1), q, pair(a, astar)))
             estimate = q
     return float(estimate), QuotientTrace(tuple(entries))
 
@@ -312,11 +307,11 @@ def near_convexity_certificate(
         if probe_grid is None:
             raise ValidationError("strict mode needs a probe grid")
         lam0 = min(float(lam) for lam in lambda_schedule)
-        surrogate_pairs = []
-        for gp in g.pairs:
-            bstar = duality_point(p, z, gp.primal)
-            surrogate_pairs.append(pair(gp.primal, gp.dual + lam0 * bstar))
-        surrogate = FiniteGraph(tuple(surrogate_pairs))
+        # J_p(a - z) row by row; a != z since alpha > eq_tol
+        U = g.primals - z
+        r = np.linalg.norm(U, axis=1)[:, None]
+        bstar = U / r if p == 1.0 else r ** (p - 2.0) * U
+        surrogate = FiniteGraph.from_arrays(g.primals, g.duals + lam0 * bstar)
         evidence = maximality_probe(
             perturb(op, lam0, p, z), probe_grid, tol, surrogate=surrogate
         )
@@ -538,7 +533,7 @@ def br_check(
             except (NotMaximalError, NoClosedFormError):
                 pass
     x, xs = xpair.primal, xpair.dual
-    inf_est = float(relatedness_products(xpair, g).min())
+    inf_est = float(np.einsum("ij,ij->i", x - g.primals, xs - g.duals).min())
     for cand in analytic:
         inf_est = min(
             inf_est, float(np.dot(x - cand.primal, xs - cand.dual))
@@ -551,28 +546,23 @@ def br_check(
             witnesses,
         )
 
-    def qualifies(cand: PairPoint) -> bool:
-        return (
-            float(np.linalg.norm(x - cand.primal)) < alpha
-            and float(np.linalg.norm(xs - cand.dual)) < beta
-        )
-
-    best: Optional[PairPoint] = None
-    best_score = np.inf
-    for cand in list(g.pairs) + analytic:
-        score = max(
-            float(np.linalg.norm(x - cand.primal)) / alpha,
-            float(np.linalg.norm(xs - cand.dual)) / beta,
-        )
-        if score < best_score:
-            best, best_score = cand, score
-    if best is not None and qualifies(best):
+    # nearest candidate in the (alpha, beta)-scaled max distance; first on ties
+    P = np.vstack([g.primals] + [c.primal[None, :] for c in analytic])
+    D = np.vstack([g.duals] + [c.dual[None, :] for c in analytic])
+    scores = np.maximum(
+        np.linalg.norm(x - P, axis=1) / alpha, np.linalg.norm(xs - D, axis=1) / beta
+    )
+    i = int(np.argmin(scores))
+    best = g.pair(i) if i < len(g) else analytic[i - len(g)]
+    primal_dist = float(np.linalg.norm(x - best.primal))
+    dual_dist = float(np.linalg.norm(xs - best.dual))
+    if primal_dist < alpha and dual_dist < beta:
         witnesses.insert(0, ("witness_pair", best))
-        witnesses.append(("primal_distance", float(np.linalg.norm(x - best.primal))))
-        witnesses.append(("dual_distance", float(np.linalg.norm(xs - best.dual))))
+        witnesses.append(("primal_distance", primal_dist))
+        witnesses.append(("dual_distance", dual_dist))
         return passed(name, "approximate graph point found within (alpha, beta)", witnesses)
     witnesses.insert(0, ("best_near_miss", best))
-    witnesses.append(("near_miss_score", best_score))
+    witnesses.append(("near_miss_score", max(primal_dist / alpha, dual_dist / beta)))
     return failed(name, "no graph point within (alpha, beta) of the reference pair", witnesses)
 
 

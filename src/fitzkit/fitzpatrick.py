@@ -23,6 +23,7 @@ from .operators import (
     OperatorSpec,
     fiber,
     graph_sample,
+    pairwise_product_blocks,
     resolvent,
     shift_graph,
     unique_domain_points,
@@ -198,27 +199,25 @@ def fitz_sampled(
     if isinstance(op, GraphOp):
         return Finite(fitz_finite(op.graph, pt))
     g = sample if sample is not None else graph_sample(op, wgrid, tol)
-    terms = list(_affine_terms(g, pt))
-    witnesses = list(g.pairs)
+    terms = _affine_terms(g, pt)
+    value = float(terms.max())
+    over = np.flatnonzero(terms > tol.inf_threshold)
+    crossings = [(float(terms[i]), g.pair(i)) for i in over]
     try:
         x0 = resolvent(op, pt.primal + pt.dual, tol)
         s0 = pt.primal + pt.dual - x0
-        extra = pair(x0, s0)
-        terms.append(
-            float(np.dot(pt.primal, s0) + np.dot(x0, pt.dual) - np.dot(x0, s0))
-        )
-        witnesses.append(extra)
+        term = float(np.dot(pt.primal, s0) + np.dot(x0, pt.dual) - np.dot(x0, s0))
+        value = max(value, term)
+        if term > tol.inf_threshold:
+            crossings.append((term, pair(x0, s0)))
     except (NotMaximalError, NoClosedFormError):
         pass
     sources = ray_sources if ray_sources is not None else unique_domain_points(g, tol)
-    crossings = _ray_crossings(op, pt, sources, tol)
-    terms_arr = np.array(terms)
-    over = np.flatnonzero(terms_arr > tol.inf_threshold)
-    crossings.extend((float(terms_arr[i]), witnesses[i]) for i in over)
+    crossings = _ray_crossings(op, pt, sources, tol) + crossings
     if crossings:
         value, witness = _lex_first_witness(crossings)
         return InfiniteSuspected(value, witness)
-    return Finite(float(terms_arr.max()))
+    return Finite(value)
 
 
 # ---------------------------------------------------------------------------
@@ -331,13 +330,10 @@ def fitz_inequality_check(
         if gap > worst_gap:
             worst_gap, worst_pt = gap, p
     # graph-point equality: F - pairing = -min pairwise product, vectorized
-    X, S, d = graph_pts.primals, graph_pts.duals, graph_pts.self_products
-    k = len(graph_pts)
     worst_eq = 0.0
-    block = max(1, min(k, 4_000_000 // max(k, 1) + 1))
-    for i0 in range(0, k, block):
-        i1 = min(k, i0 + block)
-        prods = d[i0:i1, None] + d[None, :] - X[i0:i1] @ S.T - S[i0:i1] @ X.T
+    for _, prods in pairwise_product_blocks(
+        graph_pts.primals, graph_pts.duals, graph_pts.self_products, graph_pts
+    ):
         worst_eq = max(worst_eq, float(np.abs(prods.min(axis=1)).max()))
     witnesses = [
         ("worst_gap", float(worst_gap)),

@@ -14,7 +14,7 @@ import io
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
@@ -122,10 +122,8 @@ def parse_operator(obj: dict, where: str) -> OperatorSpec:
 
 def operator_to_dict(op: OperatorSpec) -> dict:
     if isinstance(op, GraphOp):
-        return {
-            "kind": "graph",
-            "pairs": [[p.primal.tolist(), p.dual.tolist()] for p in op.graph.pairs],
-        }
+        g = op.graph
+        return {"kind": "graph", "pairs": np.stack([g.primals, g.duals], axis=1).tolist()}
     if isinstance(op, LinearOp):
         return {"kind": "linear", "matrix": op.M.tolist(), "offset": op.c.tolist()}
     if isinstance(op, SubdiffOp):
@@ -199,18 +197,21 @@ class ScenarioConfig:
     checks: tuple
 
 
-KNOWN_CHECKS = (
-    "theorem36",
-    "near_convexity",
-    "conv_domain",
-    "sup_quotient",
-    "simons_lower_bound",
-    "br",
-    "blowup_witness",
-    "fitz_inequality",
-    "shift_identity",
-    "maximality_probe",
-)
+# Params each check cannot run without (README's check table). Grids needed
+# only for sampled targets, and br's two parameter sets, are checked when the
+# check runs.
+REQUIRED_PARAMS = {
+    "theorem36": ("xgrid",),
+    "near_convexity": ("z", "lambdas", "wgrid"),
+    "conv_domain": ("z", "lambdas", "wgrid"),
+    "sup_quotient": ("z", "wgrid"),
+    "simons_lower_bound": ("z", "zstar"),
+    "br": (),
+    "blowup_witness": ("z", "n_schedule", "wgrid"),
+    "fitz_inequality": (),
+    "shift_identity": ("z", "zstar"),
+    "maximality_probe": ("probe_grid",),
+}
 
 
 def scenario_from_dict(raw: dict) -> ScenarioConfig:
@@ -222,10 +223,7 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
     seed = int(raw.get("seed", 0))
     tol_raw = raw.get("tolerances", {})
     tol = ToleranceConfig(
-        eq_tol=float(tol_raw.get("eq_tol", 1e-9)),
-        inf_threshold=float(tol_raw.get("inf_threshold", 1e8)),
-        rank_tol=float(tol_raw.get("rank_tol", 1e-8)),
-        budget=int(tol_raw.get("budget", 100_000)),
+        **{k: type(v)(tol_raw.get(k, v)) for k, v in asdict(ToleranceConfig()).items()}
     )
     operators = {}
     for name, obj in raw.get("operators", {}).items():
@@ -248,12 +246,15 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
     for i, obj in enumerate(raw.get("checks", [])):
         where = f"checks[{i}]"
         kind = obj.get("check")
-        if kind not in KNOWN_CHECKS:
+        if kind not in REQUIRED_PARAMS:
             raise ValidationError(f"{where}: unknown check {kind!r}")
         target = obj.get("target")
         if target not in operators:
             raise ValidationError(f"{where}: unresolved operator name {target!r}")
         params = dict(obj.get("params", {}))
+        missing = [k for k in REQUIRED_PARAMS[kind] if k not in params]
+        if missing:
+            raise ScenarioParseError(f"{where}: {kind} needs parameter(s) {', '.join(missing)}")
         for key in ("wgrid", "xgrid", "probe_grid"):
             if key in params and params[key] not in grids:
                 raise ValidationError(f"{where}: unresolved grid name {params[key]!r}")
@@ -276,12 +277,7 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
     return {
         "dimension": cfg.dimension,
         "seed": cfg.seed,
-        "tolerances": {
-            "eq_tol": cfg.tolerances.eq_tol,
-            "inf_threshold": cfg.tolerances.inf_threshold,
-            "rank_tol": cfg.tolerances.rank_tol,
-            "budget": cfg.tolerances.budget,
-        },
+        "tolerances": asdict(cfg.tolerances),
         "operators": {k: operator_to_dict(v) for k, v in cfg.operators.items()},
         "grids": {
             k: {"lower": g.lower.tolist(), "upper": g.upper.tolist(), "spacing": g.spacing}
@@ -560,12 +556,7 @@ def report_to_dict(report: Report) -> dict:
         "tool": {"name": "fitzkit", "version": report.tool_version},
         "scenario_digest": report.scenario_digest,
         "seed": report.seed,
-        "tolerances": {
-            "eq_tol": report.tolerances.eq_tol,
-            "inf_threshold": report.tolerances.inf_threshold,
-            "rank_tol": report.tolerances.rank_tol,
-            "budget": report.tolerances.budget,
-        },
+        "tolerances": asdict(report.tolerances),
         "annotations": list(report.annotations),
         "checks": [
             {
@@ -581,24 +572,7 @@ def report_to_dict(report: Report) -> dict:
 
 
 def render_report(report: Report, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(report_to_dict(report), indent=2, allow_nan=False) + "\n"
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["check", "target", "verdict", "key_scalar"])
-        for r in report.results:
-            key = r.certificate.key_scalar()
-            writer.writerow(
-                [
-                    r.check,
-                    r.target,
-                    r.certificate.verdict.value,
-                    "" if key is None else repr(key),
-                ]
-            )
-        return buf.getvalue()
-    raise ValidationError(f"unknown report format {fmt!r}")
+    return reformat_report_json(report_to_dict(report), fmt)
 
 
 def emit_report(report: Report, fmt: str, path=None) -> str:
@@ -610,7 +584,9 @@ def emit_report(report: Report, fmt: str, path=None) -> str:
 
 
 def reformat_report_json(stored: dict, fmt: str) -> str:
-    """Re-emit a stored JSON report dict in another format."""
+    """Render a report dict (fresh or stored JSON) as JSON or CSV.
+
+    A CSV row's key_scalar is the certificate's first real-valued witness."""
     if fmt == "json":
         return json.dumps(stored, indent=2, allow_nan=False) + "\n"
     if fmt == "csv":

@@ -12,7 +12,7 @@ inexact, although membership against it is still tested exactly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Union
 
@@ -35,7 +35,6 @@ from .vecspace import (
     as_matrix,
     as_vector,
     dedupe_rows_within,
-    lexsort_rows,
     project_onto_generated_set,
 )
 
@@ -46,83 +45,79 @@ _BALL_SAMPLES = 64
 # Finite graphs
 # ---------------------------------------------------------------------------
 
-def _duplicate_rows_within(rows: np.ndarray, tol: float) -> bool:
-    """True when two rows are within tol in Euclidean (product) norm.
-
-    Rows are scanned in col-0 sorted order; only windows whose first
-    coordinates differ by at most tol need comparing.
-    """
-    if len(rows) < 2:
-        return False
-    order = np.argsort(rows[:, 0], kind="stable")
-    srt = rows[order]
-    col0 = srt[:, 0]
-    for i in range(len(srt) - 1):
-        j_hi = int(np.searchsorted(col0, col0[i] + tol, side="right"))
-        if j_hi <= i + 1:
-            continue
-        d = np.linalg.norm(srt[i + 1 : j_hi] - srt[i], axis=1)
-        if np.any(d <= tol):
-            return True
-    return False
-
-
-def _dedupe_rows_within(rows: np.ndarray, tol: float) -> np.ndarray:
-    """Drop rows within tol of an earlier kept row (rows assumed lex-sorted)."""
-    if len(rows) < 2:
-        return rows
-    return dedupe_rows_within(rows, tol)
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class FiniteGraph:
-    """Explicit list of primal-dual pairs; the universal sampled representation."""
+    """Finitely many primal-dual pairs; the universal sampled representation.
 
-    pairs: tuple[PairPoint, ...]
+    Row i of the read-only (k, n) arrays ``primals`` and ``duals`` is the pair
+    (x_i, x_i*); ``pair(i)`` builds it as a PairPoint when a witness needs one.
+    """
 
-    def __post_init__(self):
-        pairs = tuple(self.pairs)
-        if not pairs:
-            raise ValidationError("finite graph must be nonempty")
-        dim = pairs[0].dim
-        for p in pairs:
-            if p.dim != dim:
-                raise DimensionMismatchError("graph pairs have mixed dimensions")
-        rows = np.hstack([self_primals(pairs), self_duals(pairs)])
-        if _duplicate_rows_within(rows, DEFAULT_TOL.eq_tol):
-            raise ValidationError("duplicate graph pairs within tolerance")
-        object.__setattr__(self, "pairs", pairs)
+    primals: np.ndarray
+    duals: np.ndarray
+    self_products: np.ndarray = field(repr=False)
+
+    def __init__(self, pairs):
+        pairs = tuple(pairs)
+        if len({p.dim for p in pairs}) > 1:
+            raise DimensionMismatchError("graph pairs have mixed dimensions")
+        self._store([p.primal for p in pairs], [p.dual for p in pairs])
 
     @classmethod
     def from_arrays(cls, primals: np.ndarray, duals: np.ndarray) -> "FiniteGraph":
-        return cls(tuple(PairPoint(x, s) for x, s in zip(primals, duals)))
+        g = cls.__new__(cls)
+        g._store(primals, duals)
+        return g
+
+    def _store(self, primals, duals):
+        """The one validation every graph passes: nonempty, matching (k, n)
+        shapes, finite, and no two pairs within DEFAULT_TOL.eq_tol."""
+        X = np.array(primals, dtype=float, order="C")
+        S = np.array(duals, dtype=float, order="C")
+        if X.size == 0:
+            raise ValidationError("finite graph must be nonempty")
+        if X.ndim != 2 or X.shape != S.shape:
+            raise DimensionMismatchError(
+                f"graph primals {X.shape} and duals {S.shape} must share one (k, n) shape"
+            )
+        if not (np.isfinite(X).all() and np.isfinite(S).all()):
+            raise ValidationError("graph pairs must be finite")
+        if len(dedupe_rows_within(np.hstack([X, S]), DEFAULT_TOL.eq_tol)) < len(X):
+            raise ValidationError("duplicate graph pairs within tolerance")
+        d = np.einsum("ij,ij->i", X, S)
+        for name, arr in (("primals", X), ("duals", S), ("self_products", d)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def dim(self) -> int:
-        return self.pairs[0].dim
+        return self.primals.shape[1]
 
     def __len__(self):
-        return len(self.pairs)
+        return len(self.primals)
+
+    def pair(self, i: int) -> PairPoint:
+        return PairPoint(self.primals[i], self.duals[i])
 
     @cached_property
-    def primals(self) -> np.ndarray:
-        return self_primals(self.pairs)
-
-    @cached_property
-    def duals(self) -> np.ndarray:
-        return self_duals(self.pairs)
-
-    @cached_property
-    def self_products(self) -> np.ndarray:
-        return np.einsum("ij,ij->i", self.primals, self.duals)
+    def pairs(self) -> tuple[PairPoint, ...]:
+        """Every row as a PairPoint, built on first use."""
+        return tuple(self.pair(i) for i in range(len(self)))
 
 
-def self_primals(pairs) -> np.ndarray:
-    return np.array([p.primal for p in pairs])
-
-
-def self_duals(pairs) -> np.ndarray:
-    return np.array([p.dual for p in pairs])
+def pairwise_product_blocks(X: np.ndarray, S: np.ndarray, d: np.ndarray, g: FiniteGraph):
+    """Yield (i0, P) over row blocks, P[i, j] = <X_i - a_j, S_i - a_j*> for
+    rows i0 + i of (X, S) with self-pairings d and graph pairs (a_j, a_j*)."""
+    k = len(X)
+    block = max(1, min(k, 4_000_000 // max(len(g), 1) + 1))
+    for i0 in range(0, k, block):
+        i1 = min(k, i0 + block)
+        yield i0, (
+            d[i0:i1, None]
+            + g.self_products[None, :]
+            - X[i0:i1] @ g.duals.T
+            - S[i0:i1] @ g.primals.T
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -722,15 +717,6 @@ def resolvent(
     return as_vector(resolvent_batch(op, w[None, :], tol, step)[0])
 
 
-def has_resolvent(op: OperatorSpec) -> bool:
-    try:
-        d = op_dimension(op) or 1
-        resolvent(op, np.zeros(d))
-        return True
-    except (NotMaximalError, NoClosedFormError):
-        return False
-
-
 # ---------------------------------------------------------------------------
 # Fibers and membership
 # ---------------------------------------------------------------------------
@@ -904,9 +890,7 @@ def graph_sample(
     W = wgrid.nodes()
     X = resolvent_batch(op, W, tol)
     S = W - X
-    rows = np.hstack([X, S])
-    rows = rows[lexsort_rows(rows)]
-    rows = _dedupe_rows_within(rows, tol.eq_tol)
+    rows = dedupe_rows_within(np.hstack([X, S]), tol.eq_tol)
     n = X.shape[1]
     Xd, Sd = rows[:, :n], rows[:, n:]
     if verify:
@@ -929,22 +913,12 @@ def monotone_check(
     g: FiniteGraph, tol: ToleranceConfig = DEFAULT_TOL
 ) -> Optional[tuple[PairPoint, PairPoint]]:
     """None when all pairwise products are >= -eq_tol, else the first violating pair."""
-    X, S, d = g.primals, g.duals, g.self_products
-    k = len(g)
-    block = max(1, min(k, 4_000_000 // max(k, 1) + 1))
-    for i0 in range(0, k, block):
-        i1 = min(k, i0 + block)
-        prods = (
-            d[i0:i1, None]
-            + d[None, :]
-            - X[i0:i1] @ S.T
-            - S[i0:i1] @ X.T
-        )
+    for i0, prods in pairwise_product_blocks(g.primals, g.duals, g.self_products, g):
         viol = np.argwhere(prods < -tol.eq_tol)
         if len(viol):
             viol = viol[np.lexsort((viol[:, 1], viol[:, 0]))]
             i, j = int(viol[0][0]) + i0, int(viol[0][1])
-            return g.pairs[i], g.pairs[j]
+            return g.pair(i), g.pair(j)
     return None
 
 
@@ -956,11 +930,7 @@ def monotonically_related(
     bad = np.flatnonzero(prods < -tol.eq_tol)
     if len(bad) == 0:
         return None
-    return g.pairs[int(bad[0])]
-
-
-def relatedness_products(pt: PairPoint, g: FiniteGraph) -> np.ndarray:
-    return np.einsum("ij,ij->i", pt.primal - g.primals, pt.dual - g.duals)
+    return g.pair(int(bad[0]))
 
 
 def shift_operator(op: OperatorSpec, zstar: Vector) -> OperatorSpec:
@@ -969,9 +939,7 @@ def shift_operator(op: OperatorSpec, zstar: Vector) -> OperatorSpec:
     if np.all(zstar == 0.0):
         return op
     if isinstance(op, GraphOp):
-        return GraphOp(
-            FiniteGraph(tuple(PairPoint(p.primal, p.dual - zstar) for p in op.graph.pairs))
-        )
+        return GraphOp(shift_graph(op.graph, zstar))
     if isinstance(op, LinearOp):
         return LinearOp(op.M, op.c - zstar)
     if isinstance(op, ShiftedOp):
@@ -981,7 +949,7 @@ def shift_operator(op: OperatorSpec, zstar: Vector) -> OperatorSpec:
 
 def shift_graph(g: FiniteGraph, zstar: Vector) -> FiniteGraph:
     zstar = as_vector(zstar, dim=g.dim)
-    return FiniteGraph(tuple(PairPoint(p.primal, p.dual - zstar) for p in g.pairs))
+    return FiniteGraph.from_arrays(g.primals, g.duals - zstar)
 
 
 def inverse_graph(g: FiniteGraph) -> FiniteGraph:
@@ -989,7 +957,7 @@ def inverse_graph(g: FiniteGraph) -> FiniteGraph:
 
     Monotonicity is preserved (the pairwise products are symmetric in the
     swap), so range-side questions reduce to domain-side checks here."""
-    return FiniteGraph(tuple(PairPoint(p.dual, p.primal) for p in g.pairs))
+    return FiniteGraph.from_arrays(g.duals, g.primals)
 
 
 def perturb(op: OperatorSpec, lam: float, p: float, center: Vector) -> PerturbedOp:
@@ -999,9 +967,7 @@ def perturb(op: OperatorSpec, lam: float, p: float, center: Vector) -> Perturbed
 
 def unique_domain_points(g: FiniteGraph, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Distinct sampled primal points, lexicographically sorted."""
-    X = g.primals
-    X = X[lexsort_rows(X)]
-    return _dedupe_rows_within(X, tol.eq_tol)
+    return dedupe_rows_within(g.primals, tol.eq_tol)
 
 
 def maximality_probe(
@@ -1026,10 +992,11 @@ def maximality_probe(
         raise DimensionMismatchError("probe grid must live in primal x dual space")
     nodes = probe_grid.nodes()
     Xp, Sp = nodes[:, :n], nodes[:, n:]
-    X, S, d = surrogate.primals, surrogate.duals, surrogate.self_products
     dp = np.einsum("ij,ij->i", Xp, Sp)
-    prods = dp[:, None] + d[None, :] - Xp @ S.T - Sp @ X.T
-    related = prods.min(axis=1) >= -tol.eq_tol
+    related = np.concatenate([
+        prods.min(axis=1) >= -tol.eq_tol
+        for _, prods in pairwise_product_blocks(Xp, Sp, dp, surrogate)
+    ])
     out = []
     for i in np.flatnonzero(related):
         ptp = PairPoint(Xp[i], Sp[i])

@@ -7,7 +7,6 @@ operations are deterministic.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -19,6 +18,7 @@ from .errors import DimensionMismatchError, NotSeparableError, ValidationError
 Vector = np.ndarray
 
 _LEX_TIE_EPS = 1e-13
+_KD_MARGIN = 1e-6  # relative widening of the KD-tree radius; exact norms confirm
 
 
 def as_vector(x, dim: int | None = None) -> Vector:
@@ -53,10 +53,6 @@ def dot(x: Vector, y: Vector) -> float:
     x = as_vector(x)
     y = as_vector(y, dim=x.size)
     return float(np.dot(x, y))
-
-
-def norm(x: Vector) -> float:
-    return float(np.linalg.norm(as_vector(x)))
 
 
 def lexsort_rows(rows: np.ndarray) -> np.ndarray:
@@ -170,7 +166,10 @@ def project_onto_generated_set(
 
     k, m = len(pts), len(rys)
     scale = max(1.0, float(np.linalg.norm(v)), float(np.abs(pts).max(initial=0.0)))
+    # point violations are products of two O(scale) vectors; ray violations
+    # pair the residual with a unit ray, so their threshold is linear in scale
     opt_eps = 1e-11 * scale * scale
+    ray_eps = 1e-11 * scale
 
     # start from the lexicographically-smallest nearest vertex
     d2 = np.einsum("ij,ij->i", pts - v, pts - v)
@@ -205,9 +204,10 @@ def project_onto_generated_set(
             best_r = int(np.argmax(r_viol)) if m else -1
             vp = p_viol[best_p] if k else -np.inf
             vr = r_viol[best_r] if m else -np.inf
-            if vp <= opt_eps and vr <= opt_eps:
+            if vp <= opt_eps and vr <= ray_eps:
                 return as_vector(y), float(np.linalg.norm(resid))
-            if vp >= vr:
+            # enter the larger violation, a ray only past its own threshold
+            if vr <= ray_eps or (vp > opt_eps and vp >= vr):
                 active_p.append(best_p)
                 weights = np.concatenate([weights[: len(active_p) - 1], [0.0], weights[len(active_p) - 1 :]])
             else:
@@ -239,28 +239,33 @@ def project_onto_generated_set(
 # ---------------------------------------------------------------------------
 
 def dedupe_rows_within(rows: np.ndarray, tol: float) -> np.ndarray:
-    """Lex-sort rows and drop any within tol (Euclidean) of an earlier kept row.
+    """Lex-sort rows and drop any within tol of an earlier kept row.
 
-    Only rows whose first coordinates differ by at most tol can collide, so
-    each row is compared against a sorted window of kept rows."""
+    Sorted rows i < j are within tol when their Euclidean row norm is at most
+    tol and x_i[0] >= x_j[0] - tol in floating point; the second test only
+    matters within an ulp of tol, and keeps the result that of scanning a
+    sorted first-coordinate window. Exact repeats of the previous row go
+    first, a KD-tree lists candidate pairs within a slightly widened radius,
+    both tests confirm them, and rows are kept greedily in sorted order."""
     rows = np.atleast_2d(rows)
     srt = rows[lexsort_rows(rows)]
-    col0 = srt[:, 0]
-    kept_idx: list[int] = []
-    for i in range(len(srt)):
-        lo = int(np.searchsorted(col0, col0[i] - tol, side="left"))
-        pos = bisect.bisect_left(kept_idx, lo)
-        cand = kept_idx[pos:]
-        if cand:
-            d = np.linalg.norm(srt[cand] - srt[i], axis=1)
-            if np.any(d <= tol):
-                continue
-        kept_idx.append(i)
-    return srt[np.array(kept_idx)]
+    if len(srt) > 1:
+        srt = srt[np.r_[True, np.any(srt[1:] != srt[:-1], axis=1)]]
+    if len(srt) < 2:
+        return srt
+    from scipy.spatial import cKDTree
 
-
-def _dedupe_rows(rows: np.ndarray, tol: float) -> np.ndarray:
-    return dedupe_rows_within(rows, tol)
+    i, j = cKDTree(srt).query_pairs(tol * (1.0 + _KD_MARGIN), output_type="ndarray").T
+    close = (np.linalg.norm(srt[i] - srt[j], axis=1) <= tol) & (srt[i, 0] >= srt[j, 0] - tol)
+    i, j = i[close], j[close]
+    order = np.lexsort((i, j))
+    i, j = i[order], j[order]
+    keep = np.ones(len(srt), dtype=bool)
+    starts = np.flatnonzero(np.r_[True, j[1:] != j[:-1]])
+    for lo, hi in zip(starts, np.r_[starts[1:], len(j)]):
+        if keep[i[lo:hi]].any():
+            keep[j[lo]] = False
+    return srt[keep]
 
 
 def _affine_basis(pts: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -299,7 +304,7 @@ def _extreme_candidates(pts: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _minimal_vertices(pts: np.ndarray, tol: float) -> np.ndarray:
-    pts = _dedupe_rows(pts, tol)
+    pts = dedupe_rows_within(pts, tol)
     cand = _extreme_candidates(pts, tol)
     kept = [np.asarray(r, dtype=float) for r in cand]
     i = 0

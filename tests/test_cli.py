@@ -62,6 +62,21 @@ def test_check_ad_hoc_near_convexity(capsys):
     assert cert["verdict"] == "pass"
 
 
+def test_check_missing_required_param_exit_two(capsys):
+    code = main(
+        [
+            "check",
+            "--check", "near_convexity",
+            "--operator", IDENT,
+            "--wgrid=-1,-1:1,1:0.5",
+            "--lambdas", "1",
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: ") and "z" in err
+
+
 def test_check_sup_quotient_expect(capsys):
     code, out = run_cli(
         capsys,

@@ -16,6 +16,15 @@ from fitzkit.harness import (
 )
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src" / "fitzkit" / "scenarios"
+GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+
+
+def assert_matches_golden(rep, scenario):
+    """The JSON report, timing block removed, is byte for byte the recorded one."""
+    doc = json.loads(render_report(rep, "json"))
+    doc.pop("timing")
+    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    assert text == (GOLDEN_DIR / f"{scenario}.json").read_text()
 
 
 def minimal_raw(**over):
@@ -85,6 +94,7 @@ def test_paper_suite_all_pass():
     rep = run_suite(cfg)
     assert all(r.certificate.verdict is Verdict.PASS for r in rep.results)
     assert rep.exit_code() == 0
+    assert_matches_golden(rep, "paper-suite")
 
 
 def test_expected_failures_scenario():
@@ -94,6 +104,7 @@ def test_expected_failures_scenario():
     fitz = rep.results[0].certificate
     assert fitz.verdict is Verdict.FAIL
     assert fitz.witness("gap") == pytest.approx(0.25, abs=1e-12)
+    assert_matches_golden(rep, "expected-failures")
 
 
 def test_report_determinism_modulo_timing():
@@ -146,3 +157,4 @@ def test_operator_zoo_all_pass():
     cfg = load_scenario(SCENARIO_DIR / "operator-zoo.json")
     rep = run_suite(cfg)
     assert rep.exit_code() == 0
+    assert_matches_golden(rep, "operator-zoo")

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fitzkit.errors import (
+    DimensionMismatchError,
     NoClosedFormError,
     NotMaximalError,
     ValidationError,
@@ -70,6 +71,46 @@ def test_graph_duplicate_rejected():
         graph_of(([0.0], [0.0]), ([0.0], [0.0]))
     g = graph_of(([0.0], [0.0]), ([1.0], [1.0]))
     assert len(g) == 2
+
+
+@pytest.mark.parametrize("gap", [0.0, 0.5 * DEFAULT_TOL.eq_tol, DEFAULT_TOL.eq_tol])
+def test_both_graph_constructors_reject_duplicates_within_eq_tol(gap):
+    X = np.array([[0.0, 0.0], [1.0, 0.0], [gap, 0.0]])
+    S = np.array([[0.0, 1.0], [1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(ValidationError, match="duplicate"):
+        FiniteGraph.from_arrays(X, S)
+    with pytest.raises(ValidationError, match="duplicate"):
+        FiniteGraph(pair(x, s) for x, s in zip(X, S))
+    X[2, 0] = 2.0 * DEFAULT_TOL.eq_tol
+    assert len(FiniteGraph.from_arrays(X, S)) == 3
+    assert len(FiniteGraph(pair(x, s) for x, s in zip(X, S))) == 3
+
+
+def test_graph_arrays_are_read_only_and_pairs_built_on_demand():
+    X = np.array([[0.0, 1.0], [2.0, 3.0]])
+    S = np.asfortranarray([[1.0, 0.0], [0.0, 1.0]])
+    g = FiniteGraph.from_arrays(X, S)
+    X[0, 0] = 9.0  # the graph holds its own copy
+    for arr in (g.primals, g.duals, g.self_products):
+        assert arr.flags.c_contiguous and not arr.flags.writeable
+    assert g.primals[0].tolist() == [0.0, 1.0] and g.self_products.tolist() == [0.0, 3.0]
+    assert g.pair(1).primal.tolist() == [2.0, 3.0] and g.pair(1).dual.tolist() == [0.0, 1.0]
+    assert [p.primal.tolist() for p in g.pairs] == g.primals.tolist()
+    for bad, err in (
+        ((np.zeros((0, 2)), np.zeros((0, 2))), ValidationError),
+        ((X, S[:, :1]), DimensionMismatchError),
+        ((np.array([[np.nan, 0.0]]), np.zeros((1, 2))), ValidationError),
+    ):
+        with pytest.raises(err):
+            FiniteGraph.from_arrays(*bad)
+
+
+def test_graph_sample_builds_no_pair_points(monkeypatch):
+    built = []
+    original = PairPoint.__post_init__
+    monkeypatch.setattr(PairPoint, "__post_init__", lambda self: built.append(1) or original(self))
+    g = graph_sample(CONE01_2, Grid([-1.0, -1.0], [2.0, 2.0], 0.25))
+    assert len(g) > 0 and built == []
 
 
 def test_funsum_disjoint_boxes_rejected():
@@ -236,6 +277,20 @@ def test_membership_scales_with_dual_magnitude():
     # ray-scaled duals must still test as members despite float noise
     assert membership(CONE01, pair([1.0], [1e9]))
     assert not membership(CONE01, pair([1.0], [-1e9]))
+
+
+QUADBOX2 = SubdiffOp(
+    FunSum((Quadratic(np.eye(2), np.zeros(2)), BoxIndicator([0.0, 0.0], [1.0, 1.0])))
+)
+
+
+@pytest.mark.parametrize("op", [QUADBOX2, CONE01_2], ids=["quadbox", "box_cone"])
+@pytest.mark.parametrize("mag", [1e3, 1e9, 1e11, 1.954e11, 1e12])
+def test_membership_along_huge_cone_rays(op, mag):
+    # at the corner (0, 1) both fibers hold offset + t*e_1 for every t >= 0;
+    # the projection must not accept the cone apex under a residual of |x*|
+    assert membership(op, pair([0.0, 1.0], [0.0, mag]))
+    assert not membership(op, pair([0.0, 1.0], [mag, mag]))
 
 
 # --------------------------------------------------------------------------

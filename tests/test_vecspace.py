@@ -1,3 +1,5 @@
+import bisect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,9 +12,11 @@ from fitzkit.vecspace import (
     ToleranceConfig,
     as_vector,
     conv_hull,
+    dedupe_rows_within,
     dist_to_polytope,
     dot,
     hausdorff,
+    lexsort_rows,
     project_onto_generated_set,
     separate,
 )
@@ -294,3 +298,67 @@ def test_projection_with_rays_against_cvxpy():
             level = float((pts @ r).max())
             active = pts @ r >= level - 1e-9
             assert np.any(active)
+
+
+# --------------------------------------------------------------------------
+# tolerance dedupe: the windowed loop it replaced is the reference
+# --------------------------------------------------------------------------
+
+def windowed_dedupe_reference(rows, tol):
+    """Lex-sort rows and drop any within tol of an earlier kept row, comparing
+    each row against the kept rows whose first coordinates lie within tol."""
+    rows = np.atleast_2d(rows)
+    srt = rows[lexsort_rows(rows)]
+    col0 = srt[:, 0]
+    kept_idx = []
+    for i in range(len(srt)):
+        lo = int(np.searchsorted(col0, col0[i] - tol, side="left"))
+        cand = kept_idx[bisect.bisect_left(kept_idx, lo):]
+        if cand and np.any(np.linalg.norm(srt[cand] - srt[i], axis=1) <= tol):
+            continue
+        kept_idx.append(i)
+    return srt[np.array(kept_idx)]
+
+
+@st.composite
+def rows_with_near_duplicates(draw):
+    """Rows with planted exact repeats, copies offset along one axis by tol
+    and its neighbouring floats, and clusters of points within ~tol."""
+    n = draw(st.integers(1, 4))
+    tol = draw(st.sampled_from([1e-9, 1e-3, 0.25]))
+    coord = st.one_of(st.floats(-3.0, 3.0, allow_nan=False), st.sampled_from([0.0, 1.0, -2.5]))
+    base = draw(st.lists(st.lists(coord, min_size=n, max_size=n), min_size=1, max_size=12))
+    rows = [np.array(r) for r in base]
+    edge = (np.nextafter(tol, 0.0), tol, np.nextafter(tol, np.inf))
+    for r in list(rows):
+        for kind in draw(st.lists(st.sampled_from(["repeat", "edge", "cluster"]), max_size=4)):
+            if kind == "repeat":
+                rows.append(r.copy())
+            elif kind == "edge":
+                axis = draw(st.integers(0, n - 1))
+                step = draw(st.sampled_from(edge)) * draw(st.sampled_from([1.0, -1.0]))
+                rows.append(r + step * np.eye(n)[axis])
+            else:
+                u = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+                rows.append(r + tol * u)
+    order = draw(st.permutations(range(len(rows))))
+    return np.array(rows)[list(order)], tol
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows_with_near_duplicates())
+def test_dedupe_matches_windowed_reference(case):
+    rows, tol = case
+    got = dedupe_rows_within(rows, tol)
+    assert np.array_equal(got, windowed_dedupe_reference(rows, tol))
+
+
+def test_dedupe_worked_examples():
+    rows = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5e-9, 0.0], [2e-9, 0.0]])
+    assert dedupe_rows_within(rows, 1e-9).tolist() == [[0.0, 0.0], [2e-9, 0.0], [1.0, 0.0]]
+    # greedy in sorted order: b is dropped for a, so c (within tol of b only) stays
+    chain = np.array([[0.0], [0.8], [1.6]])
+    assert dedupe_rows_within(chain, 1.0).tolist() == [[0.0], [1.6]]
+    # a grid collapsed onto few points keeps one row per point
+    collapsed = np.repeat(np.array([[0.0, 1.0], [1.0, 0.0]]), 500, axis=0)
+    assert dedupe_rows_within(collapsed, 1e-9).tolist() == [[0.0, 1.0], [1.0, 0.0]]
