@@ -82,7 +82,7 @@ def _cmd_suite(args) -> int:
             seed=args.seed if args.seed is not None else cfg.seed,
             tolerances=replace(cfg.tolerances, **overrides),
         )
-    report = run_suite(cfg, parallel=args.parallel)
+    report = run_suite(cfg)
     _write(emit_report(report, args.format), args.out)
     return report.exit_code()
 
@@ -199,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("suite", help="run a scenario file")
     ps.add_argument("--scenario", required=True, help="path or bundled scenario name")
-    ps.add_argument("--parallel", action="store_true")
     common(ps)
     ps.set_defaults(fn=_cmd_suite)
 

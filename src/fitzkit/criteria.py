@@ -36,6 +36,7 @@ from .operators import (
     OperatorSpec,
     duality_point,
     fiber,
+    graph_of,
     graph_sample,
     maximality_probe,
     membership,
@@ -82,19 +83,11 @@ def _default_wgrid(op: OperatorSpec, xgrid: Grid) -> Grid:
     return Grid(-half * np.ones(n), half * np.ones(n), xgrid.spacing * 2.0, cap=xgrid.cap)
 
 
-def _surrogate_graph(op: OperatorSpec, wgrid: Grid | None, tol: ToleranceConfig) -> FiniteGraph:
-    if isinstance(op, GraphOp):
-        return op.graph
-    if wgrid is None:
-        raise ValidationError("sampled operators need a wgrid")
-    return graph_sample(op, wgrid, tol)
-
-
 def _split_candidates(
     op: OperatorSpec, dom: np.ndarray, tol: ToleranceConfig
 ) -> list[tuple[Vector, "object"]]:
     """Domain points with their fibers: exact-ray fibers first, each group in
-    lexicographic order."""
+    lexicographic order. A criterion builds it once for its whole schedule."""
     rayful, plain = [], []
     for a in dom:
         f = fiber(op, a, tol)
@@ -106,14 +99,14 @@ def _split_candidates(
 
 def _search_value_witness(
     op: OperatorSpec,
-    dom: np.ndarray,
+    candidates: list[tuple[Vector, "object"]],
     z: Vector,
     needed: Callable[[Vector], float],
     tol: ToleranceConfig,
 ) -> Optional[tuple[Vector, Vector, float]]:
-    """First (a, a*, <z-a, a*>) over fibers with <z-a, a*> strictly above
-    needed(a); exact rays are scaled analytically to reach the target."""
-    for a, f in _split_candidates(op, dom, tol):
+    """First (a, a*, <z-a, a*>) over _split_candidates with <z-a, a*> strictly
+    above needed(a); exact rays are scaled analytically to reach the target."""
+    for a, f in candidates:
         d = z - a
         target = needed(a)
         goal = target * _MARGIN_FACTOR + 10.0 * tol.eq_tol
@@ -159,7 +152,7 @@ def sup_quotient(
     quotient at an analytic threshold crossing. Full-domain operators can
     waive the off-domain precondition with allow_z_in_domain.
     """
-    g = graph_sample(op, wgrid, tol) if not isinstance(op, GraphOp) else op.graph
+    g = graph_of(op, wgrid, tol)
     z = as_vector(z, dim=g.dim)
     dists = np.linalg.norm(g.primals - z, axis=1)
     near = dists <= tol.eq_tol
@@ -183,8 +176,9 @@ def sup_quotient(
     target_q = tol.inf_threshold * _MARGIN_FACTOR
     dom = unique_domain_points(g, tol)
     dom = dom[np.linalg.norm(dom - z, axis=1) > tol.eq_tol]
+    candidates = _split_candidates(op, dom, tol)
     found = _search_value_witness(
-        op, dom, z, lambda a: target_q * float(np.linalg.norm(z - a)), tol
+        op, candidates, z, lambda a: target_q * float(np.linalg.norm(z - a)), tol
     )
     if found is not None:
         a, astar, val = found
@@ -217,22 +211,23 @@ def _quotient_schedule_run(
     schedule = sorted(float(lam) for lam in lambda_schedule)
     if any(lam <= 0 for lam in schedule):
         raise ValidationError("lambda schedule must be positive")
-    search_dom = dom
+    candidates = _split_candidates(op, dom, tol)
+    # one widening/refining retry for sampled operators; its candidates serve
+    # every later lambda
+    widened = isinstance(op, GraphOp)
     for lam in schedule:
         def needed(a, lam=lam):
             return lam * float(np.linalg.norm(a - z)) ** p
 
-        found = _search_value_witness(op, search_dom, z, needed, tol)
-        if found is None:
-            # one widening/refining retry before giving up
-            if not isinstance(op, GraphOp):
-                try:
-                    wider = wgrid.scaled(2.0, 1.0)
-                    g2 = graph_sample(op, wider, tol)
-                    search_dom = unique_domain_points(g2, tol)
-                    found = _search_value_witness(op, search_dom, z, needed, tol)
-                except ValidationError:
-                    found = None
+        found = _search_value_witness(op, candidates, z, needed, tol)
+        if found is None and not widened:
+            widened = True
+            try:
+                g2 = graph_sample(op, wgrid.scaled(2.0, 1.0), tol)
+                candidates = _split_candidates(op, unique_domain_points(g2, tol), tol)
+                found = _search_value_witness(op, candidates, z, needed, tol)
+            except ValidationError:
+                found = None
         if found is None:
             missing.append(lam)
             continue
@@ -282,7 +277,7 @@ def near_convexity_certificate(
     (strictly increasing, or final value past sqrt(inf_threshold)); the claim
     is budget-relative to the sampling grid."""
     name = "near_convexity"
-    g = _surrogate_graph(op, wgrid, tol)
+    g = graph_of(op, wgrid, tol)
     z = as_vector(z, dim=g.dim)
     dom = unique_domain_points(g, tol)
     alpha = float(np.linalg.norm(dom - z, axis=1).min())
@@ -353,7 +348,7 @@ def conv_domain_certificate(
     (z, z*) with a finite sampled fitz value must satisfy
     sup <z-a,a*>/||z-a|| <= ||z*|| - r_emp over the same sample."""
     name = "conv_domain"
-    g = _surrogate_graph(op, wgrid, tol)
+    g = graph_of(op, wgrid, tol)
     z = as_vector(z, dim=g.dim)
     dom = unique_domain_points(g, tol)
     hull = conv_hull(dom)
@@ -450,9 +445,7 @@ def simons_lower_bound_check(
     name = "simons_lower_bound"
     sampled = not isinstance(source, FiniteGraph)
     if sampled:
-        if wgrid is None:
-            raise ValidationError("sampled lower-bound check needs a wgrid")
-        g = graph_sample(source, wgrid, tol)
+        g = graph_of(source, wgrid, tol)
         fv = fitz_sampled(source, zpair, wgrid, tol, sample=g)
     else:
         g = source
@@ -513,26 +506,16 @@ def br_check(
     name = "br"
     if alpha <= 0 or beta <= 0:
         raise ValidationError("br check needs alpha, beta > 0")
-    if isinstance(op, GraphOp):
-        g = op.graph
-        analytic: list[PairPoint] = []
-    else:
-        if sample is not None:
-            g = sample
-        elif wgrid is not None:
-            g = graph_sample(op, wgrid, tol)
-        else:
-            raise ValidationError("sampled br check needs a wgrid or sample")
-        analytic = []
-        x, xs = xpair.primal, xpair.dual
-        for lam in (alpha / beta, 1.0):
-            try:
-                b = resolvent(op, x + lam * xs, tol, step=lam)
-                bs = (x + lam * xs - b) / lam
-                analytic.append(pair(b, bs))
-            except (NotMaximalError, NoClosedFormError):
-                pass
+    g = sample if sample is not None else graph_of(op, wgrid, tol)
     x, xs = xpair.primal, xpair.dual
+    analytic: list[PairPoint] = []  # finite graphs have no resolvent
+    for lam in (alpha / beta, 1.0):
+        try:
+            b = resolvent(op, x + lam * xs, tol, step=lam)
+            bs = (x + lam * xs - b) / lam
+            analytic.append(pair(b, bs))
+        except (NotMaximalError, NoClosedFormError):
+            pass
     inf_est = float(np.einsum("ij,ij->i", x - g.primals, xs - g.duals).min())
     for cand in analytic:
         inf_est = min(
@@ -581,7 +564,7 @@ def blowup_witness_sequence(
     sampled-domain hull, each n must admit a graph point (b_n, b_n*) whose
     product <z-b_n, b_n*> exceeds n * <z-b_n, y0*> (hence n*delta)."""
     name = "blowup_witness"
-    g = _surrogate_graph(op, wgrid, tol)
+    g = graph_of(op, wgrid, tol)
     z = as_vector(z, dim=g.dim)
     dom = unique_domain_points(g, tol)
     hull = conv_hull(dom)
@@ -600,6 +583,7 @@ def blowup_witness_sequence(
     entries = []
     witnesses = [("delta", float(delta)), ("y0star", y0)]
     missing = []
+    candidates = _split_candidates(op, dom, tol)
     for n in sorted(float(v) for v in n_schedule):
         if n <= 0:
             raise ValidationError("n schedule must be positive")
@@ -607,7 +591,7 @@ def blowup_witness_sequence(
         def needed(b, n=n):
             return n * float(np.dot(z - b, y0))
 
-        found = _search_value_witness(op, dom, z, needed, tol)
+        found = _search_value_witness(op, candidates, z, needed, tol)
         if found is None:
             missing.append(n)
             continue

@@ -70,13 +70,13 @@ class DomainScan:
 
 def _affine_terms(g: FiniteGraph, pt: PairPoint) -> np.ndarray:
     """<x, a*> + <a, x*> - <a, a*> for every graph pair (a, a*)."""
+    if pt.dim != g.dim:
+        raise ValidationError("point dimension does not match the graph")
     return g.duals @ pt.primal + g.primals @ pt.dual - g.self_products
 
 
 def fitz_finite(g: FiniteGraph, pt: PairPoint) -> float:
     """Exact maximum of the finitely many affine terms; always finite."""
-    if pt.dim != g.dim:
-        raise ValidationError("point dimension does not match the graph")
     return float(_affine_terms(g, pt).max())
 
 
@@ -140,16 +140,37 @@ def fitz_linear(
 # Sampled supremum
 # ---------------------------------------------------------------------------
 
+def _sampled_sup(
+    op: OperatorSpec, pt: PairPoint, g: FiniteGraph, tol: ToleranceConfig
+) -> tuple[float, list[tuple[float, PairPoint]]]:
+    """Max affine term of the sample g at pt, raised by the term of the
+    resolvent point of x + x* (none for finite graphs), and the terms past
+    inf_threshold as threshold crossings."""
+    terms = _affine_terms(g, pt)
+    value = float(terms.max())
+    over = np.flatnonzero(terms > tol.inf_threshold)
+    crossings = [(float(terms[i]), g.pair(i)) for i in over]
+    try:
+        x0 = resolvent(op, pt.primal + pt.dual, tol)
+    except (NotMaximalError, NoClosedFormError):
+        return value, crossings
+    s0 = pt.primal + pt.dual - x0
+    term = float(np.dot(pt.primal, s0) + np.dot(x0, pt.dual) - np.dot(x0, s0))
+    if term > tol.inf_threshold:
+        crossings.append((term, pair(x0, s0)))
+    return max(value, term), crossings
+
+
 def _ray_crossings(
     op: OperatorSpec,
     pt: PairPoint,
-    ray_sources: np.ndarray,
+    sources: np.ndarray,
     tol: ToleranceConfig,
 ) -> list[tuple[float, PairPoint]]:
     """Threshold-crossing graph points built by riding exact fiber rays."""
     out: list[tuple[float, PairPoint]] = []
     target = tol.inf_threshold * _CROSS_FACTOR
-    for a in ray_sources:
+    for a in sources:
         f = fiber(op, a, tol)
         if f.is_empty or not f.exact or len(f.rays) == 0:
             continue
@@ -187,36 +208,22 @@ def fitz_sampled(
     wgrid: Grid,
     tol: ToleranceConfig = DEFAULT_TOL,
     sample: FiniteGraph | None = None,
-    ray_sources: np.ndarray | None = None,
 ) -> FitzValue:
     """Lower bound on F_A(pt) over a Minty-sampled graph.
 
     The sample is enriched with the resolvent point of x + x* (a true graph
     point whose term always dominates the pairing) and with exact fiber rays
-    ridden past the divergence threshold. On a finite-graph operator this is
-    the plain enumeration and agrees with fitz_finite exactly.
+    at every sampled domain point ridden past the divergence threshold. On a
+    finite-graph operator this is the plain enumeration and agrees with
+    fitz_finite exactly.
     """
     if isinstance(op, GraphOp):
         return Finite(fitz_finite(op.graph, pt))
     g = sample if sample is not None else graph_sample(op, wgrid, tol)
-    terms = _affine_terms(g, pt)
-    value = float(terms.max())
-    over = np.flatnonzero(terms > tol.inf_threshold)
-    crossings = [(float(terms[i]), g.pair(i)) for i in over]
-    try:
-        x0 = resolvent(op, pt.primal + pt.dual, tol)
-        s0 = pt.primal + pt.dual - x0
-        term = float(np.dot(pt.primal, s0) + np.dot(x0, pt.dual) - np.dot(x0, s0))
-        value = max(value, term)
-        if term > tol.inf_threshold:
-            crossings.append((term, pair(x0, s0)))
-    except (NotMaximalError, NoClosedFormError):
-        pass
-    sources = ray_sources if ray_sources is not None else unique_domain_points(g, tol)
-    crossings = _ray_crossings(op, pt, sources, tol) + crossings
+    value, crossings = _sampled_sup(op, pt, g, tol)
+    crossings = _ray_crossings(op, pt, unique_domain_points(g, tol), tol) + crossings
     if crossings:
-        value, witness = _lex_first_witness(crossings)
-        return InfiniteSuspected(value, witness)
+        return InfiniteSuspected(*_lex_first_witness(crossings))
     return Finite(value)
 
 
@@ -236,8 +243,12 @@ def fitz_domain_projection(
     Linear operators use the closed form with the consistency probe
     x* = Mx + c (always in range, so every node is a member). Sampled
     operators probe duals of nearby sampled pairs plus fiber points at the
-    nearest sampled domain point; a positively-aligned exact ray there is
-    divergence evidence for every probe and excludes the node.
+    nearest sampled domain point a0; a positively-aligned exact ray there is
+    divergence evidence for every probe and excludes the node. The rays at a0
+    need no second pass per probe: a node that survives has
+    (x - a0) . r <= eq_tol for every exact ray r, and riding such a ray never
+    crosses the threshold. So x is a member when some probe's sampled and
+    resolvent terms stay below it, for one fiber call per node.
     """
     if isinstance(op, GraphOp):
         raise VacuousForFiniteGraphError(
@@ -274,13 +285,7 @@ def fitz_domain_projection(
             continue  # every probe diverges along this ray
         close = np.linalg.norm(g.primals - x, axis=1) <= probe_radius
         probes = [row for row in g.duals[close][:8]] + [row for row in f0.points[:8]]
-        member = False
-        for probe in probes:
-            fv = fitz_sampled(op, pair(x, probe), wgrid, tol, sample=g, ray_sources=a0[None, :])
-            if is_finite(fv):
-                member = True
-                break
-        if member:
+        if any(not _sampled_sup(op, pair(x, probe), g, tol)[1] for probe in probes):
             members.append(x)
     members_arr = np.array(members) if members else np.zeros((0, xgrid.dim))
     return DomainScan(xgrid, members_arr, "sampled_threshold")
@@ -311,22 +316,10 @@ def fitz_inequality_check(
     if slack is None:
         lip = 1.0 + float(np.linalg.norm(graph_pts.duals, axis=1).max())
         slack = max(2.0 * _nn_spacing_estimate(graph_pts) * lip, 1e-9)
-    has_adaptive = not isinstance(op, GraphOp)
     worst_gap = -np.inf
     worst_pt: Optional[PairPoint] = None
     for p in sample_pts:
-        f_val = fitz_finite(graph_pts, p)
-        if has_adaptive:
-            try:
-                x0 = resolvent(op, p.primal + p.dual, tol)
-                s0 = p.primal + p.dual - x0
-                f_val = max(
-                    f_val,
-                    float(np.dot(p.primal, s0) + np.dot(x0, p.dual) - np.dot(x0, s0)),
-                )
-            except (NotMaximalError, NoClosedFormError):
-                pass
-        gap = p.pairing() - f_val
+        gap = p.pairing() - _sampled_sup(op, p, graph_pts, tol)[0]
         if gap > worst_gap:
             worst_gap, worst_pt = gap, p
     # graph-point equality: F - pairing = -min pairwise product, vectorized

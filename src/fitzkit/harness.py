@@ -13,7 +13,6 @@ import hashlib
 import io
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -49,7 +48,7 @@ from .operators import (
     ShiftedOp,
     SubdiffOp,
     TranslatedNormPower,
-    graph_sample,
+    graph_of,
     maximality_probe,
     op_dimension,
 )
@@ -197,20 +196,20 @@ class ScenarioConfig:
     checks: tuple
 
 
-# Params each check cannot run without (README's check table). Grids needed
-# only for sampled targets, and br's two parameter sets, are checked when the
-# check runs.
+# Params each check cannot run without (README's check table), as alternative
+# sets: a check needs every param of at least one set. Grids needed only for
+# sampled targets are checked when the check runs.
 REQUIRED_PARAMS = {
-    "theorem36": ("xgrid",),
-    "near_convexity": ("z", "lambdas", "wgrid"),
-    "conv_domain": ("z", "lambdas", "wgrid"),
-    "sup_quotient": ("z", "wgrid"),
-    "simons_lower_bound": ("z", "zstar"),
-    "br": (),
-    "blowup_witness": ("z", "n_schedule", "wgrid"),
-    "fitz_inequality": (),
-    "shift_identity": ("z", "zstar"),
-    "maximality_probe": ("probe_grid",),
+    "theorem36": (("xgrid",),),
+    "near_convexity": (("z", "lambdas", "wgrid"),),
+    "conv_domain": (("z", "lambdas", "wgrid"),),
+    "sup_quotient": (("z", "wgrid"),),
+    "simons_lower_bound": (("z", "zstar"),),
+    "br": (("trials",), ("x", "xstar", "alpha", "beta")),
+    "blowup_witness": (("z", "n_schedule", "wgrid"),),
+    "fitz_inequality": ((),),
+    "shift_identity": (("z", "zstar"),),
+    "maximality_probe": (("probe_grid",),),
 }
 
 
@@ -222,9 +221,13 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
         raise ValidationError("dimension must be >= 1")
     seed = int(raw.get("seed", 0))
     tol_raw = raw.get("tolerances", {})
-    tol = ToleranceConfig(
-        **{k: type(v)(tol_raw.get(k, v)) for k, v in asdict(ToleranceConfig()).items()}
-    )
+    fields = {}
+    for k, v in asdict(ToleranceConfig()).items():
+        try:
+            fields[k] = type(v)(tol_raw.get(k, v))
+        except (TypeError, ValueError) as e:
+            raise ScenarioParseError(f"tolerances.{k}: {e}") from e
+    tol = ToleranceConfig(**fields)
     operators = {}
     for name, obj in raw.get("operators", {}).items():
         op = parse_operator(obj, f"operators.{name}")
@@ -252,9 +255,10 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
         if target not in operators:
             raise ValidationError(f"{where}: unresolved operator name {target!r}")
         params = dict(obj.get("params", {}))
-        missing = [k for k in REQUIRED_PARAMS[kind] if k not in params]
-        if missing:
-            raise ScenarioParseError(f"{where}: {kind} needs parameter(s) {', '.join(missing)}")
+        missing = [[k for k in alt if k not in params] for alt in REQUIRED_PARAMS[kind]]
+        if all(missing):
+            need = " or ".join(", ".join(m) for m in missing)
+            raise ScenarioParseError(f"{where}: {kind} needs parameter(s) {need}")
         for key in ("wgrid", "xgrid", "probe_grid"):
             if key in params and params[key] not in grids:
                 raise ValidationError(f"{where}: unresolved grid name {params[key]!r}")
@@ -385,7 +389,7 @@ def _run_one_check(cfg: ScenarioConfig, spec: CheckSpec, child_seed: int) -> Cer
         if "trials" in params:
             lo = np.asarray(params.get("box_lo", [-2.0] * cfg.dimension), dtype=float)
             hi = np.asarray(params.get("box_hi", [2.0] * cfg.dimension), dtype=float)
-            shared = None if isinstance(op, GraphOp) else graph_sample(op, wgrid, tol)
+            shared = graph_of(op, wgrid, tol)
             n_pass = n_na = 0
             for _ in range(int(params["trials"])):
                 x = rng.uniform(lo, hi)
@@ -425,10 +429,7 @@ def _run_one_check(cfg: ScenarioConfig, spec: CheckSpec, child_seed: int) -> Cer
         return cert
 
     if spec.check == "fitz_inequality":
-        if isinstance(op, GraphOp):
-            g = op.graph
-        else:
-            g = graph_sample(op, _grid(cfg, params, "wgrid"), tol)
+        g = graph_of(op, _grid(cfg, params, "wgrid", False), tol)
         pts = [pair(p, d) for p, d in params.get("points", [])]
         n_samples = int(params.get("n_samples", 0))
         if n_samples:
@@ -498,20 +499,15 @@ class Report:
         return 1 if self.worst_verdict is Verdict.FAIL else 0
 
 
-def run_suite(cfg: ScenarioConfig, parallel: bool = False) -> Report:
+def run_suite(cfg: ScenarioConfig) -> Report:
     """Execute the checks in listed order; per-check randomness comes from
-    seeds drawn up front, so parallel output is certificate-identical."""
+    seeds drawn up front, so a check's certificate does not depend on the
+    checks before it."""
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.monotonic()
     master = np.random.default_rng(cfg.seed)
     child_seeds = [int(master.integers(0, 2**63 - 1)) for _ in cfg.checks]
-    if parallel and len(cfg.checks) > 1:
-        with ThreadPoolExecutor(max_workers=4) as ex:
-            certs = list(
-                ex.map(lambda sc: _run_one_check(cfg, sc[0], sc[1]), zip(cfg.checks, child_seeds))
-            )
-    else:
-        certs = [_run_one_check(cfg, sc, sd) for sc, sd in zip(cfg.checks, child_seeds)]
+    certs = [_run_one_check(cfg, sc, sd) for sc, sd in zip(cfg.checks, child_seeds)]
     results = tuple(
         CheckResult(sc.check, sc.target, cert) for sc, cert in zip(cfg.checks, certs)
     )

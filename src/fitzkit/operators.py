@@ -909,16 +909,25 @@ def graph_sample(
     return g
 
 
+def graph_of(
+    op: OperatorSpec, wgrid: Grid | None, tol: ToleranceConfig = DEFAULT_TOL
+) -> FiniteGraph:
+    """The graph of a finite-graph operator, else its Minty sample over wgrid."""
+    if isinstance(op, GraphOp):
+        return op.graph
+    if wgrid is None:
+        raise ValidationError("sampled operators need a wgrid")
+    return graph_sample(op, wgrid, tol)
+
+
 def monotone_check(
     g: FiniteGraph, tol: ToleranceConfig = DEFAULT_TOL
 ) -> Optional[tuple[PairPoint, PairPoint]]:
     """None when all pairwise products are >= -eq_tol, else the first violating pair."""
     for i0, prods in pairwise_product_blocks(g.primals, g.duals, g.self_products, g):
-        viol = np.argwhere(prods < -tol.eq_tol)
-        if len(viol):
-            viol = viol[np.lexsort((viol[:, 1], viol[:, 0]))]
-            i, j = int(viol[0][0]) + i0, int(viol[0][1])
-            return g.pair(i), g.pair(j)
+        if (prods < -tol.eq_tol).any():  # argmax: first violation in row-major order
+            i, j = np.unravel_index(int(np.argmax(prods < -tol.eq_tol)), prods.shape)
+            return g.pair(int(i) + i0), g.pair(int(j))
     return None
 
 
@@ -981,12 +990,7 @@ def maximality_probe(
     membership; each is evidence against maximality of the surrogate. An empty
     list is consistent with (never proof of) maximality."""
     if surrogate is None:
-        if isinstance(op, GraphOp):
-            surrogate = op.graph
-        elif wgrid is not None:
-            surrogate = graph_sample(op, wgrid, tol)
-        else:
-            raise ValidationError("maximality probe needs a surrogate graph or a wgrid")
+        surrogate = graph_of(op, wgrid, tol)
     n = surrogate.dim
     if probe_grid.dim != 2 * n:
         raise DimensionMismatchError("probe grid must live in primal x dual space")

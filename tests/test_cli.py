@@ -77,6 +77,29 @@ def test_check_missing_required_param_exit_two(capsys):
     assert err.count("\n") == 1 and err.startswith("error: ") and "z" in err
 
 
+def test_check_br_without_a_parameter_set_exit_two(capsys):
+    code = main(
+        [
+            "check",
+            "--check", "br",
+            "--operator", '{"kind": "linear", "matrix": [[1.0]]}',
+            "--wgrid=-1:1:0.5",
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: ") and "trials" in err
+
+
+def test_suite_non_numeric_tolerance_exit_two(capsys, tmp_path):
+    path = tmp_path / "bad-tol.json"
+    path.write_text(json.dumps({"dimension": 1, "tolerances": {"eq_tol": "abc"}}))
+    code = main(["suite", "--scenario", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: tolerances.eq_tol")
+
+
 def test_check_sup_quotient_expect(capsys):
     code, out = run_cli(
         capsys,

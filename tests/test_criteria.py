@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import fitzkit.criteria
 from fitzkit.certificates import Verdict
 from fitzkit.errors import ZOnDomainError
 from fitzkit.criteria import (
@@ -22,6 +23,7 @@ from fitzkit.operators import (
     Quadratic,
     SubdiffOp,
     graph_sample,
+    unique_domain_points,
 )
 from fitzkit.vecspace import Box, DEFAULT_TOL, Grid, pair, separate, conv_hull
 
@@ -80,6 +82,21 @@ def test_near_convexity_cone_p1():
         w = cert.witness(f"witness_lambda_{lam:g}")
         rq = float(np.dot(2.0 - w.primal, w.dual)) / abs(2.0 - w.primal[0])
         assert rq == pytest.approx(q, rel=1e-12)
+
+
+def test_near_convexity_fibers_built_once_per_candidate(monkeypatch):
+    """The candidate fibers are derived once and searched for every lambda."""
+    calls = []
+    real_fiber = fitzkit.criteria.fiber
+
+    def counting_fiber(*args, **kwargs):
+        calls.append(args[1])
+        return real_fiber(*args, **kwargs)
+
+    monkeypatch.setattr(fitzkit.criteria, "fiber", counting_fiber)
+    cert = near_convexity_certificate(CONE01, [2.0], 1.0, [1.0, 10.0, 100.0], WGRID_1D)
+    assert cert.verdict is Verdict.PASS
+    assert len(calls) == len(unique_domain_points(graph_sample(CONE01, WGRID_1D)))
 
 
 def test_near_convexity_full_domain_not_applicable():

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import fitzkit.fitzpatrick
 from fitzkit.certificates import Verdict
 from fitzkit.errors import VacuousForFiniteGraphError
 from fitzkit.fitzpatrick import (
@@ -164,6 +165,21 @@ def test_domain_projection_normal_cone():
     assert members.min() == pytest.approx(0.0, abs=1e-9)
     assert members.max() == pytest.approx(1.0, abs=1e-9)
     assert len(members) == 21  # the [0,1] lattice at 0.05
+
+
+def test_domain_projection_one_fiber_call_per_node(monkeypatch):
+    calls = []
+    real_fiber = fitzkit.fitzpatrick.fiber
+
+    def counting_fiber(*args, **kwargs):
+        calls.append(args[1])
+        return real_fiber(*args, **kwargs)
+
+    monkeypatch.setattr(fitzkit.fitzpatrick, "fiber", counting_fiber)
+    xgrid = Grid([-1.0, -1.0], [2.0, 2.0], 0.25)
+    scan = fitz_domain_projection(NormalConeOp(Box([0.0, 0.0], [1.0, 1.0])), xgrid)
+    assert len(scan.member_points) == 25  # the [0,1]^2 lattice at 0.25
+    assert len(calls) <= xgrid.count
 
 
 def test_domain_projection_linear_identity_all_nodes():

@@ -1,9 +1,11 @@
+import inspect
 import json
 from pathlib import Path
 
 import pytest
 
 from fitzkit.certificates import Verdict
+from fitzkit.cli import main
 from fitzkit.errors import ScenarioParseError, ValidationError
 from fitzkit.harness import (
     emit_report,
@@ -116,11 +118,12 @@ def test_report_determinism_modulo_timing():
 
 
 def test_parallel_matches_sequential():
-    cfg = load_scenario(SCENARIO_DIR / "paper-suite.json")
-    d1 = report_to_dict(run_suite(cfg, parallel=False))
-    d2 = report_to_dict(run_suite(cfg, parallel=True))
-    del d1["timing"], d2["timing"]
-    assert d1 == d2
+    """The thread-pool mode is gone: run_suite runs the checks in order and
+    the CLI rejects --parallel as an unknown argument."""
+    assert "parallel" not in inspect.signature(run_suite).parameters
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", "--scenario", "paper-suite", "--parallel"])
+    assert exc.value.code == 2
 
 
 def test_emit_csv_rows(tmp_path):

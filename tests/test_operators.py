@@ -409,6 +409,20 @@ def test_monotone_check_worked_examples():
     prod = float(np.dot(w[0].primal - w[1].primal, w[0].dual - w[1].dual))
     assert prod == pytest.approx(-1.0)
 
+    # the witness is the first violating (i, j) in row-major order
+    rng = np.random.default_rng(SEED + 3)
+    for _ in range(20):
+        X, S = rng.uniform(-1.0, 1.0, size=(2, 9, 2))
+        first = next(
+            (i, j)
+            for i in range(9)
+            for j in range(9)
+            if np.dot(X[i] - X[j], S[i] - S[j]) < -DEFAULT_TOL.eq_tol
+        )
+        w = monotone_check(FiniteGraph.from_arrays(X, S))
+        assert np.array_equal(w[0].primal, X[first[0]])
+        assert np.array_equal(w[1].primal, X[first[1]])
+
 
 def test_monotonically_related_worked_examples():
     g = graph_of(([0.0], [0.0]), ([1.0], [1.0]))
