@@ -41,10 +41,6 @@ class Certificate:
         if self.verdict is Verdict.NOT_APPLICABLE and not self.narrative:
             raise ValidationError("not-applicable certificates must name the precondition")
 
-    @property
-    def ok(self) -> bool:
-        return self.verdict is not Verdict.FAIL
-
     def witness(self, label: str) -> WitnessValue:
         for k, v in self.witnesses:
             if k == label:

@@ -37,14 +37,24 @@ from .vecspace import Grid, ToleranceConfig, pair
 
 
 def _parse_vector(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip() != ""]
+    try:
+        return [float(v) for v in text.split(",") if v.strip() != ""]
+    except ValueError as e:
+        raise FitzkitError(f"expected comma-separated numbers, got {text!r}") from e
 
 
 def _parse_grid(text: str, cap: int) -> Grid:
-    parts = text.split(":")
-    if len(parts) != 3:
+    parts = [_parse_vector(p) for p in text.split(":")]
+    if len(parts) != 3 or len(parts[2]) != 1:
         raise FitzkitError(f"grid must look like 'lo1,lo2:hi1,hi2:spacing', got {text!r}")
-    return Grid(_parse_vector(parts[0]), _parse_vector(parts[1]), float(parts[2]), cap=cap)
+    return Grid(parts[0], parts[1], parts[2][0], cap=cap)
+
+
+def _json_object(text: str, flag: str) -> dict:
+    obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise FitzkitError(f"{flag} must be a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 def _resolve_scenario_path(name: str) -> Path:
@@ -88,7 +98,7 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    op_obj = json.loads(args.operator)
+    op_obj = _json_object(args.operator, "--operator")
     dim = args.dimension or (op_dimension(parse_operator(op_obj, "operator")) or 1)
     params: dict = {}
     grids: dict = {}
@@ -106,30 +116,18 @@ def _cmd_check(args) -> int:
     add_grid("wgrid", args.wgrid)
     add_grid("xgrid", args.xgrid)
     add_grid("probe_grid", args.probe_grid)
-    if args.z:
-        params["z"] = _parse_vector(args.z)
-    if args.zstar:
-        params["zstar"] = _parse_vector(args.zstar)
-    if args.x:
-        params["x"] = _parse_vector(args.x)
-    if args.xstar:
-        params["xstar"] = _parse_vector(args.xstar)
-    if args.p is not None:
-        params["p"] = args.p
-    if args.lambdas:
-        params["lambdas"] = _parse_vector(args.lambdas)
-    if args.n_schedule:
-        params["n_schedule"] = _parse_vector(args.n_schedule)
-    if args.alpha is not None:
-        params["alpha"] = args.alpha
-    if args.beta is not None:
-        params["beta"] = args.beta
+    for key in ("z", "zstar", "x", "xstar", "lambdas", "n_schedule"):
+        if getattr(args, key):
+            params[key] = _parse_vector(getattr(args, key))
+    for key in ("p", "alpha", "beta"):
+        if getattr(args, key) is not None:
+            params[key] = getattr(args, key)
     if args.allow_z_in_domain:
         params["allow_z_in_domain"] = True
     if args.expect:
         params["expect"] = json.loads(args.expect)
     if args.params:
-        params.update(json.loads(args.params))
+        params.update(_json_object(args.params, "--params"))
     raw = {
         "dimension": dim,
         "seed": args.seed if args.seed is not None else 0,
@@ -145,7 +143,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_fitz(args) -> int:
-    op_obj = json.loads(args.operator)
+    op_obj = _json_object(args.operator, "--operator")
     op = parse_operator(op_obj, "operator")
     tol = ToleranceConfig(**_tolerances(args))
     pt = pair(_parse_vector(args.x), _parse_vector(args.xstar))

@@ -13,6 +13,7 @@ import hashlib
 import io
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -67,9 +68,20 @@ REPORT_ANNOTATIONS = (
 # Wire format
 # ---------------------------------------------------------------------------
 
-def parse_funspec(obj: dict, where: str):
-    kind = obj.get("kind")
+@contextmanager
+def _fields_of(where: str):
+    """Report a missing or wrongly typed field under ``where`` as ScenarioParseError."""
     try:
+        yield
+    except KeyError as e:
+        raise ScenarioParseError(f"{where}: missing field {e}") from e
+    except (TypeError, ValueError, AttributeError) as e:
+        raise ScenarioParseError(f"{where}: {e}") from e
+
+
+def parse_funspec(obj: dict, where: str):
+    with _fields_of(where):
+        kind = obj.get("kind")
         if kind == "quadratic":
             n = len(obj["matrix"])
             return Quadratic(obj["matrix"], obj.get("offset", [0.0] * n))
@@ -83,14 +95,12 @@ def parse_funspec(obj: dict, where: str):
             )
         if kind == "sum":
             return FunSum(tuple(parse_funspec(p, where) for p in obj["parts"]))
-    except KeyError as e:
-        raise ScenarioParseError(f"{where}: missing field {e}") from e
     raise ScenarioParseError(f"{where}: unknown function kind {kind!r}")
 
 
 def parse_operator(obj: dict, where: str) -> OperatorSpec:
-    kind = obj.get("kind")
-    try:
+    with _fields_of(where):
+        kind = obj.get("kind")
         if kind == "graph":
             pairs = tuple(pair(p, d) for p, d in obj["pairs"])
             return GraphOp(FiniteGraph(pairs))
@@ -114,8 +124,6 @@ def parse_operator(obj: dict, where: str) -> OperatorSpec:
                 float(obj["p"]),
                 obj["center"],
             )
-    except KeyError as e:
-        raise ScenarioParseError(f"{where}: missing field {e}") from e
     raise ScenarioParseError(f"{where}: unknown operator kind {kind!r}")
 
 
@@ -169,10 +177,8 @@ def funspec_to_dict(fun) -> dict:
 
 
 def parse_grid(obj: dict, where: str, cap: int) -> Grid:
-    try:
+    with _fields_of(where):
         return Grid(obj["lower"], obj["upper"], float(obj["spacing"]), cap=cap)
-    except KeyError as e:
-        raise ScenarioParseError(f"{where}: missing field {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -213,23 +219,29 @@ REQUIRED_PARAMS = {
 }
 
 
+def _expect(val, kind: type, where: str):
+    if not isinstance(val, kind):
+        raise ScenarioParseError(f"{where}: expected {kind.__name__}, got {type(val).__name__}")
+    return val
+
+
 def scenario_from_dict(raw: dict) -> ScenarioConfig:
-    if "dimension" not in raw:
+    if "dimension" not in _expect(raw, dict, "scenario"):
         raise ScenarioParseError("scenario: missing field 'dimension'")
-    dim = int(raw["dimension"])
+    with _fields_of("dimension"):
+        dim = int(raw["dimension"])
     if dim < 1:
         raise ValidationError("dimension must be >= 1")
-    seed = int(raw.get("seed", 0))
-    tol_raw = raw.get("tolerances", {})
+    with _fields_of("seed"):
+        seed = int(raw.get("seed", 0))
+    tol_raw = _expect(raw.get("tolerances", {}), dict, "tolerances")
     fields = {}
     for k, v in asdict(ToleranceConfig()).items():
-        try:
+        with _fields_of(f"tolerances.{k}"):
             fields[k] = type(v)(tol_raw.get(k, v))
-        except (TypeError, ValueError) as e:
-            raise ScenarioParseError(f"tolerances.{k}: {e}") from e
     tol = ToleranceConfig(**fields)
     operators = {}
-    for name, obj in raw.get("operators", {}).items():
+    for name, obj in _expect(raw.get("operators", {}), dict, "operators").items():
         op = parse_operator(obj, f"operators.{name}")
         d = op_dimension(op)
         if d is not None and d != dim:
@@ -238,7 +250,7 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
             )
         operators[name] = op
     grids = {}
-    for name, obj in raw.get("grids", {}).items():
+    for name, obj in _expect(raw.get("grids", {}), dict, "grids").items():
         g = parse_grid(obj, f"grids.{name}", tol.budget)
         if g.dim not in (dim, 2 * dim):
             raise ValidationError(
@@ -246,21 +258,21 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
             )
         grids[name] = g
     checks = []
-    for i, obj in enumerate(raw.get("checks", [])):
+    for i, obj in enumerate(_expect(raw.get("checks", []), list, "checks")):
         where = f"checks[{i}]"
-        kind = obj.get("check")
-        if kind not in REQUIRED_PARAMS:
+        kind = _expect(obj, dict, where).get("check")
+        if not isinstance(kind, str) or kind not in REQUIRED_PARAMS:
             raise ValidationError(f"{where}: unknown check {kind!r}")
         target = obj.get("target")
-        if target not in operators:
+        if not isinstance(target, str) or target not in operators:
             raise ValidationError(f"{where}: unresolved operator name {target!r}")
-        params = dict(obj.get("params", {}))
+        params = dict(_expect(obj.get("params", {}), dict, f"{where}.params"))
         missing = [[k for k in alt if k not in params] for alt in REQUIRED_PARAMS[kind]]
         if all(missing):
             need = " or ".join(", ".join(m) for m in missing)
             raise ScenarioParseError(f"{where}: {kind} needs parameter(s) {need}")
         for key in ("wgrid", "xgrid", "probe_grid"):
-            if key in params and params[key] not in grids:
+            if key in params and not (isinstance(params[key], str) and params[key] in grids):
                 raise ValidationError(f"{where}: unresolved grid name {params[key]!r}")
         checks.append(CheckSpec(kind, target, params))
     return ScenarioConfig(dim, seed, tol, operators, grids, tuple(checks))

@@ -36,6 +36,7 @@ from .vecspace import (
     as_vector,
     dedupe_rows_within,
     project_onto_generated_set,
+    rowwise_matmul,
 )
 
 _BALL_SAMPLES = 64
@@ -517,6 +518,14 @@ def unit_sphere_samples(n: int, count: int = _BALL_SAMPLES) -> np.ndarray:
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
+def _duality_points(p: float, center: Vector, X: np.ndarray) -> np.ndarray:
+    """Rows of the single-valued branch of J_p(x - center); zero at the center."""
+    U = X - center
+    R = np.linalg.norm(U, axis=1)[:, None]
+    safe = np.where(R > 0, R, 1.0)
+    return np.where(R > 0, U / safe if p == 1.0 else safe ** (p - 2.0) * U, 0.0)
+
+
 def duality_map(p: float, center: Vector, x: Vector, samples: int = _BALL_SAMPLES) -> Fiber:
     """J_p(x - center) for the Euclidean norm.
 
@@ -528,16 +537,11 @@ def duality_map(p: float, center: Vector, x: Vector, samples: int = _BALL_SAMPLE
         raise ValidationError("duality map requires p >= 1")
     center = as_vector(center)
     x = as_vector(x, dim=center.size)
-    u = x - center
-    r = float(np.linalg.norm(u))
     n = x.size
-    if p == 1.0 and r == 0.0:
+    if p == 1.0 and np.all(x == center):
         pts = np.vstack([np.zeros((1, n)), unit_sphere_samples(n, samples)])
         return Fiber(x, pts, np.zeros((0, n)), exact=False)
-    if r == 0.0:
-        return Fiber(x, np.zeros((1, n)), np.zeros((0, n)), exact=True)
-    val = u / r if p == 1.0 else r ** (p - 2.0) * u
-    return Fiber(x, val[None, :], np.zeros((0, n)), exact=True)
+    return Fiber(x, _duality_points(p, center, x[None, :]), np.zeros((0, n)), exact=True)
 
 
 def duality_point(p: float, center: Vector, x: Vector) -> Vector:
@@ -799,84 +803,65 @@ def fiber(op: OperatorSpec, x: Vector, tol: ToleranceConfig = DEFAULT_TOL) -> Fi
     raise ValidationError(f"unknown operator spec {type(op).__name__}")
 
 
-def _box_normal_contains(box: Box, x: Vector, v: Vector, tol: ToleranceConfig) -> bool:
-    if not box.contains(x, tol.eq_tol):
-        return False
-    slack = tol.eq_tol * max(1.0, float(np.linalg.norm(v)))
-    for i in range(box.dim):
-        hi_active = x[i] >= box.hi[i] - tol.eq_tol
-        lo_active = x[i] <= box.lo[i] + tol.eq_tol
-        if v[i] > slack and not hi_active:
-            return False
-        if v[i] < -slack and not lo_active:
-            return False
-    return True
+def membership_batch(
+    op: OperatorSpec, X: np.ndarray, S: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL
+) -> np.ndarray:
+    """Mask of rows with S[i] in A(X[i]): exact for polyhedral images, else
+    within slack = eq_tol * max(1, |S[i]|)."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    S = np.atleast_2d(np.asarray(S, dtype=float))
+    slack = tol.eq_tol * np.maximum(1.0, np.linalg.norm(S, axis=1))
+    if isinstance(op, GraphOp):
+        g = op.graph
+        return np.array([np.any(
+            (np.linalg.norm(g.primals - x, axis=1) <= tol.eq_tol)
+            & (np.linalg.norm(g.duals - v, axis=1) <= tol.eq_tol)
+        ) for x, v in zip(X, S)], dtype=bool)
+    if isinstance(op, LinearOp):
+        return np.linalg.norm(rowwise_matmul(X, op.M.T) + op.c - S, axis=1) <= slack
+    if isinstance(op, SubdiffOp):
+        return np.array([
+            _fun_membership_residual(op.fun, x, v, tol) <= s for x, v, s in zip(X, S, slack)
+        ], dtype=bool)
+    if isinstance(op, NormalConeOp) and isinstance(op.region, Box):
+        box = op.region
+        inside = np.all((X >= box.lo - tol.eq_tol) & (X <= box.hi + tol.eq_tol), axis=1)
+        up = (S > slack[:, None]) & ~(X >= box.hi - tol.eq_tol)
+        down = (S < -slack[:, None]) & ~(X <= box.lo + tol.eq_tol)
+        return inside & ~np.any(up | down, axis=1)
+    if isinstance(op, NormalConeOp):
+        V = op.region.vertices
+        # (V - x) . v summed coordinate by coordinate, and max |V - x| from the
+        # per-coordinate extremes of V: (k, m) and (k, n) arrays, never (k, m, n)
+        gaps = sum((V[:, i] - X[:, i, None]) * S[:, i, None] for i in range(X.shape[1]))
+        spread = np.maximum(V.max(axis=0) - X, X - V.min(axis=0)).max(axis=1)
+        return op.region.contains_batch(X, tol.eq_tol) & (gaps.max(axis=1) <= slack * (1.0 + spread))
+    if isinstance(op, DualityMapOp):
+        ball = (op.p == 1.0) & (np.linalg.norm(X - op.center, axis=1) <= tol.eq_tol)
+        J = _duality_points(op.p, op.center, X)
+        return np.where(
+            ball, np.linalg.norm(S, axis=1) <= 1.0 + tol.eq_tol, np.linalg.norm(S - J, axis=1) <= slack
+        )
+    if isinstance(op, ShiftedOp):
+        return membership_batch(op.inner, X, S + op.zstar, tol)
+    if isinstance(op, PerturbedOp):
+        # J_1 at its center is the unit ball: test the distance to the inner fiber
+        ball = (op.p == 1.0) & np.all(X == op.center, axis=1)
+        out = np.zeros(len(X), dtype=bool)
+        J = _duality_points(op.p, op.center, X[~ball])
+        out[~ball] = membership_batch(op.inner, X[~ball], S[~ball] - op.lam * J, tol)
+        for i in np.flatnonzero(ball):
+            inner = fiber(op.inner, X[i], tol)
+            if not inner.is_empty:
+                _, d = project_onto_generated_set(inner.points, inner.rays, S[i])
+                out[i] = d <= op.lam + slack[i]
+        return out
+    raise ValidationError(f"unknown operator spec {type(op).__name__}")
 
 
 def membership(op: OperatorSpec, pt: PairPoint, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Exact test of x* in A(x) for polyhedral images; tolerance-based otherwise."""
-    x, v = pt.primal, pt.dual
-    slack = tol.eq_tol * max(1.0, float(np.linalg.norm(v)))
-    if isinstance(op, GraphOp):
-        dp = np.linalg.norm(op.graph.primals - x, axis=1)
-        dd = np.linalg.norm(op.graph.duals - v, axis=1)
-        return bool(np.any((dp <= tol.eq_tol) & (dd <= tol.eq_tol)))
-    if isinstance(op, LinearOp):
-        return bool(np.linalg.norm(op.M @ x + op.c - v) <= slack)
-    if isinstance(op, SubdiffOp):
-        return _fun_membership_residual(op.fun, x, v, tol) <= slack
-    if isinstance(op, NormalConeOp):
-        if isinstance(op.region, Box):
-            return _box_normal_contains(op.region, x, v, tol)
-        if not op.region.contains(x, tol.eq_tol):
-            return False
-        gaps = (op.region.vertices - x) @ v
-        return bool(gaps.max() <= tol.eq_tol * max(1.0, float(np.linalg.norm(v))) * (
-            1.0 + float(np.abs(op.region.vertices - x).max())
-        ))
-    if isinstance(op, DualityMapOp):
-        u = x - op.center
-        r = float(np.linalg.norm(u))
-        if op.p == 1.0 and r <= tol.eq_tol:
-            return bool(np.linalg.norm(v) <= 1.0 + tol.eq_tol)
-        expected = duality_point(op.p, op.center, x)
-        return bool(np.linalg.norm(v - expected) <= slack)
-    if isinstance(op, ShiftedOp):
-        return membership(op.inner, PairPoint(x, v + op.zstar), tol)
-    if isinstance(op, PerturbedOp):
-        jp = duality_map(op.p, op.center, x)
-        if jp.exact:
-            return membership(op.inner, PairPoint(x, v - op.lam * jp.points[0]), tol)
-        inner = fiber(op.inner, x, tol)
-        if inner.is_empty:
-            return False
-        _, d = project_onto_generated_set(inner.points, inner.rays, v)
-        return bool(d <= op.lam + slack)
-    raise ValidationError(f"unknown operator spec {type(op).__name__}")
-
-
-def _membership_residual_batch(
-    op: OperatorSpec, X: np.ndarray, S: np.ndarray, tol: ToleranceConfig
-) -> np.ndarray:
-    """Vectorized residual checks for the common families; loop fallback."""
-    if isinstance(op, LinearOp):
-        return np.linalg.norm(S - (X @ op.M.T + op.c), axis=1)
-    if isinstance(op, ShiftedOp):
-        return _membership_residual_batch(op.inner, X, S + op.zstar, tol)
-    if isinstance(op, NormalConeOp) and isinstance(op.region, Box):
-        box = op.region
-        resid = np.zeros(len(X))
-        hi_active = X >= box.hi - tol.eq_tol
-        lo_active = X <= box.lo + tol.eq_tol
-        pos_bad = np.where(~hi_active, np.maximum(S, 0.0), 0.0)
-        neg_bad = np.where(~lo_active, np.maximum(-S, 0.0), 0.0)
-        resid = np.linalg.norm(pos_bad + neg_bad, axis=1)
-        inside = np.all((X >= box.lo - tol.eq_tol) & (X <= box.hi + tol.eq_tol), axis=1)
-        return np.where(inside, resid, np.inf)
-    out = np.empty(len(X))
-    for i, (x, s) in enumerate(zip(X, S)):
-        out[i] = 0.0 if membership(op, PairPoint(x, s), tol) else np.inf
-    return out
+    return bool(membership_batch(op, pt.primal[None, :], pt.dual[None, :], tol)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -886,7 +871,11 @@ def _membership_residual_batch(
 def graph_sample(
     op: OperatorSpec, wgrid: Grid, tol: ToleranceConfig = DEFAULT_TOL, verify: bool = True
 ) -> FiniteGraph:
-    """Minty-sample the graph: pairs (x, w - x) over the grid of base points w."""
+    """Minty-sample the graph: pairs (x, w - x) over the grid of base points w.
+
+    With verify, every deduplicated pair must pass ``membership_batch`` (the
+    one membership rule, slack eq_tol * max(1, |x*|)) and the sampled graph
+    must pass ``monotone_check``; the first failure raises ValidationError."""
     W = wgrid.nodes()
     X = resolvent_batch(op, W, tol)
     S = W - X
@@ -894,12 +883,12 @@ def graph_sample(
     n = X.shape[1]
     Xd, Sd = rows[:, :n], rows[:, n:]
     if verify:
-        resid = _membership_residual_batch(op, Xd, Sd, tol)
-        scale = 1.0 + np.linalg.norm(Sd, axis=1)
-        if np.any(resid > tol.eq_tol * scale * 10.0):
-            bad = int(np.argmax(resid))
+        ok = membership_batch(op, Xd, Sd, tol)
+        if not ok.all():
+            bad = int(np.argmin(ok))
             raise ValidationError(
-                f"sampled pair fails membership: x={Xd[bad].tolist()} residual={resid[bad]:.2e}"
+                f"sampled pair {bad} fails membership: "
+                f"x={Xd[bad].tolist()} x*={Sd[bad].tolist()}"
             )
     g = FiniteGraph.from_arrays(Xd, Sd)
     if verify:
@@ -1001,9 +990,6 @@ def maximality_probe(
         prods.min(axis=1) >= -tol.eq_tol
         for _, prods in pairwise_product_blocks(Xp, Sp, dp, surrogate)
     ])
-    out = []
-    for i in np.flatnonzero(related):
-        ptp = PairPoint(Xp[i], Sp[i])
-        if not membership(op, ptp, tol):
-            out.append(ptp)
-    return out
+    Xr, Sr = Xp[related], Sp[related]
+    failing = ~membership_batch(op, Xr, Sr, tol)
+    return [PairPoint(x, v) for x, v in zip(Xr[failing], Sr[failing])]

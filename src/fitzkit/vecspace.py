@@ -55,6 +55,15 @@ def dot(x: Vector, y: Vector) -> float:
     return float(np.dot(x, y))
 
 
+def rowwise_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B summed in a fixed order, so each output row depends on its own input
+    row alone; BLAS may pick another kernel, and other roundings, by row count."""
+    out = A[:, :1] * B[0]
+    for j in range(1, A.shape[1]):
+        out = out + A[:, j : j + 1] * B[j]
+    return out
+
+
 def lexsort_rows(rows: np.ndarray) -> np.ndarray:
     """Indices sorting rows lexicographically (first coordinate is primary)."""
     rows = np.atleast_2d(rows)
@@ -363,18 +372,18 @@ class Polytope:
         centered = xs - center
         ok = np.ones(len(xs), dtype=bool)
         if comp.shape[1]:
-            off = centered @ comp
+            off = rowwise_matmul(centered, comp)
             ok &= np.max(np.abs(off), axis=1) <= tol
         d = basis.shape[1]
         if d == 0:
             return ok
-        coords = centered @ basis
+        coords = rowwise_matmul(centered, basis)
         if d == 1:
             vals = (self.vertices - center) @ basis
             lo, hi = float(vals.min()), float(vals.max())
             ok &= (coords[:, 0] >= lo - tol) & (coords[:, 0] <= hi + tol)
             return ok
-        resid = coords @ eqs[:, :-1].T + eqs[:, -1]
+        resid = rowwise_matmul(coords, eqs[:, :-1].T) + eqs[:, -1]
         ok &= np.max(resid, axis=1) <= tol
         return ok
 
@@ -431,9 +440,6 @@ class Box:
     @property
     def dim(self) -> int:
         return self.lo.size
-
-    def project(self, w: Vector) -> Vector:
-        return as_vector(np.clip(w, self.lo, self.hi))
 
     def project_batch(self, ws: np.ndarray) -> np.ndarray:
         return np.clip(ws, self.lo, self.hi)

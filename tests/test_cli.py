@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import fitzkit
 from fitzkit.cli import main
 
 CONE = json.dumps({"kind": "normal_cone", "box": {"lo": [0.0], "hi": [1.0]}})
@@ -100,6 +103,68 @@ def test_suite_non_numeric_tolerance_exit_two(capsys, tmp_path):
     assert err.count("\n") == 1 and err.startswith("error: tolerances.eq_tol")
 
 
+VALID_SCENARIO = {
+    "dimension": 1,
+    "operators": {"cone": json.loads(CONE)},
+    "grids": {"w": {"lower": [-1.0], "upper": [2.0], "spacing": 0.5}},
+    "checks": [{"check": "fitz_inequality", "target": "cone",
+                "params": {"wgrid": "w", "n_samples": 4}}],
+}
+
+
+@pytest.mark.parametrize(
+    "field, change",
+    [
+        ("dimension", {"dimension": "one"}),
+        ("seed", {"seed": "x"}),
+        ("tolerances", {"tolerances": [1]}),
+        ("operators", {"operators": [1]}),
+        ("grids.w", {"grids": {"w": [1]}}),
+        ("checks[0]", {"checks": [5]}),
+        ("checks[0].params",
+         {"checks": [{"check": "fitz_inequality", "target": "cone", "params": "abc"}]}),
+        ("operators.cone", {"operators": {"cone": {"kind": "linear", "matrix": "ab"}}}),
+    ],
+    ids=["dimension", "seed", "tolerances", "operators", "grid", "check", "params", "matrix"],
+)
+def test_suite_wrongly_typed_scenario_field_exit_two(capsys, tmp_path, field, change):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**VALID_SCENARIO, **change}))
+    code = main(["suite", "--scenario", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith(f"error: {field}:")
+
+
+def test_suite_valid_scenario_base_runs(capsys, tmp_path):
+    path = tmp_path / "ok.json"
+    path.write_text(json.dumps(VALID_SCENARIO))
+    assert main(["suite", "--scenario", str(path)]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fitz", "--operator", IDENT, "--x", "a", "--xstar", "1,1"],
+        ["fitz", "--operator", CONE, "--x", "0.5", "--xstar", "0", "--wgrid=a:b:c"],
+        ["check", "--check", "near_convexity", "--operator", CONE, "--z", "x",
+         "--lambdas", "1", "--wgrid=-2:3:0.5"],
+        ["check", "--check", "near_convexity", "--operator", CONE, "--z", "2",
+         "--lambdas", "1,b", "--wgrid=-2:3:0.5"],
+        ["check", "--check", "fitz_inequality", "--operator", "[1]"],
+        ["fitz", "--operator", "[1]", "--x", "0", "--xstar", "0"],
+        ["check", "--check", "fitz_inequality", "--operator", CONE, "--params", "[1]"],
+    ],
+    ids=["fitz-x", "fitz-wgrid", "check-z", "check-lambdas", "check-operator",
+         "fitz-operator", "check-params"],
+)
+def test_non_numeric_or_non_object_flag_exit_two(capsys, argv):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
 def test_check_sup_quotient_expect(capsys):
     code, out = run_cli(
         capsys,
@@ -160,11 +225,15 @@ def test_unwritable_out_exit_two(capsys):
 
 
 def test_console_script_subprocess():
+    # the child imports the same fitzkit as this process, installed or not
+    src = str(Path(fitzkit.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "fitzkit.cli", "suite", "--scenario", "expected-failures",
          "--format", "csv"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 1
     assert proc.stdout.splitlines()[0] == "check,target,verdict,key_scalar"

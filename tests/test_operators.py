@@ -22,12 +22,15 @@ from fitzkit.operators import (
     ShiftedOp,
     SubdiffOp,
     TranslatedNormPower,
+    _fun_membership_residual,
     duality_map,
+    duality_point,
     fiber,
     fun_prox,
     graph_sample,
     maximality_probe,
     membership,
+    membership_batch,
     monotone_check,
     monotonically_related,
     perturb,
@@ -35,7 +38,16 @@ from fitzkit.operators import (
     shift_operator,
     unique_domain_points,
 )
-from fitzkit.vecspace import Box, DEFAULT_TOL, Grid, PairPoint, Polytope, pair
+from fitzkit import operators
+from fitzkit.vecspace import (
+    Box,
+    DEFAULT_TOL,
+    Grid,
+    PairPoint,
+    Polytope,
+    pair,
+    project_onto_generated_set,
+)
 
 SEED = 20260809
 
@@ -291,6 +303,147 @@ def test_membership_along_huge_cone_rays(op, mag):
     # the projection must not accept the cone apex under a residual of |x*|
     assert membership(op, pair([0.0, 1.0], [0.0, mag]))
     assert not membership(op, pair([0.0, 1.0], [mag, mag]))
+
+
+def scalar_membership_reference(op, pt, tol=DEFAULT_TOL):
+    """The one-pair membership rule that preceded membership_batch, one
+    family per branch, kept as the oracle the batch must agree with."""
+    x, v = pt.primal, pt.dual
+    slack = tol.eq_tol * max(1.0, float(np.linalg.norm(v)))
+    if isinstance(op, GraphOp):
+        dp = np.linalg.norm(op.graph.primals - x, axis=1)
+        dd = np.linalg.norm(op.graph.duals - v, axis=1)
+        return bool(np.any((dp <= tol.eq_tol) & (dd <= tol.eq_tol)))
+    if isinstance(op, LinearOp):
+        return bool(np.linalg.norm(op.M @ x + op.c - v) <= slack)
+    if isinstance(op, SubdiffOp):
+        return _fun_membership_residual(op.fun, x, v, tol) <= slack
+    if isinstance(op, NormalConeOp):
+        if isinstance(op.region, Box):
+            box = op.region
+            if not box.contains(x, tol.eq_tol):
+                return False
+            for i in range(box.dim):
+                hi_active = x[i] >= box.hi[i] - tol.eq_tol
+                lo_active = x[i] <= box.lo[i] + tol.eq_tol
+                if v[i] > slack and not hi_active:
+                    return False
+                if v[i] < -slack and not lo_active:
+                    return False
+            return True
+        if not op.region.contains(x, tol.eq_tol):
+            return False
+        gaps = (op.region.vertices - x) @ v
+        return bool(gaps.max() <= slack * (1.0 + float(np.abs(op.region.vertices - x).max())))
+    if isinstance(op, DualityMapOp):
+        r = float(np.linalg.norm(x - op.center))
+        if op.p == 1.0 and r <= tol.eq_tol:
+            return bool(np.linalg.norm(v) <= 1.0 + tol.eq_tol)
+        return bool(np.linalg.norm(v - duality_point(op.p, op.center, x)) <= slack)
+    if isinstance(op, ShiftedOp):
+        return scalar_membership_reference(op.inner, PairPoint(x, v + op.zstar), tol)
+    if isinstance(op, PerturbedOp):
+        jp = duality_map(op.p, op.center, x)
+        if jp.exact:
+            return scalar_membership_reference(
+                op.inner, PairPoint(x, v - op.lam * jp.points[0]), tol
+            )
+        inner = fiber(op.inner, x, tol)
+        if inner.is_empty:
+            return False
+        _, d = project_onto_generated_set(inner.points, inner.rays, v)
+        return bool(d <= op.lam + slack)
+    raise AssertionError(type(op).__name__)
+
+
+SIMPLEX2 = Polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+# (operator, notable primal points: vertices, face midpoints, centers)
+MEMBERSHIP_KINDS = {
+    "graph": (GraphOp(graph_of(([0.0, 0.0], [0.0, 0.0]), ([1.0, 0.5], [1.0, 0.5]),
+                               ([1.0, 0.5], [2.0, 0.5]))),
+              [[0.0, 0.0], [1.0, 0.5]]),
+    "linear_skew": (LinearOp([[1.0, -2.0], [2.0, 0.5]], [0.3, -0.1]), [[0.0, 0.0]]),
+    "quadbox": (QUADBOX2, [[0.0, 0.0], [1.0, 1.0], [0.0, 0.5], [0.5, 1.0]]),
+    "l1_norm": (SubdiffOp(NormPower(1.0, 0.7)), [[0.0, 0.0]]),
+    "box_cone": (CONE01_2, [[0.0, 0.0], [1.0, 1.0], [0.0, 0.5], [1.0, 0.25]]),
+    "simplex_cone": (NormalConeOp(SIMPLEX2),
+                     [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.5, 0.0]]),
+    "segment_cone": (NormalConeOp(Polytope([[0.0, 0.0], [1.0, 1.0]])),
+                     [[0.0, 0.0], [1.0, 1.0], [0.5, 0.5]]),
+    "j1": (DualityMapOp(1.0, [0.5, -0.5]), [[0.5, -0.5]]),
+    "j3": (DualityMapOp(3.0, [0.5, -0.5]), [[0.5, -0.5]]),
+    "shifted_cone": (ShiftedOp(CONE01_2, [1.0, -1.0]), [[1.0, 0.0], [0.0, 1.0]]),
+    "perturbed_p1": (PerturbedOp(CONE01_2, 0.5, 1.0, [0.5, 0.5]), [[0.5, 0.5], [1.0, 0.5]]),
+    "perturbed_p2": (PerturbedOp(NormalConeOp(SIMPLEX2), 2.0, 2.0, [0.2, 0.2]),
+                     [[0.0, 0.0], [0.2, 0.2], [0.5, 0.5]]),
+}
+
+_coord = st.floats(-3.0, 3.0, allow_nan=False)
+_row = st.tuples(
+    st.sampled_from(("resolvent", "nudged", "notable", "random")),
+    st.tuples(_coord, _coord),
+    st.tuples(_coord, _coord),
+    st.integers(0, 9),
+)
+
+
+def _membership_row(op, notable, mode, a, b, k):
+    a, b = np.array(a), np.array(b)
+    if mode == "random":
+        return a, b
+    if mode == "notable":
+        x = np.array(notable[k % len(notable)], dtype=float)
+        norm_b = np.linalg.norm(b)
+        if k % 2 or norm_b == 0.0:
+            return x, b * (k + 1) / 3.0
+        # duals of norm 1 +- a fraction of eq_tol: the edge of the J_1 unit ball
+        return x, b / norm_b * (1.0 + (k - 4) * 0.4 * DEFAULT_TOL.eq_tol)
+    if isinstance(op, GraphOp):
+        x, v = op.graph.primals[k % len(op.graph)], op.graph.duals[k % len(op.graph)]
+    else:
+        x = resolvent(op, a)
+        v = a - x
+    if mode == "nudged":  # moves of a few eq_tol in both coordinates
+        x = x + DEFAULT_TOL.eq_tol * b
+        v = v + DEFAULT_TOL.eq_tol * b[::-1] * (k - 4.5)
+    return x, v
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_row, min_size=1, max_size=6))
+@pytest.mark.parametrize("kind", sorted(MEMBERSHIP_KINDS))
+def test_membership_batch_agrees_with_scalar_reference(kind, rows):
+    op, notable = MEMBERSHIP_KINDS[kind]
+    pts = [_membership_row(op, notable, *r) for r in rows]
+    X = np.array([x for x, _ in pts])
+    S = np.array([v for _, v in pts])
+    mask = membership_batch(op, X, S, DEFAULT_TOL)
+    expected = [scalar_membership_reference(op, PairPoint(x, v)) for x, v in pts]
+    assert mask.dtype == bool and mask.tolist() == expected
+    assert [membership(op, PairPoint(x, v)) for x, v in pts] == expected
+
+
+def test_graph_sample_gate_uses_the_membership_slack(monkeypatch):
+    # one resolvent row is moved so that its residual sits between the
+    # membership slack eq_tol*max(1,|x*|) and the looser 10*eq_tol*(1+|x*|)
+    real = operators.resolvent_batch
+    grid = Grid([-2.0, -2.0], [2.0, 2.0], 0.5)
+    shift = np.array([2.5e-9, 0.0])
+
+    def nudged(op, W, tol=DEFAULT_TOL, step=1.0):
+        X = real(op, W, tol, step).copy()
+        X[0] += shift
+        return X
+
+    X = nudged(IDENT2, grid.nodes())
+    x, v = X[0], grid.nodes()[0] - X[0]
+    resid = np.linalg.norm(x - v)
+    norm_v = np.linalg.norm(v)
+    assert DEFAULT_TOL.eq_tol * max(1.0, norm_v) < resid < 10 * DEFAULT_TOL.eq_tol * (1 + norm_v)
+    assert not membership(IDENT2, PairPoint(x, v))
+    monkeypatch.setattr(operators, "resolvent_batch", nudged)
+    with pytest.raises(ValidationError, match="fails membership"):
+        graph_sample(IDENT2, grid)
 
 
 # --------------------------------------------------------------------------
