@@ -18,13 +18,9 @@ from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from .errors import FitzkitError
 from .fitzpatrick import Finite, fitz_finite, fitz_linear, fitz_sampled
 from .harness import (
-    CheckSpec,
-    certificate_to_dict,
     emit_report,
     load_scenario,
     parse_operator,

@@ -11,7 +11,7 @@ resampling; ties break lexicographically.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -23,26 +23,19 @@ from .errors import (
     ValidationError,
     ZOnDomainError,
 )
-from .fitzpatrick import (
-    fitz_domain_projection,
-    fitz_sampled,
-    is_finite,
-)
+from .fitzpatrick import fitz_at, fitz_domain_projection, is_finite
 from .operators import (
     DualityMapOp,
     FiniteGraph,
     GraphOp,
     LinearOp,
     OperatorSpec,
+    Sample,
     duality_point,
-    fiber,
-    graph_of,
-    graph_sample,
     maximality_probe,
     membership,
     perturb,
     resolvent,
-    unique_domain_points,
 )
 from .vecspace import (
     DEFAULT_TOL,
@@ -51,7 +44,6 @@ from .vecspace import (
     ToleranceConfig,
     Vector,
     as_vector,
-    conv_hull,
     dist_to_polytope,
     hausdorff,
     lexsort_rows,
@@ -83,28 +75,14 @@ def _default_wgrid(op: OperatorSpec, xgrid: Grid) -> Grid:
     return Grid(-half * np.ones(n), half * np.ones(n), xgrid.spacing * 2.0, cap=xgrid.cap)
 
 
-def _split_candidates(
-    op: OperatorSpec, dom: np.ndarray, tol: ToleranceConfig
-) -> list[tuple[Vector, "object"]]:
-    """Domain points with their fibers: exact-ray fibers first, each group in
-    lexicographic order. A criterion builds it once for its whole schedule."""
-    rayful, plain = [], []
-    for a in dom:
-        f = fiber(op, a, tol)
-        if f.is_empty:
-            continue
-        (rayful if (f.exact and len(f.rays)) else plain).append((a, f))
-    return rayful + plain
-
-
 def _search_value_witness(
     op: OperatorSpec,
-    candidates: list[tuple[Vector, "object"]],
+    candidates,
     z: Vector,
     needed: Callable[[Vector], float],
     tol: ToleranceConfig,
 ) -> Optional[tuple[Vector, Vector, float]]:
-    """First (a, a*, <z-a, a*>) over _split_candidates with <z-a, a*> strictly
+    """First (a, a*, <z-a, a*>) over Sample.candidates with <z-a, a*> strictly
     above needed(a); exact rays are scaled analytically to reach the target."""
     for a, f in candidates:
         d = z - a
@@ -140,11 +118,7 @@ def _search_value_witness(
 # ---------------------------------------------------------------------------
 
 def sup_quotient(
-    op: OperatorSpec,
-    z: Vector,
-    wgrid: Grid,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    allow_z_in_domain: bool = False,
+    sample: Sample, z: Vector, allow_z_in_domain: bool = False
 ) -> tuple[float, QuotientTrace]:
     """Estimate sup <z-a, a*> / ||z-a|| over the sampled graph and fiber rays.
 
@@ -152,7 +126,7 @@ def sup_quotient(
     quotient at an analytic threshold crossing. Full-domain operators can
     waive the off-domain precondition with allow_z_in_domain.
     """
-    g = graph_of(op, wgrid, tol)
+    g, tol = sample.graph, sample.tol
     z = as_vector(z, dim=g.dim)
     dists = np.linalg.norm(g.primals - z, axis=1)
     near = dists <= tol.eq_tol
@@ -174,11 +148,11 @@ def sup_quotient(
 
     # ray divergence: quotient grows along any positively-aligned exact ray
     target_q = tol.inf_threshold * _MARGIN_FACTOR
-    dom = unique_domain_points(g, tol)
-    dom = dom[np.linalg.norm(dom - z, axis=1) > tol.eq_tol]
-    candidates = _split_candidates(op, dom, tol)
+    candidates = [
+        (a, f) for a, f in sample.candidates if np.linalg.norm(a - z, axis=-1) > tol.eq_tol
+    ]
     found = _search_value_witness(
-        op, candidates, z, lambda a: target_q * float(np.linalg.norm(z - a)), tol
+        sample.op, candidates, z, lambda a: target_q * float(np.linalg.norm(z - a)), tol
     )
     if found is not None:
         a, astar, val = found
@@ -193,15 +167,7 @@ def sup_quotient(
 # near convexity / conv-domain criteria
 # ---------------------------------------------------------------------------
 
-def _quotient_schedule_run(
-    op: OperatorSpec,
-    z: Vector,
-    p: float,
-    lambda_schedule,
-    dom: np.ndarray,
-    tol: ToleranceConfig,
-    wgrid: Grid,
-):
+def _quotient_schedule_run(sample: Sample, z: Vector, p: float, lambda_schedule):
     """Shared witness loop: for each lambda find (a, a* + lam*b*) violating
     monotone relatedness of (z, 0) to the perturbed graph, with the duality
     selection b* in J_p(a - z) enforced by fiber membership."""
@@ -211,10 +177,11 @@ def _quotient_schedule_run(
     schedule = sorted(float(lam) for lam in lambda_schedule)
     if any(lam <= 0 for lam in schedule):
         raise ValidationError("lambda schedule must be positive")
-    candidates = _split_candidates(op, dom, tol)
-    # one widening/refining retry for sampled operators; its candidates serve
-    # every later lambda
-    widened = isinstance(op, GraphOp)
+    op, tol = sample.op, sample.tol
+    candidates = sample.candidates
+    # one widening/refining retry for sampled operators, on a fresh sample
+    # whose candidates serve every later lambda
+    widened = sample.wgrid is None
     for lam in schedule:
         def needed(a, lam=lam):
             return lam * float(np.linalg.norm(a - z)) ** p
@@ -223,8 +190,7 @@ def _quotient_schedule_run(
         if found is None and not widened:
             widened = True
             try:
-                g2 = graph_sample(op, wgrid.scaled(2.0, 1.0), tol)
-                candidates = _split_candidates(op, unique_domain_points(g2, tol), tol)
+                candidates = Sample.over(op, sample.wgrid.scaled(2.0, 1.0), tol).candidates
                 found = _search_value_witness(op, candidates, z, needed, tol)
             except ValidationError:
                 found = None
@@ -260,12 +226,10 @@ def _trend_ok(values: list[float], tol: ToleranceConfig) -> bool:
 
 
 def near_convexity_certificate(
-    op: OperatorSpec,
+    sample: Sample,
     z: Vector,
     p: float,
     lambda_schedule,
-    wgrid: Grid,
-    tol: ToleranceConfig = DEFAULT_TOL,
     strict: bool = False,
     probe_grid: Grid | None = None,
 ) -> Certificate:
@@ -277,19 +241,16 @@ def near_convexity_certificate(
     (strictly increasing, or final value past sqrt(inf_threshold)); the claim
     is budget-relative to the sampling grid."""
     name = "near_convexity"
-    g = graph_of(op, wgrid, tol)
+    g, tol = sample.graph, sample.tol
     z = as_vector(z, dim=g.dim)
-    dom = unique_domain_points(g, tol)
-    alpha = float(np.linalg.norm(dom - z, axis=1).min())
+    alpha = float(np.linalg.norm(sample.domain - z, axis=1).min())
     if alpha <= tol.eq_tol:
         return not_applicable(
             name,
             "z lies within eq_tol of the sampled domain",
             [("domain_distance", alpha)],
         )
-    entries, extras, missing = _quotient_schedule_run(
-        op, z, p, lambda_schedule, dom, tol, wgrid
-    )
+    entries, extras, missing = _quotient_schedule_run(sample, z, p, lambda_schedule)
     witnesses = [("alpha", alpha), ("p", float(p))]
     for lam, q, w in entries:
         witnesses.append((f"quotient_lambda_{lam:g}", q))
@@ -308,7 +269,7 @@ def near_convexity_certificate(
         bstar = U / r if p == 1.0 else r ** (p - 2.0) * U
         surrogate = FiniteGraph.from_arrays(g.primals, g.duals + lam0 * bstar)
         evidence = maximality_probe(
-            perturb(op, lam0, p, z), probe_grid, tol, surrogate=surrogate
+            Sample(perturb(sample.op, lam0, p, z), surrogate, tol), probe_grid
         )
         witnesses.append(("maximality_evidence_count", float(len(evidence))))
     if missing:
@@ -335,12 +296,7 @@ def near_convexity_certificate(
 
 
 def conv_domain_certificate(
-    op: OperatorSpec,
-    z: Vector,
-    p: float,
-    lambda_schedule,
-    wgrid: Grid,
-    tol: ToleranceConfig = DEFAULT_TOL,
+    sample: Sample, z: Vector, p: float, lambda_schedule
 ) -> Certificate:
     """Hull-gated variant: z must clear the convex hull of the sampled domain.
 
@@ -348,20 +304,16 @@ def conv_domain_certificate(
     (z, z*) with a finite sampled fitz value must satisfy
     sup <z-a,a*>/||z-a|| <= ||z*|| - r_emp over the same sample."""
     name = "conv_domain"
-    g = graph_of(op, wgrid, tol)
+    g, tol = sample.graph, sample.tol
     z = as_vector(z, dim=g.dim)
-    dom = unique_domain_points(g, tol)
-    hull = conv_hull(dom)
-    hull_dist, _ = dist_to_polytope(z, hull, tol)
+    hull_dist, _ = dist_to_polytope(z, sample.hull, tol)
     if hull_dist <= tol.eq_tol:
         return not_applicable(
             name,
             "z lies within eq_tol of the sampled domain hull",
             [("hull_distance", hull_dist)],
         )
-    entries, extras, missing = _quotient_schedule_run(
-        op, z, p, lambda_schedule, dom, tol, wgrid
-    )
+    entries, extras, missing = _quotient_schedule_run(sample, z, p, lambda_schedule)
     witnesses = [("hull_distance", hull_dist), ("p", float(p))]
     for lam, q, w in entries:
         witnesses.append((f"quotient_lambda_{lam:g}", q))
@@ -379,7 +331,7 @@ def conv_domain_certificate(
     finite_probes = 0
     best_r_emp = None
     for zs in probes:
-        fv = fitz_sampled(op, pair(z, zs), wgrid, tol, sample=g)
+        fv = fitz_at(sample, pair(z, zs))
         if not is_finite(fv):
             continue
         r_emp = float((np.einsum("ij,ij->i", diffs, zs - g.duals) / dists).min())
@@ -431,31 +383,23 @@ def conv_domain_certificate(
 # lower-bound and (BR) checks
 # ---------------------------------------------------------------------------
 
-def simons_lower_bound_check(
-    source: Union[OperatorSpec, FiniteGraph],
-    zpair: PairPoint,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    wgrid: Grid | None = None,
-) -> Certificate:
+def simons_lower_bound_check(sample: Sample, zpair: PairPoint) -> Certificate:
     """Empirical lower bound r_emp = min <z-a, z*-a*>/||z-a|| over the graph,
     requiring a finite fitz value at zpair and inf ||z-a|| > 0.
 
     For sampled operators the bound must be stable under halving the grid
     spacing (relative change at most 10%); finite graphs are exact."""
     name = "simons_lower_bound"
-    sampled = not isinstance(source, FiniteGraph)
+    g, tol, wgrid = sample.graph, sample.tol, sample.wgrid
+    sampled = not isinstance(sample.op, GraphOp)
     if sampled:
-        g = graph_of(source, wgrid, tol)
-        fv = fitz_sampled(source, zpair, wgrid, tol, sample=g)
-    else:
-        g = source
-        fv = None
-    if sampled and not is_finite(fv):
-        return not_applicable(
-            name,
-            "fitz value at zpair is infinite-suspected",
-            [("crossed_threshold", fv.crossed_threshold), ("witness", fv.witness)],
-        )
+        fv = fitz_at(sample, zpair)
+        if not is_finite(fv):
+            return not_applicable(
+                name,
+                "fitz value at zpair is infinite-suspected",
+                [("crossed_threshold", fv.crossed_threshold), ("witness", fv.witness)],
+            )
     z, zs = zpair.primal, zpair.dual
     dists = np.linalg.norm(g.primals - z, axis=1)
     inf_f = float(dists.min())
@@ -469,7 +413,7 @@ def simons_lower_bound_check(
     if sampled:
         try:
             refined = Grid(wgrid.lower, wgrid.upper, wgrid.spacing / 2.0, cap=wgrid.cap)
-            g2 = graph_sample(source, refined, tol)
+            g2 = Sample.over(sample.op, refined, tol).graph
             d2 = np.linalg.norm(g2.primals - z, axis=1)
             mask = d2 > tol.eq_tol
             r2 = float(
@@ -489,15 +433,7 @@ def simons_lower_bound_check(
     return passed(name, "finite stable lower bound r_emp recorded", witnesses)
 
 
-def br_check(
-    op: OperatorSpec,
-    xpair: PairPoint,
-    alpha: float,
-    beta: float,
-    wgrid: Grid | None = None,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    sample: FiniteGraph | None = None,
-) -> Certificate:
+def br_check(sample: Sample, xpair: PairPoint, alpha: float, beta: float) -> Certificate:
     """Approximate-graph-point check: when inf <x-a, x*-a*> > -alpha*beta, a
     graph point within (alpha, beta) of (x, x*) must exist.
 
@@ -506,12 +442,12 @@ def br_check(
     name = "br"
     if alpha <= 0 or beta <= 0:
         raise ValidationError("br check needs alpha, beta > 0")
-    g = sample if sample is not None else graph_of(op, wgrid, tol)
+    g, tol = sample.graph, sample.tol
     x, xs = xpair.primal, xpair.dual
     analytic: list[PairPoint] = []  # finite graphs have no resolvent
     for lam in (alpha / beta, 1.0):
         try:
-            b = resolvent(op, x + lam * xs, tol, step=lam)
+            b = resolvent(sample.op, x + lam * xs, tol, step=lam)
             bs = (x + lam * xs - b) / lam
             analytic.append(pair(b, bs))
         except (NotMaximalError, NoClosedFormError):
@@ -554,20 +490,14 @@ def br_check(
 # ---------------------------------------------------------------------------
 
 def blowup_witness_sequence(
-    op: OperatorSpec,
-    z: Vector,
-    n_schedule,
-    wgrid: Grid,
-    tol: ToleranceConfig = DEFAULT_TOL,
+    sample: Sample, z: Vector, n_schedule
 ) -> tuple[QuotientTrace, Certificate]:
     """Separation-driven divergence: with (y0*, delta) separating z from the
     sampled-domain hull, each n must admit a graph point (b_n, b_n*) whose
     product <z-b_n, b_n*> exceeds n * <z-b_n, y0*> (hence n*delta)."""
     name = "blowup_witness"
-    g = graph_of(op, wgrid, tol)
-    z = as_vector(z, dim=g.dim)
-    dom = unique_domain_points(g, tol)
-    hull = conv_hull(dom)
+    tol, hull = sample.tol, sample.hull
+    z = as_vector(z, dim=sample.graph.dim)
     try:
         y0, delta = separate(z, hull, tol)
     except NotSeparableError:
@@ -583,7 +513,6 @@ def blowup_witness_sequence(
     entries = []
     witnesses = [("delta", float(delta)), ("y0star", y0)]
     missing = []
-    candidates = _split_candidates(op, dom, tol)
     for n in sorted(float(v) for v in n_schedule):
         if n <= 0:
             raise ValidationError("n schedule must be positive")
@@ -591,7 +520,7 @@ def blowup_witness_sequence(
         def needed(b, n=n):
             return n * float(np.dot(z - b, y0))
 
-        found = _search_value_witness(op, candidates, z, needed, tol)
+        found = _search_value_witness(sample.op, sample.candidates, z, needed, tol)
         if found is None:
             missing.append(n)
             continue
@@ -632,12 +561,10 @@ def theorem36_experiment(
     name = "theorem36"
     if wgrid is None:
         wgrid = _default_wgrid(op, xgrid)
-    g = graph_sample(op, wgrid, tol)
-    scan = fitz_domain_projection(op, xgrid, tol, wgrid=wgrid, sample=g)
-    dom = unique_domain_points(g, tol)
-    hull = conv_hull(dom)
+    sample = Sample.over(op, wgrid, tol)
+    scan = fitz_domain_projection(sample, xgrid)
     nodes = xgrid.nodes()
-    hull_nodes = nodes[hull.contains_batch(nodes, tol.eq_tol)]
+    hull_nodes = nodes[sample.hull.contains_batch(nodes, tol.eq_tol)]
     witnesses = [
         ("grid_spacing", xgrid.spacing),
         ("member_count", float(len(scan.member_points))),

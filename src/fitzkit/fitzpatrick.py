@@ -21,12 +21,10 @@ from .operators import (
     GraphOp,
     LinearOp,
     OperatorSpec,
-    fiber,
-    graph_sample,
+    Sample,
     pairwise_product_blocks,
     resolvent,
     shift_graph,
-    unique_domain_points,
 )
 from .vecspace import (
     DEFAULT_TOL,
@@ -161,19 +159,15 @@ def _sampled_sup(
     return max(value, term), crossings
 
 
-def _ray_crossings(
-    op: OperatorSpec,
-    pt: PairPoint,
-    sources: np.ndarray,
-    tol: ToleranceConfig,
-) -> list[tuple[float, PairPoint]]:
-    """Threshold-crossing graph points built by riding exact fiber rays."""
+def _ray_crossings(s: Sample, pt: PairPoint) -> list[tuple[float, PairPoint]]:
+    """Threshold-crossing graph points built by riding the exact fiber rays at
+    the sampled domain points (the exact-ray head of s.candidates)."""
     out: list[tuple[float, PairPoint]] = []
+    tol = s.tol
     target = tol.inf_threshold * _CROSS_FACTOR
-    for a in sources:
-        f = fiber(op, a, tol)
-        if f.is_empty or not f.exact or len(f.rays) == 0:
-            continue
+    for a, f in s.candidates:
+        if not (f.exact and len(f.rays)):
+            break
         base_pt = f.points[lexsort_rows(f.points)[0]]
         base_term = float(
             np.dot(pt.primal, base_pt) + np.dot(a, pt.dual) - np.dot(a, base_pt)
@@ -209,7 +203,14 @@ def fitz_sampled(
     tol: ToleranceConfig = DEFAULT_TOL,
     sample: FiniteGraph | None = None,
 ) -> FitzValue:
-    """Lower bound on F_A(pt) over a Minty-sampled graph.
+    """fitz_at over the Minty sample of op on wgrid, or over the given sample."""
+    if sample is None:
+        return fitz_at(Sample.over(op, wgrid, tol), pt)
+    return fitz_at(Sample(op, sample, tol, wgrid), pt)
+
+
+def fitz_at(s: Sample, pt: PairPoint) -> FitzValue:
+    """Lower bound on F_A(pt) over the sampled graph of A.
 
     The sample is enriched with the resolvent point of x + x* (a true graph
     point whose term always dominates the pairing) and with exact fiber rays
@@ -217,11 +218,10 @@ def fitz_sampled(
     finite-graph operator this is the plain enumeration and agrees with
     fitz_finite exactly.
     """
-    if isinstance(op, GraphOp):
-        return Finite(fitz_finite(op.graph, pt))
-    g = sample if sample is not None else graph_sample(op, wgrid, tol)
-    value, crossings = _sampled_sup(op, pt, g, tol)
-    crossings = _ray_crossings(op, pt, unique_domain_points(g, tol), tol) + crossings
+    if isinstance(s.op, GraphOp):
+        return Finite(fitz_finite(s.op.graph, pt))
+    value, crossings = _sampled_sup(s.op, pt, s.graph, s.tol)
+    crossings = _ray_crossings(s, pt) + crossings
     if crossings:
         return InfiniteSuspected(*_lex_first_witness(crossings))
     return Finite(value)
@@ -231,13 +231,7 @@ def fitz_sampled(
 # Domain projection scan
 # ---------------------------------------------------------------------------
 
-def fitz_domain_projection(
-    op: OperatorSpec,
-    xgrid: Grid,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    wgrid: Grid | None = None,
-    sample: FiniteGraph | None = None,
-) -> DomainScan:
+def fitz_domain_projection(sample: Sample, xgrid: Grid) -> DomainScan:
     """Grid nodes x admitting some probe x* with a Finite fitz value.
 
     Linear operators use the closed form with the consistency probe
@@ -248,8 +242,9 @@ def fitz_domain_projection(
     need no second pass per probe: a node that survives has
     (x - a0) . r <= eq_tol for every exact ray r, and riding such a ray never
     crosses the threshold. So x is a member when some probe's sampled and
-    resolvent terms stay below it, for one fiber call per node.
+    resolvent terms stay below it. The fibers come from the sample's table.
     """
+    op, tol = sample.op, sample.tol
     if isinstance(op, GraphOp):
         raise VacuousForFiniteGraphError(
             "finite graphs have F finite everywhere; the scan is vacuous"
@@ -268,17 +263,14 @@ def fitz_domain_projection(
         members = nodes[ok]
         return DomainScan(xgrid, members, "linear_consistency")
 
-    if wgrid is None:
-        wgrid = xgrid.scaled(2.0, 2.0)
-    g = sample if sample is not None else graph_sample(op, wgrid, tol)
-    dom = unique_domain_points(g, tol)
+    g, dom = sample.graph, sample.domain
     members = []
-    probe_radius = 2.0 * wgrid.spacing
+    probe_radius = 2.0 * sample.wgrid.spacing
     for x in nodes:
         d = np.linalg.norm(dom - x, axis=1)
         near = np.flatnonzero(d <= d.min() + 1e-13)
-        a0 = dom[int(near[lexsort_rows(dom[near])[0]])]
-        f0 = fiber(op, a0, tol)
+        i0 = int(near[lexsort_rows(dom[near])[0]])
+        a0, f0 = dom[i0], sample.fibers[i0]
         if f0.is_empty:
             continue
         if f0.exact and len(f0.rays) and np.any((x - a0) @ f0.rays.T > tol.eq_tol):
@@ -307,15 +299,15 @@ def fitz_inequality_check(
     sample_pts: list[PairPoint],
     graph_pts: FiniteGraph,
     tol: ToleranceConfig = DEFAULT_TOL,
-    slack: float | None = None,
 ) -> Certificate:
-    """F >= <x,x*> - eq_tol on probe points, and F = <x,x*> within slack on
-    sampled graph points. The documented failure mode is a non-maximal graph,
-    where a monotonically-related gap point has F strictly below the pairing."""
+    """F >= <x,x*> - eq_tol on probe points, and F = <x,x*> within a
+    spacing-scaled slack on sampled graph points. The documented failure mode
+    is a non-maximal graph, where a monotonically-related gap point has F
+    strictly below the pairing. Without probe points only the graph-point
+    equality is checked."""
     name = "fitz_inequality"
-    if slack is None:
-        lip = 1.0 + float(np.linalg.norm(graph_pts.duals, axis=1).max())
-        slack = max(2.0 * _nn_spacing_estimate(graph_pts) * lip, 1e-9)
+    lip = 1.0 + float(np.linalg.norm(graph_pts.duals, axis=1).max())
+    slack = max(2.0 * _nn_spacing_estimate(graph_pts) * lip, 1e-9)
     worst_gap = -np.inf
     worst_pt: Optional[PairPoint] = None
     for p in sample_pts:
@@ -329,12 +321,12 @@ def fitz_inequality_check(
     ):
         worst_eq = max(worst_eq, float(np.abs(prods.min(axis=1)).max()))
     witnesses = [
-        ("worst_gap", float(worst_gap)),
         ("worst_graph_equality_residual", worst_eq),
         ("graph_equality_slack", float(slack)),
         ("n_samples", float(len(sample_pts))),
     ]
     if worst_pt is not None:
+        witnesses.insert(0, ("worst_gap", float(worst_gap)))
         witnesses.append(("worst_point", worst_pt))
     if worst_gap > tol.eq_tol:
         witnesses.insert(0, ("gap", float(worst_gap)))

@@ -46,10 +46,10 @@ from .operators import (
     OperatorSpec,
     PerturbedOp,
     Quadratic,
+    Sample,
     ShiftedOp,
     SubdiffOp,
     TranslatedNormPower,
-    graph_of,
     maximality_probe,
     op_dimension,
 )
@@ -219,6 +219,39 @@ REQUIRED_PARAMS = {
 }
 
 
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _numbers(v) -> bool:
+    return isinstance(v, (list, tuple)) and all(map(_number, v))
+
+
+def _vector(v) -> bool:
+    return _number(v) or (_numbers(v) and len(v) > 0)
+
+
+# The kind of value each check param must hold, as (description, test). A
+# present param of another kind is rejected when the scenario loads; grid
+# params name a grid and are resolved separately.
+PARAM_KINDS = {
+    **dict.fromkeys(("z", "zstar", "x", "xstar", "box_lo", "box_hi"), ("a vector", _vector)),
+    **dict.fromkeys(("lambdas", "n_schedule"), ("a list of numbers", _numbers)),
+    **dict.fromkeys(("p", "alpha", "beta"), ("a number", _number)),
+    **dict.fromkeys(
+        ("trials", "n_samples"),
+        ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    ),
+    **dict.fromkeys(("strict", "allow_z_in_domain"), ("a boolean", lambda v: isinstance(v, bool))),
+    "expect": ("an object", lambda v: isinstance(v, dict)),
+    "points": (
+        "a list of [x, x*] pairs",
+        lambda v: isinstance(v, (list, tuple))
+        and all(isinstance(q, (list, tuple)) and len(q) == 2 and all(map(_vector, q)) for q in v),
+    ),
+}
+
+
 def _expect(val, kind: type, where: str):
     if not isinstance(val, kind):
         raise ScenarioParseError(f"{where}: expected {kind.__name__}, got {type(val).__name__}")
@@ -271,6 +304,10 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
         if all(missing):
             need = " or ".join(", ".join(m) for m in missing)
             raise ScenarioParseError(f"{where}: {kind} needs parameter(s) {need}")
+        for key, val in params.items():
+            what, ok = PARAM_KINDS.get(key, (None, None))
+            if ok is not None and not ok(val):
+                raise ScenarioParseError(f"{where}.params.{key}: expected {what}, got {val!r:.60}")
         for key in ("wgrid", "xgrid", "probe_grid"):
             if key in params and not (isinstance(params[key], str) and params[key] in grids):
                 raise ValidationError(f"{where}: unresolved grid name {params[key]!r}")
@@ -314,57 +351,54 @@ def scenario_digest(cfg: ScenarioConfig) -> str:
 # Check runners
 # ---------------------------------------------------------------------------
 
-def _grid(cfg: ScenarioConfig, params: dict, key: str, required: bool = True) -> Optional[Grid]:
+def _grid(cfg: ScenarioConfig, params: dict, key: str) -> Optional[Grid]:
     name = params.get(key)
-    if name is None:
-        if required:
-            raise ValidationError(f"check parameter {key!r} is required")
-        return None
-    return cfg.grids[name]
+    return None if name is None else cfg.grids[name]
 
 
-def _run_one_check(cfg: ScenarioConfig, spec: CheckSpec, child_seed: int) -> Certificate:
+def _run_one_check(
+    cfg: ScenarioConfig, spec: CheckSpec, child_seed: int, samples: dict
+) -> Certificate:
+    """Run one check. samples memoizes one Sample per (target, wgrid name)
+    across the checks of a suite."""
     op = cfg.operators[spec.target]
     tol = cfg.tolerances
     params = spec.params
     rng = np.random.default_rng(child_seed)
 
+    def sample() -> Sample:
+        key = (spec.target, params.get("wgrid"))
+        if key not in samples:
+            samples[key] = Sample.over(op, _grid(cfg, params, "wgrid"), tol)
+        return samples[key]
+
     if spec.check == "theorem36":
         _, cert = theorem36_experiment(
-            op, _grid(cfg, params, "xgrid"), tol, wgrid=_grid(cfg, params, "wgrid", False)
+            op, _grid(cfg, params, "xgrid"), tol, wgrid=_grid(cfg, params, "wgrid")
         )
         return cert
 
     if spec.check == "near_convexity":
         return near_convexity_certificate(
-            op,
+            sample(),
             params["z"],
             float(params.get("p", 1.0)),
             params["lambdas"],
-            _grid(cfg, params, "wgrid"),
-            tol,
             strict=bool(params.get("strict", False)),
-            probe_grid=_grid(cfg, params, "probe_grid", False),
+            probe_grid=_grid(cfg, params, "probe_grid"),
         )
 
     if spec.check == "conv_domain":
         return conv_domain_certificate(
-            op,
-            params["z"],
-            float(params.get("p", 1.0)),
-            params["lambdas"],
-            _grid(cfg, params, "wgrid"),
-            tol,
+            sample(), params["z"], float(params.get("p", 1.0)), params["lambdas"]
         )
 
     if spec.check == "sup_quotient":
         expect = params.get("expect", {})
         try:
             est, trace = sup_quotient(
-                op,
+                sample(),
                 params["z"],
-                _grid(cfg, params, "wgrid"),
-                tol,
                 allow_z_in_domain=bool(params.get("allow_z_in_domain", False)),
             )
         except ZOnDomainError as e:
@@ -388,27 +422,20 @@ def _run_one_check(cfg: ScenarioConfig, spec: CheckSpec, child_seed: int) -> Cer
         )
 
     if spec.check == "simons_lower_bound":
-        source = op.graph if isinstance(op, GraphOp) else op
-        return simons_lower_bound_check(
-            source,
-            pair(params["z"], params["zstar"]),
-            tol,
-            wgrid=_grid(cfg, params, "wgrid", not isinstance(op, GraphOp)),
-        )
+        return simons_lower_bound_check(sample(), pair(params["z"], params["zstar"]))
 
     if spec.check == "br":
-        wgrid = _grid(cfg, params, "wgrid", not isinstance(op, GraphOp))
         if "trials" in params:
             lo = np.asarray(params.get("box_lo", [-2.0] * cfg.dimension), dtype=float)
             hi = np.asarray(params.get("box_hi", [2.0] * cfg.dimension), dtype=float)
-            shared = graph_of(op, wgrid, tol)
+            s = sample()
             n_pass = n_na = 0
             for _ in range(int(params["trials"])):
                 x = rng.uniform(lo, hi)
                 xs = rng.uniform(lo, hi)
                 alpha = float(rng.uniform(0.05, 1.0))
                 beta = float(rng.uniform(0.05, 1.0))
-                cert = br_check(op, pair(x, xs), alpha, beta, wgrid, tol, sample=shared)
+                cert = br_check(s, pair(x, xs), alpha, beta)
                 if cert.verdict is Verdict.FAIL:
                     return failed(
                         "br",
@@ -426,22 +453,17 @@ def _run_one_check(cfg: ScenarioConfig, spec: CheckSpec, child_seed: int) -> Cer
                 [("activated_trials", float(n_pass)), ("inactive_trials", float(n_na))],
             )
         return br_check(
-            op,
+            sample(),
             pair(params["x"], params["xstar"]),
             float(params["alpha"]),
             float(params["beta"]),
-            wgrid,
-            tol,
         )
 
     if spec.check == "blowup_witness":
-        _, cert = blowup_witness_sequence(
-            op, params["z"], params["n_schedule"], _grid(cfg, params, "wgrid"), tol
-        )
+        _, cert = blowup_witness_sequence(sample(), params["z"], params["n_schedule"])
         return cert
 
     if spec.check == "fitz_inequality":
-        g = graph_of(op, _grid(cfg, params, "wgrid", False), tol)
         pts = [pair(p, d) for p, d in params.get("points", [])]
         n_samples = int(params.get("n_samples", 0))
         if n_samples:
@@ -449,7 +471,7 @@ def _run_one_check(cfg: ScenarioConfig, spec: CheckSpec, child_seed: int) -> Cer
             hi = np.asarray(params.get("box_hi", [2.0] * cfg.dimension), dtype=float)
             for _ in range(n_samples):
                 pts.append(pair(rng.uniform(lo, hi), rng.uniform(lo, hi)))
-        return fitz_inequality_check(op, pts, g, tol)
+        return fitz_inequality_check(op, pts, sample().graph, tol)
 
     if spec.check == "shift_identity":
         if not isinstance(op, GraphOp):
@@ -457,12 +479,7 @@ def _run_one_check(cfg: ScenarioConfig, spec: CheckSpec, child_seed: int) -> Cer
         return shift_identity_check(op.graph, params["z"], params["zstar"], tol)
 
     if spec.check == "maximality_probe":
-        evidence = maximality_probe(
-            op,
-            _grid(cfg, params, "probe_grid"),
-            tol,
-            wgrid=_grid(cfg, params, "wgrid", False),
-        )
+        evidence = maximality_probe(sample(), _grid(cfg, params, "probe_grid"))
         if evidence:
             witnesses = [("evidence_count", float(len(evidence)))]
             witnesses += [(f"evidence_{i}", p) for i, p in enumerate(evidence[:5])]
@@ -519,7 +536,8 @@ def run_suite(cfg: ScenarioConfig) -> Report:
     t0 = time.monotonic()
     master = np.random.default_rng(cfg.seed)
     child_seeds = [int(master.integers(0, 2**63 - 1)) for _ in cfg.checks]
-    certs = [_run_one_check(cfg, sc, sd) for sc, sd in zip(cfg.checks, child_seeds)]
+    samples: dict = {}
+    certs = [_run_one_check(cfg, sc, sd, samples) for sc, sd in zip(cfg.checks, child_seeds)]
     results = tuple(
         CheckResult(sc.check, sc.target, cert) for sc, cert in zip(cfg.checks, certs)
     )

@@ -34,6 +34,7 @@ from .vecspace import (
     Vector,
     as_matrix,
     as_vector,
+    conv_hull,
     dedupe_rows_within,
     project_onto_generated_set,
     rowwise_matmul,
@@ -496,17 +497,17 @@ def _empty_fiber(x: Vector) -> Fiber:
     return Fiber(x, np.zeros((0, x.size)), np.zeros((0, x.size)), True)
 
 
-def unit_sphere_samples(n: int, count: int = _BALL_SAMPLES) -> np.ndarray:
+def unit_sphere_samples(n: int) -> np.ndarray:
     """Deterministic sample of the unit sphere (lattices for n <= 3)."""
     if n == 1:
         return np.array([[-1.0], [1.0]])
     if n == 2:
-        ang = 2.0 * np.pi * np.arange(count) / count
+        ang = 2.0 * np.pi * np.arange(_BALL_SAMPLES) / _BALL_SAMPLES
         return np.stack([np.cos(ang), np.sin(ang)], axis=1)
     if n == 3:
         # Fibonacci sphere
-        i = np.arange(count) + 0.5
-        phi = np.arccos(1.0 - 2.0 * i / count)
+        i = np.arange(_BALL_SAMPLES) + 0.5
+        phi = np.arccos(1.0 - 2.0 * i / _BALL_SAMPLES)
         golden = np.pi * (1.0 + 5.0**0.5)
         theta = golden * i
         return np.stack(
@@ -514,7 +515,7 @@ def unit_sphere_samples(n: int, count: int = _BALL_SAMPLES) -> np.ndarray:
             axis=1,
         )
     rng = np.random.default_rng(12345)
-    pts = rng.standard_normal((count, n))
+    pts = rng.standard_normal((_BALL_SAMPLES, n))
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
@@ -526,7 +527,7 @@ def _duality_points(p: float, center: Vector, X: np.ndarray) -> np.ndarray:
     return np.where(R > 0, U / safe if p == 1.0 else safe ** (p - 2.0) * U, 0.0)
 
 
-def duality_map(p: float, center: Vector, x: Vector, samples: int = _BALL_SAMPLES) -> Fiber:
+def duality_map(p: float, center: Vector, x: Vector) -> Fiber:
     """J_p(x - center) for the Euclidean norm.
 
     Single-valued away from the center (and everywhere for p > 1); at the
@@ -539,7 +540,7 @@ def duality_map(p: float, center: Vector, x: Vector, samples: int = _BALL_SAMPLE
     x = as_vector(x, dim=center.size)
     n = x.size
     if p == 1.0 and np.all(x == center):
-        pts = np.vstack([np.zeros((1, n)), unit_sphere_samples(n, samples)])
+        pts = np.vstack([np.zeros((1, n)), unit_sphere_samples(n)])
         return Fiber(x, pts, np.zeros((0, n)), exact=False)
     return Fiber(x, _duality_points(p, center, x[None, :]), np.zeros((0, n)), exact=True)
 
@@ -898,17 +899,6 @@ def graph_sample(
     return g
 
 
-def graph_of(
-    op: OperatorSpec, wgrid: Grid | None, tol: ToleranceConfig = DEFAULT_TOL
-) -> FiniteGraph:
-    """The graph of a finite-graph operator, else its Minty sample over wgrid."""
-    if isinstance(op, GraphOp):
-        return op.graph
-    if wgrid is None:
-        raise ValidationError("sampled operators need a wgrid")
-    return graph_sample(op, wgrid, tol)
-
-
 def monotone_check(
     g: FiniteGraph, tol: ToleranceConfig = DEFAULT_TOL
 ) -> Optional[tuple[PairPoint, PairPoint]]:
@@ -968,18 +958,59 @@ def unique_domain_points(g: FiniteGraph, tol: ToleranceConfig = DEFAULT_TOL) -> 
     return dedupe_rows_within(g.primals, tol.eq_tol)
 
 
-def maximality_probe(
-    op: OperatorSpec,
-    probe_grid: Grid,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    surrogate: FiniteGraph | None = None,
-    wgrid: Grid | None = None,
-) -> list[PairPoint]:
+@dataclass(frozen=True, eq=False)
+class Sample:
+    """One graph of op and what the checks derive from it, each built on first
+    use. wgrid is the Minty grid behind graph, None when the graph was given;
+    the domain scan and the checks that resample (a widened or refined grid)
+    need it."""
+
+    op: OperatorSpec
+    graph: FiniteGraph
+    tol: ToleranceConfig = DEFAULT_TOL
+    wgrid: Optional[Grid] = None
+
+    @classmethod
+    def over(
+        cls, op: OperatorSpec, wgrid: Grid | None, tol: ToleranceConfig = DEFAULT_TOL
+    ) -> "Sample":
+        """The graph of a finite-graph operator, else its Minty sample over wgrid."""
+        if isinstance(op, GraphOp):
+            return cls(op, op.graph, tol)
+        if wgrid is None:
+            raise ValidationError("sampled operators need a wgrid")
+        return cls(op, graph_sample(op, wgrid, tol), tol, wgrid)
+
+    @cached_property
+    def domain(self) -> np.ndarray:
+        """Distinct sampled primal points, lexicographically sorted."""
+        return unique_domain_points(self.graph, self.tol)
+
+    @cached_property
+    def hull(self) -> Polytope:
+        return conv_hull(self.domain)
+
+    @cached_property
+    def fibers(self) -> tuple[Fiber, ...]:
+        """A(a) for every domain point a, aligned with domain."""
+        return tuple(fiber(self.op, a, self.tol) for a in self.domain)
+
+    @cached_property
+    def candidates(self) -> tuple[tuple[Vector, Fiber], ...]:
+        """Domain points with nonempty fibers in witness-search order:
+        exact-ray fibers first, each group in lexicographic order."""
+        rayful, plain = [], []
+        for a, f in zip(self.domain, self.fibers):
+            if not f.is_empty:
+                (rayful if (f.exact and len(f.rays)) else plain).append((a, f))
+        return tuple(rayful + plain)
+
+
+def maximality_probe(sample: Sample, probe_grid: Grid) -> list[PairPoint]:
     """Probe points monotonically related to the sampled graph yet failing
     membership; each is evidence against maximality of the surrogate. An empty
     list is consistent with (never proof of) maximality."""
-    if surrogate is None:
-        surrogate = graph_of(op, wgrid, tol)
+    surrogate, tol = sample.graph, sample.tol
     n = surrogate.dim
     if probe_grid.dim != 2 * n:
         raise DimensionMismatchError("probe grid must live in primal x dual space")
@@ -991,5 +1022,5 @@ def maximality_probe(
         for _, prods in pairwise_product_blocks(Xp, Sp, dp, surrogate)
     ])
     Xr, Sr = Xp[related], Sp[related]
-    failing = ~membership_batch(op, Xr, Sr, tol)
+    failing = ~membership_batch(sample.op, Xr, Sr, tol)
     return [PairPoint(x, v) for x, v in zip(Xr[failing], Sr[failing])]

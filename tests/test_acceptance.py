@@ -36,6 +36,7 @@ from fitzkit.operators import (
     LinearOp,
     NormalConeOp,
     Quadratic,
+    Sample,
     SubdiffOp,
     graph_sample,
     unique_domain_points,
@@ -176,13 +177,15 @@ def test_criterion_5_domain_projection_equality():
 def test_criterion_6_blowup_quotients():
     cone = NormalConeOp(Box([0.0], [1.0]))
     with criterion(6, "sup quotient crosses 1e8 outside, <=1e-9 inside, ~5 for the identity"):
-        est, _ = sup_quotient(cone, [2.0], Grid([-2.0], [3.0], 0.1))
+        est, _ = sup_quotient(Sample.over(cone, Grid([-2.0], [3.0], 0.1)), [2.0])
         assert est >= 1e8
-        est, _ = sup_quotient(cone, [0.5], Grid([-2.0], [3.0], 0.1), allow_z_in_domain=True)
+        est, _ = sup_quotient(
+            Sample.over(cone, Grid([-2.0], [3.0], 0.1)), [0.5], allow_z_in_domain=True
+        )
         assert est <= 1e-9
         ident = LinearOp(np.eye(1), np.zeros(1))
         est, _ = sup_quotient(
-            ident, [5.0], Grid([-20.0], [20.0], 0.1), allow_z_in_domain=True
+            Sample.over(ident, Grid([-20.0], [20.0], 0.1)), [5.0], allow_z_in_domain=True
         )
         assert 4.9 <= est <= 5.1
 
@@ -193,7 +196,7 @@ def test_criterion_7_perturbation_quotient_chain():
         cone1 = NormalConeOp(Box([0.0], [1.0]))
         for p in (1.0, 2.0):
             cert = near_convexity_certificate(
-                cone1, [2.0], p, schedule, Grid([-2.0], [3.0], 0.1)
+                Sample.over(cone1, Grid([-2.0], [3.0], 0.1)), [2.0], p, schedule
             )
             assert cert.verdict is Verdict.PASS, cert.narrative
             alpha = cert.witness("alpha")
@@ -202,7 +205,7 @@ def test_criterion_7_perturbation_quotient_chain():
                 assert q > lam * alpha ** (p - 1.0) - 1e-9
         cone2 = NormalConeOp(Box([0.0, 0.0], [1.0, 1.0]))
         cert = near_convexity_certificate(
-            cone2, [2.0, 2.0], 2.0, schedule, Grid([-2.0, -2.0], [3.0, 3.0], 0.25)
+            Sample.over(cone2, Grid([-2.0, -2.0], [3.0, 3.0], 0.25)), [2.0, 2.0], 2.0, schedule
         )
         assert cert.verdict is Verdict.PASS, cert.narrative
         alpha = cert.witness("alpha")
@@ -224,7 +227,7 @@ def test_criterion_8_witness_sequence():
     ]
     with criterion(8, "products exceed n*delta on both cones; delta equals the separation margin"):
         for op, z, wgrid in cases:
-            trace, cert = blowup_witness_sequence(op, z, schedule, wgrid)
+            trace, cert = blowup_witness_sequence(Sample.over(op, wgrid), z, schedule)
             assert cert.verdict is Verdict.PASS, cert.narrative
             g = graph_sample(op, wgrid)
             hull = conv_hull(unique_domain_points(g))
@@ -243,12 +246,12 @@ def test_criterion_9_br_suite():
             q = q @ q.T + 0.2 * np.eye(n)
             op = SubdiffOp(Quadratic(q, rng.uniform(-0.5, 0.5, n)))
             wgrid = Grid([-3.0] * n, [3.0] * n, {1: 0.1, 2: 0.25, 3: 0.5}[n])
-            pool.append((op, wgrid, graph_sample(op, wgrid)))
+            pool.append((op, wgrid, Sample.over(op, wgrid)))
         box_op = SubdiffOp(
             FunSum((Quadratic(np.eye(2), np.zeros(2)), BoxIndicator([0.0, 0.0], [1.0, 1.0])))
         )
         box_grid = Grid([-2.0, -2.0], [3.0, 3.0], 0.25)
-        pool.append((box_op, box_grid, graph_sample(box_op, box_grid)))
+        pool.append((box_op, box_grid, Sample.over(box_op, box_grid)))
         activated = inactive = 0
         for _ in range(1000):
             op, wgrid, sample = pool[int(rng.integers(len(pool)))]
@@ -256,7 +259,7 @@ def test_criterion_9_br_suite():
             xp = pair(rng.uniform(-2, 2, n), rng.uniform(-2, 2, n))
             alpha = float(rng.uniform(0.05, 1.0))
             beta = float(rng.uniform(0.05, 1.0))
-            cert = br_check(op, xp, alpha, beta, wgrid, sample=sample)
+            cert = br_check(sample, xp, alpha, beta)
             assert cert.verdict is not Verdict.FAIL, cert.narrative
             if cert.verdict is Verdict.PASS:
                 activated += 1
@@ -265,7 +268,7 @@ def test_criterion_9_br_suite():
         assert activated > 0
         # the pinned inactive instance: alpha=beta=0.1 against inf=-0.25
         ident = SubdiffOp(Quadratic([[1.0]], [0.0]))
-        cert = br_check(ident, pair([1.0], [0.0]), 0.1, 0.1, Grid([-4.0], [4.0], 0.1))
+        cert = br_check(Sample.over(ident, Grid([-4.0], [4.0], 0.1)), pair([1.0], [0.0]), 0.1, 0.1)
         assert cert.verdict is Verdict.NOT_APPLICABLE
         assert cert.witness("inf_product") == pytest.approx(-0.25, abs=1e-6)
 

@@ -142,6 +142,46 @@ def test_suite_valid_scenario_base_runs(capsys, tmp_path):
     assert main(["suite", "--scenario", str(path)]) == 0
 
 
+def test_suite_fitz_inequality_without_probes_exit_zero(capsys, tmp_path):
+    """With only a wgrid the check has no probe points: the report leaves the
+    probe witnesses out and keeps the graph-point equality."""
+    path = tmp_path / "no-probes.json"
+    check = {"check": "fitz_inequality", "target": "cone", "params": {"wgrid": "w"}}
+    path.write_text(json.dumps({**VALID_SCENARIO, "checks": [check]}))
+    code = main(["suite", "--scenario", str(path)])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    cert = json.loads(captured.out)["checks"][0]["certificate"]
+    labels = [w["label"] for w in cert["witnesses"]]
+    assert "worst_gap" not in labels and "worst_point" not in labels
+    assert "worst_graph_equality_residual" in labels
+
+
+LINEAR_1D = '{"kind": "linear", "matrix": [[1.0]]}'
+
+
+@pytest.mark.parametrize(
+    "check, flags, param",
+    [
+        ("near_convexity", ["--params", '{"z": "abc", "lambdas": [1]}'], "z"),
+        ("near_convexity", ["--params", '{"z": [1.0], "lambdas": ["x"]}'], "lambdas"),
+        ("br", ["--params", '{"trials": "many"}'], "trials"),
+        ("sup_quotient", ["--z", "3", "--expect", "[1]"], "expect"),
+        ("near_convexity", ["--params", '{"z": [2.0], "lambdas": [1], "p": "two"}'], "p"),
+        ("br", ["--params", '{"trials": 2, "box_lo": "abc"}'], "box_lo"),
+        ("fitz_inequality", ["--params", '{"n_samples": "ten"}'], "n_samples"),
+        ("fitz_inequality", ["--params", '{"points": [[1, 2, 3]]}'], "points"),
+    ],
+    ids=["z", "lambdas", "trials", "expect", "p", "box_lo", "n_samples", "points"],
+)
+def test_check_param_of_wrong_kind_exit_two(capsys, check, flags, param):
+    argv = ["check", "--check", check, "--operator", LINEAR_1D, "--wgrid=-1:1:0.5"]
+    code = main(argv + flags)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith(f"error: checks[0].params.{param}:")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-import fitzkit.criteria
+import fitzkit.operators
 from fitzkit.certificates import Verdict
 from fitzkit.errors import ZOnDomainError
 from fitzkit.criteria import (
@@ -21,6 +21,7 @@ from fitzkit.operators import (
     LinearOp,
     NormalConeOp,
     Quadratic,
+    Sample,
     SubdiffOp,
     graph_sample,
     unique_domain_points,
@@ -41,7 +42,7 @@ WGRID_1D = Grid([-2.0], [3.0], 0.1)
 # --------------------------------------------------------------------------
 
 def test_sup_quotient_cone_diverges():
-    est, trace = sup_quotient(CONE01, [2.0], WGRID_1D)
+    est, trace = sup_quotient(Sample.over(CONE01, WGRID_1D), [2.0])
     assert est >= DEFAULT_TOL.inf_threshold
     last = trace.entries[-1]
     assert last[2].primal == pytest.approx([1.0], abs=1e-9)
@@ -52,18 +53,20 @@ def test_sup_quotient_cone_diverges():
 
 
 def test_sup_quotient_linear_bounded():
-    est, _ = sup_quotient(IDENT, [5.0], Grid([-20.0], [20.0], 0.1), allow_z_in_domain=True)
+    est, _ = sup_quotient(
+        Sample.over(IDENT, Grid([-20.0], [20.0], 0.1)), [5.0], allow_z_in_domain=True
+    )
     assert 4.9 <= est <= 5.1
 
 
 def test_sup_quotient_inside_cone_nonpositive():
-    est, _ = sup_quotient(CONE01, [0.5], WGRID_1D, allow_z_in_domain=True)
+    est, _ = sup_quotient(Sample.over(CONE01, WGRID_1D), [0.5], allow_z_in_domain=True)
     assert est <= 1e-9
 
 
 def test_sup_quotient_z_on_domain_raises():
     with pytest.raises(ZOnDomainError):
-        sup_quotient(IDENT, [0.0], Grid([-2.0], [2.0], 0.5))
+        sup_quotient(Sample.over(IDENT, Grid([-2.0], [2.0], 0.5)), [0.0])
 
 
 # --------------------------------------------------------------------------
@@ -71,7 +74,9 @@ def test_sup_quotient_z_on_domain_raises():
 # --------------------------------------------------------------------------
 
 def test_near_convexity_cone_p1():
-    cert = near_convexity_certificate(CONE01, [2.0], 1.0, [1.0, 10.0, 100.0], WGRID_1D)
+    cert = near_convexity_certificate(
+        Sample.over(CONE01, WGRID_1D), [2.0], 1.0, [1.0, 10.0, 100.0]
+    )
     assert cert.verdict is Verdict.PASS
     alpha = cert.witness("alpha")
     assert alpha == pytest.approx(1.0, abs=1e-9)
@@ -87,26 +92,30 @@ def test_near_convexity_cone_p1():
 def test_near_convexity_fibers_built_once_per_candidate(monkeypatch):
     """The candidate fibers are derived once and searched for every lambda."""
     calls = []
-    real_fiber = fitzkit.criteria.fiber
+    real_fiber = fitzkit.operators.fiber
 
     def counting_fiber(*args, **kwargs):
         calls.append(args[1])
         return real_fiber(*args, **kwargs)
 
-    monkeypatch.setattr(fitzkit.criteria, "fiber", counting_fiber)
-    cert = near_convexity_certificate(CONE01, [2.0], 1.0, [1.0, 10.0, 100.0], WGRID_1D)
+    monkeypatch.setattr(fitzkit.operators, "fiber", counting_fiber)
+    cert = near_convexity_certificate(
+        Sample.over(CONE01, WGRID_1D), [2.0], 1.0, [1.0, 10.0, 100.0]
+    )
     assert cert.verdict is Verdict.PASS
     assert len(calls) == len(unique_domain_points(graph_sample(CONE01, WGRID_1D)))
 
 
 def test_near_convexity_full_domain_not_applicable():
-    cert = near_convexity_certificate(IDENT, [0.0], 2.0, [1.0], Grid([-2.0], [2.0], 0.5))
+    cert = near_convexity_certificate(
+        Sample.over(IDENT, Grid([-2.0], [2.0], 0.5)), [0.0], 2.0, [1.0]
+    )
     assert cert.verdict is Verdict.NOT_APPLICABLE
 
 
 def test_near_convexity_box2_p2():
     wgrid = Grid([-2.0, -2.0], [3.0, 3.0], 0.25)
-    cert = near_convexity_certificate(CONE01_2, [2.0, 2.0], 2.0, [10.0], wgrid)
+    cert = near_convexity_certificate(Sample.over(CONE01_2, wgrid), [2.0, 2.0], 2.0, [10.0])
     assert cert.verdict is Verdict.PASS
     alpha = cert.witness("alpha")
     assert alpha == pytest.approx(np.sqrt(2.0), abs=1e-9)
@@ -116,7 +125,7 @@ def test_near_convexity_box2_p2():
 def test_near_convexity_strict_mode_records_probe():
     probe = Grid([-1.0, -1.0], [1.0, 1.0], 0.5)
     cert = near_convexity_certificate(
-        CONE01, [2.0], 2.0, [1.0, 10.0], WGRID_1D, strict=True, probe_grid=probe
+        Sample.over(CONE01, WGRID_1D), [2.0], 2.0, [1.0, 10.0], strict=True, probe_grid=probe
     )
     assert cert.verdict is Verdict.PASS
     assert cert.witness("maximality_evidence_count") >= 0.0
@@ -127,7 +136,7 @@ def test_near_convexity_strict_mode_records_probe():
 # --------------------------------------------------------------------------
 
 def test_conv_domain_two_point_graph_bound_chain():
-    cert = conv_domain_certificate(GraphOp(TWO_POINT), [2.0], 1.0, [0.5], WGRID_1D)
+    cert = conv_domain_certificate(Sample.over(GraphOp(TWO_POINT), WGRID_1D), [2.0], 1.0, [0.5])
     assert cert.verdict is Verdict.PASS
     assert cert.witness("r_emp") == pytest.approx(0.0, abs=1e-12)
     assert cert.witness("sup_quotient_sampled") == pytest.approx(1.0, abs=1e-12)
@@ -135,12 +144,31 @@ def test_conv_domain_two_point_graph_bound_chain():
 
 
 def test_conv_domain_cone_passes():
-    cert = conv_domain_certificate(CONE01, [2.0], 1.0, [1.0, 10.0, 100.0], WGRID_1D)
+    cert = conv_domain_certificate(
+        Sample.over(CONE01, WGRID_1D), [2.0], 1.0, [1.0, 10.0, 100.0]
+    )
     assert cert.verdict is Verdict.PASS
 
 
+def test_conv_domain_one_fiber_call_per_domain_point(monkeypatch):
+    """The schedule's candidates and the bound chain's probes read one fiber
+    table."""
+    calls = []
+    real_fiber = fitzkit.operators.fiber
+
+    def counting_fiber(*args, **kwargs):
+        calls.append(args[1])
+        return real_fiber(*args, **kwargs)
+
+    sample = Sample.over(CONE01, WGRID_1D)
+    monkeypatch.setattr(fitzkit.operators, "fiber", counting_fiber)
+    cert = conv_domain_certificate(sample, [2.0], 1.0, [1.0, 10.0, 100.0])
+    assert cert.verdict is Verdict.PASS
+    assert len(calls) == len(sample.domain) == 11
+
+
 def test_conv_domain_inside_hull_not_applicable():
-    cert = conv_domain_certificate(CONE01, [0.5], 1.0, [1.0], WGRID_1D)
+    cert = conv_domain_certificate(Sample.over(CONE01, WGRID_1D), [0.5], 1.0, [1.0])
     assert cert.verdict is Verdict.NOT_APPLICABLE
 
 
@@ -149,25 +177,27 @@ def test_conv_domain_inside_hull_not_applicable():
 # --------------------------------------------------------------------------
 
 def test_simons_lower_bound_two_point():
-    cert = simons_lower_bound_check(TWO_POINT, pair([2.0], [1.0]))
+    cert = simons_lower_bound_check(Sample.over(GraphOp(TWO_POINT), None), pair([2.0], [1.0]))
     assert cert.verdict is Verdict.PASS
     assert cert.witness("r_emp") == pytest.approx(0.0, abs=1e-12)
 
 
 def test_simons_lower_bound_related_pair_nonnegative():
-    cert = simons_lower_bound_check(TWO_POINT, pair([2.0], [3.0]))
+    cert = simons_lower_bound_check(Sample.over(GraphOp(TWO_POINT), None), pair([2.0], [3.0]))
     assert cert.verdict is Verdict.PASS
     assert cert.witness("r_emp") >= 0.0
 
 
 def test_simons_lower_bound_cone_infinite_not_applicable():
-    cert = simons_lower_bound_check(CONE01, pair([2.0], [0.0]), wgrid=WGRID_1D)
+    cert = simons_lower_bound_check(Sample.over(CONE01, WGRID_1D), pair([2.0], [0.0]))
     assert cert.verdict is Verdict.NOT_APPLICABLE
 
 
 def test_simons_lower_bound_sampled_stability():
     op = SubdiffOp(Quadratic([[1.0]], [0.0]))
-    cert = simons_lower_bound_check(op, pair([3.0], [1.0]), wgrid=Grid([-4.0], [4.0], 0.2))
+    cert = simons_lower_bound_check(
+        Sample.over(op, Grid([-4.0], [4.0], 0.2)), pair([3.0], [1.0])
+    )
     assert cert.verdict is Verdict.PASS
     assert cert.witness("relative_change") <= 0.10
 
@@ -178,7 +208,7 @@ def test_simons_lower_bound_sampled_stability():
 
 def test_br_identity_worked_example():
     op = SubdiffOp(Quadratic([[1.0]], [0.0]))
-    cert = br_check(op, pair([1.0], [0.0]), 0.6, 0.6, wgrid=Grid([-4.0], [4.0], 0.1))
+    cert = br_check(Sample.over(op, Grid([-4.0], [4.0], 0.1)), pair([1.0], [0.0]), 0.6, 0.6)
     assert cert.verdict is Verdict.PASS
     w = cert.witness("witness_pair")
     assert np.linalg.norm(w.primal - 1.0) < 0.6
@@ -188,7 +218,7 @@ def test_br_identity_worked_example():
 
 def test_br_on_graph_point_trivial():
     op = SubdiffOp(Quadratic([[1.0]], [0.0]))
-    cert = br_check(op, pair([1.0], [1.0]), 0.3, 0.3, wgrid=Grid([-4.0], [4.0], 0.1))
+    cert = br_check(Sample.over(op, Grid([-4.0], [4.0], 0.1)), pair([1.0], [1.0]), 0.3, 0.3)
     assert cert.verdict is Verdict.PASS
     w = cert.witness("witness_pair")
     assert np.linalg.norm(w.primal - 1.0) < 1e-6
@@ -196,7 +226,7 @@ def test_br_on_graph_point_trivial():
 
 def test_br_hypothesis_fails_not_applicable():
     op = SubdiffOp(Quadratic([[1.0]], [0.0]))
-    cert = br_check(op, pair([1.0], [0.0]), 0.1, 0.1, wgrid=Grid([-4.0], [4.0], 0.1))
+    cert = br_check(Sample.over(op, Grid([-4.0], [4.0], 0.1)), pair([1.0], [0.0]), 0.1, 0.1)
     assert cert.verdict is Verdict.NOT_APPLICABLE
     assert cert.witness("inf_product") <= -0.01
 
@@ -206,7 +236,7 @@ def test_br_hypothesis_fails_not_applicable():
 # --------------------------------------------------------------------------
 
 def test_blowup_cone_1d():
-    trace, cert = blowup_witness_sequence(CONE01, [2.0], [1, 10, 100], WGRID_1D)
+    trace, cert = blowup_witness_sequence(Sample.over(CONE01, WGRID_1D), [2.0], [1, 10, 100])
     assert cert.verdict is Verdict.PASS
     assert cert.witness("delta") == pytest.approx(0.5, abs=1e-12)
     # delta matches separate's margin exactly
@@ -221,14 +251,16 @@ def test_blowup_cone_1d():
 
 
 def test_blowup_linear_inside_hull_not_applicable():
-    trace, cert = blowup_witness_sequence(IDENT, [3.0], [1, 5], Grid([-10.0], [10.0], 0.5))
+    trace, cert = blowup_witness_sequence(
+        Sample.over(IDENT, Grid([-10.0], [10.0], 0.5)), [3.0], [1, 5]
+    )
     assert cert.verdict is Verdict.NOT_APPLICABLE
     assert trace.entries == ()
 
 
 def test_blowup_box2():
     wgrid = Grid([-2.0, -2.0], [3.0, 3.0], 0.25)
-    trace, cert = blowup_witness_sequence(CONE01_2, [2.0, 0.5], [1, 5], wgrid)
+    trace, cert = blowup_witness_sequence(Sample.over(CONE01_2, wgrid), [2.0, 0.5], [1, 5])
     assert cert.verdict is Verdict.PASS
     assert cert.witness("delta") == pytest.approx(0.5, abs=1e-12)
     y0 = cert.witness("y0star")
@@ -238,7 +270,7 @@ def test_blowup_box2():
 
 
 def test_blowup_superlinear_trend():
-    trace, cert = blowup_witness_sequence(CONE01, [2.0], [1, 10, 100], WGRID_1D)
+    trace, cert = blowup_witness_sequence(Sample.over(CONE01, WGRID_1D), [2.0], [1, 10, 100])
     vals = trace.values()
     ns = trace.params()
     assert vals[-1] / vals[0] >= 0.5 * ns[-1] / ns[0]
@@ -306,7 +338,9 @@ def test_corollary_families_hull_adds_nothing():
 
 
 def test_near_convexity_fractional_p():
-    cert = near_convexity_certificate(CONE01, [2.0], 1.5, [1.0, 10.0, 100.0], WGRID_1D)
+    cert = near_convexity_certificate(
+        Sample.over(CONE01, WGRID_1D), [2.0], 1.5, [1.0, 10.0, 100.0]
+    )
     assert cert.verdict is Verdict.PASS
     alpha = cert.witness("alpha")
     for lam in (1.0, 10.0, 100.0):

@@ -18,6 +18,7 @@ from fitzkit.operators import (
     LinearOp,
     NormalConeOp,
     PerturbedOp,
+    Sample,
     ShiftedOp,
     duality_map,
     fiber,
@@ -70,7 +71,7 @@ def test_shift_flattening():
 def test_near_convexity_fail_on_bounded_graph():
     g = FiniteGraph((pair([0.0], [0.0]), pair([1.0], [1.0])))
     cert = near_convexity_certificate(
-        GraphOp(g), [2.0], 1.0, [0.5, 100.0], Grid([-1.0], [2.0], 0.5)
+        Sample.over(GraphOp(g), Grid([-1.0], [2.0], 0.5)), [2.0], 1.0, [0.5, 100.0]
     )
     assert cert.verdict is Verdict.FAIL
     assert cert.witness("first_missing_lambda") == 100.0
@@ -78,7 +79,7 @@ def test_near_convexity_fail_on_bounded_graph():
 
 def test_br_fail_on_sparse_graph():
     g = FiniteGraph((pair([0.0], [0.0]), pair([2.0], [2.0])))
-    cert = br_check(GraphOp(g), pair([1.0], [1.0]), 0.5, 0.5)
+    cert = br_check(Sample.over(GraphOp(g), None), pair([1.0], [1.0]), 0.5, 0.5)
     assert cert.verdict is Verdict.FAIL
     assert cert.witness("near_miss_score") == pytest.approx(2.0)
 

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-import fitzkit.fitzpatrick
+import fitzkit.operators
 from fitzkit.certificates import Verdict
 from fitzkit.errors import VacuousForFiniteGraphError
 from fitzkit.fitzpatrick import (
@@ -24,6 +24,7 @@ from fitzkit.operators import (
     LinearOp,
     NormalConeOp,
     Quadratic,
+    Sample,
     SubdiffOp,
     graph_sample,
 )
@@ -159,7 +160,8 @@ def test_sampled_monotone_in_grid():
 # --------------------------------------------------------------------------
 
 def test_domain_projection_normal_cone():
-    scan = fitz_domain_projection(CONE01, Grid([-1.0], [3.0], 0.05))
+    xgrid = Grid([-1.0], [3.0], 0.05)
+    scan = fitz_domain_projection(Sample.over(CONE01, xgrid.scaled(2.0, 2.0)), xgrid)
     members = scan.member_points[:, 0]
     assert scan.method == "sampled_threshold"
     assert members.min() == pytest.approx(0.0, abs=1e-9)
@@ -169,22 +171,23 @@ def test_domain_projection_normal_cone():
 
 def test_domain_projection_one_fiber_call_per_node(monkeypatch):
     calls = []
-    real_fiber = fitzkit.fitzpatrick.fiber
+    real_fiber = fitzkit.operators.fiber
 
     def counting_fiber(*args, **kwargs):
         calls.append(args[1])
         return real_fiber(*args, **kwargs)
 
-    monkeypatch.setattr(fitzkit.fitzpatrick, "fiber", counting_fiber)
+    monkeypatch.setattr(fitzkit.operators, "fiber", counting_fiber)
     xgrid = Grid([-1.0, -1.0], [2.0, 2.0], 0.25)
-    scan = fitz_domain_projection(NormalConeOp(Box([0.0, 0.0], [1.0, 1.0])), xgrid)
+    cone = NormalConeOp(Box([0.0, 0.0], [1.0, 1.0]))
+    scan = fitz_domain_projection(Sample.over(cone, xgrid.scaled(2.0, 2.0)), xgrid)
     assert len(scan.member_points) == 25  # the [0,1]^2 lattice at 0.25
     assert len(calls) <= xgrid.count
 
 
 def test_domain_projection_linear_identity_all_nodes():
     grid = Grid([-1.0, -1.0], [1.0, 1.0], 0.5)
-    scan = fitz_domain_projection(IDENT2, grid)
+    scan = fitz_domain_projection(Sample.over(IDENT2, grid.scaled(2.0, 2.0)), grid)
     assert scan.method == "linear_consistency"
     assert len(scan.member_points) == grid.count
 
@@ -192,13 +195,13 @@ def test_domain_projection_linear_identity_all_nodes():
 def test_domain_projection_skew_marks_every_node():
     # regression guard: dom F_A is thin but its projection covers X
     grid = Grid([-1.0, -1.0], [1.0, 1.0], 0.5)
-    scan = fitz_domain_projection(SKEW, grid)
+    scan = fitz_domain_projection(Sample.over(SKEW, grid.scaled(2.0, 2.0)), grid)
     assert len(scan.member_points) == grid.count
 
 
 def test_domain_projection_rejects_graphs():
     with pytest.raises(VacuousForFiniteGraphError):
-        fitz_domain_projection(GraphOp(TWO_POINT), Grid([-1.0], [1.0], 0.5))
+        fitz_domain_projection(Sample.over(GraphOp(TWO_POINT), None), Grid([-1.0], [1.0], 0.5))
 
 
 # --------------------------------------------------------------------------

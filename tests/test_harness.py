@@ -1,9 +1,11 @@
 import inspect
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
+from fitzkit import operators
 from fitzkit.certificates import Verdict
 from fitzkit.cli import main
 from fitzkit.errors import ScenarioParseError, ValidationError
@@ -161,3 +163,24 @@ def test_operator_zoo_all_pass():
     rep = run_suite(cfg)
     assert rep.exit_code() == 0
     assert_matches_golden(rep, "operator-zoo")
+
+
+@pytest.mark.parametrize("scenario, calls", [("paper-suite", 8), ("operator-zoo", 11)])
+def test_run_suite_samples_each_target_and_grid_once(monkeypatch, scenario, calls):
+    """One graph_sample per (target, wgrid) pair the checks share, plus one
+    per theorem36 check, whose grid derives from its xgrid."""
+    made = []
+    real = operators.graph_sample
+
+    def counting(*args, **kwargs):
+        made.append(args[1])
+        return real(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "fitzkit" or name.startswith("fitzkit."):
+            for attr, val in list(vars(mod).items()):
+                if val is real:
+                    monkeypatch.setattr(mod, attr, counting)
+    rep = run_suite(load_scenario(SCENARIO_DIR / f"{scenario}.json"))
+    assert rep.exit_code() == 0
+    assert len(made) == calls

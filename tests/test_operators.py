@@ -19,6 +19,7 @@ from fitzkit.operators import (
     NormalConeOp,
     PerturbedOp,
     Quadratic,
+    Sample,
     ShiftedOp,
     SubdiffOp,
     TranslatedNormPower,
@@ -594,7 +595,7 @@ def test_monotonically_related_worked_examples():
 def test_maximality_probe_finds_gap():
     g = graph_of(([0.0], [0.0]), ([1.0], [1.0]))
     probe = Grid([0.25, 0.25], [0.75, 0.75], 0.25)
-    out = maximality_probe(GraphOp(g), probe)
+    out = maximality_probe(Sample.over(GraphOp(g), None), probe)
     found = {(round(p.primal[0], 6), round(p.dual[0], 6)) for p in out}
     assert (0.5, 0.5) in found
 
@@ -602,7 +603,7 @@ def test_maximality_probe_finds_gap():
 def test_maximality_probe_identity_empty():
     wgrid = Grid([-2.0], [2.0], 0.05)
     probe = Grid([-1.0, -1.0], [1.0, 1.0], 0.1)
-    out = maximality_probe(IDENT, probe, wgrid=wgrid)
+    out = maximality_probe(Sample.over(IDENT, wgrid), probe)
     assert out == []
 
 
@@ -611,7 +612,7 @@ def test_maximality_probe_empty_grid_region():
     # a probe box fully off-graph but unrelated: all probes have a negative
     # product against some graph point, so nothing is returned
     probe = Grid([5.0, -9.0], [6.0, -8.0], 0.5)
-    assert maximality_probe(GraphOp(g), probe) == []
+    assert maximality_probe(Sample.over(GraphOp(g), None), probe) == []
 
 
 # --------------------------------------------------------------------------
@@ -698,7 +699,7 @@ def test_inverse_graph_symmetry():
     op = SubdiffOp(Quadratic([[1.0]], [0.0]))
     g = graph_sample(op, Grid([-2.0], [2.0], 0.25))
     gi = inverse_graph(g)
-    cert = simons_lower_bound_check(gi, pair([3.0], [1.0]))
+    cert = simons_lower_bound_check(Sample.over(GraphOp(gi), None), pair([3.0], [1.0]))
     assert cert.verdict is Verdict.PASS
-    cert = br_check(GraphOp(gi), pair([1.0], [1.0]), 0.3, 0.3)
+    cert = br_check(Sample.over(GraphOp(gi), None), pair([1.0], [1.0]), 0.3, 0.3)
     assert cert.verdict is Verdict.PASS
