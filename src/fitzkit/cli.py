@@ -21,15 +21,16 @@ from pathlib import Path
 from .errors import FitzkitError
 from .fitzpatrick import Finite, fitz_finite, fitz_linear, fitz_sampled
 from .harness import (
-    emit_report,
     load_scenario,
+    parse_grid,
     parse_operator,
     reformat_report_json,
+    render_report,
     run_suite,
     scenario_from_dict,
 )
 from .operators import GraphOp, LinearOp, op_dimension
-from .vecspace import Grid, ToleranceConfig, pair
+from .vecspace import ToleranceConfig, pair
 
 
 def _parse_vector(text: str) -> list[float]:
@@ -39,11 +40,12 @@ def _parse_vector(text: str) -> list[float]:
         raise FitzkitError(f"expected comma-separated numbers, got {text!r}") from e
 
 
-def _parse_grid(text: str, cap: int) -> Grid:
+def _parse_grid(text: str) -> dict:
+    """A grid flag as the lower/upper/spacing object of a scenario grid."""
     parts = [_parse_vector(p) for p in text.split(":")]
     if len(parts) != 3 or len(parts[2]) != 1:
         raise FitzkitError(f"grid must look like 'lo1,lo2:hi1,hi2:spacing', got {text!r}")
-    return Grid(parts[0], parts[1], parts[2][0], cap=cap)
+    return {"lower": parts[0], "upper": parts[1], "spacing": parts[2][0]}
 
 
 def _json_object(text: str, flag: str) -> dict:
@@ -89,29 +91,16 @@ def _cmd_suite(args) -> int:
             tolerances=replace(cfg.tolerances, **overrides),
         )
     report = run_suite(cfg)
-    _write(emit_report(report, args.format), args.out)
+    _write(render_report(report, args.format), args.out)
     return report.exit_code()
 
 
 def _cmd_check(args) -> int:
     op_obj = _json_object(args.operator, "--operator")
     dim = args.dimension or (op_dimension(parse_operator(op_obj, "operator")) or 1)
-    params: dict = {}
-    grids: dict = {}
-
-    def add_grid(name, text):
-        if text:
-            g = _parse_grid(text, 100_000)
-            grids[name] = {
-                "lower": g.lower.tolist(),
-                "upper": g.upper.tolist(),
-                "spacing": g.spacing,
-            }
-            params[name] = name
-
-    add_grid("wgrid", args.wgrid)
-    add_grid("xgrid", args.xgrid)
-    add_grid("probe_grid", args.probe_grid)
+    flags = ("wgrid", "xgrid", "probe_grid")
+    grids = {key: _parse_grid(getattr(args, key)) for key in flags if getattr(args, key)}
+    params: dict = {key: key for key in grids}
     for key in ("z", "zstar", "x", "xstar", "lambdas", "n_schedule"):
         if getattr(args, key):
             params[key] = _parse_vector(getattr(args, key))
@@ -134,7 +123,7 @@ def _cmd_check(args) -> int:
     }
     cfg = scenario_from_dict(raw)
     report = run_suite(cfg)
-    _write(emit_report(report, args.format), args.out)
+    _write(render_report(report, args.format), args.out)
     return report.exit_code()
 
 
@@ -152,7 +141,8 @@ def _cmd_fitz(args) -> int:
     else:
         if not args.wgrid:
             raise FitzkitError("sampled operators need --wgrid")
-        value = fitz_sampled(op, pt, _parse_grid(args.wgrid, tol.budget), tol)
+        wgrid = parse_grid(_parse_grid(args.wgrid), "--wgrid", tol.budget)
+        value = fitz_sampled(op, pt, wgrid, tol)
         method = "sampled"
     if isinstance(value, Finite):
         payload = {"kind": "finite", "value": value.value, "method": method}

@@ -16,8 +16,9 @@ import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -202,23 +203,6 @@ class ScenarioConfig:
     checks: tuple
 
 
-# Params each check cannot run without (README's check table), as alternative
-# sets: a check needs every param of at least one set. Grids needed only for
-# sampled targets are checked when the check runs.
-REQUIRED_PARAMS = {
-    "theorem36": (("xgrid",),),
-    "near_convexity": (("z", "lambdas", "wgrid"),),
-    "conv_domain": (("z", "lambdas", "wgrid"),),
-    "sup_quotient": (("z", "wgrid"),),
-    "simons_lower_bound": (("z", "zstar"),),
-    "br": (("trials",), ("x", "xstar", "alpha", "beta")),
-    "blowup_witness": (("z", "n_schedule", "wgrid"),),
-    "fitz_inequality": ((),),
-    "shift_identity": (("z", "zstar"),),
-    "maximality_probe": (("probe_grid",),),
-}
-
-
 def _number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
@@ -227,27 +211,44 @@ def _numbers(v) -> bool:
     return isinstance(v, (list, tuple)) and all(map(_number, v))
 
 
-def _vector(v) -> bool:
-    return _number(v) or (_numbers(v) and len(v) > 0)
+def _vector(v, dim: int) -> bool:
+    """A list of dim numbers, or a bare number when dim is 1 (as_vector's reading)."""
+    return (_number(v) and dim == 1) or (_numbers(v) and len(v) == dim)
 
 
-# The kind of value each check param must hold, as (description, test). A
-# present param of another kind is rejected when the scenario loads; grid
-# params name a grid and are resolved separately.
+_EXPECTATIONS = {
+    "crosses": lambda v: isinstance(v, bool),
+    "at_most": _number,
+    "between": lambda v: _numbers(v) and len(v) == 2 and v[0] <= v[1],
+}
+
+# The kind of value each check param must hold, as (description, test(value,
+# dimension)); a param of another kind is rejected when the scenario loads.
+# A grid param (test None) must name a grid of the scenario.
 PARAM_KINDS = {
-    **dict.fromkeys(("z", "zstar", "x", "xstar", "box_lo", "box_hi"), ("a vector", _vector)),
-    **dict.fromkeys(("lambdas", "n_schedule"), ("a list of numbers", _numbers)),
-    **dict.fromkeys(("p", "alpha", "beta"), ("a number", _number)),
+    **dict.fromkeys(("z", "zstar", "x", "xstar", "box_lo", "box_hi"), ("a {dim}-vector", _vector)),
     **dict.fromkeys(
-        ("trials", "n_samples"),
-        ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+        ("lambdas", "n_schedule"),
+        ("a nonempty list of numbers", lambda v, _: _numbers(v) and len(v) > 0),
     ),
-    **dict.fromkeys(("strict", "allow_z_in_domain"), ("a boolean", lambda v: isinstance(v, bool))),
-    "expect": ("an object", lambda v: isinstance(v, dict)),
+    **dict.fromkeys(("p", "alpha", "beta"), ("a number", lambda v, _: _number(v))),
+    **dict.fromkeys(
+        ("trials", "n_samples"), ("an integer", lambda v, _: _number(v) and isinstance(v, int))
+    ),
+    **dict.fromkeys(
+        ("strict", "allow_z_in_domain"), ("a boolean", lambda v, _: isinstance(v, bool))
+    ),
+    **dict.fromkeys(("wgrid", "xgrid", "probe_grid"), ("a grid name", None)),
+    "expect": (
+        "an object of crosses (a boolean), at_most (a number) or between ([lo, hi], lo <= hi)",
+        lambda v, _: isinstance(v, dict)
+        and all(k in _EXPECTATIONS and _EXPECTATIONS[k](e) for k, e in v.items()),
+    ),
     "points": (
-        "a list of [x, x*] pairs",
-        lambda v: isinstance(v, (list, tuple))
-        and all(isinstance(q, (list, tuple)) and len(q) == 2 and all(map(_vector, q)) for q in v),
+        "a list of [x, x*] pairs of {dim}-vectors",
+        lambda v, dim: isinstance(v, (list, tuple))
+        and all(isinstance(q, (list, tuple)) and len(q) == 2 for q in v)
+        and all(_vector(side, dim) for q in v for side in q),
     ),
 }
 
@@ -294,23 +295,35 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
     for i, obj in enumerate(_expect(raw.get("checks", []), list, "checks")):
         where = f"checks[{i}]"
         kind = _expect(obj, dict, where).get("check")
-        if not isinstance(kind, str) or kind not in REQUIRED_PARAMS:
+        if not isinstance(kind, str) or kind not in CHECKS:
             raise ValidationError(f"{where}: unknown check {kind!r}")
+        entry = CHECKS[kind]
         target = obj.get("target")
         if not isinstance(target, str) or target not in operators:
             raise ValidationError(f"{where}: unresolved operator name {target!r}")
+        on_graph = isinstance(operators[target], GraphOp)
         params = dict(_expect(obj.get("params", {}), dict, f"{where}.params"))
-        missing = [[k for k in alt if k not in params] for alt in REQUIRED_PARAMS[kind]]
+        missing = [[k for k in alt if k not in params] for alt in entry.needs]
         if all(missing):
             need = " or ".join(", ".join(m) for m in missing)
             raise ScenarioParseError(f"{where}: {kind} needs parameter(s) {need}")
+        if entry.samples and not on_graph and "wgrid" not in params:
+            raise ScenarioParseError(f"{where}: {kind} needs parameter(s) wgrid for {target!r}")
         for key, val in params.items():
-            what, ok = PARAM_KINDS.get(key, (None, None))
-            if ok is not None and not ok(val):
-                raise ScenarioParseError(f"{where}.params.{key}: expected {what}, got {val!r:.60}")
-        for key in ("wgrid", "xgrid", "probe_grid"):
-            if key in params and not (isinstance(params[key], str) and params[key] in grids):
-                raise ValidationError(f"{where}: unresolved grid name {params[key]!r}")
+            if key not in entry.accepts:
+                takes = ", ".join(sorted(entry.accepts))
+                raise ScenarioParseError(f"{where}.params.{key}: {kind} takes only {takes}")
+            what, ok = PARAM_KINDS[key]
+            if ok is None:
+                if not (isinstance(val, str) and val in grids):
+                    raise ValidationError(f"{where}: unresolved grid name {val!r}")
+            elif not ok(val, dim):
+                raise ScenarioParseError(
+                    f"{where}.params.{key}: expected {what.format(dim=dim)}, got {val!r:.60}"
+                )
+        if entry.graph_target is not None and entry.graph_target != on_graph:
+            want = "a finite-graph" if entry.graph_target else "a sampled"
+            raise ValidationError(f"{where}: {kind} needs {want} target, not {target!r}")
         checks.append(CheckSpec(kind, target, params))
     return ScenarioConfig(dim, seed, tol, operators, grids, tuple(checks))
 
@@ -351,150 +364,155 @@ def scenario_digest(cfg: ScenarioConfig) -> str:
 # Check runners
 # ---------------------------------------------------------------------------
 
-def _grid(cfg: ScenarioConfig, params: dict, key: str) -> Optional[Grid]:
-    name = params.get(key)
-    return None if name is None else cfg.grids[name]
+@dataclass(frozen=True, eq=False)
+class _Run:
+    """One check's view of its suite run: the scenario, the check, the check's
+    random stream, and the suite's samples, one per (target, wgrid name)."""
+
+    cfg: ScenarioConfig
+    spec: CheckSpec
+    rng: np.random.Generator
+    samples: dict
+
+    op = property(lambda self: self.cfg.operators[self.spec.target])
+    params = property(lambda self: self.spec.params)
+    tol = property(lambda self: self.cfg.tolerances)
+
+    def grid(self, key: str) -> Optional[Grid]:
+        return self.cfg.grids.get(self.params.get(key))  # None when the param is absent
+
+    def sample(self) -> Sample:
+        key = (self.spec.target, self.params.get("wgrid"))
+        if key not in self.samples:
+            self.samples[key] = Sample.over(self.op, self.grid("wgrid"), self.tol)
+        return self.samples[key]
+
+    def box_pairs(self, count: int):
+        """count pairs (x, x*) drawn uniformly from the box_lo..box_hi box
+        (default [-2, 2]^n), one pair at a time as they are consumed."""
+        lo = self.params.get("box_lo", [-2.0] * self.cfg.dimension)
+        hi = self.params.get("box_hi", [2.0] * self.cfg.dimension)
+        for _ in range(count):
+            yield self.rng.uniform(lo, hi), self.rng.uniform(lo, hi)
 
 
-def _run_one_check(
-    cfg: ScenarioConfig, spec: CheckSpec, child_seed: int, samples: dict
-) -> Certificate:
-    """Run one check. samples memoizes one Sample per (target, wgrid name)
-    across the checks of a suite."""
-    op = cfg.operators[spec.target]
-    tol = cfg.tolerances
-    params = spec.params
-    rng = np.random.default_rng(child_seed)
+def _sup_quotient(run: _Run) -> Certificate:
+    p, threshold = run.params, run.tol.inf_threshold
+    expect = p.get("expect", {})
+    try:
+        est, trace = sup_quotient(run.sample(), p["z"], p.get("allow_z_in_domain", False))
+    except ZOnDomainError as e:
+        return not_applicable("sup_quotient", str(e))
+    witnesses = [("estimate", est)]
+    if trace.entries:
+        witnesses.append(("witness", trace.entries[-1][2]))
+    ok, why = True, "estimate recorded"
+    if expect.get("crosses"):
+        ok = est >= threshold
+        why = f"estimate {est:.6g} vs crossing threshold {threshold:g}"
+    elif "at_most" in expect:
+        ok = est <= expect["at_most"]
+        why = f"estimate {est:.6g} vs bound {expect['at_most']:g}"
+    elif "between" in expect:
+        lo, hi = expect["between"]
+        ok = lo <= est <= hi
+        why = f"estimate {est:.6g} vs window [{lo:g}, {hi:g}]"
+    return (passed if ok else failed)("sup_quotient", why, witnesses)
 
-    def sample() -> Sample:
-        key = (spec.target, params.get("wgrid"))
-        if key not in samples:
-            samples[key] = Sample.over(op, _grid(cfg, params, "wgrid"), tol)
-        return samples[key]
 
-    if spec.check == "theorem36":
-        _, cert = theorem36_experiment(
-            op, _grid(cfg, params, "xgrid"), tol, wgrid=_grid(cfg, params, "wgrid")
-        )
-        return cert
+def _br(run: _Run) -> Certificate:
+    p, s = run.params, run.sample()
+    if "trials" not in p:
+        return br_check(s, pair(p["x"], p["xstar"]), p["alpha"], p["beta"])
+    n_pass = 0
+    for x, xs in run.box_pairs(p["trials"]):
+        alpha = float(run.rng.uniform(0.05, 1.0))
+        beta = float(run.rng.uniform(0.05, 1.0))
+        cert = br_check(s, pair(x, xs), alpha, beta)
+        if cert.verdict is Verdict.FAIL:
+            trial = [("trial_x", x), ("trial_alpha", alpha), ("trial_beta", beta)]
+            why = "a randomized trial with active hypothesis failed"
+            return failed("br", why, list(cert.witnesses) + trial)
+        n_pass += cert.verdict is Verdict.PASS
+    counts = [("activated_trials", float(n_pass)), ("inactive_trials", float(p["trials"] - n_pass))]
+    return passed("br", "all activated randomized trials passed", counts)
 
-    if spec.check == "near_convexity":
-        return near_convexity_certificate(
-            sample(),
-            params["z"],
-            float(params.get("p", 1.0)),
-            params["lambdas"],
-            strict=bool(params.get("strict", False)),
-            probe_grid=_grid(cfg, params, "probe_grid"),
-        )
 
-    if spec.check == "conv_domain":
-        return conv_domain_certificate(
-            sample(), params["z"], float(params.get("p", 1.0)), params["lambdas"]
-        )
+def _fitz_inequality(run: _Run) -> Certificate:
+    pts = [pair(x, xs) for x, xs in run.params.get("points", [])]
+    pts += [pair(x, xs) for x, xs in run.box_pairs(run.params.get("n_samples", 0))]
+    return fitz_inequality_check(run.op, pts, run.sample().graph, run.tol)
 
-    if spec.check == "sup_quotient":
-        expect = params.get("expect", {})
-        try:
-            est, trace = sup_quotient(
-                sample(),
-                params["z"],
-                allow_z_in_domain=bool(params.get("allow_z_in_domain", False)),
-            )
-        except ZOnDomainError as e:
-            return not_applicable("sup_quotient", str(e))
-        witnesses = [("estimate", est)]
-        if trace.entries:
-            witnesses.append(("witness", trace.entries[-1][2]))
-        ok, why = True, "estimate recorded"
-        if expect.get("crosses"):
-            ok = est >= tol.inf_threshold
-            why = f"estimate {est:.6g} vs crossing threshold {tol.inf_threshold:g}"
-        elif "at_most" in expect:
-            ok = est <= float(expect["at_most"])
-            why = f"estimate {est:.6g} vs bound {float(expect['at_most']):g}"
-        elif "between" in expect:
-            lo, hi = (float(v) for v in expect["between"])
-            ok = lo <= est <= hi
-            why = f"estimate {est:.6g} vs window [{lo:g}, {hi:g}]"
-        return passed("sup_quotient", why, witnesses) if ok else failed(
-            "sup_quotient", why, witnesses
-        )
 
-    if spec.check == "simons_lower_bound":
-        return simons_lower_bound_check(sample(), pair(params["z"], params["zstar"]))
+def _maximality_probe(run: _Run) -> Certificate:
+    evidence = maximality_probe(run.sample(), run.grid("probe_grid"))
+    if evidence:
+        witnesses = [("evidence_count", float(len(evidence)))]
+        witnesses += [(f"evidence_{i}", p) for i, p in enumerate(evidence[:5])]
+        why = "probe points monotonically related to the surrogate but not members"
+        return failed("maximality_probe", why, witnesses)
+    why = "no evidence against maximality within the probe budget"
+    return passed("maximality_probe", why, [("evidence_count", 0.0)])
 
-    if spec.check == "br":
-        if "trials" in params:
-            lo = np.asarray(params.get("box_lo", [-2.0] * cfg.dimension), dtype=float)
-            hi = np.asarray(params.get("box_hi", [2.0] * cfg.dimension), dtype=float)
-            s = sample()
-            n_pass = n_na = 0
-            for _ in range(int(params["trials"])):
-                x = rng.uniform(lo, hi)
-                xs = rng.uniform(lo, hi)
-                alpha = float(rng.uniform(0.05, 1.0))
-                beta = float(rng.uniform(0.05, 1.0))
-                cert = br_check(s, pair(x, xs), alpha, beta)
-                if cert.verdict is Verdict.FAIL:
-                    return failed(
-                        "br",
-                        "a randomized trial with active hypothesis failed",
-                        list(cert.witnesses)
-                        + [("trial_x", x), ("trial_alpha", alpha), ("trial_beta", beta)],
-                    )
-                if cert.verdict is Verdict.PASS:
-                    n_pass += 1
-                else:
-                    n_na += 1
-            return passed(
-                "br",
-                "all activated randomized trials passed",
-                [("activated_trials", float(n_pass)), ("inactive_trials", float(n_na))],
-            )
-        return br_check(
-            sample(),
-            pair(params["x"], params["xstar"]),
-            float(params["alpha"]),
-            float(params["beta"]),
-        )
 
-    if spec.check == "blowup_witness":
-        _, cert = blowup_witness_sequence(sample(), params["z"], params["n_schedule"])
-        return cert
+@dataclass(frozen=True)
+class Check:
+    """One check kind. A check needs every param of at least one set in needs
+    and may also take the params in optional. A check that samples its target
+    takes wgrid, and needs it unless the target is a finite graph.
+    graph_target True admits only finite-graph targets, False only others."""
 
-    if spec.check == "fitz_inequality":
-        pts = [pair(p, d) for p, d in params.get("points", [])]
-        n_samples = int(params.get("n_samples", 0))
-        if n_samples:
-            lo = np.asarray(params.get("box_lo", [-2.0] * cfg.dimension), dtype=float)
-            hi = np.asarray(params.get("box_hi", [2.0] * cfg.dimension), dtype=float)
-            for _ in range(n_samples):
-                pts.append(pair(rng.uniform(lo, hi), rng.uniform(lo, hi)))
-        return fitz_inequality_check(op, pts, sample().graph, tol)
+    run: Callable[[_Run], Certificate]
+    needs: tuple
+    optional: tuple = ()
+    samples: bool = True
+    graph_target: Optional[bool] = None
 
-    if spec.check == "shift_identity":
-        if not isinstance(op, GraphOp):
-            raise ValidationError("shift_identity targets a graph operator")
-        return shift_identity_check(op.graph, params["z"], params["zstar"], tol)
+    @property
+    def accepts(self) -> frozenset:
+        return frozenset(chain(*self.needs, self.optional, ("wgrid",) if self.samples else ()))
 
-    if spec.check == "maximality_probe":
-        evidence = maximality_probe(sample(), _grid(cfg, params, "probe_grid"))
-        if evidence:
-            witnesses = [("evidence_count", float(len(evidence)))]
-            witnesses += [(f"evidence_{i}", p) for i, p in enumerate(evidence[:5])]
-            return failed(
-                "maximality_probe",
-                "probe points monotonically related to the surrogate but not members",
-                witnesses,
-            )
-        return passed(
-            "maximality_probe",
-            "no evidence against maximality within the probe budget",
-            [("evidence_count", 0.0)],
-        )
 
-    raise ValidationError(f"unknown check {spec.check!r}")
+# Every check kind a scenario may name, as in README's check table.
+CHECKS: dict[str, Check] = {
+    "theorem36": Check(
+        lambda r: theorem36_experiment(r.op, r.grid("xgrid"), r.tol, wgrid=r.grid("wgrid"))[1],
+        needs=(("xgrid",),), optional=("wgrid",), samples=False, graph_target=False,
+    ),
+    "near_convexity": Check(
+        lambda r: near_convexity_certificate(
+            r.sample(), r.params["z"], r.params.get("p", 1.0), r.params["lambdas"],
+            strict=r.params.get("strict", False), probe_grid=r.grid("probe_grid"),
+        ),
+        needs=(("z", "lambdas"),), optional=("p", "strict", "probe_grid"),
+    ),
+    "conv_domain": Check(
+        lambda r: conv_domain_certificate(
+            r.sample(), r.params["z"], r.params.get("p", 1.0), r.params["lambdas"]
+        ),
+        needs=(("z", "lambdas"),), optional=("p",),
+    ),
+    "sup_quotient": Check(_sup_quotient, needs=(("z",),), optional=("allow_z_in_domain", "expect")),
+    "simons_lower_bound": Check(
+        lambda r: simons_lower_bound_check(r.sample(), pair(r.params["z"], r.params["zstar"])),
+        needs=(("z", "zstar"),),
+    ),
+    "br": Check(
+        _br, needs=(("trials",), ("x", "xstar", "alpha", "beta")), optional=("box_lo", "box_hi")
+    ),
+    "blowup_witness": Check(
+        lambda r: blowup_witness_sequence(r.sample(), r.params["z"], r.params["n_schedule"])[1],
+        needs=(("z", "n_schedule"),),
+    ),
+    "fitz_inequality": Check(
+        _fitz_inequality, needs=((),), optional=("points", "n_samples", "box_lo", "box_hi")
+    ),
+    "shift_identity": Check(
+        lambda r: shift_identity_check(r.op.graph, r.params["z"], r.params["zstar"], r.tol),
+        needs=(("z", "zstar"),), samples=False, graph_target=True,
+    ),
+    "maximality_probe": Check(_maximality_probe, needs=(("probe_grid",),)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -537,10 +555,10 @@ def run_suite(cfg: ScenarioConfig) -> Report:
     master = np.random.default_rng(cfg.seed)
     child_seeds = [int(master.integers(0, 2**63 - 1)) for _ in cfg.checks]
     samples: dict = {}
-    certs = [_run_one_check(cfg, sc, sd, samples) for sc, sd in zip(cfg.checks, child_seeds)]
-    results = tuple(
-        CheckResult(sc.check, sc.target, cert) for sc, cert in zip(cfg.checks, certs)
-    )
+    results = []
+    for sc, sd in zip(cfg.checks, child_seeds):
+        cert = CHECKS[sc.check].run(_Run(cfg, sc, np.random.default_rng(sd), samples))
+        results.append(CheckResult(sc.check, sc.target, cert))
     elapsed = time.monotonic() - t0
     return Report(
         scenario_digest=scenario_digest(cfg),
@@ -548,7 +566,7 @@ def run_suite(cfg: ScenarioConfig) -> Report:
         seed=cfg.seed,
         tolerances=cfg.tolerances,
         annotations=REPORT_ANNOTATIONS,
-        results=results,
+        results=tuple(results),
         timing={"started_utc": started, "elapsed_seconds": elapsed},
     )
 
@@ -599,14 +617,6 @@ def report_to_dict(report: Report) -> dict:
 
 def render_report(report: Report, fmt: str) -> str:
     return reformat_report_json(report_to_dict(report), fmt)
-
-
-def emit_report(report: Report, fmt: str, path=None) -> str:
-    """Render the report; write it to path when given, return the text."""
-    text = render_report(report, fmt)
-    if path is not None:
-        Path(path).write_text(text)
-    return text
 
 
 def reformat_report_json(stored: dict, fmt: str) -> str:

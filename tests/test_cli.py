@@ -171,8 +171,13 @@ LINEAR_1D = '{"kind": "linear", "matrix": [[1.0]]}'
         ("br", ["--params", '{"trials": 2, "box_lo": "abc"}'], "box_lo"),
         ("fitz_inequality", ["--params", '{"n_samples": "ten"}'], "n_samples"),
         ("fitz_inequality", ["--params", '{"points": [[1, 2, 3]]}'], "points"),
+        ("sup_quotient", ["--z", "3", "--expect", '{"at_most": "abc"}'], "expect"),
+        ("sup_quotient", ["--z", "3", "--expect", '{"between": [2, 1]}'], "expect"),
+        ("sup_quotient", ["--z", "3", "--expect", '{"at_mots": 1}'], "expect"),
+        ("near_convexity", ["--params", '{"z": [2.0], "lambdas": []}'], "lambdas"),
     ],
-    ids=["z", "lambdas", "trials", "expect", "p", "box_lo", "n_samples", "points"],
+    ids=["z", "lambdas", "trials", "expect", "p", "box_lo", "n_samples", "points",
+         "expect-at_most", "expect-between", "expect-key", "lambdas-empty"],
 )
 def test_check_param_of_wrong_kind_exit_two(capsys, check, flags, param):
     argv = ["check", "--check", check, "--operator", LINEAR_1D, "--wgrid=-1:1:0.5"]

@@ -8,9 +8,10 @@ import pytest
 from fitzkit import operators
 from fitzkit.certificates import Verdict
 from fitzkit.cli import main
-from fitzkit.errors import ScenarioParseError, ValidationError
+from fitzkit.errors import FitzkitError, ScenarioParseError, ValidationError
 from fitzkit.harness import (
-    emit_report,
+    CHECKS,
+    PARAM_KINDS,
     load_scenario,
     reformat_report_json,
     render_report,
@@ -19,8 +20,9 @@ from fitzkit.harness import (
     scenario_from_dict,
 )
 
-SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src" / "fitzkit" / "scenarios"
-GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIO_DIR = ROOT / "src" / "fitzkit" / "scenarios"
+GOLDEN_DIR = ROOT / "perfbench" / "golden"
 
 
 def assert_matches_golden(rep, scenario):
@@ -128,15 +130,12 @@ def test_parallel_matches_sequential():
     assert exc.value.code == 2
 
 
-def test_emit_csv_rows(tmp_path):
+def test_emit_csv_rows():
     cfg = load_scenario(SCENARIO_DIR / "expected-failures.json")
     rep = run_suite(cfg)
-    out = tmp_path / "r.csv"
-    text = emit_report(rep, "csv", out)
-    lines = text.strip().splitlines()
+    lines = render_report(rep, "csv").strip().splitlines()
     assert lines[0] == "check,target,verdict,key_scalar"
     assert len(lines) == 1 + len(rep.results)
-    assert out.read_text() == text
     assert "fail" in lines[1]
 
 
@@ -184,3 +183,61 @@ def test_run_suite_samples_each_target_and_grid_once(monkeypatch, scenario, call
     rep = run_suite(load_scenario(SCENARIO_DIR / f"{scenario}.json"))
     assert rep.exit_code() == 0
     assert len(made) == calls
+
+
+GRAPH_OP = {"kind": "graph", "pairs": [[[0.0], [0.0]], [[1.0], [1.0]]]}
+
+
+@pytest.mark.parametrize(
+    "check, target, params, message",
+    [
+        ("sup_quotient", "cone", {"z": [3.0], "wgrid": "scan", "allow_z_in_domian": True},
+         r"params\.allow_z_in_domian: sup_quotient takes only"),
+        ("near_convexity", "cone", {"z": [2.0], "lambdas": [1.0], "wgrid": "scan", "stirct": True},
+         r"params\.stirct: near_convexity takes only"),
+        ("simons_lower_bound", "cone", {"z": [2.0], "zstar": [1.0]}, r"needs parameter\(s\) wgrid"),
+        ("br", "cone", {"trials": 3}, r"needs parameter\(s\) wgrid"),
+        ("fitz_inequality", "cone", {"n_samples": 3}, r"needs parameter\(s\) wgrid"),
+        ("maximality_probe", "cone", {"probe_grid": "scan"}, r"needs parameter\(s\) wgrid"),
+        ("shift_identity", "cone", {"z": [2.0], "zstar": [1.0]}, "needs a finite-graph target"),
+        ("theorem36", "graph", {"xgrid": "scan"}, "needs a sampled target"),
+        ("near_convexity", "cone", {"z": [2.0, 1.0], "lambdas": [1.0], "wgrid": "scan"},
+         r"params\.z: expected a 1-vector"),
+        ("br", "cone", {"trials": 3, "wgrid": "scan", "box_lo": [-1.0, -1.0]},
+         r"params\.box_lo: expected a 1-vector"),
+    ],
+    ids=["typo-allow_z_in_domain", "typo-strict", "simons-no-wgrid", "br-no-wgrid",
+         "fitz_inequality-no-wgrid", "maximality_probe-no-wgrid", "shift_identity-on-cone",
+         "theorem36-on-graph", "z-2-vector", "box_lo-2-vector"],
+)
+def test_check_rejected_at_load(check, target, params, message):
+    """A bad check fails the scenario load, naming itself, even when a valid
+    check comes before it."""
+    raw = minimal_raw()
+    raw["operators"]["graph"] = GRAPH_OP
+    raw["checks"].append({"check": check, "target": target, "params": params})
+    with pytest.raises(FitzkitError, match=r"^checks\[1\]") as exc:
+        scenario_from_dict(raw)
+    assert exc.match(message)
+
+
+@pytest.mark.parametrize("check", [k for k, c in CHECKS.items() if c.samples])
+def test_finite_graph_target_needs_no_wgrid(check):
+    params = {"z": [2.0], "zstar": [1.0], "lambdas": [1.0], "n_schedule": [1], "trials": 2,
+              "probe_grid": "scan"}
+    accepted = {k: v for k, v in params.items() if k in CHECKS[check].accepts}
+    raw = minimal_raw(operators={"graph": GRAPH_OP},
+                      checks=[{"check": check, "target": "graph", "params": accepted}])
+    assert scenario_from_dict(raw).checks[0].params == accepted
+
+
+def test_every_accepted_param_has_a_kind():
+    accepted = set().union(*(c.accepts for c in CHECKS.values()))
+    assert accepted == set(PARAM_KINDS)
+
+
+def test_readme_check_table_lists_every_check():
+    readme = (ROOT / "README.md").read_text()
+    table = readme.split("Check kinds and their parameters:")[1].split("\n\n")[1]
+    rows = [line for line in table.splitlines() if line.startswith("| `")]
+    assert {row.split("`")[1] for row in rows} == set(CHECKS)
