@@ -23,7 +23,7 @@ from .errors import (
     ValidationError,
     ZOnDomainError,
 )
-from .fitzpatrick import fitz_at, fitz_domain_projection, is_finite
+from .fitzpatrick import fitz_at, fitz_domain_projection, fitz_rows, is_finite
 from .operators import (
     DualityMapOp,
     FiniteGraph,
@@ -31,6 +31,7 @@ from .operators import (
     LinearOp,
     OperatorSpec,
     Sample,
+    _duality_points,
     duality_point,
     maximality_probe,
     membership,
@@ -171,9 +172,7 @@ def _quotient_schedule_run(sample: Sample, z: Vector, p: float, lambda_schedule)
     """Shared witness loop: for each lambda find (a, a* + lam*b*) violating
     monotone relatedness of (z, 0) to the perturbed graph, with the duality
     selection b* in J_p(a - z) enforced by fiber membership."""
-    entries = []
-    extra_witnesses = []
-    missing = []
+    entries, extra_witnesses, missing = [], [], []
     schedule = sorted(float(lam) for lam in lambda_schedule)
     if any(lam <= 0 for lam in schedule):
         raise ValidationError("lambda schedule must be positive")
@@ -199,30 +198,43 @@ def _quotient_schedule_run(sample: Sample, z: Vector, p: float, lambda_schedule)
             continue
         a, astar, val = found
         bstar = duality_point(p, z, a)
-        if not membership(DualityMapOp(p, z), pair(a, bstar), tol):
-            missing.append(lam)
-            continue
-        perturbed = perturb(op, lam, p, z)
         total = astar + lam * bstar
         violation = float(np.dot(z - a, total))
-        if violation <= tol.eq_tol:
-            missing.append(lam)
-            continue
-        if not membership(perturbed, pair(a, total), tol):
+        if not (
+            membership(DualityMapOp(p, z), pair(a, bstar), tol)
+            and violation > tol.eq_tol
+            and membership(perturb(op, lam, p, z), pair(a, total), tol)
+        ):
             missing.append(lam)
             continue
         quotient = val / float(np.linalg.norm(z - a))
         entries.append((lam, quotient, pair(a, astar)))
         extra_witnesses.append((f"violation_lambda_{lam:g}", violation))
-    return entries, extra_witnesses, missing
+    witnesses = [
+        w for lam, q, pt in entries
+        for w in ((f"quotient_lambda_{lam:g}", q), (f"witness_lambda_{lam:g}", pt))
+    ]
+    return entries, witnesses + extra_witnesses, missing
 
 
-def _trend_ok(values: list[float], tol: ToleranceConfig) -> bool:
-    if not values:
-        return False
-    if values[-1] >= np.sqrt(tol.inf_threshold):
-        return True
-    return all(b > a for a, b in zip(values, values[1:]))
+def _schedule_verdict(name, entries, missing, scale, witnesses, tol, bound_text, pass_text):
+    """Pass when every lambda has a witness whose quotient exceeds
+    lambda * scale and the quotients trend unbounded (strictly increasing,
+    or past sqrt(inf_threshold) at the end)."""
+    if missing:
+        witnesses.insert(0, ("first_missing_lambda", float(missing[0])))
+        return failed(name, f"no violation witness found for lambda={missing[0]:g}", witnesses)
+    bound_fail = [(lam, q) for lam, q, _ in entries if q <= lam * scale - tol.eq_tol]
+    if bound_fail:
+        lam, q = bound_fail[0]
+        witnesses.insert(0, ("failing_quotient", q))
+        return failed(name, f"quotient {q:.6g} at lambda={lam:g} {bound_text}", witnesses)
+    values = [q for _, q, _ in entries]
+    unbounded = values[-1] >= np.sqrt(tol.inf_threshold)
+    if not (unbounded or all(b > a for a, b in zip(values, values[1:]))):
+        witnesses.insert(0, ("final_quotient", values[-1]))
+        return failed(name, "quotient schedule is not unbounded-trending", witnesses)
+    return passed(name, pass_text, witnesses)
 
 
 def near_convexity_certificate(
@@ -250,48 +262,23 @@ def near_convexity_certificate(
             "z lies within eq_tol of the sampled domain",
             [("domain_distance", alpha)],
         )
-    entries, extras, missing = _quotient_schedule_run(sample, z, p, lambda_schedule)
-    witnesses = [("alpha", alpha), ("p", float(p))]
-    for lam, q, w in entries:
-        witnesses.append((f"quotient_lambda_{lam:g}", q))
-        witnesses.append((f"witness_lambda_{lam:g}", w))
-    witnesses.extend(extras)
-    bound_fail = [
-        (lam, q) for lam, q, _ in entries if q <= lam * alpha ** (p - 1.0) - tol.eq_tol
-    ]
+    entries, schedule_witnesses, missing = _quotient_schedule_run(sample, z, p, lambda_schedule)
+    witnesses = [("alpha", alpha), ("p", float(p))] + schedule_witnesses
     if strict:
         if probe_grid is None:
             raise ValidationError("strict mode needs a probe grid")
         lam0 = min(float(lam) for lam in lambda_schedule)
-        # J_p(a - z) row by row; a != z since alpha > eq_tol
-        U = g.primals - z
-        r = np.linalg.norm(U, axis=1)[:, None]
-        bstar = U / r if p == 1.0 else r ** (p - 2.0) * U
+        bstar = _duality_points(p, z, g.primals)  # single-valued: a != z as alpha > eq_tol
         surrogate = FiniteGraph.from_arrays(g.primals, g.duals + lam0 * bstar)
         evidence = maximality_probe(
             Sample(perturb(sample.op, lam0, p, z), surrogate, tol), probe_grid
         )
         witnesses.append(("maximality_evidence_count", float(len(evidence))))
-    if missing:
-        witnesses.insert(0, ("first_missing_lambda", float(missing[0])))
-        return failed(name, f"no violation witness found for lambda={missing[0]:g}", witnesses)
-    if bound_fail:
-        lam, q = bound_fail[0]
-        witnesses.insert(0, ("failing_quotient", q))
-        return failed(
-            name,
-            f"quotient {q:.6g} at lambda={lam:g} does not exceed lambda*alpha^(p-1)",
-            witnesses,
-        )
-    values = [q for _, q, _ in entries]
-    if not _trend_ok(values, tol):
-        witnesses.insert(0, ("final_quotient", values[-1]))
-        return failed(name, "quotient schedule is not unbounded-trending", witnesses)
-    return passed(
-        name,
+    return _schedule_verdict(
+        name, entries, missing, alpha ** (p - 1.0), witnesses, tol,
+        "does not exceed lambda*alpha^(p-1)",
         "every scheduled lambda yields a non-relatedness witness with quotient "
         "above lambda*alpha^(p-1) (budget-relative)",
-        witnesses,
     )
 
 
@@ -313,34 +300,22 @@ def conv_domain_certificate(
             "z lies within eq_tol of the sampled domain hull",
             [("hull_distance", hull_dist)],
         )
-    entries, extras, missing = _quotient_schedule_run(sample, z, p, lambda_schedule)
-    witnesses = [("hull_distance", hull_dist), ("p", float(p))]
-    for lam, q, w in entries:
-        witnesses.append((f"quotient_lambda_{lam:g}", q))
-        witnesses.append((f"witness_lambda_{lam:g}", w))
-    witnesses.extend(extras)
+    entries, schedule_witnesses, missing = _quotient_schedule_run(sample, z, p, lambda_schedule)
+    witnesses = [("hull_distance", hull_dist), ("p", float(p))] + schedule_witnesses
 
     # bound chain on finite probes
     diffs = z - g.primals
     dists = np.linalg.norm(diffs, axis=1)
     sup_pairs = float((np.einsum("ij,ij->i", diffs, g.duals) / dists).max())
-    probes = [np.zeros(g.dim)]
     order = np.argsort(dists, kind="stable")
-    probes.extend(g.duals[order[:3]])
+    probes = np.vstack([np.zeros(g.dim), g.duals[order[:3]]])
+    _, crossings = fitz_rows(sample, np.broadcast_to(z, probes.shape), probes)
     witnesses.append(("sup_quotient_sampled", sup_pairs))
-    finite_probes = 0
-    best_r_emp = None
-    for zs in probes:
-        fv = fitz_at(sample, pair(z, zs))
-        if not is_finite(fv):
-            continue
-        r_emp = float((np.einsum("ij,ij->i", diffs, zs - g.duals) / dists).min())
+    finite = [zs for zs, crossing in zip(probes, crossings) if crossing is None]
+    r_emps = [float((np.einsum("ij,ij->i", diffs, zs - g.duals) / dists).min()) for zs in finite]
+    for i, (zs, r_emp) in enumerate(zip(finite, r_emps)):
         bound = float(np.linalg.norm(zs)) - r_emp + tol.eq_tol
-        witnesses.append((f"probe_{finite_probes}_zstar", as_vector(zs)))
-        witnesses.append((f"probe_{finite_probes}_r_emp", r_emp))
-        finite_probes += 1
-        if best_r_emp is None or r_emp > best_r_emp:
-            best_r_emp = r_emp
+        witnesses += [(f"probe_{i}_zstar", as_vector(zs)), (f"probe_{i}_r_emp", r_emp)]
         if sup_pairs > bound:
             witnesses.insert(0, ("bound_violation", sup_pairs - bound))
             return failed(
@@ -348,34 +323,13 @@ def conv_domain_certificate(
                 "finite-probe bound chain violated (sup quotient exceeds ||z*|| - r)",
                 witnesses,
             )
-    if best_r_emp is not None:
-        witnesses.append(("r_emp", best_r_emp))
-    witnesses.append(("finite_probe_count", float(finite_probes)))
-
-    if missing:
-        witnesses.insert(0, ("first_missing_lambda", float(missing[0])))
-        return failed(name, f"no violation witness found for lambda={missing[0]:g}", witnesses)
-    bound_fail = [
-        (lam, q)
-        for lam, q, _ in entries
-        if q <= lam * hull_dist ** (p - 1.0) - tol.eq_tol
-    ]
-    if bound_fail:
-        lam, q = bound_fail[0]
-        witnesses.insert(0, ("failing_quotient", q))
-        return failed(
-            name,
-            f"quotient {q:.6g} at lambda={lam:g} does not clear the hull-distance bound",
-            witnesses,
-        )
-    values = [q for _, q, _ in entries]
-    if not _trend_ok(values, tol):
-        witnesses.insert(0, ("final_quotient", values[-1]))
-        return failed(name, "quotient schedule is not unbounded-trending", witnesses)
-    return passed(
-        name,
+    if r_emps:
+        witnesses.append(("r_emp", max(r_emps)))
+    witnesses.append(("finite_probe_count", float(len(finite))))
+    return _schedule_verdict(
+        name, entries, missing, hull_dist ** (p - 1.0), witnesses, tol,
+        "does not clear the hull-distance bound",
         "hull-gated witnesses found at every lambda; finite-probe bound chain holds",
-        witnesses,
     )
 
 

@@ -1,6 +1,7 @@
-"""Fitzpatrick function evaluation by three routes (finite-graph enumeration,
-linear closed form, resolvent-sampled supremum), plus the domain-projection
-scan and the inequality/shift identity checks.
+"""Fitzpatrick function evaluation by three routes: finite-graph enumeration,
+the linear closed form, and fitz_rows, the sampled kernel for a batch of
+points (fitz_at is its one-row case; the domain-projection scan, the
+inequality check and the conv-domain probes make one call each).
 
 "Infinite" is always operationalized as a threshold crossing with a recorded
 graph-point witness; sampled suprema certify lower bounds only, so a Finite
@@ -9,13 +10,14 @@ verdict is a budget-relative claim.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Literal, Optional, Union
 
 import numpy as np
 
 from .certificates import Certificate, failed, passed
-from .errors import NotMaximalError, NoClosedFormError, ValidationError, VacuousForFiniteGraphError
+from .errors import NoClosedFormError, ValidationError, VacuousForFiniteGraphError
 from .operators import (
     FiniteGraph,
     GraphOp,
@@ -23,7 +25,7 @@ from .operators import (
     OperatorSpec,
     Sample,
     pairwise_product_blocks,
-    resolvent,
+    resolvent_batch,
     shift_graph,
 )
 from .vecspace import (
@@ -36,6 +38,8 @@ from .vecspace import (
     as_vector,
     lexsort_rows,
     pair,
+    rowwise_dot,
+    rowwise_matmul,
 )
 
 _CROSS_FACTOR = 1.001  # threshold-crossing target is inf_threshold * this
@@ -66,16 +70,20 @@ class DomainScan:
     method: Literal["linear_consistency", "sampled_threshold"]
 
 
-def _affine_terms(g: FiniteGraph, pt: PairPoint) -> np.ndarray:
-    """<x, a*> + <a, x*> - <a, a*> for every graph pair (a, a*)."""
-    if pt.dim != g.dim:
+def _affine_terms(g: FiniteGraph, X: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """<x, a*> + <a, x*> - <a, a*> for every row (x, x*) of (X, S) and graph
+    pair (a, a*), summed in a fixed order: a row's terms are those it has alone."""
+    if X.shape[1] != g.dim:
         raise ValidationError("point dimension does not match the graph")
-    return g.duals @ pt.primal + g.primals @ pt.dual - g.self_products
+    T = rowwise_matmul(X, g.duals.T)
+    T += rowwise_matmul(S, g.primals.T)
+    T -= g.self_products
+    return T
 
 
 def fitz_finite(g: FiniteGraph, pt: PairPoint) -> float:
     """Exact maximum of the finitely many affine terms; always finite."""
-    return float(_affine_terms(g, pt).max())
+    return float(_affine_terms(g, pt.primal[None, :], pt.dual[None, :]).max())
 
 
 # ---------------------------------------------------------------------------
@@ -135,65 +143,105 @@ def fitz_linear(
 
 
 # ---------------------------------------------------------------------------
-# Sampled supremum
+# Sampled kernel
 # ---------------------------------------------------------------------------
 
-def _sampled_sup(
-    op: OperatorSpec, pt: PairPoint, g: FiniteGraph, tol: ToleranceConfig
-) -> tuple[float, list[tuple[float, PairPoint]]]:
-    """Max affine term of the sample g at pt, raised by the term of the
-    resolvent point of x + x* (none for finite graphs), and the terms past
-    inf_threshold as threshold crossings."""
-    terms = _affine_terms(g, pt)
-    value = float(terms.max())
-    over = np.flatnonzero(terms > tol.inf_threshold)
-    crossings = [(float(terms[i]), g.pair(i)) for i in over]
+def _blocks(rows: int, width: int):
+    """Slices of at most min(width, 2^16 / width) rows: a (rows, width) table
+    summed a block at a time stays in cache and far below a monotone-gate block."""
+    step = max(1, min(width, 2**16 // width))
+    return (slice(i, i + step) for i in range(0, rows, step))
+
+
+def _distance_blocks(P: np.ndarray, Y: np.ndarray):
+    """(rows, |y - p|) over row blocks of Y and all rows p of P, summed one
+    coordinate at a time as np.linalg.norm sums them (n <= 4)."""
+    for blk in _blocks(len(Y), len(P)):
+        yield blk, np.sqrt(sum((P[:, j] - Y[blk, j, None]) ** 2 for j in range(P.shape[1])))
+
+
+def _resolvent_rows(op: OperatorSpec, W: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """resolvent_batch of W, row by row once it fails, with a NaN row where
+    a row alone has no closed form."""
     try:
-        x0 = resolvent(op, pt.primal + pt.dual, tol)
-    except (NotMaximalError, NoClosedFormError):
-        return value, crossings
-    s0 = pt.primal + pt.dual - x0
-    term = float(np.dot(pt.primal, s0) + np.dot(x0, pt.dual) - np.dot(x0, s0))
-    if term > tol.inf_threshold:
-        crossings.append((term, pair(x0, s0)))
-    return max(value, term), crossings
+        return resolvent_batch(op, W, tol)
+    except NoClosedFormError:
+        if len(W) == 1:
+            return np.full(W.shape, np.nan)
+        return np.vstack([_resolvent_rows(op, w[None, :], tol) for w in W])
 
 
-def _ray_crossings(s: Sample, pt: PairPoint) -> list[tuple[float, PairPoint]]:
-    """Threshold-crossing graph points built by riding the exact fiber rays at
-    the sampled domain points (the exact-ray head of s.candidates)."""
-    out: list[tuple[float, PairPoint]] = []
-    tol = s.tol
+def fitz_rows(
+    s: Sample, X: np.ndarray, S: np.ndarray
+) -> tuple[np.ndarray, list[Optional[tuple[float, PairPoint]]]]:
+    """Lower bounds on F_A at the rows (x, x*) of the float arrays (X, S) over
+    the sampled graph of A, each with its threshold crossing (term, witness).
+
+    A row's value is the largest affine term of the sample, raised by the term
+    of the resolvent point of x + x* (a true graph point whose term always
+    dominates the pairing). Its crossing is the lexicographically first graph
+    point whose term passes inf_threshold, or None: a point ridden along an
+    exact fiber ray at a sampled domain point, a sample pair or the resolvent
+    point (ties in that order). Finite-graph samples have neither. A row's
+    results are those it has alone: terms are summed in a fixed order,
+    pairings are one BLAS dot per row, and a row whose resolvent has no
+    closed form loses only its own resolvent term.
+    """
+    g, tol, n = s.graph, s.tol, X.shape[1]
+    values = np.empty(len(X))
+    sampled = not isinstance(s.op, GraphOp) and len(X) > 0
+    # rows (a, b, r): each exact fiber ray r at a domain point a of the
+    # exact-ray head of the candidates, with b the lex-first point of A(a)
+    head = itertools.takewhile(
+        lambda c: c[1].exact and len(c[1].rays), s.candidates if sampled else ())
+    rays = [(a, f.points[lexsort_rows(f.points)[0]], r) for a, f in head for r in f.rays]
+    A, B, R = np.array(rays, dtype=float).reshape(-1, 3, g.dim).transpose(1, 0, 2)
+    # crossings (rows, terms, witnesses (a, a*), rank), where a ray ranks by
+    # its row in (A, B, R), then come the sample pairs and the resolvent point
+    found = [(np.zeros(0, dtype=int), np.zeros(0), np.zeros((0, 2 * n)), np.zeros(0))]
     target = tol.inf_threshold * _CROSS_FACTOR
-    for a, f in s.candidates:
-        if not (f.exact and len(f.rays)):
-            break
-        base_pt = f.points[lexsort_rows(f.points)[0]]
-        base_term = float(
-            np.dot(pt.primal, base_pt) + np.dot(a, pt.dual) - np.dot(a, base_pt)
-        )
-        for r in f.rays:
-            slope = float(np.dot(pt.primal - a, r))
-            if slope <= tol.eq_tol:
-                continue
-            t = (target - base_term) / slope
-            astar = base_pt + t * r
-            term = float(np.dot(pt.primal, astar) + np.dot(a, pt.dual) - np.dot(a, astar))
-            for _ in range(8):
-                if term > tol.inf_threshold:
-                    break
-                t *= 2.0
-                astar = base_pt + t * r
-                term = float(np.dot(pt.primal, astar) + np.dot(a, pt.dual) - np.dot(a, astar))
-            if term > tol.inf_threshold:
-                out.append((term, pair(a, astar)))
-    return out
+    for blk in _blocks(len(X), max(len(g), len(A))):
+        Xb, Sb = X[blk], S[blk]
+        T = _affine_terms(g, Xb, Sb)
+        values[blk] = T.max(axis=1)
+        over = T > tol.inf_threshold
+        hit = np.flatnonzero(over.any(axis=1) & sampled)
+        if len(hit):
+            order = lexsort_rows(np.hstack([g.primals, g.duals]))
+            j = order[over[hit][:, order].argmax(axis=1)]  # lex-first crossing pair
+            W = np.hstack([g.primals[j], g.duals[j]])
+            found.append((hit + blk.start, T[hit, j], W, np.full(len(hit), len(A))))
+        del T, over  # before the next block is summed
 
+        slope = rowwise_dot(Xb[:, None] - A, R)
+        i, k = np.nonzero(slope > tol.eq_tol)  # ride ray k at row i
+        ax = rowwise_dot(Sb[i], A[k])
+        t = (target - (rowwise_dot(Xb[i], B[k]) + ax - rowwise_dot(A[k], B[k]))) / slope[i, k]
+        for _ in range(9):  # the target point, then up to 8 doublings of t
+            if not len(i):
+                break
+            astar = B[k] + t[:, None] * R[k]
+            terms = rowwise_dot(Xb[i], astar) + ax - rowwise_dot(A[k], astar)
+            over = terms > tol.inf_threshold
+            W = np.hstack([A[k], astar])
+            found.append((i[over] + blk.start, terms[over], W[over], k[over]))
+            i, k, ax, t = i[~over], k[~over], ax[~over], 2.0 * t[~over]
 
-def _lex_first_witness(cands: list[tuple[float, PairPoint]]) -> tuple[float, PairPoint]:
-    rows = np.array([np.concatenate([w.primal, w.dual]) for _, w in cands])
-    idx = int(lexsort_rows(rows)[0])
-    return cands[idx]
+    if sampled:
+        X0 = _resolvent_rows(s.op, X + S, tol)
+        S0 = X + S - X0
+        terms = rowwise_dot(X, S0) + rowwise_dot(X0, S) - rowwise_dot(X0, S0)
+        values = np.where(terms > values, terms, values)
+        i = np.flatnonzero(terms > tol.inf_threshold)
+        found.append((i, terms[i], np.hstack([X0, S0])[i], np.full(len(i), len(A) + 1)))
+
+    rows, terms, W, rank = (np.concatenate(part) for part in zip(*found))
+    first = np.lexsort((rank, *W.T[::-1], rows))
+    first = first[np.diff(rows[first], prepend=-1) != 0]  # each row's lex-first witness
+    crossings = [None] * len(X)
+    for i, t, w in zip(rows[first], terms[first], W[first]):
+        crossings[i] = (float(t), PairPoint(w[:n], w[n:]))
+    return values, crossings
 
 
 def fitz_sampled(
@@ -210,21 +258,10 @@ def fitz_sampled(
 
 
 def fitz_at(s: Sample, pt: PairPoint) -> FitzValue:
-    """Lower bound on F_A(pt) over the sampled graph of A.
-
-    The sample is enriched with the resolvent point of x + x* (a true graph
-    point whose term always dominates the pairing) and with exact fiber rays
-    at every sampled domain point ridden past the divergence threshold. On a
-    finite-graph operator this is the plain enumeration and agrees with
-    fitz_finite exactly.
-    """
-    if isinstance(s.op, GraphOp):
-        return Finite(fitz_finite(s.op.graph, pt))
-    value, crossings = _sampled_sup(s.op, pt, s.graph, s.tol)
-    crossings = _ray_crossings(s, pt) + crossings
-    if crossings:
-        return InfiniteSuspected(*_lex_first_witness(crossings))
-    return Finite(value)
+    """Lower bound on F_A(pt) over the sampled graph of A: fitz_rows at the
+    one row pt, InfiniteSuspected when that row has a threshold crossing."""
+    (value,), (crossing,) = fitz_rows(s, pt.primal[None, :], pt.dual[None, :])
+    return Finite(float(value)) if crossing is None else InfiniteSuspected(*crossing)
 
 
 # ---------------------------------------------------------------------------
@@ -236,14 +273,11 @@ def fitz_domain_projection(sample: Sample, xgrid: Grid) -> DomainScan:
 
     Linear operators use the closed form with the consistency probe
     x* = Mx + c (always in range, so every node is a member). Sampled
-    operators probe duals of nearby sampled pairs plus fiber points at the
-    nearest sampled domain point a0; a positively-aligned exact ray there is
-    divergence evidence for every probe and excludes the node. The rays at a0
-    need no second pass per probe: a node that survives has
-    (x - a0) . r <= eq_tol for every exact ray r, and riding such a ray never
-    crosses the threshold. So x is a member when some probe's sampled and
-    resolvent terms stay below it. The fibers come from the sample's table.
-    """
+    operators probe the first 8 duals of sampled pairs within two spacings
+    and the first 8 points of the fiber at the nearest sampled domain point
+    a0, all in one fitz_rows call. An empty fiber at a0, or a positively
+    aligned exact ray there (divergence evidence for every probe), excludes
+    the node before its probes are built."""
     op, tol = sample.op, sample.tol
     if isinstance(op, GraphOp):
         raise VacuousForFiniteGraphError(
@@ -264,23 +298,31 @@ def fitz_domain_projection(sample: Sample, xgrid: Grid) -> DomainScan:
         return DomainScan(xgrid, members, "linear_consistency")
 
     g, dom = sample.graph, sample.domain
-    members = []
-    probe_radius = 2.0 * sample.wgrid.spacing
-    for x in nodes:
-        d = np.linalg.norm(dom - x, axis=1)
-        near = np.flatnonzero(d <= d.min() + 1e-13)
-        i0 = int(near[lexsort_rows(dom[near])[0]])
-        a0, f0 = dom[i0], sample.fibers[i0]
-        if f0.is_empty:
-            continue
-        if f0.exact and len(f0.rays) and np.any((x - a0) @ f0.rays.T > tol.eq_tol):
-            continue  # every probe diverges along this ray
-        close = np.linalg.norm(g.primals - x, axis=1) <= probe_radius
-        probes = [row for row in g.duals[close][:8]] + [row for row in f0.points[:8]]
-        if any(not _sampled_sup(op, pair(x, probe), g, tol)[1] for probe in probes):
-            members.append(x)
-    members_arr = np.array(members) if members else np.zeros((0, xgrid.dim))
-    return DomainScan(xgrid, members_arr, "sampled_threshold")
+    # a0: the domain is lex-sorted, so the first point within 1e-13 of the
+    # nearest is the lex-first nearest one
+    i0 = np.zeros(len(nodes), dtype=int)
+    for blk, d in _distance_blocks(dom, nodes):
+        i0[blk] = np.argmax(d <= d.min(axis=1, keepdims=True) + 1e-13, axis=1)
+    alive = np.zeros(len(nodes), dtype=bool)
+    owners, probes = [np.zeros(0, dtype=int)], [np.zeros((0, xgrid.dim))]
+    for i in np.unique(i0):
+        f, at = sample.fibers[i], np.flatnonzero(i0 == i)
+        if f.exact and len(f.rays):  # every probe diverges along an aligned ray
+            at = at[~(rowwise_dot(nodes[at, None] - dom[i], f.rays) > tol.eq_tol).any(axis=1)]
+        alive[at] = not f.is_empty
+        owners.append(np.repeat(at, len(f.points[:8])))
+        probes.append(np.tile(f.points[:8], (len(at), 1)))
+    kept = np.flatnonzero(alive)
+    for blk, d in _distance_blocks(g.primals, nodes[kept]):
+        close = d <= 2.0 * sample.wgrid.spacing
+        r, c = np.nonzero(close & (np.cumsum(close, axis=1) <= 8))
+        owners.append(kept[blk][r])
+        probes.append(g.duals[c])
+    owners, probes = np.concatenate(owners), np.concatenate(probes)
+    _, crossings = fitz_rows(sample, nodes[owners], probes)
+    member = np.zeros(len(nodes), dtype=bool)
+    member[owners[[c is None for c in crossings]]] = True
+    return DomainScan(xgrid, nodes[member], "sampled_threshold")
 
 
 # ---------------------------------------------------------------------------
@@ -294,26 +336,20 @@ def _nn_spacing_estimate(g: FiniteGraph) -> float:
     return float(np.median(gaps)) if len(gaps) else 0.0
 
 
-def fitz_inequality_check(
-    op: OperatorSpec,
-    sample_pts: list[PairPoint],
-    graph_pts: FiniteGraph,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> Certificate:
+def fitz_inequality_check(sample: Sample, sample_pts: list[PairPoint]) -> Certificate:
     """F >= <x,x*> - eq_tol on probe points, and F = <x,x*> within a
     spacing-scaled slack on sampled graph points. The documented failure mode
     is a non-maximal graph, where a monotonically-related gap point has F
     strictly below the pairing. Without probe points only the graph-point
     equality is checked."""
     name = "fitz_inequality"
+    graph_pts, tol = sample.graph, sample.tol
     lip = 1.0 + float(np.linalg.norm(graph_pts.duals, axis=1).max())
     slack = max(2.0 * _nn_spacing_estimate(graph_pts) * lip, 1e-9)
-    worst_gap = -np.inf
-    worst_pt: Optional[PairPoint] = None
-    for p in sample_pts:
-        gap = p.pairing() - _sampled_sup(op, p, graph_pts, tol)[0]
-        if gap > worst_gap:
-            worst_gap, worst_pt = gap, p
+    X = np.array([p.primal for p in sample_pts]).reshape(len(sample_pts), graph_pts.dim)
+    S = np.array([p.dual for p in sample_pts]).reshape(X.shape)
+    gaps = np.array([p.pairing() for p in sample_pts]) - fitz_rows(sample, X, S)[0]
+    worst_gap = float(gaps.max()) if len(gaps) else -np.inf
     # graph-point equality: F - pairing = -min pairwise product, vectorized
     worst_eq = 0.0
     for _, prods in pairwise_product_blocks(
@@ -325,9 +361,9 @@ def fitz_inequality_check(
         ("graph_equality_slack", float(slack)),
         ("n_samples", float(len(sample_pts))),
     ]
-    if worst_pt is not None:
-        witnesses.insert(0, ("worst_gap", float(worst_gap)))
-        witnesses.append(("worst_point", worst_pt))
+    if len(gaps):
+        witnesses.insert(0, ("worst_gap", worst_gap))
+        witnesses.append(("worst_point", sample_pts[int(gaps.argmax())]))
     if worst_gap > tol.eq_tol:
         witnesses.insert(0, ("gap", float(worst_gap)))
         return failed(

@@ -224,7 +224,8 @@ _EXPECTATIONS = {
 
 # The kind of value each check param must hold, as (description, test(value,
 # dimension)); a param of another kind is rejected when the scenario loads.
-# A grid param (test None) must name a grid of the scenario.
+# A grid param (test None) must name a grid of the scenario, of dimension 2n
+# for probe_grid and n otherwise.
 PARAM_KINDS = {
     **dict.fromkeys(("z", "zstar", "x", "xstar", "box_lo", "box_hi"), ("a {dim}-vector", _vector)),
     **dict.fromkeys(
@@ -317,10 +318,16 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
             if ok is None:
                 if not (isinstance(val, str) and val in grids):
                     raise ValidationError(f"{where}: unresolved grid name {val!r}")
+                want, got = (2 * dim if key == "probe_grid" else dim), grids[val].dim
+                if got != want:
+                    raise ValidationError(
+                        f"{where}.params.{key}: grid {val!r} is {got}-d, not {want}-d")
             elif not ok(val, dim):
                 raise ScenarioParseError(
                     f"{where}.params.{key}: expected {what.format(dim=dim)}, got {val!r:.60}"
                 )
+        if params.get("strict") and "probe_grid" not in params:
+            raise ScenarioParseError(f"{where}: strict mode needs parameter probe_grid")
         if entry.graph_target is not None and entry.graph_target != on_graph:
             want = "a finite-graph" if entry.graph_target else "a sampled"
             raise ValidationError(f"{where}: {kind} needs {want} target, not {target!r}")
@@ -441,7 +448,7 @@ def _br(run: _Run) -> Certificate:
 def _fitz_inequality(run: _Run) -> Certificate:
     pts = [pair(x, xs) for x, xs in run.params.get("points", [])]
     pts += [pair(x, xs) for x, xs in run.box_pairs(run.params.get("n_samples", 0))]
-    return fitz_inequality_check(run.op, pts, run.sample().graph, run.tol)
+    return fitz_inequality_check(run.sample(), pts)
 
 
 def _maximality_probe(run: _Run) -> Certificate:

@@ -101,11 +101,6 @@ class FiniteGraph:
     def pair(self, i: int) -> PairPoint:
         return PairPoint(self.primals[i], self.duals[i])
 
-    @cached_property
-    def pairs(self) -> tuple[PairPoint, ...]:
-        """Every row as a PairPoint, built on first use."""
-        return tuple(self.pair(i) for i in range(len(self)))
-
 
 def pairwise_product_blocks(X: np.ndarray, S: np.ndarray, d: np.ndarray, g: FiniteGraph):
     """Yield (i0, P) over row blocks, P[i, j] = <X_i - a_j, S_i - a_j*> for
@@ -244,12 +239,13 @@ def _box_qp_batch(
     """Minimize 0.5 x'Hx - g'x over the box, one row of G per problem.
 
     H is SPD; the (at most 3^n) active-bound patterns are enumerated in a
-    fixed order, so the result is deterministic and exact.
+    fixed order, so the result is deterministic and exact. Each row's KKT
+    slack scales with that row alone, so its batch does not move it.
     """
     k, n = G.shape
     if lo is None:
         return np.linalg.solve(H, G.T).T
-    scale = max(1.0, float(np.abs(G).max(initial=0.0)), float(np.abs(H).max()))
+    scale = np.maximum(np.abs(G).max(axis=1, initial=1.0), float(np.abs(H).max()))
     ktol = 1e-10 * scale
     X = np.zeros((k, n))
     done = np.zeros(k, dtype=bool)

@@ -60,8 +60,14 @@ def rowwise_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     row alone; BLAS may pick another kernel, and other roundings, by row count."""
     out = A[:, :1] * B[0]
     for j in range(1, A.shape[1]):
-        out = out + A[:, j : j + 1] * B[j]
+        out += A[:, j : j + 1] * B[j]
     return out
+
+
+def rowwise_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """np.dot of matching rows of A and B (leading axes broadcast): one BLAS
+    dot per row, so each value has the rounding of its one-row np.dot."""
+    return np.matmul(A[..., None, :], B[..., :, None])[..., 0, 0]
 
 
 def lexsort_rows(rows: np.ndarray) -> np.ndarray:

@@ -188,6 +188,30 @@ def test_check_param_of_wrong_kind_exit_two(capsys, check, flags, param):
 
 
 @pytest.mark.parametrize(
+    "check, flags, param",
+    [
+        ("sup_quotient", ["--z", "3", "--wgrid=-2,-2:3,3:0.5", "--allow-z-in-domain"], "wgrid"),
+        ("maximality_probe", ["--wgrid=-2:3:0.5", "--probe-grid=-1:1:0.5"], "probe_grid"),
+        ("theorem36", ["--xgrid=-1,-1:1,1:0.5"], "xgrid"),
+    ],
+    ids=["wgrid-2n", "probe_grid-n", "xgrid-2n"],
+)
+def test_check_grid_of_wrong_dimension_exit_two(capsys, check, flags, param):
+    code = main(["check", "--check", check, "--operator", LINEAR_1D] + flags)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith(f"error: checks[0].params.{param}: grid")
+
+
+def test_check_strict_near_convexity_without_probe_grid_exit_two(capsys):
+    code = main(["check", "--check", "near_convexity", "--operator", LINEAR_1D, "--z", "2",
+                 "--lambdas", "1", "--wgrid=-2:3:0.5", "--params", '{"strict": true}'])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: checks[0]: strict") and "probe_grid" in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["fitz", "--operator", IDENT, "--x", "a", "--xstar", "1,1"],

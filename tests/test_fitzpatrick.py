@@ -1,25 +1,35 @@
 import itertools
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import fitzkit.fitzpatrick
 import fitzkit.operators
 from fitzkit.certificates import Verdict
-from fitzkit.errors import VacuousForFiniteGraphError
+from fitzkit.criteria import _default_wgrid
+from fitzkit.errors import NoClosedFormError, VacuousForFiniteGraphError, ValidationError
 from fitzkit.fitzpatrick import (
     Finite,
     InfiniteSuspected,
+    fitz_at,
     fitz_domain_projection,
     fitz_finite,
     fitz_inequality_check,
     fitz_linear,
+    fitz_rows,
     fitz_sampled,
     is_finite,
     shift_identity_check,
 )
+from fitzkit.harness import load_scenario
 from fitzkit.operators import (
     BoxIndicator,
+    DualityMapOp,
     FiniteGraph,
+    FunSum,
     GraphOp,
     LinearOp,
     NormalConeOp,
@@ -28,7 +38,7 @@ from fitzkit.operators import (
     SubdiffOp,
     graph_sample,
 )
-from fitzkit.vecspace import Box, DEFAULT_TOL, Grid, pair
+from fitzkit.vecspace import Box, DEFAULT_TOL, Grid, Polytope, pair
 
 SEED = 20260809
 SKEW = LinearOp([[0.0, -1.0], [1.0, 0.0]], [0.0, 0.0])
@@ -156,6 +166,176 @@ def test_sampled_monotone_in_grid():
 
 
 # --------------------------------------------------------------------------
+# fitz_rows against closed forms (Bauschke, McLaren & Sendov 2006)
+# --------------------------------------------------------------------------
+
+J1_CENTER = np.array([0.5, -0.25])
+CLOSED_FORMS = {
+    # N_C for the unit box C: F = iota_C(x) + sigma_C(x*)
+    "box_cone": (
+        NormalConeOp(Box([0.0, 0.0], [1.0, 1.0])),
+        lambda x, xs: float(np.maximum(xs, 0.0).sum())
+        if np.all((x >= 0.0) & (x <= 1.0)) else np.inf,
+    ),
+    "skew": (SKEW, None),
+    "linear": (LinearOp([[2.0, 0.5], [-0.5, 1.0]], [0.25, -0.5]), None),
+    # the subdifferential of 0.5|x|^2: F = |x + x*|^2 / 4
+    "half_sq": (
+        SubdiffOp(Quadratic(np.eye(2), np.zeros(2))),
+        lambda x, xs: 0.25 * float((x + xs) @ (x + xs)),
+    ),
+    # J_1(. - c): F = |x - c| + <c, x*> + iota(|x*| <= 1)
+    "j1": (
+        DualityMapOp(1.0, J1_CENTER),
+        lambda x, xs: float(np.linalg.norm(x - J1_CENTER) + J1_CENTER @ xs)
+        if np.linalg.norm(xs) <= 1.0 else np.inf,
+    ),
+}
+
+
+@lru_cache(maxsize=None)
+def closed_form_sample(name):
+    return Sample.over(CLOSED_FORMS[name][0], Grid([-3.0, -3.0], [3.0, 3.0], 0.25))
+
+
+def closed_form(name, x, xs):
+    op, oracle = CLOSED_FORMS[name]
+    if oracle is None:  # linear operators: fitz_linear
+        v = fitz_linear(op.M, op.c, pair(x, xs))
+        return v.value if is_finite(v) else np.inf
+    return oracle(x, xs)
+
+
+coords = st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2).map(np.array)
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(CLOSED_FORMS)), x=coords, xs=coords)
+def test_fitz_at_is_bounded_by_the_closed_form(name, x, xs):
+    v = fitz_at(closed_form_sample(name), pair(x, xs))
+    oracle = closed_form(name, x, xs)
+    if is_finite(v):
+        assert v.value <= oracle + DEFAULT_TOL.eq_tol
+    else:  # "infinite" is a crossing the closed form confirms
+        assert oracle == np.inf
+        assert v.crossed_threshold > DEFAULT_TOL.inf_threshold
+
+
+def same_result(value, crossing, v):
+    """fitz_rows' (value, crossing) of one row is fitz_at's v, bit for bit."""
+    if crossing is None:
+        return is_finite(v) and float(value).hex() == v.value.hex()
+    t, w = crossing
+    return (
+        not is_finite(v)
+        and t.hex() == v.crossed_threshold.hex()
+        and w.primal.tolist() == v.witness.primal.tolist()
+        and w.dual.tolist() == v.witness.dual.tolist()
+    )
+
+
+QUADBOX2 = SubdiffOp(FunSum((Quadratic(np.eye(2), np.zeros(2)), BoxIndicator([0.0, 0.0], [1.0, 1.0]))))
+ROW_SAMPLES = [
+    NormalConeOp(Box([0.0, 0.0], [1.0, 1.0])),
+    NormalConeOp(Polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])),
+    QUADBOX2,
+    DualityMapOp(1.0, [0.0, 0.0]),
+    IDENT2,
+]
+
+
+@pytest.mark.parametrize("op", ROW_SAMPLES, ids=["box", "triangle", "quadbox", "j1", "ident"])
+def test_fitz_rows_row_is_its_one_row_call(op):
+    rng = np.random.default_rng(SEED + 5)
+    s = Sample.over(op, Grid([-2.0, -2.0], [3.0, 3.0], 0.25))
+    # the last two rows: x + x* = (2 + 2e-8, 1), whose quadbox resolvent is
+    # (1, 0.5) alone, and a far row
+    X = np.vstack([rng.uniform(-1.5, 2.5, (40, 2)), [[1.0, 0.5], [1e4, 0.0]]])
+    S = np.vstack([rng.uniform(-2.0, 2.0, (40, 2)), [[1.0 + 2e-8, 0.5], [0.0, 0.0]]])
+    values, crossings = fitz_rows(s, X, S)
+    assert len(values) == len(crossings) == len(X)
+    for i in range(len(X)):
+        assert same_result(values[i], crossings[i], fitz_at(s, pair(X[i], S[i]))), i
+
+
+def test_fitz_rows_crossing_is_the_lex_first_witness():
+    # a sample out of lex order, with two pairs far up the [0, 1] cone's ray at 1
+    g = FiniteGraph.from_arrays(np.array([[1.0], [1.0], [0.0]]), np.array([[2e9], [1e9], [0.0]]))
+    _, (ridden, paired) = fitz_rows(Sample(CONE01, g), np.array([[2.0], [1.0]]),
+                                    np.array([[0.0], [1e9]]))
+    # at (2, 0) both pairs cross, but the ray ridden to the target precedes them
+    assert ridden[1].primal.tolist() == [1.0]
+    assert ridden[1].dual.tolist() == [DEFAULT_TOL.inf_threshold * 1.001]
+    # at (1, 1e9) no ray ascends: the lex-first of the crossing pairs (1, 2e9),
+    # (1, 1e9) and the resolvent point (1, 1e9)
+    assert paired == (1e9, paired[1]) and paired[1].dual.tolist() == [1e9]
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_fitz_rows_rejects_points_of_another_dimension(dim):
+    with pytest.raises(ValidationError, match="dimension"):
+        fitz_rows(closed_form_sample("box_cone"), np.zeros((2, dim)), np.ones((2, dim)))
+
+
+def test_fitz_rows_failing_resolvent_drops_only_its_row(monkeypatch):
+    real = fitzkit.fitzpatrick.resolvent_batch
+
+    def no_closed_form_far_out(op, W, tol):
+        if np.any(np.abs(W) > 100.0):
+            raise NoClosedFormError("no closed form far out")
+        return real(op, W, tol)
+
+    s = Sample.over(IDENT2, Grid([-2.0, -2.0], [2.0, 2.0], 0.5))
+    X, S = np.array([[0.3, -0.2], [500.0, 0.0]]), np.array([[0.1, 0.4], [0.0, 0.0]])
+    alone = fitz_at(s, pair(X[0], S[0]))
+    monkeypatch.setattr(fitzkit.fitzpatrick, "resolvent_batch", no_closed_form_far_out)
+    values, crossings = fitz_rows(s, X, S)
+    assert values[0] == alone.value == pytest.approx(0.25 * np.sum((X[0] + S[0]) ** 2))
+    assert values[1] == fitz_finite(s.graph, pair(X[1], S[1]))  # sample terms only
+    assert crossings == [None, None]
+
+
+# --------------------------------------------------------------------------
+# domain projection
+# --------------------------------------------------------------------------
+
+SCENARIOS = Path(fitzkit.operators.__file__).parent / "scenarios"
+
+
+def in_unit_interval(nodes):
+    return np.all((nodes >= -1e-9) & (nodes <= 1.0 + 1e-9), axis=1)
+
+
+def in_triangle(nodes):
+    return np.all(nodes >= -1e-9, axis=1) & (nodes.sum(axis=1) <= 1.0 + 1e-9)
+
+
+@pytest.mark.parametrize(
+    "scenario, target, in_c, count",
+    [
+        ("paper-suite", "cone01", in_unit_interval, 21),
+        ("paper-suite", "halfsq_box", in_unit_interval, 21),
+        ("operator-zoo", "cone_box2", in_unit_interval, 121),
+        ("operator-zoo", "tri_cone", in_triangle, 66),
+        ("paper-suite", "ident", None, 81),
+        ("operator-zoo", "skew", None, 961),
+        ("operator-zoo", "shifted_ident", None, 961),
+    ],
+)
+def test_domain_projection_is_the_grid_in_the_domain(scenario, target, in_c, count):
+    """theorem36's scan of each bundled target: exactly the grid nodes in
+    the closed domain C, or every node when the domain is the whole space."""
+    cfg = load_scenario(SCENARIOS / f"{scenario}.json")
+    op = cfg.operators[target]
+    xgrid = cfg.grids["scan" if scenario == "paper-suite" else "scan2"]
+    scan = fitz_domain_projection(Sample.over(op, _default_wgrid(op, xgrid)), xgrid)
+    nodes = xgrid.nodes()
+    expected = nodes if in_c is None else nodes[in_c(nodes)]
+    assert len(expected) == count
+    assert np.array_equal(scan.member_points, expected)
+
+
+# --------------------------------------------------------------------------
 # domain projection
 # --------------------------------------------------------------------------
 
@@ -213,14 +393,14 @@ def test_inequality_check_passes_on_maximal_sampled():
     op = SubdiffOp(Quadratic([[1.0]], [0.0]))
     g = graph_sample(op, Grid([-4.0], [4.0], 0.1))
     pts = [pair(rng.uniform(-2, 2, 1), rng.uniform(-2, 2, 1)) for _ in range(300)]
-    cert = fitz_inequality_check(op, pts, g)
+    cert = fitz_inequality_check(Sample(op, g), pts)
     assert cert.verdict is Verdict.PASS
     assert cert.witness("worst_gap") <= DEFAULT_TOL.eq_tol
 
 
 def test_inequality_check_documented_failure():
     op = GraphOp(TWO_POINT)
-    cert = fitz_inequality_check(op, [pair([0.5], [0.5])], TWO_POINT)
+    cert = fitz_inequality_check(Sample(op, TWO_POINT), [pair([0.5], [0.5])])
     assert cert.verdict is Verdict.FAIL
     assert cert.witness("gap") == pytest.approx(0.25, abs=1e-12)
 
@@ -228,7 +408,7 @@ def test_inequality_check_documented_failure():
 def test_inequality_equality_on_graph_points():
     op = SubdiffOp(Quadratic([[1.0]], [0.0]))
     g = graph_sample(op, Grid([-2.0], [2.0], 0.25))
-    cert = fitz_inequality_check(op, [], g)
+    cert = fitz_inequality_check(Sample(op, g), [])
     assert cert.verdict is Verdict.PASS
     assert cert.witness("worst_graph_equality_residual") <= 1e-12
 

@@ -205,10 +205,15 @@ GRAPH_OP = {"kind": "graph", "pairs": [[[0.0], [0.0]], [[1.0], [1.0]]]}
          r"params\.z: expected a 1-vector"),
         ("br", "cone", {"trials": 3, "wgrid": "scan", "box_lo": [-1.0, -1.0]},
          r"params\.box_lo: expected a 1-vector"),
+        ("maximality_probe", "graph", {"probe_grid": "scan"},
+         r"params\.probe_grid: grid 'scan' is 1-d, not 2-d"),
+        ("near_convexity", "cone", {"z": [2.0], "lambdas": [1.0], "wgrid": "scan", "strict": True},
+         "strict mode needs parameter probe_grid"),
     ],
     ids=["typo-allow_z_in_domain", "typo-strict", "simons-no-wgrid", "br-no-wgrid",
          "fitz_inequality-no-wgrid", "maximality_probe-no-wgrid", "shift_identity-on-cone",
-         "theorem36-on-graph", "z-2-vector", "box_lo-2-vector"],
+         "theorem36-on-graph", "z-2-vector", "box_lo-2-vector", "probe_grid-n",
+         "strict-no-probe_grid"],
 )
 def test_check_rejected_at_load(check, target, params, message):
     """A bad check fails the scenario load, naming itself, even when a valid
@@ -224,10 +229,11 @@ def test_check_rejected_at_load(check, target, params, message):
 @pytest.mark.parametrize("check", [k for k, c in CHECKS.items() if c.samples])
 def test_finite_graph_target_needs_no_wgrid(check):
     params = {"z": [2.0], "zstar": [1.0], "lambdas": [1.0], "n_schedule": [1], "trials": 2,
-              "probe_grid": "scan"}
+              "probe_grid": "probe"}
     accepted = {k: v for k, v in params.items() if k in CHECKS[check].accepts}
     raw = minimal_raw(operators={"graph": GRAPH_OP},
                       checks=[{"check": check, "target": "graph", "params": accepted}])
+    raw["grids"]["probe"] = {"lower": [-1.0, -1.0], "upper": [1.0, 1.0], "spacing": 0.5}
     assert scenario_from_dict(raw).checks[0].params == accepted
 
 

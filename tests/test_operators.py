@@ -36,6 +36,7 @@ from fitzkit.operators import (
     monotonically_related,
     perturb,
     resolvent,
+    resolvent_batch,
     shift_operator,
     unique_domain_points,
 )
@@ -108,7 +109,7 @@ def test_graph_arrays_are_read_only_and_pairs_built_on_demand():
         assert arr.flags.c_contiguous and not arr.flags.writeable
     assert g.primals[0].tolist() == [0.0, 1.0] and g.self_products.tolist() == [0.0, 3.0]
     assert g.pair(1).primal.tolist() == [2.0, 3.0] and g.pair(1).dual.tolist() == [0.0, 1.0]
-    assert [p.primal.tolist() for p in g.pairs] == g.primals.tolist()
+    assert [g.pair(i).dual.tolist() for i in range(len(g))] == g.duals.tolist()
     for bad, err in (
         ((np.zeros((0, 2)), np.zeros((0, 2))), ValidationError),
         ((X, S[:, :1]), DimensionMismatchError),
@@ -176,6 +177,18 @@ def test_resolvent_fixed_point_identity():
             assert resolvent(op, x + s) == pytest.approx(x, abs=1e-8)
 
 
+def test_box_qp_row_does_not_depend_on_its_batch():
+    # 0.5|x|^2 plus the indicator of [0,1]^2: a far row in the same batch must
+    # not widen the KKT slack of a near one and admit a wrong active set
+    quadbox = SubdiffOp(FunSum((Quadratic(np.eye(2), np.zeros(2)),
+                                BoxIndicator([0.0, 0.0], [1.0, 1.0]))))
+    w = np.array([2.0 + 2e-8, 1.0])
+    assert resolvent(quadbox, w).tolist() == [1.0, 0.5]
+    x = resolvent_batch(quadbox, np.array([w, [1e4, 0.0]]))[0]
+    assert x.tolist() == [1.0, 0.5]
+    assert membership(quadbox, pair(x, w - x))
+
+
 def test_prox_sum_exact_vs_dykstra():
     # quadratic + box has an exact path; compare against Dykstra by disguising
     # the quadratic as a p=2 norm power plus a non-exact part with zero weight
@@ -215,16 +228,16 @@ def test_dykstra_budget_exhaustion():
 def test_graph_sample_worked_examples():
     g = graph_sample(CONE01, Grid([-1.0], [2.0], 1.5))
     # w in {-1, 0.5, 2} -> pairs ((0,-1), (0.5,0), (1,1))
-    rows = {(round(p.primal[0], 9), round(p.dual[0], 9)) for p in g.pairs}
+    rows = {(round(p.primal[0], 9), round(p.dual[0], 9)) for p in map(g.pair, range(len(g)))}
     assert rows == {(0.0, -1.0), (0.5, 0.0), (1.0, 1.0)}
 
     g = graph_sample(IDENT, Grid([0.0], [2.0], 2.0))
-    rows = {(p.primal[0], p.dual[0]) for p in g.pairs}
+    rows = {(p.primal[0], p.dual[0]) for p in map(g.pair, range(len(g)))}
     assert rows == {(0.0, 0.0), (1.0, 1.0)}
 
     half_sq = SubdiffOp(Quadratic([[1.0]], [0.0]))
     g = graph_sample(half_sq, Grid([-2.0], [2.0], 2.0))
-    rows = {(p.primal[0], p.dual[0]) for p in g.pairs}
+    rows = {(p.primal[0], p.dual[0]) for p in map(g.pair, range(len(g)))}
     assert rows == {(-1.0, -1.0), (0.0, 0.0), (1.0, 1.0)}
 
 
@@ -494,7 +507,7 @@ def test_j1_bounded_range():
 def test_shift_worked_examples():
     g = graph_of(([0.0], [0.0]), ([1.0], [1.0]))
     shifted = shift_operator(GraphOp(g), [1.0])
-    rows = {(p.primal[0], p.dual[0]) for p in shifted.graph.pairs}
+    rows = {(p.primal[0], p.dual[0]) for p in map(shifted.graph.pair, range(len(shifted.graph)))}
     assert rows == {(0.0, -1.0), (1.0, 0.0)}
 
     op = CONE01
@@ -531,7 +544,7 @@ def test_perturb_p2_sampled_graph_matches_translation():
     grid = Grid([-2.0, -2.0], [2.0, 2.0], 1.0)
     outer = perturb(inner, lam, 2.0, center)
     g = graph_sample(outer, grid)
-    for p in g.pairs:
+    for p in map(g.pair, range(len(g))):
         inner_dual = p.primal  # identity
         expected = inner_dual + lam * (p.primal - center)
         assert p.dual == pytest.approx(expected, abs=1e-9)
