@@ -177,7 +177,9 @@ CLOSED_FORMS = {
         lambda x, xs: float(np.maximum(xs, 0.0).sum())
         if np.all((x >= 0.0) & (x <= 1.0)) else np.inf,
     ),
-    "skew": (SKEW, None),
+    # skew M: F = sup_a <a, x* - Mx>, 0 on the graph and +inf off it. Exact,
+    # unlike fitz_linear, whose range test takes |s| <= rank_tol as in range
+    "skew": (SKEW, lambda x, xs: 0.0 if np.array_equal(xs, SKEW.M @ x) else np.inf),
     "linear": (LinearOp([[2.0, 0.5], [-0.5, 1.0]], [0.25, -0.5]), None),
     # the subdifferential of 0.5|x|^2: F = |x + x*|^2 / 4
     "half_sq": (
