@@ -7,6 +7,14 @@ fibers (normal cones, box subdifferentials) are represented exactly as
 points + cone(rays); the only nonpolyhedral fiber at desk scale, the unit
 ball of the p=1 duality map at its center, is boundary-sampled and flagged
 inexact, although membership against it is still tested exactly.
+
+``graph_sample(verify=True)`` passes every Minty sample through two exact
+gates, neither sampled down: ``membership_batch`` tests x* in A(x) for every
+pair, a subdifferential by a closed-form distance to its image, and
+``monotone_check`` computes the upper triangle of the pairwise products in
+one matmul per block against a threshold widened by an a-priori rounding
+bound, and rescans the full square from the first block it flags. Each
+docstring says why the verdict, and the witness, are exact.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ from .vecspace import (
     conv_hull,
     dedupe_rows_within,
     project_onto_generated_set,
+    rowwise_dot,
     rowwise_matmul,
 )
 
@@ -102,11 +111,17 @@ class FiniteGraph:
         return PairPoint(self.primals[i], self.duals[i])
 
 
+def _block_rows(k: int, m: int) -> int:
+    """Rows per block when k rows are paired with m graph pairs: about 4e6
+    products a block."""
+    return max(1, min(k, 4_000_000 // max(m, 1) + 1))
+
+
 def pairwise_product_blocks(X: np.ndarray, S: np.ndarray, d: np.ndarray, g: FiniteGraph):
     """Yield (i0, P) over row blocks, P[i, j] = <X_i - a_j, S_i - a_j*> for
     rows i0 + i of (X, S) with self-pairings d and graph pairs (a_j, a_j*)."""
     k = len(X)
-    block = max(1, min(k, 4_000_000 // max(len(g), 1) + 1))
+    block = _block_rows(k, len(g))
     for i0 in range(0, k, block):
         i1 = min(k, i0 + block)
         yield i0, (
@@ -374,7 +389,7 @@ def _dykstra_prox(fun: FunSum, w: Vector, step: float, tol: ToleranceConfig) -> 
             break
     if not converged:
         raise NoClosedFormError("composite prox did not converge within budget")
-    resid = _fun_membership_residual(fun, x, (np.asarray(w) - x) / step, tol)
+    resid = _subdiff_residuals(fun, x[None, :], ((np.asarray(w) - x) / step)[None, :], tol)[0]
     if resid > tol.eq_tol * max(1.0, float(np.linalg.norm(w))):
         raise NoClosedFormError(f"composite prox residual {resid:.2e} too large")
     return as_vector(x)
@@ -444,20 +459,44 @@ def _fun_subfiber(fun: FunSpec, x: Vector, tol: ToleranceConfig) -> _SubFiber:
     raise ValidationError(f"unknown function spec {type(fun).__name__}")
 
 
-def _cone_distance(u: np.ndarray, rays: np.ndarray) -> float:
-    if len(rays) == 0:
-        return float(np.linalg.norm(u))
-    apex = np.zeros((1, u.size))
-    _, d = project_onto_generated_set(apex, rays, u)
-    return d
+def _subdiff_rows(fun: FunSpec, X: np.ndarray, tol: ToleranceConfig):
+    """_fun_subfiber at every row of X, as arrays (inside, offset, up, down,
+    ball): the cone of the signed-axis rays is, per coordinate, the line when
+    up and down are both set, a half-line when one is, else {0}."""
+    k, n = X.shape
+    everywhere, none = np.ones(k, dtype=bool), np.zeros((k, n), dtype=bool)
+    if isinstance(fun, Quadratic):
+        return everywhere, rowwise_matmul(X, fun.Q.T) + fun.b, none, none, np.zeros(k)
+    if isinstance(fun, BoxIndicator):
+        inside = np.all((X >= fun.lo - tol.eq_tol) & (X <= fun.hi + tol.eq_tol), axis=1)
+        return inside, np.zeros((k, n)), X >= fun.hi - tol.eq_tol, X <= fun.lo + tol.eq_tol, np.zeros(k)
+    if isinstance(fun, TranslatedNormPower):
+        return _subdiff_rows(NormPower(fun.p, fun.scale), X - fun.center, tol)
+    if isinstance(fun, NormPower):
+        r = np.sqrt(rowwise_dot(X, X))  # np.linalg.norm's rounding, row by row
+        at_ball = (fun.p == 1.0) & (r <= tol.eq_tol)
+        smooth = (r > 0.0) & ~at_ball
+        coef = np.zeros(k)
+        coef[smooth] = fun.scale * r[smooth] ** (fun.p - 2.0)
+        return everywhere, coef[:, None] * X, none, none, np.where(at_ball, fun.scale, 0.0)
+    if isinstance(fun, FunSum):
+        inside, offset, up, down, ball = everywhere, np.zeros((k, n)), none, none, np.zeros(k)
+        for part in fun.parts:
+            p_in, p_off, p_up, p_down, p_ball = _subdiff_rows(part, X, tol)
+            inside, offset, ball = inside & p_in, offset + p_off, ball + p_ball
+            up, down = up | p_up, down | p_down
+        return inside, offset, up, down, ball
+    raise ValidationError(f"unknown function spec {type(fun).__name__}")
 
 
-def _fun_membership_residual(fun: FunSpec, x: Vector, v: Vector, tol: ToleranceConfig) -> float:
-    sub = _fun_subfiber(fun, x, tol)
-    if not sub.in_domain:
-        return float("inf")
-    d = _cone_distance(np.asarray(v, dtype=float) - sub.offset, sub.rays)
-    return max(0.0, d - sub.ball)
+def _subdiff_residuals(fun: FunSpec, X: np.ndarray, S: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """dist(S[i], df(X[i])) per row, +inf outside dom f. The image is
+    offset + K + ball*B with K a cone of signed axes: the distance to K is a
+    per-coordinate clip, and dist(u, K + rB) = max(0, dist(u, K) - r)."""
+    inside, offset, up, down, ball = _subdiff_rows(fun, X, tol)
+    U = S - offset
+    R = U - np.clip(U, np.where(down, -np.inf, 0.0), np.where(up, np.inf, 0.0))
+    return np.where(inside, np.maximum(0.0, np.sqrt(rowwise_dot(R, R)) - ball), np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -803,8 +842,14 @@ def fiber(op: OperatorSpec, x: Vector, tol: ToleranceConfig = DEFAULT_TOL) -> Fi
 def membership_batch(
     op: OperatorSpec, X: np.ndarray, S: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL
 ) -> np.ndarray:
-    """Mask of rows with S[i] in A(X[i]): exact for polyhedral images, else
-    within slack = eq_tol * max(1, |S[i]|)."""
+    """Mask of rows with S[i] in A(X[i]) within slack = eq_tol * max(1, |S[i]|).
+
+    A subdifferential image is offset + K + ball*B, where every ray of the cone
+    K is a signed coordinate axis at an active box bound. So K is, per
+    coordinate, a line, a half-line or {0}; the distance to it is the norm of
+    what a per-coordinate clip removes, which is the exact projection, and
+    dist(u, K + rB) = max(0, dist(u, K) - r) for the closed convex cone K. No
+    row is projected by an iterative solver, and none is sampled away."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     S = np.atleast_2d(np.asarray(S, dtype=float))
     slack = tol.eq_tol * np.maximum(1.0, np.linalg.norm(S, axis=1))
@@ -817,9 +862,7 @@ def membership_batch(
     if isinstance(op, LinearOp):
         return np.linalg.norm(rowwise_matmul(X, op.M.T) + op.c - S, axis=1) <= slack
     if isinstance(op, SubdiffOp):
-        return np.array([
-            _fun_membership_residual(op.fun, x, v, tol) <= s for x, v, s in zip(X, S, slack)
-        ], dtype=bool)
+        return _subdiff_residuals(op.fun, X, S, tol) <= slack
     if isinstance(op, NormalConeOp) and isinstance(op.region, Box):
         box = op.region
         inside = np.all((X >= box.lo - tol.eq_tol) & (X <= box.hi + tol.eq_tol), axis=1)
@@ -898,11 +941,69 @@ def graph_sample(
 def monotone_check(
     g: FiniteGraph, tol: ToleranceConfig = DEFAULT_TOL
 ) -> Optional[tuple[PairPoint, PairPoint]]:
-    """None when all pairwise products are >= -eq_tol, else the first violating pair."""
-    for i0, prods in pairwise_product_blocks(g.primals, g.duals, g.self_products, g):
-        if (prods < -tol.eq_tol).any():  # argmax: first violation in row-major order
-            i, j = np.unravel_index(int(np.argmax(prods < -tol.eq_tol)), prods.shape)
-            return g.pair(int(i) + i0), g.pair(int(j))
+    """None when all pairwise products are >= -eq_tol, else the first violating
+    pair in row-major order of the full k x k square of products
+    P[i, j] = ((d_i + d_j) - x_i.x_j*) - x_i*.x_j of ``pairwise_product_blocks``,
+    d_i = x_i.x_i*.
+
+    The gate computes, block by block of that scan's rows, only the columns
+    j >= i0 of the block's first row i0, each entry one dot product of length
+    2n + 2 in one matmul into one buffer:
+
+        Q[i, j] = [x_i*, x_i, -d_i, -1] . [x_j, x_j*, 1, d_j]   (about -P[i, j]).
+
+    Exactness. P[i, j], P[j, i] and Q[i, j] each sum, in some order, the same
+    2n + 2 terms d_i, d_j, -x_ik x_jk*, -x_ik* x_jk (the d terms enter as exact
+    products), whose exact sum T is symmetric in i and j. By the a-priori
+    dot-product bound (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., §3.1), each is within gamma_{2n+2} * C of T, gamma_m = m u / (1 - m u)
+    with unit roundoff u, where C = 2 max|d| + 2 max|x| max|x*| bounds the sum
+    of the terms' magnitudes by Cauchy-Schwarz. So P[i, j] < -eq_tol or
+    P[j, i] < -eq_tol implies Q[i, j] > eq_tol - 2 gamma_{2n+2} C. A block is
+    flagged when an entry exceeds eq_tol - margin, margin = 2 gamma_{2n+3} C plus
+    4n smallest subnormals: the step from 2n + 2 to 2n + 3 covers the rounding
+    of C and margin, the subnormals cover underflowed products, and the
+    threshold is rounded down. A NaN entry flags too, and a bound that
+    overflows flags the first block.
+
+    A violation at (i, j) therefore flags the block holding row min(i, j), so
+    no row before the first flagged block holds one. From that block on, the
+    full-square scan runs with its own row partition, on which BLAS rounding
+    depends: the verdict and the witness are the full-square scan's."""
+    X, S, d = g.primals, g.duals, g.self_products
+    start = _first_flagged_row(X, S, d, tol.eq_tol)
+    if start is None:
+        return None
+    for i0, prods in pairwise_product_blocks(X[start:], S[start:], d[start:], g):
+        bad = prods < -tol.eq_tol
+        if bad.any():  # argmax: first violation in row-major order
+            i, j = np.unravel_index(int(np.argmax(bad)), prods.shape)
+            return g.pair(start + i0 + int(i)), g.pair(int(j))
+    return None
+
+
+def _first_flagged_row(X: np.ndarray, S: np.ndarray, d: np.ndarray, eq_tol: float) -> Optional[int]:
+    """First row of the first block of monotone_check's gate holding an entry
+    Q > eq_tol - margin, or None; the buffer is one full-square block's size."""
+    k, n = X.shape
+    m = 2 * n + 3
+    u = np.finfo(float).eps / 2
+    C = 2.0 * np.abs(d).max() + 2.0 * np.linalg.norm(X, axis=1).max() * np.linalg.norm(S, axis=1).max()
+    margin = 2.0 * (m * u / (1.0 - m * u)) * C + 4 * n * np.finfo(float).smallest_subnormal
+    if not np.isfinite(margin):
+        return 0
+    limit = np.nextafter(eq_tol - margin, -np.inf)
+    ones = np.ones((k, 1))
+    left = np.hstack([S, X, -d[:, None], -ones])
+    right = np.hstack([X, S, ones, d[:, None]])
+    rows = _block_rows(k, k)
+    buf = np.empty(rows * k)
+    for i0 in range(0, k, rows):
+        i1 = min(k, i0 + rows)
+        Q = buf[: (i1 - i0) * (k - i0)].reshape(i1 - i0, k - i0)
+        np.matmul(left[i0:i1], right[i0:].T, out=Q)
+        if not Q.max() <= limit:
+            return i0
     return None
 
 

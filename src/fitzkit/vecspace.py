@@ -287,7 +287,8 @@ def _affine_basis(pts: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, 
     """Return (center, basis of affine hull, basis of orthogonal complement)."""
     center = pts.mean(axis=0)
     centered = pts - center
-    _, svals, vt = np.linalg.svd(centered, full_matrices=True)
+    # the complement needs every row of vt, which the thin form drops when k < n
+    _, svals, vt = np.linalg.svd(centered, full_matrices=len(pts) < pts.shape[1])
     scale = max(1.0, float(np.abs(pts).max(initial=0.0)))
     thresh = max(tol, 1e-12 * scale)
     rank = int(np.sum(svals > thresh)) if svals.size else 0

@@ -246,6 +246,29 @@ ROW_SAMPLES = [
 ]
 
 
+REFINED = {"box_cone": CLOSED_FORMS["box_cone"][0], "quadbox": QUADBOX2,
+           "half_sq": CLOSED_FORMS["half_sq"][0]}
+
+
+@lru_cache(maxsize=None)
+def refinement_sample(name, spacing):
+    return Sample.over(REFINED[name], Grid([-3.0, -3.0], [3.0, 3.0], spacing))
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(REFINED)), x=coords, xs=coords)
+def test_fitz_at_never_decreases_under_nested_refinement(name, x, xs):
+    # halving the spacing of an aligned grid keeps every node, so the sample
+    # only grows: a crossing stays a crossing, and a value never falls
+    pt = pair(x, xs)
+    values = [fitz_at(refinement_sample(name, h), pt) for h in (1.0, 0.5, 0.25)]
+    for coarse, fine in zip(values, values[1:]):
+        if not is_finite(coarse):
+            assert not is_finite(fine)
+        elif is_finite(fine):
+            assert fine.value >= coarse.value - DEFAULT_TOL.eq_tol
+
+
 @pytest.mark.parametrize("op", ROW_SAMPLES, ids=["box", "triangle", "quadbox", "j1", "ident"])
 def test_fitz_rows_row_is_its_one_row_call(op):
     rng = np.random.default_rng(SEED + 5)

@@ -23,7 +23,6 @@ from fitzkit.operators import (
     ShiftedOp,
     SubdiffOp,
     TranslatedNormPower,
-    _fun_membership_residual,
     duality_map,
     duality_point,
     fiber,
@@ -40,7 +39,7 @@ from fitzkit.operators import (
     shift_operator,
     unique_domain_points,
 )
-from fitzkit import operators
+from fitzkit import operators, vecspace
 from fitzkit.vecspace import (
     Box,
     DEFAULT_TOL,
@@ -56,6 +55,15 @@ SEED = 20260809
 
 def graph_of(*pts):
     return FiniteGraph(tuple(pair(p, d) for p, d in pts))
+
+
+def count_calls(monkeypatch, name, *modules):
+    """One list that grows by one on each call of name in any of modules."""
+    calls = []
+    for module in modules:
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, real=real, **kw: calls.append(1) or real(*a, **kw))
+    return calls
 
 
 CONE01 = NormalConeOp(Box([0.0], [1.0]))
@@ -319,6 +327,21 @@ def test_membership_along_huge_cone_rays(op, mag):
     assert not membership(op, pair([0.0, 1.0], [mag, mag]))
 
 
+def subdiff_residual_reference(fun, x, v, tol=DEFAULT_TOL):
+    """The one-row residual that preceded the closed-form batch rule: the
+    distance from v to the fiber decomposition offset + cone(rays) + ball,
+    the cone distance by the active-set projection."""
+    sub = operators._fun_subfiber(fun, x, tol)
+    if not sub.in_domain:
+        return float("inf")
+    u = np.asarray(v, dtype=float) - sub.offset
+    if len(sub.rays) == 0:
+        d = float(np.linalg.norm(u))
+    else:
+        _, d = project_onto_generated_set(np.zeros((1, u.size)), sub.rays, u)
+    return max(0.0, d - sub.ball)
+
+
 def scalar_membership_reference(op, pt, tol=DEFAULT_TOL):
     """The one-pair membership rule that preceded membership_batch, one
     family per branch, kept as the oracle the batch must agree with."""
@@ -331,7 +354,7 @@ def scalar_membership_reference(op, pt, tol=DEFAULT_TOL):
     if isinstance(op, LinearOp):
         return bool(np.linalg.norm(op.M @ x + op.c - v) <= slack)
     if isinstance(op, SubdiffOp):
-        return _fun_membership_residual(op.fun, x, v, tol) <= slack
+        return subdiff_residual_reference(op.fun, x, v, tol) <= slack
     if isinstance(op, NormalConeOp):
         if isinstance(op.region, Box):
             box = op.region
@@ -390,6 +413,21 @@ MEMBERSHIP_KINDS = {
     "perturbed_p1": (PerturbedOp(CONE01_2, 0.5, 1.0, [0.5, 0.5]), [[0.5, 0.5], [1.0, 0.5]]),
     "perturbed_p2": (PerturbedOp(NormalConeOp(SIMPLEX2), 2.0, 2.0, [0.2, 0.2]),
                      [[0.0, 0.0], [0.2, 0.2], [0.5, 0.5]]),
+    # the box [0.5, 1] x [0, 0.5] as two boxes: duplicate rays at shared bounds
+    "two_boxes": (SubdiffOp(FunSum((BoxIndicator([0.0, 0.0], [1.0, 1.0]),
+                                    BoxIndicator([0.5, -1.0], [2.0, 0.5])))),
+                  [[0.5, 0.0], [1.0, 0.5], [0.5, 0.25], [0.75, 0.5], [1.0, 1.0]]),
+    # a ball and rays in one fiber at the origin
+    "l1_box": (SubdiffOp(FunSum((NormPower(1.0, 0.7), BoxIndicator([-1.0, 0.0], [1.0, 1.0])))),
+               [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.5]]),
+    "sq_box": (SubdiffOp(FunSum((NormPower(2.0, 1.5), BoxIndicator([0.0, 0.0], [1.0, 1.0])))),
+               [[0.0, 0.0], [1.0, 1.0], [0.0, 0.5], [0.5, 1.0]]),
+    "tsq_box": (SubdiffOp(FunSum((TranslatedNormPower(2.0, 0.5, [0.25, 2.0]),
+                                  BoxIndicator([0.0, 0.0], [1.0, 1.0])))),
+                [[0.25, 1.0], [1.0, 1.0], [0.0, 0.0], [0.5, 0.5]]),
+    # lo = hi in the second coordinate: the fiber holds the whole line along e_2
+    "flat_box": (SubdiffOp(BoxIndicator([0.0, 0.5], [1.0, 0.5])),
+                 [[0.0, 0.5], [0.5, 0.5], [1.0, 0.5]]),
 }
 
 _coord = st.floats(-3.0, 3.0, allow_nan=False)
@@ -458,6 +496,14 @@ def test_graph_sample_gate_uses_the_membership_slack(monkeypatch):
     monkeypatch.setattr(operators, "resolvent_batch", nudged)
     with pytest.raises(ValidationError, match="fails membership"):
         graph_sample(IDENT2, grid)
+
+
+def test_quadbox_sample_gate_makes_no_projection(monkeypatch):
+    # the membership gate of a quadratic-plus-box sum is a per-coordinate clip
+    calls = count_calls(monkeypatch, "project_onto_generated_set", operators, vecspace)
+    quadbox = SubdiffOp(FunSum((Quadratic(np.eye(2), np.zeros(2)), BoxIndicator([0.0, 0.0], [1.0, 1.0]))))
+    g = graph_sample(quadbox, Grid([-2.0, -2.0], [3.0, 3.0], 0.05), verify=True)
+    assert len(g) == 10201 and calls == []
 
 
 # --------------------------------------------------------------------------
@@ -589,6 +635,117 @@ def test_monotone_check_worked_examples():
         w = monotone_check(FiniteGraph.from_arrays(X, S))
         assert np.array_equal(w[0].primal, X[first[0]])
         assert np.array_equal(w[1].primal, X[first[1]])
+
+
+def full_square_monotone_reference(g, tol=DEFAULT_TOL):
+    """The full-square scan that preceded the triangle gate: the first (i, j)
+    in row-major order with P[i, j] < -eq_tol, or None."""
+    for i0, prods in operators.pairwise_product_blocks(g.primals, g.duals, g.self_products, g):
+        bad = prods < -tol.eq_tol
+        if bad.any():
+            i, j = np.unravel_index(int(np.argmax(bad)), prods.shape)
+            return int(i) + i0, int(j)
+    return None
+
+
+def witness_rows(g, w):
+    """monotone_check's witness as graph row indices (graph rows are distinct)."""
+    if w is None:
+        return None
+    return tuple(
+        int(np.flatnonzero((g.primals == p.primal).all(axis=1) & (g.duals == p.dual).all(axis=1))[0])
+        for p in w
+    )
+
+
+def planted_graph(n, k, seed, rows=None, t=0.0, R=100.0):
+    """k pairs of the identity on random points of a lattice in [0, 1]^n.
+    Rows (r, s), when given, hold p = (R e_1, R e_1 + eta e_2) and
+    q = (R e_2, a e_1 + R e_2), whose products with the lattice are positive.
+    Their product A - b - c, A = d_p + d_q = 2R^2, b = R a, c = R eta, is
+    -eq_tol - t ulp(A). The full-square scan sums it as (A - b) - c in row r
+    and as (A - c) - b in row s; with c off the ulp grid of A the two round
+    apart. t=None picks eta and a so that one sum is below -eq_tol and the
+    other is not, and puts the first in the later row: the first violation
+    then lies in the lower triangle."""
+    rng = np.random.default_rng(seed)
+    m = int(np.ceil(k ** (1.0 / n)))
+    X = np.stack(np.unravel_index(rng.permutation(m**n)[:k], (m,) * n), axis=1) / (m - 1)
+    S = X.copy()
+    if rows is not None:
+        r, s = rows
+        A, e = 2.0 * R * R, DEFAULT_TOL.eq_tol
+        for _ in range(10_000):
+            eta = rng.uniform(1e-6, 1e-4)
+            a = (A - R * eta + e + (t or 0.0) * np.spacing(A)) / R
+            a += np.spacing(a) * rng.integers(-2, 3)
+            p_rs, p_sr = (A - R * a) - R * eta, (A - R * eta) - R * a
+            if t is not None or (p_rs < -e) != (p_sr < -e):
+                break
+        else:
+            raise AssertionError("no planted product rounds apart across -eq_tol")
+        if t is None and (p_rs < -e) == (r < s):  # the violating sum to the later row
+            r, s = s, r
+        e1, e2 = np.eye(n)[:2]
+        X[r], S[r] = R * e1, R * e1 + eta * e2
+        X[s], S[s] = R * e2, a * e1 + R * e2
+    return FiniteGraph.from_arrays(X, S)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.integers(2, 3),
+    k=st.integers(2001, 2600),
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.none() | st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    t=st.none() | st.floats(-2.0, 2.0) | st.integers(-40, 40) | st.sampled_from((-1e5, 1e5)),
+    R=st.sampled_from((10.0, 100.0, 1000.0)),
+)
+def test_monotone_check_is_the_full_square_scan(n, k, seed, rows, t, R):
+    # k above one block of rows, so a flagged block may start mid-graph. The
+    # planted product sits within a few ulps of -eq_tol, where the two sums
+    # round apart (t=None: the violation shows first in the lower triangle),
+    # 1 to 40 ulps above it, inside the gate's margin (a flag without a
+    # violation), or clearly past it on either side.
+    if rows is not None:
+        r, s = int(rows[0] * (k - 1)), int(rows[1] * (k - 1))
+        rows = (r, s) if r != s else None
+    g = planted_graph(n, k, seed, rows, t, R)
+    assert witness_rows(g, monotone_check(g)) == full_square_monotone_reference(g)
+
+
+@pytest.mark.parametrize("rows", [(1950, 2050), (2050, 1950)])
+def test_monotone_check_finds_a_violation_first_in_the_lower_triangle(monkeypatch, rows):
+    # one sum of the planted product is below -eq_tol and its mirror is not,
+    # the first in the later row, both rows past the first block: only the
+    # row-major scan of the full square, restarted mid-graph, returns it
+    rechecks = count_calls(monkeypatch, "pairwise_product_blocks", operators)
+    k = 2100
+    assert operators._block_rows(k, k) < min(rows)
+    g = planted_graph(2, k, SEED, rows, t=None)
+    ref = full_square_monotone_reference(g)
+    assert ref == (max(rows), min(rows))
+    rechecks.clear()
+    assert witness_rows(g, monotone_check(g)) == ref
+    assert rechecks == [1]
+
+
+def test_monotone_check_rechecks_a_flag_without_a_violation(monkeypatch):
+    # 8 ulps above -eq_tol: past the rounding of either scan order, inside the margin
+    rechecks = count_calls(monkeypatch, "pairwise_product_blocks", operators)
+    g = planted_graph(2, 2100, SEED, (1950, 2050), -8)
+    assert full_square_monotone_reference(g) is None
+    rechecks.clear()
+    assert monotone_check(g) is None
+    assert rechecks == [1]
+
+
+def test_monotone_check_on_a_monotone_graph_makes_no_full_square_scan(monkeypatch):
+    rechecks = count_calls(monkeypatch, "pairwise_product_blocks", operators)
+    W = Grid([-2.0, -2.0], [3.0, 3.0], 0.05).nodes()
+    g = FiniteGraph.from_arrays(W, W)
+    assert len(g) == 10201
+    assert monotone_check(g) is None and rechecks == []
 
 
 def test_monotonically_related_worked_examples():

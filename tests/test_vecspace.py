@@ -10,6 +10,7 @@ from fitzkit.vecspace import (
     Grid,
     Polytope,
     ToleranceConfig,
+    _affine_basis,
     as_vector,
     conv_hull,
     dedupe_rows_within,
@@ -170,6 +171,34 @@ def test_hull_idempotent():
         h1 = conv_hull(pts)
         h2 = conv_hull(h1.vertices)
         assert np.array_equal(h1.vertices, h2.vertices)
+
+
+def test_thin_svd_is_the_full_svd_bit_for_bit():
+    # _affine_basis takes the thin SVD when k >= n: s and vt must be those of
+    # the full SVD, whose k x k U it skips, for full-rank, rank-deficient and
+    # lattice inputs (a 2601-node grid: U holds 54 MB)
+    rng = np.random.default_rng(RNG_SEED + 7)
+    cases = [Grid([-2.0, -2.0], [3.0, 3.0], 0.1).nodes()]
+    for t in range(60):
+        n = 1 + t % 4
+        pts = rng.uniform(-3.0, 3.0, size=(int(rng.integers(n, 400)), n))
+        if t % 3 == 1:
+            pts[:, -1] = 2.0 * pts[:, 0]
+        if t % 3 == 2:
+            pts = np.round(4.0 * pts) / 4.0
+        cases.append(pts)
+    for pts in cases:
+        centered = pts - pts.mean(axis=0)
+        _, s_full, vt_full = np.linalg.svd(centered, full_matrices=True)
+        _, s_thin, vt_thin = np.linalg.svd(centered, full_matrices=False)
+        assert s_thin.tobytes() == s_full.tobytes()
+        assert vt_thin.tobytes() == vt_full.tobytes()
+
+
+def test_affine_basis_of_fewer_points_than_dimensions_keeps_the_complement():
+    center, basis, comp = _affine_basis(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0]]), 1e-9)
+    assert basis.shape == (3, 1) and comp.shape == (3, 2)
+    assert np.allclose(np.hstack([basis, comp]).T @ np.hstack([basis, comp]), np.eye(3))
 
 
 def test_hull_empty_rejected():
