@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import replace
 from importlib import resources
@@ -31,6 +32,25 @@ from .harness import (
 )
 from .operators import GraphOp, LinearOp, op_dimension
 from .vecspace import ToleranceConfig, pair
+
+
+# grid and vector flags; their values may start with a minus sign
+_DASHED_VALUE_FLAGS = frozenset(
+    ("--wgrid", "--xgrid", "--probe-grid", "--z", "--zstar", "--x", "--xstar", "--lambdas", "--n-schedule")
+)
+
+
+def _attach_dashed_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--wgrid -2:3:0.1`` as ``--wgrid=-2:3:0.1``. argparse reads a
+    token that starts with '-' and is not a plain negative number as the next
+    option, so without this only the '=' form of such a value parses."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _DASHED_VALUE_FLAGS and re.match(r"-[\d.]", tok):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
 
 
 def _parse_vector(text: str) -> list[float]:
@@ -225,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_dashed_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.fn(args)
     except FitzkitError as e:

@@ -713,11 +713,7 @@ def resolvent_batch(
     if isinstance(op, SubdiffOp):
         return fun_prox_batch(op.fun, W, step, tol)
     if isinstance(op, NormalConeOp):
-        if isinstance(op.region, Box):
-            return op.region.project_batch(W)
-        return np.array(
-            [project_onto_generated_set(op.region.vertices, None, w)[0] for w in W]
-        )
+        return op.region.project_batch(W)
     if isinstance(op, DualityMapOp):
         return fun_prox_batch(TranslatedNormPower(op.p, 1.0, op.center), W, step, tol)
     if isinstance(op, ShiftedOp):

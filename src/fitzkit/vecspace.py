@@ -19,6 +19,7 @@ Vector = np.ndarray
 
 _LEX_TIE_EPS = 1e-13
 _KD_MARGIN = 1e-6  # relative widening of the KD-tree radius; exact norms confirm
+_FACE_SLACK = 1e-13  # optimality slack of Polytope.project_batch, per unit of row scale
 
 
 def as_vector(x, dim: int | None = None) -> Vector:
@@ -180,10 +181,13 @@ def project_onto_generated_set(
         rys = rys / norms[:, None]
 
     k, m = len(pts), len(rys)
-    scale = max(1.0, float(np.linalg.norm(v)), float(np.abs(pts).max(initial=0.0)))
-    # point violations are products of two O(scale) vectors; ray violations
-    # pair the residual with a unit ray, so their threshold is linear in scale
-    opt_eps = 1e-11 * scale * scale
+    reach = max(1.0, float(np.abs(pts).max(initial=0.0)))
+    scale = max(reach, float(np.linalg.norm(v)))
+    # a point violation pairs the residual, O(scale), with a difference of two
+    # points, O(reach); a ray violation pairs it with a unit ray. Both
+    # thresholds are linear in scale: one quadratic in scale would accept a
+    # far v's nearest vertex where its projection is inside an edge
+    opt_eps = 1e-11 * scale * reach
     ray_eps = 1e-11 * scale
 
     # start from the lexicographically-smallest nearest vertex
@@ -371,6 +375,96 @@ class Polytope:
         coords = (self.vertices - center) @ basis
         hull = ConvexHull(coords)
         return center, basis, comp, hull.equations
+
+    @cached_property
+    def _faces(self) -> tuple[np.ndarray, np.ndarray, tuple]:
+        """(A, b, faces). A y + b <= 0 are the facets in the reduced coordinates
+        of ``_facet_data``, with unit normals and one row per facet (Qhull
+        splits a non-simplicial facet into coplanar simplices). faces lists
+        each face once, points first, then by dimension: a point face is its
+        vertex index, the whole polytope is None when it is full-dimensional,
+        and any other face is (anchor, orthonormal basis) of its affine hull.
+        A face is the intersection of at most d facets through one of its
+        vertices, so the subsets of each vertex's facets find every face."""
+        V = self.vertices
+        center, basis, _, eqs = self._facet_data
+        coords = (V - center) @ basis
+        d = basis.shape[1]
+        if d == 0:
+            A, b = np.zeros((0, 0)), np.zeros(0)
+        elif d == 1:
+            A, b = np.array([[1.0], [-1.0]]), np.array([-coords.max(), coords.min()])
+        else:
+            A, b = eqs[:, :-1], eqs[:, -1]
+        # a vertex sits on a facet up to rounding; a looser test would merge two
+        # facets through a vertex that is only nearly flat, and lose both edges
+        incident = np.abs(coords @ A.T + b) <= 1e-12 * (1.0 + float(np.abs(V).max()))
+        _, first = np.unique(incident.T, axis=0, return_index=True)
+        keep = np.sort(first)
+        A, b, incident = A[keep], b[keep], incident[:, keep]
+        found = {tuple(range(len(V)))}
+        for row in incident:
+            on = np.flatnonzero(row).tolist()
+            for s in range(1, min(d, len(on)) + 1):
+                for S in itertools.combinations(on, s):
+                    found.add(tuple(np.flatnonzero(incident[:, list(S)].all(axis=1)).tolist()))
+        faces = []
+        for face in found:
+            if len(face) == 1:
+                faces.append((0, face, face[0]))
+                continue
+            anchor, fb, _ = _affine_basis(V[list(face)], DEFAULT_TOL.eq_tol)
+            faces.append((fb.shape[1], face, None if fb.shape[1] == self.dim else (anchor, fb)))
+        faces.sort(key=lambda f: f[:2])
+        return A, b, tuple(place for _, _, place in faces)
+
+    def project_batch(self, ws: np.ndarray) -> np.ndarray:
+        """Nearest point of the polytope to each row of ws, by face enumeration.
+
+        Each face, points first, projects all unresolved rows onto its affine
+        hull at once; a row takes the first face where that point x is in the
+        polytope and w - x is in its normal cone:
+        a.y(x) + b <= slack for every facet, and
+        <w - x, v - x> <= slack * (pad + |v - x|) for every vertex v,
+        with slack = 1e-13 * max(1, |w|_inf, |V|_inf) for that row alone. A
+        vertex x is exact, so its pad is 0; a computed x is off its face by
+        rounding of order max(1, |V|_inf), its pad. No multiplier is solved
+        for, so a thin normal cone costs no accuracy. A point face returns its
+        vertex bit for bit and the full-dimensional interior returns w. Every
+        product is a ``rowwise_matmul`` or a per-coordinate sum, so a row's
+        result does not depend on its batch."""
+        W = np.atleast_2d(np.asarray(ws, dtype=float))
+        V = self.vertices
+        center, basis, _, _ = self._facet_data
+        A, b, faces = self._faces
+        reach = max(1.0, float(np.abs(V).max()))
+        slack = _FACE_SLACK * np.maximum(np.abs(W).max(axis=1), reach)
+        out = np.empty_like(W)
+        todo = np.arange(len(W))
+        for place in faces:
+            w, tol = W[todo], slack[todo]
+            ok = np.ones(len(todo), dtype=bool)
+            pad = 0.0
+            if isinstance(place, int):
+                x = np.broadcast_to(V[place], w.shape)
+            else:
+                pad = reach
+                if place is None:
+                    x = w
+                else:
+                    anchor, fb = place
+                    x = anchor + rowwise_matmul(rowwise_matmul(w - anchor, fb), fb.T)
+                y = rowwise_matmul(x - center, basis)
+                ok &= (rowwise_matmul(y, A.T) + b).max(axis=1) <= tol
+            r = w - x
+            to_v = [V[:, i] - x[:, i, None] for i in range(W.shape[1])]
+            gap = sum(t * r[:, i, None] for i, t in enumerate(to_v))
+            ok &= np.all(gap <= tol[:, None] * (pad + np.sqrt(sum(t * t for t in to_v))), axis=1)
+            out[todo[ok]] = x[ok]
+            todo = todo[~ok]
+            if not len(todo):
+                return out
+        raise ValidationError(f"polytope projection left {len(todo)} rows unresolved")
 
     def contains_batch(self, xs: np.ndarray, tol: float) -> np.ndarray:
         """Vectorized membership mask (within tol) for a batch of points."""

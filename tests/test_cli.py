@@ -223,9 +223,12 @@ def test_check_strict_near_convexity_without_probe_grid_exit_two(capsys):
         ["check", "--check", "fitz_inequality", "--operator", "[1]"],
         ["fitz", "--operator", "[1]", "--x", "0", "--xstar", "0"],
         ["check", "--check", "fitz_inequality", "--operator", CONE, "--params", "[1]"],
+        ["check", "--check", "near_convexity", "--operator", CONE, "--z", "2",
+         "--lambdas", "1", "--wgrid", "-2:x"],
+        ["fitz", "--operator", IDENT, "--x", "-1,b", "--xstar", "1,1"],
     ],
     ids=["fitz-x", "fitz-wgrid", "check-z", "check-lambdas", "check-operator",
-         "fitz-operator", "check-params"],
+         "fitz-operator", "check-params", "check-wgrid-spaced", "fitz-x-spaced"],
 )
 def test_non_numeric_or_non_object_flag_exit_two(capsys, argv):
     code = main(argv)
@@ -246,6 +249,33 @@ def test_check_sup_quotient_expect(capsys):
     )
     assert code == 0
     assert json.loads(out)["checks"][0]["certificate"]["verdict"] == "pass"
+
+
+def flag_argv(values: dict, spaced: bool) -> list[str]:
+    out = []
+    for flag, value in values.items():
+        out += [flag, value] if spaced else [f"{flag}={value}"]
+    return out
+
+
+def test_check_values_starting_with_minus_parse_spaced_or_with_equals(capsys):
+    cone2 = json.dumps({"kind": "normal_cone", "box": {"lo": [0.0, 0.0], "hi": [1.0, 1.0]}})
+    base = ["check", "--check", "near_convexity", "--operator", cone2, "--p", "1", "--lambdas", "1,10"]
+    values = {"--z": "-1,2", "--wgrid": "-2,-2:3,3:0.5"}
+    certs = []
+    for spaced in (True, False):
+        code, out = run_cli(capsys, *base, *flag_argv(values, spaced))
+        assert code == 0
+        certs.append(json.loads(out)["checks"][0]["certificate"])
+    assert certs[0]["verdict"] == "pass" and certs[0] == certs[1]
+
+
+def test_fitz_values_starting_with_minus_parse_spaced_or_with_equals(capsys):
+    values = {"--x": "-1,2", "--xstar": "-.5,1"}
+    outs = [run_cli(capsys, "fitz", "--operator", IDENT, *flag_argv(values, spaced)) for spaced in (True, False)]
+    assert outs[0] == outs[1] and outs[0][0] == 0
+    # F of the identity is |x + x*|^2 / 4
+    assert json.loads(outs[0][1])["value"] == pytest.approx((1.5**2 + 3.0**2) / 4.0, abs=1e-12)
 
 
 def test_fitz_graph(capsys):

@@ -506,6 +506,25 @@ def test_quadbox_sample_gate_makes_no_projection(monkeypatch):
     assert len(g) == 10201 and calls == []
 
 
+def test_simplex_cone_sample_makes_no_projection(monkeypatch):
+    # the resolvent of a polytope normal cone is one batched face enumeration;
+    # the Polytope constructor's own vertex pruning runs before the count
+    simplex = NormalConeOp(Polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    calls = count_calls(monkeypatch, "project_onto_generated_set", operators, vecspace)
+    grid = Grid([-2.0, -2.0], [3.0, 3.0], 0.05)
+    g = graph_sample(simplex, grid, verify=True)
+    assert calls == [] and len(g) == grid.count
+    # sort-based closed form: clip at 0, or shift onto sum(x) = 1 and clip
+    W = grid.nodes()
+    ref = np.maximum(W, 0.0)
+    over = ref.sum(axis=1) > 1.0
+    u = -np.sort(-W[over], axis=1)
+    css = np.cumsum(u, axis=1) - 1.0
+    rho = np.count_nonzero(u - css / np.arange(1, 3) > 0, axis=1)
+    ref[over] = np.maximum(W[over] - (css[np.arange(len(u)), rho - 1] / rho)[:, None], 0.0)
+    assert np.abs(resolvent_batch(simplex, W) - ref).max() <= 1e-15
+
+
 # --------------------------------------------------------------------------
 # duality map
 # --------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fitzkit.errors import DimensionMismatchError, NotSeparableError, ValidationError
+from fitzkit.operators import NormalConeOp, resolvent
 from fitzkit.vecspace import (
     Box,
     Grid,
@@ -124,6 +125,119 @@ def test_dist_against_cvxpy_oracle():
         d_ref = float(np.sqrt(max(prob.value, 0.0)))
         d, _ = dist_to_polytope(z, conv_hull(verts))
         assert d == pytest.approx(d_ref, abs=1e-5)
+
+
+def test_dist_against_nnls_oracle_on_far_simplex_rows():
+    # the simplex constraint as a heavily weighted row: nnls solves
+    # [V^T; M 1^T] u ~ [w; M] with u >= 0. Each far row projects into the
+    # relative interior of an axis face, where that row is not in tension
+    # with the rest, so the weight costs the oracle no accuracy; on a face
+    # off the axes nnls's own active-set tolerance fails at |w| ~ 1e8
+    from scipy.optimize import nnls
+
+    big = 1e8
+    rows = {
+        2: [[0.5, -big], [-1.002 * big, 0.75], [0.25, 0.25]],
+        3: [[0.2, 0.3, -big], [-big, 0.4, 0.35], [0.1, -big, -big]],
+    }
+    for n, ws in rows.items():
+        verts = np.vstack([np.zeros(n), np.eye(n)])
+        simplex = Polytope(verts)
+        W = np.array(ws)
+        kernel = simplex.project_batch(W)
+        for w, x in zip(W, kernel):
+            u, _ = nnls(np.vstack([verts.T, big * np.ones(len(verts))]), np.r_[w, big])
+            ref = u @ verts
+            tol = 1e-12 * max(1.0, np.abs(w).max())
+            assert np.abs(x - ref).max() <= tol
+            assert np.abs(project_onto_generated_set(verts, None, w)[0] - ref).max() <= tol
+
+
+PROJECTION_CASES = {
+    "point": [[0.5, -1.5, 2.0]],
+    "segment2": [[0.0, 0.0], [1.0, 2.0]],
+    "segment3": [[1.0, 0.0, -1.0], [0.0, 2.0, 1.0]],
+    "triangle3": [[0.0, 0.0, 0.0], [1.0, 0.0, 1.0], [0.0, 2.0, 1.0]],
+    # the apex lies on 4 facets
+    "pyramid": [[-1.0, -1.0, 0.0], [1.0, -1.0, 0.0], [1.0, 1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    "tri_cone": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+}
+
+
+@st.composite
+def polytope_with_rows(draw):
+    """A polytope, base points W and {row: vertex} for rows that project onto
+    a vertex. W holds the vertices, points on segments between vertices,
+    inside and near the polytope, far out to |w| ~ 1e8, and v + t*c for the
+    vertex v that maximises <c, .> by a margin, which projects onto v."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["cloud2", "cloud3", *PROJECTION_CASES]))
+    if kind.startswith("cloud"):
+        verts = rng.uniform(-1.0, 1.0, size=(int(rng.integers(4, 9)), int(kind[-1])))
+    else:
+        verts = np.array(PROJECTION_CASES[kind])
+    p = Polytope(verts)
+    V = p.vertices
+    k, n = V.shape
+    pick = lambda m: V[rng.integers(0, k, m)]
+    t = rng.uniform(0.0, 1.0, (6, 1))
+    bary = rng.dirichlet(np.ones(k), 4)
+    far = 10.0 ** rng.uniform(2.0, 8.0, (6, 1)) * rng.normal(size=(6, n))
+    rows = [*V, *(t * pick(6) + (1 - t) * pick(6)), *(bary @ V), *(bary @ V + rng.normal(size=(4, n))), *(far + pick(6))]
+    at_vertex = {i: i for i in range(k)}
+    for scale in (1e-3, 1.0, 1e4, 1.002e8):
+        c = rng.normal(size=n)
+        heights = V @ c
+        top = int(np.argmax(heights))
+        if k == 1 or np.sort(heights)[-2] < heights[top] - 1e-3 * np.linalg.norm(c):
+            at_vertex[len(rows)] = top
+            rows.append(V[top] + scale * c)
+    return p, np.array(rows), at_vertex
+
+
+@settings(max_examples=30, deadline=None)
+@given(polytope_with_rows())
+def test_polytope_projection_batch_matches_active_set_loop(case):
+    p, W, at_vertex = case
+    X = p.project_batch(W)
+    for w, x in zip(W, X):
+        ref, _ = project_onto_generated_set(p.vertices, None, w)
+        assert np.abs(x - ref).max() <= 1e-12 * max(1.0, np.abs(w).max())
+        assert x.tobytes() == resolvent(NormalConeOp(p), w).tobytes()
+    for i, j in at_vertex.items():
+        assert X[i].tobytes() == p.vertices[j].tobytes()
+
+
+def test_polytope_projection_batch_worked_examples():
+    tri = Polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    W = np.array([[0.2, 0.3], [2.0, -1.0], [1.0, 1.0], [-1.0, 0.5], [1.002e8 - 1.0, 1.002e8]])
+    X = tri.project_batch(W)
+    assert X == pytest.approx(np.array([[0.2, 0.3], [1.0, 0.0], [0.5, 0.5], [0.0, 0.5], [0.0, 1.0]]), abs=1e-15)
+    # vertex rows are the vertex itself, however far their base point
+    assert X[1].tolist() == [1.0, 0.0] and X[4].tolist() == [0.0, 1.0]
+    assert Polytope([[2.0, 3.0]]).project_batch([[0.0, 0.0], [5.0, 5.0]]).tolist() == [[2.0, 3.0]] * 2
+    seg = Polytope([[0.0, 0.0], [2.0, 2.0]])
+    assert seg.project_batch([[3.0, 3.0], [-1.0, 0.0], [2.0, 0.0]]).tolist() == [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]]
+    # this row projects onto an edge 3e-4 from its end vertex: the computed
+    # point is off the edge by rounding, which the normal-cone slack must cover
+    poly = Polytope([
+        [-0.8735816351405075, -0.5434536311131846], [-0.8321206017156983, 0.09513261456302224],
+        [-0.7718306185774226, 0.24701136710309402], [0.09112654063400494, -0.8118593624390786],
+        [0.25319706171556744, 0.7366506922307812], [0.46227540599181394, -0.8504208796869386],
+        [0.7046326226473028, -0.2409956149944903], [0.9518194931941404, 0.83415941161218],
+    ])
+    w = np.array([-0.07750430104397663, 1.4282333251041863])
+    x = poly.project_batch(w[None])[0]
+    assert np.abs(x - project_onto_generated_set(poly.vertices, None, w)[0]).max() <= 1e-15
+
+
+def test_polytope_projection_batch_has_no_fallback_for_an_unresolved_row(monkeypatch):
+    # a negative slack rejects every face a row off the vertices could take
+    from fitzkit import vecspace
+
+    monkeypatch.setattr(vecspace, "_FACE_SLACK", -1.0)
+    with pytest.raises(ValidationError, match="unresolved"):
+        Polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]).project_batch([[0.2, 0.3]])
 
 
 def test_projection_with_rays():
