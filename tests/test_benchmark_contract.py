@@ -9,25 +9,36 @@ import importlib
 import importlib.util
 import inspect
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from fitzkit.fitzpatrick import Finite, fitz_sampled
 from fitzkit.operators import FiniteGraph, LinearOp, graph_sample, resolvent_batch
 from fitzkit.vecspace import Grid, pair
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
-def load_spans(monkeypatch):
-    """Import perfbench/spans.py read-only: no bytecode is written beside it."""
+def load_perfbench(monkeypatch, name):
+    """Import perfbench/<name>.py read-only: no bytecode is written beside it,
+    and its sibling modules import as the benchmark runner imports them."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for sibling in ("common", "calibrate"):
+        monkeypatch.delitem(sys.modules, sibling, raising=False)
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, mod)
     spec.loader.exec_module(mod)
     return mod
+
+
+def load_spans(monkeypatch):
+    return load_perfbench(monkeypatch, "spans")
 
 
 def test_every_traced_layer_resolves(monkeypatch):
@@ -67,3 +78,25 @@ def test_fitz_sampled_accepts_a_finite_graph_sample():
     assert isinstance(given, Finite)
     assert given.value == fitz_sampled(op, pt, grid).value
     assert resolvent_batch(op, grid.nodes()).shape == (grid.count, 2)
+
+
+@pytest.mark.parametrize("seed", [0, 96])
+def test_dense_evaluate_pass_checks_and_names(monkeypatch, seed):
+    """One dense-evaluate pass as the benchmark runs it: each of its 64
+    operations passes its own oracle check, and the workload's named metrics
+    build from the pass."""
+    workloads = load_perfbench(monkeypatch, "workloads")
+    w = workloads.DenseEvaluate(seed)
+    ops = w.ops(0)
+    assert len(ops) == 64
+    times, units = [], 0
+    for pos, op in enumerate(ops):
+        start = time.perf_counter()
+        out = op.thunk()
+        times.append((pos, op.label, time.perf_counter() - start))
+        assert op.check(out) is None, op.label
+        units += op.units(out)
+    named = w.named([workloads.PassRecord(0, False, times, units, [])])
+    assert named["fitz_evals_per_s"].value > 0
+    assert {f"kept_ratio.{fam}" for fam in workloads.FAMILIES} <= set(named)
+    assert 0.0 < named["infinite_share"].value < 1.0

@@ -306,6 +306,18 @@ def test_fitz_sampled_infinite(capsys):
     assert payload["crossed_threshold"] > 1e8
 
 
+@pytest.mark.parametrize("operator, extra", [
+    (IDENT, ()),
+    (GRAPH, ()),
+    (json.dumps({"kind": "normal_cone", "box": {"lo": [0.0, 0.0], "hi": [1.0, 1.0]}}), ("--wgrid=-1:2:0.5",)),
+], ids=["linear", "graph", "sampled"])
+def test_fitz_point_of_wrong_dimension_exit_two(capsys, operator, extra):
+    code = main(["fitz", "--operator", operator, "--x", "1,2,3", "--xstar", "0,0,0", *extra])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
 def test_report_reemit(capsys, tmp_path):
     stored = tmp_path / "r.json"
     code, _ = run_cli(capsys, "suite", "--scenario", "expected-failures", "--out", str(stored))

@@ -89,21 +89,29 @@ def test_near_convexity_cone_p1():
         assert rq == pytest.approx(q, rel=1e-12)
 
 
-def test_near_convexity_fibers_built_once_per_candidate(monkeypatch):
-    """The candidate fibers are derived once and searched for every lambda."""
+def count_fiber_rows(monkeypatch, op):
+    """One entry, the row count, per fiber_batch call on op."""
     calls = []
-    real_fiber = fitzkit.operators.fiber
+    real = fitzkit.operators.fiber_batch
 
-    def counting_fiber(*args, **kwargs):
-        calls.append(args[1])
-        return real_fiber(*args, **kwargs)
+    def counting(inner, X, *args, **kwargs):
+        if inner is op:
+            calls.append(len(X))
+        return real(inner, X, *args, **kwargs)
 
-    monkeypatch.setattr(fitzkit.operators, "fiber", counting_fiber)
+    monkeypatch.setattr(fitzkit.operators, "fiber_batch", counting)
+    return calls
+
+
+def test_near_convexity_fibers_built_once_per_candidate(monkeypatch):
+    """The candidate fibers are derived once, in one fiber_batch call over the
+    domain, and searched for every lambda."""
+    calls = count_fiber_rows(monkeypatch, CONE01)
     cert = near_convexity_certificate(
         Sample.over(CONE01, WGRID_1D), [2.0], 1.0, [1.0, 10.0, 100.0]
     )
     assert cert.verdict is Verdict.PASS
-    assert len(calls) == len(unique_domain_points(graph_sample(CONE01, WGRID_1D)))
+    assert calls == [len(unique_domain_points(graph_sample(CONE01, WGRID_1D)))]
 
 
 def test_near_convexity_full_domain_not_applicable():
@@ -152,19 +160,12 @@ def test_conv_domain_cone_passes():
 
 def test_conv_domain_one_fiber_call_per_domain_point(monkeypatch):
     """The schedule's candidates and the bound chain's probes read one fiber
-    table."""
-    calls = []
-    real_fiber = fitzkit.operators.fiber
-
-    def counting_fiber(*args, **kwargs):
-        calls.append(args[1])
-        return real_fiber(*args, **kwargs)
-
+    table, built in one fiber_batch call."""
     sample = Sample.over(CONE01, WGRID_1D)
-    monkeypatch.setattr(fitzkit.operators, "fiber", counting_fiber)
+    calls = count_fiber_rows(monkeypatch, CONE01)
     cert = conv_domain_certificate(sample, [2.0], 1.0, [1.0, 10.0, 100.0])
     assert cert.verdict is Verdict.PASS
-    assert len(calls) == len(sample.domain) == 11
+    assert calls == [len(sample.domain)] == [11]
 
 
 def test_conv_domain_inside_hull_not_applicable():
