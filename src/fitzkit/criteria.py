@@ -77,35 +77,32 @@ def _default_wgrid(op: OperatorSpec, xgrid: Grid) -> Grid:
 
 
 def _search_value_witness(
-    s: Sample,
-    rows: np.ndarray,
+    op: OperatorSpec,
+    candidates,
     z: Vector,
     needed: Callable[[Vector], float],
+    tol: ToleranceConfig,
 ) -> Optional[tuple[Vector, Vector, float]]:
-    """First (a, a*, <z-a, a*>) over the domain rows of s, in the order rows,
-    with <z-a, a*> strictly above needed(a); an exact fiber's lex-first ray of
-    largest slope is scaled analytically to reach the target."""
-    op, tol, t = s.op, s.tol, s.fibers
-    for i in rows:
-        a = s.domain[i]
-        points, rays = t.row(i)
+    """First (a, a*, <z-a, a*>) over Sample.candidates with <z-a, a*> strictly
+    above needed(a); exact rays are scaled analytically to reach the target."""
+    for a, f in candidates:
         d = z - a
         target = needed(a)
         goal = target * _MARGIN_FACTOR + 10.0 * tol.eq_tol
-        vals = points @ d
-        order = lexsort_rows(points)
-        best_i = order[np.argmax(vals[order])]
+        vals = f.points @ d
+        order = lexsort_rows(f.points)
+        best_i = max(order.tolist(), key=lambda i: (vals[i],))
         best_val = float(vals[best_i])
         astar = None
         if best_val > goal:
-            astar = points[best_i]
-        elif t.exact[i] and len(rays):
-            slopes = rays @ d
-            ray_order = lexsort_rows(rays)
-            bi = ray_order[np.argmax(slopes[ray_order])]
+            astar = f.points[best_i]
+        elif f.exact and len(f.rays):
+            slopes = f.rays @ d
+            ray_order = lexsort_rows(f.rays)
+            bi = max(ray_order.tolist(), key=lambda i: (slopes[i],))
             if slopes[bi] > tol.eq_tol:
-                t_ray = (goal - best_val) / float(slopes[bi])
-                astar = points[best_i] + max(t_ray, 0.0) * rays[bi]
+                t = (goal - best_val) / float(slopes[bi])
+                astar = f.points[best_i] + max(t, 0.0) * f.rays[bi]
         if astar is None:
             continue
         val = float(np.dot(d, astar))
@@ -152,10 +149,11 @@ def sup_quotient(
 
     # ray divergence: quotient grows along any positively-aligned exact ray
     target_q = tol.inf_threshold * _MARGIN_FACTOR
-    rows = sample.candidates
-    rows = rows[np.linalg.norm(sample.domain[rows] - z, axis=-1) > tol.eq_tol]
+    candidates = [
+        (a, f) for a, f in sample.candidates if np.linalg.norm(a - z, axis=-1) > tol.eq_tol
+    ]
     found = _search_value_witness(
-        sample, rows, z, lambda a: target_q * float(np.linalg.norm(z - a))
+        sample.op, candidates, z, lambda a: target_q * float(np.linalg.norm(z - a)), tol
     )
     if found is not None:
         a, astar, val = found
@@ -179,6 +177,7 @@ def _quotient_schedule_run(sample: Sample, z: Vector, p: float, lambda_schedule)
     if any(lam <= 0 for lam in schedule):
         raise ValidationError("lambda schedule must be positive")
     op, tol = sample.op, sample.tol
+    candidates = sample.candidates
     # one widening/refining retry for sampled operators, on a fresh sample
     # whose candidates serve every later lambda
     widened = sample.wgrid is None
@@ -186,12 +185,12 @@ def _quotient_schedule_run(sample: Sample, z: Vector, p: float, lambda_schedule)
         def needed(a, lam=lam):
             return lam * float(np.linalg.norm(a - z)) ** p
 
-        found = _search_value_witness(sample, sample.candidates, z, needed)
+        found = _search_value_witness(op, candidates, z, needed, tol)
         if found is None and not widened:
             widened = True
             try:
-                sample = Sample.over(op, sample.wgrid.scaled(2.0, 1.0), tol)
-                found = _search_value_witness(sample, sample.candidates, z, needed)
+                candidates = Sample.over(op, sample.wgrid.scaled(2.0, 1.0), tol).candidates
+                found = _search_value_witness(op, candidates, z, needed, tol)
             except ValidationError:
                 found = None
         if found is None:
@@ -475,7 +474,7 @@ def blowup_witness_sequence(
         def needed(b, n=n):
             return n * float(np.dot(z - b, y0))
 
-        found = _search_value_witness(sample, sample.candidates, z, needed)
+        found = _search_value_witness(sample.op, sample.candidates, z, needed, tol)
         if found is None:
             missing.append(n)
             continue

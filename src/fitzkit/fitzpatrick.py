@@ -10,6 +10,7 @@ verdict is a budget-relative claim.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Literal, Optional, Union
 
@@ -23,8 +24,6 @@ from .operators import (
     LinearOp,
     OperatorSpec,
     Sample,
-    _blocks,
-    _distance_blocks,
     pairwise_product_blocks,
     resolvent_batch,
     shift_graph,
@@ -103,7 +102,7 @@ def fitz_linear(
     """
     M = as_matrix(M)
     c = as_vector(c, dim=M.shape[0])
-    x, xs = as_vector(pt.primal, dim=M.shape[0]), pt.dual
+    x, xs = as_vector(pt.primal, dim=M.shape[0]), as_vector(pt.dual, dim=M.shape[0])
     ms = 0.5 * (M + M.T)
     s = M.T @ x + xs - c
     vals, vecs = np.linalg.eigh(ms)
@@ -147,6 +146,20 @@ def fitz_linear(
 # Sampled kernel
 # ---------------------------------------------------------------------------
 
+def _blocks(rows: int, width: int):
+    """Slices of at most min(width, 2^16 / width) rows: a (rows, width) table
+    summed a block at a time stays in cache and far below a monotone-gate block."""
+    step = max(1, min(width, 2**16 // width))
+    return (slice(i, i + step) for i in range(0, rows, step))
+
+
+def _distance_blocks(P: np.ndarray, Y: np.ndarray):
+    """(rows, |y - p|) over row blocks of Y and all rows p of P, summed one
+    coordinate at a time as np.linalg.norm sums them (n <= 4)."""
+    for blk in _blocks(len(Y), len(P)):
+        yield blk, np.sqrt(sum((P[:, j] - Y[blk, j, None]) ** 2 for j in range(P.shape[1])))
+
+
 def _resolvent_rows(op: OperatorSpec, W: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     """resolvent_batch of W, row by row once it fails, with a NaN row where
     a row alone has no closed form."""
@@ -177,14 +190,12 @@ def fitz_rows(
     g, tol, n = s.graph, s.tol, X.shape[1]
     values = np.empty(len(X))
     sampled = not isinstance(s.op, GraphOp) and len(X) > 0
-    # rows (a, b, r): each ray r of an exact fiber at a sampled domain point a,
-    # with b the lex-first point of A(a)
-    A = B = R = np.zeros((0, g.dim))
-    if sampled:
-        t = s.fibers
-        keep = t.exact[t.ray_rows]
-        on = t.ray_rows[keep]
-        A, B, R = s.domain[on], t.points[t.lex_first()[on]], t.rays[keep]
+    # rows (a, b, r): each exact fiber ray r at a domain point a of the
+    # exact-ray head of the candidates, with b the lex-first point of A(a)
+    head = itertools.takewhile(
+        lambda c: c[1].exact and len(c[1].rays), s.candidates if sampled else ())
+    rays = [(a, f.points[lexsort_rows(f.points)[0]], r) for a, f in head for r in f.rays]
+    A, B, R = np.array(rays, dtype=float).reshape(-1, 3, g.dim).transpose(1, 0, 2)
     # crossings (rows, terms, witnesses (a, a*), rank), where a ray ranks by
     # its row in (A, B, R), then come the sample pairs and the resolvent point
     found = [(np.zeros(0, dtype=int), np.zeros(0), np.zeros((0, 2 * n)), np.zeros(0))]
@@ -292,14 +303,16 @@ def fitz_domain_projection(sample: Sample, xgrid: Grid) -> DomainScan:
     i0 = np.zeros(len(nodes), dtype=int)
     for blk, d in _distance_blocks(dom, nodes):
         i0[blk] = np.argmax(d <= d.min(axis=1, keepdims=True) + 1e-13, axis=1)
-    t = sample.fibers
-    q, j = t.items(i0, rays=True)
-    q = q[t.exact[i0[q]] & (rowwise_dot(nodes[q] - dom[i0[q]], t.rays[j]) > tol.eq_tol)]
-    alive = t.nonempty[i0]
-    alive[q] = False  # every probe diverges along an aligned exact ray
+    alive = np.zeros(len(nodes), dtype=bool)
+    owners, probes = [np.zeros(0, dtype=int)], [np.zeros((0, xgrid.dim))]
+    for i in np.unique(i0):
+        f, at = sample.fibers[i], np.flatnonzero(i0 == i)
+        if f.exact and len(f.rays):  # every probe diverges along an aligned ray
+            at = at[~(rowwise_dot(nodes[at, None] - dom[i], f.rays) > tol.eq_tol).any(axis=1)]
+        alive[at] = not f.is_empty
+        owners.append(np.repeat(at, len(f.points[:8])))
+        probes.append(np.tile(f.points[:8], (len(at), 1)))
     kept = np.flatnonzero(alive)
-    q, j = t.items(i0[kept], limit=8)
-    owners, probes = [kept[q]], [t.points[j]]
     for blk, d in _distance_blocks(g.primals, nodes[kept]):
         close = d <= 2.0 * sample.wgrid.spacing
         r, c = np.nonzero(close & (np.cumsum(close, axis=1) <= 8))

@@ -7,9 +7,6 @@ fibers (normal cones, box subdifferentials) are represented exactly as
 points + cone(rays); the only nonpolyhedral fiber at desk scale, the unit
 ball of the p=1 duality map at its center, is boundary-sampled and flagged
 inexact, although membership against it is still tested exactly.
-``fiber_batch`` builds the fibers of a batch of points as one ``FiberTable``,
-one array branch per operator kind; ``fiber`` is its one-row case, as
-``membership`` is the one-row case of ``membership_batch``.
 
 ``graph_sample(verify=True)`` passes every Minty sample through two exact
 gates, neither sampled down: ``membership_batch`` tests x* in A(x) for every
@@ -23,7 +20,7 @@ docstring says why the verdict, and the witness, are exact.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Union
 
@@ -133,20 +130,6 @@ def pairwise_product_blocks(X: np.ndarray, S: np.ndarray, d: np.ndarray, g: Fini
             - X[i0:i1] @ g.duals.T
             - S[i0:i1] @ g.primals.T
         )
-
-
-def _blocks(rows: int, width: int):
-    """Slices of at most min(width, 2^16 / width) rows: a (rows, width) table
-    summed a block at a time stays in cache and far below a monotone-gate block."""
-    step = max(1, min(width, 2**16 // width))
-    return (slice(i, i + step) for i in range(0, rows, step))
-
-
-def _distance_blocks(P: np.ndarray, Y: np.ndarray):
-    """(rows, |y - p|) over row blocks of Y and all rows p of P, summed one
-    coordinate at a time as np.linalg.norm sums them (n <= 4)."""
-    for blk in _blocks(len(Y), len(P)):
-        yield blk, np.sqrt(sum((P[:, j] - Y[blk, j, None]) ** 2 for j in range(P.shape[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -412,23 +395,78 @@ def _dykstra_prox(fun: FunSum, w: Vector, step: float, tol: ToleranceConfig) -> 
     return as_vector(x)
 
 
-# --- subdifferential images ----------------------------------------------
+# --- subdifferential fibers -------------------------------------------------
 
-def _matvec_rows(M: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """M @ x for every row x of X, one matrix-vector product per row, so each
-    row has the rounding of its one-row M @ x."""
-    return np.matmul(M, X[:, :, None])[:, :, 0]
+@dataclass(frozen=True, eq=False)
+class _SubFiber:
+    """Internal decomposition of a subdifferential image: offset + cone + ball."""
+
+    in_domain: bool
+    offset: np.ndarray
+    rays: np.ndarray
+    ball: float
+
+
+def _box_cone_rays(box: Box, x: Vector, tol: ToleranceConfig) -> Optional[np.ndarray]:
+    """Generating rays of the box normal cone at x, or None when x is outside."""
+    n = box.dim
+    if not box.contains(x, tol.eq_tol):
+        return None
+    rays = []
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = 1.0
+        if x[i] >= box.hi[i] - tol.eq_tol:
+            rays.append(e)
+        if x[i] <= box.lo[i] + tol.eq_tol:
+            rays.append(-e)
+    return np.array(rays) if rays else np.zeros((0, n))
+
+
+def _fun_subfiber(fun: FunSpec, x: Vector, tol: ToleranceConfig) -> _SubFiber:
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    empty = np.zeros((0, n))
+    if isinstance(fun, Quadratic):
+        return _SubFiber(True, fun.Q @ x + fun.b, empty, 0.0)
+    if isinstance(fun, BoxIndicator):
+        rays = _box_cone_rays(fun.box, x, tol)
+        if rays is None:
+            return _SubFiber(False, np.zeros(n), empty, 0.0)
+        return _SubFiber(True, np.zeros(n), rays, 0.0)
+    if isinstance(fun, TranslatedNormPower):
+        sub = _fun_subfiber(NormPower(fun.p, fun.scale), x - fun.center, tol)
+        return sub
+    if isinstance(fun, NormPower):
+        r = float(np.linalg.norm(x))
+        if fun.p == 1.0 and r <= tol.eq_tol:
+            return _SubFiber(True, np.zeros(n), empty, fun.scale)
+        if r == 0.0:
+            return _SubFiber(True, np.zeros(n), empty, 0.0)
+        return _SubFiber(True, fun.scale * r ** (fun.p - 2.0) * x, empty, 0.0)
+    if isinstance(fun, FunSum):
+        offset = np.zeros(n)
+        rays = [empty]
+        ball = 0.0
+        for part in fun.parts:
+            sub = _fun_subfiber(part, x, tol)
+            if not sub.in_domain:
+                return _SubFiber(False, np.zeros(n), empty, 0.0)
+            offset = offset + sub.offset
+            rays.append(sub.rays)
+            ball += sub.ball
+        return _SubFiber(True, offset, np.vstack(rays), ball)
+    raise ValidationError(f"unknown function spec {type(fun).__name__}")
 
 
 def _subdiff_rows(fun: FunSpec, X: np.ndarray, tol: ToleranceConfig):
-    """df at every row of X as arrays (inside, offset, up, down, ball): the
-    image is offset + K + ball*B, K per coordinate the line when up and down
-    are both set, a half-line when one is, else {0}. An offset has the
-    rounding of its row's own Q @ x and Python float power."""
+    """_fun_subfiber at every row of X, as arrays (inside, offset, up, down,
+    ball): the cone of the signed-axis rays is, per coordinate, the line when
+    up and down are both set, a half-line when one is, else {0}."""
     k, n = X.shape
     everywhere, none = np.ones(k, dtype=bool), np.zeros((k, n), dtype=bool)
     if isinstance(fun, Quadratic):
-        return everywhere, _matvec_rows(fun.Q, X) + fun.b, none, none, np.zeros(k)
+        return everywhere, rowwise_matmul(X, fun.Q.T) + fun.b, none, none, np.zeros(k)
     if isinstance(fun, BoxIndicator):
         inside = np.all((X >= fun.lo - tol.eq_tol) & (X <= fun.hi + tol.eq_tol), axis=1)
         return inside, np.zeros((k, n)), X >= fun.hi - tol.eq_tol, X <= fun.lo + tol.eq_tol, np.zeros(k)
@@ -438,10 +476,9 @@ def _subdiff_rows(fun: FunSpec, X: np.ndarray, tol: ToleranceConfig):
         r = np.sqrt(rowwise_dot(X, X))  # np.linalg.norm's rounding, row by row
         at_ball = (fun.p == 1.0) & (r <= tol.eq_tol)
         smooth = (r > 0.0) & ~at_ball
-        coef = np.array([fun.scale * v ** (fun.p - 2.0) for v in r[smooth].tolist()])
-        offset = np.zeros((k, n))
-        offset[smooth] = coef.reshape(-1, 1) * X[smooth]
-        return everywhere, offset, none, none, np.where(at_ball, fun.scale, 0.0)
+        coef = np.zeros(k)
+        coef[smooth] = fun.scale * r[smooth] ** (fun.p - 2.0)
+        return everywhere, coef[:, None] * X, none, none, np.where(at_ball, fun.scale, 0.0)
     if isinstance(fun, FunSum):
         inside, offset, up, down, ball = everywhere, np.zeros((k, n)), none, none, np.zeros(k)
         for part in fun.parts:
@@ -475,56 +512,24 @@ class Fiber:
     rays: np.ndarray
     exact: bool
 
+    def __post_init__(self):
+        base = as_vector(self.base)
+        pts = np.asarray(self.points, dtype=float).reshape(-1, base.size)
+        rys = np.asarray(self.rays, dtype=float).reshape(-1, base.size)
+        pts.setflags(write=False)
+        rys.setflags(write=False)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "rays", rys)
+
     @property
     def is_empty(self) -> bool:
         return self.points.shape[0] == 0 and self.rays.shape[0] == 0
 
 
-@dataclass(frozen=True, eq=False)
-class FiberTable:
-    """The images A(x_i) at m base points as one table: row i is the set of
-    points[point_rows == i] (in order) plus the cone of rays[ray_rows == i],
-    and exact[i] is False where a unit ball was boundary-sampled. Row indices
-    never decrease; a row without points has the empty fiber."""
-
-    points: np.ndarray
-    point_rows: np.ndarray
-    rays: np.ndarray
-    ray_rows: np.ndarray
-    exact: np.ndarray
-
-    @property
-    def nonempty(self) -> np.ndarray:
-        return np.bincount(self.point_rows, minlength=len(self.exact)) > 0
-
-    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Row i's points and rays."""
-        p0, p1 = np.searchsorted(self.point_rows, [i, i + 1])
-        r0, r1 = np.searchsorted(self.ray_rows, [i, i + 1])
-        return self.points[p0:p1], self.rays[r0:r1]
-
-    def items(self, rows: np.ndarray, rays: bool = False, limit: Optional[int] = None):
-        """(q, j): j runs over the points (or rays) of row rows[q], in order,
-        at most limit of them, for each q in turn."""
-        of = self.ray_rows if rays else self.point_rows
-        start = np.searchsorted(of, rows)
-        count = np.searchsorted(of, rows, side="right") - start
-        return _expand(start, count if limit is None else np.minimum(count, limit))
-
-    def lex_first(self) -> np.ndarray:
-        """Per row, the index of its lexicographically first point (the first
-        of equal ones); 0 for an empty row."""
-        order = np.lexsort((*self.points.T[::-1], self.point_rows))
-        head = order[np.diff(self.point_rows[order], prepend=-1) != 0]
-        first = np.zeros(len(self.exact), dtype=int)
-        first[self.point_rows[head]] = head
-        return first
-
-
-def _expand(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(q, j) with j = start[q], ..., start[q] + count[q] - 1 for each q in turn."""
-    q = np.repeat(np.arange(len(count)), count)
-    return q, np.arange(len(q)) - np.repeat(np.cumsum(count) - count - start, count)
+def _empty_fiber(x: Vector) -> Fiber:
+    x = as_vector(x)
+    return Fiber(x, np.zeros((0, x.size)), np.zeros((0, x.size)), True)
 
 
 def unit_sphere_samples(n: int) -> np.ndarray:
@@ -558,10 +563,21 @@ def _duality_points(p: float, center: Vector, X: np.ndarray) -> np.ndarray:
 
 
 def duality_map(p: float, center: Vector, x: Vector) -> Fiber:
-    """J_p(x - center) for the Euclidean norm: single-valued away from the
-    center (and everywhere for p > 1); at the center with p = 1 the image is
-    the closed unit ball, returned boundary-sampled with exact=False."""
-    return fiber(DualityMapOp(p, center), x)
+    """J_p(x - center) for the Euclidean norm.
+
+    Single-valued away from the center (and everywhere for p > 1); at the
+    center with p = 1 the image is the closed unit ball, returned
+    boundary-sampled with exact=False.
+    """
+    if p < 1.0:
+        raise ValidationError("duality map requires p >= 1")
+    center = as_vector(center)
+    x = as_vector(x, dim=center.size)
+    n = x.size
+    if p == 1.0 and np.all(x == center):
+        pts = np.vstack([np.zeros((1, n)), unit_sphere_samples(n)])
+        return Fiber(x, pts, np.zeros((0, n)), exact=False)
+    return Fiber(x, _duality_points(p, center, x[None, :]), np.zeros((0, n)), exact=True)
 
 
 def duality_point(p: float, center: Vector, x: Vector) -> Vector:
@@ -741,111 +757,83 @@ def resolvent(
 # Fibers and membership
 # ---------------------------------------------------------------------------
 
-def _as_rows(op: OperatorSpec, *arrays) -> list[np.ndarray]:
-    """The arrays as float (k, n) rows of one shape, n the operator's
-    dimension when it has one."""
-    rows = [np.atleast_2d(np.asarray(A, dtype=float)) for A in arrays]
-    dim = op_dimension(op)
-    if len({A.shape for A in rows}) > 1 or rows[0].ndim != 2 or dim not in (None, rows[0].shape[1]):
-        raise DimensionMismatchError(f"point shapes {[A.shape for A in rows]} do not match dimension {dim}")
-    return rows
-
-
-def _table(points: np.ndarray, rows: np.ndarray, k: int, rays=None, ray_rows=None) -> FiberTable:
-    """A table of exact fibers: the given points, and rays when given."""
-    if rays is None:
-        rays, ray_rows = np.zeros((0, points.shape[1])), np.zeros(0, dtype=int)
-    return FiberTable(points, rows, rays, ray_rows, np.ones(k, dtype=bool))
-
-
-def _ball_points(t: FiberTable, where: np.ndarray, radius: np.ndarray) -> FiberTable:
-    """t with each point p of a row r in where replaced by p + radius[r] * b,
-    for b = 0 and then each unit sphere sample, b-major within the row; the
-    nonempty rows among them become inexact."""
-    at = where[t.point_rows]
-    B = np.vstack([np.zeros((1, t.points.shape[1])), unit_sphere_samples(t.points.shape[1])])
-    src, b = _expand(np.zeros(len(at), dtype=int), np.where(at, len(B), 1))
-    rows, P = t.point_rows[src], t.points[src]
-    points = np.where(at[src, None], P + radius[rows, None] * B[b], P)
-    order = np.lexsort((src, b, rows))
-    exact = t.exact & (np.bincount(t.point_rows[at], minlength=len(t.exact)) == 0)
-    return FiberTable(points[order], rows[order], t.rays, t.ray_rows, exact)
-
-
-def _polytope_normal_rays(region: Polytope, X: np.ndarray, tol: ToleranceConfig):
-    """(inside, rays, ray_rows): the normal cone's generators at each row of X
-    inside the polytope: +-each complement basis vector (its lineality space),
-    then the outward normals of the active facets (or segment ends). Rows of
-    one active pattern share the facet-equation product each row alone gives."""
+def _region_normal_fiber(region: Union[Box, Polytope], x: Vector, tol: ToleranceConfig) -> Fiber:
+    x = as_vector(x, dim=region.dim)
+    n = x.size
+    if isinstance(region, Box):
+        rays = _box_cone_rays(region, x, tol)
+        if rays is None:
+            return _empty_fiber(x)
+        return Fiber(x, np.zeros((1, n)), rays, exact=True)
+    # polytope: facet normals of active facets, plus the lineality space of
+    # the complement when the polytope is not full-dimensional
+    if not region.contains(x, tol.eq_tol):
+        return _empty_fiber(x)
     center, basis, comp, eqs = region._facet_data
-    n, d = basis.shape
-    inside = region.contains_batch(X, tol.eq_tol)
-    lines = np.stack([comp.T, -comp.T], axis=1).reshape(-1, n)
+    rays = [np.zeros((0, n))]
+    for j in range(comp.shape[1]):
+        rays.append(comp[:, j][None, :])
+        rays.append(-comp[:, j][None, :])
+    d = basis.shape[1]
     scale = 1.0 + float(np.abs(region.vertices).max())
-    coords = np.matmul((X - center)[:, None, :], basis)[:, 0, :]
-    if d >= 2:
-        active = np.abs(_matvec_rows(eqs[:, :-1], coords) + eqs[:, -1]) <= tol.eq_tol * scale
-    else:
+    if d == 1:
         vals = (region.vertices - center) @ basis
-        active = np.hstack([coords >= vals.max(axis=0) - tol.eq_tol * scale,
-                            coords <= vals.min(axis=0) + tol.eq_tol * scale])
-        ends = np.vstack([basis.T, -basis.T])
-    rows = np.flatnonzero(inside)
-    patterns, which = np.unique(active[rows], axis=0, return_inverse=True)
-    gens = [np.vstack([lines, (basis @ eqs[on, :-1].T).T if d >= 2 else ends[on]]) for on in patterns]
-    count = np.array([len(G) for G in gens], dtype=int)
-    q, j = _expand((np.cumsum(count) - count)[which.ravel()], count[which.ravel()])
-    return inside, np.vstack([np.zeros((0, n))] + gens)[j], rows[q]
-
-
-def fiber_batch(op: OperatorSpec, X: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> FiberTable:
-    """The images A(x) at the rows x of X as one FiberTable, exact for
-    polyhedral images; rows of the wrong width raise DimensionMismatchError.
-    A subdifferential's or box cone's rays are the signed axes at its active
-    bounds (``_subdiff_rows``); a ball of radius r is sampled as offset + r*b,
-    b = 0 then ``unit_sphere_samples``. Each row's points, in order, and its
-    set of rays are those of its one-row rule, bit for bit."""
-    (X,) = _as_rows(op, X)
-    k, n = X.shape
-    if isinstance(op, GraphOp):
-        hits = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int))]
-        for blk, d in _distance_blocks(op.graph.primals, X):
-            r, j = np.nonzero(d <= tol.eq_tol)
-            hits.append((r + blk.start, j))
-        rows, cols = (np.concatenate(h) for h in zip(*hits))
-        return _table(op.graph.duals[cols], rows, k)
-    if isinstance(op, LinearOp):
-        return _table(_matvec_rows(op.M, X) + op.c, np.arange(k), k)
-    if isinstance(op, SubdiffOp) or (isinstance(op, NormalConeOp) and isinstance(op.region, Box)):
-        inside, offset, up, down, ball = _subdiff_rows(_as_funspec(op), X, tol)
-        r, i, lo = np.nonzero(np.stack([up, down], axis=2) & inside[:, None, None])
-        rays = np.where(lo, -1.0, 1.0)[:, None] * np.eye(n)[i]
-        rows = np.flatnonzero(inside)
-        return _ball_points(_table(offset[rows], rows, k, rays, r), ball != 0.0, ball)
-    if isinstance(op, NormalConeOp):
-        inside, rays, ray_rows = _polytope_normal_rays(op.region, X, tol)
-        rows = np.flatnonzero(inside)
-        return _table(np.zeros((len(rows), n)), rows, k, rays, ray_rows)
-    if isinstance(op, ShiftedOp):
-        inner = fiber_batch(op.inner, X, tol)
-        return replace(inner, points=inner.points - op.zstar)
-    at_center = (op.p == 1.0) & np.all(X == op.center, axis=1)  # J_1 is the unit ball there
-    J = _duality_points(op.p, op.center, X)
-    if isinstance(op, DualityMapOp):
-        return _ball_points(_table(J, np.arange(k), k), at_center, np.ones(k))
-    t = fiber_batch(op.inner, X, tol)
-    rows = t.point_rows
-    points = np.where(at_center[rows, None], t.points, t.points + (op.lam * J)[rows])
-    return _ball_points(replace(t, points=points), at_center, np.full(k, float(op.lam)))
+        xv = float(((x - center) @ basis)[0])
+        if xv >= vals.max() - tol.eq_tol * scale:
+            rays.append(basis[:, 0][None, :])
+        if xv <= vals.min() + tol.eq_tol * scale:
+            rays.append(-basis[:, 0][None, :])
+    elif d >= 2:
+        coords = (x - center) @ basis
+        resid = eqs[:, :-1] @ coords + eqs[:, -1]
+        active = np.abs(resid) <= tol.eq_tol * scale
+        if np.any(active):
+            rays.append((basis @ eqs[active, :-1].T).T)
+    return Fiber(x, np.zeros((1, n)), np.vstack(rays), exact=True)
 
 
 def fiber(op: OperatorSpec, x: Vector, tol: ToleranceConfig = DEFAULT_TOL) -> Fiber:
-    """The image set A(x): the one-row case of fiber_batch."""
-    x = as_vector(x)
-    t = fiber_batch(op, x[None, :], tol)
-    t.points.setflags(write=False)
-    t.rays.setflags(write=False)
-    return Fiber(x, t.points, t.rays, bool(t.exact[0]))
+    """The image set A(x), exact for polyhedral images; a point of the wrong
+    width raises DimensionMismatchError."""
+    x = as_vector(x, dim=op_dimension(op))
+    n = x.size
+    if isinstance(op, GraphOp):
+        mask = np.linalg.norm(op.graph.primals - x, axis=1) <= tol.eq_tol
+        pts = op.graph.duals[mask]
+        if len(pts) == 0:
+            return _empty_fiber(x)
+        return Fiber(x, pts, np.zeros((0, n)), exact=True)
+    if isinstance(op, LinearOp):
+        return Fiber(x, (op.M @ x + op.c)[None, :], np.zeros((0, n)), exact=True)
+    if isinstance(op, SubdiffOp):
+        sub = _fun_subfiber(op.fun, x, tol)
+        if not sub.in_domain:
+            return _empty_fiber(x)
+        if sub.ball == 0.0:
+            return Fiber(x, sub.offset[None, :], sub.rays, exact=True)
+        pts = sub.offset + np.vstack(
+            [np.zeros((1, n)), sub.ball * unit_sphere_samples(n)]
+        )
+        return Fiber(x, pts, sub.rays, exact=False)
+    if isinstance(op, NormalConeOp):
+        return _region_normal_fiber(op.region, x, tol)
+    if isinstance(op, DualityMapOp):
+        return duality_map(op.p, op.center, x)
+    if isinstance(op, ShiftedOp):
+        inner = fiber(op.inner, x, tol)
+        if inner.is_empty:
+            return inner
+        return Fiber(x, inner.points - op.zstar, inner.rays, inner.exact)
+    if isinstance(op, PerturbedOp):
+        inner = fiber(op.inner, x, tol)
+        if inner.is_empty:
+            return inner
+        jp = duality_map(op.p, op.center, x)
+        if jp.exact:
+            return Fiber(x, inner.points + op.lam * jp.points[0], inner.rays, inner.exact)
+        pts = np.vstack([inner.points + op.lam * b for b in jp.points])
+        return Fiber(x, pts, inner.rays, exact=False)
+    raise ValidationError(f"unknown operator spec {type(op).__name__}")
 
 
 def membership_batch(
@@ -858,20 +846,30 @@ def membership_batch(
     coordinate, a line, a half-line or {0}; the distance to it is the norm of
     what a per-coordinate clip removes, which is the exact projection, and
     dist(u, K + rB) = max(0, dist(u, K) - r) for the closed convex cone K. No
-    row is projected by an iterative solver, and none is sampled away."""
-    X, S = _as_rows(op, X, S)
+    row is projected by an iterative solver, and none is sampled away. Rows
+    of the wrong width raise DimensionMismatchError."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    S = np.atleast_2d(np.asarray(S, dtype=float))
+    dim = op_dimension(op)
+    if X.ndim != 2 or X.shape != S.shape or dim not in (None, X.shape[1]):
+        raise DimensionMismatchError(f"point shapes {X.shape} and {S.shape} do not match dimension {dim}")
     slack = tol.eq_tol * np.maximum(1.0, np.linalg.norm(S, axis=1))
     if isinstance(op, GraphOp):
-        t = fiber_batch(op, X, tol)
-        near = np.linalg.norm(t.points - S[t.point_rows], axis=1) <= tol.eq_tol
-        return np.bincount(t.point_rows[near], minlength=len(X)) > 0
+        g = op.graph
+        return np.array([np.any(
+            (np.linalg.norm(g.primals - x, axis=1) <= tol.eq_tol)
+            & (np.linalg.norm(g.duals - v, axis=1) <= tol.eq_tol)
+        ) for x, v in zip(X, S)], dtype=bool)
     if isinstance(op, LinearOp):
         return np.linalg.norm(rowwise_matmul(X, op.M.T) + op.c - S, axis=1) <= slack
     if isinstance(op, SubdiffOp):
         return _subdiff_residuals(op.fun, X, S, tol) <= slack
     if isinstance(op, NormalConeOp) and isinstance(op.region, Box):
-        inside, _, at_hi, at_lo, _ = _subdiff_rows(_as_funspec(op), X, tol)
-        return inside & ~np.any((S > slack[:, None]) & ~at_hi | (S < -slack[:, None]) & ~at_lo, axis=1)
+        box = op.region
+        inside = np.all((X >= box.lo - tol.eq_tol) & (X <= box.hi + tol.eq_tol), axis=1)
+        up = (S > slack[:, None]) & ~(X >= box.hi - tol.eq_tol)
+        down = (S < -slack[:, None]) & ~(X <= box.lo + tol.eq_tol)
+        return inside & ~np.any(up | down, axis=1)
     if isinstance(op, NormalConeOp):
         V = op.region.vertices
         # (V - x) . v summed coordinate by coordinate, and max |V - x| from the
@@ -893,11 +891,10 @@ def membership_batch(
         out = np.zeros(len(X), dtype=bool)
         J = _duality_points(op.p, op.center, X[~ball])
         out[~ball] = membership_batch(op.inner, X[~ball], S[~ball] - op.lam * J, tol)
-        inner = fiber_batch(op.inner, X[ball], tol) if ball.any() else None
-        for row, i in enumerate(np.flatnonzero(ball)):
-            points, rays = inner.row(row)
-            if len(points):
-                _, d = project_onto_generated_set(points, rays, S[i])
+        for i in np.flatnonzero(ball):
+            inner = fiber(op.inner, X[i], tol)
+            if not inner.is_empty:
+                _, d = project_onto_generated_set(inner.points, inner.rays, S[i])
                 out[i] = d <= op.lam + slack[i]
         return out
     raise ValidationError(f"unknown operator spec {type(op).__name__}")
@@ -1092,17 +1089,19 @@ class Sample:
         return conv_hull(self.domain)
 
     @cached_property
-    def fibers(self) -> FiberTable:
-        """A(a) at every domain point a: row i is the fiber at domain[i]."""
-        return fiber_batch(self.op, self.domain, self.tol)
+    def fibers(self) -> tuple[Fiber, ...]:
+        """A(a) for every domain point a, aligned with domain."""
+        return tuple(fiber(self.op, a, self.tol) for a in self.domain)
 
     @cached_property
-    def candidates(self) -> np.ndarray:
-        """Domain rows with nonempty fibers in witness-search order:
+    def candidates(self) -> tuple[tuple[Vector, Fiber], ...]:
+        """Domain points with nonempty fibers in witness-search order:
         exact-ray fibers first, each group in lexicographic order."""
-        t = self.fibers
-        rayful = t.exact & (np.bincount(t.ray_rows, minlength=len(t.exact)) > 0)
-        return np.concatenate([np.flatnonzero(rayful), np.flatnonzero(t.nonempty & ~rayful)])
+        rayful, plain = [], []
+        for a, f in zip(self.domain, self.fibers):
+            if not f.is_empty:
+                (rayful if (f.exact and len(f.rays)) else plain).append((a, f))
+        return tuple(rayful + plain)
 
 
 def maximality_probe(sample: Sample, probe_grid: Grid) -> list[PairPoint]:

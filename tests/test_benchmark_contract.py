@@ -9,7 +9,6 @@ import importlib
 import importlib.util
 import inspect
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +19,6 @@ from fitzkit.operators import FiniteGraph, LinearOp, graph_sample, resolvent_bat
 from fitzkit.vecspace import Grid, pair
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-SPANS = PERFBENCH / "spans.py"
 
 
 def load_perfbench(monkeypatch, name):
@@ -28,7 +26,7 @@ def load_perfbench(monkeypatch, name):
     and its sibling modules import as the benchmark runner imports them."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    for sibling in ("common", "calibrate"):
+    for sibling in ("common", "calibrate", "spans", "workloads"):
         monkeypatch.delitem(sys.modules, sibling, raising=False)
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
@@ -81,22 +79,20 @@ def test_fitz_sampled_accepts_a_finite_graph_sample():
 
 
 @pytest.mark.parametrize("seed", [0, 96])
-def test_dense_evaluate_pass_checks_and_names(monkeypatch, seed):
-    """One dense-evaluate pass as the benchmark runs it: each of its 64
-    operations passes its own oracle check, and the workload's named metrics
-    build from the pass."""
-    workloads = load_perfbench(monkeypatch, "workloads")
-    w = workloads.DenseEvaluate(seed)
-    ops = w.ops(0)
-    assert len(ops) == 64
-    times, units = [], 0
-    for pos, op in enumerate(ops):
-        start = time.perf_counter()
-        out = op.thunk()
-        times.append((pos, op.label, time.perf_counter() - start))
-        assert op.check(out) is None, op.label
-        units += op.units(out)
-    named = w.named([workloads.PassRecord(0, False, times, units, [])])
+def test_dense_evaluate_pass_runs_as_the_benchmark_runs_it(monkeypatch, seed):
+    """One dense-evaluate pass through the benchmark's own runner: each of its
+    64 operations passes its oracle check, the host-speed sampler ticks at
+    least once (the run's reference_ms is the mean of its samples, and a run
+    without one exits 1), and the workload's named metrics build."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # run.py sets it on import
+    run = load_perfbench(monkeypatch, "run")
+    workload = run.WORKLOADS["dense-evaluate"](seed)
+    runner = run.Runner(workload, None, run.SpeedSampler())
+    runner.run_pass(traced=False)
+    assert runner.failures == [] and runner.attempted == 64
+    assert len(runner.passes[0].times) == 64
+    assert runner.sampler.samples, "no operation of the pass lasted a sampling period"
+    named = workload.named(runner.passes)
     assert named["fitz_evals_per_s"].value > 0
-    assert {f"kept_ratio.{fam}" for fam in workloads.FAMILIES} <= set(named)
+    assert {f"kept_ratio.{fam}" for fam in sys.modules["workloads"].FAMILIES} <= set(named)
     assert 0.0 < named["infinite_share"].value < 1.0

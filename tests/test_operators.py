@@ -11,7 +11,6 @@ from fitzkit.errors import (
 from fitzkit.operators import (
     BoxIndicator,
     DualityMapOp,
-    Fiber,
     FiniteGraph,
     FunSum,
     GraphOp,
@@ -27,7 +26,6 @@ from fitzkit.operators import (
     duality_map,
     duality_point,
     fiber,
-    fiber_batch,
     fun_prox,
     graph_sample,
     maximality_probe,
@@ -330,151 +328,19 @@ def test_membership_along_huge_cone_rays(op, mag):
     assert not membership(op, pair([0.0, 1.0], [mag, mag]))
 
 
-# --------------------------------------------------------------------------
-# the per-point fiber rules that preceded fiber_batch, kept as its oracle
-# --------------------------------------------------------------------------
-
-def _box_cone_rays_reference(box, x, tol):
-    """Generating rays of the box normal cone at x, or None when x is outside."""
-    n = box.dim
-    if not box.contains(x, tol.eq_tol):
-        return None
-    rays = []
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        if x[i] >= box.hi[i] - tol.eq_tol:
-            rays.append(e)
-        if x[i] <= box.lo[i] + tol.eq_tol:
-            rays.append(-e)
-    return np.array(rays) if rays else np.zeros((0, n))
-
-
-def subfiber_reference(fun, x, tol=DEFAULT_TOL):
-    """df(x) as (in_domain, offset, rays, ball): offset + cone(rays) + ball*B."""
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    empty = np.zeros((0, n))
-    if isinstance(fun, Quadratic):
-        return True, fun.Q @ x + fun.b, empty, 0.0
-    if isinstance(fun, BoxIndicator):
-        rays = _box_cone_rays_reference(fun.box, x, tol)
-        if rays is None:
-            return False, np.zeros(n), empty, 0.0
-        return True, np.zeros(n), rays, 0.0
-    if isinstance(fun, TranslatedNormPower):
-        return subfiber_reference(NormPower(fun.p, fun.scale), x - fun.center, tol)
-    if isinstance(fun, NormPower):
-        r = float(np.linalg.norm(x))
-        if fun.p == 1.0 and r <= tol.eq_tol:
-            return True, np.zeros(n), empty, fun.scale
-        if r == 0.0:
-            return True, np.zeros(n), empty, 0.0
-        return True, fun.scale * r ** (fun.p - 2.0) * x, empty, 0.0
-    offset, rays, ball = np.zeros(n), [empty], 0.0
-    for part in fun.parts:
-        inside, p_off, p_rays, p_ball = subfiber_reference(part, x, tol)
-        if not inside:
-            return False, np.zeros(n), empty, 0.0
-        offset = offset + p_off
-        rays.append(p_rays)
-        ball += p_ball
-    return True, offset, np.vstack(rays), ball
-
-
-def _empty_fiber_reference(x):
-    return Fiber(x, np.zeros((0, x.size)), np.zeros((0, x.size)), True)
-
-
-def _duality_map_reference(p, center, x):
-    n = x.size
-    if p == 1.0 and np.all(x == center):
-        pts = np.vstack([np.zeros((1, n)), operators.unit_sphere_samples(n)])
-        return Fiber(x, pts, np.zeros((0, n)), exact=False)
-    return Fiber(x, operators._duality_points(p, center, x[None, :]), np.zeros((0, n)), exact=True)
-
-
-def _region_normal_fiber_reference(region, x, tol):
-    n = x.size
-    if isinstance(region, Box):
-        rays = _box_cone_rays_reference(region, x, tol)
-        if rays is None:
-            return _empty_fiber_reference(x)
-        return Fiber(x, np.zeros((1, n)), rays, exact=True)
-    if not region.contains(x, tol.eq_tol):
-        return _empty_fiber_reference(x)
-    center, basis, comp, eqs = region._facet_data
-    rays = [np.zeros((0, n))]
-    for j in range(comp.shape[1]):
-        rays.append(comp[:, j][None, :])
-        rays.append(-comp[:, j][None, :])
-    d = basis.shape[1]
-    scale = 1.0 + float(np.abs(region.vertices).max())
-    if d == 1:
-        vals = (region.vertices - center) @ basis
-        xv = float(((x - center) @ basis)[0])
-        if xv >= vals.max() - tol.eq_tol * scale:
-            rays.append(basis[:, 0][None, :])
-        if xv <= vals.min() + tol.eq_tol * scale:
-            rays.append(-basis[:, 0][None, :])
-    elif d >= 2:
-        coords = (x - center) @ basis
-        resid = eqs[:, :-1] @ coords + eqs[:, -1]
-        active = np.abs(resid) <= tol.eq_tol * scale
-        if np.any(active):
-            rays.append((basis @ eqs[active, :-1].T).T)
-    return Fiber(x, np.zeros((1, n)), np.vstack(rays), exact=True)
-
-
-def fiber_reference(op, x, tol=DEFAULT_TOL):
-    """The image set A(x) by the one-point rule of each family."""
-    x = np.array(x, dtype=float)
-    n = x.size
-    if isinstance(op, GraphOp):
-        mask = np.linalg.norm(op.graph.primals - x, axis=1) <= tol.eq_tol
-        pts = op.graph.duals[mask]
-        if len(pts) == 0:
-            return _empty_fiber_reference(x)
-        return Fiber(x, pts, np.zeros((0, n)), exact=True)
-    if isinstance(op, LinearOp):
-        return Fiber(x, (op.M @ x + op.c)[None, :], np.zeros((0, n)), exact=True)
-    if isinstance(op, SubdiffOp):
-        inside, offset, rays, ball = subfiber_reference(op.fun, x, tol)
-        if not inside:
-            return _empty_fiber_reference(x)
-        if ball == 0.0:
-            return Fiber(x, offset[None, :], rays, exact=True)
-        pts = offset + np.vstack([np.zeros((1, n)), ball * operators.unit_sphere_samples(n)])
-        return Fiber(x, pts, rays, exact=False)
-    if isinstance(op, NormalConeOp):
-        return _region_normal_fiber_reference(op.region, x, tol)
-    if isinstance(op, DualityMapOp):
-        return _duality_map_reference(op.p, op.center, x)
-    inner = fiber_reference(op.inner, x, tol)
-    if inner.is_empty:
-        return inner
-    if isinstance(op, ShiftedOp):
-        return Fiber(x, inner.points - op.zstar, inner.rays, inner.exact)
-    jp = _duality_map_reference(op.p, op.center, x)
-    if jp.exact:
-        return Fiber(x, inner.points + op.lam * jp.points[0], inner.rays, inner.exact)
-    pts = np.vstack([inner.points + op.lam * b for b in jp.points])
-    return Fiber(x, pts, inner.rays, exact=False)
-
-
 def subdiff_residual_reference(fun, x, v, tol=DEFAULT_TOL):
     """The one-row residual that preceded the closed-form batch rule: the
     distance from v to the fiber decomposition offset + cone(rays) + ball,
     the cone distance by the active-set projection."""
-    inside, offset, rays, ball = subfiber_reference(fun, x, tol)
-    if not inside:
+    sub = operators._fun_subfiber(fun, x, tol)
+    if not sub.in_domain:
         return float("inf")
-    u = np.asarray(v, dtype=float) - offset
-    if len(rays) == 0:
+    u = np.asarray(v, dtype=float) - sub.offset
+    if len(sub.rays) == 0:
         d = float(np.linalg.norm(u))
     else:
-        _, d = project_onto_generated_set(np.zeros((1, u.size)), rays, u)
-    return max(0.0, d - ball)
+        _, d = project_onto_generated_set(np.zeros((1, u.size)), sub.rays, u)
+    return max(0.0, d - sub.ball)
 
 
 def scalar_membership_reference(op, pt, tol=DEFAULT_TOL):
@@ -511,17 +377,16 @@ def scalar_membership_reference(op, pt, tol=DEFAULT_TOL):
         r = float(np.linalg.norm(x - op.center))
         if op.p == 1.0 and r <= tol.eq_tol:
             return bool(np.linalg.norm(v) <= 1.0 + tol.eq_tol)
-        jp = _duality_map_reference(op.p, op.center, x)
-        return bool(np.linalg.norm(v - jp.points[0]) <= slack)
+        return bool(np.linalg.norm(v - duality_point(op.p, op.center, x)) <= slack)
     if isinstance(op, ShiftedOp):
         return scalar_membership_reference(op.inner, PairPoint(x, v + op.zstar), tol)
     if isinstance(op, PerturbedOp):
-        jp = _duality_map_reference(op.p, op.center, x)
+        jp = duality_map(op.p, op.center, x)
         if jp.exact:
             return scalar_membership_reference(
                 op.inner, PairPoint(x, v - op.lam * jp.points[0]), tol
             )
-        inner = fiber_reference(op.inner, x, tol)
+        inner = fiber(op.inner, x, tol)
         if inner.is_empty:
             return False
         _, d = project_onto_generated_set(inner.points, inner.rays, v)
@@ -611,89 +476,12 @@ def test_membership_batch_agrees_with_scalar_reference(kind, rows):
     assert [membership(op, PairPoint(x, v)) for x, v in pts] == expected
 
 
-PENTAGON = Polytope([[np.cos(a), np.sin(a)] for a in 2.0 * np.pi * np.arange(5) / 5.0 + 0.3])
-SKEW_Q = Quadratic([[2.0, 0.5], [0.5, 1.0]], [0.1, -0.2])
-# MEMBERSHIP_KINDS and the families it leaves out: three-part sums, a
-# non-diagonal Q, powers whose rounding is not a square's, polygons with
-# oblique facets, a point polytope, and J_1 centres over cones and balls
-FIBER_KINDS = {
-    **MEMBERSHIP_KINDS,
-    "three_parts": (SubdiffOp(FunSum((BoxIndicator([0.0, 0.0], [1.0, 1.0]), SKEW_Q,
-                                      BoxIndicator([-1.0, 0.5], [0.5, 2.0])))),
-                    [[0.0, 0.5], [0.5, 1.0], [0.5, 0.5], [0.25, 0.75]]),
-    "skew_quadratic": (SubdiffOp(SKEW_Q), [[0.3, -0.7]]),
-    "norm_p15": (SubdiffOp(NormPower(1.5, 0.7)), [[0.0, 0.0], [0.3, -0.4]]),
-    "j15": (DualityMapOp(1.5, [0.5, -0.5]), [[0.5, -0.5], [1.0, 1.0]]),
-    "pentagon_cone": (NormalConeOp(PENTAGON), [list(v) for v in PENTAGON.vertices] + [[0.0, 0.0]]),
-    "point_cone": (NormalConeOp(Polytope([[0.5, 0.5]])), [[0.5, 0.5]]),
-    "shifted_graph": (ShiftedOp(MEMBERSHIP_KINDS["graph"][0], [0.5, -1.0]), [[1.0, 0.5]]),
-    "perturbed_j1_simplex": (PerturbedOp(NormalConeOp(SIMPLEX2), 0.3, 1.0, [0.0, 0.0]),
-                             [[0.0, 0.0], [0.5, 0.5]]),
-    "perturbed_j1_l1": (PerturbedOp(SubdiffOp(NormPower(1.0, 0.7)), 0.5, 1.0, [0.0, 0.0]),
-                        [[0.0, 0.0]]),
-    "perturbed_j1_shifted": (PerturbedOp(ShiftedOp(CONE01_2, [0.2, 0.1]), 0.5, 1.0, [1.0, 0.0]),
-                             [[1.0, 0.0], [1.0, 1.0]]),
-}
-
-
-def assert_rows_match_reference(op, X, tol=DEFAULT_TOL):
-    """Every row of fiber_batch(op, X) is fiber_reference at that row: the
-    points bit for bit and in order, the rays as a set of rows, the flag."""
-    table = fiber_batch(op, X, tol)
-    assert len(table.exact) == len(X)
-    for i, x in enumerate(X):
-        ref = fiber_reference(op, x, tol)
-        points, rays = table.row(i)
-        assert points.shape == ref.points.shape and points.tobytes() == ref.points.tobytes(), (i, x)
-        assert {r.tobytes() for r in rays} == {r.tobytes() for r in ref.rays}, (i, x)
-        assert table.exact[i] == ref.exact, (i, x)
-
-
-def _fiber_base(op, notable, mode, a, b, k):
-    try:
-        return _membership_row(op, notable, mode, a, b, k)[0]
-    except (NoClosedFormError, NotMaximalError):  # x = a then
-        return np.array(a)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(_row, min_size=1, max_size=6))
-@pytest.mark.parametrize("kind", sorted(FIBER_KINDS))
-def test_fiber_batch_matches_the_per_point_reference(kind, rows):
-    op, notable = FIBER_KINDS[kind]
-    X = np.array([_fiber_base(op, notable, *r) for r in rows])
-    assert_rows_match_reference(op, X)
-    f, ref = fiber(op, X[0]), fiber_reference(op, X[0])
-    assert f.points.tobytes() == ref.points.tobytes() and f.exact == ref.exact
-
-
-@pytest.mark.parametrize("op, points", [
-    (CONE01, [[-0.5], [0.0], [0.5], [1.0], [1.0 + 1e-9]]),
-    (NormalConeOp(Polytope([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])),
-     [[0.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.2, 0.2, 0.0], [0.2, 0.2, 1e-10], [0.2, 0.2, 0.1]]),
-    (NormalConeOp(Polytope([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])),
-     [[0.0, 0.0, 0.0], [0.5, 0.5, 0.5], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]]),
-    (NormalConeOp(Polytope([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])),
-     [[0.0, 0.0, 0.0], [0.25, 0.25, 0.25], [1 / 3, 1 / 3, 1 / 3], [0.5, 0.0, 0.0]]),
-    (SubdiffOp(FunSum((NormPower(1.0, 0.5), BoxIndicator([-1.0] * 3, [1.0] * 3)))),
-     [[0.0, 0.0, 0.0], [1.0, -1.0, 0.0], [1.0, 1.0, 1.0]]),
-    (PerturbedOp(NormalConeOp(Box([0.0] * 3, [1.0] * 3)), 0.5, 1.0, [1.0, 0.0, 1.0]),
-     [[1.0, 0.0, 1.0], [1.0, 0.5, 1.0]]),
-    (DualityMapOp(1.0, [0.0] * 4), [[0.0] * 4, [1.0, 0.0, 0.0, -1.0]]),
-], ids=["cone_1d", "flat_triangle_3d", "segment_3d", "simplex_3d", "l1_box_3d",
-        "perturbed_box_3d", "j1_4d"])
-def test_fiber_batch_matches_the_reference_off_the_plane(op, points):
-    X = np.array(points, dtype=float)
-    assert_rows_match_reference(op, X)
-    assert_rows_match_reference(op, X[::-1])
-
-
 @pytest.mark.parametrize("kind", sorted(MEMBERSHIP_KINDS))
 def test_point_of_wrong_width_raises_dimension_mismatch(kind):
     op, _ = MEMBERSHIP_KINDS[kind]
     x = np.zeros(3)
     calls = (lambda: fiber(op, x), lambda: membership(op, pair(x, x)),
-             lambda: fiber_batch(op, x[None]), lambda: membership_batch(op, x[None], x[None]))
+             lambda: membership_batch(op, x[None], x[None]))
     if op_dimension(op) is None:  # a norm power lives in every dimension
         for call in calls:
             call()
@@ -703,19 +491,9 @@ def test_point_of_wrong_width_raises_dimension_mismatch(kind):
             call()
 
 
-@pytest.mark.parametrize("op", [CONE01_2, NormalConeOp(SIMPLEX2), IDENT2, QUADBOX2],
-                         ids=["box", "simplex", "identity", "quadbox"])
-def test_sample_fibers_make_no_per_point_fiber_call(monkeypatch, op):
-    calls = count_calls(monkeypatch, "fiber", operators)
-    s = Sample.over(op, Grid([-2.0, -2.0], [3.0, 3.0], 0.1))
-    assert len(s.graph) == 2601
-    table = s.fibers
-    assert calls == [] and len(table.exact) == len(s.domain)
-    monkeypatch.undo()
-    assert_rows_match_reference(op, s.domain)
-    rayful = [i for i in range(len(s.domain))
-              if table.exact[i] and len(fiber_reference(op, s.domain[i]).rays)]
-    assert s.candidates[:len(rayful)].tolist() == rayful
+def test_membership_batch_rejects_unequal_point_shapes():
+    with pytest.raises(DimensionMismatchError):
+        membership_batch(SubdiffOp(NormPower(1.0, 0.7)), np.zeros((2, 2)), np.zeros((2, 3)))
 
 
 def test_graph_sample_gate_uses_the_membership_slack(monkeypatch):
