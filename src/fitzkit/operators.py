@@ -12,9 +12,9 @@ inexact, although membership against it is still tested exactly.
 gates, neither sampled down: ``membership_batch`` tests x* in A(x) for every
 pair, a subdifferential by a closed-form distance to its image, and
 ``monotone_check`` computes the upper triangle of the pairwise products in
-one matmul per block against a threshold widened by an a-priori rounding
-bound, and rescans the full square from the first block it flags. Each
-docstring says why the verdict, and the witness, are exact.
+cache-sized tiles, one matmul each, against a threshold widened by an a-priori
+rounding bound, and rescans the full square from the first row block it flags.
+Each docstring says why the verdict, and the witness, are exact.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .vecspace import (
 )
 
 _BALL_SAMPLES = 64
+_GATE_TILE = 1 << 16  # floats in one tile of the monotonicity gate (512 KB)
 
 
 # ---------------------------------------------------------------------------
@@ -76,13 +77,13 @@ class FiniteGraph:
 
     @classmethod
     def from_arrays(cls, primals: np.ndarray, duals: np.ndarray) -> "FiniteGraph":
-        g = cls.__new__(cls)
-        g._store(primals, duals)
-        return g
+        return cls.__new__(cls)._store(primals, duals)
 
-    def _store(self, primals, duals):
-        """The one validation every graph passes: nonempty, matching (k, n)
-        shapes, finite, and no two pairs within DEFAULT_TOL.eq_tol."""
+    def _store(self, primals, duals, deduped=False):
+        """The one validation every graph passes: nonempty, matching (k, n) shapes,
+        finite, and no two pairs within DEFAULT_TOL.eq_tol. Rows ``deduped`` by
+        ``dedupe_rows_within`` at a tol >= DEFAULT_TOL.eq_tol skip that test, which
+        they pass: each of its two closeness tests only tightens as tol falls."""
         X = np.array(primals, dtype=float, order="C")
         S = np.array(duals, dtype=float, order="C")
         if X.size == 0:
@@ -93,12 +94,13 @@ class FiniteGraph:
             )
         if not (np.isfinite(X).all() and np.isfinite(S).all()):
             raise ValidationError("graph pairs must be finite")
-        if len(dedupe_rows_within(np.hstack([X, S]), DEFAULT_TOL.eq_tol)) < len(X):
+        if not deduped and len(dedupe_rows_within(np.hstack([X, S]), DEFAULT_TOL.eq_tol)) < len(X):
             raise ValidationError("duplicate graph pairs within tolerance")
         d = np.einsum("ij,ij->i", X, S)
         for name, arr in (("primals", X), ("duals", S), ("self_products", d)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        return self
 
     @property
     def dim(self) -> int:
@@ -921,8 +923,7 @@ def graph_sample(
     X = resolvent_batch(op, W, tol)
     S = W - X
     rows = dedupe_rows_within(np.hstack([X, S]), tol.eq_tol)
-    n = X.shape[1]
-    Xd, Sd = rows[:, :n], rows[:, n:]
+    Xd, Sd = np.hsplit(rows, 2)
     if verify:
         ok = membership_batch(op, Xd, Sd, tol)
         if not ok.all():
@@ -931,7 +932,7 @@ def graph_sample(
                 f"sampled pair {bad} fails membership: "
                 f"x={Xd[bad].tolist()} x*={Sd[bad].tolist()}"
             )
-    g = FiniteGraph.from_arrays(Xd, Sd)
+    g = FiniteGraph.__new__(FiniteGraph)._store(Xd, Sd, deduped=tol.eq_tol >= DEFAULT_TOL.eq_tol)
     if verify:
         witness = monotone_check(g, tol)
         if witness is not None:
@@ -948,16 +949,17 @@ def monotone_check(
     d_i = x_i.x_i*.
 
     The gate computes, block by block of that scan's rows, only the columns
-    j >= i0 of the block's first row i0, each entry one dot product of length
-    2n + 2 in one matmul into one buffer:
+    j >= i0 of the block's first row i0, one cache-sized tile of columns per
+    matmul into one buffer, each entry one dot product of length 2n + 2:
 
         Q[i, j] = [x_i*, x_i, -d_i, -1] . [x_j, x_j*, 1, d_j]   (about -P[i, j]).
 
-    Exactness. P[i, j], P[j, i] and Q[i, j] each sum, in some order, the same
-    2n + 2 terms d_i, d_j, -x_ik x_jk*, -x_ik* x_jk (the d terms enter as exact
-    products), whose exact sum T is symmetric in i and j. By the a-priori
-    dot-product bound (Higham, Accuracy and Stability of Numerical Algorithms,
-    2nd ed., §3.1), each is within gamma_{2n+2} * C of T, gamma_m = m u / (1 - m u)
+    Exactness. P[i, j], P[j, i] and Q[i, j] each sum, in some order (a tile's
+    GEMM shape may change it), the same 2n + 2 terms d_i, d_j, -x_ik x_jk*,
+    -x_ik* x_jk (the d terms enter as exact products), whose exact sum T is
+    symmetric in i and j. By the a-priori dot-product bound, which holds for
+    any order (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    §3.1), each is within gamma_{2n+2} * C of T, gamma_m = m u / (1 - m u)
     with unit roundoff u, where C = 2 max|d| + 2 max|x| max|x*| bounds the sum
     of the terms' magnitudes by Cauchy-Schwarz. So P[i, j] < -eq_tol or
     P[j, i] < -eq_tol implies Q[i, j] > eq_tol - 2 gamma_{2n+2} C. A block is
@@ -967,10 +969,10 @@ def monotone_check(
     threshold is rounded down. A NaN entry flags too, and a bound that
     overflows flags the first block.
 
-    A violation at (i, j) therefore flags the block holding row min(i, j), so
-    no row before the first flagged block holds one. From that block on, the
-    full-square scan runs with its own row partition, on which BLAS rounding
-    depends: the verdict and the witness are the full-square scan's."""
+    A violation at (i, j) therefore flags a tile of the block holding row
+    min(i, j). The gate returns that block's first row, whichever tile flags,
+    and from it the full-square scan runs with its own row partition, on which
+    BLAS rounding depends: the verdict and the witness are the full-square scan's."""
     X, S, d = g.primals, g.duals, g.self_products
     start = _first_flagged_row(X, S, d, tol.eq_tol)
     if start is None:
@@ -985,7 +987,7 @@ def monotone_check(
 
 def _first_flagged_row(X: np.ndarray, S: np.ndarray, d: np.ndarray, eq_tol: float) -> Optional[int]:
     """First row of the first block of monotone_check's gate holding an entry
-    Q > eq_tol - margin, or None; the buffer is one full-square block's size."""
+    Q > eq_tol - margin, or None; each tile of Q stays in cache from matmul to max."""
     k, n = X.shape
     m = 2 * n + 3
     u = np.finfo(float).eps / 2
@@ -996,15 +998,17 @@ def _first_flagged_row(X: np.ndarray, S: np.ndarray, d: np.ndarray, eq_tol: floa
     limit = np.nextafter(eq_tol - margin, -np.inf)
     ones = np.ones((k, 1))
     left = np.hstack([S, X, -d[:, None], -ones])
-    right = np.hstack([X, S, ones, d[:, None]])
+    right_t = np.vstack([X.T, S.T, ones.T, d[None, :]])
     rows = _block_rows(k, k)
-    buf = np.empty(rows * k)
+    cols = _GATE_TILE // rows  # a block has at most 2000 rows
+    buf = np.empty(rows * cols)
     for i0 in range(0, k, rows):
         i1 = min(k, i0 + rows)
-        Q = buf[: (i1 - i0) * (k - i0)].reshape(i1 - i0, k - i0)
-        np.matmul(left[i0:i1], right[i0:].T, out=Q)
-        if not Q.max() <= limit:
-            return i0
+        for j0 in range(i0, k, cols):
+            Q = buf[: (i1 - i0) * min(cols, k - j0)].reshape(i1 - i0, -1)
+            np.matmul(left[i0:i1], right_t[:, j0 : j0 + cols], out=Q)
+            if not Q.max() <= limit:
+                return i0
     return None
 
 

@@ -8,6 +8,7 @@ operations are deterministic.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -508,12 +509,8 @@ def conv_hull(points) -> Polytope:
 
 
 def _iter_points(points):
-    if isinstance(points, Polytope):
-        return list(points.vertices)
-    arr = np.asarray(points, dtype=float)
-    if arr.ndim == 2:
-        return list(arr)
-    return list(points)
+    arr = points.vertices if isinstance(points, Polytope) else np.asarray(points, dtype=float)
+    return arr if arr.ndim == 2 else list(points)
 
 
 def dist_to_polytope(z: Vector, p: Polytope, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[float, Vector]:
@@ -555,15 +552,27 @@ class Box:
 
 
 def hausdorff(s, t) -> float:
-    """Hausdorff distance between two finite point sets."""
-    sa = np.atleast_2d(np.array([as_vector(p) for p in _iter_points(s)]))
-    ta = np.atleast_2d(np.array([as_vector(p) for p in _iter_points(t)]))
+    """Hausdorff distance between finite point sets (a flat list: points of R^1).
+    Each point within a KD-tree nearest distance, widened by _KD_MARGIN, is measured
+    again by the norm of the difference, so the value is the full distance table's."""
+    from scipy.spatial import cKDTree
+
+    sa, ta = (np.array(_iter_points(p), dtype=float) for p in (s, t))
     if sa.size == 0 or ta.size == 0:
         raise ValidationError("hausdorff of an empty point set")
+    sa, ta = sa.reshape(len(sa), -1), ta.reshape(len(ta), -1)
+    if not (np.isfinite(sa).all() and np.isfinite(ta).all()):
+        raise ValidationError("vector has non-finite coordinates")
     if sa.shape[1] != ta.shape[1]:
         raise DimensionMismatchError("point sets have mixed dimensions")
-    d = np.linalg.norm(sa[:, None, :] - ta[None, :, :], axis=2)
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    far = 0.0
+    for a, b in ((sa, ta), (ta, sa)):
+        tree = cKDTree(b)
+        near = tree.query_ball_point(a, tree.query(a)[0] * (1.0 + _KD_MARGIN))
+        counts = [len(js) for js in near]
+        d = np.linalg.norm(np.repeat(a, counts, axis=0) - b[np.concatenate(near)], axis=1)
+        far = max(far, np.minimum.reduceat(d, np.cumsum(counts) - counts).max())
+    return float(far)
 
 
 def separate(z: Vector, p: Polytope, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[Vector, float]:
@@ -602,6 +611,9 @@ class Grid:
             raise ValidationError("grid spacing must be positive")
         if np.any(lo >= hi):
             raise ValidationError("grid requires lower < upper componentwise")
+        with np.errstate(over="ignore"):  # nodes per axis in Python ints (no wrap), or inf
+            steps = np.floor((hi - lo) / self.spacing + 1e-9)
+        object.__setattr__(self, "_lengths", tuple(int(m) + 1 if m < np.inf else m for m in steps))
         if self.count > self.cap:
             raise ValidationError(f"grid has {self.count} nodes, exceeding cap {self.cap}")
 
@@ -609,21 +621,14 @@ class Grid:
     def dim(self) -> int:
         return self.lower.size
 
-    @cached_property
-    def _axes(self) -> tuple[np.ndarray, ...]:
-        axes = []
-        for lo, hi in zip(self.lower, self.upper):
-            m = int(np.floor((hi - lo) / self.spacing + 1e-9))
-            axes.append(lo + self.spacing * np.arange(m + 1))
-        return tuple(axes)
-
     @property
     def count(self) -> int:
-        return int(np.prod([len(a) for a in self._axes]))
+        return math.prod(self._lengths)
 
     def nodes(self) -> np.ndarray:
         """All lattice nodes in lexicographic order (first axis is primary)."""
-        mesh = np.meshgrid(*self._axes, indexing="ij")
+        axes = (lo + self.spacing * np.arange(m) for lo, m in zip(self.lower, self._lengths))
+        mesh = np.meshgrid(*axes, indexing="ij")
         out = np.stack([m.ravel() for m in mesh], axis=1)
         out.setflags(write=False)
         return out

@@ -96,3 +96,16 @@ def test_dense_evaluate_pass_runs_as_the_benchmark_runs_it(monkeypatch, seed):
     assert named["fitz_evals_per_s"].value > 0
     assert {f"kept_ratio.{fam}" for fam in sys.modules["workloads"].FAMILIES} <= set(named)
     assert 0.0 < named["infinite_share"].value < 1.0
+
+
+def test_dense_sample_pass_runs_as_the_benchmark_runs_it(monkeypatch):
+    """One dense-sample pass through the benchmark's own runner: each of its 8
+    graph_sample(verify=True) graphs is the brute-force dedupe of the
+    closed-form resolvent rows, and the host-speed sampler ticks at least once."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # run.py sets it on import
+    run = load_perfbench(monkeypatch, "run")
+    runner = run.Runner(run.WORKLOADS["dense-sample"](0), None, run.SpeedSampler())
+    runner.run_pass(traced=False)
+    assert runner.failures == [] and runner.attempted == 8
+    assert len(runner.passes[0].times) == 8
+    assert runner.sampler.samples, "no operation of the pass lasted a sampling period"

@@ -203,6 +203,15 @@ def test_check_grid_of_wrong_dimension_exit_two(capsys, check, flags, param):
     assert err.count("\n") == 1 and err.startswith(f"error: checks[0].params.{param}: grid")
 
 
+def test_check_grid_too_fine_to_build_exit_two(capsys):
+    # 5e9 nodes: counted and refused before any axis is built
+    code = main(["check", "--check", "near_convexity", "--operator", LINEAR_1D, "--z", "2",
+                 "--lambdas", "1", "--wgrid=-2:3:1e-9"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: grid has 5000000001 nodes")
+
+
 def test_check_strict_near_convexity_without_probe_grid_exit_two(capsys):
     code = main(["check", "--check", "near_convexity", "--operator", LINEAR_1D, "--z", "2",
                  "--lambdas", "1", "--wgrid=-2:3:0.5", "--params", '{"strict": true}'])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,6 +49,7 @@ from fitzkit.vecspace import (
     Grid,
     PairPoint,
     Polytope,
+    ToleranceConfig,
     pair,
     project_onto_generated_set,
 )
@@ -255,6 +258,36 @@ def test_graph_sample_monotone():
     for op in ops:
         g = graph_sample(op, Grid([-2.0, -2.0], [2.0, 2.0], 0.5))
         assert monotone_check(g) is None
+
+
+DENSE_SAMPLE_FAMILIES = {  # the benchmark's dense-sample operators on R^n
+    "box": lambda n: NormalConeOp(Box(np.zeros(n), np.ones(n))),
+    "simplex": lambda n: NormalConeOp(Polytope(np.vstack([np.zeros(n), np.eye(n)]))),
+    "identity": lambda n: LinearOp(np.eye(n), np.zeros(n)),
+    "quadbox": lambda n: SubdiffOp(
+        FunSum((Quadratic(np.eye(n), np.zeros(n)), BoxIndicator(np.zeros(n), np.ones(n))))
+    ),
+}
+
+
+@pytest.mark.parametrize("family", DENSE_SAMPLE_FAMILIES)
+@pytest.mark.parametrize("n, spacing", [(2, 0.25), (3, 0.5)])
+def test_graph_sample_dedupes_once_and_its_rows_pass_the_graph_dedupe(monkeypatch, family, n, spacing):
+    dedupes = count_calls(monkeypatch, "dedupe_rows_within", operators)
+    g = graph_sample(DENSE_SAMPLE_FAMILIES[family](n), Grid([-2.0] * n, [3.0] * n, spacing))
+    assert dedupes == [1]
+    h = FiniteGraph.from_arrays(g.primals, g.duals)
+    assert dedupes == [1, 1]
+    for a, b in ((g.primals, h.primals), (g.duals, h.duals), (g.self_products, h.self_products)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_graph_sample_below_the_default_tolerance_keeps_the_graph_dedupe():
+    # identity rows 7e-10 apart: distinct at eq_tol 1e-10, duplicates at the
+    # graph's own 1e-9
+    fine = ToleranceConfig(eq_tol=1e-10)
+    with pytest.raises(ValidationError, match="duplicate graph pairs within tolerance"):
+        graph_sample(IDENT, Grid([0.0], [5e-9], 1e-9), fine)
 
 
 # --------------------------------------------------------------------------
@@ -786,6 +819,48 @@ def test_monotone_check_on_a_monotone_graph_makes_no_full_square_scan(monkeypatc
     g = FiniteGraph.from_arrays(W, W)
     assert len(g) == 10201
     assert monotone_check(g) is None and rechecks == []
+
+
+@pytest.mark.parametrize("t", [None, 0.0, -8])
+@pytest.mark.parametrize(
+    "rows, tile", [((100, 1000), "later"), ((2090, 100), "last"), ((2095, 2080), "last")]
+)
+def test_monotone_check_rescans_once_from_a_flag_in_any_column_tile(monkeypatch, rows, tile, t):
+    # the gate walks the columns j >= i0 of each row block in tiles; a flag in
+    # a later tile, or in the last, partial one, still starts the full-square
+    # scan at the block's first row i0
+    k = 2100
+    block = operators._block_rows(k, k)
+    cols = operators._GATE_TILE // block
+    i0 = min(rows) // block * block
+    # the first planted entry of the block: column min(rows) when both rows
+    # are in it (row max(rows) of the block), else column max(rows)
+    col = min(rows) if max(rows) < i0 + block else max(rows)
+    last = (k - 1 - i0) // cols
+    if tile == "later":
+        assert 0 < (col - i0) // cols < last
+    else:
+        assert (col - i0) // cols == last and (k - i0) % cols
+    g = planted_graph(2, k, SEED, rows, t)
+    assert operators._first_flagged_row(g.primals, g.duals, g.self_products, DEFAULT_TOL.eq_tol) == i0
+    rechecks = count_calls(monkeypatch, "pairwise_product_blocks", operators)
+    ref = full_square_monotone_reference(g)
+    rechecks.clear()
+    assert witness_rows(g, monotone_check(g)) == ref
+    assert rechecks == [1]
+
+
+def test_monotone_check_gate_allocates_cache_sized_tiles():
+    # the untiled gate wrote one 4e6-float (32 MB) buffer per row block
+    W = Grid([-2.0, -2.0], [3.0, 3.0], 0.05).nodes()
+    g = FiniteGraph.from_arrays(W, W)
+    tracemalloc.start()
+    try:
+        assert monotone_check(g) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_monotonically_related_worked_examples():

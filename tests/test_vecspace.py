@@ -330,6 +330,29 @@ def test_hausdorff_worked_examples():
     assert hausdorff([[0.0], [1.0]], [[0.0], [1.0], [1.5]]) == pytest.approx(0.5)
 
 
+def dense_hausdorff(a, b):
+    """The full distance table that preceded the KD-tree search."""
+    d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+
+
+def test_hausdorff_is_the_full_distance_table():
+    rng = np.random.default_rng(RNG_SEED)
+    sq = Grid([-1.0, -1.0], [1.0, 1.0], 0.1).nodes()
+    cube = Grid([0.0] * 3, [1.0] * 3, 0.125).nodes()
+    cases = [
+        (sq, sq),
+        (sq, sq[::7] + 0.05),  # four nearest neighbours tie for most points
+        (sq[rng.permutation(len(sq))[:40]], sq),
+        (cube, cube[::5] + rng.uniform(-0.1, 0.1, size=(len(cube[::5]), 3))),
+        (rng.uniform(-3.0, 3.0, size=(60, 4)), rng.uniform(-3.0, 3.0, size=(35, 4))),
+        (np.array([[0.0], [1.0]]), np.array([[0.5], [2.5], [-0.25]])),
+    ]
+    for a, b in cases:
+        assert hausdorff(a, b) == dense_hausdorff(a, b)
+        assert hausdorff(b, a) == dense_hausdorff(b, a)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.lists(coords(2), min_size=1, max_size=5),
@@ -400,6 +423,10 @@ def test_grid_nodes_and_cap():
         Grid([0.0, 0.0], [1.0, 1.0], 1e-4, cap=1000)
     with pytest.raises(ValidationError):
         Grid([1.0], [0.0], 0.1)
+    # 1001^7 and 101^10 nodes: an int64 product of the axis lengths wraps negative
+    for lo, hi, h in (([0.0] * 7, [1.0] * 7, 1e-3), ([0.0] * 10, [1.0] * 10, 0.01)):
+        with pytest.raises(ValidationError, match="cap"):
+            Grid(lo, hi, h)
 
 
 def test_polytope_contains_batch_degenerate():
