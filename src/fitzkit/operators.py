@@ -8,6 +8,11 @@ points + cone(rays); the only nonpolyhedral fiber at desk scale, the unit
 ball of the p=1 duality map at its center, is boundary-sampled and flagged
 inexact, although membership against it is still tested exactly.
 
+A box normal cone is the subdifferential of the box's indicator,
+N_box = d(iota_box), so ``fiber`` and ``membership_batch`` read it, and every
+subdifferential, from one rule, ``_subdiff_rows``, which takes a ``Box`` as its
+indicator.
+
 ``graph_sample(verify=True)`` passes every Minty sample through two exact
 gates, neither sampled down: ``membership_batch`` tests x* in A(x) for every
 pair, a subdifferential by a closed-form distance to its image, and
@@ -250,9 +255,14 @@ def _radial_prox(nw: np.ndarray, c: float, p: float) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def _box_qp_batch(
-    H: np.ndarray, G: np.ndarray, lo: Vector | None, hi: Vector | None
-) -> np.ndarray:
+def _solve_rows(H: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Row i solves H x = G[i]. G as a stack of (n, 1) matrices broadcasts H
+    and solves one right-hand side per row, so each row is its one-row result
+    bit for bit, whatever its batch."""
+    return np.linalg.solve(H, G[:, :, None])[:, :, 0]
+
+
+def _box_qp_batch(H: np.ndarray, G: np.ndarray, lo: Vector, hi: Vector) -> np.ndarray:
     """Minimize 0.5 x'Hx - g'x over the box, one row of G per problem.
 
     H is SPD; the (at most 3^n) active-bound patterns are enumerated in a
@@ -260,8 +270,6 @@ def _box_qp_batch(
     slack scales with that row alone, so its batch does not move it.
     """
     k, n = G.shape
-    if lo is None:
-        return np.linalg.solve(H, G.T).T
     scale = np.maximum(np.abs(G).max(axis=1, initial=1.0), float(np.abs(H).max()))
     ktol = 1e-10 * scale
     X = np.zeros((k, n))
@@ -275,8 +283,7 @@ def _box_qp_batch(
             cand[:, i] = xb[idx]
         if free:
             rhs = G[:, free] - (xb @ H[np.ix_(fixed, free)] if fixed else 0.0)
-            sol = np.linalg.solve(H[np.ix_(free, free)], rhs.T).T
-            cand[:, free] = sol
+            cand[:, free] = _solve_rows(H[np.ix_(free, free)], rhs)
         grad = cand @ H - G
         valid = np.ones(k, dtype=bool)
         for i in free:
@@ -330,7 +337,7 @@ def fun_prox_batch(
     k, dim = W.shape
     if isinstance(fun, Quadratic):
         H = np.eye(dim) + step * fun.Q
-        return np.linalg.solve(H, (W - step * fun.b).T).T
+        return _solve_rows(H, W - step * fun.b)
     if isinstance(fun, BoxIndicator):
         return fun.box.project_batch(W)
     if isinstance(fun, TranslatedNormPower):
@@ -355,14 +362,10 @@ def fun_prox_batch(
             H = np.eye(dim) + step * A
             G = W - step * a
             if box is None:
-                return np.linalg.solve(H, G.T).T
+                return _solve_rows(H, G)
             return _box_qp_batch(H, G, box.lo, box.hi)
         return np.array([_dykstra_prox(fun, w, step, tol) for w in W])
     raise ValidationError(f"unknown function spec {type(fun).__name__}")
-
-
-def fun_prox(fun: FunSpec, w: Vector, step: float = 1.0, tol: ToleranceConfig = DEFAULT_TOL) -> Vector:
-    return as_vector(fun_prox_batch(fun, as_vector(w)[None, :], step, tol)[0])
 
 
 def _dykstra_prox(fun: FunSum, w: Vector, step: float, tol: ToleranceConfig) -> Vector:
@@ -397,79 +400,19 @@ def _dykstra_prox(fun: FunSum, w: Vector, step: float, tol: ToleranceConfig) -> 
     return as_vector(x)
 
 
-# --- subdifferential fibers -------------------------------------------------
+# --- subdifferentials --------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class _SubFiber:
-    """Internal decomposition of a subdifferential image: offset + cone + ball."""
-
-    in_domain: bool
-    offset: np.ndarray
-    rays: np.ndarray
-    ball: float
-
-
-def _box_cone_rays(box: Box, x: Vector, tol: ToleranceConfig) -> Optional[np.ndarray]:
-    """Generating rays of the box normal cone at x, or None when x is outside."""
-    n = box.dim
-    if not box.contains(x, tol.eq_tol):
-        return None
-    rays = []
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        if x[i] >= box.hi[i] - tol.eq_tol:
-            rays.append(e)
-        if x[i] <= box.lo[i] + tol.eq_tol:
-            rays.append(-e)
-    return np.array(rays) if rays else np.zeros((0, n))
-
-
-def _fun_subfiber(fun: FunSpec, x: Vector, tol: ToleranceConfig) -> _SubFiber:
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    empty = np.zeros((0, n))
-    if isinstance(fun, Quadratic):
-        return _SubFiber(True, fun.Q @ x + fun.b, empty, 0.0)
-    if isinstance(fun, BoxIndicator):
-        rays = _box_cone_rays(fun.box, x, tol)
-        if rays is None:
-            return _SubFiber(False, np.zeros(n), empty, 0.0)
-        return _SubFiber(True, np.zeros(n), rays, 0.0)
-    if isinstance(fun, TranslatedNormPower):
-        sub = _fun_subfiber(NormPower(fun.p, fun.scale), x - fun.center, tol)
-        return sub
-    if isinstance(fun, NormPower):
-        r = float(np.linalg.norm(x))
-        if fun.p == 1.0 and r <= tol.eq_tol:
-            return _SubFiber(True, np.zeros(n), empty, fun.scale)
-        if r == 0.0:
-            return _SubFiber(True, np.zeros(n), empty, 0.0)
-        return _SubFiber(True, fun.scale * r ** (fun.p - 2.0) * x, empty, 0.0)
-    if isinstance(fun, FunSum):
-        offset = np.zeros(n)
-        rays = [empty]
-        ball = 0.0
-        for part in fun.parts:
-            sub = _fun_subfiber(part, x, tol)
-            if not sub.in_domain:
-                return _SubFiber(False, np.zeros(n), empty, 0.0)
-            offset = offset + sub.offset
-            rays.append(sub.rays)
-            ball += sub.ball
-        return _SubFiber(True, offset, np.vstack(rays), ball)
-    raise ValidationError(f"unknown function spec {type(fun).__name__}")
-
-
-def _subdiff_rows(fun: FunSpec, X: np.ndarray, tol: ToleranceConfig):
-    """_fun_subfiber at every row of X, as arrays (inside, offset, up, down,
-    ball): the cone of the signed-axis rays is, per coordinate, the line when
-    up and down are both set, a half-line when one is, else {0}."""
+def _subdiff_rows(fun: Union[FunSpec, Box], X: np.ndarray, tol: ToleranceConfig):
+    """The one subdifferential rule: df(X[i]) = offset + K + ball*B for every
+    row, as arrays (inside, offset, up, down, ball), inside false outside dom f.
+    K is generated by +e_j where up and -e_j where down: per coordinate the line
+    when both are set, a half-line when one is, else {0}. A Box is read as its
+    indicator, N_box = d(iota_box), with no BoxIndicator built."""
     k, n = X.shape
     everywhere, none = np.ones(k, dtype=bool), np.zeros((k, n), dtype=bool)
     if isinstance(fun, Quadratic):
         return everywhere, rowwise_matmul(X, fun.Q.T) + fun.b, none, none, np.zeros(k)
-    if isinstance(fun, BoxIndicator):
+    if isinstance(fun, (BoxIndicator, Box)):
         inside = np.all((X >= fun.lo - tol.eq_tol) & (X <= fun.hi + tol.eq_tol), axis=1)
         return inside, np.zeros((k, n)), X >= fun.hi - tol.eq_tol, X <= fun.lo + tol.eq_tol, np.zeros(k)
     if isinstance(fun, TranslatedNormPower):
@@ -491,7 +434,7 @@ def _subdiff_rows(fun: FunSpec, X: np.ndarray, tol: ToleranceConfig):
     raise ValidationError(f"unknown function spec {type(fun).__name__}")
 
 
-def _subdiff_residuals(fun: FunSpec, X: np.ndarray, S: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+def _subdiff_residuals(fun: Union[FunSpec, Box], X: np.ndarray, S: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     """dist(S[i], df(X[i])) per row, +inf outside dom f. The image is
     offset + K + ball*B with K a cone of signed axes: the distance to K is a
     per-coordinate clip, and dist(u, K + rB) = max(0, dist(u, K) - r)."""
@@ -711,7 +654,7 @@ def resolvent_batch(
     if isinstance(op, LinearOp):
         n = op.M.shape[0]
         H = np.eye(n) + step * op.M
-        return np.linalg.solve(H, (W - step * op.c).T).T
+        return _solve_rows(H, W - step * op.c)
     if isinstance(op, SubdiffOp):
         return fun_prox_batch(op.fun, W, step, tol)
     if isinstance(op, NormalConeOp):
@@ -759,16 +702,36 @@ def resolvent(
 # Fibers and membership
 # ---------------------------------------------------------------------------
 
-def _region_normal_fiber(region: Union[Box, Polytope], x: Vector, tol: ToleranceConfig) -> Fiber:
-    x = as_vector(x, dim=region.dim)
+def _subdiff_of(op: OperatorSpec) -> Union[FunSpec, Box, None]:
+    """f with op = df for ``_subdiff_rows``: a subdifferential's function, or the
+    box of a box normal cone (N_box = d(iota_box)); None for any other op."""
+    if isinstance(op, SubdiffOp):
+        return op.fun
+    if isinstance(op, NormalConeOp) and isinstance(op.region, Box):
+        return op.region
+    return None
+
+
+def _subdiff_fiber(fun: Union[FunSpec, Box], x: Vector, tol: ToleranceConfig) -> Fiber:
+    """df(x) read off ``_subdiff_rows``: the offset, the rays +e_j where up then
+    -e_j where down, coordinate by coordinate, and a nonzero ball as the offset
+    plus a sampled sphere (exact=False)."""
+    inside, offset, up, down, ball = _subdiff_rows(fun, x[None, :], tol)
+    if not inside[0]:
+        return _empty_fiber(x)
     n = x.size
-    if isinstance(region, Box):
-        rays = _box_cone_rays(region, x, tol)
-        if rays is None:
-            return _empty_fiber(x)
-        return Fiber(x, np.zeros((1, n)), rays, exact=True)
-    # polytope: facet normals of active facets, plus the lineality space of
-    # the complement when the polytope is not full-dimensional
+    eye = np.eye(n)
+    rays = np.hstack([eye, -eye]).reshape(2 * n, n)[np.hstack([up.T, down.T]).ravel()]
+    if ball[0] == 0.0:
+        return Fiber(x, offset, rays, exact=True)
+    pts = offset + np.vstack([np.zeros((1, n)), ball[0] * unit_sphere_samples(n)])
+    return Fiber(x, pts, rays, exact=False)
+
+
+def _polytope_normal_fiber(region: Polytope, x: Vector, tol: ToleranceConfig) -> Fiber:
+    """N_P(x): facet normals of active facets, plus the lineality space of the
+    complement when the polytope is not full-dimensional."""
+    n = x.size
     if not region.contains(x, tol.eq_tol):
         return _empty_fiber(x)
     center, basis, comp, eqs = region._facet_data
@@ -796,7 +759,8 @@ def _region_normal_fiber(region: Union[Box, Polytope], x: Vector, tol: Tolerance
 
 def fiber(op: OperatorSpec, x: Vector, tol: ToleranceConfig = DEFAULT_TOL) -> Fiber:
     """The image set A(x), exact for polyhedral images; a point of the wrong
-    width raises DimensionMismatchError."""
+    width raises DimensionMismatchError. A subdifferential and a box normal cone
+    (N_box = d(iota_box)) come from one rule, ``_subdiff_rows``."""
     x = as_vector(x, dim=op_dimension(op))
     n = x.size
     if isinstance(op, GraphOp):
@@ -807,18 +771,11 @@ def fiber(op: OperatorSpec, x: Vector, tol: ToleranceConfig = DEFAULT_TOL) -> Fi
         return Fiber(x, pts, np.zeros((0, n)), exact=True)
     if isinstance(op, LinearOp):
         return Fiber(x, (op.M @ x + op.c)[None, :], np.zeros((0, n)), exact=True)
-    if isinstance(op, SubdiffOp):
-        sub = _fun_subfiber(op.fun, x, tol)
-        if not sub.in_domain:
-            return _empty_fiber(x)
-        if sub.ball == 0.0:
-            return Fiber(x, sub.offset[None, :], sub.rays, exact=True)
-        pts = sub.offset + np.vstack(
-            [np.zeros((1, n)), sub.ball * unit_sphere_samples(n)]
-        )
-        return Fiber(x, pts, sub.rays, exact=False)
+    fun = _subdiff_of(op)
+    if fun is not None:
+        return _subdiff_fiber(fun, x, tol)
     if isinstance(op, NormalConeOp):
-        return _region_normal_fiber(op.region, x, tol)
+        return _polytope_normal_fiber(op.region, x, tol)
     if isinstance(op, DualityMapOp):
         return duality_map(op.p, op.center, x)
     if isinstance(op, ShiftedOp):
@@ -843,7 +800,9 @@ def membership_batch(
 ) -> np.ndarray:
     """Mask of rows with S[i] in A(X[i]) within slack = eq_tol * max(1, |S[i]|).
 
-    A subdifferential image is offset + K + ball*B, where every ray of the cone
+    A box normal cone is a subdifferential, N_box = d(iota_box), and shares its
+    rule: the Euclidean distance to the image is at most the slack. A
+    subdifferential image is offset + K + ball*B, where every ray of the cone
     K is a signed coordinate axis at an active box bound. So K is, per
     coordinate, a line, a half-line or {0}; the distance to it is the norm of
     what a per-coordinate clip removes, which is the exact projection, and
@@ -864,14 +823,9 @@ def membership_batch(
         ) for x, v in zip(X, S)], dtype=bool)
     if isinstance(op, LinearOp):
         return np.linalg.norm(rowwise_matmul(X, op.M.T) + op.c - S, axis=1) <= slack
-    if isinstance(op, SubdiffOp):
-        return _subdiff_residuals(op.fun, X, S, tol) <= slack
-    if isinstance(op, NormalConeOp) and isinstance(op.region, Box):
-        box = op.region
-        inside = np.all((X >= box.lo - tol.eq_tol) & (X <= box.hi + tol.eq_tol), axis=1)
-        up = (S > slack[:, None]) & ~(X >= box.hi - tol.eq_tol)
-        down = (S < -slack[:, None]) & ~(X <= box.lo + tol.eq_tol)
-        return inside & ~np.any(up | down, axis=1)
+    fun = _subdiff_of(op)
+    if fun is not None:
+        return _subdiff_residuals(fun, X, S, tol) <= slack
     if isinstance(op, NormalConeOp):
         V = op.region.vertices
         # (V - x) . v summed coordinate by coordinate, and max |V - x| from the
@@ -1012,42 +966,9 @@ def _first_flagged_row(X: np.ndarray, S: np.ndarray, d: np.ndarray, eq_tol: floa
     return None
 
 
-def monotonically_related(
-    pt: PairPoint, g: FiniteGraph, tol: ToleranceConfig = DEFAULT_TOL
-) -> Optional[PairPoint]:
-    """None when <x-y, x*-y*> >= -eq_tol against every graph pair, else a witness."""
-    prods = np.einsum("ij,ij->i", pt.primal - g.primals, pt.dual - g.duals)
-    bad = np.flatnonzero(prods < -tol.eq_tol)
-    if len(bad) == 0:
-        return None
-    return g.pair(int(bad[0]))
-
-
-def shift_operator(op: OperatorSpec, zstar: Vector) -> OperatorSpec:
-    """Operator with fibers A(x) - zstar (graph shifted by (0, -zstar))."""
-    zstar = as_vector(zstar)
-    if np.all(zstar == 0.0):
-        return op
-    if isinstance(op, GraphOp):
-        return GraphOp(shift_graph(op.graph, zstar))
-    if isinstance(op, LinearOp):
-        return LinearOp(op.M, op.c - zstar)
-    if isinstance(op, ShiftedOp):
-        return ShiftedOp(op.inner, op.zstar + zstar)
-    return ShiftedOp(op, zstar)
-
-
 def shift_graph(g: FiniteGraph, zstar: Vector) -> FiniteGraph:
     zstar = as_vector(zstar, dim=g.dim)
     return FiniteGraph.from_arrays(g.primals, g.duals - zstar)
-
-
-def inverse_graph(g: FiniteGraph) -> FiniteGraph:
-    """Graph of the inverse relation: every (x, x*) becomes (x*, x).
-
-    Monotonicity is preserved (the pairwise products are symmetric in the
-    swap), so range-side questions reduce to domain-side checks here."""
-    return FiniteGraph.from_arrays(g.duals, g.primals)
 
 
 def perturb(op: OperatorSpec, lam: float, p: float, center: Vector) -> PerturbedOp:

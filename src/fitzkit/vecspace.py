@@ -542,10 +542,6 @@ class Box:
     def project_batch(self, ws: np.ndarray) -> np.ndarray:
         return np.clip(ws, self.lo, self.hi)
 
-    def contains(self, x: Vector, tol: float) -> bool:
-        x = as_vector(x, dim=self.dim)
-        return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
-
     def to_polytope(self) -> Polytope:
         corners = np.array(list(itertools.product(*zip(self.lo, self.hi))))
         return Polytope(corners)

@@ -57,17 +57,6 @@ def test_nested_shift_perturb_resolvent():
         assert resolvent(op, x + (w - x)) == pytest.approx(x, abs=1e-9)
 
 
-def test_shift_flattening():
-    from fitzkit.operators import shift_operator
-
-    base = NormalConeOp(Box([0.0], [1.0]))
-    once = shift_operator(base, [1.0])
-    twice = shift_operator(once, [2.0])
-    assert isinstance(twice, ShiftedOp)
-    assert twice.zstar.tolist() == [3.0]
-    assert twice.inner is base
-
-
 def test_near_convexity_fail_on_bounded_graph():
     g = FiniteGraph((pair([0.0], [0.0]), pair([1.0], [1.0])))
     cert = near_convexity_certificate(

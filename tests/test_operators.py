@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fitzkit.errors import (
     DimensionMismatchError,
@@ -28,18 +28,16 @@ from fitzkit.operators import (
     duality_map,
     duality_point,
     fiber,
-    fun_prox,
     graph_sample,
     maximality_probe,
     membership,
     membership_batch,
     monotone_check,
-    monotonically_related,
     op_dimension,
     perturb,
     resolvent,
     resolvent_batch,
-    shift_operator,
+    shift_graph,
     unique_domain_points,
 )
 from fitzkit import operators, vecspace
@@ -219,7 +217,7 @@ def test_prox_sum_exact_vs_dykstra():
 def test_dykstra_path_with_norm_term():
     fun = FunSum((Quadratic([[1.0]], [0.0]), NormPower(1.0, 0.5)))
     w = np.array([2.0])
-    x = fun_prox(fun, w)
+    x = resolvent(SubdiffOp(fun), w, step=1.0)
     # subgradient: w - x = x + 0.5*sign(x) -> 2 = 2x + 0.5 -> x = 0.75
     assert x == pytest.approx([0.75], abs=1e-6)
 
@@ -230,7 +228,7 @@ def test_dykstra_budget_exhaustion():
     tiny = ToleranceConfig(budget=2)
     fun = FunSum((Quadratic([[1.0]], [0.0]), NormPower(1.5, 1.0)))
     with pytest.raises(NoClosedFormError):
-        fun_prox(fun, np.array([2.0]), 1.0, tiny)
+        resolvent(SubdiffOp(fun), np.array([2.0]), tiny, step=1.0)
 
 
 # --------------------------------------------------------------------------
@@ -361,19 +359,62 @@ def test_membership_along_huge_cone_rays(op, mag):
     assert not membership(op, pair([0.0, 1.0], [mag, mag]))
 
 
+def fiber_reference(fun, x, tol=DEFAULT_TOL):
+    """The per-point subdifferential rule that preceded the one batch rule,
+    as (in_domain, offset, rays, ball): a box's rays are +e_i then -e_i at
+    each active bound, coordinate by coordinate, and a sum's rays are its
+    parts' rays, part by part, duplicates kept."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    empty = np.zeros((0, n))
+    if isinstance(fun, Quadratic):
+        return True, fun.Q @ x + fun.b, empty, 0.0
+    if isinstance(fun, BoxIndicator):
+        if not (np.all(x >= fun.lo - tol.eq_tol) and np.all(x <= fun.hi + tol.eq_tol)):
+            return False, np.zeros(n), empty, 0.0
+        rays = []
+        for i in range(n):
+            e = np.zeros(n)
+            e[i] = 1.0
+            if x[i] >= fun.hi[i] - tol.eq_tol:
+                rays.append(e)
+            if x[i] <= fun.lo[i] + tol.eq_tol:
+                rays.append(-e)
+        return True, np.zeros(n), np.array(rays) if rays else empty, 0.0
+    if isinstance(fun, TranslatedNormPower):
+        return fiber_reference(NormPower(fun.p, fun.scale), x - fun.center, tol)
+    if isinstance(fun, NormPower):
+        r = float(np.linalg.norm(x))
+        if fun.p == 1.0 and r <= tol.eq_tol:
+            return True, np.zeros(n), empty, fun.scale
+        if r == 0.0:
+            return True, np.zeros(n), empty, 0.0
+        return True, fun.scale * r ** (fun.p - 2.0) * x, empty, 0.0
+    if isinstance(fun, FunSum):
+        offset, rays, ball = np.zeros(n), [empty], 0.0
+        for part in fun.parts:
+            inside, p_off, p_rays, p_ball = fiber_reference(part, x, tol)
+            if not inside:
+                return False, np.zeros(n), empty, 0.0
+            offset, ball = offset + p_off, ball + p_ball
+            rays.append(p_rays)
+        return True, offset, np.vstack(rays), ball
+    raise AssertionError(type(fun).__name__)
+
+
 def subdiff_residual_reference(fun, x, v, tol=DEFAULT_TOL):
     """The one-row residual that preceded the closed-form batch rule: the
     distance from v to the fiber decomposition offset + cone(rays) + ball,
     the cone distance by the active-set projection."""
-    sub = operators._fun_subfiber(fun, x, tol)
-    if not sub.in_domain:
+    inside, offset, rays, ball = fiber_reference(fun, x, tol)
+    if not inside:
         return float("inf")
-    u = np.asarray(v, dtype=float) - sub.offset
-    if len(sub.rays) == 0:
+    u = np.asarray(v, dtype=float) - offset
+    if len(rays) == 0:
         d = float(np.linalg.norm(u))
     else:
-        _, d = project_onto_generated_set(np.zeros((1, u.size)), sub.rays, u)
-    return max(0.0, d - sub.ball)
+        _, d = project_onto_generated_set(np.zeros((1, u.size)), rays, u)
+    return max(0.0, d - ball)
 
 
 def scalar_membership_reference(op, pt, tol=DEFAULT_TOL):
@@ -390,18 +431,9 @@ def scalar_membership_reference(op, pt, tol=DEFAULT_TOL):
     if isinstance(op, SubdiffOp):
         return subdiff_residual_reference(op.fun, x, v, tol) <= slack
     if isinstance(op, NormalConeOp):
-        if isinstance(op.region, Box):
-            box = op.region
-            if not box.contains(x, tol.eq_tol):
-                return False
-            for i in range(box.dim):
-                hi_active = x[i] >= box.hi[i] - tol.eq_tol
-                lo_active = x[i] <= box.lo[i] + tol.eq_tol
-                if v[i] > slack and not hi_active:
-                    return False
-                if v[i] < -slack and not lo_active:
-                    return False
-            return True
+        if isinstance(op.region, Box):  # N_box = d(iota_box): the same distance rule
+            box = BoxIndicator(op.region.lo, op.region.hi)
+            return subdiff_residual_reference(box, x, v, tol) <= slack
         if not op.region.contains(x, tol.eq_tol):
             return False
         gaps = (op.region.vertices - x) @ v
@@ -507,6 +539,119 @@ def test_membership_batch_agrees_with_scalar_reference(kind, rows):
     expected = [scalar_membership_reference(op, PairPoint(x, v)) for x, v in pts]
     assert mask.dtype == bool and mask.tolist() == expected
     assert [membership(op, PairPoint(x, v)) for x, v in pts] == expected
+
+
+def _subdiff_fun(op):
+    """The function f with op = df, a box cone read as its box indicator; else None."""
+    if isinstance(op, SubdiffOp):
+        return op.fun
+    if isinstance(op, NormalConeOp) and isinstance(op.region, Box):
+        return BoxIndicator(op.region.lo, op.region.hi)
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_row, min_size=1, max_size=6))
+@pytest.mark.parametrize(
+    "kind", sorted(k for k, (op, _) in MEMBERSHIP_KINDS.items() if _subdiff_fun(op) is not None)
+)
+def test_fiber_agrees_with_the_per_point_reference(kind, rows):
+    # points bit for bit; rays in order and sign bit, except that a ray two
+    # boxes share now appears once
+    op, notable = MEMBERSHIP_KINDS[kind]
+    for r in rows:
+        x, _ = _membership_row(op, notable, *r)
+        f = fiber(op, x)
+        inside, offset, rays, ball = fiber_reference(_subdiff_fun(op), x)
+        if not inside:
+            assert f.is_empty and f.exact
+            continue
+        n = x.size
+        points = offset[None, :] if ball == 0.0 else offset + np.vstack(
+            [np.zeros((1, n)), ball * operators.unit_sphere_samples(n)]
+        )
+        assert f.exact == (ball == 0.0)
+        assert f.points.shape == points.shape and f.points.tobytes() == points.tobytes()
+        if kind == "two_boxes":
+            assert {r.tobytes() for r in f.rays} == {r.tobytes() for r in rays}
+        else:
+            assert f.rays.shape == rays.shape and f.rays.tobytes() == rays.tobytes()
+
+
+def test_box_cone_membership_is_the_box_indicator_subdifferential():
+    # N_box = d(iota_box). In the interior the image is {0}; (9e-10, 9e-10) is
+    # within eq_tol of it coordinate by coordinate, but 1.27e-9 away from it
+    pt = pair([0.5, 0.5], [9e-10, 9e-10])
+    indicator = SubdiffOp(BoxIndicator([0.0, 0.0], [1.0, 1.0]))
+    assert not membership(CONE01_2, pt)
+    assert membership(CONE01_2, pt) == membership(indicator, pt)
+    assert membership(CONE01_2, pair([0.5, 0.5], [7e-10, 7e-10]))
+
+
+_nudge = st.integers(-3, 3).map(lambda m: m * 0.9 * DEFAULT_TOL.eq_tol)
+
+
+@st.composite
+def _box_and_rows(draw):
+    """A box in R^1..R^3 (some sides flat) and rows at its bounds, at its
+    middle or outside it, a few eq_tol off, with duals of a few eq_tol (each
+    coordinate inside the slack, the row not always) or of order one."""
+    n = draw(st.integers(1, 3))
+    lo = np.array(draw(st.lists(_coord, min_size=n, max_size=n)))
+    hi = lo + np.array(draw(st.lists(st.sampled_from((0.0, 0.5, 2.0)), min_size=n, max_size=n)))
+    k = draw(st.integers(1, 6))
+    X, S = np.zeros((k, n)), np.zeros((k, n))
+    for i in range(k):
+        for j in range(n):
+            mid = 0.5 * (lo[j] + hi[j])
+            X[i, j] = draw(st.sampled_from((lo[j], hi[j], mid, mid, hi[j] + 1.0))) + draw(_nudge)
+            S[i, j] = draw(st.one_of(_nudge, _nudge, _coord))
+    return lo, hi, X, S
+
+
+@settings(max_examples=200, deadline=None)
+@given(_box_and_rows())
+@example((np.zeros(2), np.ones(2), np.array([[0.5, 0.5]]), np.array([[9e-10, 9e-10]])))
+def test_box_cone_and_box_indicator_subdifferential_agree(case):
+    lo, hi, X, S = case
+    cone, indicator = NormalConeOp(Box(lo, hi)), SubdiffOp(BoxIndicator(lo, hi))
+    assert membership_batch(cone, X, S).tolist() == membership_batch(indicator, X, S).tolist()
+    for x in X:
+        a, b = fiber(cone, x), fiber(indicator, x)
+        assert a.exact == b.exact
+        assert a.points.shape == b.points.shape and a.points.tobytes() == b.points.tobytes()
+        assert a.rays.shape == b.rays.shape and a.rays.tobytes() == b.rays.tobytes()
+
+
+def _rows_alone(f, W):
+    """f on each row of W alone, stacked; None when a row raises NoClosedFormError."""
+    try:
+        return np.vstack([f(w[None, :]) for w in W])
+    except NoClosedFormError:
+        return None
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_row, min_size=2, max_size=8))
+@pytest.mark.parametrize("kind", sorted(MEMBERSHIP_KINDS))
+def test_batch_rows_equal_rows_computed_alone(kind, rows):
+    # membership_batch and resolvent_batch give each row of a batch its one-row
+    # result bit for bit, whatever the other rows
+    op, notable = MEMBERSHIP_KINDS[kind]
+    pts = [_membership_row(op, notable, *r) for r in rows]
+    X = np.array([x for x, _ in pts])
+    S = np.array([v for _, v in pts])
+    alone = [bool(membership_batch(op, x[None, :], v[None, :])[0]) for x, v in pts]
+    assert membership_batch(op, X, S).tolist() == alone
+    if isinstance(op, GraphOp):
+        return
+    W = np.vstack([X + S, [a for _, a, _, _ in rows], [a for _, _, a, _ in rows]])
+    alone = _rows_alone(lambda w: resolvent_batch(op, w), W)
+    if alone is None:
+        with pytest.raises(NoClosedFormError):
+            resolvent_batch(op, W)
+    else:
+        assert resolvent_batch(op, W).tobytes() == alone.tobytes()
 
 
 @pytest.mark.parametrize("kind", sorted(MEMBERSHIP_KINDS))
@@ -625,16 +770,10 @@ def test_j1_bounded_range():
 
 def test_shift_worked_examples():
     g = graph_of(([0.0], [0.0]), ([1.0], [1.0]))
-    shifted = shift_operator(GraphOp(g), [1.0])
-    rows = {(p.primal[0], p.dual[0]) for p in map(shifted.graph.pair, range(len(shifted.graph)))}
+    shifted = shift_graph(g, [1.0])
+    rows = {(p.primal[0], p.dual[0]) for p in map(shifted.pair, range(len(shifted)))}
     assert rows == {(0.0, -1.0), (1.0, 0.0)}
-
-    op = CONE01
-    assert shift_operator(op, [0.0]) is op
-
-    lin = shift_operator(LinearOp(np.eye(1), np.zeros(1)), [2.0])
-    assert isinstance(lin, LinearOp)
-    assert lin.c.tolist() == [-2.0]
+    assert fiber(ShiftedOp(CONE01, [2.0]), [1.0]).points.tolist() == [[-2.0]]
 
 
 def test_shift_preserves_monotone_products():
@@ -643,8 +782,7 @@ def test_shift_preserves_monotone_products():
         X = rng.uniform(-1, 1, size=(6, 2))
         g = FiniteGraph.from_arrays(X, X @ np.array([[2.0, 0.3], [0.3, 1.0]]))
         z = rng.uniform(-1, 1, size=2)
-        shifted = shift_operator(GraphOp(g), z)
-        assert (monotone_check(g) is None) == (monotone_check(shifted.graph) is None)
+        assert (monotone_check(g) is None) == (monotone_check(shift_graph(g, z)) is None)
 
 
 def test_perturb_worked_examples():
@@ -863,16 +1001,6 @@ def test_monotone_check_gate_allocates_cache_sized_tiles():
     assert peak < 4 * 2**20
 
 
-def test_monotonically_related_worked_examples():
-    g = graph_of(([0.0], [0.0]), ([1.0], [1.0]))
-    assert monotonically_related(pair([0.5], [0.5]), g) is None
-    assert monotonically_related(pair([0.0], [1.0]), graph_of(([0.0], [0.0]))) is None
-    w = monotonically_related(pair([2.0], [-1.0]), g)
-    assert w is not None
-    prod = float((2.0 - w.primal[0]) * (-1.0 - w.dual[0]))
-    assert prod == pytest.approx(-2.0)
-
-
 # --------------------------------------------------------------------------
 # maximality probe
 # --------------------------------------------------------------------------
@@ -914,14 +1042,14 @@ def test_unique_domain_points():
 def test_norm_power_prox_general_p():
     fun = NormPower(3.0, 1.0)
     w = np.array([2.0, 0.0])
-    x = fun_prox(fun, w)
+    x = resolvent(SubdiffOp(fun), w, step=1.0)
     # u + u^2 = 2 -> u = 1
     assert x == pytest.approx([1.0, 0.0], abs=1e-9)
 
 
 def test_translated_norm_power_prox():
     fun = TranslatedNormPower(2.0, 1.0, [1.0])
-    x = fun_prox(fun, np.array([3.0]))
+    x = resolvent(SubdiffOp(fun), np.array([3.0]), step=1.0)
     # minimize .5(x-3)^2 + .5(x-1)^2 -> x = 2
     assert x == pytest.approx([2.0], abs=1e-12)
 
@@ -960,31 +1088,7 @@ def test_dykstra_escapes_kink_stall():
     # stopping rule stalls at the origin for whole cycles before escaping
     fun = FunSum((Quadratic(np.eye(2), np.zeros(2)), NormPower(1.0, 0.5)))
     w = np.array([0.26830398, -0.56167267])
-    x = fun_prox(fun, w)
+    x = resolvent(SubdiffOp(fun), w, step=1.0)
     nw = np.linalg.norm(w)
     ref = (nw - 0.5) / 2.0 * w / nw
     assert x == pytest.approx(ref, abs=1e-9)
-
-
-def test_inverse_graph_symmetry():
-    from fitzkit.operators import inverse_graph
-    from fitzkit.criteria import br_check, simons_lower_bound_check
-    from fitzkit.certificates import Verdict
-
-    rng = np.random.default_rng(SEED + 9)
-    # range-side questions reduce to domain-side ones on the swapped graph
-    for _ in range(20):
-        X = rng.uniform(-2, 2, size=(8, 2))
-        q = rng.uniform(-1, 1, size=(2, 2))
-        g = FiniteGraph.from_arrays(X, X @ (q @ q.T))
-        gi = inverse_graph(g)
-        assert (monotone_check(g) is None) == (monotone_check(gi) is None)
-        assert inverse_graph(gi).primals == pytest.approx(g.primals)
-    # a range point far from ran A behaves like a domain point far from dom A
-    op = SubdiffOp(Quadratic([[1.0]], [0.0]))
-    g = graph_sample(op, Grid([-2.0], [2.0], 0.25))
-    gi = inverse_graph(g)
-    cert = simons_lower_bound_check(Sample.over(GraphOp(gi), None), pair([3.0], [1.0]))
-    assert cert.verdict is Verdict.PASS
-    cert = br_check(Sample.over(GraphOp(gi), None), pair([1.0], [1.0]), 0.3, 0.3)
-    assert cert.verdict is Verdict.PASS
