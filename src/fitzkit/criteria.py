@@ -31,8 +31,8 @@ from .operators import (
     LinearOp,
     OperatorSpec,
     Sample,
-    _duality_points,
-    duality_point,
+    TranslatedNormPower,
+    _subdiff_rows,
     maximality_probe,
     membership,
     perturb,
@@ -197,7 +197,7 @@ def _quotient_schedule_run(sample: Sample, z: Vector, p: float, lambda_schedule)
             missing.append(lam)
             continue
         a, astar, val = found
-        bstar = duality_point(p, z, a)
+        bstar = _subdiff_rows(TranslatedNormPower(p, 1.0, z), a[None, :], tol)[1][0]  # J_p(a - z)
         total = astar + lam * bstar
         violation = float(np.dot(z - a, total))
         if not (
@@ -268,8 +268,9 @@ def near_convexity_certificate(
         if probe_grid is None:
             raise ValidationError("strict mode needs a probe grid")
         lam0 = min(float(lam) for lam in lambda_schedule)
-        bstar = _duality_points(p, z, g.primals)  # single-valued: a != z as alpha > eq_tol
-        surrogate = FiniteGraph.from_arrays(g.primals, g.duals + lam0 * bstar)
+        # lam0 J_p(a - z), single-valued: |a - z| >= alpha > eq_tol
+        lam_bstar = _subdiff_rows(TranslatedNormPower(p, lam0, z), g.primals, tol)[1]
+        surrogate = FiniteGraph.from_arrays(g.primals, g.duals + lam_bstar)
         evidence = maximality_probe(
             Sample(perturb(sample.op, lam0, p, z), surrogate, tol), probe_grid
         )

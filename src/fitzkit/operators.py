@@ -4,14 +4,16 @@ resolvent sampling as the universal bridge to finite graphs.
 
 Set-valued images ("fibers") carry an explicit ``exact`` flag: polyhedral
 fibers (normal cones, box subdifferentials) are represented exactly as
-points + cone(rays); the only nonpolyhedral fiber at desk scale, the unit
-ball of the p=1 duality map at its center, is boundary-sampled and flagged
-inexact, although membership against it is still tested exactly.
+points + cone(rays); the only nonpolyhedral fiber at desk scale, the ball of
+the p=1 duality map within eq_tol of its center, is boundary-sampled and
+flagged inexact, although membership against it is still tested exactly.
 
 A box normal cone is the subdifferential of the box's indicator,
-N_box = d(iota_box), so ``fiber`` and ``membership_batch`` read it, and every
-subdifferential, from one rule, ``_subdiff_rows``, which takes a ``Box`` as its
-indicator.
+N_box = d(iota_box), the duality map is J_p(. - c) = d(|. - c|^p / p)
+(Asplund), and A + lam J_p(. - c) = d(f + lam |. - c|^p / p) when A = df. So
+``_subdiff_of`` names every subdifferential once, and ``fiber``,
+``membership_batch`` and ``resolvent_batch`` read them all from one rule,
+``_subdiff_rows``, which takes a ``Box`` as its indicator.
 
 ``graph_sample(verify=True)`` passes every Minty sample through two exact
 gates, neither sampled down: ``membership_batch`` tests x* in A(x) for every
@@ -271,21 +273,21 @@ def _box_qp_batch(H: np.ndarray, G: np.ndarray, lo: Vector, hi: Vector) -> np.nd
     """
     k, n = G.shape
     scale = np.maximum(np.abs(G).max(axis=1, initial=1.0), float(np.abs(H).max()))
-    ktol = 1e-10 * scale
     X = np.zeros((k, n))
-    done = np.zeros(k, dtype=bool)
+    todo = np.arange(k)  # rows no earlier pattern resolved; only these are solved
     for pattern in itertools.product((0, 1, 2), repeat=n):
         free = [i for i, s in enumerate(pattern) if s == 0]
         fixed = [i for i, s in enumerate(pattern) if s != 0]
         xb = np.array([lo[i] if pattern[i] == 1 else hi[i] for i in fixed])
-        cand = np.zeros((k, n))
+        Gt, ktol = G[todo], 1e-10 * scale[todo]
+        cand = np.zeros((len(todo), n))
         for idx, i in enumerate(fixed):
             cand[:, i] = xb[idx]
         if free:
-            rhs = G[:, free] - (xb @ H[np.ix_(fixed, free)] if fixed else 0.0)
+            rhs = Gt[:, free] - (xb @ H[np.ix_(fixed, free)] if fixed else 0.0)
             cand[:, free] = _solve_rows(H[np.ix_(free, free)], rhs)
-        grad = cand @ H - G
-        valid = np.ones(k, dtype=bool)
+        grad = cand @ H - Gt
+        valid = np.ones(len(todo), dtype=bool)
         for i in free:
             valid &= (cand[:, i] >= lo[i] - ktol) & (cand[:, i] <= hi[i] + ktol)
         for i in fixed:
@@ -293,19 +295,16 @@ def _box_qp_batch(H: np.ndarray, G: np.ndarray, lo: Vector, hi: Vector) -> np.nd
                 valid &= grad[:, i] >= -ktol
             else:
                 valid &= grad[:, i] <= ktol
-        fresh = valid & ~done
-        if np.any(fresh):
-            X[fresh] = cand[fresh]
-            done |= fresh
-        if done.all():
-            break
-    if not done.all():
-        raise ValidationError("box quadratic subproblem left unresolved rows")
-    return X
+        X[todo[valid]] = cand[valid]
+        todo = todo[~valid]
+        if not len(todo):
+            return X
+    raise ValidationError("box quadratic subproblem left unresolved rows")
 
 
 def _sum_exact_parts(fun: FunSum, dim: int):
-    """Split a sum into (A, a, box) when it is quadratic-plus-box; else None."""
+    """Split a sum into (A, a, box) when it is quadratic-plus-box; else None.
+    A ``Box`` part is read as its indicator, as ``_subdiff_rows`` reads it."""
     A = np.zeros((dim, dim))
     a = np.zeros(dim)
     boxes: list[Box] = []
@@ -318,8 +317,8 @@ def _sum_exact_parts(fun: FunSum, dim: int):
         elif isinstance(part, TranslatedNormPower) and part.p == 2.0:
             A = A + part.scale * np.eye(dim)
             a = a - part.scale * part.center
-        elif isinstance(part, BoxIndicator):
-            boxes.append(part.box)
+        elif isinstance(part, (BoxIndicator, Box)):  # a Box part is its indicator
+            boxes.append(part)
         else:
             return None
     if not boxes:
@@ -332,14 +331,14 @@ def _sum_exact_parts(fun: FunSum, dim: int):
 def fun_prox_batch(
     fun: FunSpec, W: np.ndarray, step: float, tol: ToleranceConfig
 ) -> np.ndarray:
-    """prox_{step*f}(w) for each row w of W."""
+    """prox_{step*f}(w) for each row w of W; a ``Box`` is read as its indicator."""
     W = np.atleast_2d(np.asarray(W, dtype=float))
     k, dim = W.shape
     if isinstance(fun, Quadratic):
         H = np.eye(dim) + step * fun.Q
         return _solve_rows(H, W - step * fun.b)
-    if isinstance(fun, BoxIndicator):
-        return fun.box.project_batch(W)
+    if isinstance(fun, (BoxIndicator, Box)):
+        return np.clip(W, fun.lo, fun.hi)
     if isinstance(fun, TranslatedNormPower):
         inner = fun_prox_batch(NormPower(fun.p, fun.scale), W - fun.center, step, tol)
         return inner + fun.center
@@ -499,40 +498,6 @@ def unit_sphere_samples(n: int) -> np.ndarray:
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
-def _duality_points(p: float, center: Vector, X: np.ndarray) -> np.ndarray:
-    """Rows of the single-valued branch of J_p(x - center); zero at the center."""
-    U = X - center
-    R = np.linalg.norm(U, axis=1)[:, None]
-    safe = np.where(R > 0, R, 1.0)
-    return np.where(R > 0, U / safe if p == 1.0 else safe ** (p - 2.0) * U, 0.0)
-
-
-def duality_map(p: float, center: Vector, x: Vector) -> Fiber:
-    """J_p(x - center) for the Euclidean norm.
-
-    Single-valued away from the center (and everywhere for p > 1); at the
-    center with p = 1 the image is the closed unit ball, returned
-    boundary-sampled with exact=False.
-    """
-    if p < 1.0:
-        raise ValidationError("duality map requires p >= 1")
-    center = as_vector(center)
-    x = as_vector(x, dim=center.size)
-    n = x.size
-    if p == 1.0 and np.all(x == center):
-        pts = np.vstack([np.zeros((1, n)), unit_sphere_samples(n)])
-        return Fiber(x, pts, np.zeros((0, n)), exact=False)
-    return Fiber(x, _duality_points(p, center, x[None, :]), np.zeros((0, n)), exact=True)
-
-
-def duality_point(p: float, center: Vector, x: Vector) -> Vector:
-    """The single-valued branch of J_p(x - center); requires x != center when p=1."""
-    f = duality_map(p, center, x)
-    if not f.exact or len(f.points) != 1:
-        raise ValidationError("duality map is set-valued at this point")
-    return as_vector(f.points[0])
-
-
 # ---------------------------------------------------------------------------
 # Operator specs
 # ---------------------------------------------------------------------------
@@ -655,39 +620,21 @@ def resolvent_batch(
         n = op.M.shape[0]
         H = np.eye(n) + step * op.M
         return _solve_rows(H, W - step * op.c)
-    if isinstance(op, SubdiffOp):
-        return fun_prox_batch(op.fun, W, step, tol)
     if isinstance(op, NormalConeOp):
         return op.region.project_batch(W)
-    if isinstance(op, DualityMapOp):
-        return fun_prox_batch(TranslatedNormPower(op.p, 1.0, op.center), W, step, tol)
+    if isinstance(op, PerturbedOp) and op.p == 2.0:
+        den = 1.0 + step * op.lam
+        return resolvent_batch(op.inner, (W + step * op.lam * op.center) / den, tol, step / den)
+    fun = _subdiff_of(op)
+    if fun is not None:
+        return fun_prox_batch(fun, W, step, tol)
     if isinstance(op, ShiftedOp):
         return resolvent_batch(op.inner, W + step * op.zstar, tol, step)
     if isinstance(op, PerturbedOp):
-        if op.p == 2.0:
-            lam = op.lam
-            den = 1.0 + step * lam
-            return resolvent_batch(
-                op.inner, (W + step * lam * op.center) / den, tol, step / den
-            )
-        fun = _as_funspec(op.inner)
-        if fun is None:
-            raise NoClosedFormError(
-                "perturbed resolvent reduces only for p=2 or subdifferential inners"
-            )
-        total = FunSum((fun, TranslatedNormPower(op.p, op.lam, op.center)))
-        return fun_prox_batch(total, W, step, tol)
+        raise NoClosedFormError(
+            "perturbed resolvent reduces only for p=2 or subdifferential inners"
+        )
     raise ValidationError(f"unknown operator spec {type(op).__name__}")
-
-
-def _as_funspec(op: OperatorSpec) -> Optional[FunSpec]:
-    if isinstance(op, SubdiffOp):
-        return op.fun
-    if isinstance(op, NormalConeOp) and isinstance(op.region, Box):
-        return BoxIndicator(op.region.lo, op.region.hi)
-    if isinstance(op, DualityMapOp):
-        return TranslatedNormPower(op.p, 1.0, op.center)
-    return None
 
 
 def resolvent(
@@ -703,12 +650,21 @@ def resolvent(
 # ---------------------------------------------------------------------------
 
 def _subdiff_of(op: OperatorSpec) -> Union[FunSpec, Box, None]:
-    """f with op = df for ``_subdiff_rows``: a subdifferential's function, or the
-    box of a box normal cone (N_box = d(iota_box)); None for any other op."""
+    """f with op = df for ``_subdiff_rows``, the one place that names the
+    subdifferentials: a subdifferential's function; the box of a box normal
+    cone, N_box = d(iota_box); |. - c|^p / p for the duality map J_p(. - c)
+    (Asplund); and f + lam |. - c|^p / p for A + lam J_p(. - c) when A = df.
+    None for any other op."""
     if isinstance(op, SubdiffOp):
         return op.fun
     if isinstance(op, NormalConeOp) and isinstance(op.region, Box):
         return op.region
+    if isinstance(op, DualityMapOp):
+        return TranslatedNormPower(op.p, 1.0, op.center)
+    if isinstance(op, PerturbedOp):
+        fun = _subdiff_of(op.inner)
+        if fun is not None:
+            return FunSum((fun, TranslatedNormPower(op.p, op.lam, op.center)))
     return None
 
 
@@ -759,8 +715,10 @@ def _polytope_normal_fiber(region: Polytope, x: Vector, tol: ToleranceConfig) ->
 
 def fiber(op: OperatorSpec, x: Vector, tol: ToleranceConfig = DEFAULT_TOL) -> Fiber:
     """The image set A(x), exact for polyhedral images; a point of the wrong
-    width raises DimensionMismatchError. A subdifferential and a box normal cone
-    (N_box = d(iota_box)) come from one rule, ``_subdiff_rows``."""
+    width raises DimensionMismatchError. Every op ``_subdiff_of`` names (a
+    subdifferential, a box normal cone, a duality map, a perturbed
+    subdifferential) comes from one rule, ``_subdiff_rows``; so does lam J_p in
+    the fiber of any other perturbed op."""
     x = as_vector(x, dim=op_dimension(op))
     n = x.size
     if isinstance(op, GraphOp):
@@ -776,8 +734,6 @@ def fiber(op: OperatorSpec, x: Vector, tol: ToleranceConfig = DEFAULT_TOL) -> Fi
         return _subdiff_fiber(fun, x, tol)
     if isinstance(op, NormalConeOp):
         return _polytope_normal_fiber(op.region, x, tol)
-    if isinstance(op, DualityMapOp):
-        return duality_map(op.p, op.center, x)
     if isinstance(op, ShiftedOp):
         inner = fiber(op.inner, x, tol)
         if inner.is_empty:
@@ -787,11 +743,9 @@ def fiber(op: OperatorSpec, x: Vector, tol: ToleranceConfig = DEFAULT_TOL) -> Fi
         inner = fiber(op.inner, x, tol)
         if inner.is_empty:
             return inner
-        jp = duality_map(op.p, op.center, x)
-        if jp.exact:
-            return Fiber(x, inner.points + op.lam * jp.points[0], inner.rays, inner.exact)
-        pts = np.vstack([inner.points + op.lam * b for b in jp.points])
-        return Fiber(x, pts, inner.rays, exact=False)
+        jp = _subdiff_fiber(TranslatedNormPower(op.p, op.lam, op.center), x, tol)
+        pts = np.vstack([inner.points + b for b in jp.points])
+        return Fiber(x, pts, inner.rays, inner.exact and jp.exact)
     raise ValidationError(f"unknown operator spec {type(op).__name__}")
 
 
@@ -800,8 +754,10 @@ def membership_batch(
 ) -> np.ndarray:
     """Mask of rows with S[i] in A(X[i]) within slack = eq_tol * max(1, |S[i]|).
 
-    A box normal cone is a subdifferential, N_box = d(iota_box), and shares its
-    rule: the Euclidean distance to the image is at most the slack. A
+    Every op ``_subdiff_of`` names shares one rule: a box normal cone
+    (N_box = d(iota_box)), a duality map (J_p(. - c) = d(|. - c|^p / p)) and a
+    perturbed subdifferential are subdifferentials, and the Euclidean distance
+    to the image is at most the slack. A
     subdifferential image is offset + K + ball*B, where every ray of the cone
     K is a signed coordinate axis at an active box bound. So K is, per
     coordinate, a line, a half-line or {0}; the distance to it is the norm of
@@ -833,20 +789,14 @@ def membership_batch(
         gaps = sum((V[:, i] - X[:, i, None]) * S[:, i, None] for i in range(X.shape[1]))
         spread = np.maximum(V.max(axis=0) - X, X - V.min(axis=0)).max(axis=1)
         return op.region.contains_batch(X, tol.eq_tol) & (gaps.max(axis=1) <= slack * (1.0 + spread))
-    if isinstance(op, DualityMapOp):
-        ball = (op.p == 1.0) & (np.linalg.norm(X - op.center, axis=1) <= tol.eq_tol)
-        J = _duality_points(op.p, op.center, X)
-        return np.where(
-            ball, np.linalg.norm(S, axis=1) <= 1.0 + tol.eq_tol, np.linalg.norm(S - J, axis=1) <= slack
-        )
     if isinstance(op, ShiftedOp):
         return membership_batch(op.inner, X, S + op.zstar, tol)
     if isinstance(op, PerturbedOp):
-        # J_1 at its center is the unit ball: test the distance to the inner fiber
-        ball = (op.p == 1.0) & np.all(X == op.center, axis=1)
+        # lam J_1 near its center is the ball lam*B: test the distance to the inner fiber
+        _, J, _, _, radius = _subdiff_rows(TranslatedNormPower(op.p, op.lam, op.center), X, tol)
+        ball = radius > 0.0
         out = np.zeros(len(X), dtype=bool)
-        J = _duality_points(op.p, op.center, X[~ball])
-        out[~ball] = membership_batch(op.inner, X[~ball], S[~ball] - op.lam * J, tol)
+        out[~ball] = membership_batch(op.inner, X[~ball], S[~ball] - J[~ball], tol)
         for i in np.flatnonzero(ball):
             inner = fiber(op.inner, X[i], tol)
             if not inner.is_empty:

@@ -497,15 +497,19 @@ class Polytope:
 
 
 def conv_hull(points) -> Polytope:
-    """Minimal V-representation of the convex hull of finitely many points."""
-    pts = [as_vector(p) for p in _iter_points(points)]
-    if not pts:
+    """Minimal V-representation of the convex hull of finitely many points (a
+    flat list: points of R^1), validated as one array, not point by point."""
+    try:
+        arr = np.array(_iter_points(points), dtype=float)
+    except ValueError:
+        if len({np.size(p) for p in points}) > 1:
+            raise DimensionMismatchError("hull points have mixed dimensions") from None
+        raise
+    if arr.size == 0:
         raise ValidationError("convex hull of an empty point set")
-    dim = pts[0].size
-    for p in pts:
-        if p.size != dim:
-            raise DimensionMismatchError("hull points have mixed dimensions")
-    return Polytope(np.array(pts))
+    if not np.isfinite(arr).all():
+        raise ValidationError("vector has non-finite coordinates")
+    return Polytope(arr[:, None] if arr.ndim == 1 else arr)
 
 
 def _iter_points(points):

@@ -13,6 +13,7 @@ from fitzkit.errors import ValidationError
 from fitzkit.fitzpatrick import Finite, InfiniteSuspected, fitz_linear
 from fitzkit.harness import scenario_from_dict
 from fitzkit.operators import (
+    DualityMapOp,
     FiniteGraph,
     GraphOp,
     LinearOp,
@@ -20,7 +21,6 @@ from fitzkit.operators import (
     PerturbedOp,
     Sample,
     ShiftedOp,
-    duality_map,
     fiber,
     graph_sample,
     membership,
@@ -82,7 +82,7 @@ def test_four_dimensional_smoke():
     f = fiber(op, x)
     assert f.exact and len(f.rays) == 3
     assert membership(op, pair(x, w - x), DEFAULT_TOL)
-    ball = duality_map(1.0, np.zeros(4), np.zeros(4))
+    ball = fiber(DualityMapOp(1.0, np.zeros(4)), np.zeros(4))
     assert not ball.exact
     assert np.all(np.linalg.norm(ball.points, axis=1) <= 1.0 + 1e-9)
     g = graph_sample(op, Grid([-1.0] * 4, [2.0] * 4, 1.0))

@@ -25,8 +25,6 @@ from fitzkit.operators import (
     ShiftedOp,
     SubdiffOp,
     TranslatedNormPower,
-    duality_map,
-    duality_point,
     fiber,
     graph_sample,
     maximality_probe,
@@ -389,7 +387,9 @@ def fiber_reference(fun, x, tol=DEFAULT_TOL):
             return True, np.zeros(n), empty, fun.scale
         if r == 0.0:
             return True, np.zeros(n), empty, 0.0
-        return True, fun.scale * r ** (fun.p - 2.0) * x, empty, 0.0
+        # the power of a one-element array, as the batch rule takes it: numpy
+        # takes r ** -1.0 as a reciprocal, libm pow on a float can differ in the last bit
+        return True, fun.scale * (np.array([r]) ** (fun.p - 2.0))[0] * x, empty, 0.0
     if isinstance(fun, FunSum):
         offset, rays, ball = np.zeros(n), [empty], 0.0
         for part in fun.parts:
@@ -417,6 +417,21 @@ def subdiff_residual_reference(fun, x, v, tol=DEFAULT_TOL):
     return max(0.0, d - ball)
 
 
+def _subdiff_fun(op):
+    """The function f with op = df, else None: a box cone read as its box
+    indicator, J_p(. - c) as |. - c|^p / p, and A + lam J_p(. - c) as
+    f + lam |. - c|^p / p when A = df."""
+    if isinstance(op, SubdiffOp):
+        return op.fun
+    if isinstance(op, NormalConeOp) and isinstance(op.region, Box):
+        return BoxIndicator(op.region.lo, op.region.hi)
+    if isinstance(op, DualityMapOp):
+        return TranslatedNormPower(op.p, 1.0, op.center)
+    if isinstance(op, PerturbedOp) and _subdiff_fun(op.inner) is not None:
+        return FunSum((_subdiff_fun(op.inner), TranslatedNormPower(op.p, op.lam, op.center)))
+    return None
+
+
 def scalar_membership_reference(op, pt, tol=DEFAULT_TOL):
     """The one-pair membership rule that preceded membership_batch, one
     family per branch, kept as the oracle the batch must agree with."""
@@ -428,29 +443,19 @@ def scalar_membership_reference(op, pt, tol=DEFAULT_TOL):
         return bool(np.any((dp <= tol.eq_tol) & (dd <= tol.eq_tol)))
     if isinstance(op, LinearOp):
         return bool(np.linalg.norm(op.M @ x + op.c - v) <= slack)
-    if isinstance(op, SubdiffOp):
-        return subdiff_residual_reference(op.fun, x, v, tol) <= slack
+    if _subdiff_fun(op) is not None:  # N_box, J_p and perturbed df are subdifferentials
+        return subdiff_residual_reference(_subdiff_fun(op), x, v, tol) <= slack
     if isinstance(op, NormalConeOp):
-        if isinstance(op.region, Box):  # N_box = d(iota_box): the same distance rule
-            box = BoxIndicator(op.region.lo, op.region.hi)
-            return subdiff_residual_reference(box, x, v, tol) <= slack
         if not op.region.contains(x, tol.eq_tol):
             return False
         gaps = (op.region.vertices - x) @ v
         return bool(gaps.max() <= slack * (1.0 + float(np.abs(op.region.vertices - x).max())))
-    if isinstance(op, DualityMapOp):
-        r = float(np.linalg.norm(x - op.center))
-        if op.p == 1.0 and r <= tol.eq_tol:
-            return bool(np.linalg.norm(v) <= 1.0 + tol.eq_tol)
-        return bool(np.linalg.norm(v - duality_point(op.p, op.center, x)) <= slack)
     if isinstance(op, ShiftedOp):
         return scalar_membership_reference(op.inner, PairPoint(x, v + op.zstar), tol)
     if isinstance(op, PerturbedOp):
-        jp = duality_map(op.p, op.center, x)
-        if jp.exact:
-            return scalar_membership_reference(
-                op.inner, PairPoint(x, v - op.lam * jp.points[0]), tol
-            )
+        _, jp, _, ball = fiber_reference(TranslatedNormPower(op.p, op.lam, op.center), x, tol)
+        if ball == 0.0:
+            return scalar_membership_reference(op.inner, PairPoint(x, v - jp), tol)
         inner = fiber(op.inner, x, tol)
         if inner.is_empty:
             return False
@@ -541,17 +546,11 @@ def test_membership_batch_agrees_with_scalar_reference(kind, rows):
     assert [membership(op, PairPoint(x, v)) for x, v in pts] == expected
 
 
-def _subdiff_fun(op):
-    """The function f with op = df, a box cone read as its box indicator; else None."""
-    if isinstance(op, SubdiffOp):
-        return op.fun
-    if isinstance(op, NormalConeOp) and isinstance(op.region, Box):
-        return BoxIndicator(op.region.lo, op.region.hi)
-    return None
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_row, min_size=1, max_size=6))
+# rows where libm pow(r, -1.0) on a float and numpy's reciprocal differ in the last bit
+@example([("random", (-2.6071667711797866, 0.704913578938807), (0.0, 0.0), 0)])
+@example([("nudged", (2.0, 0.8984539142953087), (0.0, -2.3943778778004106), 0)])
 @pytest.mark.parametrize(
     "kind", sorted(k for k, (op, _) in MEMBERSHIP_KINDS.items() if _subdiff_fun(op) is not None)
 )
@@ -586,6 +585,34 @@ def test_box_cone_membership_is_the_box_indicator_subdifferential():
     assert not membership(CONE01_2, pt)
     assert membership(CONE01_2, pt) == membership(indicator, pt)
     assert membership(CONE01_2, pair([0.5, 0.5], [7e-10, 7e-10]))
+
+
+PERTURBED_BOX_CONE = PerturbedOp(NormalConeOp(Box([0.0, 0.0], [1.0, 1.0])), 0.5, 1.0, [0.5, 0.5])
+
+
+def test_j1_within_eq_tol_of_its_center_is_the_ball():
+    # 0 < |x - c| <= eq_tol: the fiber is the ball sample, as membership and
+    # d(s|x|) already read it, not the single point J_1(x - c)
+    j1 = DualityMapOp(1.0, [0.0, 0.0])
+    f = fiber(j1, [5e-10, 0.0])
+    assert not f.exact and len(f.points) == 1 + len(operators.unit_sphere_samples(2))
+    assert membership(j1, pair([5e-10, 0.0], [0.0, 0.3]))
+    pt = pair([0.5 + 5e-10, 0.5], [0.0, 0.3])
+    assert not fiber(PERTURBED_BOX_CONE, pt.primal).exact
+    assert membership(PERTURBED_BOX_CONE, pt)
+
+
+def test_perturbed_subdifferential_slack_is_taken_from_the_dual():
+    # distance 1.03e-9 to the fiber; the slack eq_tol * |x*| is 1.27e-9, the
+    # inner's eq_tol * max(1, |x* - lam J|) would be 1e-9
+    x = [0.23449497327021834, 0.9999999999999866]
+    v = [-0.23449497177021833, 1.2499999932500134]
+    assert membership(PERTURBED_BOX_CONE, pair(x, v))
+
+
+def test_j1_fiber_point_is_the_reciprocal_norm_times_x():
+    f = fiber(DualityMapOp(1.0, [0.0, 0.0]), [3.0, 4.0])
+    assert f.points.tolist() == [[0.6000000000000001, 0.8]]
 
 
 _nudge = st.integers(-3, 3).map(lambda m: m * 0.9 * DEFAULT_TOL.eq_tol)
@@ -729,14 +756,14 @@ def test_simplex_cone_sample_makes_no_projection(monkeypatch):
 # --------------------------------------------------------------------------
 
 def test_duality_map_worked_examples():
-    f = duality_map(2.0, [0.0, 0.0], [3.0, 4.0])
+    f = fiber(DualityMapOp(2.0, [0.0, 0.0]), [3.0, 4.0])
     assert f.exact and f.points.tolist() == [[3.0, 4.0]]
 
-    f = duality_map(1.0, [0.0, 0.0], [3.0, 4.0])
+    f = fiber(DualityMapOp(1.0, [0.0, 0.0]), [3.0, 4.0])
     assert f.exact
     assert f.points[0] == pytest.approx([0.6, 0.8], abs=1e-12)
 
-    f = duality_map(1.0, [0.0, 0.0], [0.0, 0.0])
+    f = fiber(DualityMapOp(1.0, [0.0, 0.0]), [0.0, 0.0])
     assert not f.exact
     assert np.all(np.linalg.norm(f.points, axis=1) <= 1.0 + 1e-9)
 
@@ -749,8 +776,8 @@ def test_duality_map_worked_examples():
 )
 def test_duality_map_monotone(xl, yl, p):
     x, y = np.array(xl), np.array(yl)
-    fx = duality_map(p, np.zeros(2), x)
-    fy = duality_map(p, np.zeros(2), y)
+    fx = fiber(DualityMapOp(p, np.zeros(2)), x)
+    fy = fiber(DualityMapOp(p, np.zeros(2)), y)
     if fx.exact and fy.exact:
         prod = float(np.dot(x - y, fx.points[0] - fy.points[0]))
         assert prod >= -1e-9
@@ -760,7 +787,7 @@ def test_j1_bounded_range():
     rng = np.random.default_rng(SEED + 2)
     for _ in range(100):
         x = rng.uniform(-2, 2, size=3)
-        f = duality_map(1.0, np.zeros(3), x)
+        f = fiber(DualityMapOp(1.0, np.zeros(3)), x)
         assert np.all(np.linalg.norm(f.points, axis=1) <= 1.0 + 1e-9)
 
 

@@ -320,6 +320,19 @@ def test_hull_empty_rejected():
         conv_hull([])
 
 
+@pytest.mark.parametrize("points, error", [
+    ([[0.0, 0.0], [1.0, 0.0, 0.0]], DimensionMismatchError),
+    ([np.zeros(2), np.ones(3)], DimensionMismatchError),
+    ([[0.0, 0.0], [float("nan"), 1.0]], ValidationError),
+    ([[0.0, 0.0], [1.0, float("inf")]], ValidationError),
+    ([], ValidationError),
+    (np.zeros((0, 2)), ValidationError),
+], ids=["mixed-widths", "mixed-width-arrays", "nan", "inf", "empty-list", "empty-array"])
+def test_hull_rejects_bad_points(points, error):
+    with pytest.raises(error):
+        conv_hull(points)
+
+
 # --------------------------------------------------------------------------
 # hausdorff
 # --------------------------------------------------------------------------
