@@ -294,7 +294,7 @@ def conv_domain_certificate(
     name = "conv_domain"
     g, tol = sample.graph, sample.tol
     z = as_vector(z, dim=g.dim)
-    hull_dist, _ = dist_to_polytope(z, sample.hull, tol)
+    hull_dist, _ = dist_to_polytope(z, sample.hull)
     if hull_dist <= tol.eq_tol:
         return not_applicable(
             name,
@@ -456,7 +456,7 @@ def blowup_witness_sequence(
     try:
         y0, delta = separate(z, hull, tol)
     except NotSeparableError:
-        hull_dist = dist_to_polytope(z, hull, tol)[0]
+        hull_dist = dist_to_polytope(z, hull)[0]
         return (
             QuotientTrace(()),
             not_applicable(

@@ -36,7 +36,6 @@ from .criteria import (
 from .errors import ScenarioParseError, ValidationError, ZOnDomainError
 from .fitzpatrick import fitz_inequality_check, shift_identity_check
 from .operators import (
-    BoxIndicator,
     DualityMapOp,
     FiniteGraph,
     FunSum,
@@ -87,7 +86,7 @@ def parse_funspec(obj: dict, where: str):
             n = len(obj["matrix"])
             return Quadratic(obj["matrix"], obj.get("offset", [0.0] * n))
         if kind == "box_indicator":
-            return BoxIndicator(obj["lo"], obj["hi"])
+            return Box(obj["lo"], obj["hi"])
         if kind == "norm_power":
             return NormPower(float(obj["p"]), float(obj.get("scale", 1.0)))
         if kind == "translated_norm_power":
@@ -161,7 +160,7 @@ def operator_to_dict(op: OperatorSpec) -> dict:
 def funspec_to_dict(fun) -> dict:
     if isinstance(fun, Quadratic):
         return {"kind": "quadratic", "matrix": fun.Q.tolist(), "offset": fun.b.tolist()}
-    if isinstance(fun, BoxIndicator):
+    if isinstance(fun, Box):
         return {"kind": "box_indicator", "lo": fun.lo.tolist(), "hi": fun.hi.tolist()}
     if isinstance(fun, NormPower):
         return {"kind": "norm_power", "p": fun.p, "scale": fun.scale}

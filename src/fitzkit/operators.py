@@ -163,21 +163,7 @@ class Quadratic:
         object.__setattr__(self, "b", b)
 
 
-@dataclass(frozen=True, eq=False)
-class BoxIndicator:
-    """Indicator of the box [lo, hi]."""
-
-    lo: Vector
-    hi: Vector
-
-    def __post_init__(self):
-        box = Box(self.lo, self.hi)
-        object.__setattr__(self, "lo", box.lo)
-        object.__setattr__(self, "hi", box.hi)
-
-    @property
-    def box(self) -> Box:
-        return Box(self.lo, self.hi)
+BoxIndicator = Box  # a box is read as its indicator wherever a function spec is expected
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,7 +203,7 @@ class FunSum:
         parts = tuple(self.parts)
         if not parts:
             raise ValidationError("empty function sum")
-        boxes = [p.box for p in parts if isinstance(p, BoxIndicator)]
+        boxes = [p for p in parts if isinstance(p, Box)]
         if boxes:
             lo = np.max([b.lo for b in boxes], axis=0)
             hi = np.min([b.hi for b in boxes], axis=0)
@@ -226,14 +212,14 @@ class FunSum:
         object.__setattr__(self, "parts", parts)
 
 
-FunSpec = Union[Quadratic, BoxIndicator, NormPower, TranslatedNormPower, FunSum]
+FunSpec = Union[Quadratic, Box, NormPower, TranslatedNormPower, FunSum]
 
 
 def fun_dimension(fun: FunSpec) -> Optional[int]:
     if isinstance(fun, Quadratic):
         return fun.b.size
-    if isinstance(fun, BoxIndicator):
-        return fun.lo.size
+    if isinstance(fun, Box):
+        return fun.dim
     if isinstance(fun, TranslatedNormPower):
         return fun.center.size
     if isinstance(fun, FunSum):
@@ -303,8 +289,7 @@ def _box_qp_batch(H: np.ndarray, G: np.ndarray, lo: Vector, hi: Vector) -> np.nd
 
 
 def _sum_exact_parts(fun: FunSum, dim: int):
-    """Split a sum into (A, a, box) when it is quadratic-plus-box; else None.
-    A ``Box`` part is read as its indicator, as ``_subdiff_rows`` reads it."""
+    """Split a sum into (A, a, box) when it is quadratic-plus-box; else None."""
     A = np.zeros((dim, dim))
     a = np.zeros(dim)
     boxes: list[Box] = []
@@ -317,7 +302,7 @@ def _sum_exact_parts(fun: FunSum, dim: int):
         elif isinstance(part, TranslatedNormPower) and part.p == 2.0:
             A = A + part.scale * np.eye(dim)
             a = a - part.scale * part.center
-        elif isinstance(part, (BoxIndicator, Box)):  # a Box part is its indicator
+        elif isinstance(part, Box):
             boxes.append(part)
         else:
             return None
@@ -331,13 +316,13 @@ def _sum_exact_parts(fun: FunSum, dim: int):
 def fun_prox_batch(
     fun: FunSpec, W: np.ndarray, step: float, tol: ToleranceConfig
 ) -> np.ndarray:
-    """prox_{step*f}(w) for each row w of W; a ``Box`` is read as its indicator."""
+    """prox_{step*f}(w) for each row w of W."""
     W = np.atleast_2d(np.asarray(W, dtype=float))
     k, dim = W.shape
     if isinstance(fun, Quadratic):
         H = np.eye(dim) + step * fun.Q
         return _solve_rows(H, W - step * fun.b)
-    if isinstance(fun, (BoxIndicator, Box)):
+    if isinstance(fun, Box):
         return np.clip(W, fun.lo, fun.hi)
     if isinstance(fun, TranslatedNormPower):
         inner = fun_prox_batch(NormPower(fun.p, fun.scale), W - fun.center, step, tol)
@@ -401,17 +386,17 @@ def _dykstra_prox(fun: FunSum, w: Vector, step: float, tol: ToleranceConfig) -> 
 
 # --- subdifferentials --------------------------------------------------------
 
-def _subdiff_rows(fun: Union[FunSpec, Box], X: np.ndarray, tol: ToleranceConfig):
+def _subdiff_rows(fun: FunSpec, X: np.ndarray, tol: ToleranceConfig):
     """The one subdifferential rule: df(X[i]) = offset + K + ball*B for every
     row, as arrays (inside, offset, up, down, ball), inside false outside dom f.
     K is generated by +e_j where up and -e_j where down: per coordinate the line
-    when both are set, a half-line when one is, else {0}. A Box is read as its
-    indicator, N_box = d(iota_box), with no BoxIndicator built."""
+    when both are set, a half-line when one is, else {0}. A Box is its
+    indicator, so N_box = d(iota_box) reads the same rows."""
     k, n = X.shape
     everywhere, none = np.ones(k, dtype=bool), np.zeros((k, n), dtype=bool)
     if isinstance(fun, Quadratic):
         return everywhere, rowwise_matmul(X, fun.Q.T) + fun.b, none, none, np.zeros(k)
-    if isinstance(fun, (BoxIndicator, Box)):
+    if isinstance(fun, Box):
         inside = np.all((X >= fun.lo - tol.eq_tol) & (X <= fun.hi + tol.eq_tol), axis=1)
         return inside, np.zeros((k, n)), X >= fun.hi - tol.eq_tol, X <= fun.lo + tol.eq_tol, np.zeros(k)
     if isinstance(fun, TranslatedNormPower):
@@ -433,7 +418,7 @@ def _subdiff_rows(fun: Union[FunSpec, Box], X: np.ndarray, tol: ToleranceConfig)
     raise ValidationError(f"unknown function spec {type(fun).__name__}")
 
 
-def _subdiff_residuals(fun: Union[FunSpec, Box], X: np.ndarray, S: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+def _subdiff_residuals(fun: FunSpec, X: np.ndarray, S: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     """dist(S[i], df(X[i])) per row, +inf outside dom f. The image is
     offset + K + ball*B with K a cone of signed axes: the distance to K is a
     per-coordinate clip, and dist(u, K + rB) = max(0, dist(u, K) - r)."""
@@ -649,7 +634,7 @@ def resolvent(
 # Fibers and membership
 # ---------------------------------------------------------------------------
 
-def _subdiff_of(op: OperatorSpec) -> Union[FunSpec, Box, None]:
+def _subdiff_of(op: OperatorSpec) -> Optional[FunSpec]:
     """f with op = df for ``_subdiff_rows``, the one place that names the
     subdifferentials: a subdifferential's function; the box of a box normal
     cone, N_box = d(iota_box); |. - c|^p / p for the duality map J_p(. - c)
@@ -668,7 +653,7 @@ def _subdiff_of(op: OperatorSpec) -> Union[FunSpec, Box, None]:
     return None
 
 
-def _subdiff_fiber(fun: Union[FunSpec, Box], x: Vector, tol: ToleranceConfig) -> Fiber:
+def _subdiff_fiber(fun: FunSpec, x: Vector, tol: ToleranceConfig) -> Fiber:
     """df(x) read off ``_subdiff_rows``: the offset, the rays +e_j where up then
     -e_j where down, coordinate by coordinate, and a nonzero ball as the offset
     plus a sampled sphere (exact=False)."""
@@ -685,32 +670,15 @@ def _subdiff_fiber(fun: Union[FunSpec, Box], x: Vector, tol: ToleranceConfig) ->
 
 
 def _polytope_normal_fiber(region: Polytope, x: Vector, tol: ToleranceConfig) -> Fiber:
-    """N_P(x): facet normals of active facets, plus the lineality space of the
-    complement when the polytope is not full-dimensional."""
-    n = x.size
+    """N_P(x) from ``Polytope._facets``: the lines +-comp of the complement of
+    P's affine hull, then the unit normal of each facet active at x, once."""
     if not region.contains(x, tol.eq_tol):
         return _empty_fiber(x)
-    center, basis, comp, eqs = region._facet_data
-    rays = [np.zeros((0, n))]
-    for j in range(comp.shape[1]):
-        rays.append(comp[:, j][None, :])
-        rays.append(-comp[:, j][None, :])
-    d = basis.shape[1]
-    scale = 1.0 + float(np.abs(region.vertices).max())
-    if d == 1:
-        vals = (region.vertices - center) @ basis
-        xv = float(((x - center) @ basis)[0])
-        if xv >= vals.max() - tol.eq_tol * scale:
-            rays.append(basis[:, 0][None, :])
-        if xv <= vals.min() + tol.eq_tol * scale:
-            rays.append(-basis[:, 0][None, :])
-    elif d >= 2:
-        coords = (x - center) @ basis
-        resid = eqs[:, :-1] @ coords + eqs[:, -1]
-        active = np.abs(resid) <= tol.eq_tol * scale
-        if np.any(active):
-            rays.append((basis @ eqs[active, :-1].T).T)
-    return Fiber(x, np.zeros((1, n)), np.vstack(rays), exact=True)
+    center, basis, comp, A, b, _ = region._facets
+    n, scale = x.size, 1.0 + float(np.abs(region.vertices).max())
+    active = np.abs(A @ ((x - center) @ basis) + b) <= tol.eq_tol * scale
+    rays = np.vstack([np.stack([comp.T, -comp.T], axis=1).reshape(-1, n), (basis @ A[active].T).T])
+    return Fiber(x, np.zeros((1, n)), rays, exact=True)
 
 
 def fiber(op: OperatorSpec, x: Vector, tol: ToleranceConfig = DEFAULT_TOL) -> Fiber:
@@ -792,16 +760,18 @@ def membership_batch(
     if isinstance(op, ShiftedOp):
         return membership_batch(op.inner, X, S + op.zstar, tol)
     if isinstance(op, PerturbedOp):
-        # lam J_1 near its center is the ball lam*B: test the distance to the inner fiber
+        # lam J_1 near its center is the ball lam*B: test the distance to the
+        # inner fiber, the nearest of its points plus the cone when it is exact,
+        # the hull of its ball-sampled points plus the cone when it is not
         _, J, _, _, radius = _subdiff_rows(TranslatedNormPower(op.p, op.lam, op.center), X, tol)
         ball = radius > 0.0
         out = np.zeros(len(X), dtype=bool)
         out[~ball] = membership_batch(op.inner, X[~ball], S[~ball] - J[~ball], tol)
         for i in np.flatnonzero(ball):
             inner = fiber(op.inner, X[i], tol)
-            if not inner.is_empty:
-                _, d = project_onto_generated_set(inner.points, inner.rays, S[i])
-                out[i] = d <= op.lam + slack[i]
+            groups = inner.points[:, None, :] if inner.exact else [inner.points]
+            d = min((project_onto_generated_set(P, inner.rays, S[i])[1] for P in groups), default=np.inf)
+            out[i] = d <= op.lam + slack[i]
         return out
     raise ValidationError(f"unknown operator spec {type(op).__name__}")
 

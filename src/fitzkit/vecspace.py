@@ -60,7 +60,7 @@ def dot(x: Vector, y: Vector) -> float:
 def rowwise_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A @ B summed in a fixed order, so each output row depends on its own input
     row alone; BLAS may pick another kernel, and other roundings, by row count."""
-    out = A[:, :1] * B[0]
+    out = A[:, :1] * B[0] if A.shape[1] else np.zeros((len(A), B.shape[1]))
     for j in range(1, A.shape[1]):
         out += A[:, j : j + 1] * B[j]
     return out
@@ -300,50 +300,34 @@ def _affine_basis(pts: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, 
     return center, vt[:rank].T, vt[rank:].T
 
 
-def _extreme_candidates(pts: np.ndarray, tol: float) -> np.ndarray:
-    """Cheap prefilter for extreme points (exact hull engine where possible)."""
-    if len(pts) <= 2:
-        return pts
+def _minimal_vertices(pts: np.ndarray, tol: float) -> np.ndarray:
+    """The vertices of conv(pts), lexicographically sorted: after the tolerance
+    dedupe, in the reduced coordinates of ``_affine_basis``, the two ends of a
+    segment, every point when there are at most d + 1, else Qhull's vertex list
+    (Barber, Dobkin & Huhdanpaa, ACM TOMS 22, 1996)."""
+    from scipy.spatial import ConvexHull
+
+    pts = dedupe_rows_within(pts, tol)
     center, basis, _ = _affine_basis(pts, tol)
+    coords = (pts - center) @ basis
     d = basis.shape[1]
     if d == 0:
-        return pts[:1]
-    coords = (pts - center) @ basis
-    if d == 1:
-        lo = int(np.argmin(coords[:, 0]))
-        hi = int(np.argmax(coords[:, 0]))
-        return pts[[lo, hi]] if lo != hi else pts[[lo]]
-    if len(pts) <= d + 1:
-        return pts
-    try:
-        from scipy.spatial import ConvexHull
-
-        hull = ConvexHull(coords)
-        return pts[np.sort(hull.vertices)]
-    except Exception:
-        return pts
-
-
-def _minimal_vertices(pts: np.ndarray, tol: float) -> np.ndarray:
-    pts = dedupe_rows_within(pts, tol)
-    cand = _extreme_candidates(pts, tol)
-    kept = [np.asarray(r, dtype=float) for r in cand]
-    i = 0
-    while len(kept) > 1 and i < len(kept):
-        others = np.array(kept[:i] + kept[i + 1 :])
-        _, dist = project_onto_generated_set(others, None, kept[i])
-        if dist <= tol:
-            del kept[i]
-        else:
-            i += 1
-    out = np.array(kept)
+        keep = [0]
+    elif d == 1:
+        keep = [int(np.argmin(coords[:, 0])), int(np.argmax(coords[:, 0]))]
+    elif len(pts) <= d + 1:
+        keep = slice(None)
+    else:
+        keep = ConvexHull(coords).vertices
+    out = pts[keep]
     return out[lexsort_rows(out)]
 
 
 @dataclass(frozen=True, eq=False)
 class Polytope:
-    """V-representation polytope; the vertex list is reduced to a minimal one
-    (lexicographically sorted) at construction."""
+    """A polytope as Qhull's table: its vertices (``_minimal_vertices``,
+    lexicographically sorted) and, built on first use, its facets
+    (``_facets``), which membership, projection and the normal cone all read."""
 
     vertices: np.ndarray
 
@@ -364,31 +348,18 @@ class Polytope:
         return self.vertices.shape[1]
 
     @cached_property
-    def _facet_data(self):
-        """(center, basis, complement, equations) with equations in the reduced
-        coordinates; equations is None when the reduced hull is 0/1 dimensional."""
-        center, basis, comp = _affine_basis(self.vertices, DEFAULT_TOL.eq_tol)
-        d = basis.shape[1]
-        if d < 2:
-            return center, basis, comp, None
+    def _facets(self):
+        """(center, basis, comp, A, b, incident). center + span(basis) is the
+        affine hull, comp spans its orthogonal complement, and A y + b <= 0 are
+        the facets in the reduced coordinates y = (x - center) @ basis, with
+        unit normals: none for a point, [[1], [-1]] for a segment, else Qhull's.
+        Qhull splits a non-simplicial facet into coplanar simplices; they are
+        merged to one row per vertex-incidence pattern, so each facet appears
+        once. incident[i, j] says vertex i lies on facet j."""
         from scipy.spatial import ConvexHull
 
-        coords = (self.vertices - center) @ basis
-        hull = ConvexHull(coords)
-        return center, basis, comp, hull.equations
-
-    @cached_property
-    def _faces(self) -> tuple[np.ndarray, np.ndarray, tuple]:
-        """(A, b, faces). A y + b <= 0 are the facets in the reduced coordinates
-        of ``_facet_data``, with unit normals and one row per facet (Qhull
-        splits a non-simplicial facet into coplanar simplices). faces lists
-        each face once, points first, then by dimension: a point face is its
-        vertex index, the whole polytope is None when it is full-dimensional,
-        and any other face is (anchor, orthonormal basis) of its affine hull.
-        A face is the intersection of at most d facets through one of its
-        vertices, so the subsets of each vertex's facets find every face."""
         V = self.vertices
-        center, basis, _, eqs = self._facet_data
+        center, basis, comp = _affine_basis(V, DEFAULT_TOL.eq_tol)
         coords = (V - center) @ basis
         d = basis.shape[1]
         if d == 0:
@@ -396,13 +367,26 @@ class Polytope:
         elif d == 1:
             A, b = np.array([[1.0], [-1.0]]), np.array([-coords.max(), coords.min()])
         else:
+            eqs = ConvexHull(coords).equations
             A, b = eqs[:, :-1], eqs[:, -1]
         # a vertex sits on a facet up to rounding; a looser test would merge two
         # facets through a vertex that is only nearly flat, and lose both edges
         incident = np.abs(coords @ A.T + b) <= 1e-12 * (1.0 + float(np.abs(V).max()))
         _, first = np.unique(incident.T, axis=0, return_index=True)
         keep = np.sort(first)
-        A, b, incident = A[keep], b[keep], incident[:, keep]
+        return center, basis, comp, A[keep], b[keep], incident[:, keep]
+
+    @cached_property
+    def _faces(self) -> tuple:
+        """Each face once, points first, then by dimension: a point face is its
+        vertex index, the whole polytope is None when it is full-dimensional,
+        and any other face is (anchor, orthonormal basis) of its affine hull.
+        A face is the intersection of at most d facets through one of its
+        vertices, so the subsets of each vertex's facets in ``_facets`` find
+        every face."""
+        V = self.vertices
+        _, basis, _, _, _, incident = self._facets
+        d = basis.shape[1]
         found = {tuple(range(len(V)))}
         for row in incident:
             on = np.flatnonzero(row).tolist()
@@ -417,7 +401,7 @@ class Polytope:
             anchor, fb, _ = _affine_basis(V[list(face)], DEFAULT_TOL.eq_tol)
             faces.append((fb.shape[1], face, None if fb.shape[1] == self.dim else (anchor, fb)))
         faces.sort(key=lambda f: f[:2])
-        return A, b, tuple(place for _, _, place in faces)
+        return tuple(place for _, _, place in faces)
 
     def project_batch(self, ws: np.ndarray) -> np.ndarray:
         """Nearest point of the polytope to each row of ws, by face enumeration.
@@ -436,13 +420,12 @@ class Polytope:
         result does not depend on its batch."""
         W = np.atleast_2d(np.asarray(ws, dtype=float))
         V = self.vertices
-        center, basis, _, _ = self._facet_data
-        A, b, faces = self._faces
+        center, basis, _, A, b, _ = self._facets
         reach = max(1.0, float(np.abs(V).max()))
         slack = _FACE_SLACK * np.maximum(np.abs(W).max(axis=1), reach)
         out = np.empty_like(W)
         todo = np.arange(len(W))
-        for place in faces:
+        for place in self._faces:
             w, tol = W[todo], slack[todo]
             ok = np.ones(len(todo), dtype=bool)
             pad = 0.0
@@ -468,26 +451,14 @@ class Polytope:
         raise ValidationError(f"polytope projection left {len(todo)} rows unresolved")
 
     def contains_batch(self, xs: np.ndarray, tol: float) -> np.ndarray:
-        """Vectorized membership mask (within tol) for a batch of points."""
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        center, basis, comp, eqs = self._facet_data
-        centered = xs - center
-        ok = np.ones(len(xs), dtype=bool)
-        if comp.shape[1]:
-            off = rowwise_matmul(centered, comp)
-            ok &= np.max(np.abs(off), axis=1) <= tol
-        d = basis.shape[1]
-        if d == 0:
-            return ok
-        coords = rowwise_matmul(centered, basis)
-        if d == 1:
-            vals = (self.vertices - center) @ basis
-            lo, hi = float(vals.min()), float(vals.max())
-            ok &= (coords[:, 0] >= lo - tol) & (coords[:, 0] <= hi + tol)
-            return ok
-        resid = rowwise_matmul(coords, eqs[:, :-1].T) + eqs[:, -1]
-        ok &= np.max(resid, axis=1) <= tol
-        return ok
+        """Rows within tol of the affine hull (along comp) and with
+        max(A y + b) <= tol over the facets of ``_facets``; every product is a
+        ``rowwise_matmul``, so a row's result does not depend on its batch."""
+        center, basis, comp, A, b, _ = self._facets
+        centered = np.atleast_2d(np.asarray(xs, dtype=float)) - center
+        off = np.abs(rowwise_matmul(centered, comp)).max(axis=1, initial=0.0)
+        out = (rowwise_matmul(rowwise_matmul(centered, basis), A.T) + b).max(axis=1, initial=-np.inf)
+        return (off <= tol) & (out <= tol)
 
     def contains(self, x: Vector, tol: float) -> bool:
         return bool(self.contains_batch(as_vector(x, dim=self.dim)[None, :], tol)[0])
@@ -497,8 +468,8 @@ class Polytope:
 
 
 def conv_hull(points) -> Polytope:
-    """Minimal V-representation of the convex hull of finitely many points (a
-    flat list: points of R^1), validated as one array, not point by point."""
+    """The convex hull of finitely many points (a flat list: points of R^1) as
+    a ``Polytope``, validated as one array, not point by point."""
     try:
         arr = np.array(_iter_points(points), dtype=float)
     except ValueError:
@@ -517,7 +488,7 @@ def _iter_points(points):
     return arr if arr.ndim == 2 else list(points)
 
 
-def dist_to_polytope(z: Vector, p: Polytope, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[float, Vector]:
+def dist_to_polytope(z: Vector, p: Polytope) -> tuple[float, Vector]:
     """Distance from z to the polytope and the unique nearest point."""
     z = as_vector(z, dim=p.dim)
     proj, dist = project_onto_generated_set(p.vertices, None, z)
@@ -581,7 +552,7 @@ def separate(z: Vector, p: Polytope, tol: ToleranceConfig = DEFAULT_TOL) -> tupl
     Uses the projection direction: y0* = (z - proj)/||z - proj||, delta = dist/2.
     """
     z = as_vector(z, dim=p.dim)
-    dist, proj = dist_to_polytope(z, p, tol)
+    dist, proj = dist_to_polytope(z, p)
     if dist <= tol.eq_tol:
         raise NotSeparableError(f"point at distance {dist:.3e} from the polytope")
     y0 = as_vector((z - proj) / dist)

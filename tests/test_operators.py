@@ -331,6 +331,28 @@ def test_fiber_degenerate_polytope_has_lines():
         assert abs(np.dot(r, [1.0, 1.0])) <= 1e-9
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_polytope_normal_cone_lists_each_facet_normal_once(n):
+    # Qhull splits each square facet of the cube into coplanar simplices; the
+    # fiber lists each facet's normal once: n rays at a vertex, one on a facet
+    op = NormalConeOp(Box([0.0] * n, [1.0] * n).to_polytope())
+    f = fiber(op, [1.0] * n)
+    axes = np.argmax(f.rays, axis=1)
+    assert f.exact and sorted(axes.tolist()) == list(range(n))
+    assert np.abs(f.rays - np.eye(n)[axes]).max() <= 1e-12
+    f = fiber(op, [1.0] + [0.5] * (n - 1))
+    assert len(f.rays) == 1 and np.abs(f.rays[0] - np.eye(n)[0]).max() <= 1e-12
+
+
+def test_perturbed_graph_membership_is_the_distance_to_the_nearest_fiber_point():
+    # A(0) = {-1, 1}, so A(0) + 0.1B = [-1.1, -0.9] u [0.9, 1.1] does not hold 0,
+    # which the hull of the inner fiber's points, [-1, 1], holds
+    op = PerturbedOp(GraphOp(graph_of(([0.0], [-1.0]), ([0.0], [1.0]))), 0.1, 1.0, [0.0])
+    assert not membership(op, pair([0.0], [0.0]))
+    assert [membership(op, pair([0.0], [v])) for v in (-1.1, -0.95, 0.9, 1.05)] == [True] * 4
+    assert not membership(op, pair([0.0], [1.11]))
+
+
 def test_membership_worked_examples():
     assert membership(CONE01, pair([0.5], [0.0]))
     assert not membership(CONE01, pair([0.5], [1.0]))
@@ -459,8 +481,10 @@ def scalar_membership_reference(op, pt, tol=DEFAULT_TOL):
         inner = fiber(op.inner, x, tol)
         if inner.is_empty:
             return False
-        _, d = project_onto_generated_set(inner.points, inner.rays, v)
-        return bool(d <= op.lam + slack)
+        # an exact fiber is each of its points plus the cone; a ball-sampled
+        # one is the hull of its points plus the cone
+        groups = [q[None, :] for q in inner.points] if inner.exact else [inner.points]
+        return bool(min(project_onto_generated_set(P, inner.rays, v)[1] for P in groups) <= op.lam + slack)
     raise AssertionError(type(op).__name__)
 
 
@@ -496,6 +520,10 @@ MEMBERSHIP_KINDS = {
     "tsq_box": (SubdiffOp(FunSum((TranslatedNormPower(2.0, 0.5, [0.25, 2.0]),
                                   BoxIndicator([0.0, 0.0], [1.0, 1.0])))),
                 [[0.25, 1.0], [1.0, 1.0], [0.0, 0.0], [0.5, 0.5]]),
+    # A(0) holds two points: A(0) + 0.5B is two disks, not their hull
+    "perturbed_graph": (PerturbedOp(GraphOp(graph_of(([0.0, 0.0], [-1.0, 0.0]), ([0.0, 0.0], [1.0, 0.0]),
+                                                     ([1.0, 0.5], [1.0, 0.5]))), 0.5, 1.0, [0.0, 0.0]),
+                        [[0.0, 0.0], [1.0, 0.5]]),
     # lo = hi in the second coordinate: the fiber holds the whole line along e_2
     "flat_box": (SubdiffOp(BoxIndicator([0.0, 0.5], [1.0, 0.5])),
                  [[0.0, 0.5], [0.5, 0.5], [1.0, 0.5]]),
@@ -523,6 +551,10 @@ def _membership_row(op, notable, mode, a, b, k):
         return x, b / norm_b * (1.0 + (k - 4) * 0.4 * DEFAULT_TOL.eq_tol)
     if isinstance(op, GraphOp):
         x, v = op.graph.primals[k % len(op.graph)], op.graph.duals[k % len(op.graph)]
+    elif isinstance(op, PerturbedOp) and isinstance(op.inner, GraphOp):  # no resolvent: a fiber point
+        x = op.inner.graph.primals[k % len(op.inner.graph)]
+        pts = fiber(op, x).points
+        v = pts[k % len(pts)]
     else:
         x = resolvent(op, a)
         v = a - x

@@ -240,6 +240,39 @@ def test_polytope_projection_batch_has_no_fallback_for_an_unresolved_row(monkeyp
         Polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]).project_batch([[0.2, 0.3]])
 
 
+@st.composite
+def polytope_with_law_rows(draw):
+    """A polytope in R^1..R^4 (a random cloud, a cloud on a flat, a point, a
+    segment in R^3 or a triangle in R^3) and rows at its vertices, at the
+    midpoints of vertex pairs and facets, near it and out to |x| ~ 1e8."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["cloud", "flat", "point", "segment3", "triangle3"]))
+    if kind in PROJECTION_CASES:
+        verts = np.array(PROJECTION_CASES[kind])
+    else:
+        n = draw(st.integers(1, 4) if kind == "cloud" else st.integers(2, 4))
+        verts = rng.uniform(-1.0, 1.0, size=(int(rng.integers(2, 12)), n))
+        if kind == "flat":
+            verts[:, -1] = verts[:, :-1] @ rng.normal(size=n - 1)
+    p = Polytope(verts)
+    V, incident = p.vertices, p._facets[-1]
+    k, n = V.shape
+    pick = lambda m: V[rng.integers(0, k, m)]
+    facets = [V[incident[:, j]].mean(axis=0) for j in range(incident.shape[1])]
+    far = 10.0 ** rng.uniform(0.0, 8.0, (6, 1)) * rng.normal(size=(6, n))
+    rows = np.vstack([V, (pick(6) + pick(6)) / 2.0, *facets, pick(4) + 1e-9 * rng.normal(size=(4, n)), far + pick(6)])
+    return p, rows[rng.permutation(len(rows))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(polytope_with_law_rows())
+def test_polytope_kernels_give_each_row_its_one_row_result(case):
+    p, W = case
+    for kernel in (p.project_batch, lambda X: p.contains_batch(X, 1e-9)):
+        alone = np.concatenate([kernel(w[None, :]) for w in W])
+        assert kernel(W).tobytes() == alone.tobytes()
+
+
 def test_projection_with_rays():
     # cone([1,0]) shifted to the point (0,0) plus segment to (0,1)
     points = np.array([[0.0, 0.0], [0.0, 1.0]])
@@ -285,6 +318,59 @@ def test_hull_idempotent():
         h1 = conv_hull(pts)
         h2 = conv_hull(h1.vertices)
         assert np.array_equal(h1.vertices, h2.vertices)
+
+
+def test_hull_at_large_coordinates():
+    # the active-set vertex prune that preceded Qhull's vertex list raised
+    # "cannot drop last vertex" here; (-5618.5, -1789.7) is 6.0 inside an edge
+    pts = [[-7319.0, -7407.5], [-5618.5, -1789.7], [2760.3, -9561.2], [-3633.8, 4811.9], [7728.4, -4412.7]]
+    p = conv_hull(pts)
+    assert p.vertices.tolist() == [[-7319.0, -7407.5], [-3633.8, 4811.9], [2760.3, -9561.2], [7728.4, -4412.7]]
+    assert p.contains_batch(pts, 1e-9 * 1e4).all() and p.contains(pts[1], 0.0)
+    # 1 outside and 1 inside the midpoint of the edge that point faces
+    assert not p.contains([-5476.4 - 0.957, -1297.8 + 0.289], 0.0)
+    assert p.contains([-5476.4 + 0.957, -1297.8 - 0.289], 0.0)
+
+
+@st.composite
+def clouds(draw):
+    """k points in R^1..R^4 at a scale of 1 to 1e8: uniform, on a lattice, or
+    on a random affine flat of lower dimension."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, k = draw(st.integers(1, 4)), draw(st.integers(1, 30))
+    scale = 10.0 ** draw(st.integers(0, 8))
+    pts = rng.uniform(-1.0, 1.0, size=(k, n))
+    if draw(st.booleans()):
+        pts = np.round(2.0 * pts) / 2.0
+    flat = draw(st.integers(0, n - 1))
+    if flat:
+        pts[:, n - flat:] = pts[:, : n - flat] @ rng.normal(size=(n - flat, flat)) + rng.normal(size=flat)
+    return scale * pts
+
+
+@settings(max_examples=300, deadline=None)
+@given(clouds())
+def test_hull_builds_and_holds_its_points_at_every_scale(pts):
+    p = conv_hull(pts)
+    assert p.contains_batch(pts, 1e-9 * max(1.0, np.abs(pts).max())).all()
+
+
+def test_hull_vertex_rule_on_nearly_degenerate_clouds():
+    tri = [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
+    # on an edge, 2.5e-10 inside one, or inside: not a vertex
+    for q in ([0.5, 0.0], [0.5, 0.5], [0.5, 2.5e-10], [0.25, 0.25]):
+        assert conv_hull(tri + [q]).vertices.tolist() == tri
+    # 5e-10 outside an edge: a vertex of Qhull's list (the prune that preceded
+    # it dropped any point within eq_tol of the hull of the others)
+    assert conv_hull(tri + [[0.5, -5e-10]]).vertices.tolist() == [tri[0], tri[1], [0.5, -5e-10], tri[2]]
+    # collinear points in R^3: the two ends
+    line = [[0.0, 0.0, 0.0], [0.5, 0.5, 0.5], [2.0, 2.0, 2.0], [1.0, 1.0, 1.0]]
+    assert conv_hull(line).vertices.tolist() == [line[0], line[2]]
+    # a point in a facet of a tetrahedron, or on an edge: not a vertex; 5e-10 outside the facet: a vertex
+    tet = [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
+    for q in ([0.25, 0.25, 0.0], [0.5, 0.0, 0.5]):
+        assert conv_hull(tet + [q]).vertices.tolist() == tet
+    assert [0.25, 0.25, -5e-10] in conv_hull(tet + [[0.25, 0.25, -5e-10]]).vertices.tolist()
 
 
 def test_thin_svd_is_the_full_svd_bit_for_bit():
