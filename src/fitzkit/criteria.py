@@ -34,9 +34,9 @@ from .operators import (
     TranslatedNormPower,
     _subdiff_rows,
     maximality_probe,
-    membership,
+    membership_batch,
     perturb,
-    resolvent,
+    resolvent_batch,
 )
 from .vecspace import (
     DEFAULT_TOL,
@@ -49,6 +49,7 @@ from .vecspace import (
     hausdorff,
     lexsort_rows,
     pair,
+    rowwise_dot,
     separate,
 )
 
@@ -108,9 +109,9 @@ def _search_value_witness(
         val = float(np.dot(d, astar))
         if val <= target:
             continue
-        if not membership(op, pair(a, astar), tol):
+        if not membership_batch(op, a[None, :], astar[None, :], tol)[0]:
             continue
-        return as_vector(a), as_vector(astar), val
+        return a, astar, val
     return None
 
 
@@ -178,6 +179,7 @@ def _quotient_schedule_run(sample: Sample, z: Vector, p: float, lambda_schedule)
         raise ValidationError("lambda schedule must be positive")
     op, tol = sample.op, sample.tol
     candidates = sample.candidates
+    jp, jp_fun = DualityMapOp(p, z), TranslatedNormPower(p, 1.0, z)
     # one widening/refining retry for sampled operators, on a fresh sample
     # whose candidates serve every later lambda
     widened = sample.wgrid is None
@@ -197,13 +199,13 @@ def _quotient_schedule_run(sample: Sample, z: Vector, p: float, lambda_schedule)
             missing.append(lam)
             continue
         a, astar, val = found
-        bstar = _subdiff_rows(TranslatedNormPower(p, 1.0, z), a[None, :], tol)[1][0]  # J_p(a - z)
+        bstar = _subdiff_rows(jp_fun, a[None, :], tol)[1][0]  # J_p(a - z)
         total = astar + lam * bstar
         violation = float(np.dot(z - a, total))
         if not (
-            membership(DualityMapOp(p, z), pair(a, bstar), tol)
+            membership_batch(jp, a[None, :], bstar[None, :], tol)[0]
             and violation > tol.eq_tol
-            and membership(perturb(op, lam, p, z), pair(a, total), tol)
+            and membership_batch(perturb(op, lam, p, z), a[None, :], total[None, :], tol)[0]
         ):
             missing.append(lam)
             continue
@@ -271,7 +273,7 @@ def near_convexity_certificate(
         # lam0 J_p(a - z), single-valued: |a - z| >= alpha > eq_tol
         lam_bstar = _subdiff_rows(TranslatedNormPower(p, lam0, z), g.primals, tol)[1]
         surrogate = FiniteGraph.from_arrays(g.primals, g.duals + lam_bstar)
-        evidence = maximality_probe(
+        evidence, _ = maximality_probe(
             Sample(perturb(sample.op, lam0, p, z), surrogate, tol), probe_grid
         )
         witnesses.append(("maximality_evidence_count", float(len(evidence))))
@@ -316,7 +318,7 @@ def conv_domain_certificate(
     r_emps = [float((np.einsum("ij,ij->i", diffs, zs - g.duals) / dists).min()) for zs in finite]
     for i, (zs, r_emp) in enumerate(zip(finite, r_emps)):
         bound = float(np.linalg.norm(zs)) - r_emp + tol.eq_tol
-        witnesses += [(f"probe_{i}_zstar", as_vector(zs)), (f"probe_{i}_r_emp", r_emp)]
+        witnesses += [(f"probe_{i}_zstar", zs), (f"probe_{i}_r_emp", r_emp)]
         if sup_pairs > bound:
             witnesses.insert(0, ("bound_violation", sup_pairs - bound))
             return failed(
@@ -399,19 +401,16 @@ def br_check(sample: Sample, xpair: PairPoint, alpha: float, beta: float) -> Cer
         raise ValidationError("br check needs alpha, beta > 0")
     g, tol = sample.graph, sample.tol
     x, xs = xpair.primal, xpair.dual
-    analytic: list[PairPoint] = []  # finite graphs have no resolvent
+    P, D = g.primals, g.duals  # then each resolvent point found; finite graphs have none
     for lam in (alpha / beta, 1.0):
         try:
-            b = resolvent(sample.op, x + lam * xs, tol, step=lam)
-            bs = (x + lam * xs - b) / lam
-            analytic.append(pair(b, bs))
+            b = resolvent_batch(sample.op, (x + lam * xs)[None, :], tol, step=lam)
         except (NotMaximalError, NoClosedFormError):
-            pass
-    inf_est = float(np.einsum("ij,ij->i", x - g.primals, xs - g.duals).min())
-    for cand in analytic:
-        inf_est = min(
-            inf_est, float(np.dot(x - cand.primal, xs - cand.dual))
-        )
+            continue
+        P, D = np.vstack([P, b]), np.vstack([D, (x + lam * xs - b) / lam])
+    k = len(g)  # graph rows summed by einsum, resolvent rows with np.dot's rounding
+    inf_est = float(np.einsum("ij,ij->i", x - P[:k], xs - D[:k]).min())
+    inf_est = min(inf_est, float(rowwise_dot(x - P[k:], xs - D[k:]).min(initial=np.inf)))
     witnesses = [("inf_product", inf_est), ("alpha", float(alpha)), ("beta", float(beta))]
     if inf_est <= -alpha * beta + tol.eq_tol:
         return not_applicable(
@@ -421,13 +420,11 @@ def br_check(sample: Sample, xpair: PairPoint, alpha: float, beta: float) -> Cer
         )
 
     # nearest candidate in the (alpha, beta)-scaled max distance; first on ties
-    P = np.vstack([g.primals] + [c.primal[None, :] for c in analytic])
-    D = np.vstack([g.duals] + [c.dual[None, :] for c in analytic])
     scores = np.maximum(
         np.linalg.norm(x - P, axis=1) / alpha, np.linalg.norm(xs - D, axis=1) / beta
     )
     i = int(np.argmin(scores))
-    best = g.pair(i) if i < len(g) else analytic[i - len(g)]
+    best = PairPoint(P[i], D[i])
     primal_dist = float(np.linalg.norm(x - best.primal))
     dual_dist = float(np.linalg.norm(xs - best.dual))
     if primal_dist < alpha and dual_dist < beta:
@@ -485,9 +482,10 @@ def blowup_witness_sequence(
         if val <= n * delta - tol.eq_tol:
             missing.append(n)
             continue
-        entries.append((n, val, pair(b, bstar)))
+        w = pair(b, bstar)
+        entries.append((n, val, w))
         witnesses.append((f"product_n_{n:g}", val))
-        witnesses.append((f"witness_n_{n:g}", pair(b, bstar)))
+        witnesses.append((f"witness_n_{n:g}", w))
     trace = QuotientTrace(tuple(entries))
     if missing:
         witnesses.insert(0, ("first_missing_n", float(missing[0])))

@@ -5,7 +5,8 @@ inequality check and the conv-domain probes make one call each).
 
 "Infinite" is always operationalized as a threshold crossing with a recorded
 graph-point witness; sampled suprema certify lower bounds only, so a Finite
-verdict is a budget-relative claim.
+verdict is a budget-relative claim. Points are (k, n) arrays X and S inside;
+a PairPoint is a witness, or the argument of a one-point entry such as fitz_at.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .vecspace import (
     as_matrix,
     as_vector,
     lexsort_rows,
-    pair,
     rowwise_dot,
     rowwise_matmul,
 )
@@ -119,11 +119,10 @@ def fitz_linear(
     curv = float(u @ ms @ u)
     target = tol.inf_threshold * _CROSS_FACTOR
 
-    def term_at(t: float) -> tuple[float, PairPoint]:
+    def term_at(t: float) -> tuple[float, tuple[Vector, Vector]]:
         a = t * u
         astar = M @ a + c
-        witness = pair(a, astar)
-        return float(np.dot(x, astar) + np.dot(a, xs) - np.dot(a, astar)), witness
+        return float(np.dot(x, astar) + np.dot(a, xs) - np.dot(a, astar)), (a, astar)
 
     if curv <= 0.0:
         t = (target - base) / rho
@@ -139,7 +138,7 @@ def fitz_linear(
         if cand <= best_term:
             break
         best_term, best_w = cand, w
-    return InfiniteSuspected(best_term, best_w)
+    return InfiniteSuspected(best_term, PairPoint(*best_w))
 
 
 # ---------------------------------------------------------------------------
@@ -336,19 +335,17 @@ def _nn_spacing_estimate(g: FiniteGraph) -> float:
     return float(np.median(gaps)) if len(gaps) else 0.0
 
 
-def fitz_inequality_check(sample: Sample, sample_pts: list[PairPoint]) -> Certificate:
-    """F >= <x,x*> - eq_tol on probe points, and F = <x,x*> within a
-    spacing-scaled slack on sampled graph points. The documented failure mode
-    is a non-maximal graph, where a monotonically-related gap point has F
-    strictly below the pairing. Without probe points only the graph-point
-    equality is checked."""
+def fitz_inequality_check(sample: Sample, X: np.ndarray, S: np.ndarray) -> Certificate:
+    """F >= <x,x*> - eq_tol on the probe rows (x, x*) of (X, S), and F = <x,x*>
+    within a spacing-scaled slack on sampled graph points. The documented
+    failure mode is a non-maximal graph, where a monotonically-related gap
+    point has F strictly below the pairing. Without probe rows only the
+    graph-point equality is checked."""
     name = "fitz_inequality"
     graph_pts, tol = sample.graph, sample.tol
     lip = 1.0 + float(np.linalg.norm(graph_pts.duals, axis=1).max())
     slack = max(2.0 * _nn_spacing_estimate(graph_pts) * lip, 1e-9)
-    X = np.array([p.primal for p in sample_pts]).reshape(len(sample_pts), graph_pts.dim)
-    S = np.array([p.dual for p in sample_pts]).reshape(X.shape)
-    gaps = np.array([p.pairing() for p in sample_pts]) - fitz_rows(sample, X, S)[0]
+    gaps = rowwise_dot(X, S) - fitz_rows(sample, X, S)[0]
     worst_gap = float(gaps.max()) if len(gaps) else -np.inf
     # graph-point equality: F - pairing = -min pairwise product, vectorized
     worst_eq = 0.0
@@ -359,11 +356,12 @@ def fitz_inequality_check(sample: Sample, sample_pts: list[PairPoint]) -> Certif
     witnesses = [
         ("worst_graph_equality_residual", worst_eq),
         ("graph_equality_slack", float(slack)),
-        ("n_samples", float(len(sample_pts))),
+        ("n_samples", float(len(X))),
     ]
     if len(gaps):
+        i = int(gaps.argmax())
         witnesses.insert(0, ("worst_gap", worst_gap))
-        witnesses.append(("worst_point", sample_pts[int(gaps.argmax())]))
+        witnesses.append(("worst_point", PairPoint(X[i], S[i])))
     if worst_gap > tol.eq_tol:
         witnesses.insert(0, ("gap", float(worst_gap)))
         return failed(
@@ -394,8 +392,8 @@ def shift_identity_check(
     name = "shift_identity"
     z = as_vector(z, dim=g.dim)
     zstar = as_vector(zstar, dim=g.dim)
-    lhs = fitz_finite(shift_graph(g, zstar), pair(z, np.zeros(g.dim)))
-    rhs = -float(np.dot(z, zstar)) + fitz_finite(g, pair(z, zstar))
+    lhs = float(_affine_terms(shift_graph(g, zstar), z[None, :], np.zeros((1, g.dim))).max())
+    rhs = -float(np.dot(z, zstar)) + float(_affine_terms(g, z[None, :], zstar[None, :]).max())
     diff = abs(lhs - rhs)
     witnesses = [("abs_difference", diff), ("lhs", lhs), ("rhs", rhs)]
     if diff <= tol.eq_tol:

@@ -12,6 +12,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -75,7 +76,7 @@ def _fields_of(where: str):
         yield
     except KeyError as e:
         raise ScenarioParseError(f"{where}: missing field {e}") from e
-    except (TypeError, ValueError, AttributeError) as e:
+    except (TypeError, ValueError, AttributeError, OverflowError) as e:
         raise ScenarioParseError(f"{where}: {e}") from e
 
 
@@ -101,9 +102,16 @@ def parse_funspec(obj: dict, where: str):
 def parse_operator(obj: dict, where: str) -> OperatorSpec:
     with _fields_of(where):
         kind = obj.get("kind")
-        if kind == "graph":
-            pairs = tuple(pair(p, d) for p, d in obj["pairs"])
-            return GraphOp(FiniteGraph(pairs))
+        if kind == "graph":  # one float array; bare numbers are pairs in R^1
+            try:
+                arr = np.array(obj["pairs"], dtype=float)
+            except ValueError:  # ragged (mixed widths) or not numbers
+                arr = np.zeros(0)
+            arr = arr[:, :, None] if arr.ndim == 2 else arr
+            if arr.ndim != 3 or arr.shape[1] != 2 or not arr.size:
+                raise ScenarioParseError(
+                    f"{where}: pairs must be a nonempty list of [x, x*] pairs of one width")
+            return GraphOp(FiniteGraph.from_arrays(arr[:, 0], arr[:, 1]))
         if kind == "linear":
             n = len(obj["matrix"])
             return LinearOp(obj["matrix"], obj.get("offset", [0.0] * n))
@@ -202,8 +210,8 @@ class ScenarioConfig:
     checks: tuple
 
 
-def _number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _number(v) -> bool:  # JSON's NaN and Infinity load as floats
+    return not isinstance(v, bool) and (isinstance(v, int) or isinstance(v, float) and math.isfinite(v))
 
 
 def _numbers(v) -> bool:
@@ -445,16 +453,18 @@ def _br(run: _Run) -> Certificate:
 
 
 def _fitz_inequality(run: _Run) -> Certificate:
-    pts = [pair(x, xs) for x, xs in run.params.get("points", [])]
-    pts += [pair(x, xs) for x, xs in run.box_pairs(run.params.get("n_samples", 0))]
-    return fitz_inequality_check(run.sample(), pts)
+    """The points, then the box draws, as rows (x, x*) of one (k, 2, n) array."""
+    pts = [*run.params.get("points", []), *run.box_pairs(run.params.get("n_samples", 0))]
+    XS = np.array([np.ravel(side) for q in pts for side in q], dtype=float)
+    XS = XS.reshape(len(pts), 2, run.cfg.dimension)
+    return fitz_inequality_check(run.sample(), XS[:, 0], XS[:, 1])
 
 
 def _maximality_probe(run: _Run) -> Certificate:
-    evidence = maximality_probe(run.sample(), run.grid("probe_grid"))
-    if evidence:
-        witnesses = [("evidence_count", float(len(evidence)))]
-        witnesses += [(f"evidence_{i}", p) for i, p in enumerate(evidence[:5])]
+    X, S = maximality_probe(run.sample(), run.grid("probe_grid"))
+    if len(X):
+        witnesses = [("evidence_count", float(len(X)))]
+        witnesses += [(f"evidence_{i}", PairPoint(X[i], S[i])) for i in range(min(5, len(X)))]
         why = "probe points monotonically related to the surrogate but not members"
         return failed("maximality_probe", why, witnesses)
     why = "no evidence against maximality within the probe budget"

@@ -15,6 +15,10 @@ N_box = d(iota_box), the duality map is J_p(. - c) = d(|. - c|^p / p)
 ``membership_batch`` and ``resolvent_batch`` read them all from one rule,
 ``_subdiff_rows``, which takes a ``Box`` as its indicator.
 
+Points are rows of (k, n) float arrays; a ``PairPoint`` is built only for a
+witness or at a one-point entry (``membership``, or ``fiber``, which alone
+validates its point).
+
 ``graph_sample(verify=True)`` passes every Minty sample through two exact
 gates, neither sampled down: ``membership_batch`` tests x* in A(x) for every
 pair, a subdifferential by a closed-form distance to its image, and
@@ -70,17 +74,12 @@ class FiniteGraph:
 
     Row i of the read-only (k, n) arrays ``primals`` and ``duals`` is the pair
     (x_i, x_i*); ``pair(i)`` builds it as a PairPoint when a witness needs one.
+    ``from_arrays`` is the one constructor.
     """
 
     primals: np.ndarray
     duals: np.ndarray
     self_products: np.ndarray = field(repr=False)
-
-    def __init__(self, pairs):
-        pairs = tuple(pairs)
-        if len({p.dim for p in pairs}) > 1:
-            raise DimensionMismatchError("graph pairs have mixed dimensions")
-        self._store([p.primal for p in pairs], [p.dual for p in pairs])
 
     @classmethod
     def from_arrays(cls, primals: np.ndarray, duals: np.ndarray) -> "FiniteGraph":
@@ -174,10 +173,10 @@ class NormPower:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.p < 1.0:
-            raise ValidationError("norm power requires p >= 1")
-        if self.scale <= 0:
-            raise ValidationError("norm power scale must be positive")
+        if not 1.0 <= self.p < np.inf:
+            raise ValidationError("norm power requires a finite p >= 1")
+        if not 0 < self.scale < np.inf:
+            raise ValidationError("norm power scale must be finite and positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,7 +271,7 @@ def _box_qp_batch(H: np.ndarray, G: np.ndarray, lo: Vector, hi: Vector) -> np.nd
         if free:
             rhs = Gt[:, free] - (xb @ H[np.ix_(fixed, free)] if fixed else 0.0)
             cand[:, free] = _solve_rows(H[np.ix_(free, free)], rhs)
-        grad = cand @ H - Gt
+        grad = rowwise_matmul(cand, H) - Gt
         valid = np.ones(len(todo), dtype=bool)
         for i in free:
             valid &= (cand[:, i] >= lo[i] - ktol) & (cand[:, i] <= hi[i] + ktol)
@@ -457,7 +456,6 @@ class Fiber:
 
 
 def _empty_fiber(x: Vector) -> Fiber:
-    x = as_vector(x)
     return Fiber(x, np.zeros((0, x.size)), np.zeros((0, x.size)), True)
 
 
@@ -525,8 +523,8 @@ class DualityMapOp:
     center: Vector
 
     def __post_init__(self):
-        if self.p < 1.0:
-            raise ValidationError("duality map requires p >= 1")
+        if not 1.0 <= self.p < np.inf:
+            raise ValidationError("duality map requires a finite p >= 1")
         object.__setattr__(self, "center", as_vector(self.center))
 
 
@@ -555,10 +553,10 @@ class PerturbedOp:
     center: Vector
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValidationError("perturbation weight must be positive")
-        if self.p < 1.0:
-            raise ValidationError("perturbation requires p >= 1")
+        if not 0 < self.lam < np.inf:
+            raise ValidationError("perturbation weight must be finite and positive")
+        if not 1.0 <= self.p < np.inf:
+            raise ValidationError("perturbation requires a finite p >= 1")
         c = as_vector(self.center)
         d = op_dimension(self.inner)
         if d is not None and c.size != d:
@@ -605,14 +603,14 @@ def resolvent_batch(
         n = op.M.shape[0]
         H = np.eye(n) + step * op.M
         return _solve_rows(H, W - step * op.c)
-    if isinstance(op, NormalConeOp):
-        return op.region.project_batch(W)
     if isinstance(op, PerturbedOp) and op.p == 2.0:
         den = 1.0 + step * op.lam
         return resolvent_batch(op.inner, (W + step * op.lam * op.center) / den, tol, step / den)
     fun = _subdiff_of(op)
     if fun is not None:
         return fun_prox_batch(fun, W, step, tol)
+    if isinstance(op, NormalConeOp):  # a polytope's; a box's is the clip of d(iota_box)
+        return op.region.project_batch(W)
     if isinstance(op, ShiftedOp):
         return resolvent_batch(op.inner, W + step * op.zstar, tol, step)
     if isinstance(op, PerturbedOp):
@@ -672,7 +670,7 @@ def _subdiff_fiber(fun: FunSpec, x: Vector, tol: ToleranceConfig) -> Fiber:
 def _polytope_normal_fiber(region: Polytope, x: Vector, tol: ToleranceConfig) -> Fiber:
     """N_P(x) from ``Polytope._facets``: the lines +-comp of the complement of
     P's affine hull, then the unit normal of each facet active at x, once."""
-    if not region.contains(x, tol.eq_tol):
+    if not region.contains_batch(x[None, :], tol.eq_tol)[0]:
         return _empty_fiber(x)
     center, basis, comp, A, b, _ = region._facets
     n, scale = x.size, 1.0 + float(np.abs(region.vertices).max())
@@ -683,11 +681,14 @@ def _polytope_normal_fiber(region: Polytope, x: Vector, tol: ToleranceConfig) ->
 
 def fiber(op: OperatorSpec, x: Vector, tol: ToleranceConfig = DEFAULT_TOL) -> Fiber:
     """The image set A(x), exact for polyhedral images; a point of the wrong
-    width raises DimensionMismatchError. Every op ``_subdiff_of`` names (a
-    subdifferential, a box normal cone, a duality map, a perturbed
-    subdifferential) comes from one rule, ``_subdiff_rows``; so does lam J_p in
-    the fiber of any other perturbed op."""
-    x = as_vector(x, dim=op_dimension(op))
+    width raises DimensionMismatchError. Only this entry validates x."""
+    return _fiber(op, as_vector(x, dim=op_dimension(op)), tol)
+
+
+def _fiber(op: OperatorSpec, x: np.ndarray, tol: ToleranceConfig) -> Fiber:
+    """``fiber`` at a row x already checked. Every op ``_subdiff_of`` names
+    comes from one rule, ``_subdiff_rows``; so does lam J_p in the fiber of any
+    other perturbed op."""
     n = x.size
     if isinstance(op, GraphOp):
         mask = np.linalg.norm(op.graph.primals - x, axis=1) <= tol.eq_tol
@@ -703,12 +704,12 @@ def fiber(op: OperatorSpec, x: Vector, tol: ToleranceConfig = DEFAULT_TOL) -> Fi
     if isinstance(op, NormalConeOp):
         return _polytope_normal_fiber(op.region, x, tol)
     if isinstance(op, ShiftedOp):
-        inner = fiber(op.inner, x, tol)
+        inner = _fiber(op.inner, x, tol)
         if inner.is_empty:
             return inner
         return Fiber(x, inner.points - op.zstar, inner.rays, inner.exact)
     if isinstance(op, PerturbedOp):
-        inner = fiber(op.inner, x, tol)
+        inner = _fiber(op.inner, x, tol)
         if inner.is_empty:
             return inner
         jp = _subdiff_fiber(TranslatedNormPower(op.p, op.lam, op.center), x, tol)
@@ -768,7 +769,7 @@ def membership_batch(
         out = np.zeros(len(X), dtype=bool)
         out[~ball] = membership_batch(op.inner, X[~ball], S[~ball] - J[~ball], tol)
         for i in np.flatnonzero(ball):
-            inner = fiber(op.inner, X[i], tol)
+            inner = _fiber(op.inner, X[i], tol)
             groups = inner.points[:, None, :] if inner.exact else [inner.points]
             d = min((project_onto_generated_set(P, inner.rays, S[i])[1] for P in groups), default=np.inf)
             out[i] = d <= op.lam + slack[i]
@@ -893,7 +894,7 @@ def shift_graph(g: FiniteGraph, zstar: Vector) -> FiniteGraph:
 
 def perturb(op: OperatorSpec, lam: float, p: float, center: Vector) -> PerturbedOp:
     """A + lam * J_p(. - center)."""
-    return PerturbedOp(op, lam, p, as_vector(center))
+    return PerturbedOp(op, lam, p, center)
 
 
 def unique_domain_points(g: FiniteGraph, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -936,7 +937,7 @@ class Sample:
     @cached_property
     def fibers(self) -> tuple[Fiber, ...]:
         """A(a) for every domain point a, aligned with domain."""
-        return tuple(fiber(self.op, a, self.tol) for a in self.domain)
+        return tuple(_fiber(self.op, a, self.tol) for a in self.domain)
 
     @cached_property
     def candidates(self) -> tuple[tuple[Vector, Fiber], ...]:
@@ -949,10 +950,10 @@ class Sample:
         return tuple(rayful + plain)
 
 
-def maximality_probe(sample: Sample, probe_grid: Grid) -> list[PairPoint]:
+def maximality_probe(sample: Sample, probe_grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Probe points monotonically related to the sampled graph yet failing
-    membership; each is evidence against maximality of the surrogate. An empty
-    list is consistent with (never proof of) maximality."""
+    membership, as rows (X, S): evidence against maximality of the surrogate.
+    No rows is consistent with (never proof of) maximality."""
     surrogate, tol = sample.graph, sample.tol
     n = surrogate.dim
     if probe_grid.dim != 2 * n:
@@ -966,4 +967,4 @@ def maximality_probe(sample: Sample, probe_grid: Grid) -> list[PairPoint]:
     ])
     Xr, Sr = Xp[related], Sp[related]
     failing = ~membership_batch(sample.op, Xr, Sr, tol)
-    return [PairPoint(x, v) for x, v in zip(Xr[failing], Sr[failing])]
+    return Xr[failing], Sr[failing]

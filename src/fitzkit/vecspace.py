@@ -78,13 +78,6 @@ def lexsort_rows(rows: np.ndarray) -> np.ndarray:
     return np.lexsort(rows.T[::-1])
 
 
-def lex_min_index(rows: np.ndarray, candidates: np.ndarray | None = None) -> int:
-    rows = np.atleast_2d(rows)
-    idx = np.arange(len(rows)) if candidates is None else np.asarray(candidates)
-    order = lexsort_rows(rows[idx])
-    return int(idx[order[0]])
-
-
 @dataclass(frozen=True)
 class ToleranceConfig:
     """Numeric policy: equality slack, infinity threshold, rank slack, budgets."""
@@ -96,8 +89,8 @@ class ToleranceConfig:
 
     def __post_init__(self):
         for name in ("eq_tol", "inf_threshold", "rank_tol"):
-            if not (getattr(self, name) > 0):
-                raise ValidationError(f"{name} must be strictly positive")
+            if not (0 < getattr(self, name) < math.inf):
+                raise ValidationError(f"{name} must be finite and strictly positive")
         if self.budget < 1:
             raise ValidationError("budget must be a positive integer")
         if self.inf_threshold / self.eq_tol < 1e6:
@@ -120,20 +113,12 @@ class PairPoint:
         object.__setattr__(self, "primal", p)
         object.__setattr__(self, "dual", d)
 
-    @property
-    def dim(self) -> int:
-        return self.primal.size
-
-    def pairing(self) -> float:
-        """<x, x*>."""
-        return float(np.dot(self.primal, self.dual))
-
     def __repr__(self):
         return f"PairPoint({self.primal.tolist()}, {self.dual.tolist()})"
 
 
 def pair(primal, dual) -> PairPoint:
-    return PairPoint(as_vector(primal), as_vector(dual))
+    return PairPoint(primal, dual)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +179,7 @@ def project_onto_generated_set(
     # start from the lexicographically-smallest nearest vertex
     d2 = np.einsum("ij,ij->i", pts - v, pts - v)
     near = np.flatnonzero(d2 <= d2.min() + _LEX_TIE_EPS)
-    start = lex_min_index(pts, near)
+    start = int(near[lexsort_rows(pts[near])[0]])
 
     active_p: list[int] = [start]
     active_r: list[int] = []
@@ -288,15 +273,19 @@ def dedupe_rows_within(rows: np.ndarray, tol: float) -> np.ndarray:
     return srt[keep]
 
 
+def _flat_tol(pts: np.ndarray, tol: float) -> float:
+    """The extent below which a direction of pts is flat: ``_affine_basis``
+    drops it, and ``contains_batch`` holds points that far off it."""
+    return max(tol, 1e-12 * max(1.0, float(np.abs(pts).max(initial=0.0))))
+
+
 def _affine_basis(pts: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Return (center, basis of affine hull, basis of orthogonal complement)."""
     center = pts.mean(axis=0)
     centered = pts - center
     # the complement needs every row of vt, which the thin form drops when k < n
     _, svals, vt = np.linalg.svd(centered, full_matrices=len(pts) < pts.shape[1])
-    scale = max(1.0, float(np.abs(pts).max(initial=0.0)))
-    thresh = max(tol, 1e-12 * scale)
-    rank = int(np.sum(svals > thresh)) if svals.size else 0
+    rank = int(np.sum(svals > _flat_tol(pts, tol))) if svals.size else 0
     return center, vt[:rank].T, vt[rank:].T
 
 
@@ -451,14 +440,14 @@ class Polytope:
         raise ValidationError(f"polytope projection left {len(todo)} rows unresolved")
 
     def contains_batch(self, xs: np.ndarray, tol: float) -> np.ndarray:
-        """Rows within tol of the affine hull (along comp) and with
+        """Rows within ``_flat_tol`` of the affine hull (along comp) and with
         max(A y + b) <= tol over the facets of ``_facets``; every product is a
         ``rowwise_matmul``, so a row's result does not depend on its batch."""
         center, basis, comp, A, b, _ = self._facets
         centered = np.atleast_2d(np.asarray(xs, dtype=float)) - center
         off = np.abs(rowwise_matmul(centered, comp)).max(axis=1, initial=0.0)
         out = (rowwise_matmul(rowwise_matmul(centered, basis), A.T) + b).max(axis=1, initial=-np.inf)
-        return (off <= tol) & (out <= tol)
+        return (off <= _flat_tol(self.vertices, tol)) & (out <= tol)
 
     def contains(self, x: Vector, tol: float) -> bool:
         return bool(self.contains_batch(as_vector(x, dim=self.dim)[None, :], tol)[0])
@@ -513,9 +502,6 @@ class Box:
     @property
     def dim(self) -> int:
         return self.lo.size
-
-    def project_batch(self, ws: np.ndarray) -> np.ndarray:
-        return np.clip(ws, self.lo, self.hi)
 
     def to_polytope(self) -> Polytope:
         corners = np.array(list(itertools.product(*zip(self.lo, self.hi))))
@@ -578,8 +564,8 @@ class Grid:
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
         object.__setattr__(self, "spacing", float(self.spacing))
-        if self.spacing <= 0:
-            raise ValidationError("grid spacing must be positive")
+        if not (0 < self.spacing < math.inf):
+            raise ValidationError("grid spacing must be finite and positive")
         if np.any(lo >= hi):
             raise ValidationError("grid requires lower < upper componentwise")
         with np.errstate(over="ignore"):  # nodes per axis in Python ints (no wrap), or inf

@@ -123,8 +123,8 @@ def test_criterion_3_fitzpatrick_inequality_suite():
         for op, wgrid in cases:
             n = wgrid.dim
             g = graph_sample(op, wgrid)
-            pts = [pair(rng.uniform(-2, 2, n), rng.uniform(-2, 2, n)) for _ in range(1000)]
-            cert = fitz_inequality_check(Sample(op, g), pts)
+            XS = rng.uniform(-2, 2, size=(1000, 2, n))  # x then x* for each point
+            cert = fitz_inequality_check(Sample(op, g), XS[:, 0], XS[:, 1])
             assert cert.verdict is Verdict.PASS, cert.narrative
             assert cert.witness("worst_gap") <= 1e-9
             slack = cert.witness("graph_equality_slack")
@@ -275,8 +275,8 @@ def test_criterion_9_br_suite():
 
 def test_criterion_10_documented_expected_failure():
     with criterion(10, "non-maximal two-point graph fails with gap 0.25 +/- 1e-12"):
-        g = FiniteGraph((pair([0.0], [0.0]), pair([1.0], [1.0])))
-        cert = fitz_inequality_check(Sample(GraphOp(g), g), [pair([0.5], [0.5])])
+        g = FiniteGraph.from_arrays([[0.0], [1.0]], [[0.0], [1.0]])
+        cert = fitz_inequality_check(Sample(GraphOp(g), g), np.array([[0.5]]), np.array([[0.5]]))
         assert cert.verdict is Verdict.FAIL
         assert abs(cert.witness("gap") - 0.25) <= 1e-12
 

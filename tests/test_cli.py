@@ -1,10 +1,14 @@
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fitzkit
 from fitzkit.cli import main
@@ -101,6 +105,17 @@ def test_suite_non_numeric_tolerance_exit_two(capsys, tmp_path):
     err = capsys.readouterr().err
     assert code == 2
     assert err.count("\n") == 1 and err.startswith("error: tolerances.eq_tol")
+
+
+@pytest.mark.parametrize("budget", ["Infinity", "NaN"])
+def test_suite_non_finite_budget_exit_two(capsys, tmp_path, budget):
+    # int() of JSON's Infinity raises OverflowError, which the field reader now reports
+    path = tmp_path / "bad-budget.json"
+    path.write_text('{"dimension": 1, "tolerances": {"budget": %s}}' % budget)
+    code = main(["suite", "--scenario", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: tolerances.budget")
 
 
 VALID_SCENARIO = {
@@ -357,3 +372,128 @@ def test_console_script_subprocess():
     )
     assert proc.returncode == 1
     assert proc.stdout.splitlines()[0] == "check,target,verdict,key_scalar"
+
+
+# --------------------------------------------------------------------------
+# non-finite and out-of-range scalars end at load with exit 2
+# --------------------------------------------------------------------------
+
+SUP_Q_1D = ["check", "--check", "sup_quotient", "--z", "5", "--wgrid=-1:1:0.5",
+            "--params", '{"allow_z_in_domain": true}']
+NORM_POWER = {"kind": "subdiff", "fun": {"kind": "norm_power", "p": 2.0, "scale": 1.0}}
+
+
+def run_quiet(argv):
+    """cli.main in-process with stdout and stderr captured: (code, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "operator, extra",
+    [
+        ({"kind": "perturbed", "inner": {"kind": "linear", "matrix": [[1.0]]},
+          "lambda": float("nan"), "p": 2.0, "center": [0.0]}, []),
+        ({"kind": "subdiff", "fun": {"kind": "norm_power", "p": 2.0, "scale": float("nan")}}, []),
+        ({"kind": "subdiff", "fun": {"kind": "norm_power", "p": float("nan")}}, []),
+        ({"kind": "subdiff", "fun": {"kind": "norm_power", "p": float("inf")}}, []),
+        (NORM_POWER, ["--wgrid=-1:1:nan"]),
+        (NORM_POWER, ["--wgrid=-1:1:inf"]),
+        (NORM_POWER, ["--inf-threshold", "inf"]),
+    ],
+    ids=["lambda-nan", "scale-nan", "p-nan", "p-inf", "wgrid-spacing-nan", "wgrid-spacing-inf",
+         "inf-threshold-inf"],
+)
+def test_check_non_finite_scalar_exit_two_at_load(operator, extra):
+    code, err = run_quiet(SUP_Q_1D + ["--operator", json.dumps(operator)] + extra)
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: ") and "finite" in err
+
+
+# (valid 1-d spec, [(path to one scalar, its kind)]); a "positive" scalar is
+# invalid at 0 and below too, a "coordinate" only when it is not a finite number
+SCALAR_SLOTS = [
+    ({"kind": "graph", "pairs": [[[0.0], [0.0]], [[1.0], [1.0]]]},
+     [(("pairs", 0, 0, 0), "coordinate"), (("pairs", 1, 1, 0), "coordinate")]),
+    ({"kind": "linear", "matrix": [[1.0]], "offset": [0.5]},
+     [(("matrix", 0, 0), "coordinate"), (("offset", 0), "coordinate")]),
+    ({"kind": "subdiff", "fun": {"kind": "quadratic", "matrix": [[1.0]], "offset": [0.0]}},
+     [(("fun", "matrix", 0, 0), "coordinate"), (("fun", "offset", 0), "coordinate")]),
+    ({"kind": "subdiff", "fun": {"kind": "box_indicator", "lo": [0.0], "hi": [1.0]}},
+     [(("fun", "lo", 0), "coordinate"), (("fun", "hi", 0), "coordinate")]),
+    (NORM_POWER, [(("fun", "p"), "positive"), (("fun", "scale"), "positive")]),
+    ({"kind": "subdiff", "fun": {"kind": "translated_norm_power", "p": 3.0, "scale": 0.5,
+                                 "center": [0.5]}},
+     [(("fun", "p"), "positive"), (("fun", "scale"), "positive"), (("fun", "center", 0), "coordinate")]),
+    ({"kind": "subdiff", "fun": {"kind": "sum", "parts": [
+        {"kind": "quadratic", "matrix": [[1.0]]}, {"kind": "box_indicator", "lo": [0.0], "hi": [1.0]},
+        {"kind": "norm_power", "p": 2.0}]}},
+     [(("fun", "parts", 1, "hi", 0), "coordinate"), (("fun", "parts", 2, "p"), "positive")]),
+    ({"kind": "normal_cone", "box": {"lo": [0.0], "hi": [1.0]}}, [(("box", "lo", 0), "coordinate")]),
+    ({"kind": "normal_cone", "vertices": [[0.0], [1.0]]}, [(("vertices", 1, 0), "coordinate")]),
+    ({"kind": "duality_map", "p": 2.0, "center": [0.0]},
+     [(("p",), "positive"), (("center", 0), "coordinate")]),
+    ({"kind": "shifted", "inner": {"kind": "linear", "matrix": [[1.0]]}, "zstar": [1.0]},
+     [(("zstar", 0), "coordinate"), (("inner", "matrix", 0, 0), "coordinate")]),
+    ({"kind": "perturbed", "inner": {"kind": "normal_cone", "box": {"lo": [0.0], "hi": [1.0]}},
+      "lambda": 2.0, "p": 1.0, "center": [0.5]},
+     [(("lambda",), "positive"), (("p",), "positive"), (("center", 0), "coordinate")]),
+]
+BAD_SCALARS = {
+    "coordinate": [float("nan"), float("inf"), -float("inf"), "a"],
+    "positive": [float("nan"), float("inf"), -float("inf"), 0.0, -1.5, "a"],
+}
+
+
+def test_every_operator_and_function_kind_has_a_scalar_slot():
+    kinds = {spec["kind"] for spec, _ in SCALAR_SLOTS}
+    funs = {spec["fun"]["kind"] for spec, _ in SCALAR_SLOTS if spec["kind"] == "subdiff"}
+    assert kinds == {"graph", "linear", "subdiff", "normal_cone", "duality_map", "shifted", "perturbed"}
+    assert funs == {"quadratic", "box_indicator", "norm_power", "translated_norm_power", "sum"}
+    for spec, _ in SCALAR_SLOTS:  # each spec is valid as written
+        assert run_quiet(SUP_Q_1D + ["--operator", json.dumps(spec)])[0] in (0, 1)
+
+
+@st.composite
+def one_bad_scalar(draw):
+    spec, slots = draw(st.sampled_from(SCALAR_SLOTS))
+    path, kind = draw(st.sampled_from(slots))
+    spec = copy.deepcopy(spec)
+    node = spec
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = draw(st.sampled_from(BAD_SCALARS[kind]))
+    return spec
+
+
+@settings(max_examples=150, deadline=None)
+@given(one_bad_scalar())
+def test_one_bad_operator_scalar_exits_two_with_one_line(spec):
+    code, err = run_quiet(SUP_Q_1D + ["--operator", json.dumps(spec)])
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+# --------------------------------------------------------------------------
+# finite-graph pairs are read as one float array
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "pairs",
+    [[], [[[0.0], [0.0], [1.0]]], [[[0.0, 0.0], [0.0, 0.0]], [[1.0], [1.0]]],
+     [[[0.0], [float("nan")]], [[1.0], [1.0]]]],
+    ids=["empty", "triple", "mixed-widths", "nan-entry"],
+)
+def test_graph_pairs_that_are_not_finite_pairs_exit_two(pairs):
+    code, err = run_quiet(SUP_Q_1D + ["--operator", json.dumps({"kind": "graph", "pairs": pairs})])
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_graph_pairs_of_bare_numbers_are_pairs_in_r1(capsys):
+    bare = json.dumps({"kind": "graph", "pairs": [[0.0, 0.0], [1.0, 1.0]]})
+    code, out = run_cli(capsys, "fitz", "--operator", bare, "--x", "0.5", "--xstar", "0.5")
+    assert code == 0
+    assert json.loads(out) == {"kind": "finite", "value": 0.0, "method": "finite_graph"}

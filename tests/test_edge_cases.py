@@ -58,7 +58,7 @@ def test_nested_shift_perturb_resolvent():
 
 
 def test_near_convexity_fail_on_bounded_graph():
-    g = FiniteGraph((pair([0.0], [0.0]), pair([1.0], [1.0])))
+    g = FiniteGraph.from_arrays([[0.0], [1.0]], [[0.0], [1.0]])
     cert = near_convexity_certificate(
         Sample.over(GraphOp(g), Grid([-1.0], [2.0], 0.5)), [2.0], 1.0, [0.5, 100.0]
     )
@@ -67,7 +67,7 @@ def test_near_convexity_fail_on_bounded_graph():
 
 
 def test_br_fail_on_sparse_graph():
-    g = FiniteGraph((pair([0.0], [0.0]), pair([2.0], [2.0])))
+    g = FiniteGraph.from_arrays([[0.0], [2.0]], [[0.0], [2.0]])
     cert = br_check(Sample.over(GraphOp(g), None), pair([1.0], [1.0]), 0.5, 0.5)
     assert cert.verdict is Verdict.FAIL
     assert cert.witness("near_miss_score") == pytest.approx(2.0)

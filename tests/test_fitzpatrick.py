@@ -47,7 +47,7 @@ CONE01 = NormalConeOp(Box([0.0], [1.0]))
 
 
 def graph_of(*pts):
-    return FiniteGraph(tuple(pair(p, d) for p, d in pts))
+    return FiniteGraph.from_arrays([p for p, _ in pts], [d for _, d in pts])
 
 
 TWO_POINT = graph_of(([0.0], [0.0]), ([1.0], [1.0]))
@@ -417,15 +417,15 @@ def test_inequality_check_passes_on_maximal_sampled():
     rng = np.random.default_rng(SEED + 3)
     op = SubdiffOp(Quadratic([[1.0]], [0.0]))
     g = graph_sample(op, Grid([-4.0], [4.0], 0.1))
-    pts = [pair(rng.uniform(-2, 2, 1), rng.uniform(-2, 2, 1)) for _ in range(300)]
-    cert = fitz_inequality_check(Sample(op, g), pts)
+    XS = rng.uniform(-2, 2, size=(300, 2, 1))  # x then x* for each point
+    cert = fitz_inequality_check(Sample(op, g), XS[:, 0], XS[:, 1])
     assert cert.verdict is Verdict.PASS
     assert cert.witness("worst_gap") <= DEFAULT_TOL.eq_tol
 
 
 def test_inequality_check_documented_failure():
     op = GraphOp(TWO_POINT)
-    cert = fitz_inequality_check(Sample(op, TWO_POINT), [pair([0.5], [0.5])])
+    cert = fitz_inequality_check(Sample(op, TWO_POINT), np.array([[0.5]]), np.array([[0.5]]))
     assert cert.verdict is Verdict.FAIL
     assert cert.witness("gap") == pytest.approx(0.25, abs=1e-12)
 
@@ -433,7 +433,7 @@ def test_inequality_check_documented_failure():
 def test_inequality_equality_on_graph_points():
     op = SubdiffOp(Quadratic([[1.0]], [0.0]))
     g = graph_sample(op, Grid([-2.0], [2.0], 0.25))
-    cert = fitz_inequality_check(Sample(op, g), [])
+    cert = fitz_inequality_check(Sample(op, g), np.zeros((0, 1)), np.zeros((0, 1)))
     assert cert.verdict is Verdict.PASS
     assert cert.witness("worst_graph_equality_residual") <= 1e-12
 

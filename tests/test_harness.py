@@ -17,6 +17,7 @@ from fitzkit.harness import (
     render_report,
     report_to_dict,
     run_suite,
+    scenario_digest,
     scenario_from_dict,
 )
 
@@ -247,3 +248,31 @@ def test_readme_check_table_lists_every_check():
     table = readme.split("Check kinds and their parameters:")[1].split("\n\n")[1]
     rows = [line for line in table.splitlines() if line.startswith("| `")]
     assert {row.split("`")[1] for row in rows} == set(CHECKS)
+
+
+# One operator of every kind (and every function kind inside a sum), as the
+# wire format reads it: its digest pins how each kind is parsed and echoed.
+ALL_KINDS = {
+    "dimension": 2, "seed": 3, "grids": {}, "checks": [],
+    "operators": {
+        "g": {"kind": "graph", "pairs": [[[0, 0], [0, 0]], [[1, 0], [1, 0]]]},
+        "l": {"kind": "linear", "matrix": [[1, 0], [0, 1]]},
+        "s": {"kind": "subdiff", "fun": {"kind": "sum", "parts": [
+            {"kind": "quadratic", "matrix": [[1, 0], [0, 1]]},
+            {"kind": "box_indicator", "lo": [0, 0], "hi": [1, 1]},
+            {"kind": "norm_power", "p": 1},
+            {"kind": "translated_norm_power", "p": 3, "center": [1, 2]}]}},
+        "nb": {"kind": "normal_cone", "box": {"lo": [0, 0], "hi": [1, 1]}},
+        "nv": {"kind": "normal_cone", "vertices": [[1, 0], [0, 0], [0, 1], [0.2, 0.2]]},
+        "j": {"kind": "duality_map", "p": 2, "center": [0, 0]},
+        "sh": {"kind": "shifted", "inner": {"kind": "linear", "matrix": [[1, 0], [0, 1]],
+                                            "offset": [1, 1]}, "zstar": [1, 0]},
+        "pe": {"kind": "perturbed", "inner": {"kind": "normal_cone", "box": {"lo": [0, 0], "hi": [1, 1]}},
+               "lambda": 2, "p": 1, "center": [0.5, 0.5]},
+    },
+}
+
+
+def test_all_kinds_scenario_digest_is_pinned():
+    digest = "sha256:9271badd07a81bbfbc9744d129e8dd75ebe5d81494bbd29cf76b5ad2e44adcb1"
+    assert scenario_digest(scenario_from_dict(ALL_KINDS)) == digest

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -39,6 +40,7 @@ from fitzkit.operators import (
     unique_domain_points,
 )
 from fitzkit import operators, vecspace
+from fitzkit.fitzpatrick import fitz_rows
 from fitzkit.vecspace import (
     Box,
     DEFAULT_TOL,
@@ -54,7 +56,7 @@ SEED = 20260809
 
 
 def graph_of(*pts):
-    return FiniteGraph(tuple(pair(p, d) for p, d in pts))
+    return FiniteGraph.from_arrays([p for p, _ in pts], [d for _, d in pts])
 
 
 def count_calls(monkeypatch, name, *modules):
@@ -101,11 +103,8 @@ def test_both_graph_constructors_reject_duplicates_within_eq_tol(gap):
     S = np.array([[0.0, 1.0], [1.0, 1.0], [0.0, 1.0]])
     with pytest.raises(ValidationError, match="duplicate"):
         FiniteGraph.from_arrays(X, S)
-    with pytest.raises(ValidationError, match="duplicate"):
-        FiniteGraph(pair(x, s) for x, s in zip(X, S))
     X[2, 0] = 2.0 * DEFAULT_TOL.eq_tol
     assert len(FiniteGraph.from_arrays(X, S)) == 3
-    assert len(FiniteGraph(pair(x, s) for x, s in zip(X, S))) == 3
 
 
 def test_graph_arrays_are_read_only_and_pairs_built_on_demand():
@@ -143,6 +142,15 @@ def test_funsum_disjoint_boxes_rejected():
 def test_perturbed_requires_positive_lambda():
     with pytest.raises(ValidationError):
         PerturbedOp(IDENT, 0.0, 2.0, [0.0])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_operator_scalars_must_be_finite(bad):
+    for build in (lambda: NormPower(bad), lambda: NormPower(2.0, bad), lambda: DualityMapOp(bad, [0.0]),
+                  lambda: TranslatedNormPower(bad, 1.0, [0.0]), lambda: PerturbedOp(IDENT, bad, 2.0, [0.0]),
+                  lambda: PerturbedOp(IDENT, 1.0, bad, [0.0])):
+        with pytest.raises(ValidationError, match="finite"):
+            build()
 
 
 # --------------------------------------------------------------------------
@@ -690,21 +698,53 @@ def _rows_alone(f, W):
         return None
 
 
+@functools.cache
+def _kind_sample(kind):
+    """The kind's Minty sample on a small grid (its graph for a finite graph);
+    None when the operator has no resolvent or the sample fails."""
+    op, _ = MEMBERSHIP_KINDS[kind]
+    wgrid = None if isinstance(op, GraphOp) else Grid([-2.0, -2.0], [3.0, 3.0], 0.5)
+    try:
+        return Sample.over(op, wgrid)
+    except (NoClosedFormError, ValidationError):
+        return None
+
+
 @settings(max_examples=30, deadline=None)
-@given(st.lists(_row, min_size=2, max_size=8))
+@given(st.lists(_row, min_size=2, max_size=8), st.sampled_from((1.0, 1e4, 1e8)))
 @pytest.mark.parametrize("kind", sorted(MEMBERSHIP_KINDS))
-def test_batch_rows_equal_rows_computed_alone(kind, rows):
-    # membership_batch and resolvent_batch give each row of a batch its one-row
-    # result bit for bit, whatever the other rows
+def test_batch_rows_equal_rows_computed_alone(kind, rows, scale):
+    # membership_batch, resolvent_batch, fitz_rows and _box_qp_batch give each
+    # row of a batch its one-row result bit for bit, whatever the other rows,
+    # with rows scaled out to |x| ~ 1e8
     op, notable = MEMBERSHIP_KINDS[kind]
     pts = [_membership_row(op, notable, *r) for r in rows]
-    X = np.array([x for x, _ in pts])
-    S = np.array([v for _, v in pts])
-    alone = [bool(membership_batch(op, x[None, :], v[None, :])[0]) for x, v in pts]
+    X = scale * np.array([x for x, _ in pts])
+    S = scale * np.array([v for _, v in pts])
+    alone = [bool(membership_batch(op, x[None, :], v[None, :])[0]) for x, v in zip(X, S)]
     assert membership_batch(op, X, S).tolist() == alone
+    sample = _kind_sample(kind)
+    if sample is not None:  # values bit for bit, crossings (term and witness) equal
+        values, crossings = fitz_rows(sample, X, S)
+        for i in range(len(X)):
+            (value,), (crossing,) = fitz_rows(sample, X[i : i + 1], S[i : i + 1])
+            assert values[i : i + 1].tobytes() == np.array([value]).tobytes()
+            assert (crossing is None) == (crossings[i] is None)
+            if crossing is not None:
+                (t, w), (t_all, w_all) = crossing, crossings[i]
+                assert t == t_all and w.primal.tobytes() == w_all.primal.tobytes()
+                assert w.dual.tobytes() == w_all.dual.tobytes()
     if isinstance(op, GraphOp):
         return
-    W = np.vstack([X + S, [a for _, a, _, _ in rows], [a for _, _, a, _ in rows]])
+    W = np.vstack([X + S, scale * np.array([a for _, a, _, _ in rows]),
+                   scale * np.array([a for _, _, a, _ in rows])])
+    fun = operators._subdiff_of(op)
+    exact = operators._sum_exact_parts(fun, 2) if isinstance(fun, FunSum) else None
+    if exact is not None and exact[2] is not None:  # a quadratic-plus-box sum
+        A, a, box = exact
+        H, G = np.eye(2) + A, W - a
+        alone = np.vstack([operators._box_qp_batch(H, g[None, :], box.lo, box.hi) for g in G])
+        assert operators._box_qp_batch(H, G, box.lo, box.hi).tobytes() == alone.tobytes()
     alone = _rows_alone(lambda w: resolvent_batch(op, w), W)
     if alone is None:
         with pytest.raises(NoClosedFormError):
@@ -1067,16 +1107,16 @@ def test_monotone_check_gate_allocates_cache_sized_tiles():
 def test_maximality_probe_finds_gap():
     g = graph_of(([0.0], [0.0]), ([1.0], [1.0]))
     probe = Grid([0.25, 0.25], [0.75, 0.75], 0.25)
-    out = maximality_probe(Sample.over(GraphOp(g), None), probe)
-    found = {(round(p.primal[0], 6), round(p.dual[0], 6)) for p in out}
+    X, S = maximality_probe(Sample.over(GraphOp(g), None), probe)
+    found = {(round(x[0], 6), round(s[0], 6)) for x, s in zip(X, S)}
     assert (0.5, 0.5) in found
 
 
 def test_maximality_probe_identity_empty():
     wgrid = Grid([-2.0], [2.0], 0.05)
     probe = Grid([-1.0, -1.0], [1.0, 1.0], 0.1)
-    out = maximality_probe(Sample.over(IDENT, wgrid), probe)
-    assert out == []
+    X, S = maximality_probe(Sample.over(IDENT, wgrid), probe)
+    assert X.shape == S.shape == (0, 1)
 
 
 def test_maximality_probe_empty_grid_region():
@@ -1084,7 +1124,8 @@ def test_maximality_probe_empty_grid_region():
     # a probe box fully off-graph but unrelated: all probes have a negative
     # product against some graph point, so nothing is returned
     probe = Grid([5.0, -9.0], [6.0, -8.0], 0.5)
-    assert maximality_probe(Sample.over(GraphOp(g), None), probe) == []
+    X, S = maximality_probe(Sample.over(GraphOp(g), None), probe)
+    assert X.shape == S.shape == (0, 1)
 
 
 # --------------------------------------------------------------------------

@@ -2,12 +2,13 @@ import bisect
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fitzkit.errors import DimensionMismatchError, NotSeparableError, ValidationError
 from fitzkit.operators import NormalConeOp, resolvent
 from fitzkit.vecspace import (
     Box,
+    DEFAULT_TOL,
     Grid,
     Polytope,
     ToleranceConfig,
@@ -335,7 +336,8 @@ def test_hull_at_large_coordinates():
 @st.composite
 def clouds(draw):
     """k points in R^1..R^4 at a scale of 1 to 1e8: uniform, on a lattice, or
-    on a random affine flat of lower dimension."""
+    on a random affine flat of lower dimension; with the containment slack
+    1e-9 * max(1, |pts|_inf)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n, k = draw(st.integers(1, 4)), draw(st.integers(1, 30))
     scale = 10.0 ** draw(st.integers(0, 8))
@@ -345,14 +347,17 @@ def clouds(draw):
     flat = draw(st.integers(0, n - 1))
     if flat:
         pts[:, n - flat:] = pts[:, : n - flat] @ rng.normal(size=(n - flat, flat)) + rng.normal(size=flat)
-    return scale * pts
+    return scale * pts, 1e-9 * max(1.0, scale * np.abs(pts).max())
 
 
 @settings(max_examples=300, deadline=None)
 @given(clouds())
-def test_hull_builds_and_holds_its_points_at_every_scale(pts):
-    p = conv_hull(pts)
-    assert p.contains_batch(pts, 1e-9 * max(1.0, np.abs(pts).max())).all()
+# two points 5e-9 apart at 1e4: the basis reads them as one point, flat along
+# e_1 up to 1e-12 * 1e4, and contains_batch at eq_tol holds both
+@example((np.array([[1e4, 0.0], [1e4 + 5e-9, 0.0]]), DEFAULT_TOL.eq_tol))
+def test_hull_builds_and_holds_its_points_at_every_scale(case):
+    pts, tol = case
+    assert conv_hull(pts).contains_batch(pts, tol).all()
 
 
 def test_hull_vertex_rule_on_nearly_degenerate_clouds():
@@ -507,6 +512,19 @@ def test_tolerance_validation():
     cfg = ToleranceConfig()
     assert cfg.eq_tol == 1e-9 and cfg.inf_threshold == 1e8
     assert cfg.rank_tol == 1e-8 and cfg.budget == 100_000
+
+
+@pytest.mark.parametrize("field", ["eq_tol", "inf_threshold", "rank_tol"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_tolerances_must_be_finite(field, value):
+    with pytest.raises(ValidationError, match=f"{field} must be finite"):
+        ToleranceConfig(**{field: value})
+
+
+@pytest.mark.parametrize("spacing", [float("nan"), float("inf")])
+def test_grid_spacing_must_be_finite(spacing):
+    with pytest.raises(ValidationError, match="spacing must be finite"):
+        Grid([0.0], [1.0], spacing)
 
 
 def test_grid_nodes_and_cap():
