@@ -31,7 +31,6 @@ from .operators import (
     LinearOp,
     OperatorSpec,
     Sample,
-    TranslatedNormPower,
     _subdiff_rows,
     maximality_probe,
     membership_batch,
@@ -179,7 +178,7 @@ def _quotient_schedule_run(sample: Sample, z: Vector, p: float, lambda_schedule)
         raise ValidationError("lambda schedule must be positive")
     op, tol = sample.op, sample.tol
     candidates = sample.candidates
-    jp, jp_fun = DualityMapOp(p, z), TranslatedNormPower(p, 1.0, z)
+    jp = DualityMapOp(p, z)
     # one widening/refining retry for sampled operators, on a fresh sample
     # whose candidates serve every later lambda
     widened = sample.wgrid is None
@@ -199,7 +198,7 @@ def _quotient_schedule_run(sample: Sample, z: Vector, p: float, lambda_schedule)
             missing.append(lam)
             continue
         a, astar, val = found
-        bstar = _subdiff_rows(jp_fun, a[None, :], tol)[1][0]  # J_p(a - z)
+        bstar = _subdiff_rows(jp._fun, a[None, :], tol)[1][0]  # J_p(a - z)
         total = astar + lam * bstar
         violation = float(np.dot(z - a, total))
         if not (
@@ -271,11 +270,10 @@ def near_convexity_certificate(
             raise ValidationError("strict mode needs a probe grid")
         lam0 = min(float(lam) for lam in lambda_schedule)
         # lam0 J_p(a - z), single-valued: |a - z| >= alpha > eq_tol
-        lam_bstar = _subdiff_rows(TranslatedNormPower(p, lam0, z), g.primals, tol)[1]
+        perturbed = perturb(sample.op, lam0, p, z)
+        lam_bstar = _subdiff_rows(perturbed._jp, g.primals, tol)[1]
         surrogate = FiniteGraph.from_arrays(g.primals, g.duals + lam_bstar)
-        evidence, _ = maximality_probe(
-            Sample(perturb(sample.op, lam0, p, z), surrogate, tol), probe_grid
-        )
+        evidence, _ = maximality_probe(Sample(perturbed, surrogate, tol), probe_grid)
         witnesses.append(("maximality_evidence_count", float(len(evidence))))
     return _schedule_verdict(
         name, entries, missing, alpha ** (p - 1.0), witnesses, tol,

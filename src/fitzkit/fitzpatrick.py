@@ -250,10 +250,9 @@ def fitz_sampled(
     tol: ToleranceConfig = DEFAULT_TOL,
     sample: FiniteGraph | None = None,
 ) -> FitzValue:
-    """fitz_at over the Minty sample of op on wgrid, or over the given sample."""
-    if sample is None:
-        return fitz_at(Sample.over(op, wgrid, tol), pt)
-    return fitz_at(Sample(op, sample, tol, wgrid), pt)
+    """fitz_at over the Minty sample of op on wgrid, or over the given graph's one Sample.on."""
+    s = Sample.over(op, wgrid, tol) if sample is None else Sample.on(op, sample, tol, wgrid)
+    return fitz_at(s, pt)
 
 
 def fitz_at(s: Sample, pt: PairPoint) -> FitzValue:

@@ -31,6 +31,7 @@ Each docstring says why the verdict, and the witness, are exact.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Union
@@ -74,12 +75,13 @@ class FiniteGraph:
 
     Row i of the read-only (k, n) arrays ``primals`` and ``duals`` is the pair
     (x_i, x_i*); ``pair(i)`` builds it as a PairPoint when a witness needs one.
-    ``from_arrays`` is the one constructor.
+    ``from_arrays`` is the one constructor; ``_sample`` is ``Sample.on``'s slot.
     """
 
     primals: np.ndarray
     duals: np.ndarray
     self_products: np.ndarray = field(repr=False)
+    _sample: Union["Sample", weakref.ref, None] = field(default=None, repr=False)
 
     @classmethod
     def from_arrays(cls, primals: np.ndarray, duals: np.ndarray) -> "FiniteGraph":
@@ -521,11 +523,13 @@ class NormalConeOp:
 class DualityMapOp:
     p: float
     center: Vector
+    _fun: TranslatedNormPower = field(init=False, repr=False)  # |. - center|^p / p, built once
 
     def __post_init__(self):
         if not 1.0 <= self.p < np.inf:
             raise ValidationError("duality map requires a finite p >= 1")
         object.__setattr__(self, "center", as_vector(self.center))
+        object.__setattr__(self, "_fun", TranslatedNormPower(self.p, 1.0, self.center))
 
 
 @dataclass(frozen=True, eq=False)
@@ -551,6 +555,8 @@ class PerturbedOp:
     lam: float
     p: float
     center: Vector
+    _jp: TranslatedNormPower = field(init=False, repr=False)  # lam |. - center|^p / p, built once
+    _fun: Optional[FunSum] = field(init=False, repr=False)  # f + _jp when inner = df, else None
 
     def __post_init__(self):
         if not 0 < self.lam < np.inf:
@@ -562,6 +568,9 @@ class PerturbedOp:
         if d is not None and c.size != d:
             raise DimensionMismatchError("perturbation center dimension mismatch")
         object.__setattr__(self, "center", c)
+        object.__setattr__(self, "_jp", TranslatedNormPower(self.p, self.lam, c))
+        fun = _subdiff_of(self.inner)
+        object.__setattr__(self, "_fun", None if fun is None else FunSum((fun, self._jp)))
 
 
 OperatorSpec = Union[
@@ -635,19 +644,14 @@ def resolvent(
 def _subdiff_of(op: OperatorSpec) -> Optional[FunSpec]:
     """f with op = df for ``_subdiff_rows``, the one place that names the
     subdifferentials: a subdifferential's function; the box of a box normal
-    cone, N_box = d(iota_box); |. - c|^p / p for the duality map J_p(. - c)
-    (Asplund); and f + lam |. - c|^p / p for A + lam J_p(. - c) when A = df.
-    None for any other op."""
+    cone, N_box = d(iota_box); and the f that a duality map or a perturbed
+    subdifferential built once as its _fun. None for any other op."""
     if isinstance(op, SubdiffOp):
         return op.fun
     if isinstance(op, NormalConeOp) and isinstance(op.region, Box):
         return op.region
-    if isinstance(op, DualityMapOp):
-        return TranslatedNormPower(op.p, 1.0, op.center)
-    if isinstance(op, PerturbedOp):
-        fun = _subdiff_of(op.inner)
-        if fun is not None:
-            return FunSum((fun, TranslatedNormPower(op.p, op.lam, op.center)))
+    if isinstance(op, (DualityMapOp, PerturbedOp)):
+        return op._fun
     return None
 
 
@@ -712,7 +716,7 @@ def _fiber(op: OperatorSpec, x: np.ndarray, tol: ToleranceConfig) -> Fiber:
         inner = _fiber(op.inner, x, tol)
         if inner.is_empty:
             return inner
-        jp = _subdiff_fiber(TranslatedNormPower(op.p, op.lam, op.center), x, tol)
+        jp = _subdiff_fiber(op._jp, x, tol)
         pts = np.vstack([inner.points + b for b in jp.points])
         return Fiber(x, pts, inner.rays, inner.exact and jp.exact)
     raise ValidationError(f"unknown operator spec {type(op).__name__}")
@@ -764,7 +768,7 @@ def membership_batch(
         # lam J_1 near its center is the ball lam*B: test the distance to the
         # inner fiber, the nearest of its points plus the cone when it is exact,
         # the hull of its ball-sampled points plus the cone when it is not
-        _, J, _, _, radius = _subdiff_rows(TranslatedNormPower(op.p, op.lam, op.center), X, tol)
+        _, J, _, _, radius = _subdiff_rows(op._jp, X, tol)
         ball = radius > 0.0
         out = np.zeros(len(X), dtype=bool)
         out[~ball] = membership_batch(op.inner, X[~ball], S[~ball] - J[~ball], tol)
@@ -915,15 +919,29 @@ class Sample:
     wgrid: Optional[Grid] = None
 
     @classmethod
+    def on(cls, op: OperatorSpec, graph: FiniteGraph, tol: ToleranceConfig = DEFAULT_TOL,
+           wgrid: Grid | None = None) -> "Sample":
+        """The Sample of op on graph, built once: the graph's slot keeps the last one
+        (weakly when ``over`` built it), reused while op and wgrid are the same
+        objects and tol is equal. Ops, graphs and grids are frozen, arrays read-only."""
+        s = graph._sample() if isinstance(graph._sample, weakref.ref) else graph._sample
+        if s is None or s.op is not op or s.tol != tol or s.wgrid is not wgrid:
+            s = cls(op, graph, tol, wgrid)
+            object.__setattr__(graph, "_sample", s)
+        return s
+
+    @classmethod
     def over(
         cls, op: OperatorSpec, wgrid: Grid | None, tol: ToleranceConfig = DEFAULT_TOL
     ) -> "Sample":
         """The graph of a finite-graph operator, else its Minty sample over wgrid."""
         if isinstance(op, GraphOp):
-            return cls(op, op.graph, tol)
+            return cls.on(op, op.graph, tol)
         if wgrid is None:
             raise ValidationError("sampled operators need a wgrid")
-        return cls(op, graph_sample(op, wgrid, tol), tol, wgrid)
+        s = cls(op, graph_sample(op, wgrid, tol), tol, wgrid)
+        object.__setattr__(s.graph, "_sample", weakref.ref(s))  # a strong one would make a cycle
+        return s
 
     @cached_property
     def domain(self) -> np.ndarray:

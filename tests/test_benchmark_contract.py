@@ -98,6 +98,24 @@ def test_dense_evaluate_pass_runs_as_the_benchmark_runs_it(monkeypatch, seed):
     assert 0.0 < named["infinite_share"].value < 1.0
 
 
+def test_dense_evaluate_second_pass_passes_the_benchmark_oracle(monkeypatch):
+    """Two dense-evaluate passes through the benchmark's own runner: the second
+    pass evaluates every probe on the Sample each graph kept from the first, and
+    all 128 operations pass the oracle checks. Only the first pass, which
+    builds each family's fibers, is asked to give the speed sampler a tick."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # run.py sets it on import
+    run = load_perfbench(monkeypatch, "run")
+    workload = run.WORKLOADS["dense-evaluate"](7)
+    runner = run.Runner(workload, None, run.SpeedSampler())
+    runner.run_pass(traced=False)
+    assert runner.sampler.samples, "no operation of the first pass lasted a sampling period"
+    kept = [g._sample for _, _, g in workload.samples]
+    runner.run_pass(traced=False)
+    assert runner.failures == [] and runner.attempted == 128
+    assert [len(p.times) for p in runner.passes] == [64, 64]
+    assert [g._sample for _, _, g in workload.samples] == kept and None not in kept
+
+
 def test_dense_sample_pass_runs_as_the_benchmark_runs_it(monkeypatch):
     """One dense-sample pass through the benchmark's own runner: each of its 8
     graph_sample(verify=True) graphs is the brute-force dedupe of the

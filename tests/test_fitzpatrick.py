@@ -38,7 +38,7 @@ from fitzkit.operators import (
     SubdiffOp,
     graph_sample,
 )
-from fitzkit.vecspace import Box, DEFAULT_TOL, Grid, Polytope, pair
+from fitzkit.vecspace import Box, DEFAULT_TOL, Grid, Polytope, ToleranceConfig, pair
 
 SEED = 20260809
 SKEW = LinearOp([[0.0, -1.0], [1.0, 0.0]], [0.0, 0.0])
@@ -163,6 +163,63 @@ def test_sampled_monotone_in_grid():
     v2 = fitz_sampled(IDENT2, p, fine)
     assert is_finite(v1) and is_finite(v2)
     assert v2.value >= v1.value - 1e-12
+
+
+# one graph, evaluated over two ops, two tolerances and two grids in any order:
+# the Sample the graph keeps (Sample.on) must never show in a result
+SHARED_GRID = Grid([-1.0, -1.0], [2.0, 2.0], 0.25)
+SHARED_OPS = (
+    NormalConeOp(Box([0.0, 0.0], [1.0, 1.0])),
+    NormalConeOp(Polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])),
+)
+SHARED_GRAPH = graph_sample(SHARED_OPS[0], SHARED_GRID)
+SHARED_TOLS = (DEFAULT_TOL, ToleranceConfig(eq_tol=1e-6, inf_threshold=1e3))
+SHARED_GRIDS = (SHARED_GRID, Grid([-1.0, -1.0], [2.0, 2.0], 0.25))
+
+
+def assert_same_bits(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, Finite):
+        assert float(got.value).hex() == float(want.value).hex()
+    else:
+        assert float(got.crossed_threshold).hex() == float(want.crossed_threshold).hex()
+        assert got.witness.primal.tobytes() == want.witness.primal.tobytes()
+        assert got.witness.dual.tobytes() == want.witness.dual.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(calls=st.lists(
+    st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1),
+              st.lists(st.floats(-1.5, 2.5), min_size=2, max_size=2),
+              st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2)),
+    min_size=1, max_size=8,
+))
+def test_fitz_sampled_on_a_shared_graph_equals_a_fresh_sample(calls):
+    for o, t, w, x, xs in calls:
+        op, tol, grid, pt = SHARED_OPS[o], SHARED_TOLS[t], SHARED_GRIDS[w], pair(x, xs)
+        assert_same_bits(fitz_sampled(op, pt, grid, tol, sample=SHARED_GRAPH),
+                         fitz_at(Sample(op, SHARED_GRAPH, tol, grid), pt))
+
+
+def test_fitz_sampled_builds_one_graphs_domain_and_fibers_once(monkeypatch):
+    """16 probes on one graph: one domain scan and one fiber per domain point."""
+    op = NormalConeOp(Box([0.0, 0.0], [1.0, 1.0]))
+    g = graph_sample(op, SHARED_GRID)
+    domain = fitzkit.operators.unique_domain_points(g)
+    calls = {"_fiber": 0, "unique_domain_points": 0}
+    for name in calls:
+        real = getattr(fitzkit.operators, name)
+
+        def counting(*args, name=name, real=real, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fitzkit.operators, name, counting)
+    probes = itertools.product([-0.5, 0.25, 0.75, 1.5], [-1.0, 0.5, 2.0, 3.0])
+    for x0, s0 in probes:
+        fitz_sampled(op, pair([x0, 1.0 - x0], [s0, -s0]), SHARED_GRID, sample=g)
+    assert calls == {"_fiber": len(domain), "unique_domain_points": 1}
+    assert 1 < len(domain) < len(g)
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,8 @@
+import dataclasses
 import functools
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -1192,3 +1195,75 @@ def test_dykstra_escapes_kink_stall():
     nw = np.linalg.norm(w)
     ref = (nw - 0.5) / 2.0 * w / nw
     assert x == pytest.approx(ref, abs=1e-9)
+
+
+def test_every_operator_kind_is_frozen_with_read_only_arrays():
+    """``Sample.on`` keys a graph's Sample on the identity of op and wgrid. That
+    is sound only while nothing reachable from them can change: every kind,
+    built through its public constructor from lists and from arrays its caller
+    keeps writeable, must hold frozen dataclasses, tuples and read-only arrays
+    that share no memory with those given arrays."""
+    given_arrays = []
+
+    def kept(x):
+        arr = np.array(x, dtype=float)
+        given_arrays.append(arr)
+        return arr
+
+    box = Box([0.0, 0.0], kept([1.0, 1.0]))
+    quad = Quadratic(kept([[2.0, 0.0], [0.0, 1.0]]), [0.5, -0.5])
+    kinds = [
+        GraphOp(FiniteGraph.from_arrays(kept([[0.0, 0.0], [1.0, 1.0]]), [[0.0, 0.0], [1.0, 1.0]])),
+        LinearOp([[1.0, 0.0], [0.0, 1.0]], kept([0.0, 1.0])),
+        SubdiffOp(quad),
+        SubdiffOp(FunSum([quad, box, NormPower(1.5), TranslatedNormPower(1.0, 0.5, kept([0.1, 0.2]))])),
+        NormalConeOp(box),
+        NormalConeOp(Polytope(kept([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))),
+        NormalConeOp(vecspace.conv_hull([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])),
+        DualityMapOp(1.0, kept([0.5, -0.25])),
+        ShiftedOp(NormalConeOp(box), kept([0.5, 0.5])),
+        perturb(SubdiffOp(quad), 0.5, 2.0, kept([0.0, 0.0])),
+        PerturbedOp(LinearOp(np.eye(2), [0.0, 0.0]), 0.5, 1.0, [1.0, 1.0]),
+    ]
+    grid = Grid(kept([-1.0, -1.0]), [2.0, 2.0], 0.5)
+    samples = [Sample.over(kinds[0], None), Sample.over(kinds[4], grid, ToleranceConfig(eq_tol=1e-6))]
+    seen = set()
+
+    def walk(obj, path):
+        if id(obj) in seen:
+            return
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            assert not obj.flags.writeable, path
+            assert not any(np.shares_memory(obj, arr) for arr in given_arrays), path
+        elif dataclasses.is_dataclass(obj):
+            assert type(obj).__dataclass_params__.frozen, path
+            for f in dataclasses.fields(obj):
+                walk(getattr(obj, f.name), f"{path}.{f.name}")
+        elif isinstance(obj, tuple):
+            for i, item in enumerate(obj):
+                walk(item, f"{path}[{i}]")
+        elif isinstance(obj, weakref.ref):
+            walk(obj(), f"{path}()")
+        else:
+            assert obj is None or isinstance(obj, (int, float)), (path, type(obj))
+
+    for obj in kinds + samples:
+        walk(obj, type(obj).__name__)
+    assert samples[0].graph._sample is samples[0]
+
+
+def test_sample_over_is_reused_by_on_and_leaves_no_reference_cycle():
+    """A graph Sample.over samples refers back to its Sample weakly: Sample.on
+    finds the Sample while its caller holds it, and dropping it frees both by
+    reference counting, with the cycle collector off."""
+    op, wgrid = NormalConeOp(Box([0.0, 0.0], [1.0, 1.0])), Grid([-1.0, -1.0], [2.0, 2.0], 0.5)
+    s = Sample.over(op, wgrid)
+    assert s.fibers and Sample.on(op, s.graph, DEFAULT_TOL, wgrid) is s
+    graph = weakref.ref(s.graph)
+    gc.disable()
+    try:
+        del s
+        assert graph() is None
+    finally:
+        gc.enable()
