@@ -14,8 +14,9 @@ import io
 import json
 import math
 import time
+from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields as dataclass_fields
 from datetime import datetime, timezone
 from itertools import chain
 from pathlib import Path
@@ -80,113 +81,109 @@ def _fields_of(where: str):
         raise ScenarioParseError(f"{where}: {e}") from e
 
 
-def parse_funspec(obj: dict, where: str):
+def _expect(val, kind: type, where: str):
+    if not isinstance(val, kind):
+        raise ScenarioParseError(f"{where}: expected {kind.__name__}, got {type(val).__name__}")
+    return val
+
+
+def _only(obj: dict, keys, where: str, what: str) -> dict:
+    """obj, once each of its keys is found in keys; else ScenarioParseError."""
+    for key in _expect(obj, dict, where):
+        if key not in keys:
+            raise ScenarioParseError(f"{where}.{key}: {what} takes only {', '.join(sorted(keys))}")
+    return obj
+
+
+_NEEDED = object()
+# A wire field: its key, how its value reads (a key of _WIRE; None hands the
+# JSON value to the class, which checks it), and the value of a missing key
+# (_NEEDED: the key must be given).
+Field = namedtuple("Field", "key reads default", defaults=(None, _NEEDED))
+
+
+# Every function and operator kind of the wire format: its class, and its
+# fields in the order the class takes them. A spec reads and dumps field by
+# field; a normal cone holds the one of its two fields that its region is.
+FUNCTION_KINDS = {
+    "quadratic": (Quadratic, (Field("matrix"), Field("offset", default=None))),
+    "box_indicator": (Box, (Field("lo"), Field("hi"))),
+    "norm_power": (NormPower, (Field("p"), Field("scale", default=1.0))),
+    "translated_norm_power": (
+        TranslatedNormPower, (Field("p"), Field("scale", default=1.0), Field("center"))),
+    "sum": (FunSum, (Field("parts", "funs"),)),
+}
+OPERATOR_KINDS = {
+    "graph": (GraphOp, (Field("pairs", "pairs"),)),
+    "linear": (LinearOp, (Field("matrix"), Field("offset", default=None))),
+    "subdiff": (SubdiffOp, (Field("fun", "fun"),)),
+    "normal_cone": (NormalConeOp, (Field("box", "box"), Field("vertices", "vertices"))),
+    "duality_map": (DualityMapOp, (Field("p"), Field("center"))),
+    "shifted": (ShiftedOp, (Field("inner", "op"), Field("zstar"))),
+    "perturbed": (
+        PerturbedOp, (Field("inner", "op"), Field("lambda"), Field("p"), Field("center"))),
+}
+_KIND_OF = {cls: (kind, fields) for table in (FUNCTION_KINDS, OPERATOR_KINDS)
+            for kind, (cls, fields) in table.items()}
+
+
+def _read(table: dict, obj, where: str):
+    """The spec that obj, a wire object of one of table's kinds, holds."""
+    kind = _expect(obj, dict, where).get("kind")
+    if not isinstance(kind, str) or kind not in table:
+        raise ScenarioParseError(f"{where}: unknown kind {kind!r}, not one of {', '.join(table)}")
+    cls, fields = table[kind]
+    if kind == "normal_cone":
+        fields = fields[:1] if "box" in obj else fields[1:]
+    _only(obj, {"kind", *(f.key for f in fields)}, where, kind)
     with _fields_of(where):
-        kind = obj.get("kind")
-        if kind == "quadratic":
-            n = len(obj["matrix"])
-            return Quadratic(obj["matrix"], obj.get("offset", [0.0] * n))
-        if kind == "box_indicator":
-            return Box(obj["lo"], obj["hi"])
-        if kind == "norm_power":
-            return NormPower(float(obj["p"]), float(obj.get("scale", 1.0)))
-        if kind == "translated_norm_power":
-            return TranslatedNormPower(
-                float(obj["p"]), float(obj.get("scale", 1.0)), obj["center"]
-            )
-        if kind == "sum":
-            return FunSum(tuple(parse_funspec(p, where) for p in obj["parts"]))
-    raise ScenarioParseError(f"{where}: unknown function kind {kind!r}")
+        values = (obj[f.key] if f.default is _NEEDED else obj.get(f.key, f.default) for f in fields)
+        return cls(*(_WIRE[f.reads][0](v, f"{where}.{f.key}") for f, v in zip(fields, values)))
+
+
+def _dump(spec) -> dict:
+    """The wire object of a spec of one of the kinds."""
+    kind, fields = _KIND_OF[type(spec)]
+    if kind == "normal_cone":
+        fields = fields[:1] if isinstance(spec.region, Box) else fields[1:]
+    values = (getattr(spec, f.name) for f in dataclass_fields(spec) if f.init)
+    return {"kind": kind, **{f.key: _WIRE[f.reads][1](v) for f, v in zip(fields, values)}}
+
+
+def _pairs(obj, where: str) -> FiniteGraph:
+    """A graph's pairs, read as one float array; bare numbers are pairs in R^1."""
+    try:
+        arr = np.array(obj, dtype=float)
+    except ValueError:  # ragged (mixed widths) or not numbers
+        arr = np.zeros(0)
+    arr = arr[:, :, None] if arr.ndim == 2 else arr
+    if arr.ndim != 3 or arr.shape[1] != 2 or not arr.size:
+        raise ScenarioParseError(f"{where}: expected a nonempty list of [x, x*] pairs of one width")
+    return FiniteGraph.from_arrays(arr[:, 0], arr[:, 1])
+
+
+# How a field's value reads from its JSON value and dumps to it, by Field.reads.
+_WIRE = {
+    None: (lambda v, where: v, lambda v: v.tolist() if isinstance(v, np.ndarray) else v),
+    "fun": (lambda v, where: _read(FUNCTION_KINDS, v, where), _dump),
+    "funs": (lambda v, where: tuple(_read(FUNCTION_KINDS, f, f"{where}[{i}]") for i, f in enumerate(v)),
+             lambda fs: [_dump(f) for f in fs]),
+    "op": (lambda v, where: parse_operator(v, where), _dump),
+    "pairs": (_pairs, lambda g: np.stack([g.primals, g.duals], axis=1).tolist()),
+    "box": (lambda v, where: Box(_only(v, ("lo", "hi"), where, "box")["lo"], v["hi"]),
+            lambda b: {"lo": b.lo.tolist(), "hi": b.hi.tolist()}),
+    "vertices": (lambda v, where: Polytope(v), lambda p: p.vertices.tolist()),
+}
 
 
 def parse_operator(obj: dict, where: str) -> OperatorSpec:
-    with _fields_of(where):
-        kind = obj.get("kind")
-        if kind == "graph":  # one float array; bare numbers are pairs in R^1
-            try:
-                arr = np.array(obj["pairs"], dtype=float)
-            except ValueError:  # ragged (mixed widths) or not numbers
-                arr = np.zeros(0)
-            arr = arr[:, :, None] if arr.ndim == 2 else arr
-            if arr.ndim != 3 or arr.shape[1] != 2 or not arr.size:
-                raise ScenarioParseError(
-                    f"{where}: pairs must be a nonempty list of [x, x*] pairs of one width")
-            return GraphOp(FiniteGraph.from_arrays(arr[:, 0], arr[:, 1]))
-        if kind == "linear":
-            n = len(obj["matrix"])
-            return LinearOp(obj["matrix"], obj.get("offset", [0.0] * n))
-        if kind == "subdiff":
-            return SubdiffOp(parse_funspec(obj["fun"], where))
-        if kind == "normal_cone":
-            if "box" in obj:
-                return NormalConeOp(Box(obj["box"]["lo"], obj["box"]["hi"]))
-            return NormalConeOp(Polytope(obj["vertices"]))
-        if kind == "duality_map":
-            return DualityMapOp(float(obj["p"]), obj["center"])
-        if kind == "shifted":
-            return ShiftedOp(parse_operator(obj["inner"], where), obj["zstar"])
-        if kind == "perturbed":
-            return PerturbedOp(
-                parse_operator(obj["inner"], where),
-                float(obj["lambda"]),
-                float(obj["p"]),
-                obj["center"],
-            )
-    raise ScenarioParseError(f"{where}: unknown operator kind {kind!r}")
-
-
-def operator_to_dict(op: OperatorSpec) -> dict:
-    if isinstance(op, GraphOp):
-        g = op.graph
-        return {"kind": "graph", "pairs": np.stack([g.primals, g.duals], axis=1).tolist()}
-    if isinstance(op, LinearOp):
-        return {"kind": "linear", "matrix": op.M.tolist(), "offset": op.c.tolist()}
-    if isinstance(op, SubdiffOp):
-        return {"kind": "subdiff", "fun": funspec_to_dict(op.fun)}
-    if isinstance(op, NormalConeOp):
-        if isinstance(op.region, Box):
-            return {
-                "kind": "normal_cone",
-                "box": {"lo": op.region.lo.tolist(), "hi": op.region.hi.tolist()},
-            }
-        return {"kind": "normal_cone", "vertices": op.region.vertices.tolist()}
-    if isinstance(op, DualityMapOp):
-        return {"kind": "duality_map", "p": op.p, "center": op.center.tolist()}
-    if isinstance(op, ShiftedOp):
-        return {"kind": "shifted", "inner": operator_to_dict(op.inner), "zstar": op.zstar.tolist()}
-    if isinstance(op, PerturbedOp):
-        return {
-            "kind": "perturbed",
-            "inner": operator_to_dict(op.inner),
-            "lambda": op.lam,
-            "p": op.p,
-            "center": op.center.tolist(),
-        }
-    raise ValidationError(f"unknown operator spec {type(op).__name__}")
-
-
-def funspec_to_dict(fun) -> dict:
-    if isinstance(fun, Quadratic):
-        return {"kind": "quadratic", "matrix": fun.Q.tolist(), "offset": fun.b.tolist()}
-    if isinstance(fun, Box):
-        return {"kind": "box_indicator", "lo": fun.lo.tolist(), "hi": fun.hi.tolist()}
-    if isinstance(fun, NormPower):
-        return {"kind": "norm_power", "p": fun.p, "scale": fun.scale}
-    if isinstance(fun, TranslatedNormPower):
-        return {
-            "kind": "translated_norm_power",
-            "p": fun.p,
-            "scale": fun.scale,
-            "center": fun.center.tolist(),
-        }
-    if isinstance(fun, FunSum):
-        return {"kind": "sum", "parts": [funspec_to_dict(p) for p in fun.parts]}
-    raise ValidationError(f"unknown function spec {type(fun).__name__}")
+    return _read(OPERATOR_KINDS, obj, where)
 
 
 def parse_grid(obj: dict, where: str, cap: int) -> Grid:
+    _only(obj, ("lower", "upper", "spacing"), where, "a grid")
     with _fields_of(where):
-        return Grid(obj["lower"], obj["upper"], float(obj["spacing"]), cap=cap)
+        return Grid(obj["lower"], obj["upper"], obj["spacing"], cap=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +205,10 @@ class ScenarioConfig:
     operators: dict
     grids: dict
     checks: tuple
+
+    def __post_init__(self):
+        if self.seed < 0:  # numpy seeds no generator from a negative integer
+            raise ValidationError("seed must be >= 0")
 
 
 def _number(v) -> bool:  # JSON's NaN and Infinity load as floats
@@ -241,7 +242,8 @@ PARAM_KINDS = {
     ),
     **dict.fromkeys(("p", "alpha", "beta"), ("a number", lambda v, _: _number(v))),
     **dict.fromkeys(
-        ("trials", "n_samples"), ("an integer", lambda v, _: _number(v) and isinstance(v, int))
+        ("trials", "n_samples"),
+        ("an integer >= 0", lambda v, _: _number(v) and isinstance(v, int) and v >= 0),
     ),
     **dict.fromkeys(
         ("strict", "allow_z_in_domain"), ("a boolean", lambda v, _: isinstance(v, bool))
@@ -261,14 +263,14 @@ PARAM_KINDS = {
 }
 
 
-def _expect(val, kind: type, where: str):
-    if not isinstance(val, kind):
-        raise ScenarioParseError(f"{where}: expected {kind.__name__}, got {type(val).__name__}")
-    return val
+def _draw_box(params: dict, dim: int):
+    """The (box_lo, box_hi) corners of a check's random draws; [-2, 2]^n by default."""
+    return params.get("box_lo", [-2.0] * dim), params.get("box_hi", [2.0] * dim)
 
 
 def scenario_from_dict(raw: dict) -> ScenarioConfig:
-    if "dimension" not in _expect(raw, dict, "scenario"):
+    keys = ("dimension", "seed", "tolerances", "operators", "grids", "checks")
+    if "dimension" not in _only(raw, keys, "scenario", "a scenario"):
         raise ScenarioParseError("scenario: missing field 'dimension'")
     with _fields_of("dimension"):
         dim = int(raw["dimension"])
@@ -276,12 +278,11 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
         raise ValidationError("dimension must be >= 1")
     with _fields_of("seed"):
         seed = int(raw.get("seed", 0))
-    tol_raw = _expect(raw.get("tolerances", {}), dict, "tolerances")
-    fields = {}
-    for k, v in asdict(ToleranceConfig()).items():
-        with _fields_of(f"tolerances.{k}"):
-            fields[k] = type(v)(tol_raw.get(k, v))
-    tol = ToleranceConfig(**fields)
+    tol_raw = _only(raw.get("tolerances", {}), asdict(ToleranceConfig()), "tolerances", "tolerances")
+    try:
+        tol = ToleranceConfig(**tol_raw)
+    except ValueError as e:  # it names the field
+        raise ScenarioParseError(f"tolerances.{e}") from e
     operators = {}
     for name, obj in _expect(raw.get("operators", {}), dict, "operators").items():
         op = parse_operator(obj, f"operators.{name}")
@@ -302,7 +303,7 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
     checks = []
     for i, obj in enumerate(_expect(raw.get("checks", []), list, "checks")):
         where = f"checks[{i}]"
-        kind = _expect(obj, dict, where).get("check")
+        kind = _only(obj, ("check", "target", "params"), where, "a check").get("check")
         if not isinstance(kind, str) or kind not in CHECKS:
             raise ValidationError(f"{where}: unknown check {kind!r}")
         entry = CHECKS[kind]
@@ -310,7 +311,7 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
         if not isinstance(target, str) or target not in operators:
             raise ValidationError(f"{where}: unresolved operator name {target!r}")
         on_graph = isinstance(operators[target], GraphOp)
-        params = dict(_expect(obj.get("params", {}), dict, f"{where}.params"))
+        params = dict(_only(obj.get("params", {}), entry.accepts, f"{where}.params", kind))
         missing = [[k for k in alt if k not in params] for alt in entry.needs]
         if all(missing):
             need = " or ".join(", ".join(m) for m in missing)
@@ -318,9 +319,6 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
         if entry.samples and not on_graph and "wgrid" not in params:
             raise ScenarioParseError(f"{where}: {kind} needs parameter(s) wgrid for {target!r}")
         for key, val in params.items():
-            if key not in entry.accepts:
-                takes = ", ".join(sorted(entry.accepts))
-                raise ScenarioParseError(f"{where}.params.{key}: {kind} takes only {takes}")
             what, ok = PARAM_KINDS[key]
             if ok is None:
                 if not (isinstance(val, str) and val in grids):
@@ -335,6 +333,8 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
                 )
         if params.get("strict") and "probe_grid" not in params:
             raise ScenarioParseError(f"{where}: strict mode needs parameter probe_grid")
+        if np.any(np.greater(*_draw_box(params, dim))):
+            raise ValidationError(f"{where}.params: box_lo exceeds box_hi")
         if entry.graph_target is not None and entry.graph_target != on_graph:
             want = "a finite-graph" if entry.graph_target else "a sampled"
             raise ValidationError(f"{where}: {kind} needs {want} target, not {target!r}")
@@ -358,7 +358,7 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
         "dimension": cfg.dimension,
         "seed": cfg.seed,
         "tolerances": asdict(cfg.tolerances),
-        "operators": {k: operator_to_dict(v) for k, v in cfg.operators.items()},
+        "operators": {k: _dump(v) for k, v in cfg.operators.items()},
         "grids": {
             k: {"lower": g.lower.tolist(), "upper": g.upper.tolist(), "spacing": g.spacing}
             for k, g in cfg.grids.items()
@@ -402,10 +402,9 @@ class _Run:
         return self.samples[key]
 
     def box_pairs(self, count: int):
-        """count pairs (x, x*) drawn uniformly from the box_lo..box_hi box
-        (default [-2, 2]^n), one pair at a time as they are consumed."""
-        lo = self.params.get("box_lo", [-2.0] * self.cfg.dimension)
-        hi = self.params.get("box_hi", [2.0] * self.cfg.dimension)
+        """count pairs (x, x*) drawn uniformly from the box_lo..box_hi box,
+        one pair at a time as they are consumed."""
+        lo, hi = _draw_box(self.params, self.cfg.dimension)
         for _ in range(count):
             yield self.rng.uniform(lo, hi), self.rng.uniform(lo, hi)
 

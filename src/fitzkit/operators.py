@@ -148,14 +148,14 @@ def pairwise_product_blocks(X: np.ndarray, S: np.ndarray, d: np.ndarray, g: Fini
 
 @dataclass(frozen=True, eq=False)
 class Quadratic:
-    """f(x) = 0.5 x'Qx + b'x with Q symmetric PSD."""
+    """f(x) = 0.5 x'Qx + b'x with Q symmetric PSD; b is zeros by default."""
 
     Q: np.ndarray
-    b: Vector
+    b: Optional[Vector] = None
 
     def __post_init__(self):
         q = as_matrix(self.Q)
-        b = as_vector(self.b, dim=q.shape[0])
+        b = as_vector(np.zeros(len(q)) if self.b is None else self.b, dim=len(q))
         if not np.allclose(q, q.T, atol=1e-12):
             raise ValidationError("quadratic matrix must be symmetric")
         if np.linalg.eigvalsh(q).min() < -DEFAULT_TOL.rank_tol:
@@ -175,6 +175,8 @@ class NormPower:
     scale: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "p", float(self.p))
+        object.__setattr__(self, "scale", float(self.scale))
         if not 1.0 <= self.p < np.inf:
             raise ValidationError("norm power requires a finite p >= 1")
         if not 0 < self.scale < np.inf:
@@ -190,7 +192,7 @@ class TranslatedNormPower:
     center: Vector
 
     def __post_init__(self):
-        NormPower(self.p, self.scale)
+        NormPower.__post_init__(self)  # p and scale as a norm power's
         object.__setattr__(self, "center", as_vector(self.center))
 
 
@@ -494,14 +496,14 @@ class GraphOp:
 
 @dataclass(frozen=True, eq=False)
 class LinearOp:
-    """x -> {Mx + c}; monotone iff the symmetric part of M is PSD."""
+    """x -> {Mx + c}; monotone iff the symmetric part of M is PSD; c is zeros by default."""
 
     M: np.ndarray
-    c: Vector
+    c: Optional[Vector] = None
 
     def __post_init__(self):
         m = as_matrix(self.M)
-        c = as_vector(self.c, dim=m.shape[0])
+        c = as_vector(np.zeros(len(m)) if self.c is None else self.c, dim=len(m))
         sym = 0.5 * (m + m.T)
         if np.linalg.eigvalsh(sym).min() < -DEFAULT_TOL.rank_tol:
             raise ValidationError("linear operator not monotone")
@@ -526,6 +528,7 @@ class DualityMapOp:
     _fun: TranslatedNormPower = field(init=False, repr=False)  # |. - center|^p / p, built once
 
     def __post_init__(self):
+        object.__setattr__(self, "p", float(self.p))
         if not 1.0 <= self.p < np.inf:
             raise ValidationError("duality map requires a finite p >= 1")
         object.__setattr__(self, "center", as_vector(self.center))
@@ -559,6 +562,8 @@ class PerturbedOp:
     _fun: Optional[FunSum] = field(init=False, repr=False)  # f + _jp when inner = df, else None
 
     def __post_init__(self):
+        object.__setattr__(self, "lam", float(self.lam))
+        object.__setattr__(self, "p", float(self.p))
         if not 0 < self.lam < np.inf:
             raise ValidationError("perturbation weight must be finite and positive")
         if not 1.0 <= self.p < np.inf:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -88,11 +88,14 @@ class ToleranceConfig:
     budget: int = 100_000
 
     def __post_init__(self):
-        for name in ("eq_tol", "inf_threshold", "rank_tol"):
-            if not (0 < getattr(self, name) < math.inf):
-                raise ValidationError(f"{name} must be finite and strictly positive")
-        if self.budget < 1:
-            raise ValidationError("budget must be a positive integer")
+        for f in fields(self):  # each a positive Python scalar of its default's type
+            try:
+                value = type(f.default)(getattr(self, f.name))
+            except (TypeError, ValueError, OverflowError) as e:
+                raise ValueError(f"{f.name}: {e}") from e
+            if not 0 < value < math.inf:
+                raise ValidationError(f"{f.name} must be finite and strictly positive")
+            object.__setattr__(self, f.name, value)
         if self.inf_threshold / self.eq_tol < 1e6:
             raise ValidationError("inf_threshold must dominate eq_tol (ratio >= 1e6)")
 

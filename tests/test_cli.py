@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import fitzkit
 from fitzkit.cli import main
+from fitzkit.harness import CHECKS, FUNCTION_KINDS, OPERATOR_KINDS
 
 CONE = json.dumps({"kind": "normal_cone", "box": {"lo": [0.0], "hi": [1.0]}})
 GRAPH = json.dumps({"kind": "graph", "pairs": [[[0.0], [0.0]], [[1.0], [1.0]]]})
@@ -412,35 +413,45 @@ def test_check_non_finite_scalar_exit_two_at_load(operator, extra):
     assert err.count("\n") == 1 and err.startswith("error: ") and "finite" in err
 
 
+# A valid 1-d value for each key of the kind table; with the table they make
+# one valid spec of each kind, a function kind inside a subdiff, and a normal
+# cone once with a box and once with vertices.
+KEY_VALUES = {
+    "pairs": [[[0.0], [0.0]], [[1.0], [1.0]]], "matrix": [[1.0]], "offset": [0.5],
+    "lo": [0.0], "hi": [1.0], "box": {"lo": [0.0], "hi": [1.0]}, "vertices": [[0.0], [1.0]],
+    "p": 2.0, "scale": 0.5, "lambda": 2.0, "center": [0.5], "zstar": [1.0],
+    "fun": {"kind": "norm_power", "p": 2.0}, "inner": {"kind": "linear", "matrix": [[1.0]]},
+    "parts": [{"kind": "quadratic", "matrix": [[1.0]]},
+              {"kind": "box_indicator", "lo": [0.0], "hi": [1.0]},
+              {"kind": "norm_power", "p": 2.0}],
+}
+
+
+def kind_examples():
+    for table in (OPERATOR_KINDS, FUNCTION_KINDS):
+        for kind, (_, fields) in table.items():
+            for one_of in [fields[:1], fields[1:]] if kind == "normal_cone" else [fields]:
+                spec = {"kind": kind, **{f.key: KEY_VALUES[f.key] for f in one_of}}
+                yield spec if table is OPERATOR_KINDS else {"kind": "subdiff", "fun": spec}
+
+
+KIND_EXAMPLES = list(kind_examples())
+
+
+def scalar_slots(node, path=()):
+    """(path, kind) of each number in a wire spec: a number that is a key's
+    whole value (p, scale, lambda) is "positive", one inside a vector or
+    matrix is a "coordinate"."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        if isinstance(value, (dict, list)):
+            yield from scalar_slots(value, path + (key,))
+        elif not isinstance(value, str):
+            yield path + (key,), "positive" if isinstance(node, dict) else "coordinate"
+
+
 # (valid 1-d spec, [(path to one scalar, its kind)]); a "positive" scalar is
 # invalid at 0 and below too, a "coordinate" only when it is not a finite number
-SCALAR_SLOTS = [
-    ({"kind": "graph", "pairs": [[[0.0], [0.0]], [[1.0], [1.0]]]},
-     [(("pairs", 0, 0, 0), "coordinate"), (("pairs", 1, 1, 0), "coordinate")]),
-    ({"kind": "linear", "matrix": [[1.0]], "offset": [0.5]},
-     [(("matrix", 0, 0), "coordinate"), (("offset", 0), "coordinate")]),
-    ({"kind": "subdiff", "fun": {"kind": "quadratic", "matrix": [[1.0]], "offset": [0.0]}},
-     [(("fun", "matrix", 0, 0), "coordinate"), (("fun", "offset", 0), "coordinate")]),
-    ({"kind": "subdiff", "fun": {"kind": "box_indicator", "lo": [0.0], "hi": [1.0]}},
-     [(("fun", "lo", 0), "coordinate"), (("fun", "hi", 0), "coordinate")]),
-    (NORM_POWER, [(("fun", "p"), "positive"), (("fun", "scale"), "positive")]),
-    ({"kind": "subdiff", "fun": {"kind": "translated_norm_power", "p": 3.0, "scale": 0.5,
-                                 "center": [0.5]}},
-     [(("fun", "p"), "positive"), (("fun", "scale"), "positive"), (("fun", "center", 0), "coordinate")]),
-    ({"kind": "subdiff", "fun": {"kind": "sum", "parts": [
-        {"kind": "quadratic", "matrix": [[1.0]]}, {"kind": "box_indicator", "lo": [0.0], "hi": [1.0]},
-        {"kind": "norm_power", "p": 2.0}]}},
-     [(("fun", "parts", 1, "hi", 0), "coordinate"), (("fun", "parts", 2, "p"), "positive")]),
-    ({"kind": "normal_cone", "box": {"lo": [0.0], "hi": [1.0]}}, [(("box", "lo", 0), "coordinate")]),
-    ({"kind": "normal_cone", "vertices": [[0.0], [1.0]]}, [(("vertices", 1, 0), "coordinate")]),
-    ({"kind": "duality_map", "p": 2.0, "center": [0.0]},
-     [(("p",), "positive"), (("center", 0), "coordinate")]),
-    ({"kind": "shifted", "inner": {"kind": "linear", "matrix": [[1.0]]}, "zstar": [1.0]},
-     [(("zstar", 0), "coordinate"), (("inner", "matrix", 0, 0), "coordinate")]),
-    ({"kind": "perturbed", "inner": {"kind": "normal_cone", "box": {"lo": [0.0], "hi": [1.0]}},
-      "lambda": 2.0, "p": 1.0, "center": [0.5]},
-     [(("lambda",), "positive"), (("p",), "positive"), (("center", 0), "coordinate")]),
-]
+SCALAR_SLOTS = [(spec, list(scalar_slots(spec))) for spec in KIND_EXAMPLES]
 BAD_SCALARS = {
     "coordinate": [float("nan"), float("inf"), -float("inf"), "a"],
     "positive": [float("nan"), float("inf"), -float("inf"), 0.0, -1.5, "a"],
@@ -497,3 +508,125 @@ def test_graph_pairs_of_bare_numbers_are_pairs_in_r1(capsys):
     code, out = run_cli(capsys, "fitz", "--operator", bare, "--x", "0.5", "--xstar", "0.5")
     assert code == 0
     assert json.loads(out) == {"kind": "finite", "value": 0.0, "method": "finite_graph"}
+
+
+# --------------------------------------------------------------------------
+# a key that its object does not take ends the load with exit 2
+# --------------------------------------------------------------------------
+
+def test_fitz_misspelt_operator_key_exit_two():
+    """A misspelt offset is named, not read as the default zero offset."""
+    op = {"kind": "linear", "matrix": [[1.0]], "ofset": [5.0]}
+    code, err = run_quiet(["fitz", "--operator", json.dumps(op), "--x", "1", "--xstar", "0"])
+    assert code == 2
+    assert err == "error: operator.ofset: linear takes only kind, matrix, offset\n"
+
+
+def test_normal_cone_with_box_and_vertices_exit_two():
+    op = {"kind": "normal_cone", "box": {"lo": [0.0], "hi": [1.0]}, "vertices": [[0.0], [1.0]]}
+    code, err = run_quiet(SUP_Q_1D + ["--operator", json.dumps(op)])
+    assert code == 2
+    assert err == "error: operator.vertices: normal_cone takes only box, kind\n"
+
+
+def test_suite_misspelt_tolerances_key_exit_two(tmp_path):
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps({**VALID_SCENARIO, "tolerances": {"eq_tl": 1e-6}}))
+    code, err = run_quiet(["suite", "--scenario", str(path)])
+    assert code == 2
+    assert err == ("error: tolerances.eq_tl: tolerances takes only budget, eq_tol, "
+                   "inf_threshold, rank_tol\n")
+
+
+# --------------------------------------------------------------------------
+# generated scenarios, one field changed at a time
+# --------------------------------------------------------------------------
+
+# A valid 1-d value for each check param; "w" and "probe" are the scenario's grids.
+PARAM_VALUES = {
+    "z": [3.0], "zstar": [0.5], "x": [0.5], "xstar": [0.5], "box_lo": [-1.0], "box_hi": [1.0],
+    "lambdas": [1.0, 10.0], "n_schedule": [1, 2], "p": 1.0, "alpha": 0.5, "beta": 0.5,
+    "trials": 2, "n_samples": 2, "strict": False, "allow_z_in_domain": True,
+    "wgrid": "w", "xgrid": "w", "probe_grid": "probe", "expect": {"at_most": 1e9},
+    "points": [[[0.5], [0.5]]],
+}
+
+
+@st.composite
+def valid_scenarios(draw):
+    """One check of CHECKS on one operator of the kind table, with a small
+    budget; a check that samples its target always names the grid w."""
+    name, check = draw(st.sampled_from(sorted(CHECKS.items())))
+    targets = [s for s in KIND_EXAMPLES if check.graph_target in (None, s["kind"] == "graph")]
+    keys = set(draw(st.sampled_from(check.needs)))
+    keys |= {k for k in check.optional if draw(st.booleans())}
+    keys |= {"wgrid"} if check.samples else set()
+    return {
+        "dimension": 1, "seed": 0, "tolerances": {"budget": 2000},
+        "operators": {"t": draw(st.sampled_from(targets))},
+        "grids": {"w": {"lower": [-1.0], "upper": [2.0], "spacing": 0.5},
+                  "probe": {"lower": [-1.0, -1.0], "upper": [1.0, 1.0], "spacing": 1.0}},
+        "checks": [{"check": name, "target": "t", "params": {k: PARAM_VALUES[k] for k in keys}}],
+    }
+
+
+def paths(node, path=()):
+    """The path of every value below node, node's own included."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from paths(value, path + (key,))
+
+
+def is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# One change to a value: (name, applies to value, new value, always invalid?)
+ONE_FIELD_CHANGES = [
+    ("wrong type", lambda v: True, lambda v: 1.5 if isinstance(v, str) else "a", True),
+    ("non-finite", is_number, lambda v: float("nan"), True),
+    ("unknown key", lambda v: isinstance(v, dict), lambda v: {**v, "unknown_key": 1}, True),
+    ("negative", is_number, lambda v: -abs(v) - 1.5, False),
+    ("empty", lambda v: isinstance(v, (dict, list, str)), lambda v: type(v)(), False),
+    ("wrong length", lambda v: isinstance(v, list) and v, lambda v: v + v[-1:], False),
+]
+
+
+@st.composite
+def changed_scenarios(draw):
+    """(scenario, what changed, whether no scenario may hold the change): a
+    valid scenario with one value changed, the whole scenario included."""
+    holder = [copy.deepcopy(draw(valid_scenarios()))]  # it shares the example values
+    path = draw(st.sampled_from(list(paths(holder[0], (0,)))))
+    parent = holder
+    for key in path[:-1]:
+        parent = parent[key]
+    old = parent[path[-1]]
+    name, _, change, invalid = draw(st.sampled_from([c for c in ONE_FIELD_CHANGES if c[1](old)]))
+    parent[path[-1]] = change(old)
+    return holder[0], f"{name} at {path[1:]}", invalid
+
+
+def run_scenario(raw, tmp_dir: Path):
+    path = tmp_dir / "generated.json"
+    path.write_text(json.dumps(raw))
+    return run_quiet(["suite", "--scenario", str(path)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_scenarios())
+def test_generated_valid_scenario_exits_zero_or_one(tmp_path_factory, raw):
+    code, err = run_scenario(raw, tmp_path_factory.mktemp("valid"))
+    assert code in (0, 1), err
+
+
+@settings(max_examples=200, deadline=None)
+@given(changed_scenarios())
+def test_generated_scenario_with_one_changed_field_exits_cleanly(tmp_path_factory, case):
+    """Each change ends in exit 0, 1 or 2, never a raise; exit 2 comes with one
+    error line; and a change that no scenario may hold is always exit 2."""
+    raw, what, invalid = case
+    code, err = run_scenario(raw, tmp_path_factory.mktemp("changed"))
+    assert code in ((2,) if invalid else (0, 1, 2)), what
+    assert (code == 2) == (err.count("\n") == 1 and err.startswith("error: ")), (what, err)

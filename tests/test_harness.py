@@ -1,7 +1,10 @@
 import inspect
 import json
+import re
 import sys
+from collections import Counter
 from pathlib import Path
+from typing import get_args
 
 import pytest
 
@@ -11,6 +14,8 @@ from fitzkit.cli import main
 from fitzkit.errors import FitzkitError, ScenarioParseError, ValidationError
 from fitzkit.harness import (
     CHECKS,
+    FUNCTION_KINDS,
+    OPERATOR_KINDS,
     PARAM_KINDS,
     load_scenario,
     reformat_report_json,
@@ -19,6 +24,7 @@ from fitzkit.harness import (
     run_suite,
     scenario_digest,
     scenario_from_dict,
+    scenario_to_dict,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -80,6 +86,18 @@ def test_load_rejects_dimension_mismatch():
     }
     with pytest.raises(ValidationError, match="dimension"):
         scenario_from_dict(raw)
+
+
+def test_load_rejects_negative_seed():
+    """numpy's default_rng takes no negative seed: it is refused at load, not
+    raised from the first check's draw."""
+    with pytest.raises(ValidationError, match="seed must be >= 0"):
+        scenario_from_dict(minimal_raw(seed=-1))
+
+
+def test_suite_seed_flag_rejects_negative_seed(capsys):
+    assert main(["suite", "--scenario", "expected-failures", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0\n"
 
 
 def test_parse_error_carries_location(tmp_path):
@@ -210,11 +228,18 @@ GRAPH_OP = {"kind": "graph", "pairs": [[[0.0], [0.0]], [[1.0], [1.0]]]}
          r"params\.probe_grid: grid 'scan' is 1-d, not 2-d"),
         ("near_convexity", "cone", {"z": [2.0], "lambdas": [1.0], "wgrid": "scan", "strict": True},
          "strict mode needs parameter probe_grid"),
+        ("br", "cone", {"trials": 3, "wgrid": "scan", "box_hi": [-3.0]},
+         r"params: box_lo exceeds box_hi"),
+        ("fitz_inequality", "cone", {"n_samples": 2, "wgrid": "scan", "box_lo": 1.0, "box_hi": 0.5},
+         r"params: box_lo exceeds box_hi"),
+        ("br", "cone", {"trials": -2, "wgrid": "scan"},
+         r"params\.trials: expected an integer >= 0"),
     ],
     ids=["typo-allow_z_in_domain", "typo-strict", "simons-no-wgrid", "br-no-wgrid",
          "fitz_inequality-no-wgrid", "maximality_probe-no-wgrid", "shift_identity-on-cone",
          "theorem36-on-graph", "z-2-vector", "box_lo-2-vector", "probe_grid-n",
-         "strict-no-probe_grid"],
+         "strict-no-probe_grid", "box_hi-below-default-box_lo", "box_lo-above-box_hi",
+         "trials-negative"],
 )
 def test_check_rejected_at_load(check, target, params, message):
     """A bad check fails the scenario load, naming itself, even when a valid
@@ -250,6 +275,26 @@ def test_readme_check_table_lists_every_check():
     assert {row.split("`")[1] for row in rows} == set(CHECKS)
 
 
+def test_readme_kind_blocks_list_every_kind():
+    """Each README kind block names each kind of its table with the table's keys."""
+    readme = (ROOT / "README.md").read_text()
+    for title, table in (("Operator kinds", OPERATOR_KINDS), ("Function kinds", FUNCTION_KINDS)):
+        block = readme.split(f"\n{title}")[1].split("```json\n")[1].split("```")[0]
+        keys = {}
+        for line in block.splitlines():
+            kind = re.search(r'"kind": "(\w+)"', line)[1]
+            top = re.sub(r"\{[^{}]*\}", "", line[1:-1])  # a box's lo and hi are not its keys
+            keys.setdefault(kind, set()).update(re.findall(r'"(\w+)":', top))
+        assert keys == {kind: {"kind", *(f.key for f in fields)}
+                        for kind, (_, fields) in table.items()}
+
+
+def test_every_spec_class_has_exactly_one_wire_kind():
+    for union, table in ((operators.OperatorSpec, OPERATOR_KINDS),
+                         (operators.FunSpec, FUNCTION_KINDS)):
+        assert Counter(cls for cls, _ in table.values()) == Counter(get_args(union))
+
+
 # One operator of every kind (and every function kind inside a sum), as the
 # wire format reads it: its digest pins how each kind is parsed and echoed.
 ALL_KINDS = {
@@ -276,3 +321,11 @@ ALL_KINDS = {
 def test_all_kinds_scenario_digest_is_pinned():
     digest = "sha256:9271badd07a81bbfbc9744d129e8dd75ebe5d81494bbd29cf76b5ad2e44adcb1"
     assert scenario_digest(scenario_from_dict(ALL_KINDS)) == digest
+
+
+@pytest.mark.parametrize("name", sorted(ALL_KINDS["operators"]))
+def test_each_kind_dumps_what_it_parses_back_to(name):
+    """Dump a parsed spec, parse the dump and dump again: the same dict."""
+    raw = {**ALL_KINDS, "operators": {name: ALL_KINDS["operators"][name]}}
+    once = scenario_to_dict(scenario_from_dict(raw))
+    assert scenario_to_dict(scenario_from_dict(once)) == once

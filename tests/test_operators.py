@@ -1201,8 +1201,9 @@ def test_every_operator_kind_is_frozen_with_read_only_arrays():
     """``Sample.on`` keys a graph's Sample on the identity of op and wgrid. That
     is sound only while nothing reachable from them can change: every kind,
     built through its public constructor from lists and from arrays its caller
-    keeps writeable, must hold frozen dataclasses, tuples and read-only arrays
-    that share no memory with those given arrays."""
+    keeps writeable (0-d ones for scalars too), must hold frozen dataclasses,
+    tuples, Python scalars and read-only arrays that share no memory with
+    those given arrays."""
     given_arrays = []
 
     def kept(x):
@@ -1216,17 +1217,19 @@ def test_every_operator_kind_is_frozen_with_read_only_arrays():
         GraphOp(FiniteGraph.from_arrays(kept([[0.0, 0.0], [1.0, 1.0]]), [[0.0, 0.0], [1.0, 1.0]])),
         LinearOp([[1.0, 0.0], [0.0, 1.0]], kept([0.0, 1.0])),
         SubdiffOp(quad),
-        SubdiffOp(FunSum([quad, box, NormPower(1.5), TranslatedNormPower(1.0, 0.5, kept([0.1, 0.2]))])),
+        SubdiffOp(FunSum([quad, box, NormPower(kept(1.5), kept(2.0)),
+                          TranslatedNormPower(kept(1.0), kept(0.5), kept([0.1, 0.2]))])),
         NormalConeOp(box),
         NormalConeOp(Polytope(kept([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))),
         NormalConeOp(vecspace.conv_hull([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])),
-        DualityMapOp(1.0, kept([0.5, -0.25])),
+        DualityMapOp(kept(1.0), kept([0.5, -0.25])),
         ShiftedOp(NormalConeOp(box), kept([0.5, 0.5])),
-        perturb(SubdiffOp(quad), 0.5, 2.0, kept([0.0, 0.0])),
+        perturb(SubdiffOp(quad), kept(0.5), kept(2.0), kept([0.0, 0.0])),
         PerturbedOp(LinearOp(np.eye(2), [0.0, 0.0]), 0.5, 1.0, [1.0, 1.0]),
     ]
-    grid = Grid(kept([-1.0, -1.0]), [2.0, 2.0], 0.5)
-    samples = [Sample.over(kinds[0], None), Sample.over(kinds[4], grid, ToleranceConfig(eq_tol=1e-6))]
+    grid = Grid(kept([-1.0, -1.0]), [2.0, 2.0], kept(0.5))
+    tol = ToleranceConfig(eq_tol=kept(1e-6), budget=kept(1000))
+    samples = [Sample.over(kinds[0], None), Sample.over(kinds[4], grid, tol)]
     seen = set()
 
     def walk(obj, path):
