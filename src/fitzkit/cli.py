@@ -86,12 +86,8 @@ def _resolve_scenario_path(name: str) -> Path:
 
 
 def _tolerances(args) -> dict:
-    out = {}
-    if args.tol_eq is not None:
-        out["eq_tol"] = args.tol_eq
-    if args.inf_threshold is not None:
-        out["inf_threshold"] = args.inf_threshold
-    return out
+    given = {"eq_tol": args.tol_eq, "inf_threshold": args.inf_threshold}
+    return {key: value for key, value in given.items() if value is not None}
 
 
 def _write(text: str, out: str | None):

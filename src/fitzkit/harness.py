@@ -14,10 +14,10 @@ import io
 import json
 import math
 import time
-from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields as dataclass_fields
+from dataclasses import MISSING, asdict, dataclass, fields as dataclass_fields
 from datetime import datetime, timezone
+from functools import partial
 from itertools import chain
 from pathlib import Path
 from typing import Callable, Optional
@@ -95,36 +95,37 @@ def _only(obj: dict, keys, where: str, what: str) -> dict:
     return obj
 
 
-_NEEDED = object()
-# A wire field: its key, how its value reads (a key of _WIRE; None hands the
-# JSON value to the class, which checks it), and the value of a missing key
-# (_NEEDED: the key must be given).
-Field = namedtuple("Field", "key reads default", defaults=(None, _NEEDED))
-
-
-# Every function and operator kind of the wire format: its class, and its
-# fields in the order the class takes them. A spec reads and dumps field by
-# field; a normal cone holds the one of its two fields that its region is.
+# Every function and operator kind of the wire format: its class, and the keys
+# of the class's init fields in order. A missing key takes its field's default
+# in the class, and a missing scale is 1 (a translated norm power's scale has
+# no class default, as its center follows it). A normal cone holds the one of
+# its two keys that its region is.
 FUNCTION_KINDS = {
-    "quadratic": (Quadratic, (Field("matrix"), Field("offset", default=None))),
-    "box_indicator": (Box, (Field("lo"), Field("hi"))),
-    "norm_power": (NormPower, (Field("p"), Field("scale", default=1.0))),
-    "translated_norm_power": (
-        TranslatedNormPower, (Field("p"), Field("scale", default=1.0), Field("center"))),
-    "sum": (FunSum, (Field("parts", "funs"),)),
+    "quadratic": (Quadratic, ("matrix", "offset")),
+    "box_indicator": (Box, ("lo", "hi")),
+    "norm_power": (NormPower, ("p", "scale")),
+    "translated_norm_power": (TranslatedNormPower, ("p", "scale", "center")),
+    "sum": (FunSum, ("parts",)),
 }
 OPERATOR_KINDS = {
-    "graph": (GraphOp, (Field("pairs", "pairs"),)),
-    "linear": (LinearOp, (Field("matrix"), Field("offset", default=None))),
-    "subdiff": (SubdiffOp, (Field("fun", "fun"),)),
-    "normal_cone": (NormalConeOp, (Field("box", "box"), Field("vertices", "vertices"))),
-    "duality_map": (DualityMapOp, (Field("p"), Field("center"))),
-    "shifted": (ShiftedOp, (Field("inner", "op"), Field("zstar"))),
-    "perturbed": (
-        PerturbedOp, (Field("inner", "op"), Field("lambda"), Field("p"), Field("center"))),
+    "graph": (GraphOp, ("pairs",)),
+    "linear": (LinearOp, ("matrix", "offset")),
+    "subdiff": (SubdiffOp, ("fun",)),
+    "normal_cone": (NormalConeOp, ("box", "vertices")),
+    "duality_map": (DualityMapOp, ("p", "center")),
+    "shifted": (ShiftedOp, ("inner", "zstar")),
+    "perturbed": (PerturbedOp, ("inner", "lambda", "p", "center")),
 }
-_KIND_OF = {cls: (kind, fields) for table in (FUNCTION_KINDS, OPERATOR_KINDS)
-            for kind, (cls, fields) in table.items()}
+_KIND_OF = {cls: (table, kind) for table in (FUNCTION_KINDS, OPERATOR_KINDS)
+            for kind, (cls, _) in table.items()}
+
+
+def _fields(table: dict, kind: str, box: bool):
+    """A kind's class and its [(key, init field)]; the class and the keys must agree."""
+    cls, keys = table[kind]
+    if kind == "normal_cone":
+        keys = keys[:1] if box else keys[1:]
+    return cls, list(zip(keys, [f for f in dataclass_fields(cls) if f.init], strict=True))
 
 
 def _read(table: dict, obj, where: str):
@@ -132,22 +133,18 @@ def _read(table: dict, obj, where: str):
     kind = _expect(obj, dict, where).get("kind")
     if not isinstance(kind, str) or kind not in table:
         raise ScenarioParseError(f"{where}: unknown kind {kind!r}, not one of {', '.join(table)}")
-    cls, fields = table[kind]
-    if kind == "normal_cone":
-        fields = fields[:1] if "box" in obj else fields[1:]
-    _only(obj, {"kind", *(f.key for f in fields)}, where, kind)
-    with _fields_of(where):
-        values = (obj[f.key] if f.default is _NEEDED else obj.get(f.key, f.default) for f in fields)
-        return cls(*(_WIRE[f.reads][0](v, f"{where}.{f.key}") for f, v in zip(fields, values)))
+    cls, fields = _fields(table, kind, "box" in obj)
+    obj = {"scale": 1.0, **_only(obj, {"kind", *(key for key, _ in fields)}, where, kind)}
+    with _fields_of(where):  # a missing key without a default reads as "missing field"
+        return cls(**{f.name: _WIRE.get(key, _RAW)[0](obj[key], f"{where}.{key}")
+                      for key, f in fields if key in obj or f.default is MISSING})
 
 
 def _dump(spec) -> dict:
     """The wire object of a spec of one of the kinds."""
-    kind, fields = _KIND_OF[type(spec)]
-    if kind == "normal_cone":
-        fields = fields[:1] if isinstance(spec.region, Box) else fields[1:]
-    values = (getattr(spec, f.name) for f in dataclass_fields(spec) if f.init)
-    return {"kind": kind, **{f.key: _WIRE[f.reads][1](v) for f, v in zip(fields, values)}}
+    table, kind = _KIND_OF[type(spec)]
+    _, fields = _fields(table, kind, isinstance(getattr(spec, "region", None), Box))
+    return {"kind": kind, **{key: _WIRE.get(key, _RAW)[1](getattr(spec, f.name)) for key, f in fields}}
 
 
 def _pairs(obj, where: str) -> FiniteGraph:
@@ -162,13 +159,14 @@ def _pairs(obj, where: str) -> FiniteGraph:
     return FiniteGraph.from_arrays(arr[:, 0], arr[:, 1])
 
 
-# How a field's value reads from its JSON value and dumps to it, by Field.reads.
+# How a key's value reads from its JSON value and dumps to it. Any other key's
+# JSON value goes to the class as it is (_RAW), and the class checks it.
+_RAW = (lambda v, where: v, lambda v: v.tolist() if isinstance(v, np.ndarray) else v)
 _WIRE = {
-    None: (lambda v, where: v, lambda v: v.tolist() if isinstance(v, np.ndarray) else v),
-    "fun": (lambda v, where: _read(FUNCTION_KINDS, v, where), _dump),
-    "funs": (lambda v, where: tuple(_read(FUNCTION_KINDS, f, f"{where}[{i}]") for i, f in enumerate(v)),
-             lambda fs: [_dump(f) for f in fs]),
-    "op": (lambda v, where: parse_operator(v, where), _dump),
+    "fun": (partial(_read, FUNCTION_KINDS), _dump),
+    "parts": (lambda v, where: tuple(_read(FUNCTION_KINDS, f, f"{where}[{i}]") for i, f in enumerate(v)),
+              lambda fs: [_dump(f) for f in fs]),
+    "inner": (partial(_read, OPERATOR_KINDS), _dump),
     "pairs": (_pairs, lambda g: np.stack([g.primals, g.duals], axis=1).tolist()),
     "box": (lambda v, where: Box(_only(v, ("lo", "hi"), where, "box")["lo"], v["hi"]),
             lambda b: {"lo": b.lo.tolist(), "hi": b.hi.tolist()}),
@@ -263,11 +261,6 @@ PARAM_KINDS = {
 }
 
 
-def _draw_box(params: dict, dim: int):
-    """The (box_lo, box_hi) corners of a check's random draws; [-2, 2]^n by default."""
-    return params.get("box_lo", [-2.0] * dim), params.get("box_hi", [2.0] * dim)
-
-
 def scenario_from_dict(raw: dict) -> ScenarioConfig:
     keys = ("dimension", "seed", "tolerances", "operators", "grids", "checks")
     if "dimension" not in _only(raw, keys, "scenario", "a scenario"):
@@ -281,7 +274,7 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
     tol_raw = _only(raw.get("tolerances", {}), asdict(ToleranceConfig()), "tolerances", "tolerances")
     try:
         tol = ToleranceConfig(**tol_raw)
-    except ValueError as e:  # it names the field
+    except ValidationError as e:  # it names the field
         raise ScenarioParseError(f"tolerances.{e}") from e
     operators = {}
     for name, obj in _expect(raw.get("operators", {}), dict, "operators").items():
@@ -333,7 +326,7 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
                 )
         if params.get("strict") and "probe_grid" not in params:
             raise ScenarioParseError(f"{where}: strict mode needs parameter probe_grid")
-        if np.any(np.greater(*_draw_box(params, dim))):
+        if np.any(np.greater(params.get("box_lo", -2.0), params.get("box_hi", 2.0))):
             raise ValidationError(f"{where}.params: box_lo exceeds box_hi")
         if entry.graph_target is not None and entry.graph_target != on_graph:
             want = "a finite-graph" if entry.graph_target else "a sampled"
@@ -402,9 +395,10 @@ class _Run:
         return self.samples[key]
 
     def box_pairs(self, count: int):
-        """count pairs (x, x*) drawn uniformly from the box_lo..box_hi box,
-        one pair at a time as they are consumed."""
-        lo, hi = _draw_box(self.params, self.cfg.dimension)
+        """count pairs (x, x*) drawn uniformly from the box_lo..box_hi box
+        (default [-2, 2]^n), one pair at a time as they are consumed."""
+        lo = self.params.get("box_lo", [-2.0] * self.cfg.dimension)
+        hi = self.params.get("box_hi", [2.0] * self.cfg.dimension)
         for _ in range(count):
             yield self.rng.uniform(lo, hi), self.rng.uniform(lo, hi)
 

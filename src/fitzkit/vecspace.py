@@ -92,7 +92,7 @@ class ToleranceConfig:
             try:
                 value = type(f.default)(getattr(self, f.name))
             except (TypeError, ValueError, OverflowError) as e:
-                raise ValueError(f"{f.name}: {e}") from e
+                raise ValidationError(f"{f.name}: {e}") from e
             if not 0 < value < math.inf:
                 raise ValidationError(f"{f.name} must be finite and strictly positive")
             object.__setattr__(self, f.name, value)
