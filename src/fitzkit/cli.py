@@ -13,11 +13,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import replace
+from functools import partial
 from importlib import resources
 from pathlib import Path
+
+import numpy as np
 
 from .errors import FitzkitError
 from .fitzpatrick import Finite, fitz_finite, fitz_linear, fitz_sampled
@@ -148,18 +152,22 @@ def _cmd_fitz(args) -> int:
     op = parse_operator(op_obj, "operator")
     tol = ToleranceConfig(**_tolerances(args))
     pt = pair(_parse_vector(args.x), _parse_vector(args.xstar))
-    if isinstance(op, GraphOp):
-        value = Finite(fitz_finite(op.graph, pt))
-        method = "finite_graph"
-    elif isinstance(op, LinearOp):
-        value = fitz_linear(op.M, op.c, pt, tol)
-        method = "linear_closed_form"
-    else:
-        if not args.wgrid:
-            raise FitzkitError("sampled operators need --wgrid")
-        wgrid = parse_grid(_parse_grid(args.wgrid), "--wgrid", tol.budget)
-        value = fitz_sampled(op, pt, wgrid, tol)
-        method = "sampled"
+    wgrid = args.wgrid and parse_grid(_parse_grid(args.wgrid), "--wgrid", tol.budget)  # read when given
+    if not (wgrid or isinstance(op, (GraphOp, LinearOp))):
+        raise FitzkitError("sampled operators need --wgrid")
+    try:
+        with np.errstate(over="raise"):
+            if isinstance(op, GraphOp):
+                value, method = Finite(fitz_finite(op.graph, pt)), "finite_graph"
+            elif isinstance(op, LinearOp):
+                value, method = fitz_linear(op.M, op.c, pt, tol), "linear_closed_form"
+            else:
+                value, method = fitz_sampled(op, pt, wgrid, tol), "sampled"
+        number = value.value if isinstance(value, Finite) else value.crossed_threshold
+        if not math.isfinite(number):  # JSON has no such number
+            raise FloatingPointError(f"the value is {number}")
+    except FloatingPointError as e:
+        raise FitzkitError(f"F at this point overflows a float ({e})") from e
     if isinstance(value, Finite):
         payload = {"kind": "finite", "value": value.value, "method": method}
     else:
@@ -183,12 +191,15 @@ def _cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # a flag value of the wrong type raises ArgumentError, which main reports
     parser = argparse.ArgumentParser(
+        exit_on_error=False,
         prog="fitzkit",
         description="Monotone-operator toolkit: Fitzpatrick evaluation and "
         "near-convexity certificates at desk scale.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=partial(argparse.ArgumentParser, exit_on_error=False))
 
     def common(p):
         p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -241,13 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_attach_dashed_values(sys.argv[1:] if argv is None else list(argv)))
     try:
+        args = parser.parse_args(_attach_dashed_values(sys.argv[1:] if argv is None else list(argv)))
         return args.fn(args)
-    except FitzkitError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as e:
+    except (FitzkitError, OSError, json.JSONDecodeError, argparse.ArgumentError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

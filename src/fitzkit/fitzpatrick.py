@@ -93,12 +93,18 @@ def fitz_finite(g: FiniteGraph, pt: PairPoint) -> float:
 def fitz_linear(
     M: np.ndarray, c: Vector, pt: PairPoint, tol: ToleranceConfig = DEFAULT_TOL
 ) -> FitzValue:
-    """Closed form for A = M . + c: with Ms the symmetric part and
-    s = M'x + x* - c, the value is <x,c> + (1/4) <s, Ms^+ s> when s lies in
-    range(Ms), and the supremum diverges otherwise.
+    """Closed form for A = M . + c (Bauschke, McLaren & Sendov 2006): with Ms
+    the symmetric part and s = M'x + x* - c, the value is
+    <x,c> + (1/4) <s, Ms^+ s> when s lies in range(Ms), and the supremum
+    diverges otherwise.
 
-    The range test uses a relative residual against rank_tol; the pseudo
-    inverse truncates eigenvalues below rank_tol.
+    Ms^+ drops eigenvalues at or below rank_tol, and s is in range when its
+    residual off the kept eigenvectors is within rank_tol, relative. Otherwise
+    the terms along a = a0 + t u, with a0 = Ms^+ s / 2 the in-range maximiser
+    and u the unit residual (orthogonal to a0), are a quadratic in t. Its first
+    point at the crossing target is the witness; when its maximum stays at or
+    below inf_threshold, the term there is a Finite lower bound, exact when
+    one eigenvector of Ms carries the residual.
     """
     M = as_matrix(M)
     c = as_vector(c, dim=M.shape[0])
@@ -110,35 +116,24 @@ def fitz_linear(
     coeffs = vecs.T @ s
     resid_vec = s - vecs[:, keep] @ coeffs[keep]
     rho = float(np.linalg.norm(resid_vec))
-    base = float(np.dot(x, c))
+    top = float(np.dot(x, c)) + 0.25 * float(np.sum(coeffs[keep] ** 2 / vals[keep]))
     if rho <= tol.rank_tol * max(1.0, float(np.linalg.norm(s))):
-        quad = float(np.sum(coeffs[keep] ** 2 / vals[keep])) if keep.any() else 0.0
-        return Finite(base + 0.25 * quad)
-    # diverging direction: ride the residual component of s
+        return Finite(top)
+    # the term at a0 + t u is top + t rho - t^2 curv
     u = resid_vec / rho
     curv = float(u @ ms @ u)
-    target = tol.inf_threshold * _CROSS_FACTOR
-
-    def term_at(t: float) -> tuple[float, tuple[Vector, Vector]]:
-        a = t * u
-        astar = M @ a + c
-        return float(np.dot(x, astar) + np.dot(a, xs) - np.dot(a, astar)), (a, astar)
-
+    gap = tol.inf_threshold * _CROSS_FACTOR - top
+    disc = rho * rho - 4.0 * curv * gap
     if curv <= 0.0:
-        t = (target - base) / rho
-    else:
-        disc = rho * rho - 4.0 * curv * (target - base)
-        t = (rho - np.sqrt(disc)) / (2.0 * curv) if disc >= 0 else rho / (2.0 * curv)
-    best_term, best_w = term_at(t)
-    for _ in range(60):
-        if best_term > tol.inf_threshold:
-            break
-        t *= 2.0
-        cand, w = term_at(t)
-        if cand <= best_term:
-            break
-        best_term, best_w = cand, w
-    return InfiniteSuspected(best_term, PairPoint(*best_w))
+        t = gap / rho
+    elif disc >= 0.0:
+        t = (rho - np.sqrt(disc)) / (2.0 * curv)
+    else:  # the maximum, below the target
+        t = rho / (2.0 * curv)
+    a = vecs[:, keep] @ (0.5 * coeffs[keep] / vals[keep]) + t * u
+    astar = M @ a + c
+    term = float(np.dot(x, astar) + np.dot(a, xs) - np.dot(a, astar))
+    return InfiniteSuspected(term, PairPoint(a, astar)) if term > tol.inf_threshold else Finite(term)
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +165,65 @@ def _resolvent_rows(op: OperatorSpec, W: np.ndarray, tol: ToleranceConfig) -> np
         return np.vstack([_resolvent_rows(op, w[None, :], tol) for w in W])
 
 
+def _pair_rows(s: Sample, X: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, list]:
+    """fitz_rows' values, with its crossings at sample pairs (rank 0) and at
+    resolvent points (rank 1), each as (rows, terms, witnesses (a, a*), rank)."""
+    g, tol, n = s.graph, s.tol, X.shape[1]
+    values = np.empty(len(X))
+    sampled = not isinstance(s.op, GraphOp) and len(X) > 0
+    found = [(np.zeros(0, dtype=int), np.zeros(0), np.zeros((0, 2 * n)), np.zeros(0))]
+    for blk in _blocks(len(X), len(g)):
+        T = _affine_terms(g, X[blk], S[blk])
+        values[blk] = T.max(axis=1)
+        over = T > tol.inf_threshold
+        hit = np.flatnonzero(over.any(axis=1) & sampled)
+        if len(hit):
+            order = lexsort_rows(np.hstack([g.primals, g.duals]))
+            j = order[over[hit][:, order].argmax(axis=1)]  # lex-first crossing pair
+            W = np.hstack([g.primals[j], g.duals[j]])
+            found.append((hit + blk.start, T[hit, j], W, np.zeros(len(hit))))
+        del T, over  # before the next block is summed
+
+    if sampled:
+        X0 = _resolvent_rows(s.op, X + S, tol)
+        S0 = X + S - X0
+        terms = rowwise_dot(X, S0) + rowwise_dot(X0, S) - rowwise_dot(X0, S0)
+        values = np.where(terms > values, terms, values)
+        i = np.flatnonzero(terms > tol.inf_threshold)
+        found.append((i, terms[i], np.hstack([X0, S0])[i], np.ones(len(i))))
+    return values, found
+
+
+def _ray_crossings(s: Sample, X: np.ndarray, S: np.ndarray) -> list:
+    """fitz_rows' crossings along exact fiber rays, as _pair_rows gives its
+    own, each ray ranked by its row in (A, B, R), before the pairs."""
+    tol = s.tol
+    # rows (a, b, r): each exact fiber ray r at a domain point a of the
+    # exact-ray head of the candidates, with b the lex-first point of A(a)
+    head = itertools.takewhile(lambda c: c[1].exact and len(c[1].rays), (
+        s.candidates if not isinstance(s.op, GraphOp) and len(X) else ()))
+    rays = [(a, f.points[lexsort_rows(f.points)[0]], r) for a, f in head for r in f.rays]
+    A, B, R = np.array(rays, dtype=float).reshape(-1, 3, s.graph.dim).transpose(1, 0, 2)
+    found = []
+    target = tol.inf_threshold * _CROSS_FACTOR
+    for blk in _blocks(len(X), len(A)) if len(A) else ():
+        Xb, Sb = X[blk], S[blk]
+        slope = rowwise_dot(Xb[:, None] - A, R)
+        i, k = np.nonzero(slope > tol.eq_tol)  # ride ray k at row i
+        ax = rowwise_dot(Sb[i], A[k])
+        t = (target - (rowwise_dot(Xb[i], B[k]) + ax - rowwise_dot(A[k], B[k]))) / slope[i, k]
+        for _ in range(9):  # the target point, then up to 8 doublings of t
+            if not len(i):
+                break
+            astar = B[k] + t[:, None] * R[k]
+            terms = rowwise_dot(Xb[i], astar) + ax - rowwise_dot(A[k], astar)
+            over = terms > tol.inf_threshold
+            W = np.hstack([A[k], astar])
+            found.append((i[over] + blk.start, terms[over], W[over], k[over] - len(A)))
+            i, k, ax, t = i[~over], k[~over], ax[~over], 2.0 * t[~over]
+    return found
+
+
 def fitz_rows(
     s: Sample, X: np.ndarray, S: np.ndarray
 ) -> tuple[np.ndarray, list[Optional[tuple[float, PairPoint]]]]:
@@ -184,60 +238,14 @@ def fitz_rows(
     point (ties in that order). Finite-graph samples have neither. A row's
     results are those it has alone: terms are summed in a fixed order,
     pairings are one BLAS dot per row, and a row whose resolvent has no
-    closed form loses only its own resolvent term.
+    closed form loses only its own resolvent term. The values are
+    _pair_rows' alone, which builds no fiber.
     """
-    g, tol, n = s.graph, s.tol, X.shape[1]
-    values = np.empty(len(X))
-    sampled = not isinstance(s.op, GraphOp) and len(X) > 0
-    # rows (a, b, r): each exact fiber ray r at a domain point a of the
-    # exact-ray head of the candidates, with b the lex-first point of A(a)
-    head = itertools.takewhile(
-        lambda c: c[1].exact and len(c[1].rays), s.candidates if sampled else ())
-    rays = [(a, f.points[lexsort_rows(f.points)[0]], r) for a, f in head for r in f.rays]
-    A, B, R = np.array(rays, dtype=float).reshape(-1, 3, g.dim).transpose(1, 0, 2)
-    # crossings (rows, terms, witnesses (a, a*), rank), where a ray ranks by
-    # its row in (A, B, R), then come the sample pairs and the resolvent point
-    found = [(np.zeros(0, dtype=int), np.zeros(0), np.zeros((0, 2 * n)), np.zeros(0))]
-    target = tol.inf_threshold * _CROSS_FACTOR
-    for blk in _blocks(len(X), max(len(g), len(A))):
-        Xb, Sb = X[blk], S[blk]
-        T = _affine_terms(g, Xb, Sb)
-        values[blk] = T.max(axis=1)
-        over = T > tol.inf_threshold
-        hit = np.flatnonzero(over.any(axis=1) & sampled)
-        if len(hit):
-            order = lexsort_rows(np.hstack([g.primals, g.duals]))
-            j = order[over[hit][:, order].argmax(axis=1)]  # lex-first crossing pair
-            W = np.hstack([g.primals[j], g.duals[j]])
-            found.append((hit + blk.start, T[hit, j], W, np.full(len(hit), len(A))))
-        del T, over  # before the next block is summed
-
-        slope = rowwise_dot(Xb[:, None] - A, R)
-        i, k = np.nonzero(slope > tol.eq_tol)  # ride ray k at row i
-        ax = rowwise_dot(Sb[i], A[k])
-        t = (target - (rowwise_dot(Xb[i], B[k]) + ax - rowwise_dot(A[k], B[k]))) / slope[i, k]
-        for _ in range(9):  # the target point, then up to 8 doublings of t
-            if not len(i):
-                break
-            astar = B[k] + t[:, None] * R[k]
-            terms = rowwise_dot(Xb[i], astar) + ax - rowwise_dot(A[k], astar)
-            over = terms > tol.inf_threshold
-            W = np.hstack([A[k], astar])
-            found.append((i[over] + blk.start, terms[over], W[over], k[over]))
-            i, k, ax, t = i[~over], k[~over], ax[~over], 2.0 * t[~over]
-
-    if sampled:
-        X0 = _resolvent_rows(s.op, X + S, tol)
-        S0 = X + S - X0
-        terms = rowwise_dot(X, S0) + rowwise_dot(X0, S) - rowwise_dot(X0, S0)
-        values = np.where(terms > values, terms, values)
-        i = np.flatnonzero(terms > tol.inf_threshold)
-        found.append((i, terms[i], np.hstack([X0, S0])[i], np.full(len(i), len(A) + 1)))
-
-    rows, terms, W, rank = (np.concatenate(part) for part in zip(*found))
+    values, found = _pair_rows(s, X, S)
+    rows, terms, W, rank = (np.concatenate(part) for part in zip(*found, *_ray_crossings(s, X, S)))
     first = np.lexsort((rank, *W.T[::-1], rows))
     first = first[np.diff(rows[first], prepend=-1) != 0]  # each row's lex-first witness
-    crossings = [None] * len(X)
+    crossings, n = [None] * len(X), X.shape[1]
     for i, t, w in zip(rows[first], terms[first], W[first]):
         crossings[i] = (float(t), PairPoint(w[:n], w[n:]))
     return values, crossings
@@ -269,9 +277,9 @@ def fitz_at(s: Sample, pt: PairPoint) -> FitzValue:
 def fitz_domain_projection(sample: Sample, xgrid: Grid) -> DomainScan:
     """Grid nodes x admitting some probe x* with a Finite fitz value.
 
-    Linear operators use the closed form with the consistency probe
-    x* = Mx + c (always in range, so every node is a member). Sampled
-    operators probe the first 8 duals of sampled pairs within two spacings
+    Linear operators take the consistency probe x* = Mx + c, where F is the
+    finite pairing, so every node is a member: dom A = X is in P_X dom F_A.
+    Sampled operators probe the first 8 duals of sampled pairs within two spacings
     and the first 8 points of the fiber at the nearest sampled domain point
     a0, all in one fitz_rows call. An empty fiber at a0, or a positively
     aligned exact ray there (divergence evidence for every probe), excludes
@@ -283,17 +291,7 @@ def fitz_domain_projection(sample: Sample, xgrid: Grid) -> DomainScan:
         )
     nodes = xgrid.nodes()
     if isinstance(op, LinearOp):
-        ms = 0.5 * (op.M + op.M.T)
-        vals, vecs = np.linalg.eigh(ms)
-        keep = vals > tol.rank_tol
-        S = nodes @ (op.M + op.M.T).T  # s = M'x + (Mx + c) - c, per node
-        coeffs = S @ vecs
-        resid = S - coeffs[:, keep] @ vecs[:, keep].T
-        ok = np.linalg.norm(resid, axis=1) <= tol.rank_tol * np.maximum(
-            1.0, np.linalg.norm(S, axis=1)
-        )
-        members = nodes[ok]
-        return DomainScan(xgrid, members, "linear_consistency")
+        return DomainScan(xgrid, nodes, "linear_consistency")
 
     g, dom = sample.graph, sample.domain
     # a0: the domain is lex-sorted, so the first point within 1e-13 of the
@@ -344,7 +342,7 @@ def fitz_inequality_check(sample: Sample, X: np.ndarray, S: np.ndarray) -> Certi
     graph_pts, tol = sample.graph, sample.tol
     lip = 1.0 + float(np.linalg.norm(graph_pts.duals, axis=1).max())
     slack = max(2.0 * _nn_spacing_estimate(graph_pts) * lip, 1e-9)
-    gaps = rowwise_dot(X, S) - fitz_rows(sample, X, S)[0]
+    gaps = rowwise_dot(X, S) - _pair_rows(sample, X, S)[0]
     worst_gap = float(gaps.max()) if len(gaps) else -np.inf
     # graph-point equality: F - pairing = -min pairwise product, vectorized
     worst_eq = 0.0

@@ -52,6 +52,7 @@ from .operators import (
     ShiftedOp,
     SubdiffOp,
     TranslatedNormPower,
+    _subdiff_of,
     maximality_probe,
     op_dimension,
 )
@@ -85,6 +86,31 @@ def _expect(val, kind: type, where: str):
     if not isinstance(val, kind):
         raise ScenarioParseError(f"{where}: expected {kind.__name__}, got {type(val).__name__}")
     return val
+
+
+def _number(v) -> bool:  # JSON's NaN and Infinity load as floats
+    return not isinstance(v, bool) and (isinstance(v, int) or isinstance(v, float) and math.isfinite(v))
+
+
+def _numbers(v) -> bool:
+    return isinstance(v, (list, tuple)) and all(map(_number, v))
+
+
+def _integer(v) -> bool:  # a JSON integer, not 2.5 or 2.0
+    return _number(v) and isinstance(v, int)
+
+
+def _numeric(v) -> bool:
+    """A number, or a list of them at any depth: a vector, a matrix, vertices or pairs."""
+    return _number(v) or isinstance(v, (list, tuple)) and all(map(_numeric, v))
+
+
+def _wire_number(v, where: str, ok=_numeric, what: str = "finite numbers"):
+    """v, once ok(v); else ScenarioParseError. Every number of the wire format
+    reads through here or through PARAM_KINDS."""
+    if not ok(v):
+        raise ScenarioParseError(f"{where}: expected {what}, got {v!r:.60}")
+    return v
 
 
 def _only(obj: dict, keys, where: str, what: str) -> dict:
@@ -136,8 +162,16 @@ def _read(table: dict, obj, where: str):
     cls, fields = _fields(table, kind, "box" in obj)
     obj = {"scale": 1.0, **_only(obj, {"kind", *(key for key, _ in fields)}, where, kind)}
     with _fields_of(where):  # a missing key without a default reads as "missing field"
-        return cls(**{f.name: _WIRE.get(key, _RAW)[0](obj[key], f"{where}.{key}")
+        spec = cls(**{f.name: _WIRE.get(key, _RAW)[0](obj[key], f"{where}.{key}")
                       for key, f in fields if key in obj or f.default is MISSING})
+    # every use of a wrapped op samples it, and resolvent_batch has no reduction for these
+    if isinstance(spec, (ShiftedOp, PerturbedOp)) and isinstance(spec.inner, GraphOp):
+        raise ScenarioParseError(f"{where}: {kind} has no resolvent: its inner operator is a graph")
+    if isinstance(spec, PerturbedOp) and spec.p != 2.0 and _subdiff_of(spec) is None:
+        raise ScenarioParseError(
+            f"{where}: perturbed has no resolvent: p is {spec.p:g}, not 2, and its inner "
+            "operator is not a subdifferential")
+    return spec
 
 
 def _dump(spec) -> dict:
@@ -150,8 +184,8 @@ def _dump(spec) -> dict:
 def _pairs(obj, where: str) -> FiniteGraph:
     """A graph's pairs, read as one float array; bare numbers are pairs in R^1."""
     try:
-        arr = np.array(obj, dtype=float)
-    except ValueError:  # ragged (mixed widths) or not numbers
+        arr = np.array(_wire_number(obj, where), dtype=float)
+    except ValueError:  # ragged (mixed widths)
         arr = np.zeros(0)
     arr = arr[:, :, None] if arr.ndim == 2 else arr
     if arr.ndim != 3 or arr.shape[1] != 2 or not arr.size:
@@ -160,17 +194,18 @@ def _pairs(obj, where: str) -> FiniteGraph:
 
 
 # How a key's value reads from its JSON value and dumps to it. Any other key's
-# JSON value goes to the class as it is (_RAW), and the class checks it.
-_RAW = (lambda v, where: v, lambda v: v.tolist() if isinstance(v, np.ndarray) else v)
+# JSON value goes to the class once it is numbers (_RAW), and the class checks it.
+_RAW = (_wire_number, lambda v: v.tolist() if isinstance(v, np.ndarray) else v)
 _WIRE = {
     "fun": (partial(_read, FUNCTION_KINDS), _dump),
     "parts": (lambda v, where: tuple(_read(FUNCTION_KINDS, f, f"{where}[{i}]") for i, f in enumerate(v)),
               lambda fs: [_dump(f) for f in fs]),
     "inner": (partial(_read, OPERATOR_KINDS), _dump),
     "pairs": (_pairs, lambda g: np.stack([g.primals, g.duals], axis=1).tolist()),
-    "box": (lambda v, where: Box(_only(v, ("lo", "hi"), where, "box")["lo"], v["hi"]),
+    "box": (lambda v, where: Box(*(_wire_number(_only(v, ("lo", "hi"), where, "box")[k], f"{where}.{k}")
+                                   for k in ("lo", "hi"))),
             lambda b: {"lo": b.lo.tolist(), "hi": b.hi.tolist()}),
-    "vertices": (lambda v, where: Polytope(v), lambda p: p.vertices.tolist()),
+    "vertices": (lambda v, where: Polytope(_wire_number(v, where)), lambda p: p.vertices.tolist()),
 }
 
 
@@ -181,7 +216,8 @@ def parse_operator(obj: dict, where: str) -> OperatorSpec:
 def parse_grid(obj: dict, where: str, cap: int) -> Grid:
     _only(obj, ("lower", "upper", "spacing"), where, "a grid")
     with _fields_of(where):
-        return Grid(obj["lower"], obj["upper"], obj["spacing"], cap=cap)
+        keys = ("lower", "upper", "spacing")
+        return Grid(*(_wire_number(obj[k], f"{where}.{k}") for k in keys), cap=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -209,14 +245,6 @@ class ScenarioConfig:
             raise ValidationError("seed must be >= 0")
 
 
-def _number(v) -> bool:  # JSON's NaN and Infinity load as floats
-    return not isinstance(v, bool) and (isinstance(v, int) or isinstance(v, float) and math.isfinite(v))
-
-
-def _numbers(v) -> bool:
-    return isinstance(v, (list, tuple)) and all(map(_number, v))
-
-
 def _vector(v, dim: int) -> bool:
     """A list of dim numbers, or a bare number when dim is 1 (as_vector's reading)."""
     return (_number(v) and dim == 1) or (_numbers(v) and len(v) == dim)
@@ -241,7 +269,7 @@ PARAM_KINDS = {
     **dict.fromkeys(("p", "alpha", "beta"), ("a number", lambda v, _: _number(v))),
     **dict.fromkeys(
         ("trials", "n_samples"),
-        ("an integer >= 0", lambda v, _: _number(v) and isinstance(v, int) and v >= 0),
+        ("an integer >= 0", lambda v, _: _integer(v) and v >= 0),
     ),
     **dict.fromkeys(
         ("strict", "allow_z_in_domain"), ("a boolean", lambda v, _: isinstance(v, bool))
@@ -265,13 +293,14 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
     keys = ("dimension", "seed", "tolerances", "operators", "grids", "checks")
     if "dimension" not in _only(raw, keys, "scenario", "a scenario"):
         raise ScenarioParseError("scenario: missing field 'dimension'")
-    with _fields_of("dimension"):
-        dim = int(raw["dimension"])
+    dim = _wire_number(raw["dimension"], "dimension", _integer, "an integer")
+    seed = _wire_number(raw.get("seed", 0), "seed", _integer, "an integer")
+    tol_raw = _only(raw.get("tolerances", {}), asdict(ToleranceConfig()), "tolerances", "tolerances")
+    for key, val in tol_raw.items():  # the budget is an integer
+        _wire_number(val, f"tolerances.{key}", *((_integer, "an integer") if key == "budget" else
+                                                  (_number, "a finite number")))
     if dim < 1:
         raise ValidationError("dimension must be >= 1")
-    with _fields_of("seed"):
-        seed = int(raw.get("seed", 0))
-    tol_raw = _only(raw.get("tolerances", {}), asdict(ToleranceConfig()), "tolerances", "tolerances")
     try:
         tol = ToleranceConfig(**tol_raw)
     except ValidationError as e:  # it names the field

@@ -2,8 +2,10 @@ import copy
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -150,7 +152,7 @@ VALID_SCENARIO = {
         ("checks[0]", {"checks": [5]}),
         ("checks[0].params",
          {"checks": [{"check": "fitz_inequality", "target": "cone", "params": "abc"}]}),
-        ("operators.cone", {"operators": {"cone": {"kind": "linear", "matrix": "ab"}}}),
+        ("operators.cone.matrix", {"operators": {"cone": {"kind": "linear", "matrix": "ab"}}}),
     ],
     ids=["dimension", "seed", "tolerances", "operators", "grid", "check", "params", "matrix"],
 )
@@ -395,12 +397,22 @@ SUP_Q_1D = ["check", "--check", "sup_quotient", "--z", "5", "--wgrid=-1:1:0.5",
 NORM_POWER = {"kind": "subdiff", "fun": {"kind": "norm_power", "p": 2.0, "scale": 1.0}}
 
 
+def run_captured(argv):
+    """cli.main in-process with stdout and stderr captured: (code, stdout,
+    stderr), where stderr also holds a line for each RuntimeWarning (numpy's
+    floating-point warnings), which the console script would print there."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        code = main(argv)
+    lines = [f"{w.category.__name__}: {w.message}\n" for w in caught if w.category is RuntimeWarning]
+    return code, out.getvalue(), err.getvalue() + "".join(lines)
+
+
 def run_quiet(argv):
     """cli.main in-process with stdout and stderr captured: (code, stderr)."""
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
-    return code, err.getvalue()
+    code, _, err = run_captured(argv)
+    return code, err
 
 
 @pytest.mark.parametrize(
@@ -484,12 +496,41 @@ def test_every_operator_and_function_kind_has_a_scalar_slot():
         assert run_quiet(SUP_Q_1D + ["--operator", json.dumps(spec)])[0] in (0, 1)
 
 
-@pytest.mark.xfail(strict=True, reason="a perturbed operator whose inner is not a subdifferential "
-                   "has a resolvent only at p = 2: it loads, then exits 2 mid-run")
-def test_perturbed_linear_inner_with_p_three_runs():
-    spec = {"kind": "perturbed", "inner": {"kind": "linear", "matrix": [[1.0]]},
-            "lambda": 2.0, "p": 3.0, "center": [0.5]}
-    assert run_quiet(SUP_Q_1D + ["--operator", json.dumps(spec)])[0] in (0, 1)
+NO_RESOLVENT = {"kind": "perturbed", "inner": {"kind": "linear", "matrix": [[1.0]]},
+                "lambda": 2.0, "p": 3.0, "center": [0.5]}
+
+
+@pytest.mark.parametrize("spec, where", [
+    (NO_RESOLVENT, "operator"),
+    ({"kind": "shifted", "inner": NO_RESOLVENT, "zstar": [1.0]}, "operator.inner"),
+    ({"kind": "perturbed", "inner": NO_RESOLVENT, "lambda": 1.0, "p": 2.0, "center": [0.0]},
+     "operator.inner"),
+    ({**NO_RESOLVENT, "inner": {"kind": "shifted", "inner": NORM_POWER, "zstar": [1.0]}}, "operator"),
+], ids=["linear-inner", "under-shifted", "under-perturbed", "shifted-subdiff-inner"])
+@pytest.mark.parametrize("command", ["check", "fitz", "suite"])
+def test_perturbed_without_a_resolvent_exits_two_at_load(tmp_path, command, spec, where):
+    """p != 2 and an inner operator that is no subdifferential: resolvent_batch
+    has no reduction, and every use of the operator samples it."""
+    argv = {"check": SUP_Q_1D + ["--operator", json.dumps(spec)],
+            "fitz": ["fitz", "--operator", json.dumps(spec), "--x", "0", "--xstar", "0",
+                     "--wgrid=-1:1:0.5"]}.get(command)
+    if argv is None:
+        path = tmp_path / "perturbed.json"
+        path.write_text(json.dumps({"dimension": 1, "operators": {"t": spec}}))
+        argv, where = ["suite", "--scenario", str(path)], where.replace("operator", "operators.t")
+    code, err = run_quiet(argv)
+    assert code == 2
+    assert err == (f"error: {where}: perturbed has no resolvent: p is 3, not 2, and its inner "
+                   "operator is not a subdifferential\n")
+
+
+@pytest.mark.parametrize("kind, extra", [("shifted", {"zstar": [1.0]}),
+                                         ("perturbed", {"lambda": 1.0, "p": 2.0, "center": [0.0]})])
+def test_wrapped_graph_exits_two_at_load(kind, extra):
+    """A finite graph has no resolvent, so an op that wraps one cannot be sampled."""
+    spec = {"kind": kind, "inner": json.loads(GRAPH), **extra}
+    code, err = run_quiet(SUP_Q_1D + ["--operator", json.dumps(spec)])
+    assert (code, err) == (2, f"error: operator: {kind} has no resolvent: its inner operator is a graph\n")
 
 
 @st.composite
@@ -655,3 +696,156 @@ def test_generated_scenario_with_one_changed_field_exits_cleanly(tmp_path_factor
     code, err = run_scenario(raw, tmp_path_factory.mktemp("changed"))
     assert code in ((2,) if invalid else (0, 1, 2)), what
     assert (code == 2) == (err.count("\n") == 1 and err.startswith("error: ")), (what, err)
+
+
+# --------------------------------------------------------------------------
+# every number of the wire format is a JSON number
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("change, where", [
+    ({"operators": {"cone": {"kind": "duality_map", "p": "2", "center": [0.0]}}}, "operators.cone.p"),
+    ({"operators": {"cone": {"kind": "duality_map", "p": 2, "center": [True]}}},
+     "operators.cone.center"),
+    ({"operators": {"cone": {"kind": "linear", "matrix": [["1"]]}}}, "operators.cone.matrix"),
+    ({"operators": {"cone": {"kind": "normal_cone", "box": {"lo": ["0"], "hi": [1]}}}},
+     "operators.cone.box.lo"),
+    ({"operators": {"cone": {"kind": "normal_cone", "vertices": [[False], [1]]}}},
+     "operators.cone.vertices"),
+    ({"operators": {"cone": {"kind": "graph", "pairs": [[0, "0"], [1, 1]]}}}, "operators.cone.pairs"),
+    ({"dimension": True}, "dimension"),
+    ({"dimension": 1.0}, "dimension"),
+    ({"seed": "3"}, "seed"),
+    ({"tolerances": {"budget": 2.5}}, "tolerances.budget"),
+    ({"tolerances": {"eq_tol": True}}, "tolerances.eq_tol"),
+    ({"grids": {"w": {"lower": [True], "upper": [2.0], "spacing": 0.5}}}, "grids.w.lower"),
+    ({"grids": {"w": {"lower": [-1.0], "upper": [2.0], "spacing": "0.5"}}}, "grids.w.spacing"),
+], ids=["string-p", "boolean-center", "string-matrix", "string-box", "boolean-vertices",
+        "string-pairs", "boolean-dimension", "float-dimension", "string-seed",
+        "fractional-budget", "boolean-eq_tol", "boolean-grid-lower", "string-grid-spacing"])
+def test_suite_value_that_is_no_json_number_exit_two(tmp_path, change, where):
+    """A string or a boolean where a number goes, and a fraction where an
+    integer goes, as check params already refuse them."""
+    path = tmp_path / "not-a-number.json"
+    path.write_text(json.dumps({**VALID_SCENARIO, **change}))
+    code, err = run_quiet(["suite", "--scenario", str(path)])
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith(f"error: {where}: expected ")
+
+
+def test_fitz_operator_number_that_is_a_string_exit_two():
+    spec = {"kind": "duality_map", "p": "2", "center": [True]}
+    code, err = run_quiet(["fitz", "--operator", json.dumps(spec), "--x", "0", "--xstar", "0",
+                           "--wgrid=-1:1:0.5"])
+    assert code == 2
+    assert err == "error: operator.p: expected finite numbers, got '2'\n"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--tol-eq", "a"], "error: argument --tol-eq: invalid float value: 'a'\n"),
+    (["--inf-threshold=1e8,1e8"], "error: argument --inf-threshold: invalid float value: '1e8,1e8'\n"),
+], ids=["tol-eq", "inf-threshold"])
+def test_fitz_float_flag_that_is_no_number_exit_two(flags, message):
+    """argparse's own message, on one line, not its usage text and exit."""
+    code, out, err = run_captured(["fitz", "--operator", IDENT, "--x", "1,0", "--xstar", "1,0", *flags])
+    assert (code, out, err) == (2, "", message)
+
+
+@pytest.mark.parametrize("operator", [IDENT, GRAPH], ids=["linear", "graph"])
+def test_fitz_malformed_wgrid_exit_two_where_no_sample_is_drawn(operator):
+    code, err = run_quiet(["fitz", "--operator", operator, "--x", "1", "--xstar", "1",
+                           "--wgrid=a:2:0.5"])
+    assert code == 2
+    assert err == "error: expected comma-separated numbers, got 'a'\n"
+
+
+@pytest.mark.parametrize("operator", [LINEAR_1D, json.dumps(NORM_POWER)], ids=["linear", "sampled"])
+def test_fitz_value_that_overflows_a_float_exit_two(operator):
+    """F at x = 1e300 is about 1e600: one error line and no numpy warning."""
+    code, out, err = run_captured(["fitz", "--operator", operator, "--x", "1e300", "--xstar", "1e300",
+                                   "--wgrid=-1:1:0.5"])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: F at this point overflows a float")
+
+
+# --------------------------------------------------------------------------
+# generated `fitz` calls, one input changed at a time
+# --------------------------------------------------------------------------
+
+FITZ_FLAGS = {"--x": "0.5", "--xstar": "0.25", "--wgrid": "-1:2:0.5", "--tol-eq": "1e-09",
+              "--inf-threshold": "100000000.0"}
+
+# One change to one number of a flag: (name, new text, always invalid?)
+FLAG_CHANGES = [
+    ("wrong type", lambda t: "a", True),
+    ("non-finite", lambda t: "nan", True),
+    ("infinite", lambda t: "-inf" if t.startswith("-") else "inf", True),
+    ("negative", lambda t: repr(-abs(float(t)) - 1.5), False),
+    ("empty", lambda t: "", False),
+    ("wrong length", lambda t: f"{t},{t}", False),
+    ("huge", lambda t: "1e300", False),
+    ("tiny", lambda t: "1e-300", False),
+]
+
+
+def fitz_argv(spec, flags: dict) -> list[str]:
+    return ["fitz", "--operator", json.dumps(spec), *(f"{k}={v}" for k, v in flags.items())]
+
+
+@st.composite
+def valid_fitz_calls(draw):
+    """fitz on one operator of the kind table at a drawn point (x, x*)."""
+    point = st.floats(-2.0, 2.0).map(repr)
+    flags = {**FITZ_FLAGS, "--x": draw(point), "--xstar": draw(point)}
+    return fitz_argv(draw(st.sampled_from(KIND_EXAMPLES)), flags)
+
+
+@st.composite
+def changed_fitz_calls(draw):
+    """(argv, what changed, whether no call may hold the change): a valid
+    call with one value of the operator or one number of a flag changed."""
+    holder, flags = [copy.deepcopy(draw(st.sampled_from(KIND_EXAMPLES)))], dict(FITZ_FLAGS)
+    if draw(st.booleans()):
+        path = draw(st.sampled_from(list(paths(holder[0], (0,)))))
+        parent = holder
+        for key in path[:-1]:
+            parent = parent[key]
+        old = parent[path[-1]]
+        name, _, change, invalid = draw(st.sampled_from([c for c in ONE_FIELD_CHANGES if c[1](old)]))
+        parent[path[-1]] = change(old)
+        what = f"{name} at --operator {path[1:]}"
+    else:
+        flag = draw(st.sampled_from(sorted(flags)))
+        tokens = re.split(r"([:,])", flags[flag])  # numbers at the even places
+        i = draw(st.sampled_from(range(0, len(tokens), 2)))
+        name, change, invalid = draw(st.sampled_from(FLAG_CHANGES))
+        tokens[i] = change(tokens[i])
+        flags[flag] = "".join(tokens)
+        what = f"{name} at {flag}={flags[flag]}"
+    return fitz_argv(holder[0], flags), what, invalid
+
+
+def assert_one_json_object_or_one_error_line(code, out, err, what):
+    if code == 0:
+        assert err == "" and isinstance(json.loads(out), dict), what
+    else:
+        assert code == 2 and out == "", what
+        assert err.count("\n") == 1 and err.startswith("error: "), (what, err)
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_fitz_calls())
+def test_generated_valid_fitz_call_prints_one_json_object(argv):
+    code, out, err = run_captured(argv)
+    assert code == 0, err
+    assert_one_json_object_or_one_error_line(code, out, err, argv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(changed_fitz_calls())
+def test_generated_fitz_call_with_one_changed_input_exits_cleanly(case):
+    """Each change ends in exit 0 with one JSON object or exit 2 with one
+    error line, never a raise; a change that no call may hold is exit 2."""
+    argv, what, invalid = case
+    code, out, err = run_captured(argv)
+    assert code in ((2,) if invalid else (0, 2)), what
+    assert_one_json_object_or_one_error_line(code, out, err, what)

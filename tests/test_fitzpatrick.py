@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import fitzkit.fitzpatrick
 import fitzkit.operators
 from fitzkit.certificates import Verdict
-from fitzkit.criteria import _default_wgrid
+from fitzkit.criteria import _default_wgrid, theorem36_experiment
 from fitzkit.errors import NoClosedFormError, VacuousForFiniteGraphError, ValidationError
 from fitzkit.fitzpatrick import (
     Finite,
@@ -116,6 +116,99 @@ def test_fitz_linear_against_brute_force():
     # grid sup is a lower bound with O(h^2) slack
     assert ref <= v.value + 1e-9
     assert v.value - ref <= 5e-3
+
+
+def test_fitz_linear_small_eigenvalue_is_finite_not_infinite():
+    # F = <x,c> + <s, Ms^+ s>/4 with every eigenvalue positive, however small:
+    # 1e-9 I at s = (2e-8, 0) gives (2e-8)^2 / (4e-9) = 1e-7
+    v = fitz_linear(1e-9 * np.eye(2), np.zeros(2), pair([10.0, 0.0], [1e-8, 0.0]))
+    assert isinstance(v, Finite) and v.value == pytest.approx(1e-7, rel=1e-9)
+    # diag(1, 1e-9) at s = (0, 0.01): 0.01^2 / (4e-9) = 25000
+    v = fitz_linear(np.diag([1.0, 1e-9]), np.zeros(2), pair([0.0, 0.0], [0.0, 0.01]))
+    assert isinstance(v, Finite) and v.value == pytest.approx(25000.0, rel=1e-9)
+
+
+EPS = np.finfo(float).eps
+
+
+def eigen_split(M, c, x, xs):
+    """The eigenvalues of Ms = (M + M')/2 and the coefficients of
+    s = M'x + x* - c on its eigenvectors, by np.linalg.eigh."""
+    vals, vecs = np.linalg.eigh(0.5 * (M + M.T))
+    return vals, vecs.T @ (M.T @ x + xs - c)
+
+
+def separable_value(M, c, x, xs):
+    """F_A for A = M . + c, one eigenvector of Ms at a time: <x,c> plus
+    coefficient^2 / (4 eigenvalue) over the positive eigenvalues, infinite
+    when s has a component along a zero eigenvalue."""
+    vals, coef = eigen_split(M, c, x, xs)
+    null = vals <= 1e-14  # eigh resolves a zero eigenvalue to about eps |Ms|
+    if np.any(np.abs(coef[null]) > 1e-12):
+        return np.inf
+    return float(x @ c + 0.25 * np.sum(coef[~null] ** 2 / vals[~null]))
+
+
+@st.composite
+def psd_linear_cases(draw):
+    """(M, c, x, x*): M = Q diag(eigenvalues) Q' plus an optional skew part,
+    with eigenvalues 0, in (0, rank_tol] or moderate. x* puts s = M'x + x* - c
+    on the moderate eigenvectors, plus either nothing, a coefficient on one
+    small or zero eigenvector, or one on each of them."""
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["zero", "small", "moderate"]), min_size=n, max_size=n))
+    lams = np.array([0.0 if k == "zero" else 10.0 ** rng.uniform(-11, -8) if k == "small"
+                     else rng.uniform(0.1, 3.0) for k in kinds])
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    K = rng.uniform(-1.0, 1.0, size=(n, n)) * draw(st.booleans())
+    M = Q @ np.diag(lams) @ Q.T + 0.5 * (K - K.T)
+    c, x = rng.uniform(-1.0, 1.0, n), rng.uniform(-2.0, 2.0, n)
+    coef = np.where(lams > DEFAULT_TOL.rank_tol, rng.uniform(-2.0, 2.0, n), 0.0)
+    rest = np.flatnonzero(lams <= DEFAULT_TOL.rank_tol)
+    on = rest[: draw(st.sampled_from([0, 1, len(rest)]))]
+    coef[on] = rng.choice([-1.0, 1.0], len(on)) * 10.0 ** rng.uniform(-6.0, 0.0, len(on))
+    return M, c, x, Q @ coef - M.T @ x + c
+
+
+def resolution(M, lam):
+    """Relative accuracy of a value that divides by the eigenvalue lam of Ms:
+    eigh and the term's own sums resolve lam to about eps |M|."""
+    return 1e-9 + 64.0 * EPS * np.linalg.norm(M, 2) / lam
+
+
+@settings(max_examples=300, deadline=None)
+@given(psd_linear_cases())
+def test_fitz_linear_against_the_separable_value(case):
+    M, c, x, xs = case
+    v = fitz_linear(M, c, pair(x, xs))
+    if isinstance(v, InfiniteSuspected):  # a crossing with a graph-point witness
+        assert v.crossed_threshold > DEFAULT_TOL.inf_threshold
+        a, astar = v.witness.primal, v.witness.dual
+        assert np.array_equal(astar, M @ a + c)
+        assert x @ astar + a @ xs - a @ astar == pytest.approx(v.crossed_threshold, rel=1e-12)
+        return
+    exact = separable_value(M, c, x, xs)
+    vals, coef = eigen_split(M, c, x, xs)
+    small = vals[(vals > 1e-14) & (vals <= DEFAULT_TOL.rank_tol)]
+    assert v.value <= exact + resolution(M, small.min(initial=1.0)) * max(1.0, abs(v.value))
+    off = vals <= DEFAULT_TOL.rank_tol
+    carriers = vals[off][np.abs(coef[off]) > 1e-12]
+    if exact < np.inf and len(carriers) <= 1:  # one eigenvector carries s off range
+        assert v.value == pytest.approx(exact, rel=resolution(M, carriers.min(initial=1.0)), abs=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(psd_linear_cases())
+def test_fitz_linear_equals_the_pairing_on_graph_points(case):
+    M, c, x, _ = case
+    pairing = float(x @ (M @ x + c))
+    v = fitz_linear(M, c, pair(x, M @ x + c))
+    assert isinstance(v, Finite)
+    # Ms^+ drops the eigenvalues at or below rank_tol, which hold at most
+    # rank_tol |x|^2 of the pairing
+    slack = DEFAULT_TOL.eq_tol * max(1.0, abs(pairing)) + DEFAULT_TOL.rank_tol * float(x @ x)
+    assert v.value == pytest.approx(pairing, abs=slack)
 
 
 # --------------------------------------------------------------------------
@@ -454,6 +547,14 @@ def test_domain_projection_linear_identity_all_nodes():
     assert len(scan.member_points) == grid.count
 
 
+def test_domain_projection_small_eigenvalues_mark_every_node():
+    # A = 1e-9 I: dom A = X, and F is finite at (x, Ax) however small A is
+    grid = Grid([-10.0, -10.0], [10.0, 10.0], 0.5)
+    _, cert = theorem36_experiment(LinearOp(1e-9 * np.eye(2)), grid)
+    assert cert.verdict is Verdict.PASS
+    assert cert.witness("member_count") == cert.witness("hull_node_count") == grid.count == 1681
+
+
 def test_domain_projection_skew_marks_every_node():
     # regression guard: dom F_A is thin but its projection covers X
     grid = Grid([-1.0, -1.0], [1.0, 1.0], 0.5)
@@ -485,6 +586,23 @@ def test_inequality_check_documented_failure():
     cert = fitz_inequality_check(Sample(op, TWO_POINT), np.array([[0.5]]), np.array([[0.5]]))
     assert cert.verdict is Verdict.FAIL
     assert cert.witness("gap") == pytest.approx(0.25, abs=1e-12)
+
+
+def test_inequality_check_builds_no_fiber(monkeypatch):
+    """Its values are fitz_rows' values, bit for bit, and they need no fiber:
+    only fitz_rows' ray crossings read Sample.candidates."""
+    built = []
+    real_fiber = fitzkit.operators._fiber
+    monkeypatch.setattr(fitzkit.operators, "_fiber", lambda *a: built.append(a) or real_fiber(*a))
+    rng = np.random.default_rng(SEED + 5)
+    X, S = rng.uniform(-2, 3, size=(2, 200, 2))
+    sample = Sample.over(NormalConeOp(Box([0.0, 0.0], [1.0, 1.0])), Grid([-2.0, -2.0], [3.0, 3.0], 0.25))
+    cert = fitz_inequality_check(sample, X, S)
+    assert built == []
+    values, _ = fitz_rows(sample, X, S)
+    assert len(built) == len(sample.domain)  # the ray half built them
+    assert np.array_equal(fitzkit.fitzpatrick._pair_rows(sample, X, S)[0], values)
+    assert cert.witness("worst_gap") == float((np.einsum("ij,ij->i", X, S) - values).max())
 
 
 def test_inequality_equality_on_graph_points():

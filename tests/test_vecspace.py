@@ -128,6 +128,20 @@ def test_dist_against_cvxpy_oracle():
         assert d == pytest.approx(d_ref, abs=1e-5)
 
 
+def test_dist_against_face_enumeration():
+    # the cvxpy oracle's sibling that runs without cvxpy: Wolfe's nearest-point
+    # method (dist_to_polytope) against the facet table (Polytope.project_batch)
+    rng = np.random.default_rng(RNG_SEED + 11)
+    for n in (2, 3, 4):
+        for _ in range(30):
+            hull = conv_hull(rng.uniform(-1, 1, size=(8, n)))
+            Z = rng.uniform(-2, 2, size=(1, n))
+            d, proj = dist_to_polytope(Z[0], hull)
+            ref = hull.project_batch(Z)[0]
+            assert np.abs(proj - ref).max() <= 1e-12
+            assert d == pytest.approx(np.linalg.norm(Z[0] - ref), abs=1e-12)
+
+
 def test_dist_against_nnls_oracle_on_far_simplex_rows():
     # the simplex constraint as a heavily weighted row: nnls solves
     # [V^T; M 1^T] u ~ [w; M] with u >= 0. Each far row projects into the
@@ -585,6 +599,31 @@ def test_projection_with_rays_against_cvxpy():
             level = float((pts @ r).max())
             active = pts @ r >= level - 1e-9
             assert np.any(active)
+
+
+def test_projection_with_rays_against_slsqp():
+    # the cvxpy oracle's sibling that runs without cvxpy: the same program,
+    # min |P'w + R't - v|^2 over w >= 0 summing to 1 and t >= 0, by SLSQP
+    from scipy.optimize import minimize
+
+    rng = np.random.default_rng(RNG_SEED + 12)
+    for n in (2, 3, 4):
+        for _ in range(10):
+            pts = rng.uniform(-1, 1, size=(5, n))
+            rays = rng.uniform(-1, 1, size=(3, n))
+            v = rng.uniform(-3, 3, size=n)
+            y, d = project_onto_generated_set(pts, rays, v)
+            gen = np.vstack([pts, rays])
+            res = minimize(
+                lambda u: float(np.sum((u @ gen - v) ** 2)), np.r_[np.full(5, 0.2), np.zeros(3)],
+                jac=lambda u: 2.0 * gen @ (u @ gen - v), method="SLSQP", bounds=[(0, None)] * 8,
+                constraints=[{"type": "eq", "fun": lambda u: u[:5].sum() - 1.0}],
+                options={"ftol": 1e-14, "maxiter": 500},
+            )
+            assert res.success
+            d_ref = float(np.linalg.norm(res.x @ gen - v))
+            assert d == pytest.approx(d_ref, abs=1e-6)
+            assert np.linalg.norm(y - v) == pytest.approx(d, abs=1e-12)
 
 
 # --------------------------------------------------------------------------
