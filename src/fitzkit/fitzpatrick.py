@@ -1,7 +1,8 @@
 """Fitzpatrick function evaluation by three routes: finite-graph enumeration,
 the linear closed form, and fitz_rows, the sampled kernel for a batch of
-points (fitz_at is its one-row case; the domain-projection scan, the
-inequality check and the conv-domain probes make one call each).
+points (fitz_at is its one-row case and the conv-domain probes make one
+call; the domain-projection scan runs only its crossings half, and the
+inequality check only its values half).
 
 "Infinite" is always operationalized as a threshold crossing with a recorded
 graph-point witness; sampled suprema certify lower bounds only, so a Finite
@@ -38,6 +39,7 @@ from .vecspace import (
     as_matrix,
     as_vector,
     lexsort_rows,
+    rounding_margin,
     rowwise_dot,
     rowwise_matmul,
 )
@@ -99,12 +101,15 @@ def fitz_linear(
     diverges otherwise.
 
     Ms^+ drops eigenvalues at or below rank_tol, and s is in range when its
-    residual off the kept eigenvectors is within rank_tol, relative. Otherwise
-    the terms along a = a0 + t u, with a0 = Ms^+ s / 2 the in-range maximiser
-    and u the unit residual (orthogonal to a0), are a quadratic in t. Its first
-    point at the crossing target is the witness; when its maximum stays at or
-    below inf_threshold, the term there is a Finite lower bound, exact when
-    one eigenvector of Ms carries the residual.
+    residual off the kept eigenvectors is within rank_tol, relative. An
+    in-range value above inf_threshold is a crossing like any other term:
+    its witness is the maximiser (a0, M a0 + c), a0 = Ms^+ s / 2. Otherwise
+    the terms along a = a0 + t u, with u the unit residual (orthogonal to
+    a0), are a quadratic in t. Its first point at the crossing target is the
+    witness; when its maximum stays at or below inf_threshold, the term
+    there is a Finite lower bound, exact when one eigenvector of Ms carries
+    the residual. Either witness reports the term recomputed at it, and is a
+    crossing only when that term passes inf_threshold.
     """
     M = as_matrix(M)
     c = as_vector(c, dim=M.shape[0])
@@ -117,20 +122,22 @@ def fitz_linear(
     resid_vec = s - vecs[:, keep] @ coeffs[keep]
     rho = float(np.linalg.norm(resid_vec))
     top = float(np.dot(x, c)) + 0.25 * float(np.sum(coeffs[keep] ** 2 / vals[keep]))
-    if rho <= tol.rank_tol * max(1.0, float(np.linalg.norm(s))):
+    in_range = rho <= tol.rank_tol * max(1.0, float(np.linalg.norm(s)))
+    if in_range and top <= tol.inf_threshold:
         return Finite(top)
-    # the term at a0 + t u is top + t rho - t^2 curv
-    u = resid_vec / rho
-    curv = float(u @ ms @ u)
-    gap = tol.inf_threshold * _CROSS_FACTOR - top
-    disc = rho * rho - 4.0 * curv * gap
-    if curv <= 0.0:
-        t = gap / rho
-    elif disc >= 0.0:
-        t = (rho - np.sqrt(disc)) / (2.0 * curv)
-    else:  # the maximum, below the target
-        t = rho / (2.0 * curv)
-    a = vecs[:, keep] @ (0.5 * coeffs[keep] / vals[keep]) + t * u
+    a = vecs[:, keep] @ (0.5 * coeffs[keep] / vals[keep])  # a0, whose term is top
+    if not in_range:  # the term at a0 + t u is top + t rho - t^2 curv
+        u = resid_vec / rho
+        curv = float(u @ ms @ u)
+        gap = tol.inf_threshold * _CROSS_FACTOR - top
+        disc = rho * rho - 4.0 * curv * gap
+        if curv <= 0.0:
+            t = gap / rho
+        elif disc >= 0.0:
+            t = (rho - np.sqrt(disc)) / (2.0 * curv)
+        else:  # the maximum, below the target
+            t = rho / (2.0 * curv)
+        a = a + t * u
     astar = M @ a + c
     term = float(np.dot(x, astar) + np.dot(a, xs) - np.dot(a, astar))
     return InfiniteSuspected(term, PairPoint(a, astar)) if term > tol.inf_threshold else Finite(term)
@@ -165,37 +172,77 @@ def _resolvent_rows(op: OperatorSpec, W: np.ndarray, tol: ToleranceConfig) -> np
         return np.vstack([_resolvent_rows(op, w[None, :], tol) for w in W])
 
 
-def _pair_rows(s: Sample, X: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, list]:
-    """fitz_rows' values, with its crossings at sample pairs (rank 0) and at
-    resolvent points (rank 1), each as (rows, terms, witnesses (a, a*), rank)."""
-    g, tol, n = s.graph, s.tol, X.shape[1]
-    values = np.empty(len(X))
-    sampled = not isinstance(s.op, GraphOp) and len(X) > 0
-    found = [(np.zeros(0, dtype=int), np.zeros(0), np.zeros((0, 2 * n)), np.zeros(0))]
-    for blk in _blocks(len(X), len(g)):
-        T = _affine_terms(g, X[blk], S[blk])
-        values[blk] = T.max(axis=1)
+def _pair_table(
+    s: Sample, X: np.ndarray, S: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, list]:
+    """The sampled kernel's one table loop, over the given rows of (X, S):
+    each row's largest affine term over the sample pairs, and the rows'
+    lex-first crossing pairs (rank 0) as (rows, terms, witnesses (a, a*),
+    rank). Finite-graph samples have no crossing."""
+    g, tol = s.graph, s.tol
+    tops, found = np.empty(len(rows)), []
+    sampled = not isinstance(s.op, GraphOp)
+    for blk in _blocks(len(rows), len(g)):
+        at = rows[blk]
+        T = _affine_terms(g, X[at], S[at])
+        tops[blk] = T.max(axis=1)
         over = T > tol.inf_threshold
         hit = np.flatnonzero(over.any(axis=1) & sampled)
         if len(hit):
             order = lexsort_rows(np.hstack([g.primals, g.duals]))
             j = order[over[hit][:, order].argmax(axis=1)]  # lex-first crossing pair
             W = np.hstack([g.primals[j], g.duals[j]])
-            found.append((hit + blk.start, T[hit, j], W, np.zeros(len(hit))))
+            found.append((at[hit], T[hit, j], W, np.zeros(len(hit))))
         del T, over  # before the next block is summed
+    return tops, found
 
-    if sampled:
-        X0 = _resolvent_rows(s.op, X + S, tol)
-        S0 = X + S - X0
-        terms = rowwise_dot(X, S0) + rowwise_dot(X0, S) - rowwise_dot(X0, S0)
-        values = np.where(terms > values, terms, values)
-        i = np.flatnonzero(terms > tol.inf_threshold)
-        found.append((i, terms[i], np.hstack([X0, S0])[i], np.ones(len(i))))
-    return values, found
+
+def _unbounded_rows(s: Sample, X: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """The rows of (X, S) whose sample-pair terms the a-priori bound cannot
+    keep below inf_threshold; no other row has a crossing pair.
+
+    Exactness. _affine_terms sums, for row i and pair j, the 2n + 1 terms
+    x_ik a*_jk, x*_ik a_jk and -d_j (d_j = <a_j, a*_j> as stored, an exact
+    input). By the a-priori dot-product bound, which holds for any order
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., §3.1),
+    the computed term is within gamma_{2n+1} E_ij of their exact sum, where
+    E_ij, the sum of the terms' magnitudes, is at most
+
+        B_i = sum_k |x_ik| max_j |a*_jk| + sum_k |x*_ik| max_j |a_jk| + max_j |d_j|.
+
+    So no computed term of row i exceeds (1 + gamma_{2n+1}) B_i. The computed
+    B_i, a sum of 2n + 1 nonnegative terms, is at least (1 - gamma_{2n+1}) B_i,
+    and (1 + gamma_m) / (1 - gamma_m) <= 1 + 2 gamma_{m+1}. A row is cleared
+    when the computed B_i plus rounding_margin (2 gamma_{2n+3} B_i plus 4n
+    smallest subnormals) is below inf_threshold: the step from 2n + 2 to
+    2n + 3 covers the rounding of the margin and of its sum, the subnormals
+    cover underflowed products in the terms and in B_i, and rounding to
+    nearest is monotone, so a computed sum below the threshold has an exact
+    sum below it. A NaN or infinite bound clears nothing. Every other row
+    goes to _pair_table, where its terms are those it has alone."""
+    g = s.graph
+    if X.shape[1] != g.dim:
+        raise ValidationError("point dimension does not match the graph")
+    B = np.abs(X) @ np.abs(g.duals).max(axis=0) + np.abs(S) @ np.abs(g.primals).max(axis=0)
+    B += np.abs(g.self_products).max()
+    return np.flatnonzero(~(B + rounding_margin(B, g.dim) < s.tol.inf_threshold))
+
+
+def _resolvent_terms(s: Sample, X: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, list]:
+    """Each row's term at the resolvent point of x + x* (a true graph point
+    whose term dominates the pairing), -inf on finite-graph samples, and the
+    crossings among them (rank 1), as _pair_table gives its own."""
+    if isinstance(s.op, GraphOp) or not len(X):
+        return np.full(len(X), -np.inf), []
+    X0 = _resolvent_rows(s.op, X + S, s.tol)
+    S0 = X + S - X0
+    terms = rowwise_dot(X, S0) + rowwise_dot(X0, S) - rowwise_dot(X0, S0)
+    i = np.flatnonzero(terms > s.tol.inf_threshold)
+    return terms, [(i, terms[i], np.hstack([X0, S0])[i], np.ones(len(i)))]
 
 
 def _ray_crossings(s: Sample, X: np.ndarray, S: np.ndarray) -> list:
-    """fitz_rows' crossings along exact fiber rays, as _pair_rows gives its
+    """fitz_rows' crossings along exact fiber rays, as _pair_table gives its
     own, each ray ranked by its row in (A, B, R), before the pairs."""
     tol = s.tol
     # rows (a, b, r): each exact fiber ray r at a domain point a of the
@@ -224,6 +271,40 @@ def _ray_crossings(s: Sample, X: np.ndarray, S: np.ndarray) -> list:
     return found
 
 
+def _lex_first(
+    s: Sample, X: np.ndarray, S: np.ndarray, found: list
+) -> list[Optional[tuple[float, PairPoint]]]:
+    """Each row's lex-first crossing among the found ones and the exact-ray
+    ones: the smallest witness (a, a*), ties to the ray, then the pair, then
+    the resolvent point."""
+    n = X.shape[1]
+    none = (np.zeros(0, dtype=int), np.zeros(0), np.zeros((0, 2 * n)), np.zeros(0))
+    rows, terms, W, rank = (np.concatenate(part) for part in zip(none, *found, *_ray_crossings(s, X, S)))
+    first = np.lexsort((rank, *W.T[::-1], rows))
+    first = first[np.diff(rows[first], prepend=-1) != 0]  # each row's lex-first witness
+    crossings = [None] * len(X)
+    for i, t, w in zip(rows[first], terms[first], W[first]):
+        crossings[i] = (float(t), PairPoint(w[:n], w[n:]))
+    return crossings
+
+
+def _row_values(s: Sample, X: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """fitz_rows' values alone: one table over every row, and no fiber."""
+    tops, _ = _pair_table(s, X, S, np.arange(len(X)))
+    terms, _ = _resolvent_terms(s, X, S)
+    return np.where(terms > tops, terms, tops)
+
+
+def _row_crossings(
+    s: Sample, X: np.ndarray, S: np.ndarray
+) -> list[Optional[tuple[float, PairPoint]]]:
+    """fitz_rows' crossings alone: only the rows _unbounded_rows keeps build
+    a table."""
+    _, pairs = _pair_table(s, X, S, _unbounded_rows(s, X, S))
+    _, resolvent = _resolvent_terms(s, X, S)
+    return _lex_first(s, X, S, pairs + resolvent)
+
+
 def fitz_rows(
     s: Sample, X: np.ndarray, S: np.ndarray
 ) -> tuple[np.ndarray, list[Optional[tuple[float, PairPoint]]]]:
@@ -238,17 +319,16 @@ def fitz_rows(
     point (ties in that order). Finite-graph samples have neither. A row's
     results are those it has alone: terms are summed in a fixed order,
     pairings are one BLAS dot per row, and a row whose resolvent has no
-    closed form loses only its own resolvent term. The values are
-    _pair_rows' alone, which builds no fiber.
+    closed form loses only its own resolvent term.
+
+    The kernel has two halves, each a caller may run alone: the values
+    (_row_values, which builds no fiber) and the crossings (_row_crossings,
+    which builds a table only for the rows _unbounded_rows cannot clear).
+    fitz_rows runs both on one table and one resolvent solve.
     """
-    values, found = _pair_rows(s, X, S)
-    rows, terms, W, rank = (np.concatenate(part) for part in zip(*found, *_ray_crossings(s, X, S)))
-    first = np.lexsort((rank, *W.T[::-1], rows))
-    first = first[np.diff(rows[first], prepend=-1) != 0]  # each row's lex-first witness
-    crossings, n = [None] * len(X), X.shape[1]
-    for i, t, w in zip(rows[first], terms[first], W[first]):
-        crossings[i] = (float(t), PairPoint(w[:n], w[n:]))
-    return values, crossings
+    tops, pairs = _pair_table(s, X, S, np.arange(len(X)))
+    terms, resolvent = _resolvent_terms(s, X, S)
+    return np.where(terms > tops, terms, tops), _lex_first(s, X, S, pairs + resolvent)
 
 
 def fitz_sampled(
@@ -315,7 +395,7 @@ def fitz_domain_projection(sample: Sample, xgrid: Grid) -> DomainScan:
         owners.append(kept[blk][r])
         probes.append(g.duals[c])
     owners, probes = np.concatenate(owners), np.concatenate(probes)
-    _, crossings = fitz_rows(sample, nodes[owners], probes)
+    crossings = _row_crossings(sample, nodes[owners], probes)
     member = np.zeros(len(nodes), dtype=bool)
     member[owners[[c is None for c in crossings]]] = True
     return DomainScan(xgrid, nodes[member], "sampled_threshold")
@@ -342,7 +422,7 @@ def fitz_inequality_check(sample: Sample, X: np.ndarray, S: np.ndarray) -> Certi
     graph_pts, tol = sample.graph, sample.tol
     lip = 1.0 + float(np.linalg.norm(graph_pts.duals, axis=1).max())
     slack = max(2.0 * _nn_spacing_estimate(graph_pts) * lip, 1e-9)
-    gaps = rowwise_dot(X, S) - _pair_rows(sample, X, S)[0]
+    gaps = rowwise_dot(X, S) - _row_values(sample, X, S)
     worst_gap = float(gaps.max()) if len(gaps) else -np.inf
     # graph-point equality: F - pairing = -min pairwise product, vectorized
     worst_eq = 0.0

@@ -35,7 +35,7 @@ from .criteria import (
     sup_quotient,
     theorem36_experiment,
 )
-from .errors import ScenarioParseError, ValidationError, ZOnDomainError
+from .errors import FitzkitError, ScenarioParseError, ValidationError, ZOnDomainError
 from .fitzpatrick import fitz_inequality_check, shift_identity_check
 from .operators import (
     DualityMapOp,
@@ -584,6 +584,27 @@ class Report:
         return 1 if self.worst_verdict is Verdict.FAIL else 0
 
 
+def _finite_witness(v) -> bool:
+    if isinstance(v, PairPoint):
+        return bool(np.isfinite(v.primal).all() and np.isfinite(v.dual).all())
+    return not isinstance(v, (float, np.floating, np.ndarray)) or bool(np.isfinite(v).all())
+
+
+def _run_check(run: _Run) -> Certificate:
+    """The check's certificate. A value beyond the float range, on the way
+    or in a witness (a report has no such number), is one error naming the
+    check."""
+    where = f"check {run.spec.check!r} on target {run.spec.target!r}"
+    try:
+        with np.errstate(over="raise"):
+            cert = CHECKS[run.spec.check].run(run)
+    except FloatingPointError as e:
+        raise FitzkitError(f"{where}: a value overflows a float ({e})") from e
+    if not all(_finite_witness(v) for _, v in cert.witnesses):
+        raise FitzkitError(f"{where}: a witness is not a finite float")
+    return cert
+
+
 def run_suite(cfg: ScenarioConfig) -> Report:
     """Execute the checks in listed order; per-check randomness comes from
     seeds drawn up front, so a check's certificate does not depend on the
@@ -595,7 +616,7 @@ def run_suite(cfg: ScenarioConfig) -> Report:
     samples: dict = {}
     results = []
     for sc, sd in zip(cfg.checks, child_seeds):
-        cert = CHECKS[sc.check].run(_Run(cfg, sc, np.random.default_rng(sd), samples))
+        cert = _run_check(_Run(cfg, sc, np.random.default_rng(sd), samples))
         results.append(CheckResult(sc.check, sc.target, cert))
     elapsed = time.monotonic() - t0
     return Report(

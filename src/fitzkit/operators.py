@@ -57,6 +57,7 @@ from .vecspace import (
     conv_hull,
     dedupe_rows_within,
     project_onto_generated_set,
+    rounding_margin,
     rowwise_dot,
     rowwise_matmul,
 )
@@ -873,10 +874,8 @@ def _first_flagged_row(X: np.ndarray, S: np.ndarray, d: np.ndarray, eq_tol: floa
     """First row of the first block of monotone_check's gate holding an entry
     Q > eq_tol - margin, or None; each tile of Q stays in cache from matmul to max."""
     k, n = X.shape
-    m = 2 * n + 3
-    u = np.finfo(float).eps / 2
     C = 2.0 * np.abs(d).max() + 2.0 * np.linalg.norm(X, axis=1).max() * np.linalg.norm(S, axis=1).max()
-    margin = 2.0 * (m * u / (1.0 - m * u)) * C + 4 * n * np.finfo(float).smallest_subnormal
+    margin = rounding_margin(C, n)
     if not np.isfinite(margin):
         return 0
     limit = np.nextafter(eq_tol - margin, -np.inf)

@@ -72,6 +72,17 @@ def rowwise_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.matmul(A[..., None, :], B[..., :, None])[..., 0, 0]
 
 
+def rounding_margin(C, n: int):
+    """2 gamma_{2n+3} C plus 4n smallest subnormals, gamma_m = m u / (1 - m u)
+    with unit roundoff u: the widening by which the exact gates turn C, an
+    a-priori bound on the magnitudes of a sum of at most 2n + 2 products of
+    n-vector entries, into a bound on what floats compute (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., §3.1). monotone_check and
+    the sampled kernel's _unbounded_rows say why it suffices for each."""
+    m, u = 2 * n + 3, np.finfo(float).eps / 2
+    return 2.0 * (m * u / (1.0 - m * u)) * C + 4 * n * np.finfo(float).smallest_subnormal
+
+
 def lexsort_rows(rows: np.ndarray) -> np.ndarray:
     """Indices sorting rows lexicographically (first coordinate is primary)."""
     rows = np.atleast_2d(rows)

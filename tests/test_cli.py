@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fitzkit
+from fitzkit.certificates import passed
 from fitzkit.cli import main
 from fitzkit.harness import CHECKS, FUNCTION_KINDS, OPERATOR_KINDS
 
@@ -765,6 +766,57 @@ def test_fitz_value_that_overflows_a_float_exit_two(operator):
                                    "--wgrid=-1:1:0.5"])
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: F at this point overflows a float")
+
+
+def test_fitz_linear_value_above_the_threshold_is_a_crossing():
+    """F = |x + x*|^2 / 4 = 1e10 at x = x* = 1e5 passes inf_threshold: the
+    closed form reports the crossing, with the witness the sampled kernel
+    gives for the same map written as a quadratic's subdifferential."""
+    args = ["--x", "1e5", "--xstar", "1e5", "--wgrid=-1:1:0.5"]
+    quadratic = json.dumps({"kind": "subdiff", "fun": {"kind": "quadratic", "matrix": [[1.0]]}})
+    (code, out, err), (_, sampled, _) = (run_captured(["fitz", "--operator", op, *args])
+                                         for op in (LINEAR_1D, quadratic))
+    crossing = {"kind": "infinite_suspected", "crossed_threshold": 1e10,
+                "witness": {"primal": [1e5], "dual": [1e5]}}
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {**crossing, "method": "linear_closed_form"}
+    assert json.loads(sampled) == {**crossing, "method": "sampled"}
+
+
+HUGE_Z = {"dimension": 1, "operators": {"lin": json.loads(LINEAR_1D)},
+          "grids": {"w": {"lower": [-1.0], "upper": [1.0], "spacing": 0.5}},
+          "checks": [{"check": "near_convexity", "target": "lin",
+                      "params": {"z": [1e300], "lambdas": [1.0], "wgrid": "w"}}]}
+
+
+@pytest.mark.parametrize("command", ["check", "suite"])
+def test_check_value_beyond_the_float_range_exits_two_naming_the_check(tmp_path, command):
+    """near_convexity at z = 1e300 squares a distance past the float range:
+    one error line naming the check, with no numpy warning or traceback."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(HUGE_Z))
+    argv = {"check": ["check", "--check", "near_convexity", "--z", "1e300", "--lambdas", "1",
+                      "--wgrid=-1:1:0.5", "--operator", LINEAR_1D],
+            "suite": ["suite", "--scenario", str(path)]}[command]
+    target = {"check": "target", "suite": "lin"}[command]
+    code, out, err = run_captured(argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: check 'near_convexity' on target '{target}': a value overflows a float")
+
+
+def test_suite_witness_beyond_the_float_range_exits_two_naming_the_check(monkeypatch, tmp_path):
+    """A witness no report can hold (inf, NaN) ends as one error line, even
+    when nothing overflowed on the way."""
+    path = tmp_path / "ok.json"
+    path.write_text(json.dumps(VALID_SCENARIO))
+    check = CHECKS["fitz_inequality"]
+    monkeypatch.setitem(CHECKS, "fitz_inequality", type(check)(
+        lambda run: passed("fitz_inequality", "n/a", [("worst_gap", float("nan"))]), check.needs,
+        check.optional))
+    code, out, err = run_captured(["suite", "--scenario", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: check 'fitz_inequality' on target 'cone': a witness is not a finite float\n"
 
 
 # --------------------------------------------------------------------------

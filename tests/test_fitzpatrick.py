@@ -178,20 +178,25 @@ def resolution(M, lam):
 
 
 @settings(max_examples=300, deadline=None)
-@given(psd_linear_cases())
-def test_fitz_linear_against_the_separable_value(case):
+@given(psd_linear_cases(), st.sampled_from([DEFAULT_TOL.inf_threshold, 10.0, 1.0]))
+def test_fitz_linear_against_the_separable_value(case, threshold):
+    # thresholds of 10 and 1 put many in-range values above inf_threshold
     M, c, x, xs = case
-    v = fitz_linear(M, c, pair(x, xs))
-    if isinstance(v, InfiniteSuspected):  # a crossing with a graph-point witness
-        assert v.crossed_threshold > DEFAULT_TOL.inf_threshold
-        a, astar = v.witness.primal, v.witness.dual
-        assert np.array_equal(astar, M @ a + c)
-        assert x @ astar + a @ xs - a @ astar == pytest.approx(v.crossed_threshold, rel=1e-12)
-        return
+    v = fitz_linear(M, c, pair(x, xs), ToleranceConfig(inf_threshold=threshold))
     exact = separable_value(M, c, x, xs)
     vals, coef = eigen_split(M, c, x, xs)
     small = vals[(vals > 1e-14) & (vals <= DEFAULT_TOL.rank_tol)]
-    assert v.value <= exact + resolution(M, small.min(initial=1.0)) * max(1.0, abs(v.value))
+    slack = resolution(M, small.min(initial=1.0))
+    if isinstance(v, InfiniteSuspected):  # a crossing with a graph-point witness
+        assert v.crossed_threshold > threshold
+        a, astar = v.witness.primal, v.witness.dual
+        assert np.array_equal(astar, M @ a + c)
+        assert x @ astar + a @ xs - a @ astar == pytest.approx(v.crossed_threshold, rel=1e-12)
+        # a graph point's term bounds F from below
+        assert v.crossed_threshold <= exact + slack * abs(v.crossed_threshold)
+        return
+    assert v.value <= threshold  # a Finite value never passes inf_threshold
+    assert v.value <= exact + slack * max(1.0, abs(v.value))
     off = vals <= DEFAULT_TOL.rank_tol
     carriers = vals[off][np.abs(coef[off]) > 1e-12]
     if exact < np.inf and len(carriers) <= 1:  # one eigenvector carries s off range
@@ -448,8 +453,10 @@ def test_fitz_rows_crossing_is_the_lex_first_witness():
 
 @pytest.mark.parametrize("dim", [1, 3])
 def test_fitz_rows_rejects_points_of_another_dimension(dim):
-    with pytest.raises(ValidationError, match="dimension"):
-        fitz_rows(closed_form_sample("box_cone"), np.zeros((2, dim)), np.ones((2, dim)))
+    # the crossings half too, whose bound clears these rows before any table
+    for rows in (fitz_rows, fitzkit.fitzpatrick._row_crossings):
+        with pytest.raises(ValidationError, match="dimension"):
+            rows(closed_form_sample("box_cone"), np.zeros((2, dim)), np.ones((2, dim)))
 
 
 def test_fitz_rows_failing_resolvent_drops_only_its_row(monkeypatch):
@@ -567,6 +574,101 @@ def test_domain_projection_rejects_graphs():
         fitz_domain_projection(Sample.over(GraphOp(TWO_POINT), None), Grid([-1.0], [1.0], 0.5))
 
 
+GATE_THRESHOLDS = (0.1, 2.0, 10.0, 50.0)
+
+
+# a graph whose bound a row attains: the pair ((1, 0), (-1, 0)) has the
+# largest |a_1| and |a*_1| and d = -max |d|, so at x = -t e1, x* = t e1 its
+# term 2t + 1 is B exactly. Sampled under the identity, whose fibers have no
+# ray, the pair's crossing is the row's only one
+TIGHT_GRAPH = graph_of(([1.0, 0.0], [-1.0, 0.0]), ([0.0, 0.0], [0.0, 0.0]), ([0.5, 0.5], [0.25, -0.5]))
+
+
+@lru_cache(maxsize=None)
+def gate_sample(i, threshold):
+    """The Minty sample of ROW_SAMPLES[i], or the identity's sample on
+    TIGHT_GRAPH for i = len(ROW_SAMPLES), at a small inf_threshold."""
+    tol, grid = ToleranceConfig(eq_tol=1e-7, inf_threshold=threshold), Grid([-2.0, -2.0], [3.0, 3.0], 0.5)
+    if i == len(ROW_SAMPLES):
+        return Sample(IDENT2, TIGHT_GRAPH, tol, grid)
+    return Sample.over(ROW_SAMPLES[i], grid, tol)
+
+
+def same_crossings(got, want):
+    """Both crossing lists hold None at the same rows and, elsewhere, the
+    same term and witness bit for bit."""
+    assert [c is None for c in got] == [c is None for c in want]
+    for c, w in zip(got, want):
+        if c is not None:
+            assert c[0].hex() == w[0].hex()
+            assert c[1].primal.tobytes() == w[1].primal.tobytes()
+            assert c[1].dual.tobytes() == w[1].dual.tobytes()
+    return True
+
+
+@st.composite
+def gate_cases(draw):
+    """(sample, X, S, xgrid) on a sample with a small inf_threshold, so that
+    sample pairs cross. The rows are uniform draws and rows (t a_j*, t a_j)
+    along a sample pair (on TIGHT_GRAPH, some at B_i itself), each scaled so
+    that the gate's bound B_i sits within 16 ulps of inf_threshold, plus the
+    uniform draws unscaled."""
+    s = gate_sample(draw(st.integers(0, len(ROW_SAMPLES))), draw(st.sampled_from(GATE_THRESHOLDS)))
+    g, threshold = s.graph, s.tol.inf_threshold
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X, S = rng.uniform(-3.0, 3.0, (2, 12, 2))
+    j = rng.integers(len(g), size=12)
+    X, S = np.vstack([X, g.duals[j]]), np.vstack([S, g.primals[j]])
+    linear = np.abs(X) @ np.abs(g.duals).max(axis=0) + np.abs(S) @ np.abs(g.primals).max(axis=0)
+    reach = max(threshold - np.abs(g.self_products).max(), 0.0)
+    scale = reach / np.where(linear > 0, linear, 1.0) * (1.0 + EPS * rng.integers(-16, 17, len(X)))
+    X, S = np.vstack([X * scale[:, None], X[:12]]), np.vstack([S * scale[:, None], S[:12]])
+    lo = draw(st.lists(st.floats(-2.0, 0.0), min_size=2, max_size=2))
+    xgrid = Grid(lo, [v + 3.0 for v in lo], draw(st.sampled_from([0.25, 0.5, 0.75])))
+    return s, X, S, xgrid
+
+
+@settings(max_examples=60, deadline=None)
+@given(gate_cases())
+def test_crossings_half_equals_fitz_rows_crossings(case):
+    """The crossings half, which tabulates only the rows the bound cannot
+    clear, gives fitz_rows' crossings bit for bit, and so does the domain
+    scan, whose member set is the one full crossings give."""
+    s, X, S, xgrid = case
+    same_crossings(fitzkit.fitzpatrick._row_crossings(s, X, S), fitz_rows(s, X, S)[1])
+    real = fitzkit.fitzpatrick._row_crossings
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fitzkit.fitzpatrick, "_row_crossings",
+                   lambda *rows: same_crossings(real(*rows), fitz_rows(*rows)[1]) and real(*rows))
+        scan = fitz_domain_projection(s, xgrid)
+        mp.setattr(fitzkit.fitzpatrick, "_row_crossings", lambda *rows: fitz_rows(*rows)[1])
+        full = fitz_domain_projection(s, xgrid)
+    assert np.array_equal(scan.member_points, full.member_points)
+
+
+def test_domain_scan_builds_no_pair_table(monkeypatch):
+    """Every bundled theorem36 scan is decided without a table: the bound
+    clears each probe row. With inf_threshold at 1 the same scans do send
+    rows, so the count sees them."""
+    targets = [(cfg, check) for name in ("paper-suite", "operator-zoo", "expected-failures")
+               for cfg in [load_scenario(SCENARIOS / f"{name}.json")]
+               for check in cfg.checks if check.check == "theorem36"]
+    assert len(targets) == 8
+    sent, real = [], fitzkit.fitzpatrick._affine_terms
+    monkeypatch.setattr(fitzkit.fitzpatrick, "_affine_terms",
+                        lambda g, X, S: sent.append(len(X)) or real(g, X, S))
+    for cfg, check in targets:
+        op, xgrid = cfg.operators[check.target], cfg.grids[check.params["xgrid"]]
+        wgrid = cfg.grids.get(check.params.get("wgrid")) or _default_wgrid(op, xgrid)
+        assert cfg.tolerances == DEFAULT_TOL
+        fitz_domain_projection(Sample.over(op, wgrid, cfg.tolerances), xgrid)
+        assert sum(sent) == 0, check.target
+        if not isinstance(op, LinearOp):  # the linear scan probes nothing
+            fitz_domain_projection(Sample.over(op, wgrid, ToleranceConfig(inf_threshold=1.0)), xgrid)
+            assert sum(sent) > 0, check.target
+            sent.clear()
+
+
 # --------------------------------------------------------------------------
 # inequality check
 # --------------------------------------------------------------------------
@@ -601,7 +703,7 @@ def test_inequality_check_builds_no_fiber(monkeypatch):
     assert built == []
     values, _ = fitz_rows(sample, X, S)
     assert len(built) == len(sample.domain)  # the ray half built them
-    assert np.array_equal(fitzkit.fitzpatrick._pair_rows(sample, X, S)[0], values)
+    assert np.array_equal(fitzkit.fitzpatrick._row_values(sample, X, S), values)
     assert cert.witness("worst_gap") == float((np.einsum("ij,ij->i", X, S) - values).max())
 
 

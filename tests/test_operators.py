@@ -43,7 +43,7 @@ from fitzkit.operators import (
     unique_domain_points,
 )
 from fitzkit import operators, vecspace
-from fitzkit.fitzpatrick import fitz_rows
+from fitzkit.fitzpatrick import _row_crossings, fitz_rows
 from fitzkit.vecspace import (
     Box,
     DEFAULT_TOL,
@@ -717,9 +717,9 @@ def _kind_sample(kind):
 @given(st.lists(_row, min_size=2, max_size=8), st.sampled_from((1.0, 1e4, 1e8)))
 @pytest.mark.parametrize("kind", sorted(MEMBERSHIP_KINDS))
 def test_batch_rows_equal_rows_computed_alone(kind, rows, scale):
-    # membership_batch, resolvent_batch, fitz_rows and _box_qp_batch give each
-    # row of a batch its one-row result bit for bit, whatever the other rows,
-    # with rows scaled out to |x| ~ 1e8
+    # membership_batch, resolvent_batch, fitz_rows, its crossings half and
+    # _box_qp_batch give each row of a batch its one-row result bit for bit,
+    # whatever the other rows, with rows scaled out to |x| ~ 1e8
     op, notable = MEMBERSHIP_KINDS[kind]
     pts = [_membership_row(op, notable, *r) for r in rows]
     X = scale * np.array([x for x, _ in pts])
@@ -729,14 +729,16 @@ def test_batch_rows_equal_rows_computed_alone(kind, rows, scale):
     sample = _kind_sample(kind)
     if sample is not None:  # values bit for bit, crossings (term and witness) equal
         values, crossings = fitz_rows(sample, X, S)
+        halves = _row_crossings(sample, X, S)
         for i in range(len(X)):
             (value,), (crossing,) = fitz_rows(sample, X[i : i + 1], S[i : i + 1])
             assert values[i : i + 1].tobytes() == np.array([value]).tobytes()
-            assert (crossing is None) == (crossings[i] is None)
-            if crossing is not None:
-                (t, w), (t_all, w_all) = crossing, crossings[i]
-                assert t == t_all and w.primal.tobytes() == w_all.primal.tobytes()
-                assert w.dual.tobytes() == w_all.dual.tobytes()
+            for c in (crossing, halves[i], *_row_crossings(sample, X[i : i + 1], S[i : i + 1])):
+                assert (c is None) == (crossings[i] is None)
+                if c is not None:
+                    (t, w), (t_all, w_all) = c, crossings[i]
+                    assert t == t_all and w.primal.tobytes() == w_all.primal.tobytes()
+                    assert w.dual.tobytes() == w_all.dual.tobytes()
     if isinstance(op, GraphOp):
         return
     W = np.vstack([X + S, scale * np.array([a for _, a, _, _ in rows]),
