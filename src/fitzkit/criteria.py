@@ -15,15 +15,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .certificates import Certificate, QuotientTrace, failed, not_applicable, passed
-from .errors import (
-    NoClosedFormError,
-    NotMaximalError,
-    NotSeparableError,
-    ValidationError,
-    ZOnDomainError,
-)
-from .fitzpatrick import fitz_at, fitz_domain_projection, fitz_rows, is_finite
+from .certificates import Certificate, QuotientTrace, Verdict, failed, not_applicable, passed
+from .errors import NotSeparableError, ValidationError, ZOnDomainError
+from .fitzpatrick import _blocks, fitz_at, fitz_domain_projection, fitz_rows, is_finite
 from .operators import (
     DualityMapOp,
     FiniteGraph,
@@ -31,11 +25,11 @@ from .operators import (
     LinearOp,
     OperatorSpec,
     Sample,
+    _resolvent_rows,
     _subdiff_rows,
     maximality_probe,
     membership_batch,
     perturb,
-    resolvent_batch,
 )
 from .vecspace import (
     DEFAULT_TOL,
@@ -388,51 +382,61 @@ def simons_lower_bound_check(sample: Sample, zpair: PairPoint) -> Certificate:
     return passed(name, "finite stable lower bound r_emp recorded", witnesses)
 
 
+def _br_rows(sample: Sample, X: np.ndarray, S: np.ndarray, A: np.ndarray, B: np.ndarray):
+    """br_check on each row (x, x*) of (X, S) with (alpha, beta) = (A[i], B[i]):
+    each row's Verdict, and a function giving row i's certificate. The sample
+    pairs are read a row block at a time, with a one-row call's sums; then each
+    resolvent step is one batch, where a point with no closed form is no candidate."""
+    g, tol, n = sample.graph, sample.tol, X.shape[1]
+    inf_prod, score, P, D = np.empty(len(X)), np.empty(len(X)), np.empty_like(X), np.empty_like(X)
+    for blk in _blocks(len(X), len(g)):
+        dX, dS = X[blk, None] - g.primals, S[blk, None] - g.duals
+        products = np.einsum("ij,ij->i", dX.reshape(-1, n), dS.reshape(-1, n))
+        inf_prod[blk] = products.reshape(len(dX), -1).min(axis=1)
+        scores = np.maximum(np.linalg.norm(dX, axis=2) / A[blk, None],
+                            np.linalg.norm(dS, axis=2) / B[blk, None])
+        i = scores.argmin(axis=1)  # first on ties
+        score[blk], P[blk], D[blk] = scores[np.arange(len(i)), i], g.primals[i], g.duals[i]
+    for lam in () if isinstance(sample.op, GraphOp) else (A / B, 1.0):
+        W = X + np.reshape(lam, (-1, 1)) * S
+        R = _resolvent_rows(sample.op, W, tol, lam)
+        Rd, ok = (W - R) / np.reshape(lam, (-1, 1)), ~np.isnan(R).any(axis=1)
+        inf_prod = np.minimum(inf_prod, np.where(ok, rowwise_dot(X - R, S - Rd), np.inf))
+        r_score = np.maximum(np.linalg.norm(X - R, axis=1) / A, np.linalg.norm(S - Rd, axis=1) / B)
+        take = ok & (r_score < score)
+        score, P[take], D[take] = np.where(take, r_score, score), R[take], Rd[take]
+    p_dist, d_dist = np.sqrt(rowwise_dot(X - P, X - P)), np.sqrt(rowwise_dot(S - D, S - D))
+    verdicts = [Verdict.NOT_APPLICABLE if inactive else Verdict.PASS if near else Verdict.FAIL
+                for inactive, near in zip(inf_prod <= -A * B + tol.eq_tol, (p_dist < A) & (d_dist < B))]
+
+    def certificate(i: int) -> Certificate:
+        alpha, beta, p, d = float(A[i]), float(B[i]), float(p_dist[i]), float(d_dist[i])
+        witnesses = [("inf_product", float(inf_prod[i])), ("alpha", alpha), ("beta", beta)]
+        if verdicts[i] is Verdict.NOT_APPLICABLE:
+            why = "hypothesis fails: inf <x-a, x*-a*> does not exceed -alpha*beta"
+            return not_applicable("br", why, witnesses)
+        best = PairPoint(P[i], D[i])
+        if verdicts[i] is Verdict.PASS:
+            return passed("br", "approximate graph point found within (alpha, beta)",
+                          [("witness_pair", best), *witnesses, ("primal_distance", p), ("dual_distance", d)])
+        return failed("br", "no graph point within (alpha, beta) of the reference pair",
+                      [("best_near_miss", best), *witnesses, ("near_miss_score", max(p / alpha, d / beta))])
+
+    return verdicts, certificate
+
+
 def br_check(sample: Sample, xpair: PairPoint, alpha: float, beta: float) -> Certificate:
     """Approximate-graph-point check: when inf <x-a, x*-a*> > -alpha*beta, a
-    graph point within (alpha, beta) of (x, x*) must exist.
-
-    The search tries the sampled graph first, then the step-scaled resolvent
-    point at ratio alpha/beta (a true graph point realizing the bound)."""
-    name = "br"
-    if alpha <= 0 or beta <= 0:
-        raise ValidationError("br check needs alpha, beta > 0")
-    g, tol = sample.graph, sample.tol
-    x, xs = xpair.primal, xpair.dual
-    P, D = g.primals, g.duals  # then each resolvent point found; finite graphs have none
-    for lam in (alpha / beta, 1.0):
-        try:
-            b = resolvent_batch(sample.op, (x + lam * xs)[None, :], tol, step=lam)
-        except (NotMaximalError, NoClosedFormError):
-            continue
-        P, D = np.vstack([P, b]), np.vstack([D, (x + lam * xs - b) / lam])
-    k = len(g)  # graph rows summed by einsum, resolvent rows with np.dot's rounding
-    inf_est = float(np.einsum("ij,ij->i", x - P[:k], xs - D[:k]).min())
-    inf_est = min(inf_est, float(rowwise_dot(x - P[k:], xs - D[k:]).min(initial=np.inf)))
-    witnesses = [("inf_product", inf_est), ("alpha", float(alpha)), ("beta", float(beta))]
-    if inf_est <= -alpha * beta + tol.eq_tol:
-        return not_applicable(
-            name,
-            "hypothesis fails: inf <x-a, x*-a*> does not exceed -alpha*beta",
-            witnesses,
-        )
-
-    # nearest candidate in the (alpha, beta)-scaled max distance; first on ties
-    scores = np.maximum(
-        np.linalg.norm(x - P, axis=1) / alpha, np.linalg.norm(xs - D, axis=1) / beta
-    )
-    i = int(np.argmin(scores))
-    best = PairPoint(P[i], D[i])
-    primal_dist = float(np.linalg.norm(x - best.primal))
-    dual_dist = float(np.linalg.norm(xs - best.dual))
-    if primal_dist < alpha and dual_dist < beta:
-        witnesses.insert(0, ("witness_pair", best))
-        witnesses.append(("primal_distance", primal_dist))
-        witnesses.append(("dual_distance", dual_dist))
-        return passed(name, "approximate graph point found within (alpha, beta)", witnesses)
-    witnesses.insert(0, ("best_near_miss", best))
-    witnesses.append(("near_miss_score", max(primal_dist / alpha, dual_dist / beta)))
-    return failed(name, "no graph point within (alpha, beta) of the reference pair", witnesses)
+    graph point within (alpha, beta) of (x, x*) must exist; alpha, beta > 0
+    with a positive finite ratio alpha/beta. The candidate nearest in the
+    (alpha, beta)-scaled max distance, first on ties, is sought over the
+    sampled graph, then the resolvent points at step alpha/beta (a true graph
+    point realizing the bound) and at step 1: the one-row case of _br_rows."""
+    if not (alpha > 0 and beta > 0 and 0 < alpha / beta < np.inf):
+        raise ValidationError("br check needs alpha, beta > 0 with a positive finite ratio alpha/beta")
+    A, B = np.array([alpha], dtype=float), np.array([beta], dtype=float)
+    _, certificate = _br_rows(sample, xpair.primal[None], xpair.dual[None], A, B)
+    return certificate(0)
 
 
 # ---------------------------------------------------------------------------

@@ -19,15 +19,15 @@ from typing import Literal, Optional, Union
 import numpy as np
 
 from .certificates import Certificate, failed, passed
-from .errors import NoClosedFormError, ValidationError, VacuousForFiniteGraphError
+from .errors import ValidationError, VacuousForFiniteGraphError
 from .operators import (
     FiniteGraph,
     GraphOp,
     LinearOp,
     OperatorSpec,
     Sample,
+    _resolvent_rows,
     pairwise_product_blocks,
-    resolvent_batch,
     shift_graph,
 )
 from .vecspace import (
@@ -159,17 +159,6 @@ def _distance_blocks(P: np.ndarray, Y: np.ndarray):
     coordinate at a time as np.linalg.norm sums them (n <= 4)."""
     for blk in _blocks(len(Y), len(P)):
         yield blk, np.sqrt(sum((P[:, j] - Y[blk, j, None]) ** 2 for j in range(P.shape[1])))
-
-
-def _resolvent_rows(op: OperatorSpec, W: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-    """resolvent_batch of W, row by row once it fails, with a NaN row where
-    a row alone has no closed form."""
-    try:
-        return resolvent_batch(op, W, tol)
-    except NoClosedFormError:
-        if len(W) == 1:
-            return np.full(W.shape, np.nan)
-        return np.vstack([_resolvent_rows(op, w[None, :], tol) for w in W])
 
 
 def _pair_table(

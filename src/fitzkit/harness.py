@@ -27,6 +27,7 @@ import numpy as np
 from . import __version__
 from .certificates import Certificate, Verdict, failed, not_applicable, passed
 from .criteria import (
+    _br_rows,
     blowup_witness_sequence,
     br_check,
     conv_domain_certificate,
@@ -423,13 +424,12 @@ class _Run:
             self.samples[key] = Sample.over(self.op, self.grid("wgrid"), self.tol)
         return self.samples[key]
 
-    def box_pairs(self, count: int):
-        """count pairs (x, x*) drawn uniformly from the box_lo..box_hi box
-        (default [-2, 2]^n), one pair at a time as they are consumed."""
-        lo = self.params.get("box_lo", [-2.0] * self.cfg.dimension)
-        hi = self.params.get("box_hi", [2.0] * self.cfg.dimension)
-        for _ in range(count):
-            yield self.rng.uniform(lo, hi), self.rng.uniform(lo, hi)
+    box = property(lambda self: (self.params.get("box_lo", [-2.0] * self.cfg.dimension),
+                                 self.params.get("box_hi", [2.0] * self.cfg.dimension)))
+
+    def box_pairs(self, count: int) -> np.ndarray:
+        """count pairs (x, x*) drawn from the box as one (count, 2, n) array."""
+        return self.rng.uniform(*self.box, size=(count, 2, self.cfg.dimension))
 
 
 def _sup_quotient(run: _Run) -> Certificate:
@@ -457,28 +457,27 @@ def _sup_quotient(run: _Run) -> Certificate:
 
 
 def _br(run: _Run) -> Certificate:
-    p, s = run.params, run.sample()
+    p, s, n = run.params, run.sample(), run.cfg.dimension
     if "trials" not in p:
         return br_check(s, pair(p["x"], p["xstar"]), p["alpha"], p["beta"])
-    n_pass = 0
-    for x, xs in run.box_pairs(p["trials"]):
-        alpha = float(run.rng.uniform(0.05, 1.0))
-        beta = float(run.rng.uniform(0.05, 1.0))
-        cert = br_check(s, pair(x, xs), alpha, beta)
-        if cert.verdict is Verdict.FAIL:
-            trial = [("trial_x", x), ("trial_alpha", alpha), ("trial_beta", beta)]
-            why = "a randomized trial with active hypothesis failed"
-            return failed("br", why, list(cert.witnesses) + trial)
-        n_pass += cert.verdict is Verdict.PASS
+    lo, hi = run.box  # every trial up front: x and x* from the box, then alpha, beta from [0.05, 1]
+    T = run.rng.uniform([*lo, *lo, 0.05, 0.05], [*hi, *hi, 1.0, 1.0], size=(p["trials"], 2 * n + 2))
+    verdicts, certificate = _br_rows(s, T[:, :n], T[:, n:-2], T[:, -2], T[:, -1])
+    if Verdict.FAIL in verdicts:  # the first failing trial fails the check
+        i = verdicts.index(Verdict.FAIL)
+        trial = [("trial_x", T[i, :n]), ("trial_alpha", float(T[i, -2])), ("trial_beta", float(T[i, -1]))]
+        why = "a randomized trial with active hypothesis failed"
+        return failed("br", why, [*certificate(i).witnesses, *trial])
+    n_pass = verdicts.count(Verdict.PASS)
     counts = [("activated_trials", float(n_pass)), ("inactive_trials", float(p["trials"] - n_pass))]
     return passed("br", "all activated randomized trials passed", counts)
 
 
 def _fitz_inequality(run: _Run) -> Certificate:
     """The points, then the box draws, as rows (x, x*) of one (k, 2, n) array."""
-    pts = [*run.params.get("points", []), *run.box_pairs(run.params.get("n_samples", 0))]
-    XS = np.array([np.ravel(side) for q in pts for side in q], dtype=float)
-    XS = XS.reshape(len(pts), 2, run.cfg.dimension)
+    points = np.array([[np.ravel(side) for side in q] for q in run.params.get("points", [])], dtype=float)
+    draws = run.box_pairs(run.params.get("n_samples", 0))
+    XS = np.concatenate([points.reshape(-1, 2, run.cfg.dimension), draws])
     return fitz_inequality_check(run.sample(), XS[:, 0], XS[:, 1])
 
 

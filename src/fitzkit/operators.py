@@ -248,35 +248,35 @@ def _radial_prox(nw: np.ndarray, c: float, p: float) -> np.ndarray:
 
 
 def _solve_rows(H: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Row i solves H x = G[i]. G as a stack of (n, 1) matrices broadcasts H
-    and solves one right-hand side per row, so each row is its one-row result
-    bit for bit, whatever its batch."""
+    """Row i solves H x = G[i], or H[i] x = G[i] for a (k, n, n) H. G as a
+    stack of (n, 1) matrices broadcasts H and solves one right-hand side per
+    row, so each row is its one-row result bit for bit, whatever its batch."""
     return np.linalg.solve(H, G[:, :, None])[:, :, 0]
 
 
 def _box_qp_batch(H: np.ndarray, G: np.ndarray, lo: Vector, hi: Vector) -> np.ndarray:
     """Minimize 0.5 x'Hx - g'x over the box, one row of G per problem.
 
-    H is SPD; the (at most 3^n) active-bound patterns are enumerated in a
-    fixed order, so the result is deterministic and exact. Each row's KKT
-    slack scales with that row alone, so its batch does not move it.
+    H is SPD, (n, n) or one per row; the (at most 3^n) active-bound patterns
+    are enumerated in a fixed order, so the result is deterministic and exact.
+    Each row's KKT slack scales with that row alone, so its batch does not move it.
     """
     k, n = G.shape
-    scale = np.maximum(np.abs(G).max(axis=1, initial=1.0), float(np.abs(H).max()))
+    scale = np.maximum(np.abs(G).max(axis=1, initial=1.0), np.abs(H).max(axis=(-2, -1)))
     X = np.zeros((k, n))
     todo = np.arange(k)  # rows no earlier pattern resolved; only these are solved
     for pattern in itertools.product((0, 1, 2), repeat=n):
         free = [i for i, s in enumerate(pattern) if s == 0]
         fixed = [i for i, s in enumerate(pattern) if s != 0]
         xb = np.array([lo[i] if pattern[i] == 1 else hi[i] for i in fixed])
-        Gt, ktol = G[todo], 1e-10 * scale[todo]
+        Gt, Ht, ktol = G[todo], H[todo] if H.ndim == 3 else H, 1e-10 * scale[todo]
         cand = np.zeros((len(todo), n))
         for idx, i in enumerate(fixed):
             cand[:, i] = xb[idx]
         if free:
-            rhs = Gt[:, free] - (xb @ H[np.ix_(fixed, free)] if fixed else 0.0)
-            cand[:, free] = _solve_rows(H[np.ix_(free, free)], rhs)
-        grad = rowwise_matmul(cand, H) - Gt
+            rhs = Gt[:, free] - (xb @ Ht[..., fixed, :][..., free] if fixed else 0.0)
+            cand[:, free] = _solve_rows(Ht[..., free, :][..., free], rhs)
+        grad = rowwise_matmul(cand, Ht) - Gt
         valid = np.ones(len(todo), dtype=bool)
         for i in free:
             valid &= (cand[:, i] >= lo[i] - ktol) & (cand[:, i] <= hi[i] + ktol)
@@ -317,15 +317,13 @@ def _sum_exact_parts(fun: FunSum, dim: int):
     return A, a, Box(lo, hi)
 
 
-def fun_prox_batch(
-    fun: FunSpec, W: np.ndarray, step: float, tol: ToleranceConfig
-) -> np.ndarray:
-    """prox_{step*f}(w) for each row w of W."""
+def fun_prox_batch(fun: FunSpec, W: np.ndarray, step, tol: ToleranceConfig) -> np.ndarray:
+    """prox_{step*f}(w) for each row w of W, step a scalar or one per row: s puts
+    row i's step on row i, and s[..., None] * H is one (n, n) H for a scalar."""
     W = np.atleast_2d(np.asarray(W, dtype=float))
-    k, dim = W.shape
+    (k, dim), s = W.shape, np.asarray(step)[..., None]
     if isinstance(fun, Quadratic):
-        H = np.eye(dim) + step * fun.Q
-        return _solve_rows(H, W - step * fun.b)
+        return _solve_rows(np.eye(dim) + s[..., None] * fun.Q, W - s * fun.b)
     if isinstance(fun, Box):
         return np.clip(W, fun.lo, fun.hi)
     if isinstance(fun, TranslatedNormPower):
@@ -347,12 +345,10 @@ def fun_prox_batch(
         exact = _sum_exact_parts(fun, dim)
         if exact is not None:
             A, a, box = exact
-            H = np.eye(dim) + step * A
-            G = W - step * a
-            if box is None:
-                return _solve_rows(H, G)
-            return _box_qp_batch(H, G, box.lo, box.hi)
-        return np.array([_dykstra_prox(fun, w, step, tol) for w in W])
+            H, G = np.eye(dim) + s[..., None] * A, W - s * a
+            return _solve_rows(H, G) if box is None else _box_qp_batch(H, G, box.lo, box.hi)
+        rows = [_dykstra_prox(fun, w, si, tol) for w, si in zip(W, np.broadcast_to(step, k))]
+        return np.array(rows, dtype=float).reshape(W.shape)  # (0, n) for no rows
     raise ValidationError(f"unknown function spec {type(fun).__name__}")
 
 
@@ -608,31 +604,42 @@ def op_dimension(op: OperatorSpec) -> Optional[int]:
 # ---------------------------------------------------------------------------
 
 def resolvent_batch(
-    op: OperatorSpec, W: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, step: float = 1.0
+    op: OperatorSpec, W: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, step=1.0
 ) -> np.ndarray:
-    """Rows x with w - x in step*A(x), one per row w of W."""
-    W = np.atleast_2d(np.asarray(W, dtype=float))
+    """Rows x with w - x in step*A(x), one per row w of W; a (k,) step gives row
+    i its result alone at scalar step[i], bit for bit (see fun_prox_batch)."""
+    W, s = np.atleast_2d(np.asarray(W, dtype=float)), np.asarray(step)[..., None]
     if isinstance(op, GraphOp):
         raise NotMaximalError("finite graphs have no resolvent (not maximal)")
     if isinstance(op, LinearOp):
-        n = op.M.shape[0]
-        H = np.eye(n) + step * op.M
-        return _solve_rows(H, W - step * op.c)
+        return _solve_rows(np.eye(op.M.shape[0]) + s[..., None] * op.M, W - s * op.c)
     if isinstance(op, PerturbedOp) and op.p == 2.0:
-        den = 1.0 + step * op.lam
-        return resolvent_batch(op.inner, (W + step * op.lam * op.center) / den, tol, step / den)
+        den = 1.0 + s * op.lam
+        return resolvent_batch(op.inner, (W + s * op.lam * op.center) / den, tol, step / den[..., 0])
     fun = _subdiff_of(op)
     if fun is not None:
         return fun_prox_batch(fun, W, step, tol)
     if isinstance(op, NormalConeOp):  # a polytope's; a box's is the clip of d(iota_box)
         return op.region.project_batch(W)
     if isinstance(op, ShiftedOp):
-        return resolvent_batch(op.inner, W + step * op.zstar, tol, step)
+        return resolvent_batch(op.inner, W + s * op.zstar, tol, step)
     if isinstance(op, PerturbedOp):
         raise NoClosedFormError(
             "perturbed resolvent reduces only for p=2 or subdifferential inners"
         )
     raise ValidationError(f"unknown operator spec {type(op).__name__}")
+
+
+def _resolvent_rows(op: OperatorSpec, W: np.ndarray, tol: ToleranceConfig, step=1.0) -> np.ndarray:
+    """resolvent_batch of W, row by row once it fails, with a NaN row where
+    a row alone has no closed form."""
+    try:
+        return resolvent_batch(op, W, tol, step)
+    except NoClosedFormError:
+        if len(W) == 1:
+            return np.full(W.shape, np.nan)
+        rows = zip(W, np.broadcast_to(step, len(W)))
+        return np.vstack([_resolvent_rows(op, w[None, :], tol, s) for w, s in rows])
 
 
 def resolvent(

@@ -59,10 +59,11 @@ def dot(x: Vector, y: Vector) -> float:
 
 def rowwise_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A @ B summed in a fixed order, so each output row depends on its own input
-    row alone; BLAS may pick another kernel, and other roundings, by row count."""
-    out = A[:, :1] * B[0] if A.shape[1] else np.zeros((len(A), B.shape[1]))
+    row alone; BLAS may pick another kernel, and other roundings, by row count.
+    A (k, n, m) B gives row i its own matrix B[i]."""
+    out = A[:, :1] * B[..., 0, :] if A.shape[1] else np.zeros((len(A), B.shape[-1]))
     for j in range(1, A.shape[1]):
-        out += A[:, j : j + 1] * B[j]
+        out += A[:, j : j + 1] * B[..., j, :]
     return out
 
 

@@ -901,3 +901,16 @@ def test_generated_fitz_call_with_one_changed_input_exits_cleanly(case):
     code, out, err = run_captured(argv)
     assert code in ((2,) if invalid else (0, 2)), what
     assert_one_json_object_or_one_error_line(code, out, err, what)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta", [("1e-200", "1e200"), ("1e200", "1e-200"), ("0", "1"), ("1", "0"), ("1", "-0.5")]
+)
+def test_check_br_ratio_that_is_not_positive_and_finite_exit_two(alpha, beta):
+    # alpha/beta = 1e-200/1e200 underflows to 0; the check refuses it in one
+    # line naming br, before any division by the ratio warns
+    code, out, err = run_captured(["check", "--check", "br", "--alpha", alpha, "--beta", beta,
+                                   "--x", "1", "--xstar", "0.5", "--wgrid=-1:1:0.5",
+                                   "--operator", '{"kind":"linear","matrix":[[1]]}'])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: br check"), err

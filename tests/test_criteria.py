@@ -1,9 +1,14 @@
+import functools
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fitzkit.operators
-from fitzkit.certificates import Verdict
-from fitzkit.errors import ZOnDomainError
+from fitzkit.certificates import Verdict, failed, not_applicable, passed
+from fitzkit.errors import NoClosedFormError, NotMaximalError, ValidationError, ZOnDomainError
+from fitzkit.harness import CheckSpec, ScenarioConfig, _br, _Run
 from fitzkit.criteria import (
     blowup_witness_sequence,
     br_check,
@@ -20,13 +25,20 @@ from fitzkit.operators import (
     GraphOp,
     LinearOp,
     NormalConeOp,
+    NormPower,
+    PerturbedOp,
     Quadratic,
     Sample,
+    ShiftedOp,
     SubdiffOp,
+    _resolvent_rows,
     graph_sample,
+    resolvent_batch,
     unique_domain_points,
 )
-from fitzkit.vecspace import Box, DEFAULT_TOL, Grid, pair, separate, conv_hull
+from fitzkit.vecspace import (
+    Box, DEFAULT_TOL, Grid, PairPoint, Polytope, conv_hull, pair, rowwise_dot, separate,
+)
 
 CONE01 = NormalConeOp(Box([0.0], [1.0]))
 CONE01_2 = NormalConeOp(Box([0.0, 0.0], [1.0, 1.0]))
@@ -229,6 +241,157 @@ def test_br_hypothesis_fails_not_applicable():
     cert = br_check(Sample.over(op, Grid([-4.0], [4.0], 0.1)), pair([1.0], [0.0]), 0.1, 0.1)
     assert cert.verdict is Verdict.NOT_APPLICABLE
     assert cert.witness("inf_product") <= -0.01
+
+
+def _br_check_oracle(sample, xpair, alpha, beta):
+    """The one-trial reference for br: two one-row resolvent solves, each
+    point found stacked under the graph, and one einsum and argmin over all."""
+    g, tol = sample.graph, sample.tol
+    x, xs = xpair.primal, xpair.dual
+    P, D = g.primals, g.duals
+    for lam in (alpha / beta, 1.0):
+        try:
+            b = resolvent_batch(sample.op, (x + lam * xs)[None, :], tol, step=lam)
+        except (NotMaximalError, NoClosedFormError):
+            continue
+        P, D = np.vstack([P, b]), np.vstack([D, (x + lam * xs - b) / lam])
+    k = len(g)
+    inf_est = float(np.einsum("ij,ij->i", x - P[:k], xs - D[:k]).min())
+    inf_est = min(inf_est, float(rowwise_dot(x - P[k:], xs - D[k:]).min(initial=np.inf)))
+    witnesses = [("inf_product", inf_est), ("alpha", float(alpha)), ("beta", float(beta))]
+    if inf_est <= -alpha * beta + tol.eq_tol:
+        return not_applicable(
+            "br", "hypothesis fails: inf <x-a, x*-a*> does not exceed -alpha*beta", witnesses
+        )
+    scores = np.maximum(
+        np.linalg.norm(x - P, axis=1) / alpha, np.linalg.norm(xs - D, axis=1) / beta
+    )
+    i = int(np.argmin(scores))
+    best = PairPoint(P[i], D[i])
+    primal_dist = float(np.linalg.norm(x - best.primal))
+    dual_dist = float(np.linalg.norm(xs - best.dual))
+    if primal_dist < alpha and dual_dist < beta:
+        witnesses.insert(0, ("witness_pair", best))
+        witnesses.append(("primal_distance", primal_dist))
+        witnesses.append(("dual_distance", dual_dist))
+        return passed("br", "approximate graph point found within (alpha, beta)", witnesses)
+    witnesses.insert(0, ("best_near_miss", best))
+    witnesses.append(("near_miss_score", max(primal_dist / alpha, dual_dist / beta)))
+    return failed("br", "no graph point within (alpha, beta) of the reference pair", witnesses)
+
+
+def _br_trials_oracle(sample, rng, trials, lo, hi):
+    """The reference loop for br's randomized trials: x, x*, alpha, beta drawn
+    per trial, one trial checked at a time, the first failure reported."""
+    n_pass = 0
+    for _ in range(trials):
+        x, xs = rng.uniform(lo, hi), rng.uniform(lo, hi)
+        alpha, beta = float(rng.uniform(0.05, 1.0)), float(rng.uniform(0.05, 1.0))
+        cert = _br_check_oracle(sample, pair(x, xs), alpha, beta)
+        if cert.verdict is Verdict.FAIL:
+            trial = [("trial_x", x), ("trial_alpha", alpha), ("trial_beta", beta)]
+            why = "a randomized trial with active hypothesis failed"
+            return failed("br", why, list(cert.witnesses) + trial)
+        n_pass += cert.verdict is Verdict.PASS
+    counts = [("activated_trials", float(n_pass)), ("inactive_trials", float(trials - n_pass))]
+    return passed("br", "all activated randomized trials passed", counts)
+
+
+def _witness_bytes(v):
+    if isinstance(v, PairPoint):
+        return v.primal.tobytes() + b"|" + v.dual.tobytes()
+    return np.asarray(v, dtype=float).tobytes()
+
+
+def assert_same_certificate(a, b):
+    assert (a.verdict, a.check_name, a.narrative) == (b.verdict, b.check_name, b.narrative)
+    assert [k for k, _ in a.witnesses] == [k for k, _ in b.witnesses]
+    for (label, va), (_, vb) in zip(a.witnesses, b.witnesses):
+        assert isinstance(va, PairPoint) == isinstance(vb, PairPoint), label
+        assert _witness_bytes(va) == _witness_bytes(vb), label
+
+
+def _simplex(n):
+    return Polytope(np.vstack([np.zeros(n), np.eye(n)]))
+
+
+# Targets in n = 1..4 that reach every branch of a per-row resolvent step.
+# "sparse" is a two-pair graph whose trials fail; "l1_box" (2-d only) runs
+# Dykstra with a budget too small for some rows, so their resolvent points
+# are missing.
+BR_TARGETS = {
+    "linear": lambda n: LinearOp(np.eye(n) + np.triu(np.ones((n, n)), 1) - np.tril(np.ones((n, n)), -1)),
+    "quadbox": lambda n: SubdiffOp(FunSum((
+        Quadratic(2.0 * np.eye(n) + 0.3 * np.ones((n, n))), BoxIndicator(-np.ones(n), np.ones(n))))),
+    "norm3": lambda n: SubdiffOp(NormPower(3.0, 0.5)),
+    "shifted": lambda n: ShiftedOp(LinearOp(2.0 * np.eye(n)), np.full(n, 0.5)),
+    "perturbed": lambda n: PerturbedOp(NormalConeOp(Box(np.zeros(n), np.ones(n))), 0.5, 2.0, np.full(n, 0.2)),
+    "simplex_cone": lambda n: NormalConeOp(_simplex(n)),
+    "sparse": lambda n: GraphOp(FiniteGraph.from_arrays([np.zeros(n), np.full(n, 2.0)], [np.zeros(n), np.full(n, 2.0)])),
+    "l1_box": lambda n: SubdiffOp(FunSum((NormPower(1.0, 0.7), BoxIndicator([-1.0, 0.0], [1.0, 1.0])))),
+}
+
+
+@functools.cache
+def _br_sample(kind, n):
+    op = BR_TARGETS[kind](n)
+    wgrid = Grid(-2.0 * np.ones(n), 2.0 * np.ones(n), (0.1, 0.25, 0.5, 1.0)[n - 1])
+    s = Sample.over(op, None if isinstance(op, GraphOp) else wgrid)
+    if kind == "l1_box":
+        return op, Sample(op, s.graph, replace(DEFAULT_TOL, budget=60), wgrid)
+    return op, s
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(sorted(BR_TARGETS)),
+    st.integers(1, 4),
+    st.integers(0, 40),
+    st.integers(0, 2**32),
+    st.sampled_from((0.5, 1.5, 3.0)),
+)
+def test_br_trials_batch_equals_the_per_trial_oracle(kind, n, trials, seed, half):
+    # the batched _br certificate is the per-trial loop's, witness for
+    # witness as bytes: the verdict, the counts, and a failure's witnesses
+    if kind == "l1_box":
+        n = 2
+    op, sample = _br_sample(kind, n)
+    lo, hi = [-half] * n, [half] * n
+    cfg = ScenarioConfig(n, 0, sample.tol, {"t": op}, {}, ())
+    spec = CheckSpec("br", "t", {"trials": trials, "box_lo": lo, "box_hi": hi, "wgrid": "w"})
+    run = _Run(cfg, spec, np.random.default_rng(seed), {("t", "w"): sample})
+    want = _br_trials_oracle(sample, np.random.default_rng(seed), trials, lo, hi)
+    assert_same_certificate(_br(run), want)
+
+
+def test_br_trials_reach_fail_and_missing_resolvents():
+    # the property above reaches a failing trial and trials whose resolvent
+    # point has no closed form
+    op, sample = _br_sample("sparse", 2)
+    assert _br_trials_oracle(sample, np.random.default_rng(0), 20, [-1.5] * 2, [1.5] * 2).verdict is Verdict.FAIL
+    op, sample = _br_sample("l1_box", 2)
+    W = np.random.default_rng(0).uniform(-1.5, 1.5, (40, 2))
+    missing = np.isnan(_resolvent_rows(op, W, sample.tol)).any(axis=1)
+    assert 0 < missing.sum() < len(W)
+
+
+def test_br_check_masks_a_resolvent_point_with_no_closed_form():
+    # x + x* is the Dykstra row that does not converge at step 1: that row's
+    # resolvent point is no candidate, as the one-trial oracle skips it
+    op = SubdiffOp(FunSum((NormPower(1.0, 0.7), BoxIndicator([-1.0, 0.0], [1.0, 1.0]))))
+    sample = Sample.over(op, Grid([-2.0, -2.0], [2.0, 2.0], 0.5))
+    w = np.array([-0.70056108, -0.95166421])
+    assert np.isnan(_resolvent_rows(op, w[None, :], sample.tol)).all()
+    for x, alpha, beta in (([-0.5, -0.5], 0.7, 0.3), ([0.0, 0.0], 0.4, 0.9), ([-0.7, 0.0], 0.2, 0.2)):
+        xp = pair(x, w - np.array(x))
+        assert_same_certificate(br_check(sample, xp, alpha, beta), _br_check_oracle(sample, xp, alpha, beta))
+
+
+@pytest.mark.parametrize("alpha, beta", [(1e-200, 1e200), (1e200, 1e-200), (0.0, 1.0), (1.0, 0.0), (1.0, -1.0),
+                                         (np.inf, 1.0), (1.0, np.inf), (np.nan, 1.0)])
+def test_br_check_refuses_a_ratio_that_is_not_positive_and_finite(alpha, beta):
+    with pytest.raises(ValidationError, match="br check"):
+        br_check(Sample.over(IDENT, Grid([-1.0], [1.0], 0.5)), pair([1.0], [0.5]), alpha, beta)
 
 
 # --------------------------------------------------------------------------

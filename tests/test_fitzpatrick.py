@@ -460,17 +460,17 @@ def test_fitz_rows_rejects_points_of_another_dimension(dim):
 
 
 def test_fitz_rows_failing_resolvent_drops_only_its_row(monkeypatch):
-    real = fitzkit.fitzpatrick.resolvent_batch
+    real = fitzkit.operators.resolvent_batch  # behind the row-wise fallback
 
-    def no_closed_form_far_out(op, W, tol):
+    def no_closed_form_far_out(op, W, tol, step):
         if np.any(np.abs(W) > 100.0):
             raise NoClosedFormError("no closed form far out")
-        return real(op, W, tol)
+        return real(op, W, tol, step)
 
     s = Sample.over(IDENT2, Grid([-2.0, -2.0], [2.0, 2.0], 0.5))
     X, S = np.array([[0.3, -0.2], [500.0, 0.0]]), np.array([[0.1, 0.4], [0.0, 0.0]])
     alone = fitz_at(s, pair(X[0], S[0]))
-    monkeypatch.setattr(fitzkit.fitzpatrick, "resolvent_batch", no_closed_form_far_out)
+    monkeypatch.setattr(fitzkit.operators, "resolvent_batch", no_closed_form_far_out)
     values, crossings = fitz_rows(s, X, S)
     assert values[0] == alone.value == pytest.approx(0.25 * np.sum((X[0] + S[0]) ** 2))
     assert values[1] == fitz_finite(s.graph, pair(X[1], S[1]))  # sample terms only

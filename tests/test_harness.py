@@ -6,17 +6,20 @@ from collections import Counter
 from pathlib import Path
 from typing import get_args
 
+import numpy as np
 import pytest
 
 from fitzkit import operators
 from fitzkit.certificates import Verdict
 from fitzkit.cli import main
 from fitzkit.errors import FitzkitError, ScenarioParseError, ValidationError
+from fitzkit.fitzpatrick import _blocks
 from fitzkit.harness import (
     CHECKS,
     FUNCTION_KINDS,
     OPERATOR_KINDS,
     PARAM_KINDS,
+    _Run,
     load_scenario,
     reformat_report_json,
     render_report,
@@ -202,6 +205,19 @@ def test_run_suite_samples_each_target_and_grid_once(monkeypatch, scenario, call
     rep = run_suite(load_scenario(SCENARIO_DIR / f"{scenario}.json"))
     assert rep.exit_code() == 0
     assert len(made) == calls
+
+
+def test_br_trials_make_two_resolvent_batches_per_row_block(monkeypatch):
+    """operator-zoo's br on quadbox2 solves the resolvent points of its 60
+    trials in at most 2 resolvent_batch calls per row block, not 2 per trial."""
+    cfg = load_scenario(SCENARIO_DIR / "operator-zoo.json")
+    (spec,) = [c for c in cfg.checks if c.check == "br" and c.target == "quadbox2"]
+    run = _Run(cfg, spec, np.random.default_rng(0), {})
+    blocks = len(list(_blocks(spec.params["trials"], len(run.sample().graph))))
+    calls, real = [], operators.resolvent_batch
+    monkeypatch.setattr(operators, "resolvent_batch", lambda *a, **k: calls.append(1) or real(*a, **k))
+    assert CHECKS["br"].run(run).verdict is Verdict.PASS
+    assert 0 < len(calls) <= 2 * blocks
 
 
 GRAPH_OP = {"kind": "graph", "pairs": [[[0.0], [0.0]], [[1.0], [1.0]]]}

@@ -693,10 +693,13 @@ def test_box_cone_and_box_indicator_subdifferential_agree(case):
         assert a.rays.shape == b.rays.shape and a.rays.tobytes() == b.rays.tobytes()
 
 
-def _rows_alone(f, W):
-    """f on each row of W alone, stacked; None when a row raises NoClosedFormError."""
+def _rows_alone(f, W, steps=None):
+    """f on each row of W alone (with its step, when steps are given), stacked;
+    None when a row raises NoClosedFormError."""
     try:
-        return np.vstack([f(w[None, :]) for w in W])
+        if steps is None:
+            return np.vstack([f(w[None, :]) for w in W])
+        return np.vstack([f(w[None, :], s) for w, s in zip(W, steps)])
     except NoClosedFormError:
         return None
 
@@ -713,13 +716,32 @@ def _kind_sample(kind):
         return None
 
 
+def test_resolvent_rows_is_nan_only_on_a_row_with_no_closed_form():
+    # the Dykstra row w = (-0.70056108, -0.95166421) does not converge at step
+    # 1; among rows that do, it alone becomes NaN, and the others keep the
+    # results they have alone
+    op = SubdiffOp(FunSum((NormPower(1.0, 0.7), BoxIndicator([-1.0, 0.0], [1.0, 1.0]))))
+    W = np.array([[0.3, 0.2], [-0.70056108, -0.95166421], [1.5, -2.0], [-2.0, 0.5]])
+    with pytest.raises(NoClosedFormError):
+        resolvent_batch(op, W[1:2])
+    R = operators._resolvent_rows(op, W, DEFAULT_TOL)
+    assert np.isnan(R[1]).all() and not np.isnan(R[[0, 2, 3]]).any()
+    for i in (0, 2, 3):
+        assert R[i].tobytes() == resolvent_batch(op, W[i : i + 1])[0].tobytes()
+
+
+_steps = st.lists(st.floats(0.05, 20.0), min_size=1, max_size=6)
+
+
 @settings(max_examples=30, deadline=None)
-@given(st.lists(_row, min_size=2, max_size=8), st.sampled_from((1.0, 1e4, 1e8)))
+@given(st.lists(_row, min_size=2, max_size=8), st.sampled_from((1.0, 1e4, 1e8)), _steps)
 @pytest.mark.parametrize("kind", sorted(MEMBERSHIP_KINDS))
-def test_batch_rows_equal_rows_computed_alone(kind, rows, scale):
+def test_batch_rows_equal_rows_computed_alone(kind, rows, scale, step_list):
     # membership_batch, resolvent_batch, fitz_rows, its crossings half and
     # _box_qp_batch give each row of a batch its one-row result bit for bit,
-    # whatever the other rows, with rows scaled out to |x| ~ 1e8
+    # whatever the other rows, with rows scaled out to |x| ~ 1e8; and a row
+    # with its own step s_i (a stacked H in _box_qp_batch) is the scalar-step
+    # call on that row alone with step s_i
     op, notable = MEMBERSHIP_KINDS[kind]
     pts = [_membership_row(op, notable, *r) for r in rows]
     X = scale * np.array([x for x, _ in pts])
@@ -743,6 +765,7 @@ def test_batch_rows_equal_rows_computed_alone(kind, rows, scale):
         return
     W = np.vstack([X + S, scale * np.array([a for _, a, _, _ in rows]),
                    scale * np.array([a for _, _, a, _ in rows])])
+    steps = np.resize(step_list, len(W))
     fun = operators._subdiff_of(op)
     exact = operators._sum_exact_parts(fun, 2) if isinstance(fun, FunSum) else None
     if exact is not None and exact[2] is not None:  # a quadratic-plus-box sum
@@ -750,12 +773,21 @@ def test_batch_rows_equal_rows_computed_alone(kind, rows, scale):
         H, G = np.eye(2) + A, W - a
         alone = np.vstack([operators._box_qp_batch(H, g[None, :], box.lo, box.hi) for g in G])
         assert operators._box_qp_batch(H, G, box.lo, box.hi).tobytes() == alone.tobytes()
-    alone = _rows_alone(lambda w: resolvent_batch(op, w), W)
-    if alone is None:
-        with pytest.raises(NoClosedFormError):
-            resolvent_batch(op, W)
-    else:
-        assert resolvent_batch(op, W).tobytes() == alone.tobytes()
+        Hs, Gs = np.eye(2) + steps[:, None, None] * A, W - steps[:, None] * a
+        alone = np.vstack([operators._box_qp_batch(np.eye(2) + s * A, (w - s * a)[None, :], box.lo, box.hi)
+                           for w, s in zip(W, steps)])
+        assert operators._box_qp_batch(Hs, Gs, box.lo, box.hi).tobytes() == alone.tobytes()
+    for step, alone in ((1.0, _rows_alone(lambda w: resolvent_batch(op, w), W)),
+                        (steps, _rows_alone(lambda w, s: resolvent_batch(op, w, step=s), W, steps))):
+        if alone is None:
+            with pytest.raises(NoClosedFormError):
+                resolvent_batch(op, W, step=step)
+        else:
+            assert resolvent_batch(op, W, step=step).tobytes() == alone.tobytes()
+    # the row-wise fallback: each row alone with its step, NaN where it has none
+    alone = [_rows_alone(lambda w, s: resolvent_batch(op, w, step=s), w[None, :], [s]) for w, s in zip(W, steps)]
+    alone = np.vstack([np.full((1, 2), np.nan) if a is None else a for a in alone])
+    assert operators._resolvent_rows(op, W, DEFAULT_TOL, steps).tobytes() == alone.tobytes()
 
 
 @pytest.mark.parametrize("kind", sorted(MEMBERSHIP_KINDS))
