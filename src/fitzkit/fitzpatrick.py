@@ -1,8 +1,9 @@
 """Fitzpatrick function evaluation by three routes: finite-graph enumeration,
 the linear closed form, and fitz_rows, the sampled kernel for a batch of
-points (fitz_at is its one-row case and the conv-domain probes make one
-call; the domain-projection scan runs only its crossings half, and the
-inequality check only its values half).
+points (fitz_at is its one-row case and the conv-domain probes make one call;
+the domain-projection scan runs only its crossings half, the inequality check
+only its values half). The Sample builds what the kernel needs of it alone,
+its pair order and exact-ray table, once, so a warm probe does only per-row work.
 
 "Infinite" is always operationalized as a threshold crossing with a recorded
 graph-point witness; sampled suprema certify lower bounds only, so a Finite
@@ -12,7 +13,6 @@ a PairPoint is a witness, or the argument of a one-point entry such as fitz_at.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Literal, Optional, Union
 
@@ -38,7 +38,6 @@ from .vecspace import (
     Vector,
     as_matrix,
     as_vector,
-    lexsort_rows,
     rounding_margin,
     rowwise_dot,
     rowwise_matmul,
@@ -178,10 +177,8 @@ def _pair_table(
         over = T > tol.inf_threshold
         hit = np.flatnonzero(over.any(axis=1) & sampled)
         if len(hit):
-            order = lexsort_rows(np.hstack([g.primals, g.duals]))
-            j = order[over[hit][:, order].argmax(axis=1)]  # lex-first crossing pair
-            W = np.hstack([g.primals[j], g.duals[j]])
-            found.append((at[hit], T[hit, j], W, np.zeros(len(hit))))
+            j = s.pair_order[over[hit][:, s.pair_order].argmax(axis=1)]  # lex-first crossing pair
+            found.append((at[hit], T[hit, j], np.hstack([g.primals[j], g.duals[j]]), np.zeros(len(hit))))
         del T, over  # before the next block is summed
     return tops, found
 
@@ -230,33 +227,39 @@ def _resolvent_terms(s: Sample, X: np.ndarray, S: np.ndarray) -> tuple[np.ndarra
     return terms, [(i, terms[i], np.hstack([X0, S0])[i], np.ones(len(i)))]
 
 
+def _lex_min(parts: list, n: int) -> tuple[np.ndarray, ...]:
+    """Each row's lex-first crossing (rows, terms, W, rank) among parts: the least
+    W, ties to the least rank. Lex-min is associative, so parts may be reduced early."""
+    none = (np.zeros(0, dtype=int), np.zeros(0), np.zeros((0, 2 * n)), np.zeros(0))
+    rows, terms, W, rank = (np.concatenate(part) for part in zip(none, *parts))
+    first = np.lexsort((rank, *W.T[::-1], rows))
+    first = first[np.diff(rows[first], prepend=-1) != 0]
+    return rows[first], terms[first], W[first], rank[first]
+
+
 def _ray_crossings(s: Sample, X: np.ndarray, S: np.ndarray) -> list:
-    """fitz_rows' crossings along exact fiber rays, as _pair_table gives its
-    own, each ray ranked by its row in (A, B, R), before the pairs."""
-    tol = s.tol
-    # rows (a, b, r): each exact fiber ray r at a domain point a of the
-    # exact-ray head of the candidates, with b the lex-first point of A(a)
-    head = itertools.takewhile(lambda c: c[1].exact and len(c[1].rays), (
-        s.candidates if not isinstance(s.op, GraphOp) and len(X) else ()))
-    rays = [(a, f.points[lexsort_rows(f.points)[0]], r) for a, f in head for r in f.rays]
-    A, B, R = np.array(rays, dtype=float).reshape(-1, 3, s.graph.dim).transpose(1, 0, 2)
-    found = []
+    """fitz_rows' crossings along the rays of the Sample's exact_rays table, ranked
+    by their row there, before the pairs: each block of rows reduced to its rows'
+    lex-first crossings before the next, so memory is O(rows)."""
+    tol, found = s.tol, []
+    A, B, R, AB = s.exact_rays if len(X) else ((),) * 4
     target = tol.inf_threshold * _CROSS_FACTOR
     for blk in _blocks(len(X), len(A)) if len(A) else ():
-        Xb, Sb = X[blk], S[blk]
+        Xb, Sb, steps = X[blk], S[blk], []
         slope = rowwise_dot(Xb[:, None] - A, R)
         i, k = np.nonzero(slope > tol.eq_tol)  # ride ray k at row i
         ax = rowwise_dot(Sb[i], A[k])
-        t = (target - (rowwise_dot(Xb[i], B[k]) + ax - rowwise_dot(A[k], B[k]))) / slope[i, k]
+        t = (target - (rowwise_dot(Xb[i], B[k]) + ax - AB[k])) / slope[i, k]
         for _ in range(9):  # the target point, then up to 8 doublings of t
             if not len(i):
                 break
             astar = B[k] + t[:, None] * R[k]
             terms = rowwise_dot(Xb[i], astar) + ax - rowwise_dot(A[k], astar)
             over = terms > tol.inf_threshold
-            W = np.hstack([A[k], astar])
-            found.append((i[over] + blk.start, terms[over], W[over], k[over] - len(A)))
+            W = np.hstack([A[k[over]], astar[over]])
+            steps.append((i[over] + blk.start, terms[over], W, k[over] - len(A)))
             i, k, ax, t = i[~over], k[~over], ax[~over], 2.0 * t[~over]
+        found += [_lex_min(steps, X.shape[1])] if steps else []
     return found
 
 
@@ -266,13 +269,8 @@ def _lex_first(
     """Each row's lex-first crossing among the found ones and the exact-ray
     ones: the smallest witness (a, a*), ties to the ray, then the pair, then
     the resolvent point."""
-    n = X.shape[1]
-    none = (np.zeros(0, dtype=int), np.zeros(0), np.zeros((0, 2 * n)), np.zeros(0))
-    rows, terms, W, rank = (np.concatenate(part) for part in zip(none, *found, *_ray_crossings(s, X, S)))
-    first = np.lexsort((rank, *W.T[::-1], rows))
-    first = first[np.diff(rows[first], prepend=-1) != 0]  # each row's lex-first witness
-    crossings = [None] * len(X)
-    for i, t, w in zip(rows[first], terms[first], W[first]):
+    n, crossings = X.shape[1], [None] * len(X)
+    for i, t, w, _ in zip(*_lex_min(found + _ray_crossings(s, X, S), n)):
         crossings[i] = (float(t), PairPoint(w[:n], w[n:]))
     return crossings
 
@@ -312,8 +310,9 @@ def fitz_rows(
 
     The kernel has two halves, each a caller may run alone: the values
     (_row_values, which builds no fiber) and the crossings (_row_crossings,
-    which builds a table only for the rows _unbounded_rows cannot clear).
-    fitz_rows runs both on one table and one resolvent solve.
+    which builds a table only for the rows _unbounded_rows cannot clear, and
+    rides the rays of the Sample's exact_rays). fitz_rows runs both on one
+    table and one resolvent solve; neither rebuilds what the Sample keeps.
     """
     tops, pairs = _pair_table(s, X, S, np.arange(len(X)))
     terms, resolvent = _resolvent_terms(s, X, S)

@@ -56,7 +56,9 @@ from .vecspace import (
     as_vector,
     conv_hull,
     dedupe_rows_within,
+    lexsort_rows,
     project_onto_generated_set,
+    read_only,
     rounding_margin,
     rowwise_dot,
     rowwise_matmul,
@@ -107,8 +109,7 @@ class FiniteGraph:
             raise ValidationError("duplicate graph pairs within tolerance")
         d = np.einsum("ij,ij->i", X, S)
         for name, arr in (("primals", X), ("duals", S), ("self_products", d)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, read_only(arr))
         return self
 
     @property
@@ -919,10 +920,10 @@ def unique_domain_points(g: FiniteGraph, tol: ToleranceConfig = DEFAULT_TOL) -> 
 
 @dataclass(frozen=True, eq=False)
 class Sample:
-    """One graph of op and what the checks derive from it, each built on first
-    use. wgrid is the Minty grid behind graph, None when the graph was given;
-    the domain scan and the checks that resample (a widened or refined grid)
-    need it."""
+    """One graph of op and the read-only tables the checks derive from it, each
+    built on first use, so a probe of the sampled kernel does only per-row work.
+    wgrid is the Minty grid behind graph, None when the graph was given; the
+    domain scan and the checks that resample (a widened or refined grid) need it."""
 
     op: OperatorSpec
     graph: FiniteGraph
@@ -957,7 +958,7 @@ class Sample:
     @cached_property
     def domain(self) -> np.ndarray:
         """Distinct sampled primal points, lexicographically sorted."""
-        return unique_domain_points(self.graph, self.tol)
+        return read_only(unique_domain_points(self.graph, self.tol))
 
     @cached_property
     def hull(self) -> Polytope:
@@ -977,6 +978,21 @@ class Sample:
             if not f.is_empty:
                 (rayful if (f.exact and len(f.rays)) else plain).append((a, f))
         return tuple(rayful + plain)
+
+    @cached_property
+    def pair_order(self) -> np.ndarray:
+        """Indices sorting the graph's pairs (a, a*) lexicographically."""
+        return read_only(lexsort_rows(np.hstack([self.graph.primals, self.graph.duals])))
+
+    @cached_property
+    def exact_rays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(A, B, R, <A_k, B_k>): a row per ray r of an exact fiber A(a), in the
+        order of the exact-ray head of candidates, with b the lex-first point
+        of A(a). A finite graph has none."""
+        fibers = () if isinstance(self.op, GraphOp) else zip(self.domain, self.fibers)
+        rays = [(a, f.points[lexsort_rows(f.points)[0]], r) for a, f in fibers if f.exact for r in f.rays]
+        ABR = read_only(np.array(rays, dtype=float).reshape(-1, 3, self.graph.dim).transpose(1, 0, 2).copy())
+        return (*ABR, read_only(rowwise_dot(ABR[0], ABR[1])))
 
 
 def maximality_probe(sample: Sample, probe_grid: Grid) -> tuple[np.ndarray, np.ndarray]:

@@ -23,6 +23,12 @@ _KD_MARGIN = 1e-6  # relative widening of the KD-tree radius; exact norms confir
 _FACE_SLACK = 1e-13  # optimality slack of Polytope.project_batch, per unit of row scale
 
 
+def read_only(arr: np.ndarray) -> np.ndarray:
+    """arr itself, no longer writeable."""
+    arr.setflags(write=False)
+    return arr
+
+
 def as_vector(x, dim: int | None = None) -> Vector:
     """Coerce to an immutable 1-d float vector, rejecting NaN/Inf and dim mismatch."""
     arr = np.array(x, dtype=float)
@@ -34,8 +40,7 @@ def as_vector(x, dim: int | None = None) -> Vector:
         raise ValidationError("vector has non-finite coordinates")
     if dim is not None and arr.size != dim:
         raise DimensionMismatchError(f"expected dimension {dim}, got {arr.size}")
-    arr.setflags(write=False)
-    return arr
+    return read_only(arr)
 
 
 def as_matrix(m, dim: int | None = None) -> np.ndarray:
@@ -46,8 +51,7 @@ def as_matrix(m, dim: int | None = None) -> np.ndarray:
         raise ValidationError("matrix has non-finite entries")
     if dim is not None and arr.shape[0] != dim:
         raise DimensionMismatchError(f"expected {dim}x{dim} matrix, got {arr.shape}")
-    arr.setflags(write=False)
-    return arr
+    return read_only(arr)
 
 
 def dot(x: Vector, y: Vector) -> float:
@@ -343,9 +347,7 @@ class Polytope:
             raise ValidationError("polytope needs a nonempty list of vertices")
         if not np.all(np.isfinite(arr)):
             raise ValidationError("polytope vertices must be finite")
-        arr = _minimal_vertices(arr, DEFAULT_TOL.eq_tol)
-        arr.setflags(write=False)
-        object.__setattr__(self, "vertices", arr)
+        object.__setattr__(self, "vertices", read_only(_minimal_vertices(arr, DEFAULT_TOL.eq_tol)))
 
     @property
     def dim(self) -> int:
@@ -601,9 +603,7 @@ class Grid:
         """All lattice nodes in lexicographic order (first axis is primary)."""
         axes = (lo + self.spacing * np.arange(m) for lo, m in zip(self.lower, self._lengths))
         mesh = np.meshgrid(*axes, indexing="ij")
-        out = np.stack([m.ravel() for m in mesh], axis=1)
-        out.setflags(write=False)
-        return out
+        return read_only(np.stack([m.ravel() for m in mesh], axis=1))
 
     def scaled(self, extent: float = 2.0, coarsen: float = 2.0) -> "Grid":
         """Grid stretched about its center, with the spacing coarsened."""

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from functools import lru_cache
 from pathlib import Path
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import fitzkit.fitzpatrick
 import fitzkit.operators
+import fitzkit.vecspace
 from fitzkit.certificates import Verdict
 from fitzkit.criteria import _default_wgrid, theorem36_experiment
 from fitzkit.errors import NoClosedFormError, VacuousForFiniteGraphError, ValidationError
@@ -24,6 +26,7 @@ from fitzkit.fitzpatrick import (
     is_finite,
     shift_identity_check,
 )
+from fitzkit.fitzpatrick import _affine_terms, _blocks, _resolvent_terms, _row_crossings
 from fitzkit.harness import load_scenario
 from fitzkit.operators import (
     BoxIndicator,
@@ -38,7 +41,7 @@ from fitzkit.operators import (
     SubdiffOp,
     graph_sample,
 )
-from fitzkit.vecspace import Box, DEFAULT_TOL, Grid, Polytope, ToleranceConfig, pair
+from fitzkit.vecspace import Box, DEFAULT_TOL, Grid, PairPoint, Polytope, ToleranceConfig, lexsort_rows, pair, rowwise_dot
 
 SEED = 20260809
 SKEW = LinearOp([[0.0, -1.0], [1.0, 0.0]], [0.0, 0.0])
@@ -667,6 +670,151 @@ def test_domain_scan_builds_no_pair_table(monkeypatch):
             fitz_domain_projection(Sample.over(op, wgrid, ToleranceConfig(inf_threshold=1.0)), xgrid)
             assert sum(sent) > 0, check.target
             sent.clear()
+
+
+# --------------------------------------------------------------------------
+# The crossings half against the collect-all reference
+# --------------------------------------------------------------------------
+
+def ray_crossings_reference(s, X, S):
+    """The exact-ray crossings as they were found before the Sample kept a
+    ray table: the rows (a, b, r) rebuilt from Sample.candidates on every
+    call, and every crossing of every doubling step kept."""
+    tol = s.tol
+    head = itertools.takewhile(lambda c: c[1].exact and len(c[1].rays), (
+        s.candidates if not isinstance(s.op, GraphOp) and len(X) else ()))
+    rays = [(a, f.points[lexsort_rows(f.points)[0]], r) for a, f in head for r in f.rays]
+    A, B, R = np.array(rays, dtype=float).reshape(-1, 3, s.graph.dim).transpose(1, 0, 2)
+    found = []
+    target = tol.inf_threshold * 1.001
+    for blk in _blocks(len(X), len(A)) if len(A) else ():
+        Xb, Sb = X[blk], S[blk]
+        slope = rowwise_dot(Xb[:, None] - A, R)
+        i, k = np.nonzero(slope > tol.eq_tol)
+        ax = rowwise_dot(Sb[i], A[k])
+        t = (target - (rowwise_dot(Xb[i], B[k]) + ax - rowwise_dot(A[k], B[k]))) / slope[i, k]
+        for _ in range(9):
+            if not len(i):
+                break
+            astar = B[k] + t[:, None] * R[k]
+            terms = rowwise_dot(Xb[i], astar) + ax - rowwise_dot(A[k], astar)
+            over = terms > tol.inf_threshold
+            W = np.hstack([A[k], astar])
+            found.append((i[over] + blk.start, terms[over], W[over], k[over] - len(A)))
+            i, k, ax, t = i[~over], k[~over], ax[~over], 2.0 * t[~over]
+    return found
+
+
+def pair_crossings_reference(s, X, S):
+    """Each row's lex-first crossing sample pair, the graph lexsorted anew in
+    every block."""
+    g, found = s.graph, []
+    for blk in [] if isinstance(s.op, GraphOp) else _blocks(len(X), len(g)):
+        T = _affine_terms(g, X[blk], S[blk])
+        over = T > s.tol.inf_threshold
+        hit = np.flatnonzero(over.any(axis=1))
+        order = lexsort_rows(np.hstack([g.primals, g.duals]))
+        j = order[over[hit][:, order].argmax(axis=1)]
+        W = np.hstack([g.primals[j], g.duals[j]])
+        found.append((np.arange(len(X))[blk][hit], T[hit, j], W, np.zeros(len(hit))))
+    return found
+
+
+def crossings_reference(s, X, S):
+    """Each row's lex-first crossing, every crossing of every row collected
+    first and lexsorted at once: rays, then pairs, then the resolvent point."""
+    n = X.shape[1]
+    none = (np.zeros(0, dtype=int), np.zeros(0), np.zeros((0, 2 * n)), np.zeros(0))
+    found = pair_crossings_reference(s, X, S) + _resolvent_terms(s, X, S)[1]
+    found += ray_crossings_reference(s, X, S)
+    rows, terms, W, rank = (np.concatenate(part) for part in zip(none, *found))
+    first = np.lexsort((rank, *W.T[::-1], rows))
+    first = first[np.diff(rows[first], prepend=-1) != 0]
+    crossings = [None] * len(X)
+    for i, t, w in zip(rows[first], terms[first], W[first]):
+        crossings[i] = (float(t), PairPoint(w[:n], w[n:]))
+    return crossings
+
+
+def quad_box(n):
+    """The subdifferential of x'Qx / 2 + the indicator of [-1, 1]^n, Q = 2I + 0.3 11'."""
+    Q = 2.0 * np.eye(n) + 0.3
+    return SubdiffOp(FunSum((Quadratic(Q, np.zeros(n)), BoxIndicator([-1.0] * n, [1.0] * n))))
+
+
+ORACLE_SAMPLES = [(op, Grid([-2.0, -2.0], [3.0, 3.0], 0.5)) for op in ROW_SAMPLES] + [
+    (NormalConeOp(Box([-1.0] * 3, [1.0] * 3)), Grid([-2.0] * 3, [2.0] * 3, 1.0)),
+    (quad_box(4), Grid([-6.0] * 4, [6.0] * 4, 3.0)),
+]
+
+
+@lru_cache(maxsize=None)
+def oracle_sample(i, threshold):
+    op, grid = ORACLE_SAMPLES[i]
+    return Sample.over(op, grid, ToleranceConfig(eq_tol=1e-7, inf_threshold=threshold))
+
+
+@st.composite
+def oracle_cases(draw):
+    """(sample, X, S): uniform rows, and rows along sample pairs, over more
+    than one _blocks slice of the exact-ray table whenever it has rays."""
+    s = oracle_sample(draw(st.integers(0, len(ORACLE_SAMPLES) - 1)), draw(st.sampled_from([2.0, 50.0, 1e8])))
+    width = len(s.exact_rays[0])
+    step = next(_blocks(1, width)).stop if width else 20
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(step + 1, 3 * step))
+    X, S = rng.uniform(-3.0, 3.0, (2, k, s.graph.dim))
+    j = rng.integers(len(s.graph), size=k // 3)
+    X[: k // 3] = s.graph.primals[j] + rng.uniform(-0.5, 0.5, (k // 3, s.graph.dim))
+    S[: k // 3] = s.graph.duals[j] * rng.uniform(0.5, 4.0, (k // 3, 1))
+    return s, X, S
+
+
+@settings(max_examples=40, deadline=None)
+@given(oracle_cases())
+def test_crossings_equal_the_collect_all_reference(case):
+    """fitz_rows and the crossings half, which read the Sample's ray table and
+    pair order and keep one crossing per row and block, give the collect-all
+    reference's crossings bit for bit: None at the same rows, and elsewhere
+    the same term and witness bytes."""
+    s, X, S = case
+    want = crossings_reference(s, X, S)
+    assert same_crossings(fitz_rows(s, X, S)[1], want)
+    assert same_crossings(_row_crossings(s, X, S), want)
+
+
+def test_four_dimensional_quad_box_scan_memory_is_bounded():
+    """The n = 4 quad+box theorem36 scan on [-1.5, 1.5]^4 at spacing 0.5 keeps
+    its tracemalloc peak under 64 MiB; collecting every ray crossing before
+    the pick took it to 201 MiB. A regression gate, not a figure to refit."""
+    xgrid = Grid([-1.5] * 4, [1.5] * 4, 0.5)
+    tracemalloc.start()
+    try:
+        _, cert = theorem36_experiment(quad_box(4), xgrid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, peak
+    assert cert.verdict is Verdict.PASS
+
+
+def test_warm_fitz_at_makes_no_lexsort_per_ray(monkeypatch):
+    """A second fitz_at on a box-cone Sample reads the Sample's ray table and
+    pair order: its lexsort_rows count does not grow with the exact rays."""
+    calls, real = [], fitzkit.vecspace.lexsort_rows
+    for module in (fitzkit.vecspace, fitzkit.operators, fitzkit.fitzpatrick):
+        monkeypatch.setattr(module, "lexsort_rows", lambda rows: calls.append(1) or real(rows), raising=False)
+    op, pt, counts = NormalConeOp(Box([0.0, 0.0], [1.0, 1.0])), pair([2.0, 0.5], [1.0, 1.0]), []
+    for spacing in (0.5, 0.125):
+        s = Sample.over(op, Grid([-2.0, -2.0], [3.0, 3.0], spacing))
+        first = fitz_at(s, pt)
+        assert len(calls) > 0  # the first probe builds the table
+        calls.clear()
+        assert_same_bits(fitz_at(s, pt), first)
+        counts.append((len(s.exact_rays[0]), len(calls)))
+        calls.clear()
+    (rays_coarse, coarse), (rays_fine, fine) = counts
+    assert rays_coarse < rays_fine and coarse == fine == 0
 
 
 # --------------------------------------------------------------------------

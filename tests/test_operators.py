@@ -1288,6 +1288,17 @@ def test_every_operator_kind_is_frozen_with_read_only_arrays():
     for obj in kinds + samples:
         walk(obj, type(obj).__name__)
     assert samples[0].graph._sample is samples[0]
+    # and every table a Sample caches for later probes: domain, fibers,
+    # candidates, hull, pair order and the exact-ray table, views included
+    tables = [name for name, attr in vars(Sample).items() if isinstance(attr, functools.cached_property)]
+    assert {"domain", "fibers", "candidates", "pair_order", "exact_rays"} <= set(tables)
+    for s in samples:
+        for name in tables:
+            walk(getattr(s, name), f"Sample.{name}")
+    assert len(samples[1].exact_rays[0]) > 0
+    for table in samples[1].exact_rays + (samples[1].domain, samples[1].pair_order):
+        with pytest.raises(ValueError, match="read-only"):
+            table[...] = 0.0
 
 
 def test_sample_over_is_reused_by_on_and_leaves_no_reference_cycle():
