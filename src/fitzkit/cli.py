@@ -34,7 +34,7 @@ from .harness import (
     run_suite,
     scenario_from_dict,
 )
-from .operators import GraphOp, LinearOp, op_dimension
+from .operators import GraphOp, affine_form, op_dimension
 from .vecspace import ToleranceConfig, pair
 
 
@@ -153,14 +153,15 @@ def _cmd_fitz(args) -> int:
     tol = ToleranceConfig(**_tolerances(args))
     pt = pair(_parse_vector(args.x), _parse_vector(args.xstar))
     wgrid = args.wgrid and parse_grid(_parse_grid(args.wgrid), "--wgrid", tol.budget)  # read when given
-    if not (wgrid or isinstance(op, (GraphOp, LinearOp))):
-        raise FitzkitError("sampled operators need --wgrid")
     try:
         with np.errstate(over="raise"):
+            lin = affine_form(op)  # a shifted or p = 2-perturbed linear map is one too
+            if not (wgrid or lin is not None or isinstance(op, GraphOp)):
+                raise FitzkitError("sampled operators need --wgrid")
             if isinstance(op, GraphOp):
                 value, method = Finite(fitz_finite(op.graph, pt)), "finite_graph"
-            elif isinstance(op, LinearOp):
-                value, method = fitz_linear(op.M, op.c, pt, tol), "linear_closed_form"
+            elif lin is not None:
+                value, method = fitz_linear(lin.M, lin.c, pt, tol), "linear_closed_form"
             else:
                 value, method = fitz_sampled(op, pt, wgrid, tol), "sampled"
         number = value.value if isinstance(value, Finite) else value.crossed_threshold

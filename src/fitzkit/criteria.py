@@ -22,11 +22,11 @@ from .operators import (
     DualityMapOp,
     FiniteGraph,
     GraphOp,
-    LinearOp,
     OperatorSpec,
     Sample,
     _resolvent_rows,
     _subdiff_rows,
+    affine_form,
     maximality_probe,
     membership_batch,
     perturb,
@@ -52,16 +52,17 @@ _MARGIN_FACTOR = 1.001
 def _default_wgrid(op: OperatorSpec, xgrid: Grid) -> Grid:
     """Sampling grid wide enough that Minty points cover the scan box.
 
-    For linear operators the needed base-point range w = (I+M)x + c over the
-    box is exact (corner images); otherwise a 2x-radius heuristic suffices
-    for the desk-scale zoo (resolvents are nonexpansive and anchored near
-    the origin)."""
-    n = xgrid.dim
-    if isinstance(op, LinearOp):
+    For an affine operator x -> Mx + c (operators.affine_form: a linear map,
+    or one shifted or p = 2-perturbed) the needed base-point range
+    w = (I+M)x + c over the box is exact (corner images); otherwise a
+    2x-radius heuristic suffices for the desk-scale zoo (resolvents are
+    nonexpansive and anchored near the origin)."""
+    n, lin = xgrid.dim, affine_form(op)
+    if lin is not None:
         import itertools
 
         corners = np.array(list(itertools.product(*zip(xgrid.lower, xgrid.upper))))
-        images = corners @ (np.eye(n) + op.M).T + op.c
+        images = corners @ (np.eye(n) + lin.M).T + lin.c
         lo = images.min(axis=0) - xgrid.spacing
         hi = images.max(axis=0) + xgrid.spacing
         return Grid(lo, hi, xgrid.spacing * 2.0, cap=xgrid.cap)

@@ -23,10 +23,10 @@ from .errors import ValidationError, VacuousForFiniteGraphError
 from .operators import (
     FiniteGraph,
     GraphOp,
-    LinearOp,
     OperatorSpec,
     Sample,
     _resolvent_rows,
+    affine_form,
     pairwise_product_blocks,
     shift_graph,
 )
@@ -147,9 +147,10 @@ def fitz_linear(
 # ---------------------------------------------------------------------------
 
 def _blocks(rows: int, width: int):
-    """Slices of at most min(width, 2^16 / width) rows: a (rows, width) table
-    summed a block at a time stays in cache and far below a monotone-gate block."""
-    step = max(1, min(width, 2**16 // width))
+    """Slices of max(1, 2^16 / width) rows: a (rows, width) table summed a block
+    at a time holds at most 2^16 entries (or one row), stays in cache and far
+    below a monotone-gate block, and a narrow table is one block, not many."""
+    step = max(1, 2**16 // width)
     return (slice(i, i + step) for i in range(0, rows, step))
 
 
@@ -345,8 +346,10 @@ def fitz_at(s: Sample, pt: PairPoint) -> FitzValue:
 def fitz_domain_projection(sample: Sample, xgrid: Grid) -> DomainScan:
     """Grid nodes x admitting some probe x* with a Finite fitz value.
 
-    Linear operators take the consistency probe x* = Mx + c, where F is the
-    finite pairing, so every node is a member: dom A = X is in P_X dom F_A.
+    An affine operator (operators.affine_form: a linear map, or one shifted or
+    p = 2-perturbed) takes the consistency probe x* = Mx + c, where F is the
+    finite pairing, so every node is a member: dom A = X is in P_X dom F_A
+    (Theorem 3.6), and the scan builds no fiber and probes nothing.
     Sampled operators probe the first 8 duals of sampled pairs within two spacings
     and the first 8 points of the fiber at the nearest sampled domain point
     a0, all in one fitz_rows call. An empty fiber at a0, or a positively
@@ -358,7 +361,7 @@ def fitz_domain_projection(sample: Sample, xgrid: Grid) -> DomainScan:
             "finite graphs have F finite everywhere; the scan is vacuous"
         )
     nodes = xgrid.nodes()
-    if isinstance(op, LinearOp):
+    if affine_form(op) is not None:
         return DomainScan(xgrid, nodes, "linear_consistency")
 
     g, dom = sample.graph, sample.domain

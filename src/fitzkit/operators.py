@@ -444,13 +444,10 @@ class Fiber:
 
     def __post_init__(self):
         base = as_vector(self.base)
-        pts = np.asarray(self.points, dtype=float).reshape(-1, base.size)
-        rys = np.asarray(self.rays, dtype=float).reshape(-1, base.size)
-        pts.setflags(write=False)
-        rys.setflags(write=False)
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "rays", rys)
+        for name in ("points", "rays"):  # a copy: the caller's array stays the caller's
+            rows = np.array(getattr(self, name), dtype=float).reshape(-1, base.size)
+            object.__setattr__(self, name, read_only(rows))
 
     @property
     def is_empty(self) -> bool:
@@ -598,6 +595,23 @@ def op_dimension(op: OperatorSpec) -> Optional[int]:
             return d
         return op.zstar.size if isinstance(op, ShiftedOp) else op.center.size
     raise ValidationError(f"unknown operator spec {type(op).__name__}")
+
+
+def affine_form(op: OperatorSpec) -> Optional[LinearOp]:
+    """op as the one map x -> Mx + c it is, through any chain of shifts and
+    p = 2 perturbations over a linear map: B - z* is (M, c - z*), and
+    A + lam (. - center) = A + lam J_2(. - center) is (M + lam I, c - lam center).
+    None for every other kind. Readers that need only the map (the domain
+    scan, the default wgrid, the fitz command) take it; sampling does not."""
+    if isinstance(op, LinearOp):
+        return op
+    wraps = isinstance(op, ShiftedOp) or (isinstance(op, PerturbedOp) and op.p == 2.0)
+    inner = affine_form(op.inner) if wraps else None
+    if inner is None:
+        return None
+    if isinstance(op, ShiftedOp):
+        return LinearOp(inner.M, inner.c - op.zstar)
+    return LinearOp(inner.M + op.lam * np.eye(len(inner.M)), inner.c - op.lam * op.center)
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,17 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import fitzkit
 from fitzkit.certificates import passed
 from fitzkit.cli import main
-from fitzkit.harness import CHECKS, FUNCTION_KINDS, OPERATOR_KINDS
+from fitzkit.fitzpatrick import Finite, fitz_linear, fitz_sampled
+from fitzkit.harness import CHECKS, FUNCTION_KINDS, OPERATOR_KINDS, parse_operator
+from fitzkit.operators import affine_form
+from fitzkit.vecspace import DEFAULT_TOL, Grid, pair
 
 CONE = json.dumps({"kind": "normal_cone", "box": {"lo": [0.0], "hi": [1.0]}})
 GRAPH = json.dumps({"kind": "graph", "pairs": [[[0.0], [0.0]], [[1.0], [1.0]]]})
@@ -781,6 +785,52 @@ def test_fitz_linear_value_above_the_threshold_is_a_crossing():
     assert (code, err) == (0, "")
     assert json.loads(out) == {**crossing, "method": "linear_closed_form"}
     assert json.loads(sampled) == {**crossing, "method": "sampled"}
+
+
+@st.composite
+def affine_chain_specs(draw):
+    """A wire spec of a random monotone linear map in 1 or 2 dimensions (a PSD
+    symmetric part, none when the weight is 0, plus a skew part) wrapped in
+    one to three shifts and p = 2 perturbations."""
+    n = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A, B = rng.uniform(-1.0, 1.0, (2, n, n))
+    M = draw(st.sampled_from([0.0, 1.0])) * A @ A.T + (B - B.T)
+    spec = {"kind": "linear", "matrix": M.tolist(), "offset": rng.uniform(-1.0, 1.0, n).tolist()}
+    for _ in range(draw(st.integers(1, 3))):
+        v = rng.uniform(-2.0, 2.0, n).tolist()
+        spec = ({"kind": "shifted", "inner": spec, "zstar": v} if draw(st.booleans()) else
+                {"kind": "perturbed", "inner": spec, "lambda": draw(st.sampled_from([0.5, 2.0])),
+                 "p": 2.0, "center": v})
+    return spec, rng.uniform(-2.0, 2.0, (2, n)).tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(affine_chain_specs())
+def test_fitz_on_a_shifted_or_p2_perturbed_linear_map_is_its_closed_form(case):
+    """Without --wgrid, fitz reports fitz_linear of the chain's normal form,
+    which a sampled lower bound on a wide grid never exceeds by more than eq_tol."""
+    spec, (x, xs) = case
+    code, out, err = run_captured(["fitz", "--operator", json.dumps(spec),
+                                   "--x", ",".join(map(repr, x)), "--xstar", ",".join(map(repr, xs))])
+    assert (code, err) == (0, ""), err
+    payload = json.loads(out)
+    op, pt = parse_operator(spec, "operator"), pair(x, xs)
+    form = affine_form(op)
+    want = fitz_linear(form.M, form.c, pt)
+    assert payload["method"] == "linear_closed_form"
+    if isinstance(want, Finite):
+        assert payload == {"kind": "finite", "value": want.value, "method": "linear_closed_form"}
+    else:
+        assert payload["crossed_threshold"] == want.crossed_threshold
+        assert payload["witness"] == {"primal": want.witness.primal.tolist(),
+                                      "dual": want.witness.dual.tolist()}
+    sampled = fitz_sampled(op, pt, Grid([-6.0] * len(x), [6.0] * len(x), 0.5))
+    if isinstance(sampled, Finite):
+        bound = want.value if isinstance(want, Finite) else np.inf
+        assert bound >= sampled.value - DEFAULT_TOL.eq_tol
+    else:
+        assert not isinstance(want, Finite)
 
 
 HUGE_Z = {"dimension": 1, "operators": {"lin": json.loads(LINEAR_1D)},

@@ -39,6 +39,7 @@ from fitzkit.operators import (
     Quadratic,
     Sample,
     SubdiffOp,
+    affine_form,
     graph_sample,
 )
 from fitzkit.vecspace import Box, DEFAULT_TOL, Grid, PairPoint, Polytope, ToleranceConfig, lexsort_rows, pair, rowwise_dot
@@ -666,10 +667,35 @@ def test_domain_scan_builds_no_pair_table(monkeypatch):
         assert cfg.tolerances == DEFAULT_TOL
         fitz_domain_projection(Sample.over(op, wgrid, cfg.tolerances), xgrid)
         assert sum(sent) == 0, check.target
-        if not isinstance(op, LinearOp):  # the linear scan probes nothing
+        if affine_form(op) is None:  # the affine scan probes nothing
             fitz_domain_projection(Sample.over(op, wgrid, ToleranceConfig(inf_threshold=1.0)), xgrid)
             assert sum(sent) > 0, check.target
             sent.clear()
+
+
+def test_shifted_identity_scan_builds_no_fiber(monkeypatch):
+    """operator-zoo's shifted_ident, B(x) = x - z*, is affine: its theorem36
+    scan marks every node without a fiber or a crossings probe."""
+    cfg = load_scenario(SCENARIOS / "operator-zoo.json")
+    op = cfg.operators["shifted_ident"]
+    fibers, crossings = [], []
+    real_fiber, real_crossings = fitzkit.operators._fiber, fitzkit.fitzpatrick._row_crossings
+    monkeypatch.setattr(fitzkit.operators, "_fiber", lambda *a: fibers.append(1) or real_fiber(*a))
+    monkeypatch.setattr(fitzkit.fitzpatrick, "_row_crossings",
+                        lambda *a: crossings.append(1) or real_crossings(*a))
+    _, cert = theorem36_experiment(op, cfg.grids["scan2"], cfg.tolerances)
+    assert cert.verdict is Verdict.PASS and cert.witness("member_count") == 961
+    assert (len(fibers), len(crossings)) == (0, 0)
+
+
+@pytest.mark.parametrize("rows, width", [(140, 2), (93, 1), (5000, 7), (300, 1681), (10, 70000)])
+def test_blocks_hold_at_most_two_to_the_sixteen_entries(rows, width):
+    """Every block holds at most 2^16 entries, or one row, and a table that
+    fits in 2^16 entries is one block."""
+    blocks = list(_blocks(rows, width))
+    assert [r for b in blocks for r in range(rows)[b]] == list(range(rows))
+    assert all(len(range(rows)[b]) * width <= 2**16 or b.stop - b.start == 1 for b in blocks)
+    assert len(blocks) == 1 or rows * width > 2**16
 
 
 # --------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from fitzkit.errors import (
 from fitzkit.operators import (
     BoxIndicator,
     DualityMapOp,
+    Fiber,
     FiniteGraph,
     FunSum,
     GraphOp,
@@ -29,6 +30,7 @@ from fitzkit.operators import (
     ShiftedOp,
     SubdiffOp,
     TranslatedNormPower,
+    affine_form,
     fiber,
     graph_sample,
     maximality_probe,
@@ -951,6 +953,72 @@ def test_perturbed_p1_resolvent_reduces_for_subdiff():
 
 
 # --------------------------------------------------------------------------
+# affine normal form
+# --------------------------------------------------------------------------
+
+@st.composite
+def affine_chains(draw):
+    """(op, M, c): a random monotone x -> Mx + c (a PSD symmetric part, none
+    when the weight is 0, plus a skew part), wrapped in up to three shifts and
+    p = 2 perturbations, with the map that chain is, composed by hand."""
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A, B = rng.uniform(-1.0, 1.0, (2, n, n))
+    M = draw(st.sampled_from([0.0, 1.0])) * A @ A.T + (B - B.T)
+    c = rng.uniform(-1.0, 1.0, n)
+    op = LinearOp(M, c)
+    for _ in range(draw(st.integers(0, 3))):
+        v = rng.uniform(-2.0, 2.0, n)
+        if draw(st.booleans()):
+            op, c = ShiftedOp(op, v), c - v
+        else:
+            lam = draw(st.sampled_from([0.25, 1.0, 3.0]))
+            op, M, c = PerturbedOp(op, lam, 2.0, v), M + lam * np.eye(n), c - lam * v
+    return op, M, c
+
+
+@settings(max_examples=60, deadline=None)
+@given(affine_chains(), st.integers(0, 2**32 - 1))
+def test_affine_form_is_the_map_of_every_shift_and_p2_chain(case, seed):
+    """The normal form of a chain is its map: the form's resolvent rows equal
+    the chain's within eq_tol times their scale, and every (x, Mx + c) of the
+    hand-composed map is a member of the chain's graph."""
+    op, M, c = case
+    form = affine_form(op)
+    assert isinstance(form, LinearOp)
+    assert np.allclose(form.M, M, rtol=0.0, atol=1e-12) and np.allclose(form.c, c, rtol=0.0, atol=1e-12)
+    rng = np.random.default_rng(seed)
+    W = rng.uniform(-3.0, 3.0, (20, len(c)))
+    got, want = resolvent_batch(form, W), resolvent_batch(op, W)
+    scale = 1.0 + np.abs(W).max() + np.abs(M).max() + np.abs(c).max()
+    assert np.abs(got - want).max() <= DEFAULT_TOL.eq_tol * scale
+    X = rng.uniform(-3.0, 3.0, (20, len(c)))
+    assert membership_batch(op, X, X @ form.M.T + form.c).all()
+
+
+def test_affine_form_of_a_linear_map_is_the_map_itself():
+    assert affine_form(IDENT2) is IDENT2
+
+
+@pytest.mark.parametrize("op", [
+    CONE01_2,
+    NormalConeOp(Polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])),
+    PerturbedOp(IDENT2, 1.0, 1.0, [0.0, 0.0]),
+    PerturbedOp(IDENT2, 1.0, 3.0, [0.5, 0.0]),
+    ShiftedOp(PerturbedOp(IDENT2, 2.0, 1.5, [0.0, 0.0]), [1.0, 0.0]),
+    PerturbedOp(CONE01_2, 2.0, 2.0, [0.5, 0.5]),
+    ShiftedOp(CONE01_2, [1.0, 1.0]),
+    SubdiffOp(FunSum((Quadratic(np.eye(2), np.zeros(2)), BoxIndicator([0.0, 0.0], [1.0, 1.0])))),
+    SubdiffOp(Quadratic(np.eye(2), np.zeros(2))),
+    DualityMapOp(2.0, [0.0, 0.0]),
+    GraphOp(graph_of(([0.0], [0.0]), ([1.0], [1.0]))),
+], ids=["box-cone", "polytope-cone", "p1-perturbed", "p3-perturbed", "shifted-p1.5",
+        "p2-perturbed-cone", "shifted-cone", "quad-box-sum", "quadratic", "duality-map", "graph"])
+def test_affine_form_is_none_for_every_other_kind(op):
+    assert affine_form(op) is None
+
+
+# --------------------------------------------------------------------------
 # monotone checks
 # --------------------------------------------------------------------------
 
@@ -1217,6 +1285,16 @@ def test_fiber_exact_flags():
     assert fiber(SubdiffOp(Quadratic(np.eye(2), np.zeros(2))), [0.3, 0.1]).exact
     assert not fiber(DualityMapOp(1.0, [0.0]), [0.0]).exact
     assert not fiber(SubdiffOp(NormPower(1.0, 2.0)), [0.0]).exact
+
+
+def test_fiber_keeps_a_copy_of_the_arrays_it_is_given():
+    """Writing into the caller's arrays afterwards leaves the fiber as built."""
+    points, rays = np.zeros((1, 2)), np.array([[1.0, 0.0]])
+    f = Fiber(np.zeros(2), points, rays, True)
+    points[0, 0], rays[0, 1] = 5.0, 7.0
+    assert f.points.tolist() == [[0.0, 0.0]] and f.rays.tolist() == [[1.0, 0.0]]
+    assert not np.shares_memory(points, f.points) and not np.shares_memory(rays, f.rays)
+    assert not f.points.flags.writeable and not f.rays.flags.writeable
 
 
 def test_dykstra_escapes_kink_stall():
