@@ -566,6 +566,17 @@ def separate(z: Vector, p: Polytope, tol: ToleranceConfig = DEFAULT_TOL) -> tupl
     return y0, delta
 
 
+def _compact_count(count) -> str:
+    """count in full up to 12 digits, else in e-notation, or as a power of ten
+    past the float range: str() of an int past 4300 digits raises."""
+    if count < 10**12:
+        return str(count)
+    try:
+        return f"{float(count):.2e}"
+    except OverflowError:
+        return f"10^{math.log10(count):.1f}"
+
+
 @dataclass(frozen=True, eq=False)
 class Grid:
     """Uniform axis-aligned lattice with a hard cap on the node count."""
@@ -589,7 +600,7 @@ class Grid:
             steps = np.floor((hi - lo) / self.spacing + 1e-9)
         object.__setattr__(self, "_lengths", tuple(int(m) + 1 if m < np.inf else m for m in steps))
         if self.count > self.cap:
-            raise ValidationError(f"grid has {self.count} nodes, exceeding cap {self.cap}")
+            raise ValidationError(f"grid has {_compact_count(self.count)} nodes, exceeding cap {self.cap}")
 
     @property
     def dim(self) -> int:
@@ -599,10 +610,13 @@ class Grid:
     def count(self) -> int:
         return math.prod(self._lengths)
 
+    def axes(self) -> tuple[np.ndarray, ...]:
+        """The nodes' coordinates along each axis, lower + spacing * arange(m)."""
+        return tuple(lo + self.spacing * np.arange(m) for lo, m in zip(self.lower, self._lengths))
+
     def nodes(self) -> np.ndarray:
         """All lattice nodes in lexicographic order (first axis is primary)."""
-        axes = (lo + self.spacing * np.arange(m) for lo, m in zip(self.lower, self._lengths))
-        mesh = np.meshgrid(*axes, indexing="ij")
+        mesh = np.meshgrid(*self.axes(), indexing="ij")
         return read_only(np.stack([m.ravel() for m in mesh], axis=1))
 
     def scaled(self, extent: float = 2.0, coarsen: float = 2.0) -> "Grid":

@@ -246,6 +246,17 @@ def test_check_grid_too_fine_to_build_exit_two(capsys):
     assert err.count("\n") == 1 and err.startswith("error: grid has 5000000001 nodes")
 
 
+@pytest.mark.parametrize("n, count", [(1, "2.00e+300"), (15, "10^4504.5")])
+def test_check_grid_with_an_oversize_count_names_it_compactly_exit_two(capsys, n, count):
+    # 2e300 nodes per axis: 301 digits in 1-d, past str()'s 4300 in 15-d
+    op = json.dumps({"kind": "linear", "matrix": np.eye(n).tolist()})
+    lo, hi = ",".join(["-1"] * n), ",".join(["1"] * n)
+    code = main(["check", "--check", "near_convexity", "--operator", op, "--z", ",".join(["2"] * n),
+                 "--lambdas", "1", f"--wgrid={lo}:{hi}:1e-300"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: grid has {count} nodes, exceeding cap 100000\n"
+
+
 def test_check_strict_near_convexity_without_probe_grid_exit_two(capsys):
     code = main(["check", "--check", "near_convexity", "--operator", LINEAR_1D, "--z", "2",
                  "--lambdas", "1", "--wgrid=-2:3:0.5", "--params", '{"strict": true}'])

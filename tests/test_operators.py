@@ -282,13 +282,53 @@ DENSE_SAMPLE_FAMILIES = {  # the benchmark's dense-sample operators on R^n
 @pytest.mark.parametrize("family", DENSE_SAMPLE_FAMILIES)
 @pytest.mark.parametrize("n, spacing", [(2, 0.25), (3, 0.5)])
 def test_graph_sample_dedupes_once_and_its_rows_pass_the_graph_dedupe(monkeypatch, family, n, spacing):
+    # the grid's spacing proves the rows apart, so graph_sample sorts them in
+    # place of the dedupe, and the result is the dedupe's bit for bit
     dedupes = count_calls(monkeypatch, "dedupe_rows_within", operators)
-    g = graph_sample(DENSE_SAMPLE_FAMILIES[family](n), Grid([-2.0] * n, [3.0] * n, spacing))
-    assert dedupes == [1]
+    op, grid = DENSE_SAMPLE_FAMILIES[family](n), Grid([-2.0] * n, [3.0] * n, spacing)
+    g = graph_sample(op, grid)
+    assert dedupes == []
+    W = grid.nodes()
+    X = resolvent_batch(op, W)
+    ref = vecspace.dedupe_rows_within(np.hstack([X, W - X]), DEFAULT_TOL.eq_tol)
+    rows = np.hstack([g.primals, g.duals])
+    assert rows.shape == ref.shape and rows.tobytes() == ref.tobytes()
     h = FiniteGraph.from_arrays(g.primals, g.duals)
-    assert dedupes == [1, 1]
+    assert dedupes == [1]
     for a, b in ((g.primals, h.primals), (g.duals, h.duals), (g.self_products, h.self_products)):
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "grid, dedupes, drops",
+    [
+        (Grid([1e16], [1e16 + 64.0], 1.0), [1], True),  # 65 nodes on 33 floats: gap 0
+        (Grid([0.0], [4e-8], 1.4e-9), [1], True),  # identity rows within eq_tol
+        (Grid([0.0], [4e-8], 2.8e-9), [1], False),  # apart, yet below 2 sqrt(2) eq_tol
+        (Grid([0.0], [4e-8], 2.9e-9), [], False),  # past the bound: proven apart
+        (Grid([-2.0, 0.0], [3.0, 1.0], 0.5), [], False),
+    ],
+)
+def test_graph_sample_falls_back_to_the_dedupe_unless_the_grid_proves_rows_apart(monkeypatch, grid, dedupes, drops):
+    op = IDENT if grid.dim == 1 else IDENT2
+    calls = count_calls(monkeypatch, "dedupe_rows_within", operators)
+    W = grid.nodes()
+    X = resolvent_batch(op, W)
+    ref = vecspace.dedupe_rows_within(np.hstack([X, W - X]), DEFAULT_TOL.eq_tol)
+    g = graph_sample(op, grid, verify=False)
+    assert calls == dedupes
+    rows = np.hstack([g.primals, g.duals])
+    assert rows.shape == ref.shape and rows.tobytes() == ref.tobytes()
+    assert (len(g) < grid.count) == drops
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_graph_sample_separation_fails_on_a_nan_or_an_overflow(bad):
+    grid = Grid([0.0, 0.0], [1.0, 1.0], 0.5)
+    S = np.ones((grid.count, 2))
+    assert operators._rows_separated(grid, S, DEFAULT_TOL.eq_tol)
+    S[3, 1] = bad
+    assert not operators._rows_separated(grid, S, DEFAULT_TOL.eq_tol)
 
 
 def test_graph_sample_below_the_default_tolerance_keeps_the_graph_dedupe():
@@ -1086,7 +1126,12 @@ def planted_graph(n, k, seed, rows=None, t=0.0, R=100.0):
     rng = np.random.default_rng(seed)
     m = int(np.ceil(k ** (1.0 / n)))
     X = np.stack(np.unravel_index(rng.permutation(m**n)[:k], (m,) * n), axis=1) / (m - 1)
-    S = X.copy()
+    return plant(X, X.copy(), rng, rows, t, R)
+
+
+def plant(X, S, rng, rows=None, t=0.0, R=100.0):
+    """The graph (X, S) with rows (r, s) replaced by planted_graph's pair."""
+    n = X.shape[1]
     if rows is not None:
         r, s = rows
         A, e = 2.0 * R * R, DEFAULT_TOL.eq_tol
@@ -1190,6 +1235,104 @@ def test_monotone_check_rescans_once_from_a_flag_in_any_column_tile(monkeypatch,
     rechecks.clear()
     assert witness_rows(g, monotone_check(g)) == ref
     assert rechecks == [1]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    family=st.sampled_from(("box", "simplex")),
+    n=st.integers(2, 3),
+    spacing=st.floats(0.1, 0.3),
+    shift=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.none() | st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    t=st.none() | st.floats(-2.0, 2.0) | st.integers(-40, 40) | st.sampled_from((-1e5, 1e5)),
+    R=st.sampled_from((10.0, 100.0, 1000.0)),
+    copies=st.integers(0, 3),
+)
+@example(family="box", n=2, spacing=0.1, shift=0.5, seed=SEED, rows=(0.3, 0.7), t=None, R=100.0, copies=2)
+@example(family="box", n=2, spacing=0.1, shift=0.5, seed=SEED, rows=(0.7, 0.3), t=0.0, R=100.0, copies=0)
+@example(family="simplex", n=2, spacing=0.1, shift=0.5, seed=SEED, rows=(0.3, 0.7), t=-8, R=100.0, copies=1)
+@example(family="simplex", n=3, spacing=0.1, shift=0.5, seed=SEED, rows=(0.3, 0.7), t=1e5, R=10.0, copies=0)
+def test_grouped_certificate_keeps_the_full_square_verdict(family, n, spacing, shift, seed, rows, t, R, copies):
+    # a normal-cone sample repeats each boundary point across many rows; a
+    # planted product sits within a few ulps of -eq_tol, inside the margin, or
+    # clearly past it on either side. Copies of each planted primal, next to
+    # it, carry duals R j e further out along it, whose products are all
+    # larger: only a group's least product may decide
+    h = spacing if n == 2 else 3.0 * spacing
+    grid = Grid([-2.0 + shift * h] * n, [3.0] * n, h)
+    g = graph_sample(DENSE_SAMPLE_FAMILIES[family](n), grid, verify=False)
+    k = len(g)
+    if rows is not None:
+        r, s = int(rows[0] * (k - 1)), int(rows[1] * (k - 1))
+        rows = (r, s) if r != s else None
+    g = plant(g.primals.copy(), g.duals.copy(), np.random.default_rng(seed), rows, t, R)
+    if rows is not None and copies:
+        X, S = g.primals, g.duals
+        for i in sorted(rows, reverse=True):
+            j = np.arange(1, copies + 1)[:, None]
+            X = np.insert(X, i + 1, np.repeat(X[i : i + 1], copies, axis=0), axis=0)
+            S = np.insert(S, i + 1, S[i] + j * X[i], axis=0)
+        g = FiniteGraph.from_arrays(X, S)
+    assert witness_rows(g, monotone_check(g)) == full_square_monotone_reference(g)
+
+
+def test_grouped_certificate_groups_only_exactly_equal_primals():
+    # a row 1e-4 off a box corner's primal, next to its rows, with product
+    # -1e-7 against one of them: read as that corner's primal, its products
+    # with the corner's rows would be about +1e-4
+    g = graph_sample(CONE01_2, Grid([-2.0, -2.0], [3.0, 3.0], 0.1), verify=False)
+    X, S = g.primals, g.duals
+    i = int(np.flatnonzero((X == 1.0).all(axis=1) & (S[:, 0] > 0.5))[0])
+    e1 = np.array([1.0, 0.0])
+    g = FiniteGraph.from_arrays(np.insert(X, i + 1, X[i] + 1e-4 * e1, axis=0),
+                                np.insert(S, i + 1, S[i] - 1e-3 * e1, axis=0))
+    ref = full_square_monotone_reference(g)
+    assert ref is not None and witness_rows(g, monotone_check(g)) == ref
+
+
+@pytest.mark.parametrize(
+    "family, spacing, tiled",
+    [("box", 0.05, []), ("quadbox", 0.05, [1]), ("quadbox", 0.1, [1])],
+)
+def test_grouped_certificate_decides_where_groups_average_8_rows(monkeypatch, family, spacing, tiled):
+    # the dense-sample box graph: 10201 rows in 441 groups; quadbox: 10201 rows
+    # in 1681 groups (an m x m table past 8 tiles), and 2601 rows in 441 groups
+    g = graph_sample(DENSE_SAMPLE_FAMILIES[family](2), Grid([-2.0, -2.0], [3.0, 3.0], spacing), verify=False)
+    flags = count_calls(monkeypatch, "_first_flagged_row", operators)
+    rescans = count_calls(monkeypatch, "pairwise_product_blocks", operators)
+    assert monotone_check(g) is None and flags == tiled and rescans == []
+
+
+def traced_peak(f):
+    tracemalloc.start()
+    try:
+        out = f()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("family", DENSE_SAMPLE_FAMILIES)
+@pytest.mark.parametrize("n, spacing", [(2, 0.05), (3, 0.25)])
+def test_monotone_check_stays_under_8_mib_on_the_dense_samples(family, n, spacing):
+    g = graph_sample(DENSE_SAMPLE_FAMILIES[family](n), Grid([-2.0] * n, [3.0] * n, spacing), verify=False)
+    out, peak = traced_peak(lambda: monotone_check(g))
+    assert out is None and peak < 8 * 2**20
+
+
+def test_monotone_check_builds_no_group_table_past_its_size_rule(monkeypatch):
+    # 2000 groups of 50 rows at the 10^5-node cap: 8m <= k holds, but the
+    # m x m table would take 32 MB, so the tiled gate (stubbed here) decides
+    k, m = DEFAULT_TOL.budget, 2000
+    X = np.repeat(np.stack(np.divmod(np.arange(m), 50), axis=1) / 50.0, k // m, axis=0)
+    S = X + np.arange(k)[:, None] * np.array([1e-3, 2e-3])
+    g = FiniteGraph.from_arrays(X, S)
+    calls = []
+    monkeypatch.setattr(operators, "_first_flagged_row", lambda *a: calls.append(1))
+    out, peak = traced_peak(lambda: monotone_check(g))
+    assert out is None and calls == [1]
+    assert peak < 8 * 2**20 < m * m * 8
 
 
 def test_monotone_check_gate_allocates_cache_sized_tiles():

@@ -560,6 +560,24 @@ def test_grid_nodes_and_cap():
             Grid(lo, hi, h)
 
 
+def test_grid_names_an_oversize_count_compactly():
+    with pytest.raises(ValidationError, match=r"^grid has 2.00e\+300 nodes, exceeding cap 100000$"):
+        Grid([-1.0], [1.0], 1e-300)
+    # (2e300)^15 nodes: str() of the count would pass Python's 4300-digit limit
+    with pytest.raises(ValidationError, match=r"^grid has 10\^4504.5 nodes, exceeding cap 100000$"):
+        Grid(-np.ones(15), np.ones(15), 1e-300)
+
+
+def test_grid_axes_are_the_coordinates_of_its_nodes():
+    g = Grid([-2.0, 0.1, 5.0], [3.0, 0.7, 5.5], 0.3)
+    axes = g.axes()
+    assert [len(a) for a in axes] == [17, 3, 2]
+    nodes = g.nodes()
+    assert len(nodes) == g.count == 17 * 3 * 2
+    for i, a in enumerate(axes):
+        assert np.unique(nodes[:, i]).tobytes() == a.tobytes()
+
+
 def test_polytope_contains_batch_degenerate():
     seg = conv_hull([[0.0, 0.0], [1.0, 1.0]])
     xs = np.array([[0.5, 0.5], [0.5, 0.6], [2.0, 2.0]])
