@@ -24,13 +24,19 @@ tolerance dedupe, unless the grid's spacing proves that no two are that close;
 then it only sorts them. With verify=True it passes every Minty sample through
 two exact gates, neither sampled down: ``membership_batch`` tests x* in A(x)
 for every pair, a subdifferential by a closed-form distance to its image, and
+the monotonicity gate has three routes, each exact. Where A = M. + c + N_B
+with B a box or R^n (``cone_form``: linear maps, quadratic-plus-box
+subdifferentials, box normal cones, J_2, and their shifts and p = 2
+perturbations), ``_residual_certificate`` bounds every pairwise product from
+the rows' residuals s - Mx - c off the normal cone, in O(k n^2) work and no
+k x k table. Otherwise, or when that bound does not clear the threshold,
 ``monotone_check`` first bounds the products of whole groups of equal primals,
 one row of groups per column of a GEMM, where few groups hold many pairs (the
-normal cones); otherwise, or when that bound does not clear the threshold, it
-computes the upper triangle of the pairwise products in cache-sized tiles, one
-matmul each, and rescans the full square from the first row block it flags.
-Both gates test against one threshold widened by an a-priori rounding bound.
-Each docstring says why the verdict, and the witness, are exact.
+polytope cones); otherwise, or when that bound does not clear the threshold,
+it computes the upper triangle of the pairwise products in cache-sized tiles,
+one matmul each, and rescans the full square from the first row block it
+flags. All three test against one threshold widened by an a-priori rounding
+bound. Each docstring says why the verdict, and the witness, are exact.
 """
 
 from __future__ import annotations
@@ -620,6 +626,30 @@ def affine_form(op: OperatorSpec) -> Optional[LinearOp]:
     return LinearOp(inner.M + op.lam * np.eye(len(inner.M)), inner.c - op.lam * op.center)
 
 
+def cone_form(op: OperatorSpec, n: int) -> Optional[tuple[np.ndarray, np.ndarray, Optional[Box]]]:
+    """(M, c, B) with A = M. + c + N_B on R^n, B a Box or None for R^n: a linear
+    chain as ``affine_form`` reads it; a subdifferential whose function is
+    quadratic plus box (``_sum_exact_parts``: quadratics, p = 2 norm powers, box
+    indicators, so box normal cones and J_2 too); and, through any shift or
+    p = 2 perturbation of these, (M, c - z*, B) and (M + lam I, c - lam center, B).
+    None for every other kind. Only graph_sample's residual gate reads it."""
+    form = affine_form(op)
+    if form is not None:
+        return form.M, form.c, None
+    if isinstance(op, ShiftedOp) or (isinstance(op, PerturbedOp) and op.p == 2.0):
+        inner = cone_form(op.inner, n)
+        if inner is None:
+            return None
+        M, c, B = inner
+        if isinstance(op, ShiftedOp):
+            return M, c - op.zstar, B
+        return M + op.lam * np.eye(n), c - op.lam * op.center, B
+    fun = _subdiff_of(op)
+    if fun is None:
+        return None
+    return _sum_exact_parts(fun if isinstance(fun, FunSum) else FunSum((fun,)), n)
+
+
 # ---------------------------------------------------------------------------
 # Resolvent (Minty parametrization)
 # ---------------------------------------------------------------------------
@@ -628,8 +658,12 @@ def resolvent_batch(
     op: OperatorSpec, W: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, step=1.0
 ) -> np.ndarray:
     """Rows x with w - x in step*A(x), one per row w of W; a (k,) step gives row
-    i its result alone at scalar step[i], bit for bit (see fun_prox_batch)."""
+    i its result alone at scalar step[i], bit for bit (see fun_prox_batch).
+    Rows of the wrong width raise DimensionMismatchError."""
     W, s = np.atleast_2d(np.asarray(W, dtype=float)), np.asarray(step)[..., None]
+    dim = op_dimension(op)
+    if W.ndim != 2 or dim not in (None, W.shape[1]):
+        raise DimensionMismatchError(f"base point shape {W.shape} does not match dimension {dim}")
     if isinstance(op, GraphOp):
         raise NotMaximalError("finite graphs have no resolvent (not maximal)")
     if isinstance(op, LinearOp):
@@ -833,7 +867,10 @@ def graph_sample(
     ``_rows_separated`` proves that it would drop none, they are only sorted.
     With verify, every deduplicated pair must pass ``membership_batch`` (the
     one membership rule, slack eq_tol * max(1, |x*|)) and the sampled graph
-    must pass ``monotone_check``; the first failure raises ValidationError."""
+    must pass ``monotone_check``; the first failure raises ValidationError.
+    Where op has a ``cone_form``, ``_residual_certificate`` is tried first: it
+    proves from the rows' residuals that monotone_check would return None, so
+    the verdict is monotone_check's either way."""
     W = wgrid.nodes()
     X = resolvent_batch(op, W, tol)
     S = W - X
@@ -853,7 +890,7 @@ def graph_sample(
             )
     g = FiniteGraph.__new__(FiniteGraph)._store(Xd, Sd, deduped=tol.eq_tol >= DEFAULT_TOL.eq_tol)
     if verify:
-        witness = monotone_check(g, tol)
+        witness = None if _residual_certificate(op, g, tol.eq_tol) else monotone_check(g, tol)
         if witness is not None:
             raise ValidationError(f"sampled graph is not monotone: {witness}")
     return g
@@ -884,7 +921,8 @@ def monotone_check(
     """None when all pairwise products are >= -eq_tol, else the first violating
     pair in row-major order of the full k x k square of products
     P[i, j] = ((d_i + d_j) - x_i.x_j*) - x_i*.x_j of ``pairwise_product_blocks``,
-    d_i = x_i.x_i*.
+    d_i = x_i.x_i*. graph_sample tries ``_residual_certificate`` first and
+    calls this only where that declines.
 
     Where few groups of equal primals hold the rows, ``_grouped_certificate``
     bounds every product from the groups alone and returns None when the bound
@@ -937,6 +975,81 @@ def _gate_limit(X: np.ndarray, S: np.ndarray, d: np.ndarray, eq_tol: float) -> O
     C = 2.0 * np.abs(d).max() + 2.0 * np.linalg.norm(X, axis=1).max() * np.linalg.norm(S, axis=1).max()
     margin = rounding_margin(C, X.shape[1])
     return np.nextafter(eq_tol - margin, -np.inf) if np.isfinite(margin) else None
+
+
+def _residual_certificate(op: OperatorSpec, g: FiniteGraph, eq_tol: float) -> bool:
+    """True when op's ``cone_form`` proves from g's rows that the full-square
+    scan of monotone_check finds no violation, the grouped certificate's
+    contract; graph_sample tries it before monotone_check. O(k n^2) work and
+    a few (k, n) arrays, no k x k table.
+
+    For A = M. + c + N_B (Minty, Duke Math. J. 29, 1962, parametrises its
+    graph), write each row as s_i = M x_i + c + nu_i + e_i with nu_i in
+    N_B(x_i). With d = x_i - x_j the exact product is
+
+        <d, s_i - s_j> = <d, M d> + <d, nu_i - nu_j> + <d, e_i - e_j>
+                       >= lam |d|^2 - 2 E |d|,
+
+    where every x_i lies in B, so <nu_i, x_i - x_j> >= 0 by the definition of
+    the normal cone, lam <= lambda_min(sym M) and E >= max |e_i|. Over
+    |d| <= D, the primal diameter, that is at least -E^2 / lam when lam > 0,
+    else -(|lam| D^2 + 2 D E). ``_residual_bound`` returns twice that bound.
+
+    Exactness. B holds every x_i in floats, exactly. r_i = s_i - M x_i - c
+    rounds to r'_i within gamma_{n+2} mag per coordinate, mag = max|s| +
+    max_k sum_j |M_kj| max|x| + max|c|, a sum of n products and two terms
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., §3.1),
+    plus n underflowed products, far below E's floor (below). nu_ik is
+    min(r'_ik, 0) where x_ik is lo_k bit for bit, max(r'_ik, 0) where it is
+    hi_k, both where lo_k = hi_k, else 0: a float vector in N_B(x_i), with
+    r'_i - nu_i computed exactly, as a clip. (membership's active sets,
+    widened by eq_tol, would not give a cone point.) So |e_i| <=
+    sqrt(n) (max|r' - nu| + gamma_{n+2} mag). lam is eigvalsh's least
+    eigenvalue of H = fl(sym M) less tau = 40 n^2 u |H|_F, rounded down: by
+    Weyl's theorem that covers a backward error of the eigensolver up to
+    16 n^2 u |H|_2 (Golub and Van Loan, Matrix Computations, §8.3, prove it
+    of order u |H|_2), the rounding of H and that of tau. E and D are raised
+    to at least 2^-300, and lam lowered to at most 2^300, or to at most
+    -2^-300 when not positive; each change loosens the bound and keeps every
+    product of these quantities normal, so each of the at most 2n + 22
+    operations after the residuals rounds by a relative u, and twice the
+    computed bound exceeds the exact one. The rows then have exact products
+    at least -limit, and as in the grouped certificate every product the
+    scan computes is at least -eq_tol: the stored d_i are within gamma_n C / 2
+    of x_i.x_i*, and (gamma_n + gamma_{2n+2}) C plus 2n subnormals is below
+    the margin. A NaN, an overflow, a row outside B or a
+    None limit fails the test."""
+    bound = _residual_bound(op, g.primals, g.duals)
+    if bound is None:
+        return False
+    limit = _gate_limit(g.primals, g.duals, g.self_products, eq_tol)
+    return limit is not None and bool(bound <= limit)
+
+
+def _residual_bound(op: OperatorSpec, X: np.ndarray, S: np.ndarray) -> Optional[float]:
+    """Twice ``_residual_certificate``'s bound on minus the least exact product
+    of the rows (X, S), or None when op has no cone form or a row lies outside B."""
+    n = X.shape[1]
+    form = cone_form(op, n)
+    if form is None:
+        return None
+    M, c, B = form
+    R = S - X @ M.T - c
+    if B is not None:
+        if not ((X >= B.lo) & (X <= B.hi)).all():
+            return None
+        R = np.where(X == B.lo, np.maximum(R, 0.0), R)
+        R = np.where(X == B.hi, np.minimum(R, 0.0), R)
+    u, tiny = np.finfo(float).eps / 2, 2.0**-300
+    gamma = (n + 2) * u / (1.0 - (n + 2) * u)
+    mag = np.abs(S).max() + np.abs(M).sum(axis=1).max() * np.abs(X).max() + np.abs(c).max()
+    E = np.maximum(np.sqrt(n) * (np.abs(R).max() + gamma * mag), tiny)
+    H = 0.5 * (M + M.T)
+    lam = np.nextafter(np.linalg.eigvalsh(H)[0] - 40 * n * n * u * np.linalg.norm(H), -np.inf)
+    if lam > 0:
+        return float(2.0 * E * E / min(lam, 1.0 / tiny))
+    D = np.maximum(np.linalg.norm(X.max(axis=0) - X.min(axis=0)), tiny)
+    return float(2.0 * (-min(lam, -tiny) * D * D + 2.0 * D * E))
 
 
 def _grouped_certificate(X: np.ndarray, S: np.ndarray, d: np.ndarray, eq_tol: float) -> bool:

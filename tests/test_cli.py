@@ -372,6 +372,15 @@ def test_fitz_point_of_wrong_dimension_exit_two(capsys, operator, extra):
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
+def test_fitz_wgrid_of_wrong_dimension_exit_two(capsys):
+    # the grid's nodes are 3-d, the box cone 2-d
+    box = json.dumps({"kind": "normal_cone", "box": {"lo": [0, 0], "hi": [1, 1]}})
+    code = main(["fitz", "--operator", box, "--x", "0,0", "--xstar", "0,0", "--wgrid=-1,-1,-1:1,1,1:0.5"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.strip().splitlines()) == 1
+
+
 def test_report_reemit(capsys, tmp_path):
     stored = tmp_path / "r.json"
     code, _ = run_cli(capsys, "suite", "--scenario", "expected-failures", "--out", str(stored))

@@ -31,6 +31,7 @@ from fitzkit.operators import (
     SubdiffOp,
     TranslatedNormPower,
     affine_form,
+    cone_form,
     fiber,
     graph_sample,
     maximality_probe,
@@ -172,6 +173,23 @@ def test_resolvent_worked_examples():
 def test_resolvent_graph_not_maximal():
     with pytest.raises(NotMaximalError):
         resolvent(GraphOp(graph_of(([0.0], [0.0]))), [1.0])
+
+
+@pytest.mark.parametrize("op", [
+    IDENT2,
+    CONE01_2,
+    NormalConeOp(Polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])),
+    SubdiffOp(Quadratic(np.eye(2))),
+    DualityMapOp(2.0, [0.0, 0.0]),
+    ShiftedOp(CONE01_2, [1.0, 1.0]),
+], ids=["linear", "box-cone", "polytope-cone", "quadratic", "J_2", "shifted-cone"])
+def test_resolvent_batch_of_rows_of_the_wrong_width_raises_dimension_mismatch(op):
+    # a box cone's clip broadcast (k, 3) rows against its 2-d bounds into a
+    # bare numpy ValueError
+    for W in (np.zeros((4, 3)), np.zeros((4, 1)), np.zeros((2, 2, 2))):
+        with pytest.raises(DimensionMismatchError):
+            resolvent_batch(op, W)
+    assert resolvent_batch(op, np.zeros((4, 2))).shape == (4, 2)
 
 
 def test_resolvent_fixed_point_identity():
@@ -1059,6 +1077,91 @@ def test_affine_form_is_none_for_every_other_kind(op):
 
 
 # --------------------------------------------------------------------------
+# cone normal form
+# --------------------------------------------------------------------------
+
+@st.composite
+def cone_chains(draw):
+    """(op, M, c, B): a random A = M. + c + N_B of a kind cone_form reads (a
+    linear map, a quadratic, a quadratic plus a box, a box normal cone, J_2),
+    wrapped in up to three shifts and p = 2 perturbations, with the form that
+    chain has, composed by hand. Some box coordinates have lo = hi."""
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A, K = rng.uniform(-1.0, 1.0, (2, n, n))
+    Q = draw(st.sampled_from([0.0, 1.0])) * A @ A.T
+    Q = 0.5 * (Q + Q.T)
+    b = rng.uniform(-1.0, 1.0, n)
+    lo = rng.uniform(-1.0, 0.5, n)
+    box = Box(lo, lo + rng.uniform(0.25, 1.5, n) * (rng.random(n) > 0.2))
+    zeros = (np.zeros((n, n)), np.zeros(n))
+    kind = draw(st.sampled_from(("linear", "quadratic", "quadbox", "cone", "J2")))
+    op, M, c, B = {
+        "linear": (LinearOp(Q + K - K.T, b), Q + K - K.T, b, None),
+        "quadratic": (SubdiffOp(Quadratic(Q, b)), Q, b, None),
+        "quadbox": (SubdiffOp(FunSum((Quadratic(Q, b), box))), Q, b, box),
+        "cone": (NormalConeOp(box), *zeros, box),
+        "J2": (DualityMapOp(2.0, b), np.eye(n), -b, None),
+    }[kind]
+    for _ in range(draw(st.integers(0, 3))):
+        v = rng.uniform(-2.0, 2.0, n)
+        if draw(st.booleans()):
+            op, c = ShiftedOp(op, v), c - v
+        else:
+            lam = draw(st.sampled_from([0.25, 1.0, 3.0]))
+            op, M, c = PerturbedOp(op, lam, 2.0, v), M + lam * np.eye(n), c - lam * v
+    return op, M, c, B
+
+
+def normal_cone_points(rng, B, n, k):
+    """k rows x of B, each coordinate interior, at lo or at hi, and a nu in
+    N_B(x) per row (any sign where lo = hi); x in [-3, 3]^n and nu = 0 for R^n."""
+    if B is None:
+        return rng.uniform(-3.0, 3.0, (k, n)), np.zeros((k, n))
+    X = rng.uniform(B.lo, B.hi, (k, n))
+    at = rng.integers(0, 3, (k, n))
+    X = np.where(at == 1, B.lo, np.where(at == 2, B.hi, X))
+    m_lo, m_hi = rng.uniform(0.0, 5.0, (2, k, n))
+    return X, np.where(X == B.hi, m_hi, 0.0) - np.where(X == B.lo, m_lo, 0.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(cone_chains(), st.integers(0, 2**32 - 1))
+def test_cone_form_is_the_form_of_every_shift_and_p2_chain(case, seed):
+    """The form of a chain is the one composed by hand, a linear chain's is
+    affine_form's map bit for bit, and every (x, Mx + c + nu) with x in B and
+    nu in N_B(x) is a member of the chain's graph."""
+    op, M, c, B = case
+    n = len(c)
+    Mf, cf, Bf = cone_form(op, n)
+    assert np.allclose(Mf, M, rtol=0.0, atol=1e-12) and np.allclose(cf, c, rtol=0.0, atol=1e-12)
+    assert (Bf is None) == (B is None)
+    if B is not None:
+        assert np.array_equal(Bf.lo, B.lo) and np.array_equal(Bf.hi, B.hi)
+    lin = affine_form(op)
+    if lin is not None:
+        assert np.array_equal(lin.M, Mf) and np.array_equal(lin.c, cf)
+    X, nu = normal_cone_points(np.random.default_rng(seed), Bf, n, 30)
+    assert membership_batch(op, X, X @ Mf.T + cf + nu).all()
+
+
+@pytest.mark.parametrize("op", [
+    NormalConeOp(Polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])),
+    ShiftedOp(NormalConeOp(Polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])), [1.0, 0.0]),
+    PerturbedOp(IDENT2, 1.0, 1.0, [0.0, 0.0]),
+    PerturbedOp(CONE01_2, 2.0, 3.0, [0.5, 0.5]),
+    ShiftedOp(PerturbedOp(SubdiffOp(Quadratic(np.eye(2))), 2.0, 1.5, [0.0, 0.0]), [1.0, 0.0]),
+    SubdiffOp(NormPower(1.0)),
+    SubdiffOp(FunSum((Quadratic(np.eye(2)), NormPower(3.0), BoxIndicator([0.0, 0.0], [1.0, 1.0])))),
+    DualityMapOp(1.5, [0.0, 0.0]),
+    GraphOp(graph_of(([0.0, 0.0], [0.0, 0.0]), ([1.0, 1.0], [1.0, 1.0]))),
+], ids=["polytope-cone", "shifted-polytope-cone", "p1-perturbed", "p3-perturbed-cone",
+        "shifted-p1.5-quadratic", "p1-norm", "p3-norm-in-sum", "J_1.5", "graph"])
+def test_cone_form_is_none_for_every_other_kind(op):
+    assert cone_form(op, 2) is None
+
+
+# --------------------------------------------------------------------------
 # monotone checks
 # --------------------------------------------------------------------------
 
@@ -1346,6 +1449,164 @@ def test_monotone_check_gate_allocates_cache_sized_tiles():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+# --------------------------------------------------------------------------
+# residual certificate
+# --------------------------------------------------------------------------
+
+def sampled_gate(op, g, tol=DEFAULT_TOL):
+    """graph_sample's gate on the graph g of op: the residual certificate, then
+    monotone_check where it declines."""
+    return None if operators._residual_certificate(op, g, tol.eq_tol) else monotone_check(g, tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=cone_chains(),
+    seed=st.integers(0, 2**32 - 1),
+    f=st.sampled_from((0.0, 1e-3, 0.5, 0.9, 1.1, 2.0, 1e3)),
+    limit_sized=st.booleans(),
+    rows=st.none() | st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    t=st.none() | st.floats(-2.0, 2.0) | st.integers(-40, 40),
+    mirror=st.booleans(),
+)
+def test_residual_certificate_keeps_the_full_square_verdict(case, seed, f, limit_sized, rows, t, mirror):
+    # a cone-form sample with an error planted in every dual, about +-limit
+    # in size or sized so that the certificate's bound is f times the limit;
+    # with it maybe planted_graph's pair (a product within a few ulps of
+    # -eq_tol) and one dual mirrored through M x + c (its normal-cone part
+    # turned to the wrong side). Where the certificate passes, the full-square
+    # scan finds nothing; where it declines, monotone_check decides
+    op, M, c, B = case
+    n = len(c)
+    g = graph_sample(op, Grid([-3.0] * n, [3.0] * n, 0.5 if n < 3 else 0.75), verify=False)
+    X, S, k = g.primals.copy(), g.duals.copy(), len(g)
+    rng = np.random.default_rng(seed)
+    lam = np.linalg.eigvalsh(0.5 * (M + M.T))[0]
+    D = np.linalg.norm(X.max(axis=0) - X.min(axis=0))
+    limit = 1e-9
+    E = limit if limit_sized else (np.sqrt(f * limit * lam / 2.0) if lam > 1e-6 else f * limit / (4.0 * max(D, 1e-3)))
+    Z = rng.uniform(-1.0, 1.0, (k, n))
+    S += E * Z / np.maximum(np.linalg.norm(Z, axis=1), 1e-12)[:, None]
+    if mirror:
+        i = int(rng.integers(k))
+        S[i] = 2.0 * (M @ X[i] + c) - S[i]
+    if rows is not None and n >= 2:
+        r, s = int(rows[0] * (k - 1)), int(rows[1] * (k - 1))
+        if r != s:
+            g = plant(X, S, rng, (r, s), t)
+            X, S = g.primals.copy(), g.duals.copy()
+    g = FiniteGraph.from_arrays(X, S)
+    ref = full_square_monotone_reference(g)
+    if operators._residual_certificate(op, g, DEFAULT_TOL.eq_tol):
+        assert ref is None
+    assert witness_rows(g, sampled_gate(op, g)) == ref
+
+
+@pytest.mark.parametrize("delta", [-0.6, -0.5, -1e-3, 1e-3, 0.5])
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_residual_certificate_on_pairs_that_meet_its_bound(lam, delta):
+    # two rows of x -> lam x whose exact product is the least the bound
+    # allows, -(1 + delta) eq_tol: -2 D E at lam = 0 (D = 1, errors +-E along
+    # d), -E^2 / lam at lam = 1 (x = 0 and x = E/lam). The certificate passes
+    # only where twice the bound is within the limit, so never on a violation
+    e = DEFAULT_TOL.eq_tol * (1.0 + delta)
+    if lam == 0.0:
+        X, S = [[0.0], [1.0]], [[e / 2.0], [-e / 2.0]]
+    else:
+        E = np.sqrt(e * lam)
+        X, S = [[0.0], [E / lam]], [[E], [0.0]]
+    op, g = LinearOp([[lam]]), FiniteGraph.from_arrays(X, S)
+    ref = full_square_monotone_reference(g)
+    assert (ref is not None) == (delta > 0)
+    assert operators._residual_certificate(op, g, DEFAULT_TOL.eq_tol) == (delta < -0.5)
+    assert witness_rows(g, sampled_gate(op, g)) == ref
+
+
+def test_residual_certificate_reads_errors_of_either_sign():
+    # errors 0 and -1.5 eq_tol on x -> 0: every residual is <= 0, and the
+    # product is -1.5 eq_tol
+    op, g = LinearOp([[0.0]]), FiniteGraph.from_arrays([[0.0], [1.0]], [[0.0], [-1.5e-9]])
+    assert not operators._residual_certificate(op, g, DEFAULT_TOL.eq_tol)
+    assert witness_rows(g, sampled_gate(op, g)) == full_square_monotone_reference(g) == (0, 1)
+
+
+@pytest.mark.parametrize("op", [
+    LinearOp(np.array([[0.0, 2.0], [-2.0, 0.0]]), [0.5, -1.0]),
+    SubdiffOp(FunSum((Quadratic(np.diag([1.0, 0.0])), BoxIndicator([0.0, 0.0], [1.0, 1.0])))),
+], ids=["skew", "singular-quadratic-box"])
+def test_residual_certificate_passes_where_sym_m_is_singular(monkeypatch, op):
+    # lambda_min(sym M) = 0: the bound is |lam| D^2 + 2 D E, lam only the
+    # eigensolver's error term
+    g = graph_sample(op, Grid([-2.0, -2.0], [3.0, 3.0], 0.1), verify=False)
+    bound = operators._residual_bound(op, g.primals, g.duals)
+    assert 0.0 < bound < 1e-12
+    checks = count_calls(monkeypatch, "monotone_check", operators)
+    assert graph_sample(op, Grid([-2.0, -2.0], [3.0, 3.0], 0.1)).primals.shape == g.primals.shape
+    assert checks == []
+
+
+def test_residual_certificate_declines_a_row_one_ulp_outside_the_box():
+    g = graph_sample(CONE01_2, Grid([-2.0, -2.0], [3.0, 3.0], 0.1), verify=False)
+    assert operators._residual_certificate(CONE01_2, g, DEFAULT_TOL.eq_tol)
+    X = g.primals.copy()
+    i = int(np.flatnonzero(X[:, 0] == 0.0)[0])
+    X[i, 0] = np.nextafter(0.0, -1.0)
+    h = FiniteGraph.from_arrays(X, g.duals)
+    assert operators._residual_bound(CONE01_2, h.primals, h.duals) is None
+    assert not operators._residual_certificate(CONE01_2, h, DEFAULT_TOL.eq_tol)
+    assert sampled_gate(CONE01_2, h) is None and full_square_monotone_reference(h) is None
+
+
+RESIDUAL_FAMILIES = ("box", "identity", "quadbox")
+
+
+@pytest.mark.parametrize("family", RESIDUAL_FAMILIES)
+@pytest.mark.parametrize("n, spacing", [(2, 0.05), (3, 0.25)])
+def test_graph_sample_takes_the_residual_route_on_the_dense_samples(monkeypatch, family, n, spacing):
+    # the dense-sample box, identity and quadbox graphs build no tiled gate
+    # and no group table; the simplex cone keeps the grouped route
+    flags = count_calls(monkeypatch, "_first_flagged_row", operators)
+    groups = count_calls(monkeypatch, "_grouped_certificate", operators)
+    g = graph_sample(DENSE_SAMPLE_FAMILIES[family](n), Grid([-2.0] * n, [3.0] * n, spacing))
+    assert len(g) > 1000 and flags == [] and groups == []
+
+
+@pytest.mark.parametrize("family", RESIDUAL_FAMILIES)
+@pytest.mark.parametrize("n, spacing", [(2, 0.05), (3, 0.25)])
+def test_residual_certificate_stays_under_8_mib_on_the_dense_samples(family, n, spacing):
+    op = DENSE_SAMPLE_FAMILIES[family](n)
+    g = graph_sample(op, Grid([-2.0] * n, [3.0] * n, spacing), verify=False)
+    out, peak = traced_peak(lambda: operators._residual_certificate(op, g, DEFAULT_TOL.eq_tol))
+    assert out and peak < 8 * 2**20
+
+
+def test_residual_certificate_declines_where_the_limit_is_none_or_below_its_bound(monkeypatch):
+    g = graph_sample(IDENT2, Grid([-2.0, -2.0], [3.0, 3.0], 0.1), verify=False)
+    bound = operators._residual_bound(IDENT2, g.primals, g.duals)
+    for limit, passes in ((None, False), (np.nextafter(bound, -np.inf), False), (bound, True)):
+        monkeypatch.setattr(operators, "_gate_limit", lambda *a, limit=limit: limit)
+        assert operators._residual_certificate(IDENT2, g, DEFAULT_TOL.eq_tol) is passes
+
+
+@pytest.mark.parametrize("x0", [1e4, 1e5])
+def test_residual_certificate_declines_far_from_the_origin(monkeypatch, x0):
+    # the identity's rows at 1e4 and 1e5 have a gate limit below zero: the
+    # certificate declines and monotone_check decides, as before it
+    g = graph_sample(IDENT, Grid([x0], [x0 + 1.0], 0.01), verify=False)
+    limit = operators._gate_limit(g.primals, g.duals, g.self_products, DEFAULT_TOL.eq_tol)
+    assert limit < 0.0 < operators._residual_bound(IDENT, g.primals, g.duals)
+    assert not operators._residual_certificate(IDENT, g, DEFAULT_TOL.eq_tol)
+    checks = count_calls(monkeypatch, "monotone_check", operators)
+    graph_sample(IDENT, Grid([x0], [x0 + 1.0], 0.01))
+    assert checks == [1]
+
+
+@pytest.mark.xfail(strict=True, raises=ValidationError,
+                   reason="ROADMAP item 14: the gate's expanded product rounds in proportion to |x| |x*|")
+def test_graph_sample_passes_the_identity_at_1e6():
+    graph_sample(IDENT, Grid([1e6], [1e6 + 1.0], 0.01))
 
 
 # --------------------------------------------------------------------------
