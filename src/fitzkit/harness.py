@@ -106,11 +106,24 @@ def _numeric(v) -> bool:
     return _number(v) or isinstance(v, (list, tuple)) and all(map(_numeric, v))
 
 
+def _shape(v) -> Optional[tuple]:
+    """The shape of a number or a nest of lists, as numpy reads it; None when
+    two items of one list differ in shape (rows of different lengths)."""
+    if not isinstance(v, (list, tuple)):
+        return ()
+    shapes = {_shape(x) for x in v}
+    if len(shapes) > 1 or None in shapes:
+        return None
+    return (len(v), *next(iter(shapes), ()))
+
+
 def _wire_number(v, where: str, ok=_numeric, what: str = "finite numbers"):
-    """v, once ok(v); else ScenarioParseError. Every number of the wire format
-    reads through here or through PARAM_KINDS."""
+    """v, once ok(v) and its lists are rectangular; else ScenarioParseError.
+    Every number of the wire format reads through here or through PARAM_KINDS."""
     if not ok(v):
         raise ScenarioParseError(f"{where}: expected {what}, got {v!r:.60}")
+    if _shape(v) is None:
+        raise ScenarioParseError(f"{where}: rows of different lengths")
     return v
 
 
@@ -184,10 +197,7 @@ def _dump(spec) -> dict:
 
 def _pairs(obj, where: str) -> FiniteGraph:
     """A graph's pairs, read as one float array; bare numbers are pairs in R^1."""
-    try:
-        arr = np.array(_wire_number(obj, where), dtype=float)
-    except ValueError:  # ragged (mixed widths)
-        arr = np.zeros(0)
+    arr = np.array(_wire_number(obj, where), dtype=float)
     arr = arr[:, :, None] if arr.ndim == 2 else arr
     if arr.ndim != 3 or arr.shape[1] != 2 or not arr.size:
         raise ScenarioParseError(f"{where}: expected a nonempty list of [x, x*] pairs of one width")

@@ -25,18 +25,19 @@ then it only sorts them. With verify=True it passes every Minty sample through
 two exact gates, neither sampled down: ``membership_batch`` tests x* in A(x)
 for every pair, a subdifferential by a closed-form distance to its image, and
 the monotonicity gate has three routes, each exact. Where A = M. + c + N_B
-with B a box or R^n (``cone_form``: linear maps, quadratic-plus-box
-subdifferentials, box normal cones, J_2, and their shifts and p = 2
-perturbations), ``_residual_certificate`` bounds every pairwise product from
-the rows' residuals s - Mx - c off the normal cone, in O(k n^2) work and no
-k x k table. Otherwise, or when that bound does not clear the threshold,
-``monotone_check`` first bounds the products of whole groups of equal primals,
-one row of groups per column of a GEMM, where few groups hold many pairs (the
-polytope cones); otherwise, or when that bound does not clear the threshold,
-it computes the upper triangle of the pairwise products in cache-sized tiles,
-one matmul each, and rescans the full square from the first row block it
-flags. All three test against one threshold widened by an a-priori rounding
-bound. Each docstring says why the verdict, and the witness, are exact.
+with B a box, a polytope or R^n (``cone_form``: linear maps, quadratic-plus-box
+subdifferentials, box and polytope normal cones, J_2, and their shifts and
+p = 2 perturbations), ``_residual_certificate`` bounds every pairwise product
+from the rows' residuals s - Mx - c off the normal cone, in O(k n^2) work (and
+O(k m) for a polytope of m vertices) and no k x k table. Otherwise, or when
+that bound does not clear the threshold, ``monotone_check`` first bounds the
+products of whole groups of equal primals, one row of groups per column of a
+GEMM, where few groups hold many pairs; otherwise, or when that bound does not
+clear the threshold, it computes the upper triangle of the pairwise products
+in cache-sized tiles, one matmul each, and rescans the full square from the
+first row block it flags. All three test against one threshold widened by an
+a-priori rounding bound. Each docstring says why the verdict, and the
+witness, are exact.
 """
 
 from __future__ import annotations
@@ -270,19 +271,71 @@ def _solve_rows(H: np.ndarray, G: np.ndarray) -> np.ndarray:
 def _box_qp_batch(H: np.ndarray, G: np.ndarray, lo: Vector, hi: Vector) -> np.ndarray:
     """Minimize 0.5 x'Hx - g'x over the box, one row of G per problem.
 
-    H is SPD, (n, n) or one per row; the (at most 3^n) active-bound patterns
-    are enumerated in a fixed order, so the result is deterministic and exact.
-    Each row's KKT slack scales with that row alone, so its batch does not move it.
-    """
+    H is SPD, (n, n) or one per row. Each block b of H (``_blocks``: the
+    connected components of its nonzero pattern, while none has more than two
+    coordinates) enumerates its own 3^|b| active-bound patterns in
+    ``itertools.product`` order, and each row takes its first valid one, so
+    the result is deterministic and exact. Each row's KKT slack scales with
+    that whole row alone, so neither its batch nor its block moves it.
+
+    Exactness. With H block diagonal, a pattern's candidate, its gradient and
+    its validity test on block b read only the coordinates in b, up to added
+    exact zeros: with at most two coordinates a block, each right-hand side
+    sums at most one nonzero product, the LU solve pivots and eliminates
+    within each block, and the gradient sums the block's terms in the whole
+    box's order. So every value agrees, and a comparison does not see the
+    sign of a zero: the valid patterns of the whole box are the product of
+    the blocks' valid patterns, and the lexicographically first element of a
+    product set is the product of its factors' first elements, so every row
+    takes the pattern of the one enumeration of all 3^n patterns. Its bits
+    agree too. In round to nearest, a - b is -0 only when a is -0 and b is +0,
+    and a + b only when both are -0, so a running sum that does not start at
+    -0 never becomes -0, whatever zeros it adds: each result has the same sign
+    whichever zeros the other blocks add. The sums start at G's entries, so a
+    row with a -0.0 in G takes the enumeration of the whole box. A dense H is
+    one block and runs that enumeration."""
     k, n = G.shape
     scale = np.maximum(np.abs(G).max(axis=1, initial=1.0), np.abs(H).max(axis=(-2, -1)))
+    X = np.zeros((k, n))
+    blocks = _blocks(H)
+    signed = (np.signbit(G) & (G == 0.0)).any(axis=1) & (len(blocks) > 1)  # rows with a -0.0
+    for rows, parts in ((~signed, blocks), (signed, [np.arange(n)])):
+        if rows.any():
+            Hr = H[rows] if H.ndim == 3 else H
+            for b in parts:
+                X[np.ix_(rows, b)] = _box_qp_block(
+                    Hr[..., b[:, None], b], G[np.ix_(rows, b)], lo[b], hi[b], 1e-10 * scale[rows])
+    return X
+
+
+def _blocks(H: np.ndarray) -> list[np.ndarray]:
+    """The connected components of the nonzero pattern of H, or of the union of
+    the patterns of a stacked (k, n, n) H, as sorted indices by first index,
+    when none has more than two coordinates; else the whole box as one block.
+    A block of three or more would sum two or more nonzero products in one
+    right-hand side, and BLAS may round such a sum otherwise (a fused
+    multiply-add in one kernel, not in another) once zeros stand beside them."""
+    n = H.shape[-1]
+    link = (H != 0).reshape(-1, n, n).any(axis=0)
+    link |= link.T | np.eye(n, dtype=bool)
+    for _ in range(n.bit_length()):  # paths of up to 2^(bit length) >= n steps
+        link = link @ link
+    if link.sum(axis=1).max() > 2:
+        return [np.arange(n)]
+    return [np.flatnonzero(row) for i, row in enumerate(link) if not row[:i].any()]
+
+
+def _box_qp_block(H: np.ndarray, G: np.ndarray, lo: Vector, hi: Vector, slack: np.ndarray) -> np.ndarray:
+    """``_box_qp_batch`` on one block: every pattern of its box in order, each
+    row's first valid one, with the rows' KKT slacks given."""
+    k, n = G.shape
     X = np.zeros((k, n))
     todo = np.arange(k)  # rows no earlier pattern resolved; only these are solved
     for pattern in itertools.product((0, 1, 2), repeat=n):
         free = [i for i, s in enumerate(pattern) if s == 0]
         fixed = [i for i, s in enumerate(pattern) if s != 0]
         xb = np.array([lo[i] if pattern[i] == 1 else hi[i] for i in fixed])
-        Gt, Ht, ktol = G[todo], H[todo] if H.ndim == 3 else H, 1e-10 * scale[todo]
+        Gt, Ht, ktol = G[todo], H[todo] if H.ndim == 3 else H, slack[todo]
         cand = np.zeros((len(todo), n))
         for idx, i in enumerate(fixed):
             cand[:, i] = xb[idx]
@@ -626,13 +679,14 @@ def affine_form(op: OperatorSpec) -> Optional[LinearOp]:
     return LinearOp(inner.M + op.lam * np.eye(len(inner.M)), inner.c - op.lam * op.center)
 
 
-def cone_form(op: OperatorSpec, n: int) -> Optional[tuple[np.ndarray, np.ndarray, Optional[Box]]]:
-    """(M, c, B) with A = M. + c + N_B on R^n, B a Box or None for R^n: a linear
-    chain as ``affine_form`` reads it; a subdifferential whose function is
-    quadratic plus box (``_sum_exact_parts``: quadratics, p = 2 norm powers, box
-    indicators, so box normal cones and J_2 too); and, through any shift or
-    p = 2 perturbation of these, (M, c - z*, B) and (M + lam I, c - lam center, B).
-    None for every other kind. Only graph_sample's residual gate reads it."""
+def cone_form(op: OperatorSpec, n: int) -> Optional[tuple[np.ndarray, np.ndarray, Union[Box, Polytope, None]]]:
+    """(M, c, B) with A = M. + c + N_B on R^n, B a Box, a Polytope or None for
+    R^n: a linear chain as ``affine_form`` reads it; a subdifferential whose
+    function is quadratic plus box (``_sum_exact_parts``: quadratics, p = 2 norm
+    powers, box indicators, so box normal cones and J_2 too); a polytope's
+    normal cone, (0, 0, P); and, through any shift or p = 2 perturbation of
+    these, (M, c - z*, B) and (M + lam I, c - lam center, B). None for every
+    other kind. Only graph_sample's residual gate reads it."""
     form = affine_form(op)
     if form is not None:
         return form.M, form.c, None
@@ -644,6 +698,8 @@ def cone_form(op: OperatorSpec, n: int) -> Optional[tuple[np.ndarray, np.ndarray
         if isinstance(op, ShiftedOp):
             return M, c - op.zstar, B
         return M + op.lam * np.eye(n), c - op.lam * op.center, B
+    if isinstance(op, NormalConeOp) and isinstance(op.region, Polytope):
+        return np.zeros((n, n)), np.zeros(n), op.region
     fun = _subdiff_of(op)
     if fun is None:
         return None
@@ -824,12 +880,10 @@ def membership_batch(
     if fun is not None:
         return _subdiff_residuals(fun, X, S, tol) <= slack
     if isinstance(op, NormalConeOp):
+        # max |V - x| from the per-coordinate extremes of V: a (k, n) array
         V = op.region.vertices
-        # (V - x) . v summed coordinate by coordinate, and max |V - x| from the
-        # per-coordinate extremes of V: (k, m) and (k, n) arrays, never (k, m, n)
-        gaps = sum((V[:, i] - X[:, i, None]) * S[:, i, None] for i in range(X.shape[1]))
         spread = np.maximum(V.max(axis=0) - X, X - V.min(axis=0)).max(axis=1)
-        return op.region.contains_batch(X, tol.eq_tol) & (gaps.max(axis=1) <= slack * (1.0 + spread))
+        return op.region.contains_batch(X, tol.eq_tol) & (_support_gaps(V, X, S) <= slack * (1.0 + spread))
     if isinstance(op, ShiftedOp):
         return membership_batch(op.inner, X, S + op.zstar, tol)
     if isinstance(op, PerturbedOp):
@@ -847,6 +901,13 @@ def membership_batch(
             out[i] = d <= op.lam + slack[i]
         return out
     raise ValidationError(f"unknown operator spec {type(op).__name__}")
+
+
+def _support_gaps(V: np.ndarray, X: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """max over the vertices v of <R_i, v - X_i>, row by row: sigma_C(R_i) -
+    <R_i, X_i> for C = conv V, the support function less the row's own term,
+    summed coordinate by coordinate, so a (k, m) array and never (k, m, n)."""
+    return sum((V[:, i] - X[:, i, None]) * R[:, i, None] for i in range(X.shape[1])).max(axis=1)
 
 
 def membership(op: OperatorSpec, pt: PairPoint, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -868,9 +929,10 @@ def graph_sample(
     With verify, every deduplicated pair must pass ``membership_batch`` (the
     one membership rule, slack eq_tol * max(1, |x*|)) and the sampled graph
     must pass ``monotone_check``; the first failure raises ValidationError.
-    Where op has a ``cone_form``, ``_residual_certificate`` is tried first: it
-    proves from the rows' residuals that monotone_check would return None, so
-    the verdict is monotone_check's either way."""
+    Where op has a ``cone_form`` (a box, polytope or R^n normal cone plus an
+    affine map), ``_residual_certificate`` is tried first: it proves from the
+    rows' residuals that monotone_check would return None, so the verdict is
+    monotone_check's either way."""
     W = wgrid.nodes()
     X = resolvent_batch(op, W, tol)
     S = W - X
@@ -924,8 +986,9 @@ def monotone_check(
     d_i = x_i.x_i*. graph_sample tries ``_residual_certificate`` first and
     calls this only where that declines.
 
-    Where few groups of equal primals hold the rows, ``_grouped_certificate``
-    bounds every product from the groups alone and returns None when the bound
+    Where few groups of equal primals hold the rows, as in normal-cone samples
+    that the residual certificate declines, ``_grouped_certificate`` bounds
+    every product from the groups alone and returns None when the bound
     clears the threshold below; it proves that the full-square scan finds no
     violation. Otherwise a tiled gate decides where that scan starts.
 
@@ -983,9 +1046,9 @@ def _residual_certificate(op: OperatorSpec, g: FiniteGraph, eq_tol: float) -> bo
     contract; graph_sample tries it before monotone_check. O(k n^2) work and
     a few (k, n) arrays, no k x k table.
 
-    For A = M. + c + N_B (Minty, Duke Math. J. 29, 1962, parametrises its
-    graph), write each row as s_i = M x_i + c + nu_i + e_i with nu_i in
-    N_B(x_i). With d = x_i - x_j the exact product is
+    For A = M. + c + N_B with B a box or R^n (Minty, Duke Math. J. 29, 1962,
+    parametrises its graph), write each row as s_i = M x_i + c + nu_i + e_i
+    with nu_i in N_B(x_i). With d = x_i - x_j the exact product is
 
         <d, s_i - s_j> = <d, M d> + <d, nu_i - nu_j> + <d, e_i - e_j>
                        >= lam |d|^2 - 2 E |d|,
@@ -1018,7 +1081,37 @@ def _residual_certificate(op: OperatorSpec, g: FiniteGraph, eq_tol: float) -> bo
     scan computes is at least -eq_tol: the stored d_i are within gamma_n C / 2
     of x_i.x_i*, and (gamma_n + gamma_{2n+2}) C plus 2n subnormals is below
     the margin. A NaN, an overflow, a row outside B or a
-    None limit fails the test."""
+    None limit fails the test.
+
+    A polytope C = conv V reads the bound through its support function
+    sigma_C (Bauschke and Combettes, Convex Analysis and Monotone Operator
+    Theory, 2nd ed., ch. 6 and 16). With r_i = s_i - M x_i - c, let
+    rho_i = max_v <r_i, v - x_i>^+ = (sigma_C(r_i) - <r_i, x_i>)^+, the gap
+    membership tests, and let every x_j lie within F of C, at y_j in C. Then
+    <r_i, x_j - x_i> <= <r_i, y_j - x_i> + |r_i| F <= rho_i + |r_i| F, so
+
+        <d, s_i - s_j> >= lam |d|^2 - (rho_i + rho_j) - (|r_i| + |r_j|) F
+                       >= min(lam, 0) D^2 - 2 (rho + R F),
+
+    rho = max rho_i and R = max |r_i|; no row need lie in C. F reads C's
+    facet table (``Polytope._facets``), which is C as membership and the
+    resolvent read it: y = (x - center) basis, center the vertex mean, has
+    facet violation delta = max(A y + b)^+, and inner = min(-b) > 0 is the
+    center's slack. As A (t y) + b <= t delta - (1 - t) inner, t y with
+    t = inner / (inner + delta) lies in C, so dist(x, C) <= |(x - center) comp|
+    + |x - center| delta / inner. Exactness. r'_i is within eta = sqrt(n)
+    gamma_{n+2} mag of r_i as above, which moves rho_i by at most sqrt(n) Z eta,
+    Z = max|V| + max|x|, and R by eta. The gap's n products of a rounded
+    difference and its sum round by at most gamma_{n+2} n Z max|r'|. y, A y + b
+    and (x - center) comp sum at most 2n products of a rounded difference and
+    b, so each is within gamma_{2n+5} (2 |x - center| |basis| |A| + |b|) of its
+    exact value, entrywise in absolute values, the step from 2n + 4 covering
+    the rounding of that widening, which raises delta and the off-hull part.
+    The factors of each product are raised to at least 2^-300 and the ratio of
+    widening to inner is at least gamma, so the products stay normal and
+    twice the computed bound exceeds the exact one as above. A table with no
+    slack at its center declines; a thin C has a small inner and declines by
+    itself unless its facet tests round finely enough."""
     bound = _residual_bound(op, g.primals, g.duals)
     if bound is None:
         return False
@@ -1028,28 +1121,60 @@ def _residual_certificate(op: OperatorSpec, g: FiniteGraph, eq_tol: float) -> bo
 
 def _residual_bound(op: OperatorSpec, X: np.ndarray, S: np.ndarray) -> Optional[float]:
     """Twice ``_residual_certificate``'s bound on minus the least exact product
-    of the rows (X, S), or None when op has no cone form or a row lies outside B."""
+    of the rows (X, S), or None when op has no cone form, a row lies outside a
+    box B or a polytope's facet table has no slack at its center."""
     n = X.shape[1]
     form = cone_form(op, n)
     if form is None:
         return None
     M, c, B = form
     R = S - X @ M.T - c
+    u, tiny = np.finfo(float).eps / 2, 2.0**-300
+    gamma = (n + 2) * u / (1.0 - (n + 2) * u)
+    mag = np.abs(S).max() + np.abs(M).sum(axis=1).max() * np.abs(X).max() + np.abs(c).max()
+    H = 0.5 * (M + M.T)
+    lam = np.nextafter(np.linalg.eigvalsh(H)[0] - 40 * n * n * u * np.linalg.norm(H), -np.inf)
+    if lam > 0:
+        bend = 0.0
+    else:  # minus the least lam |d|^2 over |d| <= D
+        D = np.maximum(np.linalg.norm(X.max(axis=0) - X.min(axis=0)), tiny)
+        bend = -min(lam, -tiny) * D * D
+    if isinstance(B, Polytope):
+        slack = _support_slack(B, X, R, np.sqrt(n) * gamma * mag)
+        return None if slack is None else float(2.0 * (2.0 * slack + bend))
     if B is not None:
         if not ((X >= B.lo) & (X <= B.hi)).all():
             return None
         R = np.where(X == B.lo, np.maximum(R, 0.0), R)
         R = np.where(X == B.hi, np.minimum(R, 0.0), R)
-    u, tiny = np.finfo(float).eps / 2, 2.0**-300
-    gamma = (n + 2) * u / (1.0 - (n + 2) * u)
-    mag = np.abs(S).max() + np.abs(M).sum(axis=1).max() * np.abs(X).max() + np.abs(c).max()
     E = np.maximum(np.sqrt(n) * (np.abs(R).max() + gamma * mag), tiny)
-    H = 0.5 * (M + M.T)
-    lam = np.nextafter(np.linalg.eigvalsh(H)[0] - 40 * n * n * u * np.linalg.norm(H), -np.inf)
     if lam > 0:
         return float(2.0 * E * E / min(lam, 1.0 / tiny))
-    D = np.maximum(np.linalg.norm(X.max(axis=0) - X.min(axis=0)), tiny)
-    return float(2.0 * (-min(lam, -tiny) * D * D + 2.0 * D * E))
+    return float(2.0 * (bend + 2.0 * D * E))
+
+
+def _support_slack(C: Polytope, X: np.ndarray, R: np.ndarray, eta: float) -> Optional[float]:
+    """rho + R F of ``_residual_certificate`` for the polytope C, each widened
+    by its rounding as the proof there says, for rows X with residuals R
+    within eta of their exact ones; None when C's facet table has no slack at
+    its center."""
+    n = X.shape[1]
+    V = C.vertices
+    center, basis, comp, A, b, _ = C._facets
+    u, tiny = np.finfo(float).eps / 2, 2.0**-300
+    inner = (-b).min(initial=np.inf)  # the center's slack to its nearest facet
+    if not inner >= tiny:
+        return None
+    gamma_n2, gamma_2n5 = ((m * u / (1.0 - m * u)) for m in (n + 2, 2 * n + 5))
+    r_max, eta = np.maximum(np.abs(R).max(), tiny), np.maximum(eta, tiny)
+    Z = np.maximum(np.abs(V).max() + np.abs(X).max(), tiny)
+    rho = np.maximum(_support_gaps(V, X, R).max(), 0.0) + gamma_n2 * n * Z * r_max + np.sqrt(n) * Z * eta
+    centered = X - center
+    reach = np.abs(centered) @ np.abs(basis)  # bounds |y| and the rounding of y, per coordinate
+    delta = (centered @ basis @ A.T + b + gamma_2n5 * (2.0 * reach @ np.abs(A).T + np.abs(b))).max(axis=1, initial=0.0)
+    off = np.linalg.norm(np.abs(centered @ comp) + gamma_2n5 * (np.abs(centered) @ np.abs(comp)), axis=1)
+    F = np.maximum((off + np.linalg.norm(centered, axis=1) * (delta / inner)).max(), tiny)
+    return rho + (np.sqrt(n) * r_max + eta) * F
 
 
 def _grouped_certificate(X: np.ndarray, S: np.ndarray, d: np.ndarray, eq_tol: float) -> bool:

@@ -381,6 +381,19 @@ def test_fitz_wgrid_of_wrong_dimension_exit_two(capsys):
     assert captured.err.startswith("error: ") and len(captured.err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("operator, field", [
+    ({"kind": "linear", "matrix": [[1, 0], [0]]}, "operator.matrix"),
+    ({"kind": "normal_cone", "vertices": [[0, 0], [1]]}, "operator.vertices"),
+    ({"kind": "subdiff", "fun": {"kind": "quadratic", "matrix": [[1, 0], [0]]}}, "operator.fun.matrix"),
+], ids=["linear", "polytope-cone", "quadratic"])
+def test_fitz_ragged_array_names_its_field_exit_two(capsys, operator, field):
+    code = main(["fitz", "--operator", json.dumps(operator), "--x", "0,0", "--xstar", "0,0",
+                 "--wgrid=-1,-1:1,1:0.5"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.strip().splitlines() == [f"error: {field}: rows of different lengths"]
+
+
 def test_report_reemit(capsys, tmp_path):
     stored = tmp_path / "r.json"
     code, _ = run_cli(capsys, "suite", "--scenario", "expected-failures", "--out", str(stored))

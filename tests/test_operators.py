@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import gc
+import itertools
 import tracemalloc
 import weakref
 
@@ -226,6 +227,91 @@ def test_box_qp_row_does_not_depend_on_its_batch():
     x = resolvent_batch(quadbox, np.array([w, [1e4, 0.0]]))[0]
     assert x.tolist() == [1.0, 0.5]
     assert membership(quadbox, pair(x, w - x))
+
+
+def box_qp_enumeration_reference(H, G, lo, hi):
+    """The box QP over all 3^n active-bound patterns of the whole box, in
+    itertools.product order, each row taking its first valid pattern, with
+    each row's KKT slack 1e-10 max(1, max|G_i|, max|H|)."""
+    k, n = G.shape
+    scale = np.maximum(np.abs(G).max(axis=1, initial=1.0), np.abs(H).max(axis=(-2, -1)))
+    X = np.zeros((k, n))
+    todo = np.arange(k)
+    for pattern in itertools.product((0, 1, 2), repeat=n):
+        free = [i for i, s in enumerate(pattern) if s == 0]
+        fixed = [i for i, s in enumerate(pattern) if s != 0]
+        xb = np.array([lo[i] if pattern[i] == 1 else hi[i] for i in fixed])
+        Gt, Ht, ktol = G[todo], H[todo] if H.ndim == 3 else H, 1e-10 * scale[todo]
+        cand = np.zeros((len(todo), n))
+        for idx, i in enumerate(fixed):
+            cand[:, i] = xb[idx]
+        if free:
+            rhs = Gt[:, free] - (xb @ Ht[..., fixed, :][..., free] if fixed else 0.0)
+            cand[:, free] = np.linalg.solve(Ht[..., free, :][..., free], rhs[:, :, None])[:, :, 0]
+        grad = vecspace.rowwise_matmul(cand, Ht) - Gt
+        valid = np.ones(len(todo), dtype=bool)
+        for i in free:
+            valid &= (cand[:, i] >= lo[i] - ktol) & (cand[:, i] <= hi[i] + ktol)
+        for i in fixed:
+            valid &= grad[:, i] >= -ktol if pattern[i] == 1 else grad[:, i] <= ktol
+        X[todo[valid]] = cand[valid]
+        todo = todo[~valid]
+        if not len(todo):
+            return X
+    raise ValidationError("box quadratic subproblem left unresolved rows")
+
+
+@st.composite
+def box_qps(draw):
+    """(H, G, lo, hi) for n = 1 to 4: H diagonal, block diagonal on the
+    interleaved blocks {0, 2} and {1, 3} or on {0, .., n - 2} and {n - 1}, or
+    dense SPD, maybe one per row as a step per row makes it; some coordinates
+    with lo = hi; entries of G within a few KKT slacks of h lo and h hi, and
+    some -0.0 and 0.0."""
+    n, k = draw(st.integers(1, 4)), draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.uniform(-1.0, 1.0, (n, n))
+    H = A @ A.T + 0.1 * np.eye(n)
+    shape = draw(st.sampled_from(("diagonal", "interleaved", "leading", "dense")))
+    if shape != "dense":
+        label = {"diagonal": np.arange(n), "interleaved": np.arange(n) % 2, "leading": np.arange(n) == n - 1}[shape]
+        H = np.where(np.equal.outer(label, label), H, 0.0)
+    if draw(st.booleans()):
+        H = np.eye(n) + rng.uniform(0.05, 20.0, k)[:, None, None] * H
+    lo = rng.uniform(-1.0, 0.5, n) * (rng.random(n) > 0.3)
+    hi = lo + rng.uniform(0.0, 1.5, n) * (rng.random(n) > 0.25)
+    G = rng.uniform(-4.0, 4.0, (k, n))
+    ktol = 1e-10 * np.maximum(np.abs(G).max(axis=1), np.abs(H).max(axis=(-2, -1)))[:, None]
+    h = np.diagonal(H, axis1=-2, axis2=-1)
+    edge = h * np.where(rng.random((k, n)) < 0.5, lo, hi) + rng.choice([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0], (k, n)) * ktol
+    G = np.where(rng.random((k, n)) < 0.4, edge, G)
+    G = np.where(rng.random((k, n)) < 0.15, rng.choice([-0.0, 0.0], (k, n)), G)
+    return H, G, lo, hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(box_qps())
+@example(case=(  # blocks {0, 1, 2} and {3}: split, the first rounds its right-hand side otherwise
+    np.array([[0.761, 0.275, 0.082, 0.0], [0.275, 1.237, 0.618, 0.0], [0.082, 0.618, 1.219, 0.0], [0.0, 0.0, 0.0, 2.43]]),
+    np.array([[2.1, 2.29, 3.99, 2.64]]), np.array([0.41, 0.16, 0.48, 0.1]), np.array([1.27, 1.06, 1.14, 1.13])))
+def test_box_qp_equals_the_enumeration_of_the_whole_box(case):
+    # per block of H, bit for bit, signed zeros included
+    H, G, lo, hi = case
+    try:
+        ref = box_qp_enumeration_reference(H, G, lo, hi)
+    except ValidationError:
+        with pytest.raises(ValidationError):
+            operators._box_qp_batch(H, G, lo, hi)
+        return
+    assert operators._box_qp_batch(H, G, lo, hi).tobytes() == ref.tobytes()
+
+
+def test_box_qp_solves_each_block_of_h_apart(monkeypatch):
+    # the 3-d dense-sample quadbox, H = 2I: one solve per coordinate, where the
+    # enumeration of the whole box made 19
+    solves = count_calls(monkeypatch, "_solve_rows", operators)
+    g = graph_sample(DENSE_SAMPLE_FAMILIES["quadbox"](3), Grid([-2.0] * 3, [3.0] * 3, 0.25))
+    assert len(g) == 21**3 and len(solves) <= 3
 
 
 def test_prox_sum_exact_vs_dykstra():
@@ -1083,9 +1169,11 @@ def test_affine_form_is_none_for_every_other_kind(op):
 @st.composite
 def cone_chains(draw):
     """(op, M, c, B): a random A = M. + c + N_B of a kind cone_form reads (a
-    linear map, a quadratic, a quadratic plus a box, a box normal cone, J_2),
-    wrapped in up to three shifts and p = 2 perturbations, with the form that
-    chain has, composed by hand. Some box coordinates have lo = hi."""
+    linear map, a quadratic, a quadratic plus a box, a box normal cone, J_2, a
+    polytope normal cone), wrapped in up to three shifts and p = 2
+    perturbations, with the form that chain has, composed by hand. Some box
+    coordinates have lo = hi; the polytope is a point, a segment, a triangle
+    (in R^2 or R^3) or the simplex conv{0, e_i}."""
     n = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     A, K = rng.uniform(-1.0, 1.0, (2, n, n))
@@ -1095,14 +1183,22 @@ def cone_chains(draw):
     lo = rng.uniform(-1.0, 0.5, n)
     box = Box(lo, lo + rng.uniform(0.25, 1.5, n) * (rng.random(n) > 0.2))
     zeros = (np.zeros((n, n)), np.zeros(n))
-    kind = draw(st.sampled_from(("linear", "quadratic", "quadbox", "cone", "J2")))
-    op, M, c, B = {
-        "linear": (LinearOp(Q + K - K.T, b), Q + K - K.T, b, None),
-        "quadratic": (SubdiffOp(Quadratic(Q, b)), Q, b, None),
-        "quadbox": (SubdiffOp(FunSum((Quadratic(Q, b), box))), Q, b, box),
-        "cone": (NormalConeOp(box), *zeros, box),
-        "J2": (DualityMapOp(2.0, b), np.eye(n), -b, None),
-    }[kind]
+    kind = draw(st.sampled_from(("linear", "quadratic", "quadbox", "cone", "J2", "polytope")))
+    if kind == "polytope":
+        shape = draw(st.sampled_from(("point", "segment", "triangle", "simplex")))
+        P = Polytope({"point": lambda: rng.uniform(-1.0, 1.0, (1, n)),
+                      "segment": lambda: rng.uniform(-1.0, 1.0, (2, n)),
+                      "triangle": lambda: rng.uniform(-1.0, 1.0, (3, n)) if n > 1 else [[-0.5], [0.5]],
+                      "simplex": lambda: np.vstack([np.zeros(n), np.eye(n)]) + lo}[shape]())
+        op, M, c, B = NormalConeOp(P), *zeros, P
+    else:
+        op, M, c, B = {
+            "linear": (LinearOp(Q + K - K.T, b), Q + K - K.T, b, None),
+            "quadratic": (SubdiffOp(Quadratic(Q, b)), Q, b, None),
+            "quadbox": (SubdiffOp(FunSum((Quadratic(Q, b), box))), Q, b, box),
+            "cone": (NormalConeOp(box), *zeros, box),
+            "J2": (DualityMapOp(2.0, b), np.eye(n), -b, None),
+        }[kind]
     for _ in range(draw(st.integers(0, 3))):
         v = rng.uniform(-2.0, 2.0, n)
         if draw(st.booleans()):
@@ -1115,9 +1211,25 @@ def cone_chains(draw):
 
 def normal_cone_points(rng, B, n, k):
     """k rows x of B, each coordinate interior, at lo or at hi, and a nu in
-    N_B(x) per row (any sign where lo = hi); x in [-3, 3]^n and nu = 0 for R^n."""
+    N_B(x) per row (any sign where lo = hi); x in [-3, 3]^n and nu = 0 for R^n.
+    For a polytope, x is a vertex, a point of a facet or of the whole, and nu
+    a sum of the unit normals of the facets it lies on, with any part off the
+    affine hull."""
     if B is None:
         return rng.uniform(-3.0, 3.0, (k, n)), np.zeros((k, n))
+    if isinstance(B, Polytope):
+        center, basis, comp, A, b, incident = B._facets
+        V, normals = B.vertices, A @ basis.T
+        X, nu = np.empty((k, n)), comp @ rng.uniform(-3.0, 3.0, (comp.shape[1], k))
+        for i in range(k):
+            on = rng.integers(0, len(normals) + 1)  # a facet, or none: the whole
+            face = incident[:, on] if on < len(normals) else np.ones(len(V), dtype=bool)
+            if rng.random() < 0.3:  # a vertex of that face, on each facet through it
+                face = np.arange(len(V)) == rng.choice(np.flatnonzero(face))
+            facets = incident[face].all(axis=0)
+            X[i] = rng.dirichlet(np.ones(face.sum())) @ V[face]
+            nu[:, i] += rng.uniform(0.0, 5.0, facets.sum()) @ normals[facets]
+        return X, nu.T
     X = rng.uniform(B.lo, B.hi, (k, n))
     at = rng.integers(0, 3, (k, n))
     X = np.where(at == 1, B.lo, np.where(at == 2, B.hi, X))
@@ -1136,7 +1248,9 @@ def test_cone_form_is_the_form_of_every_shift_and_p2_chain(case, seed):
     Mf, cf, Bf = cone_form(op, n)
     assert np.allclose(Mf, M, rtol=0.0, atol=1e-12) and np.allclose(cf, c, rtol=0.0, atol=1e-12)
     assert (Bf is None) == (B is None)
-    if B is not None:
+    if isinstance(B, Polytope):
+        assert Bf is B
+    elif B is not None:
         assert np.array_equal(Bf.lo, B.lo) and np.array_equal(Bf.hi, B.hi)
     lin = affine_form(op)
     if lin is not None:
@@ -1146,8 +1260,6 @@ def test_cone_form_is_the_form_of_every_shift_and_p2_chain(case, seed):
 
 
 @pytest.mark.parametrize("op", [
-    NormalConeOp(Polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])),
-    ShiftedOp(NormalConeOp(Polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])), [1.0, 0.0]),
     PerturbedOp(IDENT2, 1.0, 1.0, [0.0, 0.0]),
     PerturbedOp(CONE01_2, 2.0, 3.0, [0.5, 0.5]),
     ShiftedOp(PerturbedOp(SubdiffOp(Quadratic(np.eye(2))), 2.0, 1.5, [0.0, 0.0]), [1.0, 0.0]),
@@ -1155,7 +1267,7 @@ def test_cone_form_is_the_form_of_every_shift_and_p2_chain(case, seed):
     SubdiffOp(FunSum((Quadratic(np.eye(2)), NormPower(3.0), BoxIndicator([0.0, 0.0], [1.0, 1.0])))),
     DualityMapOp(1.5, [0.0, 0.0]),
     GraphOp(graph_of(([0.0, 0.0], [0.0, 0.0]), ([1.0, 1.0], [1.0, 1.0]))),
-], ids=["polytope-cone", "shifted-polytope-cone", "p1-perturbed", "p3-perturbed-cone",
+], ids=["p1-perturbed", "p3-perturbed-cone",
         "shifted-p1.5-quadratic", "p1-norm", "p3-norm-in-sum", "J_1.5", "graph"])
 def test_cone_form_is_none_for_every_other_kind(op):
     assert cone_form(op, 2) is None
@@ -1559,14 +1671,106 @@ def test_residual_certificate_declines_a_row_one_ulp_outside_the_box():
     assert sampled_gate(CONE01_2, h) is None and full_square_monotone_reference(h) is None
 
 
-RESIDUAL_FAMILIES = ("box", "identity", "quadbox")
+POLYTOPE_CONES = {  # polytope normal cones, lower-dimensional ones, and wrapped simplex cones
+    "triangle": NormalConeOp(Polytope([[0.0, 0.0], [2.0, 0.5], [0.5, 1.5]])),
+    "segment": NormalConeOp(Polytope([[0.0, 0.0], [1.0, 1.0]])),
+    "point": NormalConeOp(Polytope([[0.5, -0.5]])),
+    "shifted-simplex": ShiftedOp(DENSE_SAMPLE_FAMILIES["simplex"](2), [0.5, -1.0]),
+    "p2-perturbed-simplex": PerturbedOp(DENSE_SAMPLE_FAMILIES["simplex"](2), 0.5, 2.0, [1.0, 0.5]),
+    "simplex-3d": DENSE_SAMPLE_FAMILIES["simplex"](3),
+}
+
+
+def polytope_cone_sample(name):
+    op = POLYTOPE_CONES[name]
+    n = op_dimension(op)
+    return op, graph_sample(op, Grid([-2.0] * n, [3.0] * n, 0.25 if n == 2 else 0.5), verify=False)
+
+
+@pytest.mark.parametrize("name", POLYTOPE_CONES)
+@pytest.mark.parametrize("rows, t, mirror", [
+    (None, 0.0, False), ((0.3, 0.7), None, False), ((0.7, 0.3), -8, False),
+    ((0.2, 0.9), 1e5, False), (None, 0.0, True),
+])
+def test_residual_certificate_keeps_the_full_square_verdict_on_polytope_cones(name, rows, t, mirror):
+    # the sample as drawn passes the certificate. Planted: planted_graph's
+    # pair, whose product rounds apart across -eq_tol (t = None), sits 8 ulps
+    # above it, inside the margin, or far past it; or one dual mirrored
+    # through M x + c and stretched by 1.5, its normal-cone part turned to the
+    # wrong side (any side is a normal of a point). The outcome and the
+    # witness are the full-square scan's
+    op, g = polytope_cone_sample(name)
+    if rows is None and not mirror:
+        assert operators._residual_certificate(op, g, DEFAULT_TOL.eq_tol)
+    X, S, k = g.primals.copy(), g.duals.copy(), len(g)
+    rng = np.random.default_rng(SEED)
+    if mirror:
+        M, c, _ = cone_form(op, X.shape[1])
+        R = S - X @ M.T - c
+        i = int(np.argmin(R.sum(axis=1)))
+        S[i] -= 2.5 * R[i]
+    if rows is not None:
+        planted = plant(X, S, rng, (int(rows[0] * (k - 1)), int(rows[1] * (k - 1))), t)
+        X, S = planted.primals.copy(), planted.duals.copy()
+    h = FiniteGraph.from_arrays(X, S)
+    ref = full_square_monotone_reference(h)
+    assert (ref is not None) == (mirror and name != "point" or t is None or t == 1e5)
+    if operators._residual_certificate(op, h, DEFAULT_TOL.eq_tol):
+        assert ref is None
+    assert witness_rows(h, sampled_gate(op, h)) == ref
+
+
+@pytest.mark.parametrize("delta", [-0.6, -0.5, -1e-3, 1e-3, 0.5])
+def test_residual_certificate_on_polytope_pairs_that_meet_its_bound(delta):
+    # rows at the ends of the segment [0, 1] with residuals +-e on the wrong
+    # side: rho_i = e each, F about 1e-15, and the exact product is -2 e =
+    # -(rho_1 + rho_2) = -(1 + delta) eq_tol. The certificate passes only
+    # where twice the bound is within the limit, so never on a violation
+    e = DEFAULT_TOL.eq_tol * (1.0 + delta) / 2.0
+    op, g = NormalConeOp(Polytope([[0.0], [1.0]])), FiniteGraph.from_arrays([[0.0], [1.0]], [[e], [-e]])
+    ref = full_square_monotone_reference(g)
+    assert (ref is not None) == (delta > 0)
+    assert operators._residual_certificate(op, g, DEFAULT_TOL.eq_tol) == (delta < -0.5)
+    assert witness_rows(g, sampled_gate(op, g)) == ref
+
+
+def test_residual_certificate_declines_a_row_pushed_off_the_polytope():
+    # a vertex row of the triangle moved 1e-6 out along its facet's normal:
+    # F grows to about 1e-6 and the bound past the limit; monotone_check
+    # decides, as before the certificate
+    op, g = polytope_cone_sample("triangle")
+    X = g.primals.copy()
+    i = int(np.flatnonzero((X == [2.0, 0.5]).all(axis=1))[0])
+    X[i] += 1e-6 * np.array([1.0, 1.5]) / np.hypot(1.0, 1.5)
+    h = FiniteGraph.from_arrays(X, g.duals)
+    limit = operators._gate_limit(h.primals, h.duals, h.self_products, DEFAULT_TOL.eq_tol)
+    assert operators._residual_bound(op, h.primals, h.duals) > limit
+    assert not operators._residual_certificate(op, h, DEFAULT_TOL.eq_tol)
+    assert witness_rows(h, sampled_gate(op, h)) == full_square_monotone_reference(h)
+
+
+def test_residual_certificate_declines_a_near_flat_triangle(monkeypatch):
+    # the thinnest triangle Polytope keeps two-dimensional (inradius about
+    # 7e-10; below eq_tol it is a segment), tilted off the axes so that its
+    # facet tests round at about 1e-16 against a center slack of 5e-10: F is
+    # about 1e-6, and monotone_check decides
+    op = NormalConeOp(Polytope([[0.0, 0.0], [1.0, 1.0], [0.5, 0.5 + 2e-9]]))
+    assert len(op.region.vertices) == 3
+    g = graph_sample(op, Grid([-2.0, -2.0], [3.0, 3.0], 0.25), verify=False)
+    assert not operators._residual_certificate(op, g, DEFAULT_TOL.eq_tol)
+    checks = count_calls(monkeypatch, "monotone_check", operators)
+    assert graph_sample(op, Grid([-2.0, -2.0], [3.0, 3.0], 0.25)).primals.shape == g.primals.shape
+    assert checks == [1]
+
+
+RESIDUAL_FAMILIES = ("box", "simplex", "identity", "quadbox")
 
 
 @pytest.mark.parametrize("family", RESIDUAL_FAMILIES)
 @pytest.mark.parametrize("n, spacing", [(2, 0.05), (3, 0.25)])
 def test_graph_sample_takes_the_residual_route_on_the_dense_samples(monkeypatch, family, n, spacing):
-    # the dense-sample box, identity and quadbox graphs build no tiled gate
-    # and no group table; the simplex cone keeps the grouped route
+    # every dense-sample graph, the simplex cone's too, builds no tiled gate
+    # and no group table
     flags = count_calls(monkeypatch, "_first_flagged_row", operators)
     groups = count_calls(monkeypatch, "_grouped_certificate", operators)
     g = graph_sample(DENSE_SAMPLE_FAMILIES[family](n), Grid([-2.0] * n, [3.0] * n, spacing))
