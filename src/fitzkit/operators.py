@@ -24,20 +24,17 @@ tolerance dedupe, unless the grid's spacing proves that no two are that close;
 then it only sorts them. With verify=True it passes every Minty sample through
 two exact gates, neither sampled down: ``membership_batch`` tests x* in A(x)
 for every pair, a subdifferential by a closed-form distance to its image, and
-the monotonicity gate has three routes, each exact. Where A = M. + c + N_B
+the monotonicity gate has two routes, each exact. Where A = M. + c + N_B
 with B a box, a polytope or R^n (``cone_form``: linear maps, quadratic-plus-box
 subdifferentials, box and polytope normal cones, J_2, and their shifts and
 p = 2 perturbations), ``_residual_certificate`` bounds every pairwise product
 from the rows' residuals s - Mx - c off the normal cone, in O(k n^2) work (and
 O(k m) for a polytope of m vertices) and no k x k table. Otherwise, or when
-that bound does not clear the threshold, ``monotone_check`` first bounds the
-products of whole groups of equal primals, one row of groups per column of a
-GEMM, where few groups hold many pairs; otherwise, or when that bound does not
-clear the threshold, it computes the upper triangle of the pairwise products
-in cache-sized tiles, one matmul each, and rescans the full square from the
-first row block it flags. All three test against one threshold widened by an
-a-priori rounding bound. Each docstring says why the verdict, and the
-witness, are exact.
+that bound does not clear the threshold, ``monotone_check`` computes the upper
+triangle of the pairwise products in cache-sized tiles, one matmul each, and
+rescans the full square from the first row block it flags. Both test against
+one threshold, ``_gate_limit``, widened by an a-priori rounding bound. Each
+docstring says why the verdict, and the witness, are exact.
 """
 
 from __future__ import annotations
@@ -312,9 +309,10 @@ def _blocks(H: np.ndarray) -> list[np.ndarray]:
     """The connected components of the nonzero pattern of H, or of the union of
     the patterns of a stacked (k, n, n) H, as sorted indices by first index,
     when none has more than two coordinates; else the whole box as one block.
-    A block of three or more would sum two or more nonzero products in one
-    right-hand side, and BLAS may round such a sum otherwise (a fused
-    multiply-add in one kernel, not in another) once zeros stand beside them."""
+    Right-hand sides and gradients sum in one fixed order (``rowwise_matmul``),
+    where added zeros change nothing, but the LU solve of a block of three or
+    more would eliminate two or more nonzero products into one entry, and
+    LAPACK may order that sum by the size of the matrix it factors."""
     n = H.shape[-1]
     link = (H != 0).reshape(-1, n, n).any(axis=0)
     link |= link.T | np.eye(n, dtype=bool)
@@ -340,7 +338,7 @@ def _box_qp_block(H: np.ndarray, G: np.ndarray, lo: Vector, hi: Vector, slack: n
         for idx, i in enumerate(fixed):
             cand[:, i] = xb[idx]
         if free:
-            rhs = Gt[:, free] - (xb @ Ht[..., fixed, :][..., free] if fixed else 0.0)
+            rhs = Gt[:, free] - rowwise_matmul(cand[:, fixed], Ht[..., fixed, :][..., free])
             cand[:, free] = _solve_rows(Ht[..., free, :][..., free], rhs)
         grad = rowwise_matmul(cand, Ht) - Gt
         valid = np.ones(len(todo), dtype=bool)
@@ -984,13 +982,8 @@ def monotone_check(
     pair in row-major order of the full k x k square of products
     P[i, j] = ((d_i + d_j) - x_i.x_j*) - x_i*.x_j of ``pairwise_product_blocks``,
     d_i = x_i.x_i*. graph_sample tries ``_residual_certificate`` first and
-    calls this only where that declines.
-
-    Where few groups of equal primals hold the rows, as in normal-cone samples
-    that the residual certificate declines, ``_grouped_certificate`` bounds
-    every product from the groups alone and returns None when the bound
-    clears the threshold below; it proves that the full-square scan finds no
-    violation. Otherwise a tiled gate decides where that scan starts.
+    calls this only where that declines. A tiled gate decides where the
+    full-square scan starts.
 
     The gate computes, block by block of that scan's rows, only the columns
     j >= i0 of the block's first row i0, one cache-sized tile of columns per
@@ -1018,8 +1011,6 @@ def monotone_check(
     and from it the full-square scan runs with its own row partition, on which
     BLAS rounding depends: the verdict and the witness are the full-square scan's."""
     X, S, d = g.primals, g.duals, g.self_products
-    if _grouped_certificate(X, S, d, tol.eq_tol):
-        return None
     start = _first_flagged_row(X, S, d, tol.eq_tol)
     if start is None:
         return None
@@ -1033,8 +1024,16 @@ def monotone_check(
 
 def _gate_limit(X: np.ndarray, S: np.ndarray, d: np.ndarray, eq_tol: float) -> Optional[float]:
     """eq_tol - margin rounded down, margin = ``rounding_margin(C, n)`` with
-    C = 2 max|d| + 2 max|x| max|x*|, the one threshold of both of
-    monotone_check's gates; None when the margin is not finite."""
+    C = 2 max|d| + 2 max|x| max|x*|, the one threshold of the residual
+    certificate and of monotone_check's tiled gate; None when the margin is
+    not finite.
+
+    Rows whose exact products <x_i - x_j, x_i* - x_j*> are all at least
+    -limit have every product P[i, j] of the full-square scan at least
+    -eq_tol: the stored d_i are within gamma_n C / 2 of x_i.x_i*, and P[i, j]
+    within gamma_{2n+2} C of the exact sum of its terms (monotone_check), so
+    P[i, j] is within (gamma_n + gamma_{2n+2}) C of the exact product, plus
+    2n subnormals for its 4n products' underflow; that lies below the margin."""
     C = 2.0 * np.abs(d).max() + 2.0 * np.linalg.norm(X, axis=1).max() * np.linalg.norm(S, axis=1).max()
     margin = rounding_margin(C, X.shape[1])
     return np.nextafter(eq_tol - margin, -np.inf) if np.isfinite(margin) else None
@@ -1042,9 +1041,8 @@ def _gate_limit(X: np.ndarray, S: np.ndarray, d: np.ndarray, eq_tol: float) -> O
 
 def _residual_certificate(op: OperatorSpec, g: FiniteGraph, eq_tol: float) -> bool:
     """True when op's ``cone_form`` proves from g's rows that the full-square
-    scan of monotone_check finds no violation, the grouped certificate's
-    contract; graph_sample tries it before monotone_check. O(k n^2) work and
-    a few (k, n) arrays, no k x k table.
+    scan of monotone_check finds no violation; graph_sample tries it before
+    monotone_check. O(k n^2) work and a few (k, n) arrays, no k x k table.
 
     For A = M. + c + N_B with B a box or R^n (Minty, Duke Math. J. 29, 1962,
     parametrises its graph), write each row as s_i = M x_i + c + nu_i + e_i
@@ -1077,11 +1075,9 @@ def _residual_certificate(op: OperatorSpec, g: FiniteGraph, eq_tol: float) -> bo
     product of these quantities normal, so each of the at most 2n + 22
     operations after the residuals rounds by a relative u, and twice the
     computed bound exceeds the exact one. The rows then have exact products
-    at least -limit, and as in the grouped certificate every product the
-    scan computes is at least -eq_tol: the stored d_i are within gamma_n C / 2
-    of x_i.x_i*, and (gamma_n + gamma_{2n+2}) C plus 2n subnormals is below
-    the margin. A NaN, an overflow, a row outside B or a
-    None limit fails the test.
+    at least -limit, so by ``_gate_limit`` every product the scan computes is
+    at least -eq_tol. A NaN, an overflow, a row outside B or a None limit
+    fails the test.
 
     A polytope C = conv V reads the bound through its support function
     sigma_C (Bauschke and Combettes, Convex Analysis and Monotone Operator
@@ -1175,55 +1171,6 @@ def _support_slack(C: Polytope, X: np.ndarray, R: np.ndarray, eta: float) -> Opt
     off = np.linalg.norm(np.abs(centered @ comp) + gamma_2n5 * (np.abs(centered) @ np.abs(comp)), axis=1)
     F = np.maximum((off + np.linalg.norm(centered, axis=1) * (delta / inner)).max(), tiny)
     return rho + (np.sqrt(n) * r_max + eta) * F
-
-
-def _grouped_certificate(X: np.ndarray, S: np.ndarray, d: np.ndarray, eq_tol: float) -> bool:
-    """True when the products of whole groups of equal primals prove that the
-    full-square scan of monotone_check finds no violation.
-
-    The groups are the runs of rows with exactly equal primals a_1..a_m, which
-    in graph_sample's lex-sorted rows are the distinct primals. With
-    M[i, q] = d_i - <a_q, x_i*>, one GEMM of [x_i*, d_i] . [-a_q; 1] (K = n + 1),
-    rows x_i = a_p and x_j = a_q have the exact sum T of the terms of
-    P[i, j] equal to M[i, q] + M[j, p]. So L[p, q] + L[q, p], L[p, q] the least
-    M[i, q] over group p, bounds T from below on every pair of groups p, q.
-
-    Exactness. With C as in monotone_check, C / 2 = max|d| + max|x| max|x*|
-    bounds the magnitudes of an M entry's terms, so each computed entry is
-    within gamma_{n+1} C / 2 of its exact value; a minimum is one of the
-    computed entries, and the sum L[p, q] + L[q, p] rounds once, by at most
-    u (1 + gamma_{n+1}) C. So min(L + L') >= -limit, the tiled gate's limit
-    negated, gives T >= -eq_tol + margin - (gamma_{n+1} + 2u) C, and every
-    computed P[i, j], within gamma_{2n+2} C of T, is at least -eq_tol: the
-    margin is 2 gamma_{2n+3} C plus 4n smallest subnormals, gamma_{2n+3}
-    exceeds both gamma_{2n+2} and gamma_{n+1} + 2u, and the subnormals cover
-    the 4n products of P and of its two M entries, each of which may underflow
-    by half a subnormal. A NaN fails the test.
-
-    It runs only where it pays. With 8m <= k, groups of 8 rows or more on
-    average, M has at most an eighth of the tiled gate's multiply-adds; with
-    fewer rows per group its segment minima cost about what they save (k = 2601
-    rows in 441 groups: 2.4 ms against the tiled gate's 3.5 ms) while the
-    table L takes three times the tiled gate's memory. With m^2 <= 8 _GATE_TILE
-    the m x m table L takes at most 4 MB; M is formed _GATE_TILE floats at a
-    time."""
-    k = len(X)
-    starts = np.flatnonzero(np.r_[True, np.any(X[1:] != X[:-1], axis=1)])
-    m = len(starts)
-    if 8 * m > k or m * m > 8 * _GATE_TILE:
-        return False
-    limit = _gate_limit(X, S, d, eq_tol)
-    if limit is None:
-        return False
-    left_t = np.vstack([S.T, d[None, :]])
-    right = np.hstack([-X[starts], np.ones((m, 1))])
-    L_t = np.empty((m, m))  # L_t[q, p] = L[p, q]
-    cols = max(1, _GATE_TILE // k)
-    for q0 in range(0, m, cols):
-        L_t[q0 : q0 + cols] = np.minimum.reduceat(right[q0 : q0 + cols] @ left_t, starts, axis=1)
-    rows = max(1, _GATE_TILE // m)
-    low = np.min([(L_t[p0 : p0 + rows] + L_t[:, p0 : p0 + rows].T).min() for p0 in range(0, m, rows)])
-    return bool(low >= -limit)
 
 
 def _first_flagged_row(X: np.ndarray, S: np.ndarray, d: np.ndarray, eq_tol: float) -> Optional[int]:

@@ -82,8 +82,8 @@ def rounding_margin(C, n: int):
     with unit roundoff u: the widening by which the exact gates turn C, an
     a-priori bound on the magnitudes of a sum of at most 2n + 2 products of
     n-vector entries, into a bound on what floats compute (Higham, Accuracy
-    and Stability of Numerical Algorithms, 2nd ed., §3.1). monotone_check and
-    the sampled kernel's _unbounded_rows say why it suffices for each."""
+    and Stability of Numerical Algorithms, 2nd ed., §3.1). operators._gate_limit
+    and the sampled kernel's _unbounded_rows say why it suffices for each."""
     m, u = 2 * n + 3, np.finfo(float).eps / 2
     return 2.0 * (m * u / (1.0 - m * u)) * C + 4 * n * np.finfo(float).smallest_subnormal
 

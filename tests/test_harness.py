@@ -207,6 +207,36 @@ def test_run_suite_samples_each_target_and_grid_once(monkeypatch, scenario, call
     assert len(made) == calls
 
 
+def test_bundled_samples_reach_the_tiled_gate_only_from_operator_zoos_jmap(monkeypatch):
+    """Every verified sample of the three bundled scenarios passes the residual
+    certificate but operator-zoo's J_1 (no cone form), whose one tiled gate
+    flags nothing, so monotone_check makes no full-square rescan: a kind that
+    lost the residual route would show here as a call, not as time.
+    (maximality_probe's pairwise_product_blocks calls are not rescans.)"""
+    declined, flags, rescans = [], [], []
+    real_cert, real_flag, real_blocks, real_check = (
+        operators._residual_certificate, operators._first_flagged_row,
+        operators.pairwise_product_blocks, operators.monotone_check)
+
+    def cert(op, *args):
+        ok = real_cert(op, *args)
+        declined.extend([] if ok else [op])
+        return ok
+
+    def check(*args):
+        with monkeypatch.context() as m:
+            m.setattr(operators, "pairwise_product_blocks", lambda *a: rescans.append(1) or real_blocks(*a))
+            return real_check(*args)
+
+    monkeypatch.setattr(operators, "_residual_certificate", cert)
+    monkeypatch.setattr(operators, "_first_flagged_row", lambda *a: flags.append(1) or real_flag(*a))
+    monkeypatch.setattr(operators, "monotone_check", check)
+    cfgs = {s: load_scenario(SCENARIO_DIR / f"{s}.json") for s in ("paper-suite", "operator-zoo", "expected-failures")}
+    for cfg in cfgs.values():
+        run_suite(cfg)
+    assert declined == [cfgs["operator-zoo"].operators["jmap"]] and flags == [1] and rescans == []
+
+
 def test_br_trials_make_two_resolvent_batches_per_row_block(monkeypatch):
     """operator-zoo's br on quadbox2 solves the resolvent points of its 60
     trials in at most 2 resolvent_batch calls per row block, not 2 per trial."""

@@ -232,7 +232,8 @@ def test_box_qp_row_does_not_depend_on_its_batch():
 def box_qp_enumeration_reference(H, G, lo, hi):
     """The box QP over all 3^n active-bound patterns of the whole box, in
     itertools.product order, each row taking its first valid pattern, with
-    each row's KKT slack 1e-10 max(1, max|G_i|, max|H|)."""
+    each row's KKT slack 1e-10 max(1, max|G_i|, max|H|); right-hand sides
+    and gradients are summed row by row in a fixed order."""
     k, n = G.shape
     scale = np.maximum(np.abs(G).max(axis=1, initial=1.0), np.abs(H).max(axis=(-2, -1)))
     X = np.zeros((k, n))
@@ -246,7 +247,7 @@ def box_qp_enumeration_reference(H, G, lo, hi):
         for idx, i in enumerate(fixed):
             cand[:, i] = xb[idx]
         if free:
-            rhs = Gt[:, free] - (xb @ Ht[..., fixed, :][..., free] if fixed else 0.0)
+            rhs = Gt[:, free] - vecspace.rowwise_matmul(cand[:, fixed], Ht[..., fixed, :][..., free])
             cand[:, free] = np.linalg.solve(Ht[..., free, :][..., free], rhs[:, :, None])[:, :, 0]
         grad = vecspace.rowwise_matmul(cand, Ht) - Gt
         valid = np.ones(len(todo), dtype=bool)
@@ -291,7 +292,7 @@ def box_qps(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(box_qps())
-@example(case=(  # blocks {0, 1, 2} and {3}: split, the first rounds its right-hand side otherwise
+@example(case=(  # blocks {0, 1, 2} and {3}: a right-hand side of the first sums two nonzero products
     np.array([[0.761, 0.275, 0.082, 0.0], [0.275, 1.237, 0.618, 0.0], [0.082, 0.618, 1.219, 0.0], [0.0, 0.0, 0.0, 2.43]]),
     np.array([[2.1, 2.29, 3.99, 2.64]]), np.array([0.41, 0.16, 0.48, 0.1]), np.array([1.27, 1.06, 1.14, 1.13])))
 def test_box_qp_equals_the_enumeration_of_the_whole_box(case):
@@ -525,6 +526,12 @@ def test_membership_scales_with_dual_magnitude():
 QUADBOX2 = SubdiffOp(
     FunSum((Quadratic(np.eye(2), np.zeros(2)), BoxIndicator([0.0, 0.0], [1.0, 1.0])))
 )
+# a quadratic coupling all four coordinates (diagonally dominant, so SPD) and
+# a box whose bounds are not powers of 2, so a bound times an entry of H rounds
+QUADBOX4 = SubdiffOp(FunSum((
+    Quadratic([[2.0, 0.5, 0.3, 0.1], [0.5, 1.5, 0.2, 0.4], [0.3, 0.2, 1.8, 0.6], [0.1, 0.4, 0.6, 1.2]],
+              [0.1, -0.2, 0.3, -0.1]),
+    BoxIndicator([-0.3] * 4, [0.4] * 4))))
 
 
 @pytest.mark.parametrize("op", [QUADBOX2, CONE01_2], ids=["quadbox", "box_cone"])
@@ -881,6 +888,9 @@ _steps = st.lists(st.floats(0.05, 20.0), min_size=1, max_size=6)
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(_row, min_size=2, max_size=8), st.sampled_from((1.0, 1e4, 1e8)), _steps)
+# rows whose QUADBOX4 right-hand sides sum two fixed terms over a stacked H
+@example([("random", (1.52, 0.23), (-1.02, 1.73), 0), ("random", (-1.18, -0.28), (-2.2, -0.58), 0)],
+         1.0, [4.11, 5.28])
 @pytest.mark.parametrize("kind", sorted(MEMBERSHIP_KINDS))
 def test_batch_rows_equal_rows_computed_alone(kind, rows, scale, step_list):
     # membership_batch, resolvent_batch, fitz_rows, its crossings half and
@@ -912,28 +922,32 @@ def test_batch_rows_equal_rows_computed_alone(kind, rows, scale, step_list):
     W = np.vstack([X + S, scale * np.array([a for _, a, _, _ in rows]),
                    scale * np.array([a for _, _, a, _ in rows])])
     steps = np.resize(step_list, len(W))
-    fun = operators._subdiff_of(op)
-    exact = operators._sum_exact_parts(fun, 2) if isinstance(fun, FunSum) else None
-    if exact is not None and exact[2] is not None:  # a quadratic-plus-box sum
-        A, a, box = exact
-        H, G = np.eye(2) + A, W - a
-        alone = np.vstack([operators._box_qp_batch(H, g[None, :], box.lo, box.hi) for g in G])
-        assert operators._box_qp_batch(H, G, box.lo, box.hi).tobytes() == alone.tobytes()
-        Hs, Gs = np.eye(2) + steps[:, None, None] * A, W - steps[:, None] * a
-        alone = np.vstack([operators._box_qp_batch(np.eye(2) + s * A, (w - s * a)[None, :], box.lo, box.hi)
-                           for w, s in zip(W, steps)])
-        assert operators._box_qp_batch(Hs, Gs, box.lo, box.hi).tobytes() == alone.tobytes()
-    for step, alone in ((1.0, _rows_alone(lambda w: resolvent_batch(op, w), W)),
-                        (steps, _rows_alone(lambda w, s: resolvent_batch(op, w, step=s), W, steps))):
-        if alone is None:
-            with pytest.raises(NoClosedFormError):
-                resolvent_batch(op, W, step=step)
-        else:
-            assert resolvent_batch(op, W, step=step).tobytes() == alone.tobytes()
-    # the row-wise fallback: each row alone with its step, NaN where it has none
-    alone = [_rows_alone(lambda w, s: resolvent_batch(op, w, step=s), w[None, :], [s]) for w, s in zip(W, steps)]
-    alone = np.vstack([np.full((1, 2), np.nan) if a is None else a for a in alone])
-    assert operators._resolvent_rows(op, W, DEFAULT_TOL, steps).tobytes() == alone.tobytes()
+    # quadbox also runs QUADBOX4 on its rows side by side, where a right-hand
+    # side sums two fixed terms
+    for op, W in [(op, W)] + [(QUADBOX4, np.hstack([W, W[::-1]]))] * (kind == "quadbox"):
+        n = W.shape[1]
+        fun = operators._subdiff_of(op)
+        exact = operators._sum_exact_parts(fun, n) if isinstance(fun, FunSum) else None
+        if exact is not None and exact[2] is not None:  # a quadratic-plus-box sum
+            A, a, box = exact
+            H, G = np.eye(n) + A, W - a
+            alone = np.vstack([operators._box_qp_batch(H, g[None, :], box.lo, box.hi) for g in G])
+            assert operators._box_qp_batch(H, G, box.lo, box.hi).tobytes() == alone.tobytes()
+            Hs, Gs = np.eye(n) + steps[:, None, None] * A, W - steps[:, None] * a
+            alone = np.vstack([operators._box_qp_batch(np.eye(n) + s * A, (w - s * a)[None, :], box.lo, box.hi)
+                               for w, s in zip(W, steps)])
+            assert operators._box_qp_batch(Hs, Gs, box.lo, box.hi).tobytes() == alone.tobytes()
+        for step, alone in ((1.0, _rows_alone(lambda w: resolvent_batch(op, w), W)),
+                            (steps, _rows_alone(lambda w, s: resolvent_batch(op, w, step=s), W, steps))):
+            if alone is None:
+                with pytest.raises(NoClosedFormError):
+                    resolvent_batch(op, W, step=step)
+            else:
+                assert resolvent_batch(op, W, step=step).tobytes() == alone.tobytes()
+        # the row-wise fallback: each row alone with its step, NaN where it has none
+        alone = [_rows_alone(lambda w, s: resolvent_batch(op, w, step=s), w[None, :], [s]) for w, s in zip(W, steps)]
+        alone = np.vstack([np.full((1, n), np.nan) if a is None else a for a in alone])
+        assert operators._resolvent_rows(op, W, DEFAULT_TOL, steps).tobytes() == alone.tobytes()
 
 
 @pytest.mark.parametrize("kind", sorted(MEMBERSHIP_KINDS))
@@ -1468,7 +1482,8 @@ def test_monotone_check_rescans_once_from_a_flag_in_any_column_tile(monkeypatch,
 @example(family="box", n=2, spacing=0.1, shift=0.5, seed=SEED, rows=(0.7, 0.3), t=0.0, R=100.0, copies=0)
 @example(family="simplex", n=2, spacing=0.1, shift=0.5, seed=SEED, rows=(0.3, 0.7), t=-8, R=100.0, copies=1)
 @example(family="simplex", n=3, spacing=0.1, shift=0.5, seed=SEED, rows=(0.3, 0.7), t=1e5, R=10.0, copies=0)
-def test_grouped_certificate_keeps_the_full_square_verdict(family, n, spacing, shift, seed, rows, t, R, copies):
+def test_monotone_check_keeps_the_full_square_verdict_on_repeated_primals(
+        family, n, spacing, shift, seed, rows, t, R, copies):
     # a normal-cone sample repeats each boundary point across many rows; a
     # planted product sits within a few ulps of -eq_tol, inside the margin, or
     # clearly past it on either side. Copies of each planted primal, next to
@@ -1492,7 +1507,7 @@ def test_grouped_certificate_keeps_the_full_square_verdict(family, n, spacing, s
     assert witness_rows(g, monotone_check(g)) == full_square_monotone_reference(g)
 
 
-def test_grouped_certificate_groups_only_exactly_equal_primals():
+def test_monotone_check_flags_a_row_just_off_a_repeated_primal():
     # a row 1e-4 off a box corner's primal, next to its rows, with product
     # -1e-7 against one of them: read as that corner's primal, its products
     # with the corner's rows would be about +1e-4
@@ -1506,17 +1521,15 @@ def test_grouped_certificate_groups_only_exactly_equal_primals():
     assert ref is not None and witness_rows(g, monotone_check(g)) == ref
 
 
-@pytest.mark.parametrize(
-    "family, spacing, tiled",
-    [("box", 0.05, []), ("quadbox", 0.05, [1]), ("quadbox", 0.1, [1])],
-)
-def test_grouped_certificate_decides_where_groups_average_8_rows(monkeypatch, family, spacing, tiled):
-    # the dense-sample box graph: 10201 rows in 441 groups; quadbox: 10201 rows
-    # in 1681 groups (an m x m table past 8 tiles), and 2601 rows in 441 groups
+@pytest.mark.parametrize("family", sorted(DENSE_SAMPLE_FAMILIES))
+@pytest.mark.parametrize("spacing", [0.05, 0.1])
+def test_monotone_check_decides_the_dense_samples_in_one_tiled_gate(monkeypatch, family, spacing):
+    # a monotone graph passed to monotone_check directly, many rows to a
+    # primal in the cone families, is decided by one tiled gate and no rescan
     g = graph_sample(DENSE_SAMPLE_FAMILIES[family](2), Grid([-2.0, -2.0], [3.0, 3.0], spacing), verify=False)
     flags = count_calls(monkeypatch, "_first_flagged_row", operators)
     rescans = count_calls(monkeypatch, "pairwise_product_blocks", operators)
-    assert monotone_check(g) is None and flags == tiled and rescans == []
+    assert monotone_check(g) is None and flags == [1] and rescans == []
 
 
 def traced_peak(f):
@@ -1534,20 +1547,6 @@ def test_monotone_check_stays_under_8_mib_on_the_dense_samples(family, n, spacin
     g = graph_sample(DENSE_SAMPLE_FAMILIES[family](n), Grid([-2.0] * n, [3.0] * n, spacing), verify=False)
     out, peak = traced_peak(lambda: monotone_check(g))
     assert out is None and peak < 8 * 2**20
-
-
-def test_monotone_check_builds_no_group_table_past_its_size_rule(monkeypatch):
-    # 2000 groups of 50 rows at the 10^5-node cap: 8m <= k holds, but the
-    # m x m table would take 32 MB, so the tiled gate (stubbed here) decides
-    k, m = DEFAULT_TOL.budget, 2000
-    X = np.repeat(np.stack(np.divmod(np.arange(m), 50), axis=1) / 50.0, k // m, axis=0)
-    S = X + np.arange(k)[:, None] * np.array([1e-3, 2e-3])
-    g = FiniteGraph.from_arrays(X, S)
-    calls = []
-    monkeypatch.setattr(operators, "_first_flagged_row", lambda *a: calls.append(1))
-    out, peak = traced_peak(lambda: monotone_check(g))
-    assert out is None and calls == [1]
-    assert peak < 8 * 2**20 < m * m * 8
 
 
 def test_monotone_check_gate_allocates_cache_sized_tiles():
@@ -1770,11 +1769,9 @@ RESIDUAL_FAMILIES = ("box", "simplex", "identity", "quadbox")
 @pytest.mark.parametrize("n, spacing", [(2, 0.05), (3, 0.25)])
 def test_graph_sample_takes_the_residual_route_on_the_dense_samples(monkeypatch, family, n, spacing):
     # every dense-sample graph, the simplex cone's too, builds no tiled gate
-    # and no group table
     flags = count_calls(monkeypatch, "_first_flagged_row", operators)
-    groups = count_calls(monkeypatch, "_grouped_certificate", operators)
     g = graph_sample(DENSE_SAMPLE_FAMILIES[family](n), Grid([-2.0] * n, [3.0] * n, spacing))
-    assert len(g) > 1000 and flags == [] and groups == []
+    assert len(g) > 1000 and flags == []
 
 
 @pytest.mark.parametrize("family", RESIDUAL_FAMILIES)
