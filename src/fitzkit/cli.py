@@ -34,7 +34,7 @@ from .harness import (
     run_suite,
     scenario_from_dict,
 )
-from .operators import GraphOp, affine_form, op_dimension
+from .operators import GraphOp, cone_form, op_dimension
 from .vecspace import ToleranceConfig, pair
 
 
@@ -155,13 +155,15 @@ def _cmd_fitz(args) -> int:
     wgrid = args.wgrid and parse_grid(_parse_grid(args.wgrid), "--wgrid", tol.budget)  # read when given
     try:
         with np.errstate(over="raise"):
-            lin = affine_form(op)  # a shifted or p = 2-perturbed linear map is one too
-            if not (wgrid or lin is not None or isinstance(op, GraphOp)):
+            # the operator's own width decides, so a point of another width is refused
+            form = cone_form(op, op_dimension(op) or len(pt.primal))
+            affine = form is not None and form[2] is None  # A = M. + c on all of R^n
+            if not (wgrid or affine or isinstance(op, GraphOp)):
                 raise FitzkitError("sampled operators need --wgrid")
             if isinstance(op, GraphOp):
                 value, method = Finite(fitz_finite(op.graph, pt)), "finite_graph"
-            elif lin is not None:
-                value, method = fitz_linear(lin.M, lin.c, pt, tol), "linear_closed_form"
+            elif affine:
+                value, method = fitz_linear(form[0], form[1], pt, tol), "linear_closed_form"
             else:
                 value, method = fitz_sampled(op, pt, wgrid, tol), "sampled"
         number = value.value if isinstance(value, Finite) else value.crossed_threshold

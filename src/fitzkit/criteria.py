@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .certificates import Certificate, QuotientTrace, Verdict, failed, not_applicable, passed
-from .errors import NotSeparableError, ValidationError, ZOnDomainError
+from .errors import DimensionMismatchError, NotSeparableError, ValidationError, ZOnDomainError
 from .fitzpatrick import _blocks, fitz_at, fitz_domain_projection, fitz_rows, is_finite
 from .operators import (
     DualityMapOp,
@@ -26,9 +26,10 @@ from .operators import (
     Sample,
     _resolvent_rows,
     _subdiff_rows,
-    affine_form,
+    cone_form,
     maximality_probe,
     membership_batch,
+    op_dimension,
     perturb,
 )
 from .vecspace import (
@@ -52,23 +53,25 @@ _MARGIN_FACTOR = 1.001
 def _default_wgrid(op: OperatorSpec, xgrid: Grid) -> Grid:
     """Sampling grid wide enough that Minty points cover the scan box.
 
-    For an affine operator x -> Mx + c (operators.affine_form: a linear map,
-    or one shifted or p = 2-perturbed) the needed base-point range
-    w = (I+M)x + c over the box is exact (corner images); otherwise a
-    2x-radius heuristic suffices for the desk-scale zoo (resolvents are
-    nonexpansive and anchored near the origin)."""
-    n, lin = xgrid.dim, affine_form(op)
-    if lin is not None:
+    Where A is the map x -> Mx + c (operators.cone_form with B None: a linear
+    map, a quadratic's subdifferential, J_2 and their shifts and p = 2
+    perturbations) the base points w = (I+M)x + c of the box are exact: the
+    grid takes the corner images and reaches one of its own steps past them on
+    every side, so its last node is not short of them. Otherwise it is a
+    2x-radius heuristic (resolvents are nonexpansive and anchored near the
+    origin) that falls short where the image of the box is wider: quad+box at
+    n = 2 fails theorem36 with it, and ROADMAP item 12 replaces it."""
+    n, step, form = xgrid.dim, xgrid.spacing * 2.0, cone_form(op, xgrid.dim)
+    if form is not None and form[2] is None:
         import itertools
 
+        M, c, _ = form
         corners = np.array(list(itertools.product(*zip(xgrid.lower, xgrid.upper))))
-        images = corners @ (np.eye(n) + lin.M).T + lin.c
-        lo = images.min(axis=0) - xgrid.spacing
-        hi = images.max(axis=0) + xgrid.spacing
-        return Grid(lo, hi, xgrid.spacing * 2.0, cap=xgrid.cap)
+        images = corners @ (np.eye(n) + M).T + c
+        return Grid(images.min(axis=0) - step, images.max(axis=0) + step, step, cap=xgrid.cap)
     r = float(max(np.abs(xgrid.lower).max(), np.abs(xgrid.upper).max()))
     half = 2.0 * max(r, 1.0)
-    return Grid(-half * np.ones(n), half * np.ones(n), xgrid.spacing * 2.0, cap=xgrid.cap)
+    return Grid(-half * np.ones(n), half * np.ones(n), step, cap=xgrid.cap)
 
 
 def _search_value_witness(
@@ -514,7 +517,9 @@ def theorem36_experiment(
 ) -> tuple[float, Certificate]:
     """Compare the projected fitz domain against the sampled-domain hull on a
     grid; pass when the Hausdorff distance is within twice the grid spacing."""
-    name = "theorem36"
+    name, dim = "theorem36", op_dimension(op)
+    if dim not in (None, xgrid.dim):
+        raise DimensionMismatchError(f"xgrid dimension {xgrid.dim} does not match dimension {dim}")
     if wgrid is None:
         wgrid = _default_wgrid(op, xgrid)
     sample = Sample.over(op, wgrid, tol)

@@ -19,14 +19,14 @@ from typing import Literal, Optional, Union
 import numpy as np
 
 from .certificates import Certificate, failed, passed
-from .errors import ValidationError, VacuousForFiniteGraphError
+from .errors import DimensionMismatchError, ValidationError, VacuousForFiniteGraphError
 from .operators import (
     FiniteGraph,
     GraphOp,
     OperatorSpec,
     Sample,
     _resolvent_rows,
-    affine_form,
+    cone_form,
     pairwise_product_blocks,
     shift_graph,
 )
@@ -346,11 +346,12 @@ def fitz_at(s: Sample, pt: PairPoint) -> FitzValue:
 def fitz_domain_projection(sample: Sample, xgrid: Grid) -> DomainScan:
     """Grid nodes x admitting some probe x* with a Finite fitz value.
 
-    An affine operator (operators.affine_form: a linear map, or one shifted or
-    p = 2-perturbed) takes the consistency probe x* = Mx + c, where F is the
+    An affine operator x -> Mx + c (operators.cone_form with B None: a linear
+    map, a quadratic's subdifferential, J_2 and their shifts and p = 2
+    perturbations) takes the consistency probe x* = Mx + c, where F is the
     finite pairing, so every node is a member: dom A = X is in P_X dom F_A
     (Theorem 3.6), and the scan builds no fiber and probes nothing.
-    Sampled operators probe the first 8 duals of sampled pairs within two spacings
+    Other operators probe the first 8 duals of sampled pairs within two spacings
     and the first 8 points of the fiber at the nearest sampled domain point
     a0, all in one fitz_rows call. An empty fiber at a0, or a positively
     aligned exact ray there (divergence evidence for every probe), excludes
@@ -360,8 +361,12 @@ def fitz_domain_projection(sample: Sample, xgrid: Grid) -> DomainScan:
         raise VacuousForFiniteGraphError(
             "finite graphs have F finite everywhere; the scan is vacuous"
         )
-    nodes = xgrid.nodes()
-    if affine_form(op) is not None:
+    if xgrid.dim != sample.graph.dim:
+        raise DimensionMismatchError(
+            f"xgrid dimension {xgrid.dim} does not match dimension {sample.graph.dim}"
+        )
+    nodes, form = xgrid.nodes(), cone_form(op, xgrid.dim)
+    if form is not None and form[2] is None:
         return DomainScan(xgrid, nodes, "linear_consistency")
 
     g, dom = sample.graph, sample.domain

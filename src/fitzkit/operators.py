@@ -660,34 +660,18 @@ def op_dimension(op: OperatorSpec) -> Optional[int]:
     raise ValidationError(f"unknown operator spec {type(op).__name__}")
 
 
-def affine_form(op: OperatorSpec) -> Optional[LinearOp]:
-    """op as the one map x -> Mx + c it is, through any chain of shifts and
-    p = 2 perturbations over a linear map: B - z* is (M, c - z*), and
-    A + lam (. - center) = A + lam J_2(. - center) is (M + lam I, c - lam center).
-    None for every other kind. Readers that need only the map (the domain
-    scan, the default wgrid, the fitz command) take it; sampling does not."""
-    if isinstance(op, LinearOp):
-        return op
-    wraps = isinstance(op, ShiftedOp) or (isinstance(op, PerturbedOp) and op.p == 2.0)
-    inner = affine_form(op.inner) if wraps else None
-    if inner is None:
-        return None
-    if isinstance(op, ShiftedOp):
-        return LinearOp(inner.M, inner.c - op.zstar)
-    return LinearOp(inner.M + op.lam * np.eye(len(inner.M)), inner.c - op.lam * op.center)
-
-
 def cone_form(op: OperatorSpec, n: int) -> Optional[tuple[np.ndarray, np.ndarray, Union[Box, Polytope, None]]]:
     """(M, c, B) with A = M. + c + N_B on R^n, B a Box, a Polytope or None for
-    R^n: a linear chain as ``affine_form`` reads it; a subdifferential whose
-    function is quadratic plus box (``_sum_exact_parts``: quadratics, p = 2 norm
-    powers, box indicators, so box normal cones and J_2 too); a polytope's
-    normal cone, (0, 0, P); and, through any shift or p = 2 perturbation of
-    these, (M, c - z*, B) and (M + lam I, c - lam center, B). None for every
-    other kind. Only graph_sample's residual gate reads it."""
-    form = affine_form(op)
-    if form is not None:
-        return form.M, form.c, None
+    R^n: a linear map, (M, c, None); a subdifferential whose function is
+    quadratic plus box (``_sum_exact_parts``: quadratics, p = 2 norm powers,
+    box indicators, so box normal cones and J_2 too); a polytope's normal
+    cone, (0, 0, P); and, through any shift or p = 2 perturbation of these,
+    (M, c - z*, B) and (M + lam I, c - lam center, B). None for every other
+    kind. n is op's width. With B None, A is the map x -> Mx + c and dom A is
+    R^n: the domain scan, the default wgrid of theorem36 and the fitz command
+    take that affine route; graph_sample's residual gate reads every form."""
+    if isinstance(op, LinearOp):
+        return op.M, op.c, None
     if isinstance(op, ShiftedOp) or (isinstance(op, PerturbedOp) and op.p == 2.0):
         inner = cone_form(op.inner, n)
         if inner is None:

@@ -18,7 +18,7 @@ from fitzkit.certificates import passed
 from fitzkit.cli import main
 from fitzkit.fitzpatrick import Finite, fitz_linear, fitz_sampled
 from fitzkit.harness import CHECKS, FUNCTION_KINDS, OPERATOR_KINDS, parse_operator
-from fitzkit.operators import affine_form
+from fitzkit.operators import cone_form
 from fitzkit.vecspace import DEFAULT_TOL, Grid, pair
 
 CONE = json.dumps({"kind": "normal_cone", "box": {"lo": [0.0], "hi": [1.0]}})
@@ -360,16 +360,26 @@ def test_fitz_sampled_infinite(capsys):
     assert payload["crossed_threshold"] > 1e8
 
 
-@pytest.mark.parametrize("operator, extra", [
-    (IDENT, ()),
-    (GRAPH, ()),
-    (json.dumps({"kind": "normal_cone", "box": {"lo": [0.0, 0.0], "hi": [1.0, 1.0]}}), ("--wgrid=-1:2:0.5",)),
-], ids=["linear", "graph", "sampled"])
-def test_fitz_point_of_wrong_dimension_exit_two(capsys, operator, extra):
-    code = main(["fitz", "--operator", operator, "--x", "1,2,3", "--xstar", "0,0,0", *extra])
+QUADRATIC_2D = json.dumps({"kind": "subdiff", "fun": {"kind": "quadratic", "matrix": [[2.0, 0.3], [0.3, 1.0]]}})
+J2_2D = json.dumps({"kind": "duality_map", "p": 2.0, "center": [0.5, 0.0]})
+
+
+@pytest.mark.parametrize("operator, extra, x, width", [
+    (IDENT, (), "1,2,3", "expected dimension 2, got 3"),
+    (GRAPH, (), "1,2,3", ""),
+    (json.dumps({"kind": "normal_cone", "box": {"lo": [0.0, 0.0], "hi": [1.0, 1.0]}}), ("--wgrid=-1:2:0.5",),
+     "1,2,3", ""),
+    (QUADRATIC_2D, (), "1,2,3", "expected dimension 2, got 3"),
+    (J2_2D, (), "1,2,3", "expected dimension 2, got 3"),
+    (J2_2D, (), "1", "expected dimension 2, got 1"),
+], ids=["linear", "graph", "sampled", "quadratic", "J2", "J2-narrow"])
+def test_fitz_point_of_wrong_dimension_exit_two(capsys, operator, extra, x, width):
+    """One error line; an affine operator's names its own width first."""
+    xstar = ",".join("0" * len(x.split(",")))
+    code = main(["fitz", "--operator", operator, "--x", x, "--xstar", xstar, *extra])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert err.startswith(f"error: {width}") and len(err.strip().splitlines()) == 1
 
 
 def test_fitz_wgrid_of_wrong_dimension_exit_two(capsys):
@@ -807,29 +817,38 @@ def test_fitz_value_that_overflows_a_float_exit_two(operator):
 
 def test_fitz_linear_value_above_the_threshold_is_a_crossing():
     """F = |x + x*|^2 / 4 = 1e10 at x = x* = 1e5 passes inf_threshold: the
-    closed form reports the crossing, with the witness the sampled kernel
-    gives for the same map written as a quadratic's subdifferential."""
+    closed form reports the crossing, for the map and for the quadratic whose
+    subdifferential it is, with the witness the sampled kernel gives for that
+    quadratic plus a box too wide to touch it."""
     args = ["--x", "1e5", "--xstar", "1e5", "--wgrid=-1:1:0.5"]
-    quadratic = json.dumps({"kind": "subdiff", "fun": {"kind": "quadratic", "matrix": [[1.0]]}})
-    (code, out, err), (_, sampled, _) = (run_captured(["fitz", "--operator", op, *args])
-                                         for op in (LINEAR_1D, quadratic))
+    quadratic = {"kind": "quadratic", "matrix": [[1.0]]}
+    boxed = {"kind": "sum", "parts": [quadratic, {"kind": "box_indicator", "lo": [-1e6], "hi": [1e6]}]}
+    (code, out, err), (_, closed, _), (_, sampled, _) = (
+        run_captured(["fitz", "--operator", op, *args])
+        for op in (LINEAR_1D, *(json.dumps({"kind": "subdiff", "fun": f}) for f in (quadratic, boxed))))
     crossing = {"kind": "infinite_suspected", "crossed_threshold": 1e10,
                 "witness": {"primal": [1e5], "dual": [1e5]}}
     assert (code, err) == (0, "")
-    assert json.loads(out) == {**crossing, "method": "linear_closed_form"}
+    assert json.loads(out) == json.loads(closed) == {**crossing, "method": "linear_closed_form"}
     assert json.loads(sampled) == {**crossing, "method": "sampled"}
 
 
 @st.composite
 def affine_chain_specs(draw):
-    """A wire spec of a random monotone linear map in 1 or 2 dimensions (a PSD
-    symmetric part, none when the weight is 0, plus a skew part) wrapped in
-    one to three shifts and p = 2 perturbations."""
+    """A wire spec of a random monotone affine map in 1 or 2 dimensions, wrapped
+    in one to three shifts and p = 2 perturbations: a linear map (a PSD
+    symmetric part, none when the weight is 0, plus a skew part), the
+    subdifferential of 1/2 x'Qx + b'x with Q that PSD part, or J_2(. - b)."""
     n = draw(st.integers(1, 2))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     A, B = rng.uniform(-1.0, 1.0, (2, n, n))
-    M = draw(st.sampled_from([0.0, 1.0])) * A @ A.T + (B - B.T)
-    spec = {"kind": "linear", "matrix": M.tolist(), "offset": rng.uniform(-1.0, 1.0, n).tolist()}
+    Q, b = draw(st.sampled_from([0.0, 1.0])) * A @ A.T, rng.uniform(-1.0, 1.0, n).tolist()
+    Q = 0.5 * (Q + Q.T)
+    spec = {
+        "linear": {"kind": "linear", "matrix": (Q + B - B.T).tolist(), "offset": b},
+        "quadratic": {"kind": "subdiff", "fun": {"kind": "quadratic", "matrix": Q.tolist(), "offset": b}},
+        "J2": {"kind": "duality_map", "p": 2.0, "center": b},
+    }[draw(st.sampled_from(("linear", "quadratic", "J2")))]
     for _ in range(draw(st.integers(1, 3))):
         v = rng.uniform(-2.0, 2.0, n).tolist()
         spec = ({"kind": "shifted", "inner": spec, "zstar": v} if draw(st.booleans()) else
@@ -841,7 +860,7 @@ def affine_chain_specs(draw):
 @settings(max_examples=40, deadline=None)
 @given(affine_chain_specs())
 def test_fitz_on_a_shifted_or_p2_perturbed_linear_map_is_its_closed_form(case):
-    """Without --wgrid, fitz reports fitz_linear of the chain's normal form,
+    """Without --wgrid, fitz reports fitz_linear of the chain's cone form,
     which a sampled lower bound on a wide grid never exceeds by more than eq_tol."""
     spec, (x, xs) = case
     code, out, err = run_captured(["fitz", "--operator", json.dumps(spec),
@@ -849,8 +868,8 @@ def test_fitz_on_a_shifted_or_p2_perturbed_linear_map_is_its_closed_form(case):
     assert (code, err) == (0, ""), err
     payload = json.loads(out)
     op, pt = parse_operator(spec, "operator"), pair(x, xs)
-    form = affine_form(op)
-    want = fitz_linear(form.M, form.c, pt)
+    M, c, _ = cone_form(op, len(x))
+    want = fitz_linear(M, c, pt)
     assert payload["method"] == "linear_closed_form"
     if isinstance(want, Finite):
         assert payload == {"kind": "finite", "value": want.value, "method": "linear_closed_form"}

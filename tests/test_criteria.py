@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fitzkit.fitzpatrick
 import fitzkit.operators
 from fitzkit.certificates import Verdict, failed, not_applicable, passed
-from fitzkit.errors import NoClosedFormError, NotMaximalError, ValidationError, ZOnDomainError
+from fitzkit.errors import (
+    DimensionMismatchError, NoClosedFormError, NotMaximalError, ValidationError, ZOnDomainError,
+)
 from fitzkit.harness import CheckSpec, ScenarioConfig, _br, _Run
 from fitzkit.criteria import (
     blowup_witness_sequence,
@@ -18,8 +21,10 @@ from fitzkit.criteria import (
     sup_quotient,
     theorem36_experiment,
 )
+from fitzkit.fitzpatrick import fitz_domain_projection
 from fitzkit.operators import (
     BoxIndicator,
+    DualityMapOp,
     FiniteGraph,
     FunSum,
     GraphOp,
@@ -466,6 +471,50 @@ def test_theorem36_subdiff_quad_plus_box():
     dist, cert = theorem36_experiment(op, Grid([-1.0], [3.0], 0.05))
     assert cert.verdict is Verdict.PASS
     assert dist <= 0.1 + 1e-9
+
+
+Q2 = np.array([[2.0, 0.3], [0.3, 1.0]])
+SCAN_1 = Grid([-1.0, -1.0], [1.0, 1.0], 0.1)
+SCAN_15 = Grid([-1.5, -1.5], [1.5, 1.5], 0.1)
+
+
+@pytest.mark.parametrize("op, xgrid", [
+    (DualityMapOp(2.0, [0.5, 0.0]), SCAN_1),
+    (SubdiffOp(Quadratic(Q2)), SCAN_15),
+    (SubdiffOp(Quadratic(Q2, [0.5, -0.25])), SCAN_15),
+    (ShiftedOp(SubdiffOp(Quadratic(Q2)), [1.0, 0.0]), SCAN_15),
+    (PerturbedOp(DualityMapOp(2.0, [0.0, 0.0]), 1.0, 2.0, [0.5, 0.5]), SCAN_15),
+    (SubdiffOp(Quadratic(2.0 * np.eye(3) + 0.3)), Grid([-1.0] * 3, [1.0] * 3, 0.25)),
+    (LinearOp(2.0 * np.eye(3) + 0.3), Grid([-1.0] * 3, [1.0] * 3, 0.25)),
+], ids=["off-centre-J2", "quadratic", "quadratic-offset", "shifted-quadratic", "J2-plus-J2", "quadratic-3d",
+        "linear-3d"])
+def test_theorem36_on_an_affine_subdifferential_is_the_whole_grid(monkeypatch, op, xgrid):
+    """dom A = R^n for a quadratic's subdifferential and J_2 (through shifts
+    and p = 2 perturbations) as for a linear map, so the scan and the hull are
+    every node: the scan takes the affine route with no fiber and no crossings
+    probe, and the default wgrid reaches past the image of every corner, of
+    (1, 1, 1) too in 3-d, where the image is 3.9 in each coordinate."""
+    fibers, crossings = [], []
+    real_fiber, real_crossings = fitzkit.operators._fiber, fitzkit.fitzpatrick._row_crossings
+    monkeypatch.setattr(fitzkit.operators, "_fiber", lambda *a: fibers.append(1) or real_fiber(*a))
+    monkeypatch.setattr(fitzkit.fitzpatrick, "_row_crossings",
+                        lambda *a: crossings.append(1) or real_crossings(*a))
+    dist, cert = theorem36_experiment(op, xgrid)
+    assert cert.verdict is Verdict.PASS and dist == 0.0
+    assert cert.witness("hull_node_count") == cert.witness("member_count") == xgrid.count
+    assert (len(fibers), len(crossings)) == (0, 0)
+
+
+@pytest.mark.parametrize("op", [LinearOp(np.eye(2)), SubdiffOp(Quadratic(Q2)), CONE01_2],
+                         ids=["linear", "quadratic", "box-cone"])
+def test_theorem36_xgrid_of_another_width_is_refused(op):
+    """A 3-d scan of a 2-d operator raises DimensionMismatchError, from
+    theorem36 before its default wgrid and from the scan on a given sample."""
+    xgrid = Grid([-1.0] * 3, [1.0] * 3, 0.5)
+    with pytest.raises(DimensionMismatchError, match="xgrid dimension 3 does not match dimension 2"):
+        theorem36_experiment(op, xgrid)
+    with pytest.raises(DimensionMismatchError, match="xgrid dimension 3 does not match dimension 2"):
+        fitz_domain_projection(Sample.over(op, SCAN_1), xgrid)
 
 
 def test_corollary_families_hull_adds_nothing():

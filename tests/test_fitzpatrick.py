@@ -39,7 +39,7 @@ from fitzkit.operators import (
     Quadratic,
     Sample,
     SubdiffOp,
-    affine_form,
+    cone_form,
     graph_sample,
 )
 from fitzkit.vecspace import Box, DEFAULT_TOL, Grid, PairPoint, Polytope, ToleranceConfig, lexsort_rows, pair, rowwise_dot
@@ -667,7 +667,8 @@ def test_domain_scan_builds_no_pair_table(monkeypatch):
         assert cfg.tolerances == DEFAULT_TOL
         fitz_domain_projection(Sample.over(op, wgrid, cfg.tolerances), xgrid)
         assert sum(sent) == 0, check.target
-        if affine_form(op) is None:  # the affine scan probes nothing
+        form = cone_form(op, xgrid.dim)
+        if form is None or form[2] is not None:  # the affine scan probes nothing
             fitz_domain_projection(Sample.over(op, wgrid, ToleranceConfig(inf_threshold=1.0)), xgrid)
             assert sum(sent) > 0, check.target
             sent.clear()

@@ -31,7 +31,6 @@ from fitzkit.operators import (
     ShiftedOp,
     SubdiffOp,
     TranslatedNormPower,
-    affine_form,
     cone_form,
     fiber,
     graph_sample,
@@ -1111,72 +1110,6 @@ def test_perturbed_p1_resolvent_reduces_for_subdiff():
 
 
 # --------------------------------------------------------------------------
-# affine normal form
-# --------------------------------------------------------------------------
-
-@st.composite
-def affine_chains(draw):
-    """(op, M, c): a random monotone x -> Mx + c (a PSD symmetric part, none
-    when the weight is 0, plus a skew part), wrapped in up to three shifts and
-    p = 2 perturbations, with the map that chain is, composed by hand."""
-    n = draw(st.integers(1, 3))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    A, B = rng.uniform(-1.0, 1.0, (2, n, n))
-    M = draw(st.sampled_from([0.0, 1.0])) * A @ A.T + (B - B.T)
-    c = rng.uniform(-1.0, 1.0, n)
-    op = LinearOp(M, c)
-    for _ in range(draw(st.integers(0, 3))):
-        v = rng.uniform(-2.0, 2.0, n)
-        if draw(st.booleans()):
-            op, c = ShiftedOp(op, v), c - v
-        else:
-            lam = draw(st.sampled_from([0.25, 1.0, 3.0]))
-            op, M, c = PerturbedOp(op, lam, 2.0, v), M + lam * np.eye(n), c - lam * v
-    return op, M, c
-
-
-@settings(max_examples=60, deadline=None)
-@given(affine_chains(), st.integers(0, 2**32 - 1))
-def test_affine_form_is_the_map_of_every_shift_and_p2_chain(case, seed):
-    """The normal form of a chain is its map: the form's resolvent rows equal
-    the chain's within eq_tol times their scale, and every (x, Mx + c) of the
-    hand-composed map is a member of the chain's graph."""
-    op, M, c = case
-    form = affine_form(op)
-    assert isinstance(form, LinearOp)
-    assert np.allclose(form.M, M, rtol=0.0, atol=1e-12) and np.allclose(form.c, c, rtol=0.0, atol=1e-12)
-    rng = np.random.default_rng(seed)
-    W = rng.uniform(-3.0, 3.0, (20, len(c)))
-    got, want = resolvent_batch(form, W), resolvent_batch(op, W)
-    scale = 1.0 + np.abs(W).max() + np.abs(M).max() + np.abs(c).max()
-    assert np.abs(got - want).max() <= DEFAULT_TOL.eq_tol * scale
-    X = rng.uniform(-3.0, 3.0, (20, len(c)))
-    assert membership_batch(op, X, X @ form.M.T + form.c).all()
-
-
-def test_affine_form_of_a_linear_map_is_the_map_itself():
-    assert affine_form(IDENT2) is IDENT2
-
-
-@pytest.mark.parametrize("op", [
-    CONE01_2,
-    NormalConeOp(Polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])),
-    PerturbedOp(IDENT2, 1.0, 1.0, [0.0, 0.0]),
-    PerturbedOp(IDENT2, 1.0, 3.0, [0.5, 0.0]),
-    ShiftedOp(PerturbedOp(IDENT2, 2.0, 1.5, [0.0, 0.0]), [1.0, 0.0]),
-    PerturbedOp(CONE01_2, 2.0, 2.0, [0.5, 0.5]),
-    ShiftedOp(CONE01_2, [1.0, 1.0]),
-    SubdiffOp(FunSum((Quadratic(np.eye(2), np.zeros(2)), BoxIndicator([0.0, 0.0], [1.0, 1.0])))),
-    SubdiffOp(Quadratic(np.eye(2), np.zeros(2))),
-    DualityMapOp(2.0, [0.0, 0.0]),
-    GraphOp(graph_of(([0.0], [0.0]), ([1.0], [1.0]))),
-], ids=["box-cone", "polytope-cone", "p1-perturbed", "p3-perturbed", "shifted-p1.5",
-        "p2-perturbed-cone", "shifted-cone", "quad-box-sum", "quadratic", "duality-map", "graph"])
-def test_affine_form_is_none_for_every_other_kind(op):
-    assert affine_form(op) is None
-
-
-# --------------------------------------------------------------------------
 # cone normal form
 # --------------------------------------------------------------------------
 
@@ -1254,9 +1187,10 @@ def normal_cone_points(rng, B, n, k):
 @settings(max_examples=80, deadline=None)
 @given(cone_chains(), st.integers(0, 2**32 - 1))
 def test_cone_form_is_the_form_of_every_shift_and_p2_chain(case, seed):
-    """The form of a chain is the one composed by hand, a linear chain's is
-    affine_form's map bit for bit, and every (x, Mx + c + nu) with x in B and
-    nu in N_B(x) is a member of the chain's graph."""
+    """The form of a chain is the one composed by hand, and every
+    (x, Mx + c + nu) with x in B and nu in N_B(x) is a member of the chain's
+    graph. Where B is None the chain is the map x -> Mx + c: its resolvent rows
+    equal the map's within eq_tol times their scale."""
     op, M, c, B = case
     n = len(c)
     Mf, cf, Bf = cone_form(op, n)
@@ -1266,22 +1200,48 @@ def test_cone_form_is_the_form_of_every_shift_and_p2_chain(case, seed):
         assert Bf is B
     elif B is not None:
         assert np.array_equal(Bf.lo, B.lo) and np.array_equal(Bf.hi, B.hi)
-    lin = affine_form(op)
-    if lin is not None:
-        assert np.array_equal(lin.M, Mf) and np.array_equal(lin.c, cf)
-    X, nu = normal_cone_points(np.random.default_rng(seed), Bf, n, 30)
+    rng = np.random.default_rng(seed)
+    X, nu = normal_cone_points(rng, Bf, n, 30)
     assert membership_batch(op, X, X @ Mf.T + cf + nu).all()
+    if Bf is None:
+        W = rng.uniform(-3.0, 3.0, (20, n))
+        got, want = resolvent_batch(LinearOp(Mf, cf), W), resolvent_batch(op, W)
+        scale = 1.0 + np.abs(W).max() + np.abs(M).max() + np.abs(c).max()
+        assert np.abs(got - want).max() <= DEFAULT_TOL.eq_tol * scale
+
+
+@pytest.mark.parametrize("op, cone", [
+    (IDENT2, None),
+    (SubdiffOp(Quadratic(np.eye(2), np.zeros(2))), None),
+    (DualityMapOp(2.0, [0.0, 0.0]), None),
+    (CONE01_2, Box),
+    (NormalConeOp(Polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])), Polytope),
+    (PerturbedOp(CONE01_2, 2.0, 2.0, [0.5, 0.5]), Box),
+    (ShiftedOp(CONE01_2, [1.0, 1.0]), Box),
+    (SubdiffOp(FunSum((Quadratic(np.eye(2), np.zeros(2)), BoxIndicator([0.0, 0.0], [1.0, 1.0])))), Box),
+], ids=["linear", "quadratic", "duality-map", "box-cone", "polytope-cone", "p2-perturbed-cone",
+        "shifted-cone", "quad-box-sum"])
+def test_cone_form_has_no_cone_exactly_where_the_domain_is_the_whole_space(op, cone):
+    """B is None for a map x -> Mx + c (a linear map, a quadratic's
+    subdifferential, J_2), which the affine readers take; a normal cone, or a
+    sum with a box, keeps its region."""
+    M, c, B = cone_form(op, 2)
+    assert B is None if cone is None else isinstance(B, cone)
+    if isinstance(op, LinearOp):
+        assert M is op.M and c is op.c
 
 
 @pytest.mark.parametrize("op", [
     PerturbedOp(IDENT2, 1.0, 1.0, [0.0, 0.0]),
+    PerturbedOp(IDENT2, 1.0, 3.0, [0.5, 0.0]),
+    ShiftedOp(PerturbedOp(IDENT2, 2.0, 1.5, [0.0, 0.0]), [1.0, 0.0]),
     PerturbedOp(CONE01_2, 2.0, 3.0, [0.5, 0.5]),
     ShiftedOp(PerturbedOp(SubdiffOp(Quadratic(np.eye(2))), 2.0, 1.5, [0.0, 0.0]), [1.0, 0.0]),
     SubdiffOp(NormPower(1.0)),
     SubdiffOp(FunSum((Quadratic(np.eye(2)), NormPower(3.0), BoxIndicator([0.0, 0.0], [1.0, 1.0])))),
     DualityMapOp(1.5, [0.0, 0.0]),
     GraphOp(graph_of(([0.0, 0.0], [0.0, 0.0]), ([1.0, 1.0], [1.0, 1.0]))),
-], ids=["p1-perturbed", "p3-perturbed-cone",
+], ids=["p1-perturbed", "p3-perturbed", "shifted-p1.5", "p3-perturbed-cone",
         "shifted-p1.5-quadratic", "p1-norm", "p3-norm-in-sum", "J_1.5", "graph"])
 def test_cone_form_is_none_for_every_other_kind(op):
     assert cone_form(op, 2) is None
