@@ -17,7 +17,7 @@ import numpy as np
 
 from .certificates import Certificate, QuotientTrace, Verdict, failed, not_applicable, passed
 from .errors import DimensionMismatchError, NotSeparableError, ValidationError, ZOnDomainError
-from .fitzpatrick import _blocks, fitz_at, fitz_domain_projection, fitz_rows, is_finite
+from .fitzpatrick import _CROSS_FACTOR, _blocks, _crossed, _ridden, fitz_at, fitz_domain_projection, is_finite
 from .operators import (
     DualityMapOp,
     FiniteGraph,
@@ -46,9 +46,6 @@ from .vecspace import (
     rowwise_dot,
     separate,
 )
-
-_MARGIN_FACTOR = 1.001
-
 
 def _default_wgrid(op: OperatorSpec, xgrid: Grid) -> Grid:
     """Sampling grid wide enough that Minty points cover the scan box.
@@ -82,11 +79,12 @@ def _search_value_witness(
     tol: ToleranceConfig,
 ) -> Optional[tuple[Vector, Vector, float]]:
     """First (a, a*, <z-a, a*>) over Sample.candidates with <z-a, a*> strictly
-    above needed(a); exact rays are scaled analytically to reach the target."""
+    above needed(a). Exact rays are scaled analytically to reach the target, not by
+    fitzpatrick._rides: the goldens carry these witnesses (near_convexity, blowup_witness, sup_quotient)."""
     for a, f in candidates:
         d = z - a
         target = needed(a)
-        goal = target * _MARGIN_FACTOR + 10.0 * tol.eq_tol
+        goal = target * _CROSS_FACTOR + 10.0 * tol.eq_tol
         vals = f.points @ d
         order = lexsort_rows(f.points)
         best_i = max(order.tolist(), key=lambda i: (vals[i],))
@@ -146,7 +144,7 @@ def sup_quotient(
     estimate = entries[-1][1]
 
     # ray divergence: quotient grows along any positively-aligned exact ray
-    target_q = tol.inf_threshold * _MARGIN_FACTOR
+    target_q = tol.inf_threshold * _CROSS_FACTOR
     candidates = [
         (a, f) for a, f in sample.candidates if np.linalg.norm(a - z, axis=-1) > tol.eq_tol
     ]
@@ -294,11 +292,7 @@ def conv_domain_certificate(
     z = as_vector(z, dim=g.dim)
     hull_dist, _ = dist_to_polytope(z, sample.hull)
     if hull_dist <= tol.eq_tol:
-        return not_applicable(
-            name,
-            "z lies within eq_tol of the sampled domain hull",
-            [("hull_distance", hull_dist)],
-        )
+        return not_applicable(name, "z lies within eq_tol of the sampled domain hull", [("hull_distance", hull_dist)])
     entries, schedule_witnesses, missing = _quotient_schedule_run(sample, z, p, lambda_schedule)
     witnesses = [("hull_distance", hull_dist), ("p", float(p))] + schedule_witnesses
 
@@ -308,20 +302,16 @@ def conv_domain_certificate(
     sup_pairs = float((np.einsum("ij,ij->i", diffs, g.duals) / dists).max())
     order = np.argsort(dists, kind="stable")
     probes = np.vstack([np.zeros(g.dim), g.duals[order[:3]]])
-    _, crossings = fitz_rows(sample, np.broadcast_to(z, probes.shape), probes)
+    Z = np.broadcast_to(z, probes.shape)
     witnesses.append(("sup_quotient_sampled", sup_pairs))
-    finite = [zs for zs, crossing in zip(probes, crossings) if crossing is None]
+    finite = probes[~(_ridden(sample, Z) | _crossed(sample, Z, probes))]
     r_emps = [float((np.einsum("ij,ij->i", diffs, zs - g.duals) / dists).min()) for zs in finite]
     for i, (zs, r_emp) in enumerate(zip(finite, r_emps)):
         bound = float(np.linalg.norm(zs)) - r_emp + tol.eq_tol
         witnesses += [(f"probe_{i}_zstar", zs), (f"probe_{i}_r_emp", r_emp)]
         if sup_pairs > bound:
             witnesses.insert(0, ("bound_violation", sup_pairs - bound))
-            return failed(
-                name,
-                "finite-probe bound chain violated (sup quotient exceeds ||z*|| - r)",
-                witnesses,
-            )
+            return failed(name, "finite-probe bound chain violated (sup quotient exceeds ||z*|| - r)", witnesses)
     if r_emps:
         witnesses.append(("r_emp", max(r_emps)))
     witnesses.append(("finite_probe_count", float(len(finite))))

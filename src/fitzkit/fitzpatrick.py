@@ -1,9 +1,9 @@
 """Fitzpatrick function evaluation by three routes: finite-graph enumeration,
 the linear closed form, and fitz_rows, the sampled kernel for a batch of
-points (fitz_at is its one-row case and the conv-domain probes make one call;
-the domain-projection scan runs only its crossings half, the inequality check
-only its values half). The Sample builds what the kernel needs of it alone,
-its pair order and exact-ray table, once, so a warm probe does only per-row work.
+points (fitz_at is its one-row case; the inequality check reads only its values,
+the domain scan and conv-domain probes only its crossing mask, which rides no ray).
+The Sample builds what the kernel needs of it alone, its pair order and
+exact-ray table, once, so a warm probe does only per-row work.
 
 "Infinite" is always operationalized as a threshold crossing with a recorded
 graph-point witness; sampled suprema certify lower bounds only, so a Finite
@@ -184,9 +184,9 @@ def _pair_table(
     return tops, found
 
 
-def _unbounded_rows(s: Sample, X: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """The rows of (X, S) whose sample-pair terms the a-priori bound cannot
-    keep below inf_threshold; no other row has a crossing pair.
+def _crossed(s: Sample, X: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """The rows of (X, S) with a crossing sample pair or resolvent point, as a
+    mask; only the rows whose terms the a-priori bound cannot clear build a table.
 
     Exactness. _affine_terms sums, for row i and pair j, the 2n + 1 terms
     x_ik a*_jk, x*_ik a_jk and -d_j (d_j = <a_j, a*_j> as stored, an exact
@@ -207,12 +207,15 @@ def _unbounded_rows(s: Sample, X: np.ndarray, S: np.ndarray) -> np.ndarray:
     nearest is monotone, so a computed sum below the threshold has an exact
     sum below it. A NaN or infinite bound clears nothing. Every other row
     goes to _pair_table, where its terms are those it has alone."""
-    g = s.graph
+    g, hit = s.graph, np.zeros(len(X), dtype=bool)
     if X.shape[1] != g.dim:
         raise ValidationError("point dimension does not match the graph")
     B = np.abs(X) @ np.abs(g.duals).max(axis=0) + np.abs(S) @ np.abs(g.primals).max(axis=0)
     B += np.abs(g.self_products).max()
-    return np.flatnonzero(~(B + rounding_margin(B, g.dim) < s.tol.inf_threshold))
+    kept = np.flatnonzero(~(B + rounding_margin(B, g.dim) < s.tol.inf_threshold))
+    for rows, *_ in _pair_table(s, X, S, kept)[1] + _resolvent_terms(s, X, S)[1]:
+        hit[rows] = True
+    return hit
 
 
 def _resolvent_terms(s: Sample, X: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, list]:
@@ -238,42 +241,65 @@ def _lex_min(parts: list, n: int) -> tuple[np.ndarray, ...]:
     return rows[first], terms[first], W[first], rank[first]
 
 
+def _rides(s: Sample, X: np.ndarray):
+    """(block, rows, rays, slopes, floors): the pairs of a row x of X and a ray
+    (a, b, r) of the Sample's exact_rays table that ride, a block of rows at a
+    time: the computed slope s = <x - a, r> exceeds eq_tol and twice the
+    rounding floor F = rounding_margin(C, n), C = (|x|_1 + |a|_1) |r|_inf.
+    That reads x alone: for every x*, (x, x*) crosses at the one point _ray_crossings
+    takes, t = max(t0, t1), t0 = (_CROSS_FACTOR inf_threshold - beta) / s.
+
+    Proof. The term at (a, b + t r) is exactly beta + t <x - a, r>, beta =
+    <x, b> + <x*, a> - <a, b>. By the a-priori bound of _crossed, with g_m = gamma_m,
+    D = (|x|_1 + |a|_1) |b|_inf >= sum (|x_i| + |a_i|) |b_i|, G = |x*|_1 |a|_inf, computed
+    beta and s are within g_{n+2} (D + G) and g_{n+1} C of exact, a* within
+    g_2 (|b_i| + |t r_i|) of b + t r, and the term at a* within g_{n+2} of
+    its 3n products' magnitudes: it is at least beta + t s - |t| g_{2n+5} C -
+    g_{2n+6} (D + G). F >= 2 g_{2n+3} C and rho = rounding_margin(K, n) >=
+    2 g_{2n+3} K, K = inf_threshold + 2 (D + G), leave 2u C and 4u K to spare.
+    With R = inf_threshold - beta + rho, t1 = R / (s - F) if R > 0, else
+    R / (s + F); s > 2F keeps t1 below 2R / s. Every t >= t1 crosses, the
+    spare covering the roundings of R and t1: t (s - g_{2n+5} C) >= R for
+    t >= 0 < R; beta >= inf_threshold + rho for t >= 0 >= R; |t| (s +
+    g_{2n+5} C) <= -R for t1 <= t < 0. The subnormals cover underflow, and
+    nothing may overflow. At desk scale t1 < t0. A term that does not cross
+    breaks the proof, and raises."""
+    A, _, R, _ = s.exact_rays if len(X) else ((),) * 4
+    for blk in _blocks(len(X), len(A)) if len(A) else ():
+        slope = rowwise_dot(X[blk, None] - A, R)
+        C = (np.abs(X[blk]).sum(axis=1)[:, None] + np.abs(A).sum(axis=1)) * np.abs(R).max(axis=1)
+        floor = rounding_margin(C, X.shape[1])
+        i, k = np.nonzero((slope > s.tol.eq_tol) & (slope > 2.0 * floor))
+        yield blk, i, k, slope[i, k], floor[i, k]
+
+
 def _ray_crossings(s: Sample, X: np.ndarray, S: np.ndarray) -> list:
     """fitz_rows' crossings along the rays of the Sample's exact_rays table, ranked
-    by their row there, before the pairs: each block of rows reduced to its rows'
-    lex-first crossings before the next, so memory is O(rows)."""
-    tol, found = s.tol, []
+    by their row there, before the pairs: one point per pair that rides, each
+    block of rows reduced to its rows' lex-first crossings before the next."""
     A, B, R, AB = s.exact_rays if len(X) else ((),) * 4
-    target = tol.inf_threshold * _CROSS_FACTOR
-    for blk in _blocks(len(X), len(A)) if len(A) else ():
-        Xb, Sb, steps = X[blk], S[blk], []
-        slope = rowwise_dot(Xb[:, None] - A, R)
-        i, k = np.nonzero(slope > tol.eq_tol)  # ride ray k at row i
-        ax = rowwise_dot(Sb[i], A[k])
-        t = (target - (rowwise_dot(Xb[i], B[k]) + ax - AB[k])) / slope[i, k]
-        for _ in range(9):  # the target point, then up to 8 doublings of t
-            if not len(i):
-                break
-            astar = B[k] + t[:, None] * R[k]
-            terms = rowwise_dot(Xb[i], astar) + ax - rowwise_dot(A[k], astar)
-            over = terms > tol.inf_threshold
-            W = np.hstack([A[k[over]], astar[over]])
-            steps.append((i[over] + blk.start, terms[over], W, k[over] - len(A)))
-            i, k, ax, t = i[~over], k[~over], ax[~over], 2.0 * t[~over]
-        found += [_lex_min(steps, X.shape[1])] if steps else []
+    n, thr, found = X.shape[1], s.tol.inf_threshold, []
+    for blk, i, k, slope, floor in _rides(s, X):
+        Xi, Si = X[blk][i], S[blk][i]
+        ax = rowwise_dot(Si, A[k])
+        beta = rowwise_dot(Xi, B[k]) + ax - AB[k]
+        D = (np.abs(Xi).sum(axis=1) + np.abs(A[k]).sum(axis=1)) * np.abs(B[k]).max(axis=1)
+        gap = thr - beta + rounding_margin(thr + 2.0 * (D + np.abs(Si).sum(axis=1) * np.abs(A[k]).max(axis=1)), n)
+        t1 = gap / np.where(gap > 0, slope - floor, slope + floor)
+        astar = B[k] + np.maximum((thr * _CROSS_FACTOR - beta) / slope, t1)[:, None] * R[k]
+        terms = rowwise_dot(Xi, astar) + ax - rowwise_dot(A[k], astar)
+        if not (terms > thr).all():
+            raise RuntimeError("a ray that rides failed to cross: the proof in _rides is broken")
+        found.append(_lex_min([(i + blk.start, terms, np.hstack([A[k], astar]), k - len(A))], n))
     return found
 
 
-def _lex_first(
-    s: Sample, X: np.ndarray, S: np.ndarray, found: list
-) -> list[Optional[tuple[float, PairPoint]]]:
-    """Each row's lex-first crossing among the found ones and the exact-ray
-    ones: the smallest witness (a, a*), ties to the ray, then the pair, then
-    the resolvent point."""
-    n, crossings = X.shape[1], [None] * len(X)
-    for i, t, w, _ in zip(*_lex_min(found + _ray_crossings(s, X, S), n)):
-        crossings[i] = (float(t), PairPoint(w[:n], w[n:]))
-    return crossings
+def _ridden(s: Sample, X: np.ndarray) -> np.ndarray:
+    """The rows of X that ride an exact ray: fitz_rows' ray crossings, whatever x*."""
+    hit = np.zeros(len(X), dtype=bool)
+    for blk, i, *_ in _rides(s, X):
+        hit[i + blk.start] = True
+    return hit
 
 
 def _row_values(s: Sample, X: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -281,16 +307,6 @@ def _row_values(s: Sample, X: np.ndarray, S: np.ndarray) -> np.ndarray:
     tops, _ = _pair_table(s, X, S, np.arange(len(X)))
     terms, _ = _resolvent_terms(s, X, S)
     return np.where(terms > tops, terms, tops)
-
-
-def _row_crossings(
-    s: Sample, X: np.ndarray, S: np.ndarray
-) -> list[Optional[tuple[float, PairPoint]]]:
-    """fitz_rows' crossings alone: only the rows _unbounded_rows keeps build
-    a table."""
-    _, pairs = _pair_table(s, X, S, _unbounded_rows(s, X, S))
-    _, resolvent = _resolvent_terms(s, X, S)
-    return _lex_first(s, X, S, pairs + resolvent)
 
 
 def fitz_rows(
@@ -302,22 +318,22 @@ def fitz_rows(
     A row's value is the largest affine term of the sample, raised by the term
     of the resolvent point of x + x* (a true graph point whose term always
     dominates the pairing). Its crossing is the lexicographically first graph
-    point whose term passes inf_threshold, or None: a point ridden along an
-    exact fiber ray at a sampled domain point, a sample pair or the resolvent
-    point (ties in that order). Finite-graph samples have neither. A row's
-    results are those it has alone: terms are summed in a fixed order,
-    pairings are one BLAS dot per row, and a row whose resolvent has no
-    closed form loses only its own resolvent term.
+    point whose term passes inf_threshold, or None: the one point on each
+    exact fiber ray that the row rides (_rides), a sample pair or the
+    resolvent point (ties in that order). Finite-graph samples have neither.
+    A row's results are those it has alone: terms are summed in a fixed
+    order, pairings are one BLAS dot per row, and a row whose resolvent has
+    no closed form loses only its own resolvent term.
 
-    The kernel has two halves, each a caller may run alone: the values
-    (_row_values, which builds no fiber) and the crossings (_row_crossings,
-    which builds a table only for the rows _unbounded_rows cannot clear, and
-    rides the rays of the Sample's exact_rays). fitz_rows runs both on one
-    table and one resolvent solve; neither rebuilds what the Sample keeps.
+    The values alone (_row_values) build no fiber. A row has a crossing
+    exactly when _ridden or _crossed marks it; neither rides or builds a witness.
     """
     tops, pairs = _pair_table(s, X, S, np.arange(len(X)))
     terms, resolvent = _resolvent_terms(s, X, S)
-    return np.where(terms > tops, terms, tops), _lex_first(s, X, S, pairs + resolvent)
+    n, crossings = X.shape[1], [None] * len(X)
+    for i, t, w, _ in zip(*_lex_min(pairs + resolvent + _ray_crossings(s, X, S), n)):
+        crossings[i] = (float(t), PairPoint(w[:n], w[n:]))
+    return np.where(terms > tops, terms, tops), crossings
 
 
 def fitz_sampled(
@@ -351,23 +367,21 @@ def fitz_domain_projection(sample: Sample, xgrid: Grid) -> DomainScan:
     perturbations) takes the consistency probe x* = Mx + c, where F is the
     finite pairing, so every node is a member: dom A = X is in P_X dom F_A
     (Theorem 3.6), and the scan builds no fiber and probes nothing.
-    Other operators probe the first 8 duals of sampled pairs within two spacings
-    and the first 8 points of the fiber at the nearest sampled domain point
-    a0, all in one fitz_rows call. An empty fiber at a0, or a positively
-    aligned exact ray there (divergence evidence for every probe), excludes
-    the node before its probes are built."""
-    op, tol = sample.op, sample.tol
+    Other operators need the Sample's wgrid. They drop each node that rides an
+    exact ray (_ridden reads x alone: every probe there crosses) or whose nearest
+    sampled domain point a0 has an empty fiber. Another node probes the first 8
+    points of the fiber at a0 and the first 8 duals of sampled pairs within two
+    wgrid spacings; it is a member when _crossed leaves a probe unmarked."""
+    op = sample.op
     if isinstance(op, GraphOp):
-        raise VacuousForFiniteGraphError(
-            "finite graphs have F finite everywhere; the scan is vacuous"
-        )
+        raise VacuousForFiniteGraphError("finite graphs have F finite everywhere; the scan is vacuous")
     if xgrid.dim != sample.graph.dim:
-        raise DimensionMismatchError(
-            f"xgrid dimension {xgrid.dim} does not match dimension {sample.graph.dim}"
-        )
+        raise DimensionMismatchError(f"xgrid dimension {xgrid.dim} does not match dimension {sample.graph.dim}")
     nodes, form = xgrid.nodes(), cone_form(op, xgrid.dim)
     if form is not None and form[2] is None:
         return DomainScan(xgrid, nodes, "linear_consistency")
+    if sample.wgrid is None:
+        raise ValidationError("the domain scan needs the Sample's wgrid: its probes reach two wgrid spacings")
 
     g, dom = sample.graph, sample.domain
     # a0: the domain is lex-sorted, so the first point within 1e-13 of the
@@ -375,25 +389,20 @@ def fitz_domain_projection(sample: Sample, xgrid: Grid) -> DomainScan:
     i0 = np.zeros(len(nodes), dtype=int)
     for blk, d in _distance_blocks(dom, nodes):
         i0[blk] = np.argmax(d <= d.min(axis=1, keepdims=True) + 1e-13, axis=1)
-    alive = np.zeros(len(nodes), dtype=bool)
+    empty = np.array([f.is_empty for f in sample.fibers])
+    kept = np.flatnonzero(~empty[i0] & ~_ridden(sample, nodes))
     owners, probes = [np.zeros(0, dtype=int)], [np.zeros((0, xgrid.dim))]
-    for i in np.unique(i0):
-        f, at = sample.fibers[i], np.flatnonzero(i0 == i)
-        if f.exact and len(f.rays):  # every probe diverges along an aligned ray
-            at = at[~(rowwise_dot(nodes[at, None] - dom[i], f.rays) > tol.eq_tol).any(axis=1)]
-        alive[at] = not f.is_empty
-        owners.append(np.repeat(at, len(f.points[:8])))
-        probes.append(np.tile(f.points[:8], (len(at), 1)))
-    kept = np.flatnonzero(alive)
+    for i in np.unique(i0[kept]):
+        at, points = kept[i0[kept] == i], sample.fibers[i].points[:8]
+        owners.append(np.repeat(at, len(points)))
+        probes.append(np.tile(points, (len(at), 1)))
     for blk, d in _distance_blocks(g.primals, nodes[kept]):
         close = d <= 2.0 * sample.wgrid.spacing
         r, c = np.nonzero(close & (np.cumsum(close, axis=1) <= 8))
         owners.append(kept[blk][r])
         probes.append(g.duals[c])
     owners, probes = np.concatenate(owners), np.concatenate(probes)
-    crossings = _row_crossings(sample, nodes[owners], probes)
-    member = np.zeros(len(nodes), dtype=bool)
-    member[owners[[c is None for c in crossings]]] = True
+    member = np.unique(owners[~_crossed(sample, nodes[owners], probes)])
     return DomainScan(xgrid, nodes[member], "sampled_threshold")
 
 

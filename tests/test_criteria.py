@@ -495,10 +495,11 @@ def test_theorem36_on_an_affine_subdifferential_is_the_whole_grid(monkeypatch, o
     probe, and the default wgrid reaches past the image of every corner, of
     (1, 1, 1) too in 3-d, where the image is 3.9 in each coordinate."""
     fibers, crossings = [], []
-    real_fiber, real_crossings = fitzkit.operators._fiber, fitzkit.fitzpatrick._row_crossings
+    real_fiber = fitzkit.operators._fiber
     monkeypatch.setattr(fitzkit.operators, "_fiber", lambda *a: fibers.append(1) or real_fiber(*a))
-    monkeypatch.setattr(fitzkit.fitzpatrick, "_row_crossings",
-                        lambda *a: crossings.append(1) or real_crossings(*a))
+    for name in ("_ridden", "_crossed"):
+        real = getattr(fitzkit.fitzpatrick, name)
+        monkeypatch.setattr(fitzkit.fitzpatrick, name, lambda *a, real=real: crossings.append(1) or real(*a))
     dist, cert = theorem36_experiment(op, xgrid)
     assert cert.verdict is Verdict.PASS and dist == 0.0
     assert cert.witness("hull_node_count") == cert.witness("member_count") == xgrid.count

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fitzkit.criteria
 import fitzkit.fitzpatrick
 import fitzkit.operators
 import fitzkit.vecspace
@@ -26,7 +27,7 @@ from fitzkit.fitzpatrick import (
     is_finite,
     shift_identity_check,
 )
-from fitzkit.fitzpatrick import _affine_terms, _blocks, _resolvent_terms, _row_crossings
+from fitzkit.fitzpatrick import _affine_terms, _blocks, _crossed, _resolvent_terms, _ridden
 from fitzkit.harness import load_scenario
 from fitzkit.operators import (
     BoxIndicator,
@@ -457,8 +458,8 @@ def test_fitz_rows_crossing_is_the_lex_first_witness():
 
 @pytest.mark.parametrize("dim", [1, 3])
 def test_fitz_rows_rejects_points_of_another_dimension(dim):
-    # the crossings half too, whose bound clears these rows before any table
-    for rows in (fitz_rows, fitzkit.fitzpatrick._row_crossings):
+    # the pair and resolvent mask too, whose bound clears these rows before any table
+    for rows in (fitz_rows, _crossed):
         with pytest.raises(ValidationError, match="dimension"):
             rows(closed_form_sample("box_cone"), np.zeros((2, dim)), np.ones((2, dim)))
 
@@ -573,6 +574,18 @@ def test_domain_projection_skew_marks_every_node():
     assert len(scan.member_points) == grid.count
 
 
+def test_domain_projection_without_a_wgrid_is_refused():
+    """A sampled operator's scan reaches two wgrid spacings for its probes:
+    on a Sample.on a given graph without a wgrid it raises ValidationError
+    naming the wgrid. An affine operator's scan needs none."""
+    xgrid, wgrid = Grid([-1.0, -1.0], [1.0, 1.0], 0.5), Grid([-2.0, -2.0], [2.0, 2.0], 0.5)
+    op = NormalConeOp(Box([0.0, 0.0], [1.0, 1.0]))
+    with pytest.raises(ValidationError, match="wgrid"):
+        fitz_domain_projection(Sample.on(op, graph_sample(op, wgrid)), xgrid)
+    scan = fitz_domain_projection(Sample.on(IDENT2, graph_sample(IDENT2, wgrid)), xgrid)
+    assert len(scan.member_points) == xgrid.count
+
+
 def test_domain_projection_rejects_graphs():
     with pytest.raises(VacuousForFiniteGraphError):
         fitz_domain_projection(Sample.over(GraphOp(TWO_POINT), None), Grid([-1.0], [1.0], 0.5))
@@ -596,6 +609,12 @@ def gate_sample(i, threshold):
     if i == len(ROW_SAMPLES):
         return Sample(IDENT2, TIGHT_GRAPH, tol, grid)
     return Sample.over(ROW_SAMPLES[i], grid, tol)
+
+
+def crossing_mask(s, X, S):
+    """The scan's mask: rows that ride an exact ray, or cross at a sample pair
+    or the resolvent point."""
+    return _ridden(s, X) | _crossed(s, X, S)
 
 
 def same_crossings(got, want):
@@ -634,18 +653,27 @@ def gate_cases(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(gate_cases())
-def test_crossings_half_equals_fitz_rows_crossings(case):
-    """The crossings half, which tabulates only the rows the bound cannot
-    clear, gives fitz_rows' crossings bit for bit, and so does the domain
-    scan, whose member set is the one full crossings give."""
+def test_crossing_mask_equals_fitz_rows_crossings(case):
+    """The scan's mask, which tabulates only the rows the bound cannot clear
+    and rides no ray, is fitz_rows' crossings' not-None pattern, and so is
+    every mask the domain scan reads; its member set is the one full
+    crossings give on every node, the ones it drops as ridden too."""
     s, X, S, xgrid = case
-    same_crossings(fitzkit.fitzpatrick._row_crossings(s, X, S), fitz_rows(s, X, S)[1])
-    real = fitzkit.fitzpatrick._row_crossings
+    want = [c is not None for c in fitz_rows(s, X, S)[1]]
+    assert crossing_mask(s, X, S).tolist() == want
+    real = fitzkit.fitzpatrick._crossed
+
+    def checked(s, X, S):  # the scan's probe rows ride no ray
+        hit = real(s, X, S)
+        assert hit.tolist() == [c is not None for c in fitz_rows(s, X, S)[1]]
+        return hit
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fitzkit.fitzpatrick, "_row_crossings",
-                   lambda *rows: same_crossings(real(*rows), fitz_rows(*rows)[1]) and real(*rows))
+        mp.setattr(fitzkit.fitzpatrick, "_crossed", checked)
         scan = fitz_domain_projection(s, xgrid)
-        mp.setattr(fitzkit.fitzpatrick, "_row_crossings", lambda *rows: fitz_rows(*rows)[1])
+        mp.setattr(fitzkit.fitzpatrick, "_ridden", lambda s, X: np.zeros(len(X), dtype=bool))
+        mp.setattr(fitzkit.fitzpatrick, "_crossed",
+                   lambda s, X, S: np.array([c is not None for c in fitz_rows(s, X, S)[1]], dtype=bool))
         full = fitz_domain_projection(s, xgrid)
     assert np.array_equal(scan.member_points, full.member_points)
 
@@ -680,10 +708,11 @@ def test_shifted_identity_scan_builds_no_fiber(monkeypatch):
     cfg = load_scenario(SCENARIOS / "operator-zoo.json")
     op = cfg.operators["shifted_ident"]
     fibers, crossings = [], []
-    real_fiber, real_crossings = fitzkit.operators._fiber, fitzkit.fitzpatrick._row_crossings
+    real_fiber = fitzkit.operators._fiber
     monkeypatch.setattr(fitzkit.operators, "_fiber", lambda *a: fibers.append(1) or real_fiber(*a))
-    monkeypatch.setattr(fitzkit.fitzpatrick, "_row_crossings",
-                        lambda *a: crossings.append(1) or real_crossings(*a))
+    for name in ("_ridden", "_crossed"):
+        real = getattr(fitzkit.fitzpatrick, name)
+        monkeypatch.setattr(fitzkit.fitzpatrick, name, lambda *a, real=real: crossings.append(1) or real(*a))
     _, cert = theorem36_experiment(op, cfg.grids["scan2"], cfg.tolerances)
     assert cert.verdict is Verdict.PASS and cert.witness("member_count") == 961
     assert (len(fibers), len(crossings)) == (0, 0)
@@ -783,31 +812,48 @@ def oracle_sample(i, threshold):
 
 @st.composite
 def oracle_cases(draw):
-    """(sample, X, S): uniform rows, and rows along sample pairs, over more
-    than one _blocks slice of the exact-ray table whenever it has rays."""
+    """(sample, X, S, far): uniform rows, and rows along sample pairs, over
+    more than one _blocks slice of the exact-ray table whenever it has rays;
+    and a sixth as many far rows (X, S), out to a few 1e6. A far row is x =
+    a + 1e6 p + delta r at a ray (a, b, r) of the table, p orthogonal to r,
+    so that its slope delta |r|^2 is near eq_tol and the proof's point of
+    _rides passes the target point, with x* scaled by up to 1e6 (without
+    rays, x is scaled too)."""
     s = oracle_sample(draw(st.integers(0, len(ORACLE_SAMPLES) - 1)), draw(st.sampled_from([2.0, 50.0, 1e8])))
-    width = len(s.exact_rays[0])
-    step = next(_blocks(1, width)).stop if width else 20
+    A, _, R, _ = s.exact_rays
+    step = next(_blocks(1, len(A))).stop if len(A) else 20
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    k = draw(st.integers(step + 1, 3 * step))
-    X, S = rng.uniform(-3.0, 3.0, (2, k, s.graph.dim))
+    k, n = draw(st.integers(step + 1, 3 * step)), s.graph.dim
+    X, S = rng.uniform(-3.0, 3.0, (2, k, n))
     j = rng.integers(len(s.graph), size=k // 3)
-    X[: k // 3] = s.graph.primals[j] + rng.uniform(-0.5, 0.5, (k // 3, s.graph.dim))
+    X[: k // 3] = s.graph.primals[j] + rng.uniform(-0.5, 0.5, (k // 3, n))
     S[: k // 3] = s.graph.duals[j] * rng.uniform(0.5, 4.0, (k // 3, 1))
-    return s, X, S
+    m = k // 6
+    scale = 10.0 ** rng.uniform(0.0, 6.0, (2, m, 1))
+    far = X[-m:] * scale[0]
+    if len(A):
+        i = rng.integers(len(A), size=m)
+        p = X[-m:] - rowwise_dot(X[-m:], R[i])[:, None] * R[i] / rowwise_dot(R[i], R[i])[:, None]
+        delta = s.tol.eq_tol * 10.0 ** rng.uniform(-0.5, 2.0, (m, 1))
+        far = A[i] + 1e6 * p + delta * R[i] / rowwise_dot(R[i], R[i])[:, None]
+    return s, X, S, (far, S[-m:] * scale[1])
 
 
 @settings(max_examples=40, deadline=None)
 @given(oracle_cases())
 def test_crossings_equal_the_collect_all_reference(case):
-    """fitz_rows and the crossings half, which read the Sample's ray table and
-    pair order and keep one crossing per row and block, give the collect-all
-    reference's crossings bit for bit: None at the same rows, and elsewhere
-    the same term and witness bytes."""
-    s, X, S = case
-    want = crossings_reference(s, X, S)
-    assert same_crossings(fitz_rows(s, X, S)[1], want)
-    assert same_crossings(_row_crossings(s, X, S), want)
+    """fitz_rows, which reads the Sample's ray table and pair order, rides
+    each ray once and keeps one crossing per row and block, gives the
+    collect-all reference's crossings bit for bit: None at the same rows, and
+    elsewhere the same term and witness bytes. On the far rows too, where
+    fitz_rows may take the proof's point along a ray the reference doubles
+    along, fitz_rows' crossings and the scan's mask, which rides no ray, have
+    the reference's not-None pattern row for row."""
+    s, X, S, (Xfar, Sfar) = case
+    k, X, S = len(X), np.vstack([X, Xfar]), np.vstack([S, Sfar])
+    want, got = crossings_reference(s, X, S), fitz_rows(s, X, S)[1]
+    assert same_crossings(got[:k], want[:k])
+    assert crossing_mask(s, X, S).tolist() == [c is not None for c in want] == [c is not None for c in got]
 
 
 def test_four_dimensional_quad_box_scan_memory_is_bounded():
@@ -823,6 +869,27 @@ def test_four_dimensional_quad_box_scan_memory_is_bounded():
         tracemalloc.stop()
     assert peak < 64 * 2**20, peak
     assert cert.verdict is Verdict.PASS
+
+
+@pytest.mark.parametrize("n, spacing", [(3, 0.25), (4, 0.5)])
+def test_quad_box_scan_rides_no_ray(monkeypatch, n, spacing):
+    """The quad+box theorem36 scan on [-1.5, 1.5]^n marks the grid nodes in
+    [-1, 1]^n, and it rides no ray, picks no lex-first crossing and builds
+    no witness: the nodes that ride an exact ray are dropped before any
+    probe, and the probes read a mask."""
+    calls, scans = [], []
+    for name in ("_ray_crossings", "_lex_min", "PairPoint"):
+        real = getattr(fitzkit.fitzpatrick, name)
+        monkeypatch.setattr(fitzkit.fitzpatrick, name,
+                            lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    real_scan = fitzkit.criteria.fitz_domain_projection
+    monkeypatch.setattr(fitzkit.criteria, "fitz_domain_projection",
+                        lambda *a: scans.append(real_scan(*a)) or scans[-1])
+    xgrid = Grid([-1.5] * n, [1.5] * n, spacing)
+    _, cert = theorem36_experiment(quad_box(n), xgrid)
+    nodes = xgrid.nodes()
+    assert np.array_equal(scans[0].member_points, nodes[np.all(np.abs(nodes) <= 1.0 + 1e-9, axis=1)])
+    assert calls == [] and cert.verdict is Verdict.PASS
 
 
 def test_warm_fitz_at_makes_no_lexsort_per_ray(monkeypatch):

@@ -46,7 +46,7 @@ from fitzkit.operators import (
     unique_domain_points,
 )
 from fitzkit import operators, vecspace
-from fitzkit.fitzpatrick import _row_crossings, fitz_rows
+from fitzkit.fitzpatrick import _crossed, _ridden, fitz_rows
 from fitzkit.vecspace import (
     Box,
     DEFAULT_TOL,
@@ -892,7 +892,7 @@ _steps = st.lists(st.floats(0.05, 20.0), min_size=1, max_size=6)
          1.0, [4.11, 5.28])
 @pytest.mark.parametrize("kind", sorted(MEMBERSHIP_KINDS))
 def test_batch_rows_equal_rows_computed_alone(kind, rows, scale, step_list):
-    # membership_batch, resolvent_batch, fitz_rows, its crossings half and
+    # membership_batch, resolvent_batch, fitz_rows, the scan's crossing mask and
     # _box_qp_batch give each row of a batch its one-row result bit for bit,
     # whatever the other rows, with rows scaled out to |x| ~ 1e8; and a row
     # with its own step s_i (a stacked H in _box_qp_batch) is the scalar-step
@@ -906,16 +906,17 @@ def test_batch_rows_equal_rows_computed_alone(kind, rows, scale, step_list):
     sample = _kind_sample(kind)
     if sample is not None:  # values bit for bit, crossings (term and witness) equal
         values, crossings = fitz_rows(sample, X, S)
-        halves = _row_crossings(sample, X, S)
+        mask = _ridden(sample, X) | _crossed(sample, X, S)
+        assert mask.tolist() == [c is not None for c in crossings]
         for i in range(len(X)):
             (value,), (crossing,) = fitz_rows(sample, X[i : i + 1], S[i : i + 1])
             assert values[i : i + 1].tobytes() == np.array([value]).tobytes()
-            for c in (crossing, halves[i], *_row_crossings(sample, X[i : i + 1], S[i : i + 1])):
-                assert (c is None) == (crossings[i] is None)
-                if c is not None:
-                    (t, w), (t_all, w_all) = c, crossings[i]
-                    assert t == t_all and w.primal.tobytes() == w_all.primal.tobytes()
-                    assert w.dual.tobytes() == w_all.dual.tobytes()
+            one = _ridden(sample, X[i : i + 1]) | _crossed(sample, X[i : i + 1], S[i : i + 1])
+            assert one.tolist() == [mask[i]] == [crossing is not None]
+            if crossing is not None:
+                (t, w), (t_all, w_all) = crossing, crossings[i]
+                assert t == t_all and w.primal.tobytes() == w_all.primal.tobytes()
+                assert w.dual.tobytes() == w_all.dual.tobytes()
     if isinstance(op, GraphOp):
         return
     W = np.vstack([X + S, scale * np.array([a for _, a, _, _ in rows]),
