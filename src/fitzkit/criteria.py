@@ -17,16 +17,17 @@ import numpy as np
 
 from .certificates import Certificate, QuotientTrace, Verdict, failed, not_applicable, passed
 from .errors import DimensionMismatchError, NotSeparableError, ValidationError, ZOnDomainError
-from .fitzpatrick import _CROSS_FACTOR, _blocks, _crossed, _ridden, fitz_at, fitz_domain_projection, is_finite
+from .fitzpatrick import (
+    _CROSS_FACTOR, DomainScan, _blocks, _crossed, _ridden, fitz_at, fitz_domain_projection, is_finite
+)
 from .operators import (
     DualityMapOp,
     FiniteGraph,
     GraphOp,
     OperatorSpec,
     Sample,
+    _norm_rows,
     _resolvent_rows,
-    _subdiff_rows,
-    cone_form,
     maximality_probe,
     membership_batch,
     op_dimension,
@@ -48,24 +49,11 @@ from .vecspace import (
 )
 
 def _default_wgrid(op: OperatorSpec, xgrid: Grid) -> Grid:
-    """Sampling grid wide enough that Minty points cover the scan box.
-
-    Where A is the map x -> Mx + c (operators.cone_form with B None: a linear
-    map, a quadratic's subdifferential, J_2 and their shifts and p = 2
-    perturbations) the base points w = (I+M)x + c of the box are exact: the
-    grid takes the corner images and reaches one of its own steps past them on
-    every side, so its last node is not short of them. Otherwise it is a
+    """Sampling grid wide enough that Minty points cover the scan box: a
     2x-radius heuristic (resolvents are nonexpansive and anchored near the
-    origin) that falls short where the image of the box is wider: quad+box at
-    n = 2 fails theorem36 with it, and ROADMAP item 12 replaces it."""
-    n, step, form = xgrid.dim, xgrid.spacing * 2.0, cone_form(op, xgrid.dim)
-    if form is not None and form[2] is None:
-        import itertools
-
-        M, c, _ = form
-        corners = np.array(list(itertools.product(*zip(xgrid.lower, xgrid.upper))))
-        images = corners @ (np.eye(n) + M).T + c
-        return Grid(images.min(axis=0) - step, images.max(axis=0) + step, step, cap=xgrid.cap)
+    origin) that falls short where the image of the box is wider; Minty pairs
+    taken at the scan's own nodes would replace it."""
+    n, step = xgrid.dim, xgrid.spacing * 2.0
     r = float(max(np.abs(xgrid.lower).max(), np.abs(xgrid.upper).max()))
     half = 2.0 * max(r, 1.0)
     return Grid(-half * np.ones(n), half * np.ones(n), step, cap=xgrid.cap)
@@ -194,7 +182,7 @@ def _quotient_schedule_run(sample: Sample, z: Vector, p: float, lambda_schedule)
             missing.append(lam)
             continue
         a, astar, val = found
-        bstar = _subdiff_rows(jp._fun, a[None, :], tol)[1][0]  # J_p(a - z)
+        bstar = _norm_rows(1.0, p, z, a[None, :], tol)[0][0]  # J_p(a - z)
         total = astar + lam * bstar
         violation = float(np.dot(z - a, total))
         if not (
@@ -267,7 +255,7 @@ def near_convexity_certificate(
         lam0 = min(float(lam) for lam in lambda_schedule)
         # lam0 J_p(a - z), single-valued: |a - z| >= alpha > eq_tol
         perturbed = perturb(sample.op, lam0, p, z)
-        lam_bstar = _subdiff_rows(perturbed._jp, g.primals, tol)[1]
+        lam_bstar = _norm_rows(lam0, p, z, g.primals, tol)[0]
         surrogate = FiniteGraph.from_arrays(g.primals, g.duals + lam_bstar)
         evidence, _ = maximality_probe(Sample(perturbed, surrogate, tol), probe_grid)
         witnesses.append(("maximality_evidence_count", float(len(evidence))))
@@ -505,17 +493,22 @@ def theorem36_experiment(
     tol: ToleranceConfig = DEFAULT_TOL,
     wgrid: Grid | None = None,
 ) -> tuple[float, Certificate]:
-    """Compare the projected fitz domain against the sampled-domain hull on a
-    grid; pass when the Hausdorff distance is within twice the grid spacing."""
+    """Compare the projected fitz domain against cl dom A on a grid; pass when
+    the Hausdorff distance is within twice the grid spacing.
+
+    cl dom A is the B of op's normal form, a box, a polytope or R^n (None),
+    so its side is the grid nodes in B within eq_tol. An affine op (no terms
+    and no B) needs no sample: the scan is the consistency probe, every node."""
     name, dim = "theorem36", op_dimension(op)
     if dim not in (None, xgrid.dim):
         raise DimensionMismatchError(f"xgrid dimension {xgrid.dim} does not match dimension {dim}")
-    if wgrid is None:
-        wgrid = _default_wgrid(op, xgrid)
-    sample = Sample.over(op, wgrid, tol)
-    scan = fitz_domain_projection(sample, xgrid)
-    nodes = xgrid.nodes()
-    hull_nodes = nodes[sample.hull.contains_batch(nodes, tol.eq_tol)]
+    form, nodes = op._form, xgrid.nodes()
+    if form.base is None and not form.terms and form.B is None:
+        scan = DomainScan(xgrid, nodes, "linear_consistency")
+    else:
+        wgrid = _default_wgrid(op, xgrid) if wgrid is None else wgrid
+        scan = fitz_domain_projection(Sample.over(op, wgrid, tol), xgrid)
+    hull_nodes = nodes if form.B is None else nodes[form.B.contains_batch(nodes, tol.eq_tol)]
     witnesses = [
         ("grid_spacing", xgrid.spacing),
         ("member_count", float(len(scan.member_points))),

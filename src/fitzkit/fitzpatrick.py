@@ -247,7 +247,8 @@ def _rides(s: Sample, X: np.ndarray):
     time: the computed slope s = <x - a, r> exceeds eq_tol and twice the
     rounding floor F = rounding_margin(C, n), C = (|x|_1 + |a|_1) |r|_inf.
     That reads x alone: for every x*, (x, x*) crosses at the one point _ray_crossings
-    takes, t = max(t0, t1), t0 = (_CROSS_FACTOR inf_threshold - beta) / s.
+    takes, t = max(t0, t1, 0), t0 = (_CROSS_FACTOR inf_threshold - beta) / s, so
+    the witness (a, b + t r) stays on the ray, in the graph.
 
     Proof. The term at (a, b + t r) is exactly beta + t <x - a, r>, beta =
     <x, b> + <x*, a> - <a, b>. By the a-priori bound of _crossed, with g_m = gamma_m,
@@ -286,7 +287,7 @@ def _ray_crossings(s: Sample, X: np.ndarray, S: np.ndarray) -> list:
         D = (np.abs(Xi).sum(axis=1) + np.abs(A[k]).sum(axis=1)) * np.abs(B[k]).max(axis=1)
         gap = thr - beta + rounding_margin(thr + 2.0 * (D + np.abs(Si).sum(axis=1) * np.abs(A[k]).max(axis=1)), n)
         t1 = gap / np.where(gap > 0, slope - floor, slope + floor)
-        astar = B[k] + np.maximum((thr * _CROSS_FACTOR - beta) / slope, t1)[:, None] * R[k]
+        astar = B[k] + np.maximum(np.maximum((thr * _CROSS_FACTOR - beta) / slope, t1), 0.0)[:, None] * R[k]
         terms = rowwise_dot(Xi, astar) + ax - rowwise_dot(A[k], astar)
         if not (terms > thr).all():
             raise RuntimeError("a ray that rides failed to cross: the proof in _rides is broken")

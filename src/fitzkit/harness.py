@@ -53,7 +53,7 @@ from .operators import (
     ShiftedOp,
     SubdiffOp,
     TranslatedNormPower,
-    _subdiff_of,
+    _unreduced,
     maximality_probe,
     op_dimension,
 )
@@ -178,13 +178,14 @@ def _read(table: dict, obj, where: str):
     with _fields_of(where):  # a missing key without a default reads as "missing field"
         spec = cls(**{f.name: _WIRE.get(key, _RAW)[0](obj[key], f"{where}.{key}")
                       for key, f in fields if key in obj or f.default is MISSING})
-    # every use of a wrapped op samples it, and resolvent_batch has no reduction for these
-    if isinstance(spec, (ShiftedOp, PerturbedOp)) and isinstance(spec.inner, GraphOp):
+    # every use of a wrapped op samples it, and resolvent_batch has no reduction for
+    # these; an inner op is read first, so the op refused is the wrapper that adds it
+    form = spec._form if table is OPERATOR_KINDS else None
+    if form is not None and form.base is not None and not isinstance(spec, GraphOp):
         raise ScenarioParseError(f"{where}: {kind} has no resolvent: its inner operator is a graph")
-    if isinstance(spec, PerturbedOp) and spec.p != 2.0 and _subdiff_of(spec) is None:
-        raise ScenarioParseError(
-            f"{where}: perturbed has no resolvent: p is {spec.p:g}, not 2, and its inner "
-            "operator is not a subdifferential")
+    why = None if form is None else _unreduced(form)
+    if why is not None:
+        raise ScenarioParseError(f"{where}: {kind} has no resolvent: p is {spec.p:g}, not 2, and {why}")
     return spec
 
 

@@ -8,12 +8,14 @@ points + cone(rays); the only nonpolyhedral fiber at desk scale, the ball of
 the p=1 duality map within eq_tol of its center, is boundary-sampled and
 flagged inexact, although membership against it is still tested exactly.
 
-A box normal cone is the subdifferential of the box's indicator,
-N_box = d(iota_box), the duality map is J_p(. - c) = d(|. - c|^p / p)
-(Asplund), and A + lam J_p(. - c) = d(f + lam |. - c|^p / p) when A = df. So
-``_subdiff_of`` names every subdifferential once, and ``fiber``,
-``membership_batch`` and ``resolvent_batch`` read them all from one rule,
-``_subdiff_rows``, which takes a ``Box`` as its indicator.
+Every kind but a finite graph is A = M. + c + sum_i lam_i J_{p_i}(. - m_i) +
+N_B with B a box, a polytope or R^n: a box normal cone is d(iota_box), the
+duality map is J_p(. - m) = d(|. - m|^p / p) (Asplund), d of a sum is the sum
+of its parts' d's, and shifts and perturbations add to c, to M or to the
+terms. Each op builds this normal form once, when it is made (``_normal_form``,
+the one place that names the wrapper kinds), and ``op_dimension``,
+``cone_form``, ``resolvent_batch``, ``fiber`` and ``membership_batch`` read it,
+one branch per part of the form.
 
 Points are rows of (k, n) float arrays; a ``PairPoint`` is built only for a
 witness or at a one-point entry (``membership``, or ``fiber``, which alone
@@ -25,11 +27,10 @@ then it only sorts them. With verify=True it passes every Minty sample through
 two exact gates, neither sampled down: ``membership_batch`` tests x* in A(x)
 for every pair, a subdifferential by a closed-form distance to its image, and
 the monotonicity gate has two routes, each exact. Where A = M. + c + N_B
-with B a box, a polytope or R^n (``cone_form``: linear maps, quadratic-plus-box
-subdifferentials, box and polytope normal cones, J_2, and their shifts and
-p = 2 perturbations), ``_residual_certificate`` bounds every pairwise product
-from the rows' residuals s - Mx - c off the normal cone, in O(k n^2) work (and
-O(k m) for a polytope of m vertices) and no k x k table. Otherwise, or when
+(``cone_form``: the form with no terms and no base), ``_residual_certificate``
+bounds every pairwise product from the rows' residuals s - Mx - c off the
+normal cone, in O(k n^2) work (and O(k m) for a polytope of m vertices) and no
+k x k table. Otherwise, or when
 that bound does not clear the threshold, ``monotone_check`` computes the upper
 triangle of the pairwise products in cache-sized tiles, one matmul each, and
 rescans the full square from the first row block it flags. Both test against
@@ -42,7 +43,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Optional, Union
 
 import numpy as np
@@ -230,34 +231,6 @@ class FunSum:
 FunSpec = Union[Quadratic, Box, NormPower, TranslatedNormPower, FunSum]
 
 
-def fun_dimension(fun: FunSpec) -> Optional[int]:
-    if isinstance(fun, Quadratic):
-        return fun.b.size
-    if isinstance(fun, Box):
-        return fun.dim
-    if isinstance(fun, TranslatedNormPower):
-        return fun.center.size
-    if isinstance(fun, FunSum):
-        for p in fun.parts:
-            d = fun_dimension(p)
-            if d is not None:
-                return d
-    return None
-
-
-def _radial_prox(nw: np.ndarray, c: float, p: float) -> np.ndarray:
-    """Solve u + c*u^(p-1) = nw for u >= 0, elementwise (p > 1)."""
-    lo = np.zeros_like(nw)
-    hi = nw.copy()
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        f = mid + c * np.power(mid, p - 1.0) - nw
-        too_big = f > 0
-        hi = np.where(too_big, mid, hi)
-        lo = np.where(too_big, lo, mid)
-    return 0.5 * (lo + hi)
-
-
 def _solve_rows(H: np.ndarray, G: np.ndarray) -> np.ndarray:
     """Row i solves H x = G[i], or H[i] x = G[i] for a (k, n, n) H. G as a
     stack of (n, 1) matrices broadcasts H and solves one right-hand side per
@@ -356,142 +329,6 @@ def _box_qp_block(H: np.ndarray, G: np.ndarray, lo: Vector, hi: Vector, slack: n
     raise ValidationError("box quadratic subproblem left unresolved rows")
 
 
-def _sum_exact_parts(fun: FunSum, dim: int):
-    """Split a sum into (A, a, box) when it is quadratic-plus-box; else None."""
-    A = np.zeros((dim, dim))
-    a = np.zeros(dim)
-    boxes: list[Box] = []
-    for part in fun.parts:
-        if isinstance(part, Quadratic):
-            A = A + part.Q
-            a = a + part.b
-        elif isinstance(part, NormPower) and part.p == 2.0:
-            A = A + part.scale * np.eye(dim)
-        elif isinstance(part, TranslatedNormPower) and part.p == 2.0:
-            A = A + part.scale * np.eye(dim)
-            a = a - part.scale * part.center
-        elif isinstance(part, Box):
-            boxes.append(part)
-        else:
-            return None
-    if not boxes:
-        return A, a, None
-    lo = np.max([b.lo for b in boxes], axis=0)
-    hi = np.min([b.hi for b in boxes], axis=0)
-    return A, a, Box(lo, hi)
-
-
-def fun_prox_batch(fun: FunSpec, W: np.ndarray, step, tol: ToleranceConfig) -> np.ndarray:
-    """prox_{step*f}(w) for each row w of W, step a scalar or one per row: s puts
-    row i's step on row i, and s[..., None] * H is one (n, n) H for a scalar."""
-    W = np.atleast_2d(np.asarray(W, dtype=float))
-    (k, dim), s = W.shape, np.asarray(step)[..., None]
-    if isinstance(fun, Quadratic):
-        return _solve_rows(np.eye(dim) + s[..., None] * fun.Q, W - s * fun.b)
-    if isinstance(fun, Box):
-        return np.clip(W, fun.lo, fun.hi)
-    if isinstance(fun, TranslatedNormPower):
-        inner = fun_prox_batch(NormPower(fun.p, fun.scale), W - fun.center, step, tol)
-        return inner + fun.center
-    if isinstance(fun, NormPower):
-        nw = np.linalg.norm(W, axis=1)
-        c = step * fun.scale
-        if fun.p == 1.0:
-            u = np.maximum(0.0, nw - c)
-        elif fun.p == 2.0:
-            u = nw / (1.0 + c)
-        else:
-            u = _radial_prox(nw, c, fun.p)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            scale = np.where(nw > 0, u / np.where(nw > 0, nw, 1.0), 0.0)
-        return W * scale[:, None]
-    if isinstance(fun, FunSum):
-        exact = _sum_exact_parts(fun, dim)
-        if exact is not None:
-            A, a, box = exact
-            H, G = np.eye(dim) + s[..., None] * A, W - s * a
-            return _solve_rows(H, G) if box is None else _box_qp_batch(H, G, box.lo, box.hi)
-        rows = [_dykstra_prox(fun, w, si, tol) for w, si in zip(W, np.broadcast_to(step, k))]
-        return np.array(rows, dtype=float).reshape(W.shape)  # (0, n) for no rows
-    raise ValidationError(f"unknown function spec {type(fun).__name__}")
-
-
-def _dykstra_prox(fun: FunSum, w: Vector, step: float, tol: ToleranceConfig) -> Vector:
-    """Cyclic Dykstra iteration for prox of a sum; raises when the budget runs
-    out before the iterates settle or the optimality residual fails."""
-    parts = fun.parts
-    x = np.asarray(w, dtype=float).copy()
-    corr = [np.zeros_like(x) for _ in parts]
-    inner_tol = 1e-12 * max(1.0, float(np.linalg.norm(w)))
-    cycles = max(10, tol.budget // max(1, len(parts)))
-    converged = False
-    for _ in range(min(cycles, 20_000)):
-        x_prev = x.copy()
-        corr_prev = [c.copy() for c in corr]
-        for i, part in enumerate(parts):
-            y = fun_prox_batch(part, (x + corr[i])[None, :], step, tol)[0]
-            corr[i] = x + corr[i] - y
-            x = y
-        # the primal can stall for whole cycles while corrections still move
-        # (e.g. soft thresholds pinning x at a kink), so track both
-        change = float(np.linalg.norm(x - x_prev)) + sum(
-            float(np.linalg.norm(c - cp)) for c, cp in zip(corr, corr_prev)
-        )
-        if change <= inner_tol:
-            converged = True
-            break
-    if not converged:
-        raise NoClosedFormError("composite prox did not converge within budget")
-    resid = _subdiff_residuals(fun, x[None, :], ((np.asarray(w) - x) / step)[None, :], tol)[0]
-    if resid > tol.eq_tol * max(1.0, float(np.linalg.norm(w))):
-        raise NoClosedFormError(f"composite prox residual {resid:.2e} too large")
-    return as_vector(x)
-
-
-# --- subdifferentials --------------------------------------------------------
-
-def _subdiff_rows(fun: FunSpec, X: np.ndarray, tol: ToleranceConfig):
-    """The one subdifferential rule: df(X[i]) = offset + K + ball*B for every
-    row, as arrays (inside, offset, up, down, ball), inside false outside dom f.
-    K is generated by +e_j where up and -e_j where down: per coordinate the line
-    when both are set, a half-line when one is, else {0}. A Box is its
-    indicator, so N_box = d(iota_box) reads the same rows."""
-    k, n = X.shape
-    everywhere, none = np.ones(k, dtype=bool), np.zeros((k, n), dtype=bool)
-    if isinstance(fun, Quadratic):
-        return everywhere, rowwise_matmul(X, fun.Q.T) + fun.b, none, none, np.zeros(k)
-    if isinstance(fun, Box):
-        inside = np.all((X >= fun.lo - tol.eq_tol) & (X <= fun.hi + tol.eq_tol), axis=1)
-        return inside, np.zeros((k, n)), X >= fun.hi - tol.eq_tol, X <= fun.lo + tol.eq_tol, np.zeros(k)
-    if isinstance(fun, TranslatedNormPower):
-        return _subdiff_rows(NormPower(fun.p, fun.scale), X - fun.center, tol)
-    if isinstance(fun, NormPower):
-        r = np.sqrt(rowwise_dot(X, X))  # np.linalg.norm's rounding, row by row
-        at_ball = (fun.p == 1.0) & (r <= tol.eq_tol)
-        smooth = (r > 0.0) & ~at_ball
-        coef = np.zeros(k)
-        coef[smooth] = fun.scale * r[smooth] ** (fun.p - 2.0)
-        return everywhere, coef[:, None] * X, none, none, np.where(at_ball, fun.scale, 0.0)
-    if isinstance(fun, FunSum):
-        inside, offset, up, down, ball = everywhere, np.zeros((k, n)), none, none, np.zeros(k)
-        for part in fun.parts:
-            p_in, p_off, p_up, p_down, p_ball = _subdiff_rows(part, X, tol)
-            inside, offset, ball = inside & p_in, offset + p_off, ball + p_ball
-            up, down = up | p_up, down | p_down
-        return inside, offset, up, down, ball
-    raise ValidationError(f"unknown function spec {type(fun).__name__}")
-
-
-def _subdiff_residuals(fun: FunSpec, X: np.ndarray, S: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-    """dist(S[i], df(X[i])) per row, +inf outside dom f. The image is
-    offset + K + ball*B with K a cone of signed axes: the distance to K is a
-    per-coordinate clip, and dist(u, K + rB) = max(0, dist(u, K) - r)."""
-    inside, offset, up, down, ball = _subdiff_rows(fun, X, tol)
-    U = S - offset
-    R = U - np.clip(U, np.where(down, -np.inf, 0.0), np.where(up, np.inf, 0.0))
-    return np.where(inside, np.maximum(0.0, np.sqrt(rowwise_dot(R, R)) - ball), np.inf)
-
-
 # ---------------------------------------------------------------------------
 # Fibers
 # ---------------------------------------------------------------------------
@@ -548,12 +385,22 @@ def unit_sphere_samples(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class GraphOp:
+class _Spec:
+    """An operator spec: its ``_normal_form`` is built once, when it is made."""
+
+    _form: "_Form" = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_form", _normal_form(self))
+
+
+@dataclass(frozen=True, eq=False)
+class GraphOp(_Spec):
     graph: FiniteGraph
 
 
 @dataclass(frozen=True, eq=False)
-class LinearOp:
+class LinearOp(_Spec):
     """x -> {Mx + c}; monotone iff the symmetric part of M is PSD; c is zeros by default."""
 
     M: np.ndarray
@@ -567,57 +414,52 @@ class LinearOp:
             raise ValidationError("linear operator not monotone")
         object.__setattr__(self, "M", m)
         object.__setattr__(self, "c", c)
+        super().__post_init__()
 
 
 @dataclass(frozen=True, eq=False)
-class SubdiffOp:
+class SubdiffOp(_Spec):
     fun: FunSpec
 
 
 @dataclass(frozen=True, eq=False)
-class NormalConeOp:
+class NormalConeOp(_Spec):
     region: Union[Box, Polytope]
 
 
 @dataclass(frozen=True, eq=False)
-class DualityMapOp:
+class DualityMapOp(_Spec):
     p: float
     center: Vector
-    _fun: TranslatedNormPower = field(init=False, repr=False)  # |. - center|^p / p, built once
 
     def __post_init__(self):
         object.__setattr__(self, "p", float(self.p))
         if not 1.0 <= self.p < np.inf:
             raise ValidationError("duality map requires a finite p >= 1")
         object.__setattr__(self, "center", as_vector(self.center))
-        object.__setattr__(self, "_fun", TranslatedNormPower(self.p, 1.0, self.center))
+        super().__post_init__()
 
 
 @dataclass(frozen=True, eq=False)
-class ShiftedOp:
+class ShiftedOp(_Spec):
     """gra B = gra A - {(0, zstar)}: fibers are B(x) = A(x) - zstar."""
 
     inner: "OperatorSpec"
     zstar: Vector
 
     def __post_init__(self):
-        z = as_vector(self.zstar)
-        d = op_dimension(self.inner)
-        if d is not None and z.size != d:
-            raise DimensionMismatchError("shift vector dimension mismatch")
-        object.__setattr__(self, "zstar", z)
+        object.__setattr__(self, "zstar", as_vector(self.zstar))
+        super().__post_init__()
 
 
 @dataclass(frozen=True, eq=False)
-class PerturbedOp:
+class PerturbedOp(_Spec):
     """A + lam * J_p(. - center), lam > 0."""
 
     inner: "OperatorSpec"
     lam: float
     p: float
     center: Vector
-    _jp: TranslatedNormPower = field(init=False, repr=False)  # lam |. - center|^p / p, built once
-    _fun: Optional[FunSum] = field(init=False, repr=False)  # f + _jp when inner = df, else None
 
     def __post_init__(self):
         object.__setattr__(self, "lam", float(self.lam))
@@ -626,14 +468,8 @@ class PerturbedOp:
             raise ValidationError("perturbation weight must be finite and positive")
         if not 1.0 <= self.p < np.inf:
             raise ValidationError("perturbation requires a finite p >= 1")
-        c = as_vector(self.center)
-        d = op_dimension(self.inner)
-        if d is not None and c.size != d:
-            raise DimensionMismatchError("perturbation center dimension mismatch")
-        object.__setattr__(self, "center", c)
-        object.__setattr__(self, "_jp", TranslatedNormPower(self.p, self.lam, c))
-        fun = _subdiff_of(self.inner)
-        object.__setattr__(self, "_fun", None if fun is None else FunSum((fun, self._jp)))
+        object.__setattr__(self, "center", as_vector(self.center))
+        super().__post_init__()
 
 
 OperatorSpec = Union[
@@ -641,86 +477,214 @@ OperatorSpec = Union[
 ]
 
 
+# ---------------------------------------------------------------------------
+# The normal form
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class _Form:
+    """An operator's normal form A = base + M. + c + sum_i lam_i J_{p_i}(. - m_i)
+    + N_B, J_p(y) = |y|^(p-2) y. base is a FiniteGraph or None; M is None, a
+    float mu for mu I (a bare norm power has no width) or a matrix; c is None
+    or a vector; terms are the (lam, p, m), p != 2, in chain order, m None for
+    0; B, a Box, a Polytope or None for R^n, is cl dom A when base is None. A
+    part that is None adds no floating-point operation. Arrays are read-only;
+    dim may be None."""
+
+    dim: Optional[int]
+    base: Optional[FiniteGraph] = None
+    M: Union[None, float, np.ndarray] = None
+    c: Optional[np.ndarray] = None
+    terms: tuple = ()
+    B: Union[Box, Polytope, None] = None
+
+
+def _normal_form(spec) -> _Form:
+    """The form of an operator or function spec, the one place that names the
+    wrapper kinds; a wrapper reads its inner op's form. d of a sum of
+    quadratics, norm powers and box indicators is the sum of their d's
+    (Bauschke and Combettes, Convex Analysis and Monotone Operator Theory, 2nd
+    ed., ch. 16), and cl dom A, the boxes' intersection, is closed and convex
+    (Rockafellar, Math. Ann. 185, 1970). N_box = d(iota_box); lam J_p(. - m) =
+    d(lam |. - m|^p / p) is a term, or lam I and -lam m at p = 2; a shift by z*
+    adds -z* to c."""
+    if isinstance(spec, ShiftedOp):
+        return _plus(spec.inner._form, _Form(spec.zstar.size, c=read_only(-spec.zstar)))
+    if isinstance(spec, (PerturbedOp, DualityMapOp, NormPower, TranslatedNormPower)):
+        lam = spec.lam if isinstance(spec, PerturbedOp) else getattr(spec, "scale", 1.0)
+        m = getattr(spec, "center", None)
+        n = None if m is None else m.size
+        if spec.p == 2.0:
+            term = _Form(n, M=lam, c=None if m is None else read_only(-(lam * m)))
+        else:
+            term = _Form(n, terms=((lam, spec.p, m),))
+        return _plus(spec.inner._form, term) if isinstance(spec, PerturbedOp) else term
+    if isinstance(spec, GraphOp):
+        return _Form(spec.graph.dim, base=spec.graph)
+    if isinstance(spec, (LinearOp, Quadratic)):
+        M, c = (spec.M, spec.c) if isinstance(spec, LinearOp) else (spec.Q, spec.b)
+        return _Form(len(M), M=M, c=c)
+    if isinstance(spec, (NormalConeOp, Box)):
+        B = getattr(spec, "region", spec)
+        return _Form(B.dim, B=B)
+    if isinstance(spec, SubdiffOp):
+        return _normal_form(spec.fun)
+    if isinstance(spec, FunSum):
+        return reduce(_plus, map(_normal_form, spec.parts))
+    raise ValidationError(f"unknown spec {type(spec).__name__}")
+
+
+def _plus(f: _Form, g: _Form) -> _Form:
+    """The form of the sum of operators of forms f and g, at most one with a
+    base: M's and c's add, f's first, with a mu I on a matrix's diagonal;
+    terms join in order; boxes intersect. Their widths must agree."""
+    if None not in (f.dim, g.dim) and f.dim != g.dim:
+        raise DimensionMismatchError(f"a part of width {g.dim} added to an operator of width {f.dim}")
+
+    def add(a, b):
+        if a is None or b is None:
+            return b if a is None else a
+        if np.ndim(a) != np.ndim(b):
+            return read_only(a * np.eye(len(b)) + b if np.ndim(a) == 0 else a + b * np.eye(len(a)))
+        return read_only(a + b) if np.ndim(a) else a + b
+    B = f.B if g.B is None else g.B if f.B is None else Box(np.maximum(f.B.lo, g.B.lo), np.minimum(f.B.hi, g.B.hi))
+    base = f.base if f.base is not None else g.base
+    return _Form(f.dim if f.dim is not None else g.dim, base, add(f.M, g.M), add(f.c, g.c), f.terms + g.terms, B)
+
+
 def op_dimension(op: OperatorSpec) -> Optional[int]:
-    if isinstance(op, GraphOp):
-        return op.graph.dim
-    if isinstance(op, LinearOp):
-        return op.M.shape[0]
-    if isinstance(op, SubdiffOp):
-        return fun_dimension(op.fun)
-    if isinstance(op, NormalConeOp):
-        return op.region.dim
-    if isinstance(op, DualityMapOp):
-        return op.center.size
-    if isinstance(op, (ShiftedOp, PerturbedOp)):
-        d = op_dimension(op.inner)
-        if d is not None:
-            return d
-        return op.zstar.size if isinstance(op, ShiftedOp) else op.center.size
-    raise ValidationError(f"unknown operator spec {type(op).__name__}")
+    return op._form.dim
 
 
 def cone_form(op: OperatorSpec, n: int) -> Optional[tuple[np.ndarray, np.ndarray, Union[Box, Polytope, None]]]:
-    """(M, c, B) with A = M. + c + N_B on R^n, B a Box, a Polytope or None for
-    R^n: a linear map, (M, c, None); a subdifferential whose function is
-    quadratic plus box (``_sum_exact_parts``: quadratics, p = 2 norm powers,
-    box indicators, so box normal cones and J_2 too); a polytope's normal
-    cone, (0, 0, P); and, through any shift or p = 2 perturbation of these,
-    (M, c - z*, B) and (M + lam I, c - lam center, B). None for every other
-    kind. n is op's width. With B None, A is the map x -> Mx + c and dom A is
-    R^n: the domain scan, the default wgrid of theorem36 and the fitz command
-    take that affine route; graph_sample's residual gate reads every form."""
-    if isinstance(op, LinearOp):
-        return op.M, op.c, None
-    if isinstance(op, ShiftedOp) or (isinstance(op, PerturbedOp) and op.p == 2.0):
-        inner = cone_form(op.inner, n)
-        if inner is None:
-            return None
-        M, c, B = inner
-        if isinstance(op, ShiftedOp):
-            return M, c - op.zstar, B
-        return M + op.lam * np.eye(n), c - op.lam * op.center, B
-    if isinstance(op, NormalConeOp) and isinstance(op.region, Polytope):
-        return np.zeros((n, n)), np.zeros(n), op.region
-    fun = _subdiff_of(op)
-    if fun is None:
+    """(M, c, B) with A = M. + c + N_B on R^n: op's normal form when it has no
+    terms and no base, its missing parts zeros of width n; else None. With B
+    None, A is the map x -> Mx + c on R^n, which the domain scan, theorem36
+    and the fitz command read; graph_sample's residual gate reads every form."""
+    f = op._form
+    if f.terms or f.base is not None:
         return None
-    return _sum_exact_parts(fun if isinstance(fun, FunSum) else FunSum((fun,)), n)
+    M = np.zeros((n, n)) if f.M is None else f.M * np.eye(n) if np.ndim(f.M) == 0 else f.M
+    return M, np.zeros(n) if f.c is None else f.c, f.B
 
 
 # ---------------------------------------------------------------------------
 # Resolvent (Minty parametrization)
 # ---------------------------------------------------------------------------
 
+def _unreduced(f: _Form) -> Optional[str]:
+    """Why resolvent_batch has no reduction for the form's p != 2 terms, or
+    None: Dykstra takes a prox per part, so M must be symmetric, and B's
+    projection, a polytope's, is not paired with terms; a graph has none."""
+    if not f.terms:
+        return None
+    if f.base is not None:
+        return "its inner operator is a graph"
+    if isinstance(f.B, Polytope):
+        return "its inner operator is a polytope's normal cone"
+    if np.ndim(f.M) == 2 and not np.allclose(f.M, f.M.T, atol=1e-12):
+        return "its inner operator's linear part is not symmetric"
+    return None
+
+
 def resolvent_batch(
     op: OperatorSpec, W: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, step=1.0
 ) -> np.ndarray:
     """Rows x with w - x in step*A(x), one per row w of W; a (k,) step gives row
-    i its result alone at scalar step[i], bit for bit (see fun_prox_batch).
+    i its result alone at scalar step[i], bit for bit (see ``_prox``).
     Rows of the wrong width raise DimensionMismatchError."""
-    W, s = np.atleast_2d(np.asarray(W, dtype=float)), np.asarray(step)[..., None]
-    dim = op_dimension(op)
-    if W.ndim != 2 or dim not in (None, W.shape[1]):
-        raise DimensionMismatchError(f"base point shape {W.shape} does not match dimension {dim}")
-    if isinstance(op, GraphOp):
+    W = np.atleast_2d(np.asarray(W, dtype=float))
+    f = op._form
+    if W.ndim != 2 or f.dim not in (None, W.shape[1]):
+        raise DimensionMismatchError(f"base point shape {W.shape} does not match dimension {f.dim}")
+    if f.base is not None and not f.terms:
         raise NotMaximalError("finite graphs have no resolvent (not maximal)")
-    if isinstance(op, LinearOp):
-        return _solve_rows(np.eye(op.M.shape[0]) + s[..., None] * op.M, W - s * op.c)
-    if isinstance(op, PerturbedOp) and op.p == 2.0:
-        den = 1.0 + s * op.lam
-        return resolvent_batch(op.inner, (W + s * op.lam * op.center) / den, tol, step / den[..., 0])
-    fun = _subdiff_of(op)
-    if fun is not None:
-        return fun_prox_batch(fun, W, step, tol)
-    if isinstance(op, NormalConeOp):  # a polytope's; a box's is the clip of d(iota_box)
-        return op.region.project_batch(W)
-    if isinstance(op, ShiftedOp):
-        return resolvent_batch(op.inner, W + s * op.zstar, tol, step)
-    if isinstance(op, PerturbedOp):
-        raise NoClosedFormError(
-            "perturbed resolvent reduces only for p=2 or subdifferential inners"
+    why = _unreduced(f)
+    if why is not None:
+        raise NoClosedFormError(f"a p != 2 perturbation has no resolvent reduction: {why}")
+    return _prox(f, W, step, tol)
+
+
+def _prox(f: _Form, W: np.ndarray, step, tol: ToleranceConfig) -> np.ndarray:
+    """The resolvent rows of a form ``_unreduced`` passes; s puts row i's step
+    on row i. A matrix M with no terms is one linear solve, or the box QP in B.
+    A scalar M and c fold into the point and the step: x + s (mu x + c + T x)
+    = w iff x + s' T x = (w - s c) / (1 + s mu), s' = s / (1 + s mu); then B's
+    projection, one term's radial prox, or Dykstra over the terms in chain
+    order and then the rest of the form, so each iterate ends in B."""
+    s = np.asarray(step)[..., None]
+    if np.ndim(f.M) == 2:
+        if not f.terms:
+            H, G = np.eye(len(f.M)) + s[..., None] * f.M, W if f.c is None else W - s * f.c
+            return _solve_rows(H, G) if f.B is None else _box_qp_batch(H, G, f.B.lo, f.B.hi)
+        rest = [_Form(f.dim, M=f.M, c=f.c, B=f.B)]
+    else:
+        if f.c is not None:
+            W = W - s * f.c
+        if f.M is not None:
+            den = 1.0 + s * f.M
+            W, step = W / den, step / den[..., 0]
+        if not f.terms:
+            return W if f.B is None else f.B.project_batch(W)
+        if len(f.terms) == 1 and f.B is None:
+            return _norm_prox(W, step, *f.terms[0])
+        f = _Form(f.dim, terms=f.terms, B=f.B)
+        rest = [] if f.B is None else [_Form(f.dim, B=f.B)]
+    parts = [_Form(f.dim, terms=(t,)) for t in f.terms] + rest
+    rows = [_dykstra_prox(parts, f, w, si, tol) for w, si in zip(W, np.broadcast_to(step, len(W)))]
+    return np.array(rows, dtype=float).reshape(W.shape)  # (0, n) for no rows
+
+
+def _norm_prox(W: np.ndarray, step, lam: float, p: float, m: Optional[Vector]) -> np.ndarray:
+    """prox of step * lam |. - m|^p / p at each row (p != 2): radial about m,
+    where p > 1 bisects u + c u^(p-1) = |w| for u >= 0."""
+    if m is not None:
+        return _norm_prox(W - m, step, lam, p, None) + m
+    nw = np.linalg.norm(W, axis=1)
+    c = step * lam
+    if p == 1.0:
+        u = np.maximum(0.0, nw - c)
+    else:
+        lo, hi = np.zeros_like(nw), nw.copy()
+        for _ in range(90):
+            mid = 0.5 * (lo + hi)
+            too_big = mid + c * np.power(mid, p - 1.0) - nw > 0
+            hi = np.where(too_big, mid, hi)
+            lo = np.where(too_big, lo, mid)
+        u = 0.5 * (lo + hi)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        scale = np.where(nw > 0, u / np.where(nw > 0, nw, 1.0), 0.0)
+    return W * scale[:, None]
+
+
+def _dykstra_prox(parts: list, f: _Form, w: Vector, step: float, tol: ToleranceConfig) -> Vector:
+    """Cyclic Dykstra iteration for the resolvent of f at w, one ``_prox`` per
+    part; raises when the budget runs out before the iterates settle or the
+    optimality residual fails."""
+    x = np.asarray(w, dtype=float).copy()
+    corr = [np.zeros_like(x) for _ in parts]
+    inner_tol = 1e-12 * max(1.0, float(np.linalg.norm(w)))
+    cycles = max(10, tol.budget // max(1, len(parts)))
+    for _ in range(min(cycles, 20_000)):
+        x_prev = x.copy()
+        corr_prev = [c.copy() for c in corr]
+        for i, part in enumerate(parts):
+            y = _prox(part, (x + corr[i])[None, :], step, tol)[0]
+            corr[i] = x + corr[i] - y
+            x = y
+        # the primal can stall for whole cycles while corrections still move
+        # (e.g. soft thresholds pinning x at a kink), so track both
+        change = float(np.linalg.norm(x - x_prev)) + sum(
+            float(np.linalg.norm(c - cp)) for c, cp in zip(corr, corr_prev)
         )
-    raise ValidationError(f"unknown operator spec {type(op).__name__}")
+        if change <= inner_tol:
+            break
+    else:
+        raise NoClosedFormError("composite prox did not converge within budget")
+    resid = _residuals(f, x[None, :], ((np.asarray(w) - x) / step)[None, :], tol)[0]
+    if resid > tol.eq_tol * max(1.0, float(np.linalg.norm(w))):
+        raise NoClosedFormError(f"composite prox residual {resid:.2e} too large")
+    return as_vector(x)
 
 
 def _resolvent_rows(op: OperatorSpec, W: np.ndarray, tol: ToleranceConfig, step=1.0) -> np.ndarray:
@@ -747,46 +711,74 @@ def resolvent(
 # Fibers and membership
 # ---------------------------------------------------------------------------
 
-def _subdiff_of(op: OperatorSpec) -> Optional[FunSpec]:
-    """f with op = df for ``_subdiff_rows``, the one place that names the
-    subdifferentials: a subdifferential's function; the box of a box normal
-    cone, N_box = d(iota_box); and the f that a duality map or a perturbed
-    subdifferential built once as its _fun. None for any other op."""
-    if isinstance(op, SubdiffOp):
-        return op.fun
-    if isinstance(op, NormalConeOp) and isinstance(op.region, Box):
-        return op.region
-    if isinstance(op, (DualityMapOp, PerturbedOp)):
-        return op._fun
-    return None
+def _norm_rows(lam: float, p: float, m: Optional[Vector], X: np.ndarray, tol: ToleranceConfig):
+    """(lam J_p(x - m), radius) at each row x: J_p(y) = |y|^(p-2) y, and lam
+    where p = 1 and |y| <= eq_tol, where the image is the ball lam B about the
+    value 0, else 0."""
+    Y = X if m is None else X - m
+    r = np.sqrt(rowwise_dot(Y, Y))  # np.linalg.norm's rounding, row by row
+    at_ball = (p == 1.0) & (r <= tol.eq_tol)
+    smooth = (r > 0.0) & ~at_ball
+    coef = np.zeros(len(X))
+    coef[smooth] = lam * r[smooth] ** (p - 2.0)
+    return coef[:, None] * Y, np.where(at_ball, lam, 0.0)
 
 
-def _subdiff_fiber(fun: FunSpec, x: Vector, tol: ToleranceConfig) -> Fiber:
-    """df(x) read off ``_subdiff_rows``: the offset, the rays +e_j where up then
-    -e_j where down, coordinate by coordinate, and a nonzero ball as the offset
-    plus a sampled sphere (exact=False)."""
-    inside, offset, up, down, ball = _subdiff_rows(fun, x[None, :], tol)
-    if not inside[0]:
-        return _empty_fiber(x)
+def _offset(f: _Form, X: np.ndarray, tol: ToleranceConfig):
+    """(offset, ball) at the rows X: M x + c plus the terms' values, None when
+    the form has none of these, and the summed radii of the terms' balls."""
+    offset = None if f.M is None else f.M * X if np.ndim(f.M) == 0 else rowwise_matmul(X, f.M.T)
+    if f.c is not None:
+        offset = np.broadcast_to(f.c, X.shape) if offset is None else offset + f.c
+    ball = np.zeros(len(X))
+    for term in f.terms:
+        J, radius = _norm_rows(*term, X, tol)
+        offset, ball = J if offset is None else offset + J, ball + radius
+    return offset, ball
+
+
+def _residuals(f: _Form, X: np.ndarray, S: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """dist(S[i], A(X[i])) per row for a form with no base and a box or no B,
+    +inf outside B. The image is offset + N_B(x) + ball*B, N_B(x) generated by
+    +e_j where x_j is at hi_j and -e_j where at lo_j (within eq_tol): the
+    distance to it is a per-coordinate clip, and dist(u, K + rB) =
+    max(0, dist(u, K) - r)."""
+    offset, ball = _offset(f, X, tol)
+    R, inside = (S if offset is None else S - offset), True
+    if f.B is not None:
+        inside, down, up = f.B.contains_batch(X, tol.eq_tol), X <= f.B.lo + tol.eq_tol, X >= f.B.hi - tol.eq_tol
+        R = R - np.clip(R, np.where(down, -np.inf, 0.0), np.where(up, np.inf, 0.0))
+    return np.where(inside, np.maximum(0.0, np.sqrt(rowwise_dot(R, R)) - ball), np.inf)
+
+
+def _cone_rays(B: Union[Box, Polytope], x: Vector, tol: ToleranceConfig):
+    """(x in B, the rays of N_B(x)). A box's are +e_j where up then -e_j where
+    down, coordinate by coordinate; a polytope's, from ``Polytope._facets``,
+    the lines +-comp of the complement of its affine hull, then the unit normal
+    of each facet active at x, once."""
+    n, inside = x.size, B.contains_batch(x[None, :], tol.eq_tol)[0]
+    if isinstance(B, Box):
+        up, down = x >= B.hi - tol.eq_tol, x <= B.lo + tol.eq_tol
+        return inside, np.hstack([np.eye(n), -np.eye(n)]).reshape(2 * n, n)[np.stack([up, down], axis=1).ravel()]
+    center, basis, comp, A, b, _ = B._facets
+    active = np.abs(A @ ((x - center) @ basis) + b) <= tol.eq_tol * (1.0 + float(np.abs(B.vertices).max()))
+    return inside, np.vstack([np.stack([comp.T, -comp.T], axis=1).reshape(-1, n), (basis @ A[active].T).T])
+
+
+def _image(f: _Form, x: Vector, tol: ToleranceConfig):
+    """(points, rays, ball) with A(x) = points + cone(rays) + ball*B: the
+    offset, plus each dual of the base's pairs within eq_tol of x, and the
+    rays of N_B(x); no points outside dom A."""
     n = x.size
-    eye = np.eye(n)
-    rays = np.hstack([eye, -eye]).reshape(2 * n, n)[np.hstack([up.T, down.T]).ravel()]
-    if ball[0] == 0.0:
-        return Fiber(x, offset, rays, exact=True)
-    pts = offset + np.vstack([np.zeros((1, n)), ball[0] * unit_sphere_samples(n)])
-    return Fiber(x, pts, rays, exact=False)
-
-
-def _polytope_normal_fiber(region: Polytope, x: Vector, tol: ToleranceConfig) -> Fiber:
-    """N_P(x) from ``Polytope._facets``: the lines +-comp of the complement of
-    P's affine hull, then the unit normal of each facet active at x, once."""
-    if not region.contains_batch(x[None, :], tol.eq_tol)[0]:
-        return _empty_fiber(x)
-    center, basis, comp, A, b, _ = region._facets
-    n, scale = x.size, 1.0 + float(np.abs(region.vertices).max())
-    active = np.abs(A @ ((x - center) @ basis) + b) <= tol.eq_tol * scale
-    rays = np.vstack([np.stack([comp.T, -comp.T], axis=1).reshape(-1, n), (basis @ A[active].T).T])
-    return Fiber(x, np.zeros((1, n)), rays, exact=True)
+    offset, ball = _offset(f, x[None, :], tol)
+    points, rays = (np.zeros((1, n)) if offset is None else offset), np.zeros((0, n))
+    if f.base is not None:
+        duals = f.base.duals[np.linalg.norm(f.base.primals - x, axis=1) <= tol.eq_tol]
+        points = duals if offset is None else duals + offset
+    elif f.B is not None:
+        inside, rays = _cone_rays(f.B, x, tol)
+        points = points if inside else points[:0]
+    return points, rays, ball[0]
 
 
 def fiber(op: OperatorSpec, x: Vector, tol: ToleranceConfig = DEFAULT_TOL) -> Fiber:
@@ -796,36 +788,15 @@ def fiber(op: OperatorSpec, x: Vector, tol: ToleranceConfig = DEFAULT_TOL) -> Fi
 
 
 def _fiber(op: OperatorSpec, x: np.ndarray, tol: ToleranceConfig) -> Fiber:
-    """``fiber`` at a row x already checked. Every op ``_subdiff_of`` names
-    comes from one rule, ``_subdiff_rows``; so does lam J_p in the fiber of any
-    other perturbed op."""
-    n = x.size
-    if isinstance(op, GraphOp):
-        mask = np.linalg.norm(op.graph.primals - x, axis=1) <= tol.eq_tol
-        pts = op.graph.duals[mask]
-        if len(pts) == 0:
-            return _empty_fiber(x)
-        return Fiber(x, pts, np.zeros((0, n)), exact=True)
-    if isinstance(op, LinearOp):
-        return Fiber(x, (op.M @ x + op.c)[None, :], np.zeros((0, n)), exact=True)
-    fun = _subdiff_of(op)
-    if fun is not None:
-        return _subdiff_fiber(fun, x, tol)
-    if isinstance(op, NormalConeOp):
-        return _polytope_normal_fiber(op.region, x, tol)
-    if isinstance(op, ShiftedOp):
-        inner = _fiber(op.inner, x, tol)
-        if inner.is_empty:
-            return inner
-        return Fiber(x, inner.points - op.zstar, inner.rays, inner.exact)
-    if isinstance(op, PerturbedOp):
-        inner = _fiber(op.inner, x, tol)
-        if inner.is_empty:
-            return inner
-        jp = _subdiff_fiber(op._jp, x, tol)
-        pts = np.vstack([inner.points + b for b in jp.points])
-        return Fiber(x, pts, inner.rays, inner.exact and jp.exact)
-    raise ValidationError(f"unknown operator spec {type(op).__name__}")
+    """``fiber`` at a row x already checked: ``_image``'s points and rays, each
+    point plus a sampled sphere where the ball is not {0} (exact=False)."""
+    points, rays, ball = _image(op._form, x, tol)
+    if not len(points):
+        return _empty_fiber(x)
+    if ball == 0.0:
+        return Fiber(x, points, rays, exact=True)
+    disc = ball * np.vstack([np.zeros((1, x.size)), unit_sphere_samples(x.size)])
+    return Fiber(x, np.vstack([points + b for b in disc]), rays, exact=False)
 
 
 def membership_batch(
@@ -833,56 +804,38 @@ def membership_batch(
 ) -> np.ndarray:
     """Mask of rows with S[i] in A(X[i]) within slack = eq_tol * max(1, |S[i]|).
 
-    Every op ``_subdiff_of`` names shares one rule: a box normal cone
-    (N_box = d(iota_box)), a duality map (J_p(. - c) = d(|. - c|^p / p)) and a
-    perturbed subdifferential are subdifferentials, and the Euclidean distance
-    to the image is at most the slack. A
-    subdifferential image is offset + K + ball*B, where every ray of the cone
-    K is a signed coordinate axis at an active box bound. So K is, per
-    coordinate, a line, a half-line or {0}; the distance to it is the norm of
-    what a per-coordinate clip removes, which is the exact projection, and
-    dist(u, K + rB) = max(0, dist(u, K) - r) for the closed convex cone K. No
-    row is projected by an iterative solver, and none is sampled away. Rows
-    of the wrong width raise DimensionMismatchError."""
+    With no base and a box or no B, ``_residuals`` gives the exact Euclidean
+    distance to the image. A polytope's cone tests the support gap of
+    U = S - offset (``_support_gaps``), a base its pairs within eq_tol of
+    (x, u); where a term's ball is not {0} these rows project S onto
+    ``_image``'s points and rays, to within the radius plus the slack. No row
+    is sampled away. Rows of the wrong width raise DimensionMismatchError."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     S = np.atleast_2d(np.asarray(S, dtype=float))
-    dim = op_dimension(op)
-    if X.ndim != 2 or X.shape != S.shape or dim not in (None, X.shape[1]):
-        raise DimensionMismatchError(f"point shapes {X.shape} and {S.shape} do not match dimension {dim}")
+    f = op._form
+    if X.ndim != 2 or X.shape != S.shape or f.dim not in (None, X.shape[1]):
+        raise DimensionMismatchError(f"point shapes {X.shape} and {S.shape} do not match dimension {f.dim}")
     slack = tol.eq_tol * np.maximum(1.0, np.linalg.norm(S, axis=1))
-    if isinstance(op, GraphOp):
-        g = op.graph
-        return np.array([np.any(
-            (np.linalg.norm(g.primals - x, axis=1) <= tol.eq_tol)
-            & (np.linalg.norm(g.duals - v, axis=1) <= tol.eq_tol)
-        ) for x, v in zip(X, S)], dtype=bool)
-    if isinstance(op, LinearOp):
-        return np.linalg.norm(rowwise_matmul(X, op.M.T) + op.c - S, axis=1) <= slack
-    fun = _subdiff_of(op)
-    if fun is not None:
-        return _subdiff_residuals(fun, X, S, tol) <= slack
-    if isinstance(op, NormalConeOp):
+    if f.base is None and not isinstance(f.B, Polytope):
+        return _residuals(f, X, S, tol) <= slack
+    offset, ball = _offset(f, X, tol)
+    U = S if offset is None else S - offset
+    if f.base is None:
         # max |V - x| from the per-coordinate extremes of V: a (k, n) array
-        V = op.region.vertices
+        V = f.B.vertices
         spread = np.maximum(V.max(axis=0) - X, X - V.min(axis=0)).max(axis=1)
-        return op.region.contains_batch(X, tol.eq_tol) & (_support_gaps(V, X, S) <= slack * (1.0 + spread))
-    if isinstance(op, ShiftedOp):
-        return membership_batch(op.inner, X, S + op.zstar, tol)
-    if isinstance(op, PerturbedOp):
-        # lam J_1 near its center is the ball lam*B: test the distance to the
-        # inner fiber, the nearest of its points plus the cone when it is exact,
-        # the hull of its ball-sampled points plus the cone when it is not
-        _, J, _, _, radius = _subdiff_rows(op._jp, X, tol)
-        ball = radius > 0.0
-        out = np.zeros(len(X), dtype=bool)
-        out[~ball] = membership_batch(op.inner, X[~ball], S[~ball] - J[~ball], tol)
-        for i in np.flatnonzero(ball):
-            inner = _fiber(op.inner, X[i], tol)
-            groups = inner.points[:, None, :] if inner.exact else [inner.points]
-            d = min((project_onto_generated_set(P, inner.rays, S[i])[1] for P in groups), default=np.inf)
-            out[i] = d <= op.lam + slack[i]
-        return out
-    raise ValidationError(f"unknown operator spec {type(op).__name__}")
+        out = f.B.contains_batch(X, tol.eq_tol) & (_support_gaps(V, X, U) <= slack * (1.0 + spread))
+    else:
+        g = f.base
+        out = np.array([np.any(
+            (np.linalg.norm(g.primals - x, axis=1) <= tol.eq_tol)
+            & (np.linalg.norm(g.duals - u, axis=1) <= tol.eq_tol)
+        ) for x, u in zip(X, U)], dtype=bool)
+    for i in np.flatnonzero(ball > 0.0):
+        points, rays, _ = _image(f, X[i], tol)
+        d = min((project_onto_generated_set(P[None, :], rays, S[i])[1] for P in points), default=np.inf)
+        out[i] = d <= ball[i] + slack[i]
+    return out
 
 
 def _support_gaps(V: np.ndarray, X: np.ndarray, R: np.ndarray) -> np.ndarray:

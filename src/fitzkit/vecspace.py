@@ -520,6 +520,12 @@ class Box:
     def dim(self) -> int:
         return self.lo.size
 
+    def contains_batch(self, xs: np.ndarray, tol: float) -> np.ndarray:
+        return np.all((xs >= self.lo - tol) & (xs <= self.hi + tol), axis=1)
+
+    def project_batch(self, ws: np.ndarray) -> np.ndarray:
+        return np.clip(ws, self.lo, self.hi)
+
     def to_polytope(self) -> Polytope:
         corners = np.array(list(itertools.product(*zip(self.lo, self.hi))))
         return Polytope(corners)

@@ -544,8 +544,8 @@ def test_every_operator_and_function_kind_has_a_scalar_slot():
         assert run_quiet(SUP_Q_1D + ["--operator", json.dumps(spec)])[0] in (0, 1)
 
 
-NO_RESOLVENT = {"kind": "perturbed", "inner": {"kind": "linear", "matrix": [[1.0]]},
-                "lambda": 2.0, "p": 3.0, "center": [0.5]}
+SEGMENT_CONE = {"kind": "normal_cone", "vertices": [[0.0], [1.0]]}
+NO_RESOLVENT = {"kind": "perturbed", "inner": SEGMENT_CONE, "lambda": 2.0, "p": 3.0, "center": [0.5]}
 
 
 @pytest.mark.parametrize("spec, where", [
@@ -553,12 +553,12 @@ NO_RESOLVENT = {"kind": "perturbed", "inner": {"kind": "linear", "matrix": [[1.0
     ({"kind": "shifted", "inner": NO_RESOLVENT, "zstar": [1.0]}, "operator.inner"),
     ({"kind": "perturbed", "inner": NO_RESOLVENT, "lambda": 1.0, "p": 2.0, "center": [0.0]},
      "operator.inner"),
-    ({**NO_RESOLVENT, "inner": {"kind": "shifted", "inner": NORM_POWER, "zstar": [1.0]}}, "operator"),
-], ids=["linear-inner", "under-shifted", "under-perturbed", "shifted-subdiff-inner"])
+    ({**NO_RESOLVENT, "inner": {"kind": "shifted", "inner": SEGMENT_CONE, "zstar": [1.0]}}, "operator"),
+], ids=["polytope-inner", "under-shifted", "under-perturbed", "shifted-polytope-inner"])
 @pytest.mark.parametrize("command", ["check", "fitz", "suite"])
 def test_perturbed_without_a_resolvent_exits_two_at_load(tmp_path, command, spec, where):
-    """p != 2 and an inner operator that is no subdifferential: resolvent_batch
-    has no reduction, and every use of the operator samples it."""
+    """p != 2 over a polytope's normal cone: resolvent_batch has no reduction,
+    and every use of the operator samples it."""
     argv = {"check": SUP_Q_1D + ["--operator", json.dumps(spec)],
             "fitz": ["fitz", "--operator", json.dumps(spec), "--x", "0", "--xstar", "0",
                      "--wgrid=-1:1:0.5"]}.get(command)
@@ -569,7 +569,7 @@ def test_perturbed_without_a_resolvent_exits_two_at_load(tmp_path, command, spec
     code, err = run_quiet(argv)
     assert code == 2
     assert err == (f"error: {where}: perturbed has no resolvent: p is 3, not 2, and its inner "
-                   "operator is not a subdifferential\n")
+                   "operator is a polytope's normal cone\n")
 
 
 @pytest.mark.parametrize("kind, extra", [("shifted", {"zstar": [1.0]}),

@@ -491,19 +491,59 @@ SCAN_15 = Grid([-1.5, -1.5], [1.5, 1.5], 0.1)
 def test_theorem36_on_an_affine_subdifferential_is_the_whole_grid(monkeypatch, op, xgrid):
     """dom A = R^n for a quadratic's subdifferential and J_2 (through shifts
     and p = 2 perturbations) as for a linear map, so the scan and the hull are
-    every node: the scan takes the affine route with no fiber and no crossings
-    probe, and the default wgrid reaches past the image of every corner, of
-    (1, 1, 1) too in 3-d, where the image is 3.9 in each coordinate."""
-    fibers, crossings = [], []
-    real_fiber = fitzkit.operators._fiber
+    every node: theorem36 takes the affine route with no sample, no fiber and
+    no crossings probe."""
+    fibers, crossings, samples = [], [], []
+    real_fiber, real_sample = fitzkit.operators._fiber, fitzkit.operators.graph_sample
     monkeypatch.setattr(fitzkit.operators, "_fiber", lambda *a: fibers.append(1) or real_fiber(*a))
+    monkeypatch.setattr(fitzkit.operators, "graph_sample", lambda *a: samples.append(1) or real_sample(*a))
     for name in ("_ridden", "_crossed"):
         real = getattr(fitzkit.fitzpatrick, name)
         monkeypatch.setattr(fitzkit.fitzpatrick, name, lambda *a, real=real: crossings.append(1) or real(*a))
     dist, cert = theorem36_experiment(op, xgrid)
     assert cert.verdict is Verdict.PASS and dist == 0.0
     assert cert.witness("hull_node_count") == cert.witness("member_count") == xgrid.count
-    assert (len(fibers), len(crossings)) == (0, 0)
+    assert (len(fibers), len(crossings), len(samples)) == (0, 0, 0)
+
+
+def _quad_box(n):
+    """The subdifferential of x'Qx / 2 + the indicator of [-1, 1]^n, Q = 2I + 0.3 11'."""
+    return SubdiffOp(FunSum((Quadratic(2.0 * np.eye(n) + 0.3), BoxIndicator([-1.0] * n, [1.0] * n))))
+
+
+BOX_CONE_2 = NormalConeOp(Box([-1.0, -1.0], [1.0, 1.0]))
+
+
+@pytest.mark.parametrize("op, n, spacing", [
+    (_quad_box(2), 2, 0.1),
+    (_quad_box(3), 3, 0.25),
+    (_quad_box(4), 4, 0.5),
+    (DualityMapOp(3.0, [0.0, 0.0]), 2, 0.1),
+    (DualityMapOp(4.0, [0.0, 0.0]), 2, 0.1),
+    (SubdiffOp(FunSum((NormPower(1.0, 0.7), BoxIndicator([-1.0, -1.0], [1.0, 1.0])))), 2, 0.25),
+    (PerturbedOp(BOX_CONE_2, 0.5, 1.0, [0.0, 0.0]), 2, 0.25),
+    # coarse: each probe row of the scan takes a Dykstra resolvent
+    (PerturbedOp(BOX_CONE_2, 0.5, 1.5, [0.0, 0.0]), 2, 0.75),
+    (PerturbedOp(BOX_CONE_2, 0.5, 3.0, [0.0, 0.0]), 2, 0.75),
+], ids=["quad-box-2d", "quad-box-3d", "quad-box-4d", "J3", "J4", "norm-box", "p1-box-cone",
+        "p1.5-box-cone", "p3-box-cone"])
+def test_theorem36_scan_is_the_domain_in_closed_form(op, n, spacing):
+    """cl dom A is the box [-1, 1]^n, or R^n for J_p: theorem36's hull side is
+    the grid nodes in it, node for node, and the scan marks exactly those, so
+    the Hausdorff distance is 0 with no spacing slack taken."""
+    xgrid = Grid([-1.5] * n, [1.5] * n, spacing)
+    nodes = xgrid.nodes()
+    box = isinstance(op, DualityMapOp) or (np.abs(nodes) <= 1.0 + DEFAULT_TOL.eq_tol).all(axis=1)
+    dist, cert = theorem36_experiment(op, xgrid)
+    assert cert.verdict is Verdict.PASS and dist == 0.0
+    assert cert.witness("member_count") == cert.witness("hull_node_count") == np.broadcast_to(box, len(nodes)).sum()
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 12: the scan marks all 1444 grid nodes, 625 lie in the box")
+def test_theorem36_quad_box_scan_at_spacing_008_is_the_box():
+    dist, cert = theorem36_experiment(_quad_box(2), Grid([-1.5, -1.5], [1.5, 1.5], 0.08))
+    assert cert.witness("member_count") == cert.witness("hull_node_count") == 625
+    assert cert.verdict is Verdict.PASS and dist == 0.0
 
 
 @pytest.mark.parametrize("op", [LinearOp(np.eye(2)), SubdiffOp(Quadratic(Q2)), CONE01_2],

@@ -42,6 +42,8 @@ from fitzkit.operators import (
     SubdiffOp,
     cone_form,
     graph_sample,
+    membership,
+    membership_batch,
 )
 from fitzkit.vecspace import Box, DEFAULT_TOL, Grid, PairPoint, Polytope, ToleranceConfig, lexsort_rows, pair, rowwise_dot
 
@@ -735,7 +737,8 @@ def test_blocks_hold_at_most_two_to_the_sixteen_entries(rows, width):
 def ray_crossings_reference(s, X, S):
     """The exact-ray crossings as they were found before the Sample kept a
     ray table: the rows (a, b, r) rebuilt from Sample.candidates on every
-    call, and every crossing of every doubling step kept."""
+    call, and every crossing of every doubling step kept. The first step is
+    t >= 0, so that a witness lies on its ray, in the graph."""
     tol = s.tol
     head = itertools.takewhile(lambda c: c[1].exact and len(c[1].rays), (
         s.candidates if not isinstance(s.op, GraphOp) and len(X) else ()))
@@ -748,7 +751,7 @@ def ray_crossings_reference(s, X, S):
         slope = rowwise_dot(Xb[:, None] - A, R)
         i, k = np.nonzero(slope > tol.eq_tol)
         ax = rowwise_dot(Sb[i], A[k])
-        t = (target - (rowwise_dot(Xb[i], B[k]) + ax - rowwise_dot(A[k], B[k]))) / slope[i, k]
+        t = np.maximum((target - (rowwise_dot(Xb[i], B[k]) + ax - rowwise_dot(A[k], B[k]))) / slope[i, k], 0.0)
         for _ in range(9):
             if not len(i):
                 break
@@ -854,6 +857,30 @@ def test_crossings_equal_the_collect_all_reference(case):
     want, got = crossings_reference(s, X, S), fitz_rows(s, X, S)[1]
     assert same_crossings(got[:k], want[:k])
     assert crossing_mask(s, X, S).tolist() == [c is not None for c in want] == [c is not None for c in got]
+
+
+def test_ray_crossing_witness_lies_on_its_ray():
+    """At x = (3, 0.5), x* = (1.1e8, 0) the term at the fiber point b = 0 of
+    a = (1, 0) already passes the target, so t0 < 0 along the ray e_1. The
+    crossing there takes t = 0, not the point ((1, 0), (-4.95e6, 0)) behind
+    the ray, and the lex-first crossing is then the sample pair ((1, 0), (0, -1))."""
+    s = Sample.over(NormalConeOp(Box([0.0, 0.0], [1.0, 1.0])), Grid([-1.0, -1.0], [2.0, 2.0], 0.25))
+    value = fitz_at(s, pair([3.0, 0.5], [1.1e8, 0.0]))
+    assert isinstance(value, InfiniteSuspected)
+    assert membership(s.op, value.witness)
+    assert value.witness.primal.tolist() == [1.0, 0.0] and value.witness.dual.tolist() == [0.0, -1.0]
+
+
+@settings(max_examples=12, deadline=None)
+@given(oracle_cases())
+def test_every_crossing_witness_lies_in_the_graph(case):
+    """Every crossing fitz_rows returns, along a ray, at a sample pair or at a
+    resolvent point, is a pair of the operator's graph."""
+    s, X, S, (Xfar, Sfar) = case
+    witnesses = [c[1] for c in fitz_rows(s, np.vstack([X, Xfar]), np.vstack([S, Sfar]))[1] if c is not None]
+    if witnesses:
+        P, D = np.array([w.primal for w in witnesses]), np.array([w.dual for w in witnesses])
+        assert membership_batch(s.op, P, D, s.tol).all()
 
 
 def test_four_dimensional_quad_box_scan_memory_is_bounded():

@@ -568,6 +568,8 @@ def fiber_reference(fun, x, tol=DEFAULT_TOL):
         return fiber_reference(NormPower(fun.p, fun.scale), x - fun.center, tol)
     if isinstance(fun, NormPower):
         r = float(np.linalg.norm(x))
+        if fun.p == 2.0:  # the normal form's linear part: no norm, which can underflow
+            return True, fun.scale * x, empty, 0.0
         if fun.p == 1.0 and r <= tol.eq_tol:
             return True, np.zeros(n), empty, fun.scale
         if r == 0.0:
@@ -575,15 +577,17 @@ def fiber_reference(fun, x, tol=DEFAULT_TOL):
         # the power of a one-element array, as the batch rule takes it: numpy
         # takes r ** -1.0 as a reciprocal, libm pow on a float can differ in the last bit
         return True, fun.scale * (np.array([r]) ** (fun.p - 2.0))[0] * x, empty, 0.0
-    if isinstance(fun, FunSum):
-        offset, rays, ball = np.zeros(n), [empty], 0.0
+    if isinstance(fun, FunSum):  # a box adds no offset, and the sum starts at its first term
+        offset, rays, ball = None, [empty], 0.0
         for part in fun.parts:
             inside, p_off, p_rays, p_ball = fiber_reference(part, x, tol)
             if not inside:
                 return False, np.zeros(n), empty, 0.0
-            offset, ball = offset + p_off, ball + p_ball
+            if not isinstance(part, BoxIndicator):
+                offset = p_off if offset is None else offset + p_off
+            ball = ball + p_ball
             rays.append(p_rays)
-        return True, offset, np.vstack(rays), ball
+        return True, np.zeros(n) if offset is None else offset, np.vstack(rays), ball
     raise AssertionError(type(fun).__name__)
 
 
@@ -617,11 +621,14 @@ def _subdiff_fun(op):
     return None
 
 
-def scalar_membership_reference(op, pt, tol=DEFAULT_TOL):
+def scalar_membership_reference(op, pt, tol=DEFAULT_TOL, slack=None):
     """The one-pair membership rule that preceded membership_batch, one
-    family per branch, kept as the oracle the batch must agree with."""
+    family per branch, kept as the oracle the batch must agree with. The
+    slack is the pair's own, eq_tol * max(1, |x*|), through shifts and
+    perturbations too."""
     x, v = pt.primal, pt.dual
-    slack = tol.eq_tol * max(1.0, float(np.linalg.norm(v)))
+    if slack is None:
+        slack = tol.eq_tol * max(1.0, float(np.linalg.norm(v)))
     if isinstance(op, GraphOp):
         dp = np.linalg.norm(op.graph.primals - x, axis=1)
         dd = np.linalg.norm(op.graph.duals - v, axis=1)
@@ -636,11 +643,11 @@ def scalar_membership_reference(op, pt, tol=DEFAULT_TOL):
         gaps = (op.region.vertices - x) @ v
         return bool(gaps.max() <= slack * (1.0 + float(np.abs(op.region.vertices - x).max())))
     if isinstance(op, ShiftedOp):
-        return scalar_membership_reference(op.inner, PairPoint(x, v + op.zstar), tol)
+        return scalar_membership_reference(op.inner, PairPoint(x, v + op.zstar), tol, slack)
     if isinstance(op, PerturbedOp):
         _, jp, _, ball = fiber_reference(TranslatedNormPower(op.p, op.lam, op.center), x, tol)
         if ball == 0.0:
-            return scalar_membership_reference(op.inner, PairPoint(x, v - jp), tol)
+            return scalar_membership_reference(op.inner, PairPoint(x, v - jp), tol, slack)
         inner = fiber(op.inner, x, tol)
         if inner.is_empty:
             return False
@@ -926,10 +933,9 @@ def test_batch_rows_equal_rows_computed_alone(kind, rows, scale, step_list):
     # side sums two fixed terms
     for op, W in [(op, W)] + [(QUADBOX4, np.hstack([W, W[::-1]]))] * (kind == "quadbox"):
         n = W.shape[1]
-        fun = operators._subdiff_of(op)
-        exact = operators._sum_exact_parts(fun, n) if isinstance(fun, FunSum) else None
-        if exact is not None and exact[2] is not None:  # a quadratic-plus-box sum
-            A, a, box = exact
+        form = cone_form(op, n)
+        if form is not None and isinstance(form[2], Box):  # A = M. + c + N_box: the box QP
+            A, a, box = form
             H, G = np.eye(n) + A, W - a
             alone = np.vstack([operators._box_qp_batch(H, g[None, :], box.lo, box.hi) for g in G])
             assert operators._box_qp_batch(H, G, box.lo, box.hi).tobytes() == alone.tobytes()
@@ -1959,3 +1965,189 @@ def test_sample_over_is_reused_by_on_and_leaves_no_reference_cycle():
         assert graph() is None
     finally:
         gc.enable()
+
+
+# --------------------------------------------------------------------------
+# the normal form
+# --------------------------------------------------------------------------
+
+SYM2 = np.array([[2.0, 0.5], [0.5, 1.0]])
+
+
+@pytest.mark.parametrize("op", [
+    PerturbedOp(LinearOp(SYM2, [0.3, -0.2]), 0.5, 3.0, [0.25, 0.0]),
+    PerturbedOp(PerturbedOp(LinearOp(SYM2), 1.0, 2.0, [0.5, 0.5]), 0.5, 1.0, [0.0, 0.0]),
+    PerturbedOp(ShiftedOp(SubdiffOp(Quadratic(SYM2)), [1.0, -0.5]), 0.5, 1.5, [0.0, 0.5]),
+    PerturbedOp(ShiftedOp(NormalConeOp(Box([-1.0, -1.0], [1.0, 1.0])), [0.5, 0.5]), 0.5, 3.0, [0.0, 0.0]),
+    PerturbedOp(ShiftedOp(DualityMapOp(3.0, [0.5, 0.0]), [1.0, 0.0]), 1.0, 1.0, [0.0, 0.0]),
+], ids=["p3-symmetric-linear", "p1-p2-perturbed-linear", "p1.5-shifted-quadratic", "p3-shifted-box-cone",
+        "p1-shifted-J3"])
+def test_perturbations_the_recursions_refused_now_resolve(op):
+    """A p != 2 perturbation of a symmetric linear map or of a shifted op had
+    no resolvent reduction; on the normal form c and mu I fold into the point
+    and the step, and Dykstra takes a symmetric M as a quadratic's gradient.
+    The verified sample passes membership and the monotonicity gate."""
+    assert len(graph_sample(op, Grid([-2.0, -2.0], [2.0, 2.0], 1.0), verify=True)) > 0
+
+
+@pytest.mark.parametrize("op, why", [
+    (PerturbedOp(LinearOp([[1.0, -1.0], [1.0, 1.0]]), 0.5, 3.0, [0.0, 0.0]), "linear part is not symmetric"),
+    (PerturbedOp(NormalConeOp(SIMPLEX2), 0.5, 1.0, [0.0, 0.0]), "polytope's normal cone"),
+    (PerturbedOp(ShiftedOp(GraphOp(graph_of(([0.0, 0.0], [0.0, 0.0]))), [1.0, 0.0]), 0.5, 3.0, [0.0, 0.0]),
+     "is a graph"),
+], ids=["skew-linear", "polytope-cone", "shifted-graph"])
+def test_perturbations_with_no_reduction_still_raise(op, why):
+    with pytest.raises(NoClosedFormError, match=why):
+        resolvent_batch(op, np.zeros((1, 2)))
+
+
+def test_only_the_normal_form_names_the_wrapper_kinds():
+    """No isinstance on ShiftedOp, PerturbedOp or DualityMapOp in the package
+    outside operators._normal_form: every reader takes the normal form, so the
+    per-reader recursions through the wrappers cannot grow back one by one."""
+    import ast
+    import pathlib
+
+    wrappers = {"ShiftedOp", "PerturbedOp", "DualityMapOp"}
+    outside, inside = [], 0
+    for path in sorted(pathlib.Path(operators.__file__).parent.glob("*.py")):
+        stack = []
+
+        class Finder(ast.NodeVisitor):
+            def visit_FunctionDef(self, node):
+                stack.append(node.name)
+                self.generic_visit(node)
+                stack.pop()
+
+            visit_AsyncFunctionDef = visit_FunctionDef
+
+            def visit_Call(self, node):
+                nonlocal inside
+                if isinstance(node.func, ast.Name) and node.func.id == "isinstance" and len(node.args) == 2:
+                    named = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.args[1])}
+                    if named & wrappers:
+                        if path.name == "operators.py" and stack[:1] == ["_normal_form"]:
+                            inside += 1
+                        else:
+                            outside.append(f"{path.name}:{node.lineno}")
+                self.generic_visit(node)
+
+        Finder().visit(ast.parse(path.read_text()))
+    assert outside == [] and inside > 0
+
+
+_CHAIN_KINDS = ("graph", "linear", "skew", "quadratic", "quadbox", "norm", "norm2", "normbox", "translated",
+                "quadnorm", "box_cone", "polytope_cone", "J_p", "J_2")
+_P2_FOLDED = {"norm2", "J_2"}  # a p = 2 norm is M = s I, c = -s m in the form, not a radial map
+_C_FREE = {"graph", "norm", "translated", "box_cone", "polytope_cone", "J_p"}
+
+
+@st.composite
+def any_chains(draw):
+    """(op, kind, wrappers): a random op of every kind, bare and summed norm
+    powers among them, wrapped in up to three shifts and perturbations with
+    p in {1, 1.5, 2, 3}, a perturbation over a graph included."""
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A, K = rng.uniform(-1.0, 1.0, (2, n, n))
+    Q, b, m = A @ A.T, rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+    lo = rng.uniform(-1.0, 0.5, n)
+    box = Box(lo, lo + rng.uniform(0.25, 1.5, n))
+    p, s = draw(st.sampled_from((1.0, 1.5, 3.0))), draw(st.sampled_from((0.5, 0.7, 2.0)))
+    kind = draw(st.sampled_from(_CHAIN_KINDS))
+    op = {
+        "graph": lambda: GraphOp(graph_of((np.zeros(n), np.zeros(n)), (np.ones(n), np.ones(n)))),
+        "linear": lambda: LinearOp(Q, b),
+        "skew": lambda: LinearOp(Q + K - K.T, b),
+        "quadratic": lambda: SubdiffOp(Quadratic(Q, b)),
+        "quadbox": lambda: SubdiffOp(FunSum((Quadratic(Q, b), box))),
+        "norm": lambda: SubdiffOp(NormPower(p, s)),
+        "norm2": lambda: SubdiffOp(NormPower(2.0, s)),
+        "normbox": lambda: SubdiffOp(FunSum((NormPower(p, s), box))),
+        "translated": lambda: SubdiffOp(TranslatedNormPower(p, s, m)),
+        "quadnorm": lambda: SubdiffOp(FunSum((Quadratic(Q, b), NormPower(p, s)))),
+        "box_cone": lambda: NormalConeOp(box),
+        "polytope_cone": lambda: NormalConeOp(Polytope(rng.uniform(-1.0, 1.0, (3, n)) if n > 1 else [[-0.5], [0.5]])),
+        "J_p": lambda: DualityMapOp(p, m),
+        "J_2": lambda: DualityMapOp(2.0, m),
+    }[kind]()
+    wrappers = []
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            op = ShiftedOp(op, rng.uniform(-2.0, 2.0, n))
+            wrappers.append("S")
+        else:
+            q = draw(st.sampled_from((1.0, 1.5, 2.0, 3.0)))
+            op = PerturbedOp(op, draw(st.sampled_from((0.25, 0.3, 1.0, 3.0))), q, rng.uniform(-1.0, 1.0, n))
+            wrappers.append(f"P{q:g}")
+    return op, kind, wrappers
+
+
+def _agree(got, want, scale, exact):
+    """got is want bit for bit, or, where the form reorders the arithmetic,
+    within the reader's slack eq_tol * max(1, |row|)."""
+    assert got.shape == want.shape
+    if exact:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert (np.abs(got - want) <= DEFAULT_TOL.eq_tol * np.maximum(1.0, scale)).all()
+
+
+@settings(max_examples=120, deadline=None)
+@given(any_chains(), st.integers(0, 2**32 - 1))
+def test_the_normal_form_readers_agree_with_the_recursions(case, seed):
+    """op_dimension, cone_form, resolvent_batch (one step and per-row steps),
+    _fiber and membership_batch against the recursions they replace
+    (tests/reference_operators.py). A bare kind, and a single shift of a kind
+    with no c, perform the same operations and agree bit for bit; so does
+    every cone form. A chain or a p = 2 norm reorders its sums and agrees
+    within the slack, and so does a linear map's fiber point, which is now
+    membership's row-by-row product. Where the form needs Dykstra its rows
+    are checked against membership alone; where the recursion had no
+    reduction and the form has one, likewise."""
+    from reference_operators import (
+        reference_cone_form, reference_fiber, reference_membership_batch, reference_op_dimension,
+        reference_resolvent_batch,
+    )
+
+    op, kind, wrappers = case
+    tol, f = ToleranceConfig(budget=200), op._form
+    n = op_dimension(op) or 2
+    assert op_dimension(op) == reference_op_dimension(op)
+    exact = kind not in _P2_FOLDED and (not wrappers or (wrappers == ["S"] and kind in _C_FREE))
+    got, want = cone_form(op, n), reference_cone_form(op, n)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+        assert (got[2] is None) == (want[2] is None)
+    rng = np.random.default_rng(seed)
+    W, steps = rng.uniform(-3.0, 3.0, (3, n)), rng.uniform(0.2, 3.0, 3)
+    dykstra = len(f.terms) > 1 or (f.terms and (f.B is not None or np.ndim(f.M) == 2))
+    X = None
+    for step in (1.0, steps):
+        try:
+            R = resolvent_batch(op, W, tol, step)
+        except (NoClosedFormError, NotMaximalError) as e:
+            if not dykstra:
+                with pytest.raises(type(e)):
+                    reference_resolvent_batch(op, W, tol, step)
+            continue
+        s = np.reshape(step, (-1, 1))
+        assert membership_batch(op, R, (W - R) / s, tol).all()
+        X = R if X is None else X
+        if not dykstra:
+            try:
+                want = reference_resolvent_batch(op, W, tol, step)
+            except NoClosedFormError:  # a shape the recursion refused
+                continue
+            _agree(R, want, np.abs(W).max(axis=1, keepdims=True), exact)
+    if X is None:
+        X = rng.uniform(-1.0, 1.0, (3, n))
+    for x in X:
+        a, b = operators._fiber(op, x, tol), reference_fiber(op, x, tol)
+        assert a.exact == b.exact and a.rays.tobytes() == b.rays.tobytes()
+        _agree(a.points, b.points, np.abs(b.points).max(axis=1, keepdims=True),
+               exact and kind not in ("linear", "skew"))
+    S = W - X
+    for T in (S, S + 0.1 * rng.standard_normal(S.shape)):
+        assert membership_batch(op, X, T, tol).tolist() == reference_membership_batch(op, X, T, tol).tolist()
